@@ -18,6 +18,7 @@ RIBs — while the *performance* of a given platform is modeled by
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from operator import attrgetter
 from typing import Callable, Iterator, Protocol
 
 from repro.bgp.attributes import PathAttributes, WellKnownCommunity, intern_attributes
@@ -99,12 +100,23 @@ class WorkLog:
     def fib_changes(self) -> int:
         return self.fib_adds + self.fib_replaces + self.fib_deletes
 
+    def counts(self) -> tuple[int, ...]:
+        """Every counter, in field order (``WorkLog(*log.counts())``
+        rebuilds the log)."""
+        return _work_counts(self)
+
     def add(self, other: "WorkLog") -> None:
-        for name in self.__dataclass_fields__:
-            setattr(self, name, getattr(self, name) + getattr(other, name))
+        for name, mine, theirs in zip(_WORK_FIELDS, _work_counts(self), _work_counts(other)):
+            setattr(self, name, mine + theirs)
 
     def snapshot(self) -> "WorkLog":
-        return replace(self)
+        return WorkLog(*_work_counts(self))
+
+
+# The per-packet path snapshots and subtracts a WorkLog for every packet:
+# one C-level getter over the field tuple instead of a getattr loop.
+_WORK_FIELDS = tuple(WorkLog.__dataclass_fields__)
+_work_counts = attrgetter(*_WORK_FIELDS)
 
 
 @dataclass(slots=True)

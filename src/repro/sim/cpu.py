@@ -23,6 +23,12 @@ is dropped — that drop is the forwarding packet loss of Figure 6(c).
 task's service rate under generalized processor sharing with strict
 priorities, advance virtual time to the next job completion or event
 timestamp, and fire what is due. Runs are deterministic.
+
+The rate allocation is a pure function of a machine's *scheduling
+state* (which tasks hold a job, which are lock-blocked, their demands
+and backlog class), and a run revisits a few dozen such states tens of
+thousands of times, so :meth:`Machine.plan` memoises
+:meth:`Machine.compute_rates` on that state (docs/MODELING.md).
 """
 
 from __future__ import annotations
@@ -30,11 +36,15 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from enum import IntEnum
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from repro.sim.engine import Simulator
 
 _EPS = 1e-12
+#: Scheduling states one machine remembers before starting over. A
+#: benchmark cell shows a few dozen; only a sweep of ever-new demand
+#: values (cross-traffic ramps) reaches the cap.
+_PLAN_MEMO_MAX = 1024
 
 
 class Priority(IntEnum):
@@ -55,8 +65,8 @@ class Job:
     remaining: float = field(init=False)
 
     def __post_init__(self) -> None:
-        if self.service < 0:
-            raise ValueError(f"negative service time: {self.service}")
+        if not 0 <= self.service < math.inf:
+            raise ValueError(f"negative or non-finite service time: {self.service}")
         self.remaining = self.service
 
 
@@ -69,6 +79,8 @@ class Task:
         priority: Priority = Priority.USER,
         max_backlog: float = 0.05,
     ):
+        if not max_backlog >= 0:
+            raise ValueError(f"negative or NaN backlog cap: {max_backlog}")
         self.name = name
         self.priority = priority
         self.machine: "Machine | None" = None
@@ -120,13 +132,13 @@ class Task:
 
     def set_continuous_demand(self, rate: float) -> None:
         """Work now arrives at *rate* cpu-seconds per second."""
-        if rate < 0:
-            raise ValueError(f"negative demand: {rate}")
+        if not 0 <= rate < math.inf:
+            raise ValueError(f"negative or non-finite demand: {rate}")
         self.continuous_demand = rate
 
     def set_background_demand(self, rate: float) -> None:
-        if rate < 0:
-            raise ValueError(f"negative demand: {rate}")
+        if not 0 <= rate < math.inf:
+            raise ValueError(f"negative or non-finite demand: {rate}")
         self.background_demand = rate
 
     # -- scheduling interface ---------------------------------------------------
@@ -154,6 +166,23 @@ class Task:
         return rate
 
 
+class RatePlan(NamedTuple):
+    """One machine's allocation in one scheduling state, and the views
+    of it the per-step loops of :class:`World` walk."""
+
+    #: :meth:`Machine.compute_rates` verbatim: runnable task -> rate.
+    rates: "dict[Task, float]"
+    #: ``(task, rate)`` for every runnable task with a job in service.
+    jobs: "tuple[tuple[Task, float], ...]"
+    #: ``(task, drain rate)`` for every jobless task working off backlog.
+    drains: "tuple[tuple[Task, float], ...]"
+    #: ``(task, rate, has job)`` for the tasks the passing of time can
+    #: change or a monitor wants to hear of — a rate, a demand or a
+    #: backlog — in ``Machine.tasks`` order. For every other task an
+    #: advance adds 0.0 to each accumulator and records nothing.
+    active: "tuple[tuple[Task, float, bool], ...]"
+
+
 class Machine:
     """A multi-core CPU with SMT and a set of tasks."""
 
@@ -176,12 +205,15 @@ class Machine:
         self.speed = speed
         self.tasks: list[Task] = []
         self.monitors: list = []
+        self._plans: dict[tuple, RatePlan] = {}
 
     def add_task(self, task: Task) -> Task:
         if task.machine is not None:
             raise ValueError(f"task {task.name} already placed")
         task.machine = self
         self.tasks.append(task)
+        # Keys are positional over ``tasks``: none describes the new list.
+        self._plans.clear()
         return task
 
     def new_task(self, name: str, priority: Priority = Priority.USER, **kwargs) -> Task:
@@ -245,6 +277,59 @@ class Machine:
                 remaining = 0.0
         return rates
 
+    def plan(self) -> RatePlan:
+        """The allocation for the current scheduling state, memoised.
+
+        The key holds, per task and for the machine, exactly what
+        :meth:`compute_rates` reads, so a hit returns what a fresh call
+        would: there is nothing to invalidate and direct attribute
+        writes (``task.blocked_by = ...``) need no notification. Backlog
+        enters as a class — zero, at most ``_EPS``, more — which is all
+        the allocator and the ``active`` view distinguish.
+        """
+        key = [
+            (
+                task._head < len(task._queue),
+                blocker is not None and blocker._head < len(blocker._queue),
+                (task.backlog > _EPS) + (task.backlog != 0.0),
+                task.continuous_demand,
+                task.background_demand,
+                task.priority,
+            )
+            for task in self.tasks
+            for blocker in (task.blocked_by,)
+        ]
+        key.append((self.cores, self.threads_per_core, self.smt_efficiency, self.speed))
+        key = tuple(key)
+        plan = self._plans.get(key)
+        if plan is None:
+            if len(self._plans) >= _PLAN_MEMO_MAX:
+                self._plans.clear()
+            plan = self._plans[key] = self._derive_plan()
+        return plan
+
+    def _derive_plan(self) -> RatePlan:
+        rates = self.compute_rates()
+        jobs, drains, active = [], [], []
+        for task in self.tasks:
+            has_job = task.current_job is not None
+            rate = rates.get(task)
+            if rate is None:
+                rate = 0.0
+            elif has_job:
+                jobs.append((task, rate))
+            elif task.backlog > _EPS and rate > task.continuous_demand + task.background_demand + _EPS:
+                # Backlog depletion is a rate-change point: re-plan there.
+                drains.append((task, rate - task.continuous_demand - task.background_demand))
+            if (
+                rate != 0.0
+                or task.continuous_demand != 0.0
+                or task.background_demand != 0.0
+                or task.backlog != 0.0
+            ):
+                active.append((task, rate, has_job))
+        return RatePlan(rates, tuple(jobs), tuple(drains), tuple(active))
+
 
 def _max_min_fill(demands: "list[tuple[Task, float]]", budget: float) -> dict[Task, float]:
     """Max-min fair allocation of *budget* across tasks with demand caps."""
@@ -287,74 +372,70 @@ class World:
     def run(self, until: float | None = None, max_steps: int = 50_000_000) -> float:
         """Run until no work remains (or the clock reaches *until*).
         Returns the final virtual time."""
-        steps = 0
-        while steps < max_steps:
-            steps += 1
-            progressed = self._step(until)
-            if not progressed:
-                break
-        if steps >= max_steps:
-            raise RuntimeError("simulation exceeded max_steps — likely a livelock")
-        return self.sim.now
+        for _ in range(max_steps):
+            if not self._step(until):
+                return self.sim.now
+        raise RuntimeError("simulation exceeded max_steps — likely a livelock")
 
     def _step(self, until: float | None) -> bool:
-        rates = {}
-        for machine in self.machines:
-            rates.update(machine.compute_rates())
+        sim = self.sim
+        # Empty for a world without machines (every repro.topo run), which
+        # is then a plain event loop: nothing to advance or complete.
+        plans = [machine.plan() for machine in self.machines]
 
-        next_event = self.sim.peek_time()
-        horizon = self._next_completion(rates)
-        target = min(
-            t
-            for t in (next_event, horizon, until)
-            if t is not None
-        ) if (next_event is not None or horizon is not None or until is not None) else None
+        next_event = sim.peek_time()
+        horizon = self._next_completion(plans) if plans else None
+        target = next_event
+        if horizon is not None and (target is None or horizon < target):
+            target = horizon
+        if until is not None and (target is None or until < target):
+            target = until
 
         if target is None:
             return False
-        if target > self.sim.now:
-            self._advance(rates, self.sim.now, target)
-            self.sim.advance_to(target)
-        fired = self.sim.fire_due(self.sim.now)
-        completed = self._fire_completions(rates)
-        if fired == 0 and completed == 0 and target == self.sim.now and until is not None and self.sim.now >= until:
+        if target > sim.now:
+            if plans:
+                self._advance(plans, sim.now, target)
+            sim.advance_to(target)
+        # Nothing ran since the peek, so it still tells whether an event
+        # is due; most steps end at a job completion with none.
+        fired = sim.fire_due(sim.now) if next_event is not None and next_event <= sim.now else 0
+        completed = self._fire_completions() if self.machines else 0
+        if fired == 0 and completed == 0 and target == sim.now and until is not None and sim.now >= until:
             return False
         if fired == 0 and completed == 0 and next_event is None and horizon is None:
             return False
         return True
 
-    def _next_completion(self, rates: dict[Task, float]) -> float | None:
+    def _next_completion(self, plans: list[RatePlan]) -> float | None:
+        now = self.sim.now
         soonest: float | None = None
-        for task, rate in rates.items():
-            job = task.current_job
-            if job is not None:
-                if job.remaining <= _EPS:
-                    return self.sim.now
+        for _rates, jobs, drains, _active in plans:
+            for task, rate in jobs:
+                remaining = task._queue[task._head].remaining
+                if remaining <= _EPS:
+                    return now
                 if rate <= _EPS:
                     continue
-                when = self.sim.now + job.remaining / rate
-            elif task.backlog > _EPS and rate > task.continuous_demand + task.background_demand + _EPS:
-                # Backlog depletion is a rate-change point: re-plan there.
-                drain = rate - task.continuous_demand - task.background_demand
-                when = self.sim.now + task.backlog / drain
-            else:
-                continue
-            if soonest is None or when < soonest:
-                soonest = when
+                when = now + remaining / rate
+                if soonest is None or when < soonest:
+                    soonest = when
+            for task, drain in drains:
+                when = now + task.backlog / drain
+                if soonest is None or when < soonest:
+                    soonest = when
         return soonest
 
-    def _advance(self, rates: dict[Task, float], start: float, end: float) -> None:
+    def _advance(self, plans: list[RatePlan], start: float, end: float) -> None:
         dt = end - start
         if dt <= 0:
             return
-        for machine in self.machines:
-            recorders = [monitor.record for monitor in machine.monitors]
-            for task in machine.tasks:
-                rate = rates.get(task, 0.0)
+        for machine, plan in zip(self.machines, plans):
+            monitors = machine.monitors
+            for task, rate, has_job in plan.active:
                 served = rate * dt
-                job = task.current_job
-                if job is not None:
-                    job.remaining -= served
+                if has_job:
+                    task._queue[task._head].remaining -= served
                 else:
                     # Continuous/background load: new demand arrives over
                     # dt; service drains backlog; overflow past the cap
@@ -373,10 +454,10 @@ class World:
                     task.dropped_total += dropped
                 task.busy_time += served
                 if served > 0 or rate > 0 or task.continuous_demand > 0:
-                    for record in recorders:
-                        record(task, start, end, served)
+                    for monitor in monitors:
+                        monitor.record(task, start, end, served)
 
-    def _fire_completions(self, rates: dict[Task, float]) -> int:
+    def _fire_completions(self) -> int:
         completed = 0
         for machine in self.machines:
             for task in machine.tasks:
@@ -385,10 +466,10 @@ class World:
                 # on the same task, which must be handled in the *next*
                 # step so the run loop's max_steps guard can catch
                 # pathological self-respawning work.
-                budget = task.queue_length()
-                while budget > 0:
-                    job = task.current_job
-                    if job is None or job.remaining > _EPS:
+                budget = len(task._queue) - task._head
+                while budget > 0 and task._head < len(task._queue):
+                    job = task._queue[task._head]
+                    if job.remaining > _EPS:
                         break
                     task._pop_job()
                     completed += 1
@@ -404,7 +485,7 @@ class World:
         if self.sim.peek_time() is not None:
             return False
         return not any(
-            task.current_job is not None or task.backlog > _EPS
+            task._head < len(task._queue) or task.backlog > _EPS
             for machine in self.machines
             for task in machine.tasks
         )

@@ -31,6 +31,7 @@ comparatively light.
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
+from operator import sub
 
 from repro.bgp.speaker import WorkLog
 
@@ -140,7 +141,4 @@ def export_charges(costs: CostModel, prefixes_sent: int, updates_sent: int) -> t
 
 def work_delta(after: WorkLog, before: WorkLog) -> WorkLog:
     """Field-wise ``after - before``."""
-    out = WorkLog()
-    for f in out.__dataclass_fields__:
-        setattr(out, f, getattr(after, f) - getattr(before, f))
-    return out
+    return WorkLog(*map(sub, after.counts(), before.counts()))

@@ -365,3 +365,16 @@ class TestWorkAccounting:
         assert a.fib_deletes == 2
         assert a.transactions == 5
         assert a.fib_changes == 3
+
+    def test_worklog_snapshot_is_an_independent_copy(self):
+        from dataclasses import fields
+
+        from repro.bgp.speaker import WorkLog
+
+        # A distinct value per field, so a transposed position shows.
+        log = WorkLog(*range(1, len(fields(WorkLog)) + 1))
+        assert log.counts() == tuple(getattr(log, f.name) for f in fields(WorkLog))
+        copy = log.snapshot()
+        assert copy == log and copy is not log
+        log.prefixes_announced += 7
+        assert copy.prefixes_announced == 5

@@ -1,6 +1,8 @@
 """Unit tests for the fluid CPU model: sharing, priorities, SMT,
 continuous loads, and lock coupling."""
 
+import math
+
 import pytest
 
 from repro.sim.cpu import Job, Machine, Priority, Task, World
@@ -70,6 +72,15 @@ class TestSingleCore:
     def test_negative_service_rejected(self):
         with pytest.raises(ValueError):
             Job(-1.0)
+
+    @pytest.mark.parametrize("service", [math.nan, math.inf, -math.inf])
+    def test_non_finite_service_rejected(self, service):
+        # NaN used to complete in zero virtual time (``nan < 0`` is
+        # false), inf to send the clock to infinity.
+        with pytest.raises(ValueError):
+            Job(service)
+        with pytest.raises(ValueError):
+            Task("t").submit(service)
 
 
 class TestPriorities:
@@ -187,6 +198,23 @@ class TestContinuousLoads:
             task.set_continuous_demand(-1.0)
         with pytest.raises(ValueError):
             task.set_background_demand(-0.1)
+
+    @pytest.mark.parametrize("rate", [math.nan, math.inf])
+    def test_non_finite_demand_rejected(self, rate):
+        task = Task("t")
+        task.set_continuous_demand(0.25)
+        task.set_background_demand(0.125)
+        with pytest.raises(ValueError):
+            task.set_continuous_demand(rate)
+        with pytest.raises(ValueError):
+            task.set_background_demand(rate)
+        assert (task.continuous_demand, task.background_demand) == (0.25, 0.125)
+
+    @pytest.mark.parametrize("cap", [-0.001, math.nan])
+    def test_backlog_cap_validation(self, cap):
+        # A negative cap made an idle task "drop" work it never had.
+        with pytest.raises(ValueError):
+            Task("t", max_backlog=cap)
 
 
 class TestLockCoupling:

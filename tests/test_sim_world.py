@@ -59,6 +59,20 @@ class TestGuards:
         with pytest.raises(RuntimeError, match="max_steps"):
             world.run(max_steps=1000)
 
+    def test_max_steps_allows_going_idle_on_the_last_step(self):
+        """One job takes two steps: run it, then find nothing left. The
+        guard is for a loop cut off while still progressing, not for one
+        that went idle on exactly its last permitted step."""
+        world = World()
+        world.new_machine("m", cores=1).new_task("t").submit(1.0)
+        assert world.run(max_steps=2) == pytest.approx(1.0)
+
+    def test_max_steps_cuts_off_a_run_still_progressing(self):
+        world = World()
+        world.new_machine("m", cores=1).new_task("t").submit(1.0)
+        with pytest.raises(RuntimeError, match="max_steps"):
+            world.run(max_steps=1)
+
     def test_run_until_past_all_work(self):
         world = World()
         machine = world.new_machine("m", cores=1)

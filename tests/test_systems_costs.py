@@ -117,3 +117,12 @@ class TestWorkDelta:
         assert delta.prefixes_announced == 3
         assert delta.fib_adds == 0
         assert delta.fib_deletes == 2
+
+    def test_work_delta_covers_every_field_in_place(self):
+        from dataclasses import fields
+
+        names = [f.name for f in fields(WorkLog)]
+        before = WorkLog(*range(len(names)))
+        after = WorkLog(*(3 * i + 1 for i in range(len(names))))
+        delta = work_delta(after, before)
+        assert [getattr(delta, name) for name in names] == [2 * i + 1 for i in range(len(names))]

@@ -9,8 +9,25 @@ boundary, a zero-width interval) that off-by-one rewrites break first.
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.telemetry.buckets import overlap, spread
+
+
+def reference_spread(start, end, width):
+    """``spread`` as the generator it was before it answered the
+    one-bucket case without the loop — the arithmetic to stay equal to."""
+    if end <= start:
+        return
+    index = int(start // width)
+    cursor = start
+    while cursor < end:
+        boundary = (index + 1) * width
+        upper = min(boundary, end)
+        yield index, upper - cursor
+        cursor = upper
+        index += 1
 
 
 class TestSpread:
@@ -52,6 +69,24 @@ class TestSpread:
         start, end, width = 0.37, 9.81, 0.7
         total = math.fsum(part for _, part in spread(start, end, width))
         assert total == pytest.approx(end - start)
+
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(
+        start=st.floats(min_value=-50.0, max_value=50.0),
+        length=st.one_of(
+            st.floats(min_value=0.0, max_value=5.0),
+            st.sampled_from([0.0, 0.25, 0.5, 1.0, 2.0]),
+        ),
+        width=st.sampled_from([0.1, 0.25, 0.5, 1.0, 1, 3.0]),
+        snap=st.booleans(),
+    )
+    def test_equal_to_the_reference_loop_bit_for_bit(self, start, length, width, snap):
+        if snap:  # start and end on bucket edges: where off-by-ones live
+            start = math.floor(start / width) * width
+        assert list(spread(start, start + length, width)) == list(
+            reference_spread(start, start + length, width)
+        )
 
 
 class TestOverlap:
