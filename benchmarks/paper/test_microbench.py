@@ -12,9 +12,10 @@ from repro.forwarding.fib import Fib
 from repro.forwarding.pipeline import ForwardingPipeline
 from repro.forwarding.lengthsearch import LengthSearchTable
 from repro.forwarding.multibit import MultibitTable
-from repro.forwarding.trie import BinaryTrie, CompressedTrie
+from repro.forwarding.trie import BinaryTrie
 from repro.net.addr import IPv4Address
 from repro.net.packet import IPv4Packet
+from repro.net.trie import PrefixTrieMap
 from repro.workload.tablegen import generate_table
 
 TABLE = generate_table(2000, seed=42)
@@ -43,7 +44,7 @@ class TestCodecThroughput:
 
 @pytest.mark.parametrize(
     "trie_class",
-    [BinaryTrie, CompressedTrie, MultibitTable, LengthSearchTable],
+    [BinaryTrie, PrefixTrieMap, MultibitTable, LengthSearchTable],
     ids=["binary", "compressed", "multibit", "lengthsearch"],
 )
 class TestTrieThroughput:

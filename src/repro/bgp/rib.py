@@ -11,7 +11,7 @@ Every mutation returns an explicit :class:`RouteChange` so the caller
 the forwarding table must change — the distinction on which benchmark
 scenarios 5/6 versus 7/8 turn.
 
-All three are backed by :class:`repro.perf.triemap.PrefixTrieMap`, an
+All three are backed by :class:`repro.net.trie.PrefixTrieMap`, an
 indexed patricia trie: per-UPDATE operations are one packed-int dict
 probe, withdrawn prefixes tombstone in place so churn re-adds are O(1),
 and iteration is a deterministic ascending ``(network, length)``
@@ -26,7 +26,7 @@ from typing import Iterator
 
 from repro.bgp.attributes import PathAttributes
 from repro.net.addr import Prefix
-from repro.perf.triemap import PrefixTrieMap
+from repro.net.trie import PrefixTrieMap
 
 
 class RouteChange(Enum):
@@ -98,7 +98,7 @@ class AdjRibIn:
             node.has_value = True
             routes._count += 1
             return RouteChange.ADDED
-        routes.set(prefix, attributes)
+        routes.insert(prefix, attributes)
         return RouteChange.ADDED
 
     def withdraw(self, prefix: Prefix) -> RouteChange:
@@ -160,7 +160,7 @@ class LocRib:
             node.has_value = True
             self._routes._count += 1
             return RouteChange.ADDED
-        self._routes.set(prefix, route)
+        self._routes.insert(prefix, route)
         return RouteChange.ADDED
 
     def remove(self, prefix: Prefix) -> RouteChange:
@@ -233,17 +233,16 @@ class AdjRibOut:
             node.value = attributes
             change = RouteChange.REPLACED
         else:
-            self._advertised.set(prefix, attributes)
+            self._advertised.insert(prefix, attributes)
             change = RouteChange.ADDED
         self._pending_announce[prefix] = attributes
         self._pending_withdraw.discard(prefix)
         return change
 
     def stage_withdraw(self, prefix: Prefix) -> RouteChange:
-        if self._advertised.delete(prefix) is None:
-            self._pending_announce.pop(prefix, None)
-            return RouteChange.ABSENT
         self._pending_announce.pop(prefix, None)
+        if not self._advertised.remove(prefix):
+            return RouteChange.ABSENT
         self._pending_withdraw.add(prefix)
         return RouteChange.REMOVED
 

@@ -20,7 +20,7 @@
     bgpbench lint --flow [paths ...] [--baseline PATH] [--update-baseline]
                   [--sarif out.sarif]
     bgpbench check --sanitize [--platform pentium3] [--scenario 5]
-    bgpbench perf [--quick] [--output benchmarks/BENCH_8.json]
+    bgpbench perf [--quick] [--output benchmarks/BENCH_N.json]
                   [--check [--budgets PATH] [--tolerance 0.5]] [--bless]
 
 ``--output-dir`` writes the experiment's result as JSON next to the
@@ -41,8 +41,8 @@ one scenario in checked mode (see docs/ANALYSIS.md); both exit
 non-zero on findings, so CI can gate on them. ``perf`` times the
 hot-path microbenchmarks against real wall clock (the one deliberately
 nondeterministic command), writes BENCH_*.json, and with ``--check``
-gates ops/s floors and optimized-vs-baseline speedup ratios against
-``benchmarks/perf/budgets.json`` (see docs/PERF.md). ``--trace``/``--metrics``
+gates ops/s floors against ``benchmarks/perf/budgets.json`` (see
+docs/PERF.md). ``--trace``/``--metrics``
 (scenario) and ``--telemetry`` (grid/regress) instrument the run with
 :mod:`repro.telemetry` — observe-only, results are byte-identical (see
 docs/TELEMETRY.md).
@@ -310,7 +310,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     perf.add_argument(
         "--output", type=Path, default=None, metavar="PATH",
-        help="write the results JSON here (e.g. benchmarks/BENCH_8.json)",
+        help="write the results JSON here (e.g. benchmarks/BENCH_N.json)",
     )
     perf.add_argument(
         "--check", action="store_true",
@@ -328,7 +328,7 @@ def build_parser() -> argparse.ArgumentParser:
     perf.add_argument(
         "--bless", action="store_true",
         help="write budgets derived from this run to --budgets "
-             "(floors at measured/4; speedup ratios carried over)",
+             "(floors at measured/4)",
     )
     perf.add_argument(
         "--parallel", action="store_true",
@@ -830,11 +830,6 @@ def _run_perf(args) -> int:
             f"  {name:<{width}}  {entry['ops']:>8} ops  "
             f"{entry['wall_s']:>9.4f}s  {entry['ops_per_s']:>12,.0f} ops/s"
         )
-    for fast, slow in (
-        ("update_decode", "update_decode_legacy"),
-        ("rib_churn", "rib_churn_dict"),
-    ):
-        print(f"  speedup {fast} / {slow}: {bench.speedup(results, fast, slow):.2f}x")
     stats = bench.cache_stats()
     print(
         "  codec caches: "
@@ -848,13 +843,7 @@ def _run_perf(args) -> int:
         print(f"[written {args.output}]")
 
     if args.bless:
-        try:
-            speedups = gate.load_budgets(args.budgets).get("speedups") or None
-        except (OSError, ValueError, json.JSONDecodeError):
-            speedups = None
-        budgets = gate.bless(
-            results, profile, speedups=speedups or gate.DEFAULT_SPEEDUPS
-        )
+        budgets = gate.bless(results, profile)
         args.budgets.parent.mkdir(parents=True, exist_ok=True)
         args.budgets.write_text(json.dumps(budgets, indent=2, sort_keys=True) + "\n")
         print(f"blessed {len(budgets['floors'])} floors -> {args.budgets}")
@@ -880,10 +869,7 @@ def _run_perf(args) -> int:
             for violation in violations:
                 print(f"FAIL [{violation.kind}] {violation.workload}: {violation.detail}")
             return 1
-        print(
-            f"perf gate: {len(budgets.get('floors', {}))} floors, "
-            f"{len(budgets.get('speedups', []))} speedup ratios — all within budget"
-        )
+        print(f"perf gate: {len(budgets['floors'])} floors — all within budget")
     return 0
 
 

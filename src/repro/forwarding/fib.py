@@ -14,8 +14,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.forwarding.trie import CompressedTrie
 from repro.net.addr import IPv4Address, Prefix
+from repro.net.trie import PrefixTrieMap
 
 
 @dataclass(slots=True)
@@ -34,17 +34,17 @@ class FibStats:
 
 
 class Fib:
-    """A next-hop table over a path-compressed LPM trie."""
+    """A next-hop table over the indexed patricia trie the RIBs use."""
 
     def __init__(self) -> None:
-        self._trie = CompressedTrie()
+        self._trie = PrefixTrieMap()
         self.stats = FibStats()
 
     def __len__(self) -> int:
         return len(self._trie)
 
     def __contains__(self, prefix: Prefix) -> bool:
-        return self._trie.exact(prefix) is not None
+        return prefix in self._trie
 
     # -- FibSink protocol ---------------------------------------------------
 
@@ -64,8 +64,8 @@ class Fib:
 
     def lookup(self, destination: IPv4Address | int) -> IPv4Address | None:
         """Longest-prefix-match next hop for *destination*; None = no route."""
-        self.stats.lookups += 1
         match = self._trie.lookup(destination)
+        self.stats.lookups += 1
         if match is None:
             self.stats.lookup_misses += 1
             return None
@@ -76,5 +76,6 @@ class Fib:
         return self._trie.exact(prefix)
 
     def routes(self):
-        """All (prefix, next_hop) pairs."""
+        """All (prefix, next_hop) pairs, a snapshot in ascending
+        (network, length) order."""
         return self._trie.items()

@@ -26,7 +26,7 @@ from __future__ import annotations
 from typing import Any, Iterator
 
 from repro.forwarding.trie import BinaryTrie
-from repro.net.addr import IPv4Address, Prefix
+from repro.net.addr import IPv4Address, Prefix, address_int
 
 
 def _truncate(network: int, length: int) -> int:
@@ -119,7 +119,7 @@ class LengthSearchTable:
     def lookup(self, address: IPv4Address | int) -> "tuple[Prefix, Any] | None":
         if self._dirty:
             self._rebuild()
-        value = int(address)
+        value = address_int(address)
         best: tuple[Prefix, Any] | None = None
         lo, hi = 0, len(self._levels) - 1
         while lo <= hi:

@@ -20,7 +20,7 @@ from __future__ import annotations
 from typing import Any, Iterator
 
 from repro.forwarding.trie import BinaryTrie
-from repro.net.addr import IPv4Address, Prefix
+from repro.net.addr import IPv4Address, Prefix, address_int
 
 
 class MultibitTable:
@@ -121,7 +121,7 @@ class MultibitTable:
     # -- lookup: at most two table accesses -------------------------------------
 
     def lookup(self, address: IPv4Address | int) -> "tuple[Prefix, Any] | None":
-        value = int(address)
+        value = address_int(address)
         entry = self._first.get(value >> self.sub_bits)
         if entry is None:
             return None

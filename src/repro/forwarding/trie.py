@@ -1,23 +1,22 @@
-"""Longest-prefix-match tries.
+"""The textbook longest-prefix-match trie.
 
-Two implementations with the same interface:
-
-* :class:`BinaryTrie` — the textbook one-bit-per-level trie; simple,
-  and the reference the property tests compare against.
-* :class:`CompressedTrie` — a path-compressed (Patricia-style) trie
-  whose depth is bounded by the number of branch points rather than the
-  prefix length, the kind of structure surveyed by Ruiz-Sánchez et al.
-  (paper ref. [9]) for production lookup engines.
+:class:`BinaryTrie` is the one-bit-per-level trie: simple, the
+reference the property tests compare every other engine against, and
+a building block of :class:`~repro.forwarding.multibit.MultibitTable`
+and :class:`~repro.forwarding.lengthsearch.LengthSearchTable`. The
+path-compressed (Patricia-style) trie the FIB and the RIBs run on is
+:class:`repro.net.trie.PrefixTrieMap`; all four engines share the
+``insert/remove/exact/lookup/items`` interface.
 
 Values are opaque; the FIB stores next hops.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Any, Iterator
 
-from repro.net.addr import IPv4Address, Prefix
+from repro.net.addr import IPv4Address, Prefix, address_int
+from repro.net.trie import _bit
 
 
 class _BinaryNode:
@@ -27,11 +26,6 @@ class _BinaryNode:
         self.children: list[_BinaryNode | None] = [None, None]
         self.value: Any = None
         self.has_value = False
-
-
-def _bit(network: int, index: int) -> int:
-    """Bit *index* of a 32-bit network, MSB first (index 0 = top bit)."""
-    return (network >> (31 - index)) & 1
 
 
 class BinaryTrie:
@@ -99,7 +93,7 @@ class BinaryTrie:
 
     def lookup(self, address: IPv4Address | int) -> "tuple[Prefix, Any] | None":
         """Longest-prefix match for *address*; None if no route covers it."""
-        value = int(address)
+        value = address_int(address)
         node = self._root
         best: tuple[Prefix, Any] | None = None
         depth = 0
@@ -128,174 +122,3 @@ class BinaryTrie:
                     yield from walk(child, network | (bit << (31 - depth)), depth + 1)
 
         yield from walk(self._root, 0, 0)
-
-
-@dataclass(slots=True)
-class _CompressedNode:
-    """A path-compressed node: an edge label (bits) plus children."""
-
-    network: int  # full 32-bit path from the root to this node
-    length: int   # number of valid leading bits in ``network``
-    value: Any = None
-    has_value: bool = False
-    left: "_CompressedNode | None" = None
-    right: "_CompressedNode | None" = None
-
-
-def _common_prefix_len(a: int, b: int, limit: int) -> int:
-    """Length of the shared leading bits of two 32-bit values, up to limit."""
-    diff = a ^ b
-    if diff == 0:
-        return limit
-    leading = 31 - diff.bit_length() + 1
-    return min(leading, limit)
-
-
-class CompressedTrie:
-    """Path-compressed LPM trie: one node per branch point or stored prefix."""
-
-    def __init__(self) -> None:
-        self._root: _CompressedNode | None = None
-        self._count = 0
-
-    def __len__(self) -> int:
-        return self._count
-
-    def insert(self, prefix: Prefix, value: Any) -> bool:
-        new = _CompressedNode(prefix.network, prefix.length, value, True)
-        if self._root is None:
-            self._root = new
-            self._count += 1
-            return True
-        is_new, self._root = self._insert(self._root, new)
-        if is_new:
-            self._count += 1
-        return is_new
-
-    def _insert(
-        self, node: _CompressedNode, new: _CompressedNode
-    ) -> tuple[bool, _CompressedNode]:
-        shared = _common_prefix_len(node.network, new.network, min(node.length, new.length))
-        if shared == node.length == new.length:
-            is_new = not node.has_value
-            node.value, node.has_value = new.value, True
-            return is_new, node
-        if shared == node.length:
-            # New prefix extends below this node.
-            bit = _bit(new.network, node.length)
-            child = node.right if bit else node.left
-            if child is None:
-                if bit:
-                    node.right = new
-                else:
-                    node.left = new
-                return True, node
-            is_new, replacement = self._insert(child, new)
-            if bit:
-                node.right = replacement
-            else:
-                node.left = replacement
-            return is_new, node
-        if shared == new.length:
-            # New prefix is an ancestor of this node.
-            bit = _bit(node.network, new.length)
-            if bit:
-                new.right = node
-            else:
-                new.left = node
-            return True, new
-        # Split: make an internal branch node at the divergence point.
-        mask = (0xFFFFFFFF << (32 - shared)) & 0xFFFFFFFF if shared else 0
-        branch = _CompressedNode(new.network & mask, shared)
-        if _bit(node.network, shared):
-            branch.right, branch.left = node, new
-        else:
-            branch.left, branch.right = node, new
-        return True, branch
-
-    def remove(self, prefix: Prefix) -> bool:
-        removed, self._root = self._remove(self._root, prefix)
-        if removed:
-            self._count -= 1
-        return removed
-
-    def _remove(
-        self, node: _CompressedNode | None, prefix: Prefix
-    ) -> tuple[bool, _CompressedNode | None]:
-        if node is None or node.length > prefix.length:
-            return False, node
-        if node.length == prefix.length:
-            if node.network != prefix.network or not node.has_value:
-                return False, node
-            node.has_value, node.value = False, None
-            return True, self._collapse(node)
-        shared = _common_prefix_len(node.network, prefix.network, node.length)
-        if shared < node.length:
-            return False, node
-        bit = _bit(prefix.network, node.length)
-        child = node.right if bit else node.left
-        removed, replacement = self._remove(child, prefix)
-        if bit:
-            node.right = replacement
-        else:
-            node.left = replacement
-        return removed, (self._collapse(node) if removed else node)
-
-    @staticmethod
-    def _collapse(node: _CompressedNode) -> _CompressedNode | None:
-        """Drop valueless nodes with fewer than two children."""
-        if node.has_value:
-            return node
-        children = [c for c in (node.left, node.right) if c is not None]
-        if len(children) == 2:
-            return node
-        return children[0] if children else None
-
-    def exact(self, prefix: Prefix) -> Any:
-        node = self._root
-        while node is not None:
-            if node.length > prefix.length:
-                return None
-            shared = _common_prefix_len(node.network, prefix.network, node.length)
-            if shared < node.length:
-                return None
-            if node.length == prefix.length:
-                return node.value if node.has_value and node.network == prefix.network else None
-            node = node.right if _bit(prefix.network, node.length) else node.left
-        return None
-
-    def lookup(self, address: IPv4Address | int) -> "tuple[Prefix, Any] | None":
-        value = int(address)
-        best: tuple[Prefix, Any] | None = None
-        node = self._root
-        while node is not None:
-            mask = (0xFFFFFFFF << (32 - node.length)) & 0xFFFFFFFF if node.length else 0
-            if (value & mask) != node.network:
-                break
-            if node.has_value:
-                best = (Prefix(node.network, node.length), node.value)
-            if node.length == 32:
-                break
-            node = node.right if _bit(value, node.length) else node.left
-        return best
-
-    def items(self) -> Iterator[tuple[Prefix, Any]]:
-        def walk(node: _CompressedNode | None):
-            if node is None:
-                return
-            if node.has_value:
-                yield Prefix(node.network, node.length), node.value
-            yield from walk(node.left)
-            yield from walk(node.right)
-
-        yield from walk(self._root)
-
-    def depth(self) -> int:
-        """Maximum node depth — the lookup cost bound path compression buys."""
-
-        def walk(node: _CompressedNode | None) -> int:
-            if node is None:
-                return 0
-            return 1 + max(walk(node.left), walk(node.right))
-
-        return walk(self._root)

@@ -18,6 +18,13 @@ class AddressError(ValueError):
     """Raised for malformed addresses or prefixes."""
 
 
+def _is_decimal(text: str) -> bool:
+    """True for a non-empty run of ASCII digits. ``str.isdigit`` alone
+    also accepts superscripts (which ``int`` rejects) and other scripts'
+    digits (which ``int`` silently converts)."""
+    return text.isascii() and text.isdigit()
+
+
 @total_ordering
 @dataclass(frozen=True, slots=True)
 class IPv4Address:
@@ -43,7 +50,7 @@ class IPv4Address:
             raise AddressError(f"not a dotted quad: {text!r}")
         value = 0
         for part in parts:
-            if not part.isdigit() or (len(part) > 1 and part[0] == "0"):
+            if not _is_decimal(part) or (len(part) > 1 and part[0] == "0"):
                 raise AddressError(f"bad octet {part!r} in {text!r}")
             octet = int(part)
             if octet > 255:
@@ -69,6 +76,18 @@ class IPv4Address:
 
     def __int__(self) -> int:
         return self.value
+
+
+def address_int(address: "IPv4Address | int") -> int:
+    """*address* as an unsigned 32-bit integer. A raw int is
+    range-checked here, so every LPM ``lookup`` rejects it the same way;
+    an :class:`IPv4Address` was validated when it was built."""
+    if isinstance(address, IPv4Address):
+        return address.value
+    value = int(address)
+    if not 0 <= value <= _MAX_U32:
+        raise AddressError(f"address out of range: {value:#x}")
+    return value
 
 
 def _mask(length: int) -> int:
@@ -110,7 +129,7 @@ class Prefix:
         addr_text, sep, len_text = text.partition("/")
         if not sep:
             raise AddressError(f"missing '/' in prefix {text!r}")
-        if not len_text.isdigit():
+        if not _is_decimal(len_text):
             raise AddressError(f"bad prefix length in {text!r}")
         return cls(IPv4Address.parse(addr_text).value, int(len_text))
 

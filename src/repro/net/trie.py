@@ -1,7 +1,10 @@
 """An indexed patricia trie mapping prefixes to values.
 
-:class:`PrefixTrieMap` is the hot-path backing store behind the three
-RIB structures (:mod:`repro.bgp.rib`). It combines two classic router
+:class:`PrefixTrieMap` is the one per-prefix store in the tree: the
+three RIB structures (:mod:`repro.bgp.rib`) and the FIB
+(:mod:`repro.forwarding.fib`) all sit on it. It speaks the vocabulary
+of the other LPM engines (``insert/remove/exact/lookup/items``, see
+:mod:`repro.forwarding.trie`) and combines two classic router
 techniques (surveyed by Ruiz-Sánchez et al., paper ref. [9], and used
 by production stacks in the py-radix family):
 
@@ -10,15 +13,15 @@ by production stacks in the py-radix family):
   proportional to the answer, and
 * an **exact-match index** from the packed 38-bit ``(network, length)``
   integer key straight to the trie node, so the per-UPDATE operations
-  (get / insert / replace / delete) cost one small-int dict probe
+  (exact / insert / replace / remove) cost one small-int dict probe
   instead of a dataclass hash plus a bit-walk.
 
 Withdrawn prefixes leave their node in place as a *tombstone* (value
 cleared, structure retained). Routing churn overwhelmingly re-announces
 recently withdrawn prefixes, so the re-add is an O(1) index hit rather
 than a root-to-leaf splice — the same reasoning that makes real RIB
-implementations keep their radix skeleton warm. :meth:`compact` prunes
-tombstones when a caller really wants the memory back.
+implementations keep their radix skeleton warm. Lookups and traversals
+walk through tombstones and report only live entries.
 
 Iteration is **deterministic**: ascending ``(network, length)`` order,
 which is exactly the trie's value-before-children, left-before-right
@@ -28,20 +31,11 @@ previously obtained iterator is safe.
 
 from __future__ import annotations
 
-from typing import Any, Iterator
+from typing import Any
 
-from repro.net.addr import Prefix
+from repro.net.addr import IPv4Address, Prefix, address_int
 
-__all__ = ["PrefixTrieMap", "prefix_key"]
-
-
-def prefix_key(prefix: Prefix) -> int:
-    """Pack a prefix into one integer: ``network * 64 + length``.
-
-    Integer ascending order of the key equals lexicographic
-    ``(network, length)`` order, so sorted keys are sorted prefixes.
-    """
-    return (prefix.network << 6) | prefix.length
+__all__ = ["PrefixTrieMap"]
 
 
 class _Node:
@@ -81,7 +75,8 @@ class PrefixTrieMap:
 
     def __init__(self) -> None:
         self._root: "_Node | None" = None
-        #: packed key -> node (including tombstones awaiting reuse).
+        #: packed ``(network << 6) | length`` key -> node (including
+        #: tombstones awaiting reuse).
         self._index: dict[int, _Node] = {}
         self._count = 0
 
@@ -92,15 +87,32 @@ class PrefixTrieMap:
         node = self._index.get((prefix.network << 6) | prefix.length)
         return node is not None and node.has_value
 
-    def get(self, prefix: Prefix, default: Any = None) -> Any:
+    def exact(self, prefix: Prefix) -> Any:
+        """The value stored at exactly *prefix*, or None."""
         node = self._index.get((prefix.network << 6) | prefix.length)
         if node is None or not node.has_value:
-            return default
+            return None
         return node.value
+
+    def lookup(self, address: "IPv4Address | int") -> "tuple[Prefix, Any] | None":
+        """Longest-prefix match for *address*; None if no route covers it."""
+        value = address_int(address)
+        best = None
+        node = self._root
+        while node is not None:
+            length = node.length
+            if (value ^ node.network) >> (32 - length):
+                break  # the address leaves this node's prefix
+            if node.has_value:
+                best = node
+            if length == 32:
+                break
+            node = node.right if (value >> (31 - length)) & 1 else node.left
+        return None if best is None else (best.prefix, best.value)
 
     # -- mutation -----------------------------------------------------------
 
-    def set(self, prefix: Prefix, value: Any) -> bool:
+    def insert(self, prefix: Prefix, value: Any) -> bool:
         """Insert or replace; returns True when the prefix was absent."""
         key = (prefix.network << 6) | prefix.length
         node = self._index.get(key)
@@ -163,8 +175,8 @@ class PrefixTrieMap:
                     new.left = node
                 replacement = new
             elif shared == node_length == new_length:
-                # Exact slot exists structurally (tombstone) — the index
-                # would have caught this; defensive merge.
+                # The slot is a branch node (branch nodes are not in
+                # the index): store the entry on it and index it.
                 node.prefix = new.prefix
                 node.value, node.has_value = new.value, True
                 self._index[(new.network << 6) | new.length] = node
@@ -187,20 +199,19 @@ class PrefixTrieMap:
             break
         return top if top is not None else node
 
-    def delete(self, prefix: Prefix) -> Any:
-        """Remove and return the stored value; None when absent.
+    def remove(self, prefix: Prefix) -> bool:
+        """Remove; returns True if the prefix was present.
 
         The node stays in the trie as a tombstone so a re-insert of the
         same prefix (the dominant churn pattern) is O(1).
         """
         node = self._index.get((prefix.network << 6) | prefix.length)
         if node is None or not node.has_value:
-            return None
-        value = node.value
+            return False
         node.value = None
         node.has_value = False
         self._count -= 1
-        return value
+        return True
 
     def clear(self) -> int:
         """Drop everything (session teardown); returns the entry count."""
@@ -210,17 +221,6 @@ class PrefixTrieMap:
         self._count = 0
         return count
 
-    def compact(self) -> int:
-        """Rebuild the trie without tombstones; returns nodes reclaimed."""
-        entries = self.items()
-        reclaimed = len(self._index) - len(entries)
-        self._root = None
-        self._index.clear()
-        self._count = 0
-        for prefix, value in entries:
-            self.set(prefix, value)
-        return reclaimed
-
     # -- traversal ----------------------------------------------------------
 
     def items(self) -> "list[tuple[Prefix, Any]]":
@@ -228,8 +228,15 @@ class PrefixTrieMap:
 
         A snapshot list: the caller may mutate the map while consuming it.
         """
+        return self._live_below(self._root)
+
+    @staticmethod
+    def _live_below(node: "_Node | None") -> "list[tuple[Prefix, Any]]":
+        """Live entries of the subtree at *node*: value first, then the
+        left subtree, then the right (right is pushed first so it pops
+        last) — ascending (network, length) order."""
         out: list[tuple[Prefix, Any]] = []
-        stack = [self._root] if self._root is not None else []
+        stack = [node] if node is not None else []
         while stack:
             node = stack.pop()
             if node.has_value:
@@ -238,10 +245,6 @@ class PrefixTrieMap:
                 stack.append(node.right)
             if node.left is not None:
                 stack.append(node.left)
-        # The explicit stack yields value-then-left-then-right, but a
-        # popped right child is visited after the whole left subtree
-        # only if pushed first — done above. Nodes on one root path
-        # (shorter prefixes) are visited first, matching the sort order.
         return out
 
     def keys(self) -> "list[Prefix]":
@@ -249,9 +252,6 @@ class PrefixTrieMap:
 
     def values(self) -> "list[Any]":
         return [value for _prefix, value in self.items()]
-
-    def __iter__(self) -> Iterator[Prefix]:
-        return iter(self.keys())
 
     def covered(self, prefix: Prefix) -> "list[tuple[Prefix, Any]]":
         """Entries whose prefix is covered by *prefix* (including an
@@ -267,32 +267,4 @@ class PrefixTrieMap:
             node = node.right if _bit(prefix.network, node.length) else node.left
         if node is None or (node.network & mask) != prefix.network:
             return []
-        out: list[tuple[Prefix, Any]] = []
-        stack = [node]
-        while stack:
-            current = stack.pop()
-            if current.has_value:
-                out.append((current.prefix, current.value))
-            if current.right is not None:
-                stack.append(current.right)
-            if current.left is not None:
-                stack.append(current.left)
-        return out
-
-    def depth(self) -> int:
-        """Maximum node depth — the bound path compression buys."""
-        best = 0
-        stack = [(self._root, 1)] if self._root is not None else []
-        while stack:
-            node, depth = stack.pop()
-            if depth > best:
-                best = depth
-            if node.left is not None:
-                stack.append((node.left, depth + 1))
-            if node.right is not None:
-                stack.append((node.right, depth + 1))
-        return best
-
-    def node_count(self) -> int:
-        """Live trie nodes, tombstones included (memory diagnostics)."""
-        return len(self._index)
+        return self._live_below(node)

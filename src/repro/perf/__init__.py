@@ -1,26 +1,6 @@
-"""Hot-path data structures and the wall-clock benchmark harness.
-
-This package must import light: :mod:`repro.bgp.rib` pulls in
-:mod:`repro.perf.triemap` at module load, so anything here that imports
-the speaker (the bench harness does, transitively) would create an
-import cycle. The heavy modules — :mod:`repro.perf.bench`,
-:mod:`repro.perf.workloads`, :mod:`repro.perf.reference`,
-:mod:`repro.perf.gate` — are therefore loaded lazily on attribute
-access.
+"""The wall-clock microbenchmark harness behind ``bgpbench perf``:
+:mod:`repro.perf.workloads` (seeded inputs), :mod:`repro.perf.bench`
+(the timed loops) and :mod:`repro.perf.gate` (the floor gate). A plain
+consumer of the protocol stack — nothing under :mod:`repro.bgp`,
+:mod:`repro.net` or :mod:`repro.forwarding` imports it.
 """
-
-from __future__ import annotations
-
-from repro.perf.triemap import PrefixTrieMap, prefix_key
-
-__all__ = ["PrefixTrieMap", "prefix_key", "bench", "gate", "reference", "workloads"]
-
-_LAZY_SUBMODULES = ("bench", "gate", "reference", "workloads")
-
-
-def __getattr__(name: str):
-    if name in _LAZY_SUBMODULES:
-        import importlib
-
-        return importlib.import_module(f"repro.perf.{name}")
-    raise AttributeError(f"module 'repro.perf' has no attribute {name!r}")

@@ -7,17 +7,18 @@ the golden gate — they go to ``BENCH_*.json`` and the perf budget gate
 (:mod:`repro.perf.gate`), which compares against machine-calibrated
 budgets with generous tolerance.
 
-Workload pairs are measured by the same loop over identical inputs:
+Four workloads, each an absolute throughput:
 
-* ``update_decode`` vs ``update_decode_legacy`` — zero-copy framing +
-  memoized attribute decode against the frozen pre-optimization codec
-  (:mod:`repro.bgp.legacy_codec`);
-* ``rib_churn`` vs ``rib_churn_dict`` — trie-backed RIBs fed interned
-  flyweights (what the optimized decode layer produces) against the
-  retained dict reference fed fresh equal attribute objects (what the
-  legacy decoder produced);
-* ``decision_process`` and ``end_to_end`` — absolute throughput of the
-  decision process and of the full speaker pipeline.
+* ``update_decode`` — zero-copy framing + memoized attribute decode;
+* ``rib_churn`` — trie-backed RIBs fed interned flyweights (what the
+  decode layer produces);
+* ``decision_process`` and ``end_to_end`` — the decision process and
+  the full speaker pipeline.
+
+The pre-optimization decoder and the dict RIBs these were once timed
+against are differential oracles under ``tests/oracles/`` now; the
+ratios of record (5.4x decode, 3.8x churn) are in
+``benchmarks/BENCH_8.json``.
 """
 
 from __future__ import annotations
@@ -26,7 +27,6 @@ import platform
 import time
 from dataclasses import dataclass
 
-from repro.bgp import legacy_codec
 from repro.bgp.attributes import clear_codec_caches, codec_cache_stats, intern_attributes
 from repro.bgp.decision import DecisionProcess
 from repro.bgp.messages import (
@@ -39,7 +39,6 @@ from repro.bgp.messages import (
 from repro.bgp.rib import AdjRibIn, LocRib, RibRoute
 from repro.bgp.speaker import BgpSpeaker, PeerConfig, SpeakerConfig
 from repro.net.addr import IPv4Address
-from repro.perf.reference import DictAdjRibIn, DictLocRib
 from repro.perf.workloads import (
     LOCAL_ASN,
     PEER_ADDR,
@@ -118,7 +117,7 @@ def _count_messages(stream: bytes) -> int:
 
 
 def bench_update_decode(stream: bytes) -> BenchResult:
-    """Optimized path: O(n) framing, batched NLRI, memoized attributes."""
+    """O(n) framing, batched NLRI, memoized attributes."""
     clear_codec_caches()
     clear_prefix_cache()
     ops = _count_messages(stream)
@@ -130,17 +129,6 @@ def bench_update_decode(stream: bytes) -> BenchResult:
     # Warm pass already happened during the count; timed pass sees the
     # caches a long-lived session would have.
     return _time("update_decode", ops, run)
-
-
-def bench_update_decode_legacy(stream: bytes) -> BenchResult:
-    """Baseline: the frozen pre-optimization decoder, same stream."""
-    ops = _count_messages(stream)
-
-    def run() -> None:
-        for _message, _length in legacy_codec.legacy_iter_messages(stream):
-            pass
-
-    return _time("update_decode_legacy", ops, run)
 
 
 # -- RIB churn --------------------------------------------------------------
@@ -172,7 +160,7 @@ def _replay_ops(adj, loc, ops: "list[RibOp]") -> None:
 
 
 def _intern_ops(ops: "list[RibOp]") -> "list[RibOp]":
-    """What the optimized decode layer hands the speaker: equal
+    """What the decode layer hands the speaker: equal
     attribute sets collapsed to one flyweight (routes rebuilt to match)."""
     out: list[RibOp] = []
     for op in ops:
@@ -185,17 +173,10 @@ def _intern_ops(ops: "list[RibOp]") -> "list[RibOp]":
 
 
 def bench_rib_churn(ops: "list[RibOp]") -> BenchResult:
-    """Optimized path: trie RIBs fed interned attribute flyweights."""
+    """Trie RIBs fed interned attribute flyweights."""
     interned = _intern_ops(ops)
     adj, loc = AdjRibIn(RIB_PEER), LocRib()
     return _time("rib_churn", len(ops), lambda: _replay_ops(adj, loc, interned))
-
-
-def bench_rib_churn_dict(ops: "list[RibOp]") -> BenchResult:
-    """Baseline: dict RIBs fed fresh equal attribute objects (what the
-    legacy decoder produced)."""
-    adj, loc = DictAdjRibIn(RIB_PEER), DictLocRib()
-    return _time("rib_churn_dict", len(ops), lambda: _replay_ops(adj, loc, ops))
 
 
 # -- decision process -------------------------------------------------------
@@ -274,23 +255,11 @@ def run_suite(quick: bool = False) -> "dict[str, dict[str, object]]":
 
     results = [
         bench_update_decode(decode_stream),
-        bench_update_decode_legacy(decode_stream),
         bench_rib_churn(rib_ops),
-        bench_rib_churn_dict(rib_ops),
         bench_decision(candidate_sets, sizes["decision_repeats"]),
         bench_end_to_end(e2e_stream),
     ]
     return {result.workload: result.to_json() for result in results}
-
-
-def speedup(results: "dict[str, dict[str, object]]", fast: str, slow: str) -> float:
-    """ops/s ratio of *fast* over *slow*; 0.0 when either is missing."""
-    try:
-        fast_rate = float(results[fast]["ops_per_s"])  # type: ignore[arg-type]
-        slow_rate = float(results[slow]["ops_per_s"])  # type: ignore[arg-type]
-    except (KeyError, TypeError, ValueError):
-        return 0.0
-    return fast_rate / slow_rate if slow_rate > 0 else 0.0
 
 
 def cache_stats() -> "dict[str, int]":

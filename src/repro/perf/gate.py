@@ -1,25 +1,17 @@
 """The perf budget gate: ``bgpbench perf --check``.
 
-Wall-clock numbers are machine-dependent, so the gate has two kinds of
-constraints, both stored in ``benchmarks/perf/budgets.json``:
-
-* **floors** — ``min_ops_per_s`` per workload. Blessed far below the
-  measured rate (see :func:`bless`) and further slackened by the
-  ``--tolerance`` factor, they catch order-of-magnitude regressions
-  (an accidentally quadratic loop, a dropped cache) without flaking on
-  CI noise.
-* **speedups** — minimum ops/s ratios between an optimized workload
-  and its baseline measured in the *same run*. Ratios divide out the
-  machine, so they are the robust regression signal: the optimized
-  decode path falling back to per-byte copies shows up here no matter
-  how fast the runner is.
+Wall-clock numbers are machine-dependent, so the gate checks
+**floors** — ``min_ops_per_s`` per workload, stored in
+``benchmarks/perf/budgets.json``. Blessed far below the measured rate
+(see :func:`bless`) and further slackened by the ``--tolerance``
+factor, they catch order-of-magnitude regressions (an accidentally
+quadratic loop, a dropped cache) without flaking on CI noise.
 
 Budget file schema::
 
     {
       "profile": "quick" | "full",
-      "floors":   {"<workload>": {"min_ops_per_s": <float>}, ...},
-      "speedups": [{"fast": "...", "slow": "...", "min_ratio": <float>}, ...]
+      "floors":  {"<workload>": {"min_ops_per_s": <float>}, ...}
     }
 """
 
@@ -35,41 +27,29 @@ __all__ = [
     "check",
     "bless",
     "DEFAULT_TOLERANCE",
-    "DEFAULT_SPEEDUPS",
 ]
 
 #: Default slack factor applied to floors (a floor f passes while
-#: measured >= f * (1 - tolerance)) and to speedup ratios likewise.
+#: measured >= f * (1 - tolerance)).
 DEFAULT_TOLERANCE = 0.5
 
 #: Headroom used by :func:`bless`: floors are pinned at measured/4, so
 #: only a ~4x (before tolerance) slowdown trips the gate.
 BLESS_HEADROOM = 4.0
 
-#: Ratio budgets written by ``bgpbench perf --bless`` when the budget
-#: file does not already carry a ``speedups`` list. Deliberately far
-#: below the full-profile measurements (decode ~5.6x, churn ~3.6x):
-#: the CI quick profile amortizes warm-up over fewer iterations, and
-#: the gate exists to catch the optimization *disappearing*, not to
-#: re-certify its magnitude.
-DEFAULT_SPEEDUPS = [
-    {"fast": "update_decode", "slow": "update_decode_legacy", "min_ratio": 2.0},
-    {"fast": "rib_churn", "slow": "rib_churn_dict", "min_ratio": 1.2},
-]
-
 
 @dataclass(frozen=True, slots=True)
 class Violation:
     """One failed budget constraint, human-renderable."""
 
-    kind: str  # "floor" | "speedup" | "missing"
+    kind: str  # "floor" | "missing"
     workload: str
     detail: str
 
 
 def load_budgets(path: "str | Path") -> dict:
     data = json.loads(Path(path).read_text())
-    if "floors" not in data and "speedups" not in data:
+    if "floors" not in data:
         raise ValueError(f"{path}: not a perf budget file")
     return data
 
@@ -85,7 +65,7 @@ def check(
     if slack < 0:
         slack = 0.0
 
-    for workload, floor in sorted(budgets.get("floors", {}).items()):
+    for workload, floor in sorted(budgets["floors"].items()):
         entry = results.get(workload)
         if entry is None:
             violations.append(
@@ -103,49 +83,18 @@ def check(
                     f" (floor {floor['min_ops_per_s']:.0f} x slack {slack:.2f})",
                 )
             )
-
-    for pair in budgets.get("speedups", []):
-        fast, slow = pair["fast"], pair["slow"]
-        fast_entry, slow_entry = results.get(fast), results.get(slow)
-        if fast_entry is None or slow_entry is None:
-            violations.append(
-                Violation("missing", fast, f"speedup pair {fast}/{slow} incomplete")
-            )
-            continue
-        fast_rate = float(fast_entry["ops_per_s"])  # type: ignore[arg-type]
-        slow_rate = float(slow_entry["ops_per_s"])  # type: ignore[arg-type]
-        ratio = fast_rate / slow_rate if slow_rate > 0 else float("inf")
-        required = float(pair["min_ratio"]) * slack
-        if ratio < required:
-            violations.append(
-                Violation(
-                    "speedup",
-                    fast,
-                    f"{ratio:.2f}x over {slow} < required {required:.2f}x"
-                    f" (budget {pair['min_ratio']:.2f}x x slack {slack:.2f})",
-                )
-            )
     return violations
 
 
 def bless(
     results: "dict[str, dict[str, object]]",
     profile: str,
-    speedups: "list[dict] | None" = None,
     headroom: float = BLESS_HEADROOM,
 ) -> dict:
-    """Build a budget payload from measured *results*.
-
-    Floors are measured/headroom; *speedups* (pairs with min_ratio)
-    are carried through as given — ratio budgets are a design choice,
-    not a measurement.
-    """
+    """Build a budget payload from measured *results*: every floor is
+    measured/headroom."""
     floors = {
         workload: {"min_ops_per_s": round(float(entry["ops_per_s"]) / headroom, 2)}  # type: ignore[arg-type]
         for workload, entry in sorted(results.items())
     }
-    return {
-        "profile": profile,
-        "floors": floors,
-        "speedups": speedups or [],
-    }
+    return {"profile": profile, "floors": floors}

@@ -1,8 +1,8 @@
 """Deterministic workload builders for ``bgpbench perf``.
 
 Each builder returns plain data (wire streams, operation sequences,
-candidate sets) so :mod:`repro.perf.bench` can time the optimized and
-baseline implementations over *identical* inputs. Everything is seeded
+candidate sets) so :mod:`repro.perf.bench` times the same inputs on
+every run. Everything is seeded
 through :mod:`repro.workload.tablegen`; no wall clock, no ambient
 randomness.
 """
@@ -64,7 +64,7 @@ class RibOp:
 def _path_attributes(table: SyntheticTable, index: int, variant: int) -> PathAttributes:
     """Attributes shaped like a route-collector table dump: full AS
     path, MED, and a handful of communities (origin + traffic-
-    engineering tags), so baseline equality walks what real equality
+    engineering tags), so attribute equality walks what real equality
     walks."""
     entry = table[index]
     return PathAttributes(
@@ -111,7 +111,7 @@ def build_rib_ops(
     aggregates: int = 4,
     seed: int = 8,
 ) -> list[RibOp]:
-    """The steady-state churn sequence both RIB implementations replay.
+    """The steady-state churn sequence the RIBs replay.
 
     Per round: announce the table with a round-varying path (replace),
     re-announce it *duplicates* times with equal but freshly constructed
@@ -121,10 +121,9 @@ def build_rib_ops(
     trie). Every :data:`MESSAGE_BATCH` changes — i.e. once per large
     UPDATE message — each configured /8 aggregate runs its contributor
     query, as a speaker with aggregation configured must while covered
-    routes churn (the legacy speaker refreshed per *change*, so
-    per-message is the kinder-to-baseline accounting). Attribute
-    objects are deliberately not shared between equal announcements:
-    that is exactly what a decoder without interning hands the RIB.
+    routes churn. Attribute objects are deliberately not shared between
+    equal announcements (:func:`repro.perf.bench.bench_rib_churn`
+    interns them, as the decode layer would).
     """
     from repro.bgp.rib import RibRoute
 

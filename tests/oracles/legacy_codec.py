@@ -2,18 +2,19 @@
 
 This module preserves, byte-for-byte in behaviour, the straightforward
 slice-per-field decoder the repository shipped before the zero-copy
-path landed in :mod:`repro.bgp.messages`. It exists for two reasons:
-
-* the **codec equivalence suite** replays valid and corrupt corpora
-  through both decoders and asserts identical messages and identical
-  error taxonomy (`tests/test_perf_codec_equivalence.py`), and
-* the **perf harness** (``bgpbench perf``) measures it as the decode
-  baseline the optimized path is compared against in ``BENCH_*.json``.
+path landed in :mod:`repro.bgp.messages`. It is a differential oracle:
+the codec equivalence suite (``tests/test_perf_codec_equivalence.py``)
+and the fuzz suite (``tests/test_fuzz_robustness.py``) replay valid and
+corrupt corpora through both decoders and assert identical messages and
+identical error taxonomy. The 5.4x decode ratio once re-timed against
+it on every ``bgpbench perf`` run is recorded in
+``benchmarks/BENCH_8.json``.
 
 It intentionally allocates the way the old code did (sub-``bytes`` per
-attribute, per-prefix slicing, no caches); do not "fix" that — its
-slowness is the point. Only the shared dataclasses and error
-constructors are imported; all parsing logic is self-contained.
+attribute, per-prefix slicing, no caches); do not "fix" that — an
+independent, obviously-correct parse is the point. Only the shared
+dataclasses and error constructors are imported; all parsing logic is
+self-contained.
 """
 
 from __future__ import annotations

@@ -3,17 +3,12 @@
 These are the pre-trie ``rib.py`` classes, retained verbatim in
 behaviour and upgraded only where the public contract changed: all
 iteration is a sorted ``(network, length)`` snapshot, matching what the
-trie-backed RIBs now guarantee. They serve two purposes:
-
-* **oracle** — ``tests/test_perf_rib_differential.py`` replays seeded
-  random operation sequences against both implementations and asserts
-  identical :class:`~repro.bgp.rib.RouteChange` results, lengths, and
-  iteration order;
-* **baseline** — ``bgpbench perf`` measures RIB churn against these to
-  report the trie speedup honestly, with both sides timed by the same
-  harness.
-
-Nothing in the speaker imports this module.
+trie-backed RIBs now guarantee. They are a differential oracle:
+``tests/test_perf_rib_differential.py`` replays seeded random operation
+sequences against both implementations and asserts identical
+:class:`~repro.bgp.rib.RouteChange` results, lengths, and iteration
+order. The 3.8x churn ratio once re-timed against them on every
+``bgpbench perf`` run is recorded in ``benchmarks/BENCH_8.json``.
 """
 
 from __future__ import annotations

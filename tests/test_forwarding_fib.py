@@ -1,7 +1,9 @@
 """Unit tests for the FIB."""
 
+import pytest
+
 from repro.forwarding.fib import Fib
-from repro.net.addr import IPv4Address, Prefix
+from repro.net.addr import AddressError, IPv4Address, Prefix
 
 P1 = Prefix.parse("192.0.2.0/24")
 P2 = Prefix.parse("10.0.0.0/8")
@@ -63,6 +65,27 @@ class TestLookup:
         fib.add_route(P1, NH1)
         fib.add_route(P2, NH2)
         assert dict(fib.routes()) == {P1: NH1, P2: NH2}
+
+    def test_routes_ascending_and_deleted_routes_gone(self):
+        fib = Fib()
+        more_specific = Prefix.parse("10.1.0.0/16")
+        for prefix in (P1, more_specific, P2):
+            fib.add_route(prefix, NH1)
+        assert [prefix for prefix, _nh in fib.routes()] == [P2, more_specific, P1]
+        fib.delete_route(more_specific)
+        assert more_specific not in fib and len(fib) == 2
+        assert fib.next_hop_for(more_specific) is None
+        assert [prefix for prefix, _nh in fib.routes()] == [P2, P1]
+        assert fib.lookup(IPv4Address.parse("10.1.2.3")) == NH1  # falls back to P2
+
+    @pytest.mark.parametrize("destination", [-1, 2**32 + 5])
+    def test_out_of_range_int_is_an_error_not_the_default_route(self, destination):
+        fib = Fib()
+        fib.add_route(Prefix.parse("0.0.0.0/0"), NH1)
+        with pytest.raises(AddressError):
+            fib.lookup(destination)
+        assert fib.stats.lookups == 0
+        assert fib.lookup(2**32 - 1) == NH1
 
 
 class TestSpeakerIntegration:

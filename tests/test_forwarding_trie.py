@@ -1,12 +1,15 @@
-"""Unit tests for both LPM trie implementations."""
+"""Unit tests for both LPM trie implementations: the textbook
+:class:`BinaryTrie` and the path-compressed :class:`PrefixTrieMap` the
+FIB and the RIBs run on."""
 
 import pytest
 
-from repro.forwarding.trie import BinaryTrie, CompressedTrie
-from repro.net.addr import IPv4Address, Prefix
+from repro.forwarding.trie import BinaryTrie
+from repro.net.addr import AddressError, IPv4Address, Prefix
+from repro.net.trie import PrefixTrieMap
 
 
-@pytest.fixture(params=[BinaryTrie, CompressedTrie], ids=["binary", "compressed"])
+@pytest.fixture(params=[BinaryTrie, PrefixTrieMap], ids=["binary", "compressed"])
 def trie(request):
     return request.param()
 
@@ -25,6 +28,13 @@ def load(trie):
     for text, value in ROUTES:
         trie.insert(Prefix.parse(text), value)
     return trie
+
+
+def dense_prefixes():
+    return [
+        Prefix.from_address(IPv4Address((i * 2654435761) & 0xFFFFFFFF), 8 + i % 25)
+        for i in range(64)
+    ]
 
 
 class TestInsertLookup:
@@ -77,6 +87,14 @@ class TestInsertLookup:
         trie.insert(Prefix.parse("0.0.0.0/0"), "default")
         assert trie.lookup(0)[1] == "default"
         assert trie.exact(Prefix.parse("0.0.0.0/0")) == "default"
+
+    @pytest.mark.parametrize("address", [-1, 2**32, 2**32 + 5])
+    def test_lookup_rejects_out_of_range_int(self, trie, address):
+        # Used to fall through to the default route.
+        trie.insert(Prefix.parse("0.0.0.0/0"), "default")
+        with pytest.raises(AddressError):
+            trie.lookup(address)
+        assert trie.lookup(2**32 - 1)[1] == "default"
 
 
 class TestExact:
@@ -138,41 +156,93 @@ class TestItems:
 
 
 class TestCompressedSpecifics:
-    def test_depth_bounded_by_entries(self):
-        trie = CompressedTrie()
-        load(trie)
-        # Path compression: depth cannot exceed the number of stored
-        # prefixes (every node is a stored prefix or a binary branch).
-        assert trie.depth() <= 2 * len(ROUTES)
-
-    def test_split_node_created_and_collapsed(self):
-        trie = CompressedTrie()
-        a = Prefix.parse("10.0.0.0/8")
-        b = Prefix.parse("11.0.0.0/8")
-        trie.insert(a, "a")
-        trie.insert(b, "b")  # forces a branch split at /7
-        assert trie.lookup(IPv4Address.parse("10.1.1.1"))[1] == "a"
-        assert trie.lookup(IPv4Address.parse("11.1.1.1"))[1] == "b"
-        trie.remove(a)
-        assert trie.lookup(IPv4Address.parse("11.1.1.1"))[1] == "b"
-        assert trie.lookup(IPv4Address.parse("10.1.1.1")) is None
-        assert trie.depth() == 1  # branch node collapsed away
+    """Withdrawn prefixes stay in the trie as tombstones; every query
+    walks through them and reports live entries only."""
 
     def test_ancestor_insert_after_descendant(self):
-        trie = CompressedTrie()
+        trie = PrefixTrieMap()
         trie.insert(Prefix.parse("10.1.0.0/16"), "deep")
         trie.insert(Prefix.parse("10.0.0.0/8"), "shallow")
         assert trie.lookup(IPv4Address.parse("10.1.2.3"))[1] == "deep"
         assert trie.lookup(IPv4Address.parse("10.2.0.0"))[1] == "shallow"
 
+    def test_insert_on_a_branch_node(self):
+        trie = PrefixTrieMap()
+        trie.insert(Prefix.parse("10.0.0.0/8"), "a")
+        trie.insert(Prefix.parse("11.0.0.0/8"), "b")  # branch node at 10.0.0.0/7
+        branch = Prefix.parse("10.0.0.0/7")
+        assert trie.exact(branch) is None and branch not in trie
+        assert trie.lookup(IPv4Address.parse("10.1.1.1"))[1] == "a"
+        assert trie.insert(branch, "both") is True
+        assert trie.exact(branch) == "both" and len(trie) == 3
+        trie.remove(Prefix.parse("10.0.0.0/8"))
+        assert trie.lookup(IPv4Address.parse("10.1.1.1")) == (branch, "both")
+
+    def test_removed_more_specific_falls_back_to_covering_route(self):
+        trie = load(PrefixTrieMap())
+        assert trie.remove(Prefix.parse("10.1.2.0/24")) is True
+        assert trie.lookup(IPv4Address.parse("10.1.2.3")) == (
+            Prefix.parse("10.1.0.0/16"), "ten-one",
+        )
+        # A tombstone between two live entries is walked through.
+        trie.insert(Prefix.parse("10.1.2.0/24"), "back")
+        trie.remove(Prefix.parse("10.1.0.0/16"))
+        assert trie.lookup(IPv4Address.parse("10.1.2.3"))[1] == "back"
+        assert trie.lookup(IPv4Address.parse("10.1.9.9"))[1] == "ten"
+
+    def test_reinsert_after_remove(self):
+        trie = load(PrefixTrieMap())
+        prefix = Prefix.parse("192.0.2.128/25")
+        trie.remove(prefix)
+        assert prefix not in trie and len(trie) == len(ROUTES) - 1
+        assert trie.insert(prefix, "again") is True
+        assert trie.exact(prefix) == "again" and len(trie) == len(ROUTES)
+        assert trie.lookup(IPv4Address.parse("192.0.2.200")) == (prefix, "again")
+
+    def test_items_ascending_after_churn(self):
+        trie = PrefixTrieMap()
+        prefixes = dense_prefixes()
+        for prefix in prefixes:
+            trie.insert(prefix, str(prefix))
+        for prefix in prefixes[::3]:
+            trie.remove(prefix)
+        for prefix in prefixes[::6]:
+            trie.insert(prefix, "back")
+        live = {p for i, p in enumerate(prefixes) if i % 3 or i % 6 == 0}
+        keys = [prefix for prefix, _value in trie.items()]
+        assert keys == sorted(live, key=lambda p: (p.network, p.length))
+        assert trie.keys() == keys and len(trie) == len(keys)
+
+    def test_covered_equals_brute_force_over_tombstones(self):
+        trie = PrefixTrieMap()
+        prefixes = dense_prefixes()
+        for prefix in prefixes:
+            trie.insert(prefix, str(prefix))
+        for prefix in prefixes[::2]:
+            trie.remove(prefix)
+        live = trie.items()
+        assert len(live) < len(set(prefixes))
+        for aggregate in [Prefix.parse("0.0.0.0/0"), Prefix.parse("128.0.0.0/1"),
+                          Prefix.parse("64.0.0.0/2"), *prefixes[:16]]:
+            expected = [(p, v) for p, v in live if aggregate.covers(p)]
+            assert trie.covered(aggregate) == expected, aggregate
+
+    def test_items_snapshot_survives_mutation(self):
+        trie = load(PrefixTrieMap())
+        seen = []
+        for prefix, value in trie.items():
+            seen.append((prefix, value))
+            trie.remove(prefix)
+            trie.insert(Prefix.from_address(IPv4Address(prefix.network | 1), 32), "new")
+        assert dict(seen) == {Prefix.parse(t): v for t, v in ROUTES}
+        assert len(trie) == len(ROUTES)
+
 
 class TestCrossImplementationEquivalence:
     def test_same_results_on_dense_set(self):
-        binary, compressed = BinaryTrie(), CompressedTrie()
-        prefixes = []
-        for i in range(64):
-            prefix = Prefix.from_address(IPv4Address((i * 2654435761) & 0xFFFFFFFF), 8 + i % 25)
-            prefixes.append(prefix)
+        binary, compressed = BinaryTrie(), PrefixTrieMap()
+        prefixes = dense_prefixes()
+        for prefix in prefixes:
             binary.insert(prefix, str(prefix))
             compressed.insert(prefix, str(prefix))
         assert len(binary) == len(compressed)

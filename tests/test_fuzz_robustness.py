@@ -100,7 +100,7 @@ class TestMutatedValidMessages:
         agree on corrupt input too: same messages or the same
         NOTIFICATION (code, subcode, data) — the speaker's teardown
         behaviour is a function of that taxonomy."""
-        from repro.bgp import legacy_codec
+        from oracles import legacy_codec
         from repro.bgp.errors import BgpError
         from repro.bgp.messages import decode_message
 

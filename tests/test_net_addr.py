@@ -33,6 +33,14 @@ class TestIPv4Address:
         with pytest.raises(AddressError):
             IPv4Address.parse("10.0.0.-1")
 
+    @pytest.mark.parametrize("text", ["1.2.3.\u00b2", "\u0661.\u0662.\u0663.\u0664"])
+    def test_parse_rejects_non_ascii_digits(self, text):
+        # str.isdigit() accepts both: the superscript used to escape as
+        # a bare ValueError from int(), the Arabic-Indic digits parsed
+        # silently as 1.2.3.4.
+        with pytest.raises(AddressError):
+            IPv4Address.parse(text)
+
     def test_value_range_check(self):
         with pytest.raises(AddressError):
             IPv4Address(-1)
@@ -77,6 +85,11 @@ class TestPrefix:
             Prefix.parse("10.0.0.0/33")
         with pytest.raises(AddressError):
             Prefix.parse("10.0.0.0/x")
+
+    @pytest.mark.parametrize("text", ["10.0.0.0/\u00b2", "10.0.0.0/\u0668"])
+    def test_parse_rejects_non_ascii_length(self, text):
+        with pytest.raises(AddressError):
+            Prefix.parse(text)
 
     def test_host_bits_rejected(self):
         with pytest.raises(AddressError):

@@ -14,7 +14,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.bgp import legacy_codec
 from repro.bgp.attributes import (
     AsPath,
     PathAttributes,
@@ -33,6 +32,8 @@ from repro.bgp.messages import (
 )
 from repro.net.addr import IPv4Address, Prefix
 from repro.perf.workloads import build_decode_stream
+
+from oracles import legacy_codec
 
 NH = IPv4Address.parse("10.0.0.1")
 ATTRS = PathAttributes(as_path=AsPath.from_asns([65100, 300]), next_hop=NH)

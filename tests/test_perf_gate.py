@@ -20,24 +20,17 @@ def result(ops_per_s: float, ops: int = 1000) -> dict:
 
 RESULTS = {
     "update_decode": result(200_000.0),
-    "update_decode_legacy": result(40_000.0),
     "rib_churn": result(600_000.0),
-    "rib_churn_dict": result(180_000.0),
 }
-
-SPEEDUPS = [
-    {"fast": "update_decode", "slow": "update_decode_legacy", "min_ratio": 2.0},
-    {"fast": "rib_churn", "slow": "rib_churn_dict", "min_ratio": 1.2},
-]
 
 
 class TestCheck:
     def test_all_within_budget(self):
-        budgets = gate.bless(RESULTS, "quick", speedups=SPEEDUPS)
+        budgets = gate.bless(RESULTS, "quick")
         assert gate.check(RESULTS, budgets) == []
 
     def test_floor_violation(self):
-        budgets = gate.bless(RESULTS, "quick", speedups=[])
+        budgets = gate.bless(RESULTS, "quick")
         slow = dict(RESULTS)
         # measured/4 floor * 0.5 slack => must drop below 1/8 to trip.
         slow["update_decode"] = result(20_000.0)
@@ -54,42 +47,35 @@ class TestCheck:
             "floor"
         ]
 
-    def test_speedup_violation(self):
-        budgets = {"speedups": SPEEDUPS}
-        flat = dict(RESULTS)
-        flat["update_decode"] = result(41_000.0)  # 1.02x over legacy
-        violations = gate.check(flat, budgets, tolerance=0.0)
-        assert [v.kind for v in violations] == ["speedup"]
-        assert violations[0].workload == "update_decode"
-
     def test_missing_workloads_reported(self):
-        budgets = gate.bless(RESULTS, "quick", speedups=SPEEDUPS)
+        budgets = gate.bless(RESULTS, "quick")
         partial = {"update_decode": RESULTS["update_decode"]}
-        kinds = {(v.kind, v.workload) for v in gate.check(partial, budgets)}
-        assert ("missing", "rib_churn") in kinds
-        assert ("missing", "update_decode") in kinds  # broken speedup pair
+        assert [(v.kind, v.workload) for v in gate.check(partial, budgets)] == [
+            ("missing", "rib_churn")
+        ]
 
-    def test_zero_baseline_never_divides(self):
-        budgets = {"speedups": SPEEDUPS[:1]}
-        degenerate = {
-            "update_decode": result(1.0),
-            "update_decode_legacy": {**result(1.0), "ops_per_s": 0.0},
-        }
-        assert gate.check(degenerate, budgets) == []
+    def test_zero_rate_is_a_floor_violation(self):
+        budgets = gate.bless(RESULTS, "quick")
+        stalled = {**RESULTS, "rib_churn": {**result(1.0), "ops_per_s": 0.0}}
+        assert [(v.kind, v.workload) for v in gate.check(stalled, budgets)] == [
+            ("floor", "rib_churn")
+        ]
+        # A zero floor (blessed from a zero rate) never trips.
+        assert gate.check(stalled, gate.bless(stalled, "quick")) == []
 
 
 class TestBless:
     def test_floors_get_headroom(self):
-        budgets = gate.bless(RESULTS, "quick", speedups=SPEEDUPS)
+        budgets = gate.bless(RESULTS, "quick")
+        assert set(budgets) == {"profile", "floors"}
         assert budgets["profile"] == "quick"
         assert budgets["floors"]["update_decode"]["min_ops_per_s"] == pytest.approx(
             200_000.0 / gate.BLESS_HEADROOM
         )
-        assert budgets["speedups"] == SPEEDUPS
 
     def test_blessed_budgets_round_trip(self, tmp_path):
         path = tmp_path / "budgets.json"
-        path.write_text(json.dumps(gate.bless(RESULTS, "quick", speedups=SPEEDUPS)))
+        path.write_text(json.dumps(gate.bless(RESULTS, "quick")))
         assert gate.check(RESULTS, gate.load_budgets(path)) == []
 
     def test_load_rejects_non_budget_file(self, tmp_path):
@@ -114,22 +100,21 @@ class TestCli:
             == 0
         )
         results = json.loads(output.read_text())
-        assert set(results) >= {
+        assert set(results) == {
             "update_decode",
-            "update_decode_legacy",
             "rib_churn",
-            "rib_churn_dict",
             "decision_process",
             "end_to_end",
         }
         for entry in results.values():
             assert set(entry) == {"ops", "wall_s", "ops_per_s", "py_version", "platform"}
             assert entry["ops"] > 0
-        assert "speedup" in capsys.readouterr().out
+        assert "speedup" not in capsys.readouterr().out
 
         blessed = json.loads(budgets.read_text())
         assert blessed["profile"] == "quick"
-        assert blessed["speedups"] == gate.DEFAULT_SPEEDUPS
+        assert set(blessed["floors"]) == set(results)
+        assert bgpbench(["perf", "--quick", "--check", "--budgets", str(budgets)]) == 0
 
     def test_check_fails_against_impossible_budgets(self, tmp_path, capsys):
         budgets = tmp_path / "budgets.json"
@@ -138,7 +123,6 @@ class TestCli:
                 {
                     "profile": "quick",
                     "floors": {"update_decode": {"min_ops_per_s": 1e15}},
-                    "speedups": [],
                 }
             )
         )

@@ -2,7 +2,7 @@
 
 The trie rewrite of :mod:`repro.bgp.rib` must be observationally
 identical to the dict-backed originals (retained verbatim in
-:mod:`repro.perf.reference`). Seeded random operation sequences are
+:mod:`oracles.reference`). Seeded random operation sequences are
 replayed against both implementations in lock-step and every observable
 is compared: the :class:`RouteChange` returned by each mutation,
 lengths, membership, point lookups, full iteration order, aggregate
@@ -18,7 +18,8 @@ import pytest
 from repro.bgp.attributes import AsPath, PathAttributes, intern_attributes
 from repro.bgp.rib import AdjRibIn, AdjRibOut, LocRib, RibRoute
 from repro.net.addr import IPv4Address, Prefix
-from repro.perf.reference import DictAdjRibIn, DictAdjRibOut, DictLocRib
+
+from oracles.reference import DictAdjRibIn, DictAdjRibOut, DictLocRib
 
 SEEDS = [1, 7, 42, 1007]
 STEPS = 900

@@ -18,10 +18,11 @@ from repro.bgp.attributes import (
 )
 from repro.bgp.decision import Candidate, DecisionProcess, PeerInfo
 from repro.bgp.messages import UpdateMessage, decode_message, decode_nlri, encode_nlri
-from repro.forwarding.trie import BinaryTrie, CompressedTrie
+from repro.forwarding.trie import BinaryTrie
 from repro.net.addr import IPv4Address, Prefix
 from repro.net.checksum import incremental_checksum_update, internet_checksum
 from repro.net.packet import IPv4Packet
+from repro.net.trie import PrefixTrieMap
 
 # -- strategies ------------------------------------------------------------
 
@@ -175,7 +176,7 @@ class TestTrieProperties:
     @given(st.dictionaries(prefixes(), st.integers(), max_size=40),
            st.lists(addresses, max_size=20))
     def test_lookup_matches_brute_force(self, routes, probes):
-        for trie_class in (BinaryTrie, CompressedTrie):
+        for trie_class in (BinaryTrie, PrefixTrieMap):
             trie = trie_class()
             for prefix, value in routes.items():
                 trie.insert(prefix, value)
@@ -186,7 +187,7 @@ class TestTrieProperties:
     @settings(max_examples=50)
     @given(st.dictionaries(prefixes(), st.integers(), max_size=30))
     def test_items_returns_inserted_set(self, routes):
-        for trie_class in (BinaryTrie, CompressedTrie):
+        for trie_class in (BinaryTrie, PrefixTrieMap):
             trie = trie_class()
             for prefix, value in routes.items():
                 trie.insert(prefix, value)
@@ -198,7 +199,7 @@ class TestTrieProperties:
            st.data())
     def test_remove_preserves_other_routes(self, routes, data):
         victim = data.draw(st.sampled_from(sorted(routes)))
-        for trie_class in (BinaryTrie, CompressedTrie):
+        for trie_class in (BinaryTrie, PrefixTrieMap):
             trie = trie_class()
             for prefix, value in routes.items():
                 trie.insert(prefix, value)
@@ -209,7 +210,7 @@ class TestTrieProperties:
     @settings(max_examples=30)
     @given(st.lists(st.tuples(prefixes(), st.booleans()), max_size=60))
     def test_interleaved_insert_remove_equivalence(self, operations):
-        binary, compressed, reference = BinaryTrie(), CompressedTrie(), {}
+        binary, compressed, reference = BinaryTrie(), PrefixTrieMap(), {}
         for prefix, is_insert in operations:
             if is_insert:
                 assert binary.insert(prefix, 1) == compressed.insert(prefix, 1)
