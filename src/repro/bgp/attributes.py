@@ -586,7 +586,7 @@ def decode_attributes_cached(
 
 
 def codec_cache_stats() -> "dict[str, int]":
-    """Hit/miss counters plus live sizes — published by ``bgpbench perf``."""
+    """Hit/miss counters plus live sizes."""
     return {
         **_cache_counters,
         "interned_size": len(_interned),

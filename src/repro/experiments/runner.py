@@ -20,8 +20,6 @@
     bgpbench lint --flow [paths ...] [--baseline PATH] [--update-baseline]
                   [--sarif out.sarif]
     bgpbench check --sanitize [--platform pentium3] [--scenario 5]
-    bgpbench perf [--quick] [--output benchmarks/BENCH_N.json]
-                  [--check [--budgets PATH] [--tolerance 0.5]] [--bless]
 
 ``--output-dir`` writes the experiment's result as JSON next to the
 text rendering. ``grid`` runs the sharded experiment grid through the
@@ -38,11 +36,7 @@ determinism linter over the source tree (``--flow`` switches to the
 whole-program dataflow pass, gated through a committed baseline and
 exportable as SARIF) and ``check --sanitize`` runs
 one scenario in checked mode (see docs/ANALYSIS.md); both exit
-non-zero on findings, so CI can gate on them. ``perf`` times the
-hot-path microbenchmarks against real wall clock (the one deliberately
-nondeterministic command), writes BENCH_*.json, and with ``--check``
-gates ops/s floors against ``benchmarks/perf/budgets.json`` (see
-docs/PERF.md). ``--trace``/``--metrics``
+non-zero on findings, so CI can gate on them. ``--trace``/``--metrics``
 (scenario) and ``--telemetry`` (grid/regress) instrument the run with
 :mod:`repro.telemetry` — observe-only, results are byte-identical (see
 docs/TELEMETRY.md).
@@ -298,44 +292,6 @@ def build_parser() -> argparse.ArgumentParser:
     check.add_argument("--scenario", type=int, choices=range(1, 9), default=5)
     check.add_argument("--table-size", type=int, default=150)
     check.add_argument("--seed", type=int, default=42)
-
-    perf = sub.add_parser(
-        "perf",
-        help="run the hot-path microbenchmarks (real wall clock)",
-    )
-    perf.add_argument(
-        "--quick", action="store_true",
-        help="CI smoke sizing (~seconds); default is the full profile "
-             "that blessed BENCH_*.json numbers use",
-    )
-    perf.add_argument(
-        "--output", type=Path, default=None, metavar="PATH",
-        help="write the results JSON here (e.g. benchmarks/BENCH_N.json)",
-    )
-    perf.add_argument(
-        "--check", action="store_true",
-        help="gate the run against the perf budgets; exit 1 on violation",
-    )
-    perf.add_argument(
-        "--budgets", type=Path, default=Path("benchmarks/perf/budgets.json"),
-        help="perf budget file (see docs/PERF.md)",
-    )
-    perf.add_argument(
-        "--tolerance", type=float, default=None, metavar="X",
-        help="slack factor for --check: a floor f passes while measured "
-             ">= f * (1 - X); default 0.5",
-    )
-    perf.add_argument(
-        "--bless", action="store_true",
-        help="write budgets derived from this run to --budgets "
-             "(floors at measured/4)",
-    )
-    perf.add_argument(
-        "--parallel", action="store_true",
-        help="run the parallel-engine speedup curves instead of the "
-             "hot-path suite (BENCH_10.json family; with --check, every "
-             "workload must project >= 2x at 4 shards)",
-    )
     return parser
 
 
@@ -476,9 +432,16 @@ def _make_policy(args):
 
 
 def _make_chaos(args):
-    from repro.grid import ChaosPlan
+    """The --chaos plan, or None; a bad plan file is a usage error."""
+    from repro.grid import ChaosPlan, ChaosPlanError
 
-    return None if args.chaos is None else ChaosPlan.from_file(args.chaos)
+    if args.chaos is None:
+        return None
+    try:
+        return ChaosPlan.from_file(args.chaos)
+    except ChaosPlanError as error:
+        print(f"{args.command}: {error}", file=sys.stderr)
+        raise SystemExit(2) from None
 
 
 def _make_journal(args, policy):
@@ -774,105 +737,6 @@ def _run_check(args) -> int:
     return 0
 
 
-def _run_perf_parallel(args) -> int:
-    import json
-
-    from repro.parallel import bench
-
-    profile = "quick" if args.quick else "full"
-    print(f"parallel engine speedup curves ({profile} profile) ...")
-    payload = bench.run_parallel_suite(quick=args.quick)
-    cpus = payload["meta"]["cpus"]
-    print(f"  [machine has {cpus} cpu(s); speedup is measured wall, "
-          f"projected_speedup is the critical-path bound]")
-    for workload in sorted(payload["workloads"]):
-        data = payload["workloads"][workload]
-        print(f"  {workload} ({data['cell']}): serial {data['serial_wall_s']:.4f}s")
-        for point in data["curve"]:
-            print(
-                f"    shards {point['shards']:>2}  wall {point['wall_s']:>9.4f}s  "
-                f"speedup {point['speedup']:>6.2f}x  "
-                f"projected {point['projected_speedup']:>6.2f}x  "
-                f"({point['rounds']} rounds, "
-                f"{point['remote_messages']} cross-shard msgs)"
-            )
-    if args.output is not None:
-        args.output.parent.mkdir(parents=True, exist_ok=True)
-        args.output.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
-        print(f"[written {args.output}]")
-    if args.check:
-        violations = bench.check_payload(payload)
-        if violations:
-            for violation in violations:
-                print(f"FAIL [parallel-scaling] {violation}")
-            return 1
-        print(
-            f"parallel gate: all workloads project >= "
-            f"{bench.PROJECTED_SPEEDUP_TARGET:g}x at 4 shards"
-        )
-    return 0
-
-
-def _run_perf(args) -> int:
-    import json
-
-    from repro.perf import bench, gate
-
-    if args.parallel:
-        return _run_perf_parallel(args)
-    profile = "quick" if args.quick else "full"
-    print(f"perf suite ({profile} profile) ...")
-    results = bench.run_suite(quick=args.quick)
-
-    width = max(len(name) for name in results)
-    for name, entry in results.items():
-        print(
-            f"  {name:<{width}}  {entry['ops']:>8} ops  "
-            f"{entry['wall_s']:>9.4f}s  {entry['ops_per_s']:>12,.0f} ops/s"
-        )
-    stats = bench.cache_stats()
-    print(
-        "  codec caches: "
-        f"decode {stats['decode_hits']}/{stats['decode_hits'] + stats['decode_misses']} hit, "
-        f"intern {stats['intern_hits']}/{stats['intern_hits'] + stats['intern_misses']} hit"
-    )
-
-    if args.output is not None:
-        args.output.parent.mkdir(parents=True, exist_ok=True)
-        args.output.write_text(json.dumps(results, indent=2, sort_keys=True) + "\n")
-        print(f"[written {args.output}]")
-
-    if args.bless:
-        budgets = gate.bless(results, profile)
-        args.budgets.parent.mkdir(parents=True, exist_ok=True)
-        args.budgets.write_text(json.dumps(budgets, indent=2, sort_keys=True) + "\n")
-        print(f"blessed {len(budgets['floors'])} floors -> {args.budgets}")
-        return 0
-
-    if args.check:
-        try:
-            budgets = gate.load_budgets(args.budgets)
-        except (OSError, ValueError, json.JSONDecodeError) as error:
-            print(f"perf: cannot load budgets: {error}", file=sys.stderr)
-            return 2
-        tolerance = (
-            args.tolerance if args.tolerance is not None else gate.DEFAULT_TOLERANCE
-        )
-        if budgets.get("profile") not in (None, profile):
-            print(
-                f"perf: budgets blessed for {budgets['profile']!r} profile, "
-                f"checking a {profile!r} run — floors may not be comparable",
-                file=sys.stderr,
-            )
-        violations = gate.check(results, budgets, tolerance=tolerance)
-        if violations:
-            for violation in violations:
-                print(f"FAIL [{violation.kind}] {violation.workload}: {violation.detail}")
-            return 1
-        print(f"perf gate: {len(budgets['floors'])} floors — all within budget")
-    return 0
-
-
 def _run_single_scenario(args) -> int:
     instrument = (
         args.trace is not None or args.metrics is not None or args.profile
@@ -966,8 +830,6 @@ def main(argv: "list[str] | None" = None) -> int:
         return _run_lint(args)
     elif args.command == "check":
         return _run_check(args)
-    elif args.command == "perf":
-        return _run_perf(args)
     elif args.command == "scenario":
         return _run_single_scenario(args)
     elif args.command == "repeatability":

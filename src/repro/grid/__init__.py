@@ -21,7 +21,7 @@ from repro.grid.baseline import (
 )
 from repro.grid.cache import DEFAULT_CACHE_DIR, GridCache, source_fingerprint
 from repro.grid.cells import GridCell, enumerate_grid, result_json, run_cell
-from repro.grid.chaos import ChaosError, ChaosFault, ChaosPlan
+from repro.grid.chaos import ChaosError, ChaosFault, ChaosPlan, ChaosPlanError
 from repro.grid.executor import GridReport, run_grid
 from repro.grid.journal import DEFAULT_JOURNAL_NAME, RunJournal
 from repro.grid.outcomes import (
@@ -44,6 +44,7 @@ __all__ = [
     "ChaosError",
     "ChaosFault",
     "ChaosPlan",
+    "ChaosPlanError",
     "DEFAULT_CACHE_DIR",
     "DEFAULT_JOURNAL_NAME",
     "DEFAULT_TOLERANCE",

@@ -96,7 +96,12 @@ class GridCache:
         except (OSError, ValueError):
             self.misses += 1
             return None
-        if entry.get("format") != CACHE_FORMAT or entry.get("cell") != cell.spec():
+        if (
+            not isinstance(entry, dict)
+            or entry.get("format") != CACHE_FORMAT
+            or entry.get("cell") != cell.spec()
+            or "result" not in entry
+        ):
             self.misses += 1
             return None
         self.hits += 1

@@ -41,6 +41,10 @@ class ChaosError(RuntimeError):
     """The injected transient failure a ``flaky`` fault raises."""
 
 
+class ChaosPlanError(ValueError):
+    """A chaos plan, or one fault in it, that cannot be loaded."""
+
+
 @dataclass(frozen=True, slots=True)
 class ChaosFault:
     """One cell's injected misbehaviour."""
@@ -53,11 +57,11 @@ class ChaosFault:
 
     def __post_init__(self) -> None:
         if self.kind not in FAULT_KINDS:
-            raise ValueError(f"unknown chaos kind {self.kind!r}; valid: {FAULT_KINDS}")
+            raise ChaosPlanError(f"unknown chaos kind {self.kind!r}; valid: {FAULT_KINDS}")
         if self.times is not None and self.times < 1:
-            raise ValueError(f"times must be >= 1 (or None for always): {self.times}")
+            raise ChaosPlanError(f"times must be >= 1 (or None for always): {self.times}")
         if self.hang_seconds <= 0:
-            raise ValueError(f"hang_seconds must be positive: {self.hang_seconds}")
+            raise ChaosPlanError(f"hang_seconds must be positive: {self.hang_seconds}")
 
     def applies(self, attempt: int) -> bool:
         return self.times is None or attempt < self.times
@@ -72,15 +76,22 @@ class ChaosFault:
 
     @classmethod
     def from_spec(cls, spec: Mapping[str, object]) -> "ChaosFault":
+        if not isinstance(spec, Mapping):
+            raise ChaosPlanError(f"fault must be an object, got {type(spec).__name__}")
         unknown = set(spec) - {"kind", "times", "exit_code", "hang_seconds"}
         if unknown:
-            raise ValueError(f"unknown chaos fault keys: {sorted(unknown)}")
-        return cls(
-            kind=str(spec["kind"]),
-            times=None if spec.get("times") is None else int(spec["times"]),  # type: ignore[arg-type]
-            exit_code=int(spec.get("exit_code", CRASH_EXIT_CODE)),  # type: ignore[arg-type]
-            hang_seconds=float(spec.get("hang_seconds", 3600.0)),  # type: ignore[arg-type]
-        )
+            raise ChaosPlanError(f"unknown chaos fault keys: {sorted(unknown)}")
+        if "kind" not in spec:
+            raise ChaosPlanError("missing key 'kind'")
+        fields: "dict[str, object]" = {"kind": str(spec["kind"])}
+        for key, convert in (("times", int), ("exit_code", int), ("hang_seconds", float)):
+            if spec.get(key) is None:
+                continue
+            try:
+                fields[key] = convert(spec[key])  # type: ignore[arg-type]
+            except (TypeError, ValueError):
+                raise ChaosPlanError(f"key {key!r}: not a number: {spec[key]!r}") from None
+        return cls(**fields)  # type: ignore[arg-type]
 
 
 @dataclass(frozen=True, slots=True)
@@ -103,14 +114,27 @@ class ChaosPlan:
 
     @classmethod
     def from_spec(cls, spec: Mapping[str, Mapping[str, object]]) -> "ChaosPlan":
-        return cls({
-            str(cell_id): ChaosFault.from_spec(fault_spec)
-            for cell_id, fault_spec in spec.items()
-        })
+        if not isinstance(spec, Mapping):
+            raise ChaosPlanError(
+                f"plan must be an object mapping cell ids to faults, "
+                f"got {type(spec).__name__}"
+            )
+        faults = {}
+        for cell_id, fault_spec in spec.items():
+            try:
+                faults[str(cell_id)] = ChaosFault.from_spec(fault_spec)
+            except ChaosPlanError as error:
+                raise ChaosPlanError(f"cell {cell_id!r}: {error}") from None
+        return cls(faults)
 
     @classmethod
     def from_file(cls, path: "Path | str") -> "ChaosPlan":
-        return cls.from_spec(json.loads(Path(path).read_text()))
+        """Load a JSON plan; anything wrong with the file or its shape
+        is one :class:`ChaosPlanError` naming *path*."""
+        try:
+            return cls.from_spec(json.loads(Path(path).read_text()))
+        except (OSError, ValueError) as error:
+            raise ChaosPlanError(f"chaos plan {path}: {error}") from None
 
 
 def apply_chaos(fault: "ChaosFault | None", attempt: int) -> None:

@@ -110,22 +110,22 @@ class RunJournal:
     def load(self) -> "dict[str, JournalRecord]":
         """Replay the journal: the last valid record per cell id.
 
-        Lines that are torn (partial final write), from another journal
-        format, or stamped with a different source fingerprint are
-        skipped — they can never satisfy a resume.
+        Lines that are torn (partial final write), not UTF-8, from
+        another journal format, or stamped with a different source
+        fingerprint are skipped — they can never satisfy a resume.
         """
         records: dict[str, JournalRecord] = {}
         try:
-            text = self.path.read_text(encoding="utf-8")
+            data = self.path.read_bytes()
         except OSError:
             return records
-        for line in text.splitlines():
+        for line in data.splitlines():
             if not line.strip():
                 continue
             try:
-                entry = json.loads(line)
+                entry = json.loads(line.decode("utf-8"))
             except ValueError:
-                continue  # torn tail of an interrupted run
+                continue  # torn tail of an interrupted run, or damaged bytes
             if not isinstance(entry, dict):
                 continue
             if entry.get("format") != JOURNAL_FORMAT:

@@ -7,12 +7,15 @@ a chaos plan that silently no-ops would green-light a broken supervisor.
 """
 
 import json
+from pathlib import Path
 
 import pytest
 
 from repro.experiments.runner import EXIT_PARTIAL_FAILURE, main
-from repro.grid import ChaosError, ChaosFault, ChaosPlan
+from repro.grid import ChaosError, ChaosFault, ChaosPlan, ChaosPlanError
 from repro.grid.chaos import apply_chaos
+
+GOLDEN = Path(__file__).resolve().parents[1] / "benchmarks/golden/grid-small.json"
 
 
 class TestChaosSpecs:
@@ -51,6 +54,29 @@ class TestChaosSpecs:
         with pytest.raises(ValueError):
             ChaosFault("hang", hang_seconds=0.0)
 
+    @pytest.mark.parametrize("spec, names", [
+        ([{"kind": "crash"}], ["plan must be an object", "list"]),
+        ({"cell-a": {"times": 1}}, ["cell 'cell-a'", "missing key 'kind'"]),
+        ({"cell-a": "crash"}, ["cell 'cell-a'", "fault must be an object", "str"]),
+        ({"cell-a": {"kind": "flaky", "times": "x"}}, ["cell 'cell-a'", "'times'", "'x'"]),
+        ({"cell-a": {"kind": "hang", "hang_seconds": []}}, ["'hang_seconds'"]),
+        ({"cell-a": {"kind": "segfault"}}, ["cell 'cell-a'", "unknown chaos kind"]),
+    ])
+    def test_malformed_plan_is_one_named_error(self, tmp_path, spec, names):
+        path = tmp_path / "plan.json"
+        path.write_text(json.dumps(spec))
+        with pytest.raises(ChaosPlanError) as raised:
+            ChaosPlan.from_file(path)
+        for name in [str(path), *names]:
+            assert name in str(raised.value)
+
+    def test_unreadable_plan_file_is_the_same_error(self, tmp_path):
+        with pytest.raises(ChaosPlanError, match="missing.json"):
+            ChaosPlan.from_file(tmp_path / "missing.json")
+        (tmp_path / "torn.json").write_bytes(b'{"cell-a": \xff')
+        with pytest.raises(ChaosPlanError, match="torn.json"):
+            ChaosPlan.from_file(tmp_path / "torn.json")
+
     def test_flaky_raises_chaos_error_only_while_applicable(self):
         fault = ChaosFault("flaky", times=1)
         with pytest.raises(ChaosError, match="injected flaky fault"):
@@ -69,6 +95,22 @@ class TestGridCliResilience:
         path = tmp_path / "plan.json"
         path.write_text(json.dumps(spec))
         return str(path)
+
+    @pytest.mark.parametrize("command", [
+        CELL_ARGS,
+        ["regress", "--golden", str(GOLDEN), "--no-cache"],
+    ], ids=["grid", "regress"])
+    def test_bad_chaos_plan_is_a_one_line_usage_error(self, tmp_path, capsys, command):
+        plan = self.write_plan(tmp_path, {"s1-cisco-seed7-n60": {"times": 1}})
+        with pytest.raises(SystemExit) as raised:
+            main([*command, "--chaos", plan])
+        captured = capsys.readouterr()
+        assert raised.value.code == 2
+        assert captured.out == ""
+        assert captured.err == (
+            f"{command[0]}: chaos plan {plan}: cell 's1-cisco-seed7-n60': "
+            f"missing key 'kind'\n"
+        )
 
     def test_chaos_run_exits_partial_failure_with_manifest(self, tmp_path, capsys):
         plan = self.write_plan(

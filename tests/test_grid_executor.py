@@ -10,6 +10,7 @@ import json
 import pytest
 
 from repro.grid import GridCache, GridCell, enumerate_grid, run_grid, source_fingerprint
+from repro.grid.cache import CACHE_FORMAT
 
 CELLS = enumerate_grid(
     scenarios=[1, 5], platforms=["pentium3", "cisco"], seeds=[7], table_sizes=[100]
@@ -64,9 +65,15 @@ class TestCache:
     def test_corrupt_entry_counts_as_miss(self, tmp_path):
         cache = GridCache(tmp_path / "cache", fingerprint="fp")
         cell = CELLS[0]
-        cache.put(cell, {"transactions": 1})
-        cache.path_for(cell).write_text("{not json")
-        assert cache.get(cell) is None
+        path = cache.put(cell, {"transactions": 1})
+        no_result = {"format": CACHE_FORMAT, "cell": cell.spec()}
+        damaged = ["{not json", "[]", "null", json.dumps(no_result)]
+        for misses, text in enumerate(damaged, start=1):
+            path.write_text(text)
+            assert cache.get(cell) is None
+            assert (cache.hits, cache.misses) == (0, misses)
+        report = run_grid([cell], cache=cache)
+        assert report.executed == 1 and cache.get(cell) == report.results[cell.cell_id]
 
     def test_entry_is_self_describing(self, tmp_path):
         cache = GridCache(tmp_path / "cache", fingerprint="fp")

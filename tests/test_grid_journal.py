@@ -52,6 +52,14 @@ class TestJournalFile:
             handle.write('{"format": 1, "cell_id": "s1-pent')  # interrupted write
         assert list(journal.completed()) == [CELLS[0].cell_id]
 
+    def test_undecodable_line_is_skipped_and_neighbours_resume(self, tmp_path):
+        journal = journal_at(tmp_path)
+        journal.record(CELLS[0], "ok", {"transactions": 1})
+        with open(journal.path, "ab") as handle:
+            handle.write(b'{"format": 1, "cell_id": "\xff\xfe\x80"}\n')  # disk damage
+        journal.record(CELLS[1], "ok", {"transactions": 2})
+        assert list(journal.completed()) == [CELLS[0].cell_id, CELLS[1].cell_id]
+
     def test_fingerprint_mismatch_invalidates_records(self, tmp_path):
         journal_at(tmp_path, "before").record(CELLS[0], "ok", {"transactions": 1})
         assert journal_at(tmp_path, "after").completed() == {}

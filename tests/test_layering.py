@@ -1,16 +1,21 @@
 """Layering guard: the protocol core, the data plane and the simulator
-import nothing from the benchmarking, experiment or grid packages, and
-the differential oracles live under ``tests/oracles/``, not ``src/``.
+import nothing from the experiment or grid packages, the differential
+oracles live under ``tests/oracles/``, not ``src/``, and nothing in
+``src/`` times itself — a speed claim is a ``benchmarks/ledger/`` run.
 """
 
+import importlib.util
 import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import repro
+from repro.experiments.runner import main
 
 CORE = ("repro.net", "repro.bgp", "repro.forwarding", "repro.sim")
-CONSUMERS = ("repro.perf", "repro.experiments", "repro.grid")
+CONSUMERS = ("repro.experiments", "repro.grid")
 
 PROBE = f"""
 import importlib, sys
@@ -38,3 +43,25 @@ def test_oracles_are_not_shipped():
         for path in package.rglob(name)
     )
     assert shipped == []
+
+
+@pytest.mark.parametrize("name", ["repro.perf", "repro.parallel.bench"])
+def test_in_tree_timing_harnesses_are_gone(name):
+    assert importlib.util.find_spec(name) is None
+
+
+def test_only_the_linter_name_table_mentions_perf_counter():
+    package = Path(repro.__file__).parent
+    mentions = sorted(
+        str(path.relative_to(package))
+        for path in package.rglob("*.py")
+        if "perf_counter" in path.read_text()
+    )
+    assert mentions == ["analysis/rules/determinism.py"]
+
+
+def test_perf_is_not_a_subcommand(capsys):
+    with pytest.raises(SystemExit) as raised:
+        main(["perf"])
+    assert raised.value.code == 2
+    assert "invalid choice: 'perf'" in capsys.readouterr().err

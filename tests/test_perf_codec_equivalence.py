@@ -31,12 +31,18 @@ from repro.bgp.messages import (
     iter_messages,
 )
 from repro.net.addr import IPv4Address, Prefix
-from repro.perf.workloads import build_decode_stream
+from repro.workload.tablegen import generate_table
+from repro.workload.updates import UpdateStreamBuilder
 
 from oracles import legacy_codec
 
 NH = IPv4Address.parse("10.0.0.1")
 ATTRS = PathAttributes(as_path=AsPath.from_asns([65100, 300]), next_hop=NH)
+
+
+def flap_stream(table_size, passes):
+    builder = UpdateStreamBuilder(65100, NH)
+    return b"".join(builder.flap_storm(generate_table(table_size, seed=8), passes, 1))
 
 
 def fresh_caches():
@@ -112,7 +118,7 @@ class TestValidCorpus:
 
     def test_benchmark_stream_equal(self):
         fresh_caches()
-        stream = build_decode_stream(table_size=80, passes=3, seed=8)
+        stream = flap_stream(table_size=80, passes=3)
         optimized = stream_outcome(iter_messages, stream)
         legacy = stream_outcome(legacy_codec.legacy_iter_messages, stream)
         assert optimized == legacy
@@ -122,7 +128,7 @@ class TestValidCorpus:
     def test_cached_decode_equals_cold_decode(self):
         """Second pass answers from the codec caches; results must be
         indistinguishable from the cold pass."""
-        stream = build_decode_stream(table_size=40, passes=2, seed=8)
+        stream = flap_stream(table_size=40, passes=2)
         fresh_caches()
         cold = stream_outcome(iter_messages, stream)
         warm = stream_outcome(iter_messages, stream)
