@@ -8,7 +8,8 @@ fired event,
 * **stable-tie-break** — simultaneous events fire in scheduling
   (sequence) order, the property serial/pooled bit-identity rides on;
 * **heap-integrity** — the pending-event heap satisfies the heap
-  invariant (a mutated-in-place entry would silently reorder events);
+  invariant and every entry's key equals its event's ``(time, seq)``
+  (an entry or event mutated in place would silently reorder events);
 * **prefix-conservation** — every prefix the speaker received has been
   classified exactly once (accepted / unchanged / policy-filtered /
   loop-dropped / damping-suppressed, see
@@ -178,15 +179,24 @@ class Sanitizer:
         assert self.sim is not None
         self.stats.heap_checks += 1
         queue = self.sim._queue
-        for index in range(1, len(queue)):
-            parent = (index - 1) >> 1
-            if queue[index] < queue[parent]:
+        for index, (time, seq, event) in enumerate(queue):
+            if (time, seq) != (event.time, event.seq):
+                self._violation(
+                    "heap-integrity",
+                    f"pending-event heap entry {index} is keyed "
+                    f"(t={time:g}, seq={seq}) but its event says "
+                    f"(t={event.time:g}, seq={event.seq}) — a queued event "
+                    f"was mutated in place",
+                )
+            # (the root stands in as its own parent)
+            parent_time, parent_seq, _ = queue[max(index - 1, 0) >> 1]
+            if (time, seq) < (parent_time, parent_seq):
                 self._violation(
                     "heap-integrity",
                     f"pending-event heap violated at index {index}: "
-                    f"(t={queue[index].time:g}, seq={queue[index].seq}) sorts "
-                    f"before its parent (t={queue[parent].time:g}, "
-                    f"seq={queue[parent].seq}) — an entry was mutated in place",
+                    f"(t={time:g}, seq={seq}) sorts before its parent "
+                    f"(t={parent_time:g}, seq={parent_seq}) — an entry was "
+                    f"replaced in place",
                 )
 
     def _check_conservation(self) -> None:

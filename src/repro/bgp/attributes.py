@@ -302,7 +302,14 @@ def encode_attributes(attrs: PathAttributes) -> bytes:
 
     Attributes are emitted in ascending type-code order, which is what
     routers conventionally produce (the RFC only recommends it).
+    Memoized by attribute set (see the cache notes below): a speaker
+    re-advertising one path to many neighbours encodes it once.
     """
+    cached = _encode_cache.get(attrs)
+    if cached is not None:
+        _cache_counters["encode_hits"] += 1  # repro: noqa[RPR102] — telemetry only, never read by results
+        return cached
+    _cache_counters["encode_misses"] += 1  # repro: noqa[RPR102] — telemetry only, never read by results
     out = bytearray()
     out += _encode_attribute(
         AttrType.ORIGIN, AttrFlag.TRANSITIVE, bytes((attrs.origin,))
@@ -335,7 +342,10 @@ def encode_attributes(attrs: PathAttributes) -> bytes:
         )
     for unknown in attrs.unknown:
         out += _encode_attribute(unknown.type_code, unknown.flags, unknown.value)
-    return bytes(out)
+    wire = bytes(out)
+    if len(_encode_cache) < _ENCODE_CACHE_CAPACITY:
+        _encode_cache[attrs] = wire  # repro: noqa[RPR102] — value-keyed memo, fork-safe
+    return wire
 
 
 def _require_length(type_code: int, value: bytes, expected: int) -> None:
@@ -501,9 +511,9 @@ def decode_attributes(data: bytes, require_mandatory: bool = True) -> PathAttrib
     )
 
 
-# -- attribute flyweights and the decode cache ----------------------------
+# -- attribute flyweights and the codec caches -----------------------------
 #
-# Two small caches carry most of the speaker's hot-path speedup:
+# Four small caches carry most of the speaker's hot-path speedup:
 #
 # * ``intern_attributes`` maps every attribute set to one canonical
 #   instance, so the RIB equality checks on announcement/staging become
@@ -512,9 +522,16 @@ def decode_attributes(data: bytes, require_mandatory: bool = True) -> PathAttrib
 # * ``decode_attributes_cached`` memoizes successful decodes by the
 #   exact wire blob — table transfers and storms repeat a small set of
 #   attribute blobs across thousands of UPDATEs, and a repeat costs one
-#   dict probe instead of a full parse.
+#   dict probe instead of a full parse;
+# * ``encode_attributes`` is its mirror image, attribute set → wire
+#   blob: one path re-advertised to many neighbours is encoded once;
+# * ``repro.bgp.messages.decode_message`` memoizes whole small messages
+#   by their exact wire bytes (the dict lives here so that one stats
+#   call and one clear hook cover every codec cache): in a topology the
+#   same UPDATE reaches many receivers, and path exploration keeps
+#   re-announcing a small set of paths.
 #
-# Both caches stop growing at a fixed capacity instead of evicting:
+# All of them stop growing at a fixed capacity instead of evicting:
 # behaviour stays deterministic (no eviction-order dependence), and the
 # working set of real tables is far below the caps. Errors are never
 # cached — corrupt input re-raises through the full parse every time,
@@ -526,24 +543,38 @@ def decode_attributes(data: bytes, require_mandatory: bool = True) -> PathAttrib
 # a deterministic function of its key. A worker process that forks with
 # a warm, cold, or differently-warmed cache computes byte-identical
 # results; only the hit/miss telemetry differs per process. That is why
-# the cache-insert lines below carry ``# repro: noqa[RPR102]`` while
-# the ``_cache_counters`` increments stay in the committed flow
-# baseline as accepted debt (to become per-worker and merged when the
-# parallel engine lands, ROADMAP item 2). Any new module global touched
-# on a worker path must either satisfy this same value-keyed contract
-# or be threaded through the cell spec.
+# the cache-insert lines carry ``# repro: noqa[RPR102]``; the
+# ``_cache_counters`` increments are telemetry no result ever reads
+# (the intern/decode ones predate the suppressions and sit in the
+# committed flow baseline instead). Any new module global touched on a
+# worker path must either satisfy this same value-keyed contract or be
+# threaded through the cell spec — and be emptied by
+# ``clear_codec_caches``/``repro.bgp.reset_caches`` (a tier-1 guard
+# checks every ``*_cache`` dict here and in ``repro.bgp.messages``).
 
 _INTERN_CAPACITY = 1 << 16
 _DECODE_CACHE_CAPACITY = 1 << 15
+_ENCODE_CACHE_CAPACITY = 1 << 13
+#: Whole-message memo: entry count, and the longest message worth
+#: keeping. Single-route UPDATEs (up to a ~30-hop AS_PATH) fit; packed
+#: UPDATEs are unique by construction and must not cost memory.
+_MESSAGE_CACHE_CAPACITY = 1 << 12
+_MESSAGE_CACHE_MAX_LEN = 128
 
 _interned: "dict[PathAttributes, PathAttributes]" = {}
 _decode_cache_strict: "dict[bytes, PathAttributes]" = {}
 _decode_cache_lax: "dict[bytes, PathAttributes]" = {}
+_encode_cache: "dict[PathAttributes, bytes]" = {}
+_message_cache: "dict[bytes, object]" = {}
 _cache_counters = {
     "intern_hits": 0,
     "intern_misses": 0,
     "decode_hits": 0,
     "decode_misses": 0,
+    "encode_hits": 0,
+    "encode_misses": 0,
+    "message_hits": 0,
+    "message_misses": 0,
 }
 
 
@@ -591,15 +622,19 @@ def codec_cache_stats() -> "dict[str, int]":
         **_cache_counters,
         "interned_size": len(_interned),
         "decode_cache_size": len(_decode_cache_strict) + len(_decode_cache_lax),
+        "encode_cache_size": len(_encode_cache),
+        "message_cache_size": len(_message_cache),
     }
 
 
 def clear_codec_caches() -> None:
-    """Reset the flyweight and decode caches (tests, benchmarks, and
+    """Reset the flyweight and the codec memos (tests, benchmarks, and
     worker-process start — see the fork-safety contract in
     docs/PERF.md: clearing *is* how workers begin cold)."""
     _interned.clear()  # repro: noqa[RPR102] — cache reset, the contract itself
     _decode_cache_strict.clear()  # repro: noqa[RPR102] — cache reset, the contract itself
     _decode_cache_lax.clear()  # repro: noqa[RPR102] — cache reset, the contract itself
+    _encode_cache.clear()  # repro: noqa[RPR102] — cache reset, the contract itself
+    _message_cache.clear()  # repro: noqa[RPR102] — cache reset, the contract itself
     for key in _cache_counters:
         _cache_counters[key] = 0  # repro: noqa[RPR102] — cache reset, the contract itself

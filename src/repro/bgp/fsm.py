@@ -232,6 +232,18 @@ class SessionFsm:
         sim = self._sim
         if sim is None:
             return
+        timers = self.timers
+        if (
+            timers.hold_deadline is None
+            and timers.keepalive_deadline is None
+            and timers.connect_retry_deadline is None
+        ):
+            # Nothing armed — every UPDATE of a timers-off session (the
+            # benchmark and topology default) ends here.
+            for handle in self._timer_handles.values():
+                if handle.active:
+                    handle.cancel()
+            return
         for name in _TIMER_EVENTS:
             deadline: float | None = getattr(self.timers, f"{name}_deadline")
             handle = self._timer_handles.get(name)

@@ -12,7 +12,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.bgp.attributes import (
+    _MESSAGE_CACHE_CAPACITY,
+    _MESSAGE_CACHE_MAX_LEN,
     PathAttributes,
+    _cache_counters,
+    _message_cache,
     decode_attributes,
     decode_attributes_cached,
     encode_attributes,
@@ -311,13 +315,28 @@ _MIN_LEN = {
 
 
 def decode_message(data: bytes) -> BgpMessage:
-    """Decode exactly one framed message from *data* (full message bytes)."""
+    """Decode exactly one framed message from *data* (full message bytes).
+
+    Small messages are memoized by their exact wire bytes (messages are
+    frozen, so one instance serves every receiver); the cache lives
+    with the other codec caches in :mod:`repro.bgp.attributes`, under
+    the same contract: value-keyed, bounded, errors never cached.
+    """
+    cacheable = len(data) <= _MESSAGE_CACHE_MAX_LEN and type(data) is bytes
+    if cacheable:
+        cached = _message_cache.get(data)
+        if cached is not None:
+            _cache_counters["message_hits"] += 1  # repro: noqa[RPR102] — telemetry only, never read by results
+            return cached  # type: ignore[return-value]
+        _cache_counters["message_misses"] += 1  # repro: noqa[RPR102] — telemetry only, never read by results
     message, consumed = _decode_one(data)
     if consumed != len(data):
         raise header_error(
             HeaderSubcode.BAD_MESSAGE_LENGTH,
             message=f"trailing bytes after message: {len(data) - consumed}",
         )
+    if cacheable and len(_message_cache) < _MESSAGE_CACHE_CAPACITY:
+        _message_cache[data] = message  # repro: noqa[RPR102] — value-keyed memo, fork-safe
     return message
 
 

@@ -12,8 +12,11 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 from enum import Enum, auto
 
-from repro.bgp.attributes import PathAttributes
+from repro.bgp.attributes import PathAttributes, intern_attributes
 from repro.net.addr import Prefix
+
+#: Distinct attribute sets one policy remembers verdicts for.
+_MEMO_CAPACITY = 1 << 14
 
 
 class PolicyResult(Enum):
@@ -111,6 +114,14 @@ class Policy:
     """An ordered first-match rule chain with a default disposition.
 
     ``evaluations`` counts rule-match attempts for the CPU cost model.
+    Only its *deltas* around a call mean anything, so one instance may
+    serve any number of peers and speakers.
+
+    A chain in which no rule looks at the prefix is a pure function of
+    the attribute set, so its verdicts are memoized per instance:
+    attribute set → (interned result, rule-match attempts). A hit adds
+    the stored attempts to ``evaluations`` — the cost model is charged
+    exactly as if the chain had been walked.
     """
 
     def __init__(
@@ -123,19 +134,44 @@ class Policy:
         self.default = default
         self.name = name
         self.evaluations = 0
+        # An empty chain has nothing to save (and ACCEPT_ALL/REJECT_ALL
+        # are module globals, which must not accumulate state).
+        self._memo: "dict[PathAttributes, tuple[PathAttributes | None, int]] | None" = (
+            {}
+            if self.rules and not any(rule.match.prefixes for rule in self.rules)
+            else None
+        )
 
     def apply(
         self, prefix: Prefix, attributes: PathAttributes
     ) -> PathAttributes | None:
         """Run the chain; return modified attributes, or None if rejected."""
+        memo = self._memo
+        if memo is not None:
+            known = memo.get(attributes)
+            if known is not None:
+                self.evaluations += known[1]
+                return known[0]
+        result: PathAttributes | None
+        attempts = 0
         for rule in self.rules:
-            self.evaluations += 1
+            attempts += 1
             if rule.match.matches(prefix, attributes):
-                if rule.result is PolicyResult.REJECT:
-                    return None
-                return rule.action.apply(attributes)
-        self.evaluations += 1
-        return attributes if self.default is PolicyResult.ACCEPT else None
+                result = (
+                    None
+                    if rule.result is PolicyResult.REJECT
+                    else rule.action.apply(attributes)
+                )
+                break
+        else:
+            attempts += 1
+            result = attributes if self.default is PolicyResult.ACCEPT else None
+        self.evaluations += attempts
+        if memo is not None and len(memo) < _MEMO_CAPACITY:
+            if result is not None:
+                result = intern_attributes(result)
+            memo[attributes] = (result, attempts)
+        return result
 
 
 #: A policy that accepts everything unmodified — the benchmark default,

@@ -213,6 +213,11 @@ class PeerConfig:
     backoff: ReconnectBackoff | None = None
 
 
+#: Distinct export-policy outputs one speaker remembers the eBGP
+#: rewrite of.
+_EBGP_REWRITE_CAPACITY = 1 << 12
+
+
 class _Framer:
     """Reassemble framed BGP messages from a TCP-like byte stream."""
 
@@ -221,6 +226,17 @@ class _Framer:
 
     def push(self, data: bytes) -> Iterator[tuple[BgpMessage, int]]:
         """Append *data*; yield every complete (message, wire_length)."""
+        if not self._buffer:
+            # One packet, one whole message (how every harness here
+            # sends): decode the packet itself — no buffer round trip,
+            # and a bytes packet is the message memo's key as it stands.
+            size = len(data)
+            if (
+                HEADER_LEN <= size <= MAX_MESSAGE_LEN
+                and int.from_bytes(data[16:18], "big") == size
+            ):
+                yield decode_message(bytes(data)), size
+                return
         self._buffer += data
         while len(self._buffer) >= HEADER_LEN:
             length = int.from_bytes(self._buffer[16:18], "big")
@@ -242,9 +258,11 @@ class _Framer:
 class Peer:
     """Per-neighbour session state: FSM, Adj-RIBs, framer, transport."""
 
-    def __init__(self, speaker: "BgpSpeaker", config: PeerConfig):
+    def __init__(self, speaker: "BgpSpeaker", config: PeerConfig, order: int):
         self.speaker = speaker
         self.config = config
+        #: Position in the speaker's ``peers`` dict (insertion order).
+        self.order = order
         self.adj_rib_in = AdjRibIn(config.peer_id)
         self.adj_rib_out = AdjRibOut(config.peer_id)
         self.damper = RouteDamper(config.damping) if config.damping else None
@@ -281,6 +299,9 @@ class Peer:
             bgp_identifier=identifier,
             is_ebgp=self.is_ebgp,
         )
+
+
+_peer_order = attrgetter("order")
 
 
 class _PeerActions:
@@ -327,6 +348,17 @@ class BgpSpeaker:
         self.audit = PrefixAudit()
         self.decision = DecisionProcess(config.compare_med_always)
         self._local_routes: dict[Prefix, PathAttributes] = {}
+        #: Peers staged to since their last flush — what
+        #: :meth:`flush_pending` visits instead of every neighbour.
+        self._dirty: set[Peer] = set()
+        self._peers_added = 0
+        #: eBGP export rewrite, memoized: export-policy output → the
+        #: interned (own AS prepended, next hop self, no LOCAL_PREF) set.
+        #: A function of this speaker's config and the key alone.
+        self._ebgp_rewrites: dict[PathAttributes, PathAttributes] = {}
+        #: Prefixes whose Loc-RIB entry changed, for an owner that asked
+        #: by putting a list here (and drains it); None = nobody did.
+        self.loc_rib_changes: list[Prefix] | None = None
         self._session_log: list[tuple[str, str]] = []
         #: Optional observer called with every (peer_id, event) session
         #: transition appended to the log ("up" / "down: <reason>") —
@@ -348,12 +380,14 @@ class BgpSpeaker:
     def add_peer(self, config: PeerConfig) -> Peer:
         if config.peer_id in self.peers:
             raise ValueError(f"duplicate peer id {config.peer_id!r}")
-        peer = Peer(self, config)
+        peer = Peer(self, config, self._peers_added)
+        self._peers_added += 1
         self.peers[config.peer_id] = peer
         return peer
 
     def remove_peer(self, peer_id: str) -> None:
         peer = self.peers.pop(peer_id)
+        self._dirty.discard(peer)
         if peer.established:
             peer.fsm.handle(Event.MANUAL_STOP)
         self._flush_peer_routes(peer)
@@ -533,6 +567,8 @@ class BgpSpeaker:
 
         if best is None:
             if self.loc_rib.remove(prefix) is RouteChange.REMOVED:
+                if self.loc_rib_changes is not None:
+                    self.loc_rib_changes.append(prefix)
                 self.fib.delete_route(prefix)
                 self.work.fib_deletes += 1
                 self.work.loc_rib_removes += 1
@@ -547,6 +583,8 @@ class BgpSpeaker:
         if change is RouteChange.UNCHANGED:
             self.work.loc_rib_unchanged += 1
             return
+        if self.loc_rib_changes is not None:
+            self.loc_rib_changes.append(prefix)
         assert best.attributes.next_hop is not None
         if change is RouteChange.ADDED:
             self.fib.add_route(prefix, best.attributes.next_hop)
@@ -581,15 +619,25 @@ class BgpSpeaker:
         self.work.policy_evaluations += policy.evaluations - before
         if exported is None:
             return None
-        if peer.is_ebgp:
-            exported = exported.with_prepended_as(self.config.asn)
-            exported = exported.with_next_hop(self.config.local_address)
-            # LOCAL_PREF is iBGP-only: strip on eBGP export (§5.1.5).
-            exported = replace(exported, local_pref=None)
         # Interned so repeated exports of the same path collapse to one
         # flyweight: Adj-RIB-Out no-op staging and flush_updates'
         # attribute grouping both become identity hits.
-        return intern_attributes(exported)
+        if not peer.is_ebgp:
+            return intern_attributes(exported)
+        rewritten = self._ebgp_rewrites.get(exported)
+        if rewritten is None:
+            rewritten = intern_attributes(
+                replace(
+                    exported,
+                    as_path=exported.as_path.prepend(self.config.asn),
+                    next_hop=self.config.local_address,
+                    # LOCAL_PREF is iBGP-only: strip on eBGP export (§5.1.5).
+                    local_pref=None,
+                )
+            )
+            if len(self._ebgp_rewrites) < _EBGP_REWRITE_CAPACITY:
+                self._ebgp_rewrites[exported] = rewritten
+        return rewritten
 
     def _stage_announce_to_peers(self, route: RibRoute) -> None:
         if self._suppressed_by_aggregate(route.prefix):
@@ -637,10 +685,19 @@ class BgpSpeaker:
             if gated is None:
                 return
             prefix, attributes = gated
+        self._stage(peer, prefix, attributes)
+
+    def _stage(
+        self, peer: Peer, prefix: Prefix, attributes: PathAttributes | None
+    ) -> None:
+        """Record one outbound change in the peer's Adj-RIB-Out; a peer
+        whose pending delta moved is dirty until its next flush."""
         if attributes is None:
-            peer.adj_rib_out.stage_withdraw(prefix)
+            moved = peer.adj_rib_out.stage_withdraw(prefix) is RouteChange.REMOVED
         else:
-            peer.adj_rib_out.stage(prefix, attributes)
+            moved = peer.adj_rib_out.stage(prefix, attributes) is not RouteChange.UNCHANGED
+        if moved:
+            self._dirty.add(peer)
 
     def release_mrai(self, peer_id: str, now: float) -> int:
         """Release MRAI-withheld changes for *peer_id* that are now due;
@@ -651,11 +708,21 @@ class BgpSpeaker:
             return 0
         released = peer.mrai.release_due(now)
         for prefix, attributes in released:
-            if attributes is None:
-                peer.adj_rib_out.stage_withdraw(prefix)
-            else:
-                peer.adj_rib_out.stage(prefix, attributes)
+            self._stage(peer, prefix, attributes)
         return len(released)
+
+    def flush_pending(self, max_prefixes: int | None = None) -> list[bytes]:
+        """:meth:`flush_updates` for every peer staged to since its last
+        flush, in ``peers`` order — the order a walk over all peers
+        emits in, which every golden and shard comparison is pinned to."""
+        dirty = self._dirty
+        if not dirty:
+            return []
+        self._dirty = set()
+        packets: list[bytes] = []
+        for peer in sorted(dirty, key=_peer_order):
+            packets += self.flush_updates(peer.config.peer_id, max_prefixes)
+        return packets
 
     def flush_updates(self, peer_id: str, max_prefixes: int | None = None) -> list[bytes]:
         """Pack this peer's pending Adj-RIB-Out delta into UPDATE packets.
@@ -666,6 +733,7 @@ class BgpSpeaker:
         Returns the encoded wire packets.
         """
         peer = self.peers[peer_id]
+        self._dirty.discard(peer)
         if not peer.adj_rib_out.has_pending():
             return []
         limit = max_prefixes or self.LARGE_UPDATE_PREFIXES
@@ -811,10 +879,11 @@ class BgpSpeaker:
                 continue
             exported = self._export_attributes(peer, route)
             if exported is not None:
-                peer.adj_rib_out.stage(route.prefix, exported)
+                self._stage(peer, route.prefix, exported)
 
     def _on_session_down(self, peer: Peer, reason: str) -> None:
         self._log_session_event(peer.config.peer_id, f"down: {reason}")
+        self._dirty.discard(peer)
         self._flush_peer_routes(peer)
 
     def _log_session_event(self, peer_id: str, event: str) -> None:

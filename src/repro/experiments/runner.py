@@ -532,21 +532,26 @@ def _run_topo(args) -> int:
     from repro.grid.cells import result_json
     from repro.topo import TopoCell, run_topo_cell
 
-    cell = TopoCell(
-        family=args.family,
-        tier1=args.tier1,
-        tier2=args.tier2,
-        stubs=args.stubs,
-        seed=args.seed,
-        link_delay=args.link_delay,
-        mrai=args.mrai,
-        damping=args.damping,
-        origins=args.origins,
-        flaps=args.flaps,
-        flap_interval=args.flap_interval,
-        measured=args.measured,
-        platform=args.platform,
-    )
+    try:
+        cell = TopoCell(
+            family=args.family,
+            tier1=args.tier1,
+            tier2=args.tier2,
+            stubs=args.stubs,
+            seed=args.seed,
+            link_delay=args.link_delay,
+            mrai=args.mrai,
+            damping=args.damping,
+            origins=args.origins,
+            flaps=args.flaps,
+            flap_interval=args.flap_interval,
+            measured=args.measured,
+            platform=args.platform,
+        )
+    except ValueError as error:
+        # A bad spec is a usage error, reported before anything is built.
+        print(f"bgpbench topo: {error}", file=sys.stderr)
+        raise SystemExit(2) from None
     telemetry_dir = _telemetry_dir(args)
     if telemetry_dir is not None:
         args.telemetry_dir.mkdir(parents=True, exist_ok=True)

@@ -9,18 +9,19 @@ deterministic — a property the benchmark's repeatability claim (paper
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from math import isfinite
 from typing import Callable, Protocol
 
 
-@dataclass(order=True)
+@dataclass(slots=True)
 class _ScheduledEvent:
     time: float
     seq: int
-    callback: Callable[[], None] = field(compare=False)
-    cancelled: bool = field(default=False, compare=False)
-    in_queue: bool = field(default=True, compare=False)
-    daemon: bool = field(default=False, compare=False)
+    callback: Callable[[], None]
+    cancelled: bool = False
+    in_queue: bool = True
+    daemon: bool = False
 
 
 class SimObserver(Protocol):
@@ -58,6 +59,8 @@ class EventHandle:
         the first :meth:`Simulator.schedule`. Returns ``self`` so the
         caller can keep a single handle alive across re-arms.
         """
+        if not isfinite(delay):
+            raise ValueError(f"non-finite delay: {delay}")
         if delay < 0:
             raise ValueError(f"negative delay: {delay}")
         sim = self._sim
@@ -75,7 +78,7 @@ class EventHandle:
             event.in_queue = True
             if not event.daemon:
                 sim._live_real += 1
-            heapq.heappush(sim._queue, event)
+            heapq.heappush(sim._queue, (event.time, event.seq, event))
         return self
 
     @property
@@ -97,7 +100,9 @@ class Simulator:
 
     def __init__(self) -> None:
         self.now = 0.0
-        self._queue: list[_ScheduledEvent] = []
+        #: Heap of ``(time, seq, event)``: the key is compared in C, and
+        #: ``seq`` is unique, so the event itself never is.
+        self._queue: list[tuple[float, int, _ScheduledEvent]] = []
         self._seq = 0
         self._live_real = 0
         self.events_fired = 0
@@ -124,6 +129,10 @@ class Simulator:
     def schedule_at(
         self, time: float, callback: Callable[[], None], daemon: bool = False
     ) -> EventHandle:
+        # NaN passes every ``<`` guard (all its comparisons are False) and
+        # would sit in the heap as a key that orders against nothing.
+        if not isfinite(time):
+            raise ValueError(f"non-finite event time: {time}")
         if time < self.now:
             raise ValueError(f"cannot schedule into the past: {time} < {self.now}")
         return EventHandle(self, self._push(time, callback, daemon))
@@ -135,7 +144,7 @@ class Simulator:
         self._seq += 1
         if not daemon:
             self._live_real += 1
-        heapq.heappush(self._queue, event)
+        heapq.heappush(self._queue, (time, event.seq, event))
         return event
 
     def _cancel(self, event: _ScheduledEvent) -> None:
@@ -147,11 +156,12 @@ class Simulator:
         """Timestamp of the next live event, or None when the queue is
         empty or holds only daemon events (which must not keep the
         simulation running on their own)."""
-        while self._queue and self._queue[0].cancelled:
-            heapq.heappop(self._queue).in_queue = False
-        if not self._queue or self._live_real == 0:
+        queue = self._queue
+        while queue and queue[0][2].cancelled:
+            heapq.heappop(queue)[2].in_queue = False
+        if not queue or self._live_real == 0:
             return None
-        return self._queue[0].time
+        return queue[0][0]
 
     def fire_due(self, until: float | None = None) -> int:
         """Advance the clock, firing every event due at or before *until*
@@ -164,7 +174,7 @@ class Simulator:
                 break
             if until is not None and next_time > until:
                 break
-            event = heapq.heappop(self._queue)
+            event = heapq.heappop(self._queue)[2]
             event.in_queue = False
             if not event.daemon:
                 self._live_real -= 1
@@ -202,4 +212,4 @@ class Simulator:
         self.now = time
 
     def pending(self) -> int:
-        return sum(1 for event in self._queue if not event.cancelled)
+        return sum(1 for _time, _seq, event in self._queue if not event.cancelled)

@@ -146,10 +146,9 @@ class RouterSystem:
         return work_delta(self.speaker.work, before)
 
     def _functional_flush(self) -> tuple[int, int]:
-        """Flush every peer's staged exports; returns (prefixes, updates)."""
+        """Flush every staged export; returns (prefixes, updates)."""
         before = self.speaker.work.snapshot()
-        for peer_id in self.speaker.peers:
-            self.speaker.flush_updates(peer_id, max_prefixes=self.export_packing)
+        self.speaker.flush_pending(self.export_packing)
         delta = work_delta(self.speaker.work, before)
         return delta.prefixes_sent, delta.updates_sent
 

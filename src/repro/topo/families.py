@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import random
 from dataclasses import dataclass
 from functools import partial
@@ -76,6 +77,12 @@ class TopoCell:
             raise ValueError(
                 f"origins must be in 1..{self.stubs}: {self.origins}"
             )
+        for name in ("link_delay", "mrai", "flap_interval"):
+            # NaN slips through every range check below, inf through
+            # all but one; either would reach the event heap as a time.
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise ValueError(f"{name} must be finite: {value}")
         if self.link_delay <= 0:
             raise ValueError(f"link_delay must be positive: {self.link_delay}")
         if self.mrai < 0:

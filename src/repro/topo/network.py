@@ -130,25 +130,26 @@ class SpeakerNode:
             )
         )
         self._mrai_handles: dict[str, object] = {}
-        self._watched: tuple[Prefix, ...] = ()
         self._best: dict[Prefix, tuple[int, ...] | None] = {}
         self._ghosts: dict[Prefix, set[tuple[int, ...]]] = {}
         self.path_changes = 0
 
     # -- construction -------------------------------------------------------
 
-    def add_peer(self, neighbor: int, relationship: Relationship) -> None:
-        peer = self.speaker.add_peer(
-            PeerConfig(
-                peer_id=peer_name(neighbor),
-                asn=neighbor,
-                address=as_address(neighbor),
-                import_policy=import_policy(relationship),
-                export_policy=export_policy(relationship),
-                damping=DampingConfig() if self.harness.damping else None,
-                mrai_interval=self.harness.mrai_interval,
-            )
+    def _peer_config(self, neighbor: int, relationship: Relationship) -> PeerConfig:
+        import_chain, export_chain = self.harness.policies[relationship]
+        return PeerConfig(
+            peer_id=peer_name(neighbor),
+            asn=neighbor,
+            address=as_address(neighbor),
+            import_policy=import_chain,
+            export_policy=export_chain,
+            damping=DampingConfig() if self.harness.damping else None,
+            mrai_interval=self.harness.mrai_interval,
         )
+
+    def add_peer(self, neighbor: int, relationship: Relationship) -> None:
+        peer = self.speaker.add_peer(self._peer_config(neighbor, relationship))
         peer.fsm.attach_simulator(self.harness.sim)
 
     # -- traffic ------------------------------------------------------------
@@ -163,11 +164,11 @@ class SpeakerNode:
         self.observe_paths()
 
     def flush(self) -> None:
-        """Emit every peer's staged Adj-RIB-Out delta, then (re)arm MRAI
+        """Emit every staged Adj-RIB-Out delta, then (re)arm MRAI
         release events for anything the gates withheld."""
-        for peer_id in self.speaker.peers:
-            self.speaker.flush_updates(peer_id, max_prefixes=self.harness.packing)
-        self._arm_mrai()
+        self.speaker.flush_pending(self.harness.packing)
+        if self.harness.mrai_interval:
+            self._arm_mrai()
 
     # -- local origination (harness-driven, zero virtual cost) ---------------
 
@@ -238,23 +239,33 @@ class SpeakerNode:
         """Baseline the watched prefixes at their current best paths;
         subsequent changes count as path changes, every distinct
         transient path adopted counts as a ghost path."""
-        self._watched = prefixes
         self._best = {prefix: self.best_path(prefix) for prefix in prefixes}
         self._ghosts = {prefix: set() for prefix in prefixes}
         self.path_changes = 0
+        # From here on the speaker reports which Loc-RIB entries moved.
+        self.speaker.loc_rib_changes = []
 
     def best_path(self, prefix: Prefix) -> "tuple[int, ...] | None":
         route = self.speaker.loc_rib.get(prefix)
         return None if route is None else route.attributes.as_path.all_asns()
 
     def observe_paths(self) -> None:
-        for prefix in self._watched:
+        """Account for the watched prefixes whose Loc-RIB entry changed
+        since the last call (a best path only moves when its entry does)."""
+        changes = self.speaker.loc_rib_changes
+        if not changes:
+            return
+        best = self._best
+        for prefix in changes:
+            if prefix not in best:
+                continue
             path = self.best_path(prefix)
-            if path != self._best[prefix]:
-                self._best[prefix] = path
+            if path != best[prefix]:
+                best[prefix] = path
                 self.path_changes += 1
                 if path is not None:
                     self._ghosts[prefix].add(path)
+        changes.clear()
 
     @property
     def ghost_paths(self) -> int:
@@ -309,23 +320,12 @@ class RouterNode(SpeakerNode):
         self.router.on_packet_done = self._packet_done
         self.speaker = self.router.speaker
         self._mrai_handles = {}
-        self._watched = ()
         self._best = {}
         self._ghosts = {}
         self.path_changes = 0
 
     def add_peer(self, neighbor: int, relationship: Relationship) -> None:
-        self.router.add_peer(
-            PeerConfig(
-                peer_id=peer_name(neighbor),
-                asn=neighbor,
-                address=as_address(neighbor),
-                import_policy=import_policy(relationship),
-                export_policy=export_policy(relationship),
-                damping=DampingConfig() if self.harness.damping else None,
-                mrai_interval=self.harness.mrai_interval,
-            )
-        )
+        self.router.add_peer(self._peer_config(neighbor, relationship))
 
     def deliver(self, peer_id: str, data: bytes, delay: float = 0.0) -> None:
         self.router.deliver(peer_id, data, delay=delay)
@@ -381,6 +381,14 @@ class TopologyHarness:
         self.sim = self.world.sim
         self.last_activity = 0.0
         self.watched: tuple[Prefix, ...] = ()
+        # One compiled Gao–Rexford chain pair per relationship, shared by
+        # every peering of the harness: speakers read only deltas of
+        # ``Policy.evaluations``, and a shared chain's memo answers for
+        # the whole graph (the same routes cross it everywhere).
+        self.policies = {
+            relationship: (import_policy(relationship), export_policy(relationship))
+            for relationship in Relationship
+        }
 
         # Nodes in sorted-ASN order (dict insertion order is iteration
         # order everywhere below).

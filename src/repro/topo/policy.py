@@ -46,8 +46,8 @@ def import_policy(relationship: Relationship) -> Policy:
 
     One accept-all term that strips any upstream tag, applies this AS's
     own classification community, and sets the preference rung. A fresh
-    :class:`Policy` per call: the evaluation counter feeding the CPU
-    cost model is per-instance.
+    :class:`Policy` per call, with its own verdict memo — a harness
+    compiles one per relationship and shares it across its peerings.
     """
     tag, local_pref = _IMPORT[relationship]
     return Policy(

@@ -82,12 +82,28 @@ class TestEventInvariants:
         sanitizer = Sanitizer().attach_simulator(sim)
         for delay in (1.0, 2.0, 3.0, 4.0):
             sim.schedule(delay, _noop)
-        # Mutate a heaped entry in place: a leaf now sorts before its
-        # parent, exactly the corruption the scan exists to catch.
-        sim._queue[-1].time = 0.0
+        # Mutate a queued event in place: the heap is ordered by the
+        # entry's key, so the event would now fire at a time it does
+        # not carry — exactly the corruption the scan exists to catch.
+        sim._queue[-1][2].time = 0.0
         with pytest.raises(SanitizerError) as excinfo:
             sanitizer.before_fire(event(0.0, 99))
         assert excinfo.value.invariant == "heap-integrity"
+        assert "mutated in place" in excinfo.value.message
+
+    def test_heap_order_violation_detected(self):
+        sim = Simulator()
+        sanitizer = Sanitizer().attach_simulator(sim)
+        for delay in (1.0, 2.0, 3.0, 4.0):
+            sim.schedule(delay, _noop)
+        # Key and event agree, but the leaf sorts before its parent.
+        _time, seq, leaf = sim._queue[-1]
+        leaf.time = 0.0
+        sim._queue[-1] = (0.0, seq, leaf)
+        with pytest.raises(SanitizerError) as excinfo:
+            sanitizer.before_fire(event(0.0, 99))
+        assert excinfo.value.invariant == "heap-integrity"
+        assert "sorts before its parent" in excinfo.value.message
 
     def test_error_carries_event_trace(self):
         sanitizer = Sanitizer().attach_simulator(Simulator())

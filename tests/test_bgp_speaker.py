@@ -249,6 +249,100 @@ class TestExportPath:
         assert sorted(sizes, reverse=True) == [3, 3, 3, 1]
 
 
+class TestOutbox:
+    """The speaker knows which peers it staged to: ``flush_pending``
+    visits those and nobody else, in ``peers`` order."""
+
+    NEIGHBOURS = [("a", 65011), ("b", 65012), ("c", 65013)]
+
+    def make(self, **peer_kwargs):
+        router = make_router()
+        log = []
+        connect(router, S1, S1_AS, S1_ADDR, IPv4Address.parse("1.1.1.1"))
+        for index, (peer_id, asn) in enumerate(self.NEIGHBOURS):
+            connect(
+                router, peer_id, asn, IPv4Address.parse(f"10.0.{index + 3}.1"),
+                IPv4Address.parse(f"3.3.3.{index + 1}"), **peer_kwargs,
+            )
+            router.set_send_callback(
+                peer_id, lambda wire, peer_id=peer_id: log.append((peer_id, wire))
+            )
+        return router, log
+
+    def count_flushes(self, router, monkeypatch):
+        calls = []
+        flush_updates = router.flush_updates
+
+        def counted(peer_id, max_prefixes=None):
+            calls.append(peer_id)
+            return flush_updates(peer_id, max_prefixes)
+
+        monkeypatch.setattr(router, "flush_updates", counted)
+        return calls
+
+    def test_reverse_staging_still_emits_in_peers_order(self):
+        router, log = self.make()
+        attrs = PathAttributes(as_path=AsPath.from_asns([ROUTER_AS]), next_hop=S1_ADDR)
+        for peer_id in ("c", "b", "a"):
+            router._stage_one(router.peers[peer_id], P1, attrs)
+        packets = router.flush_pending()
+        assert [peer_id for peer_id, _wire in log] == ["a", "b", "c"]
+        assert packets == [wire for _peer_id, wire in log]
+
+    def test_matches_a_walk_over_every_peer(self):
+        walked, walked_log = self.make()
+        flushed, flushed_log = self.make()
+        for router in (walked, flushed):
+            announce(router, S1, [P1, P2], [S1_AS, 300], S1_ADDR)
+        for peer_id in walked.peers:
+            walked.flush_updates(peer_id, max_prefixes=1)
+        flushed.flush_pending(max_prefixes=1)
+        assert flushed_log == walked_log
+        assert len(flushed_log) == 6
+
+    def test_nothing_staged_flushes_nobody(self, monkeypatch):
+        router, log = self.make()
+        calls = self.count_flushes(router, monkeypatch)
+        assert router.flush_pending() == []
+        announce(router, S1, [P1], [S1_AS], S1_ADDR)
+        router.flush_pending()
+        assert calls == ["a", "b", "c"]  # not S1: nothing was staged to it
+        assert router.flush_pending() == []
+        assert calls == ["a", "b", "c"]
+        assert len(log) == 3
+
+    def test_peer_removed_while_dirty_is_not_resurrected(self):
+        router, log = self.make()
+        announce(router, S1, [P1], [S1_AS], S1_ADDR)
+        router.remove_peer("b")
+        del log[:]  # the Cease NOTIFICATION remove_peer sent
+        router.flush_pending()
+        assert [peer_id for peer_id, _wire in log] == ["a", "c"]
+        assert "b" not in router.peers
+
+    def test_session_dropped_while_dirty_is_not_flushed(self):
+        router, log = self.make()
+        announce(router, S1, [P1], [S1_AS], S1_ADDR)
+        router.receive_bytes("b", NotificationMessage(6, 2).encode())
+        assert not router.peers["b"].established
+        router.flush_pending()
+        assert [peer_id for peer_id, _wire in log] == ["a", "c"]
+
+    def test_mrai_release_marks_the_peer_for_the_next_flush(self):
+        router, log = self.make(mrai_interval=30.0)
+        announce(router, S1, [P1], [S1_AS, 300], S1_ADDR)
+        router.flush_pending()
+        del log[:]
+        router.receive_bytes(
+            S1, UpdateMessage(withdrawn=(P1,)).encode(), now=1.0
+        )  # inside every gate's interval: withheld
+        assert router.flush_pending() == []
+        assert router.release_mrai("b", now=31.0) == 1
+        packets = router.flush_pending()
+        assert [peer_id for peer_id, _wire in log] == ["b"]
+        assert decode_message(packets[0]).withdrawn == (P1,)
+
+
 class TestPolicies:
     def test_import_reject_blocks_route(self):
         reject_666 = Policy([Rule(Match(as_in_path=666), PolicyResult.REJECT)])

@@ -12,7 +12,12 @@ from pathlib import Path
 import pytest
 
 import repro
+import repro.bgp
+import repro.bgp.attributes
+import repro.bgp.messages
 from repro.experiments.runner import main
+from repro.grid.cells import run_cell
+from repro.topo.families import TopoCell
 
 CORE = ("repro.net", "repro.bgp", "repro.forwarding", "repro.sim")
 CONSUMERS = ("repro.experiments", "repro.grid")
@@ -65,3 +70,40 @@ def test_perf_is_not_a_subcommand(capsys):
         main(["perf"])
     assert raised.value.code == 2
     assert "invalid choice: 'perf'" in capsys.readouterr().err
+
+
+def test_reset_caches_empties_every_module_level_cache():
+    """The fork-safety contract (docs/PERF.md): grid and shard workers
+    begin cold by calling ``repro.bgp.reset_caches()``. A cache added
+    to the codec modules without a ``clear_*`` hook would leak warmth
+    into them — this finds it by name, so it cannot be forgotten."""
+    def caches():
+        return {
+            f"{module.__name__}.{name}": value
+            for module in (repro.bgp.attributes, repro.bgp.messages)
+            for name, value in vars(module).items()
+            if isinstance(value, dict)
+            and ("_cache" in name or name == "_interned")
+            and name != "_cache_counters"
+        }
+
+    run_cell(TopoCell(family="withdraw", origins=2))
+    warm = {name for name, cache in caches().items() if cache}
+    assert {
+        "repro.bgp.attributes._interned",
+        "repro.bgp.attributes._decode_cache_strict",
+        "repro.bgp.attributes._encode_cache",
+        "repro.bgp.attributes._message_cache",
+        "repro.bgp.messages._message_cache",
+        "repro.bgp.messages._prefix_cache",
+    } <= warm
+    repro.bgp.reset_caches()
+    assert {name: len(cache) for name, cache in caches().items() if cache} == {}
+    stats = repro.bgp.attributes.codec_cache_stats()
+    assert set(stats) >= {
+        "intern_hits", "intern_misses", "decode_hits", "decode_misses",
+        "message_hits", "message_misses", "encode_hits", "encode_misses",
+        "interned_size", "decode_cache_size", "encode_cache_size",
+        "message_cache_size",
+    }
+    assert not any(stats.values())

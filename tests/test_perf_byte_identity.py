@@ -14,8 +14,9 @@ from pathlib import Path
 
 import pytest
 
+import repro.bgp
 from repro.grid.baseline import trim_for_golden
-from repro.grid.cells import GridCell, run_cell
+from repro.grid.cells import GridCell, result_json, run_cell
 from repro.topo.families import TopoCell
 
 GOLDEN_DIR = Path(__file__).resolve().parent.parent / "benchmarks" / "golden"
@@ -66,3 +67,16 @@ class TestTopoByteIdentity:
             assert canonical(trim_for_golden(run_cell(cell))) == canonical(
                 blessed
             ), cell_id
+
+    def test_cold_and_warm_runs_serialise_identically(self):
+        """The route-once memos (message, encode, policy, export) are
+        value-keyed: a cell run from cold caches and the same cell run
+        straight after a *different* cell warmed them must not differ
+        by a byte."""
+        cell = TopoCell(family="withdraw", origins=2)
+        other = TopoCell(family="churn", damping=True, mrai=5.0, origins=3)
+        repro.bgp.reset_caches()
+        cold = result_json({cell.cell_id: run_cell(cell)})
+        run_cell(other)
+        warm = result_json({cell.cell_id: run_cell(cell)})
+        assert cold == warm

@@ -36,6 +36,17 @@ class TestScheduling:
         with pytest.raises(ValueError):
             sim.schedule_at(1.0, lambda: None)
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_non_finite_times_rejected(self, bad):
+        # NaN compares False against everything, so it used to pass the
+        # negative-delay and into-the-past guards and land in the heap.
+        sim = Simulator()
+        with pytest.raises(ValueError, match=str(bad)):
+            sim.schedule(bad, lambda: None)
+        with pytest.raises(ValueError, match=str(bad)):
+            sim.schedule_at(bad, lambda: None)
+        assert sim.pending() == 0
+
     def test_callback_schedules_more_events(self):
         sim = Simulator()
         log = []
@@ -180,6 +191,17 @@ class TestReschedule:
         handle = sim.schedule(1.0, lambda: None)
         with pytest.raises(ValueError):
             handle.reschedule(-0.5)
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    @pytest.mark.parametrize("fired", [False, True])
+    def test_reschedule_non_finite_delay_rejected(self, bad, fired):
+        sim = Simulator()
+        handle = sim.schedule(1.0, lambda: None)
+        if fired:
+            sim.run()
+        with pytest.raises(ValueError, match=str(bad)):
+            handle.reschedule(bad)
+        assert handle.active is not fired
 
     def test_active_property_lifecycle(self):
         sim = Simulator()

@@ -2,6 +2,8 @@
 
 import pytest
 
+import repro.topo
+from repro.experiments.runner import main
 from repro.grid.baseline import bless, compare, load_golden, trim_for_golden
 from repro.grid.cells import result_json
 from repro.grid.executor import run_grid
@@ -79,6 +81,45 @@ class TestTopoCell:
     def test_invalid_spec_rejected(self, kwargs):
         with pytest.raises(ValueError):
             TopoCell(**kwargs)
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("link_delay", float("nan")),
+            ("link_delay", float("inf")),
+            ("mrai", float("nan")),
+            ("mrai", float("inf")),
+            ("flap_interval", float("nan")),
+            ("flap_interval", float("inf")),
+        ],
+    )
+    def test_non_finite_spec_rejected_naming_the_field(self, field, value):
+        # Every one of these constructed before (the id read "...-mrainan")
+        # and would have reached the event heap as a time.
+        with pytest.raises(ValueError, match=f"{field} must be finite"):
+            TopoCell(family="churn", **{field: value})
+
+
+class TestTopoCli:
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["--origins", "99"], "origins must be in 1..18: 99"),
+            (["--mrai", "nan"], "mrai must be finite: nan"),
+            (["--tier1", "0"], "degenerate hierarchy 0x5x18"),
+        ],
+    )
+    def test_bad_spec_is_a_one_line_usage_error(self, capsys, monkeypatch, argv, message):
+        def no_build(*args, **kwargs):
+            raise AssertionError("a cell was built from a bad spec")
+
+        monkeypatch.setattr(repro.topo, "run_topo_cell", no_build)
+        with pytest.raises(SystemExit) as raised:
+            main(["topo", *argv])
+        captured = capsys.readouterr()
+        assert raised.value.code == 2
+        assert captured.out == ""
+        assert captured.err == f"bgpbench topo: {message}\n"
 
 
 class TestPickOrigins:
