@@ -35,13 +35,13 @@ from typing import Iterable, Iterator
 from repro.analysis.rules import build_alias_map, resolve_dotted
 
 #: Bare names of functions that run on the far side of a process
-#: boundary: grid workers (pool map and supervisor attempt children),
-#: the topology cell runner they dispatch to, and the parallel engine's
-#: shard process entry. Any module-global mutation reachable from one
-#: of these runs once per *worker process*, not once per program — the
-#: fork-safety hazard RPR102 polices.
+#: boundary: the grid supervisor's worker entry, the cell runner it
+#: serves, the topology cell runner behind ``TopoCell.run``, and the
+#: parallel engine's shard process entry. Any module-global mutation
+#: reachable from one of these runs once per *worker process*, not once
+#: per program — the fork-safety hazard RPR102 polices.
 WORKER_ENTRY_NAMES = frozenset(
-    {"run_cell", "_execute_cell", "_attempt_main", "run_topo_cell", "_shard_main"}
+    {"run_cell", "_worker_main", "run_topo_cell", "_shard_main"}
 )
 
 

@@ -46,13 +46,14 @@ FLOW_RULES: dict[str, FlowRule] = {
             "error",
             "A module-level mutable binding is written by a function "
             "reachable from a process-boundary entry point (grid "
-            "run_cell / _execute_cell / supervisor _attempt_main / "
-            "run_topo_cell). Each worker process gets its own copy, so "
-            "the state silently diverges across shards the moment the "
-            "parallel engine (ROADMAP item 2) splits one scenario over "
-            "processes. Either keep the global a content-keyed memo of "
-            "a pure function (document the contract and suppress at the "
-            "mutation site), or thread the state through the cell.",
+            "run_cell / supervisor _worker_main / run_topo_cell / "
+            "parallel _shard_main). Each worker process gets its own "
+            "copy, so the state silently diverges across shards the "
+            "moment the parallel engine (ROADMAP item 2) splits one "
+            "scenario over processes. Either keep the global a "
+            "content-keyed memo of a pure function (document the "
+            "contract and suppress at the mutation site), or thread the "
+            "state through the cell.",
         ),
         FlowRule(
             "RPR103",

@@ -11,7 +11,7 @@
     bgpbench stability --platform pentium3 --rate 1500
     bgpbench grid --workers 4 [--scenarios ...] [--telemetry]
                   [--cell-timeout 300] [--retries 2] [--max-failures 5]
-                  [--strict] [--resume] [--chaos plan.json]
+                  [--resume] [--chaos plan.json]
     bgpbench regress [--golden benchmarks/golden/grid-small.json] [--bless]
     bgpbench topo --family convergence [--tier1 2 --tier2 5 --stubs 18]
                   [--mrai 30] [--damping] [--sanitize] [--telemetry]
@@ -24,11 +24,13 @@
 ``--output-dir`` writes the experiment's result as JSON next to the
 text rendering. ``grid`` runs the sharded experiment grid through the
 on-disk cell cache; ``regress`` re-runs a committed golden baseline's
-grid and exits non-zero on drift (see docs/GRID.md). The resilience
-flags (``--cell-timeout``/``--retries``/``--max-failures``/``--strict``)
-switch both to supervised execution: failing cells degrade to a failure
-manifest and exit status 3 instead of aborting the run, and ``--resume``
-finishes an interrupted run from its checkpoint journal. ``topo`` runs
+grid and exits non-zero on drift (see docs/GRID.md). With one worker and
+no resilience flag the cells run in the calling process; ``--workers N``
+or any of ``--cell-timeout``/``--retries``/``--max-failures``/``--chaos``
+runs them on supervised worker processes, where failing cells degrade to
+a failure manifest and exit status 3 instead of aborting the run.
+``--resume`` finishes an interrupted run from its checkpoint journal; an
+unusable golden file or chaos plan is a usage error (exit 2). ``topo`` runs
 one topology benchmark cell (an AS graph of interacting speakers, see
 docs/TOPOLOGY.md); ``regress --bless --topo`` creates the topology
 golden baseline. ``lint`` runs the
@@ -333,22 +335,17 @@ def _add_pool_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--cell-timeout", type=float, default=None, metavar="SECONDS",
         help="per-cell wall-clock budget; a cell exceeding it is killed and "
-             "recorded as a timeout (enables supervised execution)",
+             "recorded as a timeout (supervised execution)",
     )
     parser.add_argument(
         "--retries", type=int, default=0, metavar="N",
         help="re-run a failed/timed-out/crashed cell up to N times on a "
-             "deterministic backoff schedule (enables supervised execution)",
+             "deterministic backoff schedule (supervised execution)",
     )
     parser.add_argument(
         "--max-failures", type=int, default=None, metavar="N",
         help="quarantine all not-yet-started cells once N cells have "
-             "terminally failed (enables supervised execution)",
-    )
-    parser.add_argument(
-        "--strict", action="store_true",
-        help="quarantine remaining cells on the first terminal failure "
-             "(equivalent to --max-failures 1)",
+             "terminally failed (supervised execution)",
     )
     parser.add_argument(
         "--resume", action="store_true",
@@ -412,14 +409,14 @@ def _telemetry_dir(args) -> "str | None":
 
 def _make_policy(args):
     """An ExecutionPolicy when any resilience flag asks for supervision,
-    else None (the historical abort-on-first-error pool path)."""
+    else None (run_grid then supervises only a multi-worker run, with
+    the default policy)."""
     from repro.grid import ExecutionPolicy
 
     if (
         args.cell_timeout is None
         and args.retries == 0
         and args.max_failures is None
-        and not args.strict
         and args.chaos is None
     ):
         return None
@@ -427,7 +424,6 @@ def _make_policy(args):
         cell_timeout=args.cell_timeout,
         retries=args.retries,
         max_failures=args.max_failures,
-        strict=args.strict,
     )
 
 
@@ -445,8 +441,9 @@ def _make_chaos(args):
 
 
 def _make_journal(args, policy):
-    """Checkpoint journal: on for supervised runs and whenever --resume
-    or --journal asks for one."""
+    """Checkpoint journal: on when a resilience flag, --resume or
+    --journal asks for one — keyed on the flags, not on whether the run
+    ends up supervised, so a plain ``--workers N`` run writes none."""
     from repro.grid import DEFAULT_CACHE_DIR, DEFAULT_JOURNAL_NAME, RunJournal
 
     if policy is None and not args.resume and args.journal is None:
@@ -590,50 +587,44 @@ def _run_topo(args) -> int:
 
 
 def _run_regress(args) -> int:
-    from repro.grid import bless, compare, enumerate_grid, load_golden, run_grid
-    from repro.grid.baseline import DEFAULT_TOLERANCE
+    from repro.grid import bless, compare, load_golden, run_grid
+    from repro.grid.baseline import (
+        DEFAULT_TOLERANCE,
+        GoldenError,
+        grid_cells,
+        topo_grid_spec,
+    )
 
-    if args.golden.exists():
-        golden = load_golden(args.golden)
-        grid_spec = golden["grid"]
-        tolerance = golden["tolerance"]
-    elif args.bless:
-        golden = None
-        if args.topo:
-            from repro.topo import default_topo_grid
+    golden = None
+    try:
+        if args.golden.exists():
+            golden = load_golden(args.golden)
+            grid_spec = golden["grid"]
+            tolerance = golden["tolerance"]
+        elif args.bless:
+            if args.topo:
+                from repro.topo import default_topo_grid
 
-            grid_spec = {
-                "kind": "topo",
-                "cells": [cell.spec() for cell in default_topo_grid()],
-            }
+                grid_spec = topo_grid_spec(default_topo_grid())
+            else:
+                grid_spec = {
+                    "scenarios": list(range(1, 9)),
+                    "platforms": sorted(PLATFORMS),
+                    "seeds": [42],
+                    "table_sizes": [150],
+                }
+            tolerance = DEFAULT_TOLERANCE
         else:
-            grid_spec = {
-                "scenarios": list(range(1, 9)),
-                "platforms": sorted(PLATFORMS),
-                "seeds": [42],
-                "table_sizes": [150],
-            }
-        tolerance = DEFAULT_TOLERANCE
-    else:
-        print(f"regress: no golden baseline at {args.golden} "
-              f"(run with --bless to create one)", file=sys.stderr)
+            print(f"regress: no golden baseline at {args.golden} "
+                  f"(run with --bless to create one)", file=sys.stderr)
+            return 2
+        cells = grid_cells(grid_spec, source=args.golden)
+    except GoldenError as error:
+        print(f"regress: {error}", file=sys.stderr)
         return 2
     if args.tolerance is not None:
         tolerance = args.tolerance
 
-    if grid_spec.get("kind") == "topo":
-        # A topology golden: the grid is an explicit cell list rather
-        # than a cartesian enumeration.
-        from repro.topo import TopoCell
-
-        cells = [TopoCell.from_spec(spec) for spec in grid_spec["cells"]]
-    else:
-        cells = enumerate_grid(
-            scenarios=grid_spec["scenarios"],
-            platforms=grid_spec["platforms"],
-            seeds=grid_spec["seeds"],
-            table_sizes=grid_spec["table_sizes"],
-        )
     policy = _make_policy(args)
     report = run_grid(
         cells, workers=args.workers, cache=_make_cache(args),

@@ -1,9 +1,10 @@
 """Parallel sharded experiment grid with a golden-baseline gate.
 
 The grid runner decomposes the paper's experiment space into
-self-describing :class:`~repro.grid.cells.GridCell` specs — one per
-(scenario × platform × seed × table-size) point — executes them across
-worker processes with results bit-identical to a serial run, caches
+self-describing cells (:class:`~repro.grid.cells.Cell`) — a
+:class:`~repro.grid.cells.GridCell` per (scenario × platform × seed ×
+table-size) point — executes them across supervised worker processes
+with results bit-identical to an in-process run, caches
 them content-addressed on disk, and diffs them against committed golden
 baselines so reproduced paper numbers cannot drift silently.
 

@@ -14,6 +14,11 @@ fresh run against it three ways:
 
 ``bless`` rewrites the golden file from fresh results — the one
 sanctioned way to move the baseline after an intentional change.
+
+A golden file's ``grid`` entry names its cells as the axes of a
+cartesian scenario grid or as ``{"kind": "topo", "cells": [...]}``;
+:func:`grid_cells` is the one place that tells them apart. A file that
+cannot be used raises :class:`GoldenError` naming it.
 """
 
 from __future__ import annotations
@@ -21,9 +26,10 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Mapping
+from typing import Iterable, Mapping
 
-from repro.grid.cells import EXACT_METRICS, TOLERANT_METRICS
+from repro.grid.cells import EXACT_METRICS, TOLERANT_METRICS, Cell, enumerate_grid
+from repro.topo.families import TopoCell
 
 #: Default relative tolerance for ``TOLERANT_METRICS``.
 DEFAULT_TOLERANCE = 0.05
@@ -34,6 +40,10 @@ GOLDEN_FORMAT = 1
 #: Metric fields persisted per cell in a golden file (phases and series
 #: are deliberately dropped — goldens pin the headline numbers).
 GOLDEN_METRICS = EXACT_METRICS + TOLERANT_METRICS
+
+
+class GoldenError(ValueError):
+    """A golden file, or the grid it names, that cannot be used."""
 
 
 @dataclass(slots=True)
@@ -134,14 +144,49 @@ def compare(
 
 
 def load_golden(path: "Path | str") -> dict:
-    """Read a golden file, validating its format marker."""
-    golden = json.loads(Path(path).read_text())
+    """Read a golden file, validating its format marker and that the
+    keys ``regress`` reads are there."""
+    try:
+        golden = json.loads(Path(path).read_text())
+    except (OSError, ValueError) as error:
+        raise GoldenError(f"{path}: {error}") from None
+    if not isinstance(golden, dict):
+        raise GoldenError(
+            f"{path}: golden file must be an object, got {type(golden).__name__}"
+        )
     if golden.get("format") != GOLDEN_FORMAT:
-        raise ValueError(
+        raise GoldenError(
             f"{path}: unsupported golden format {golden.get('format')!r} "
             f"(expected {GOLDEN_FORMAT})"
         )
+    for key, kind in (("grid", dict), ("cells", dict), ("tolerance", (int, float))):
+        if not isinstance(golden.get(key), kind):
+            raise GoldenError(f"{path}: key {key!r} is missing or of the wrong type")
+    for cell_id, entry in golden["cells"].items():
+        for metric in GOLDEN_METRICS:
+            if not isinstance(entry, dict) or metric not in entry:
+                raise GoldenError(f"{path}: cell {cell_id!r} is missing key {metric!r}")
     return golden
+
+
+def topo_grid_spec(cells: "Iterable[Cell]") -> "dict[str, object]":
+    """The ``grid`` entry pinning an explicit list of topology cells."""
+    return {"kind": "topo", "cells": [cell.spec() for cell in cells]}
+
+
+def grid_cells(grid: Mapping, source: object = "grid") -> "list[Cell]":
+    """The cells a golden ``grid`` entry names, in run order. *source*
+    (the golden file) prefixes the :class:`GoldenError` raised for a
+    missing key or a value no cell accepts."""
+    try:
+        if grid.get("kind") == "topo":
+            return [TopoCell.from_spec(spec) for spec in grid["cells"]]
+        axes = ("scenarios", "platforms", "seeds", "table_sizes")
+        return enumerate_grid(**{axis: grid[axis] for axis in axes})
+    except KeyError as error:
+        raise GoldenError(f"{source}: key 'grid': missing key {error}") from None
+    except (AttributeError, TypeError, ValueError) as error:
+        raise GoldenError(f"{source}: key 'grid': {error}") from None
 
 
 def trim_for_golden(result: Mapping[str, object]) -> dict[str, object]:

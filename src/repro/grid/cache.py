@@ -1,11 +1,12 @@
 """Content-addressed on-disk cache for grid cell results.
 
-A cell's cache key is ``sha256(spec_json + "\\n" + fingerprint)`` where
-the fingerprint digests every ``*.py`` file of the ``repro`` source
-tree (relative path and contents). Any change to the simulator, the
-BGP stack, or the harness therefore invalidates every cached cell —
-stale results can never masquerade as fresh ones — while re-running an
-unchanged grid is pure cache hits.
+A cell's cache key (:func:`cell_key`) is ``sha256(spec_json + "\\n" +
+fingerprint)`` where ``spec_json`` is the canonical JSON of the cell
+spec (:func:`spec_json`) and the fingerprint digests every ``*.py``
+file of the ``repro`` source tree (relative path and contents). Any
+change to the simulator, the BGP stack, or the harness therefore
+invalidates every cached cell — stale results can never masquerade as
+fresh ones — while re-running an unchanged grid is pure cache hits.
 
 Layout::
 
@@ -22,7 +23,7 @@ import json
 import os
 from pathlib import Path
 
-from repro.grid.cells import GridCell
+from repro.grid.cells import Cell
 
 #: Default cache location, relative to the working directory.
 DEFAULT_CACHE_DIR = Path(".bgpbench-cache")
@@ -69,6 +70,22 @@ def source_fingerprint(root: "Path | None" = None) -> str:
     return digest.hexdigest()
 
 
+def spec_json(cell: Cell) -> str:
+    """Canonical JSON of the cell spec (sorted keys, no whitespace, so
+    the hashed bytes never depend on formatting) — the hashed half of
+    the cache key."""
+    return json.dumps(cell.spec(), sort_keys=True, separators=(",", ":"))
+
+
+def cell_key(cell: Cell, fingerprint: str) -> str:
+    """Content address: cell spec plus source-tree fingerprint."""
+    digest = hashlib.sha256()
+    digest.update(spec_json(cell).encode("utf-8"))
+    digest.update(b"\n")
+    digest.update(fingerprint.encode("utf-8"))
+    return digest.hexdigest()
+
+
 class GridCache:
     """Get/put cell results under their content address.
 
@@ -83,11 +100,11 @@ class GridCache:
         self.hits = 0
         self.misses = 0
 
-    def path_for(self, cell: GridCell) -> Path:
-        key = cell.key(self.fingerprint)
+    def path_for(self, cell: Cell) -> Path:
+        key = cell_key(cell, self.fingerprint)
         return self.root / key[:2] / f"{key}.json"
 
-    def get(self, cell: GridCell) -> "dict[str, object] | None":
+    def get(self, cell: Cell) -> "dict[str, object] | None":
         """The cached result for *cell*, or None. Unreadable or
         mismatched entries count as misses (and are re-computed)."""
         path = self.path_for(cell)
@@ -107,7 +124,7 @@ class GridCache:
         self.hits += 1
         return entry["result"]
 
-    def put(self, cell: GridCell, result: "dict[str, object]") -> Path:
+    def put(self, cell: Cell, result: "dict[str, object]") -> Path:
         """Store *result* atomically (write-then-rename) and return the
         entry path."""
         path = self.path_for(cell)

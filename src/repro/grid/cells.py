@@ -6,22 +6,26 @@ worker needs to reproduce the measurement — including the workload PRNG
 seed — is in the spec, so any process that receives a cell re-seeds
 deterministically and produces results bit-identical to a serial run.
 
-``spec_json`` is the canonical serialisation (sorted keys, no
-whitespace); hashed together with a fingerprint of the ``repro`` source
-tree it forms the content address under which the cell's result is
-cached (see :mod:`repro.grid.cache`).
+A cell's spec, hashed together with a fingerprint of the ``repro``
+source tree, is the content address under which its result is cached
+(see :mod:`repro.grid.cache`).
+
+:class:`Cell` is the protocol executor, supervisor, cache, journal and
+golden gate are written against; :class:`GridCell` here and
+:class:`repro.topo.families.TopoCell` in the layer below satisfy it.
 """
 
 from __future__ import annotations
 
 # repro: boundary — cell specs and results cross the grid process boundary.
 
-import hashlib
 import json
 from dataclasses import dataclass
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, Protocol
 
+from repro.analysis.sanitizer import Sanitizer, SanitizerError
 from repro.benchmark import run_scenario
+from repro.benchmark.harness import StallError
 from repro.benchmark.scenarios import SCENARIOS
 from repro.systems import build_system
 from repro.systems.platforms import PLATFORMS
@@ -31,6 +35,29 @@ from repro.systems.platforms import PLATFORMS
 #: exactly, the float fields within a relative tolerance).
 EXACT_METRICS = ("transactions", "fib_size_after", "completed")
 TOLERANT_METRICS = ("duration", "transactions_per_second")
+
+
+class Cell(Protocol):
+    """What the grid needs of a cell: an id for result files, a spec
+    that round-trips through :meth:`from_spec`, and :meth:`run`."""
+
+    @property
+    def cell_id(self) -> str: ...
+
+    def spec(self) -> "dict[str, object]": ...
+
+    def to_jsonable(self) -> "dict[str, object]": ...
+
+    @classmethod
+    def from_spec(cls, spec: "Mapping[str, object]") -> "Cell": ...
+
+    def run(
+        self,
+        sanitize: bool = False,
+        telemetry_dir: "str | None" = None,
+        shards: int = 1,
+        shard_chaos: "Mapping[int, object] | None" = None,
+    ) -> "dict[str, object]": ...
 
 
 @dataclass(frozen=True, slots=True, order=True)
@@ -65,21 +92,9 @@ class GridCell:
             "table_size": self.table_size,
         }
 
-    def spec_json(self) -> str:
-        """Canonical JSON form — the hashed half of the cache key."""
-        return json.dumps(self.spec(), sort_keys=True, separators=(",", ":"))
-
     def to_jsonable(self) -> dict[str, object]:
         """Alias of :meth:`spec` — the cell *is* its spec."""
         return self.spec()
-
-    def key(self, fingerprint: str) -> str:
-        """Content address: cell spec plus source-tree fingerprint."""
-        digest = hashlib.sha256()
-        digest.update(self.spec_json().encode("utf-8"))
-        digest.update(b"\n")
-        digest.update(fingerprint.encode("utf-8"))
-        return digest.hexdigest()
 
     @classmethod
     def from_spec(cls, spec: Mapping[str, object]) -> "GridCell":
@@ -89,6 +104,59 @@ class GridCell:
             seed=int(spec["seed"]),  # type: ignore[arg-type]
             table_size=int(spec["table_size"]),  # type: ignore[arg-type]
         )
+
+    def run(
+        self,
+        sanitize: bool = False,
+        telemetry_dir: "str | None" = None,
+        shards: int = 1,
+        shard_chaos: "Mapping[int, object] | None" = None,
+    ) -> dict[str, object]:
+        """Build a fresh router, re-seed the workload from the spec and
+        summarise the :class:`~repro.benchmark.harness.ScenarioResult`
+        as plain dicts. A scenario cell is single-router: *shards* and
+        *shard_chaos* do not apply to it."""
+        router = build_system(self.platform)
+        sanitizer = None
+        telemetry = None
+        if sanitize:
+            sanitizer = Sanitizer().attach(router)
+        if telemetry_dir is not None:
+            # Attach after the sanitizer: Telemetry composes with an
+            # occupied observer slot via FanoutObserver.
+            from repro.telemetry import Telemetry
+
+            telemetry = Telemetry().attach(router)
+        try:
+            outcome = run_scenario(
+                router,
+                self.scenario,
+                table_size=self.table_size,
+                seed=self.seed,
+            )
+            if sanitizer is not None:
+                sanitizer.check_quiescent()
+        finally:
+            # Detach in reverse attach order so the sanitizer gets its
+            # exclusive observer slot back before releasing it.
+            if telemetry is not None:
+                telemetry.detach()
+            if sanitizer is not None:
+                sanitizer.detach()
+        if telemetry is not None:
+            from pathlib import Path
+
+            from repro.telemetry import write_artifacts
+
+            base = Path(telemetry_dir)
+            write_artifacts(
+                telemetry,
+                trace_path=base / f"{self.cell_id}.trace.json",
+                metrics_path=base / f"{self.cell_id}.metrics.jsonl",
+            )
+        summary = outcome.to_jsonable()
+        summary["cell"] = self.spec()
+        return summary
 
 
 def enumerate_grid(
@@ -116,106 +184,45 @@ def enumerate_grid(
 
 
 def run_cell(
-    cell: GridCell,
+    cell: Cell,
     sanitize: bool = False,
     telemetry_dir: "str | None" = None,
     shards: int = 1,
-    shard_chaos: "dict[int, object] | None" = None,
+    shard_chaos: "Mapping[int, object] | None" = None,
 ) -> dict[str, object]:
-    """Execute one cell from scratch and return its JSON-ready result.
-
-    Builds a fresh router, re-seeds the workload from the cell spec, and
-    summarises the :class:`~repro.benchmark.harness.ScenarioResult` as
-    plain dicts — deterministic given the spec, so serial and pooled
-    runs agree byte for byte.
+    """Execute one cell from scratch and return its JSON-ready result:
+    the metrics at the top level plus the cell spec under ``"cell"`` —
+    deterministic given the spec, so in-process and worker runs agree
+    byte for byte.
 
     With ``sanitize=True`` the run executes in checked mode: a
-    :class:`repro.analysis.sanitizer.Sanitizer` observes every event and
-    the quiescent invariants are asserted after the run. With
-    *telemetry_dir* set, a :class:`repro.telemetry.Telemetry` also
-    instruments the run and ``<cell_id>.trace.json`` +
-    ``<cell_id>.metrics.jsonl`` artifacts are written there. Both modes
-    observe only, so the result is byte-identical either way (sanitizer
-    violations raise :class:`~repro.analysis.sanitizer.SanitizerError`
-    instead of returning a result).
+    sanitizer observes every event and the quiescent invariants are
+    asserted after the run (violations raise
+    :class:`~repro.analysis.sanitizer.SanitizerError` instead of
+    returning a result). With *telemetry_dir* set, the run is
+    instrumented and ``<cell_id>.*`` artifacts are written there. Both
+    modes observe only, so the result is byte-identical either way.
 
-    Topology cells (:class:`repro.topo.families.TopoCell`) dispatch to
-    their own runner; everything downstream of this function (executor,
-    cache, journal, golden gate) is duck-typed over the cell, so both
-    kinds flow through one grid. ``shards > 1`` runs topology cells on
-    the conservative parallel engine (:mod:`repro.parallel`) — an
-    execution knob, not part of any cell spec, because results are
-    byte-identical either way. Scenario cells are single-router and
-    ignore it. *shard_chaos* injects faults into individual shard
-    processes (testing only).
+    ``shards > 1`` runs topology cells on the conservative parallel
+    engine (:mod:`repro.parallel`) — an execution knob, not part of any
+    cell spec, because results are byte-identical either way.
+    *shard_chaos* injects faults into individual shard processes
+    (testing only).
     """
-    if not isinstance(cell, GridCell):
-        from repro.topo.families import TopoCell, run_topo_cell
-
-        if isinstance(cell, TopoCell):
-            return run_topo_cell(
-                cell,
-                sanitize=sanitize,
-                telemetry_dir=telemetry_dir,
-                shards=shards,
-                shard_chaos=shard_chaos,
-            )
-        raise TypeError(f"unsupported grid cell type: {type(cell).__name__}")
-    router = build_system(cell.platform)
-    sanitizer = None
-    telemetry = None
-    if sanitize:
-        from repro.analysis.sanitizer import Sanitizer
-
-        sanitizer = Sanitizer().attach(router)
-    if telemetry_dir is not None:
-        # Attach after the sanitizer: Telemetry composes with an
-        # occupied observer slot via FanoutObserver.
-        from repro.telemetry import Telemetry
-
-        telemetry = Telemetry().attach(router)
     try:
-        outcome = run_scenario(
-            router,
-            cell.scenario,
-            table_size=cell.table_size,
-            seed=cell.seed,
+        return cell.run(
+            sanitize=sanitize,
+            telemetry_dir=telemetry_dir,
+            shards=shards,
+            shard_chaos=shard_chaos,
         )
-        if sanitizer is not None:
-            sanitizer.check_quiescent()
-    except Exception as error:
-        # Per-cell diagnostics: a StallError/SanitizerError escaping a
-        # grid worker names the cell it came from, so a supervisor (or
-        # a human reading a traceback) need not reverse-engineer which
-        # of a thousand cells hung.
-        from repro.analysis.sanitizer import SanitizerError
-        from repro.benchmark.harness import StallError
-
-        if isinstance(error, (StallError, SanitizerError)):
-            error.cell_id = cell.cell_id
-            error.args = (f"[cell {cell.cell_id}] {error.args[0]}",) + error.args[1:]
+    except (StallError, SanitizerError) as error:
+        # Per-cell diagnostics: the error names the cell it came from, so
+        # a supervisor (or a human reading a traceback) need not
+        # reverse-engineer which of a thousand cells hung.
+        error.cell_id = cell.cell_id
+        error.args = (f"[cell {cell.cell_id}] {error.args[0]}",) + error.args[1:]
         raise
-    finally:
-        # Detach in reverse attach order so the sanitizer gets its
-        # exclusive observer slot back before releasing it.
-        if telemetry is not None:
-            telemetry.detach()
-        if sanitizer is not None:
-            sanitizer.detach()
-    if telemetry is not None:
-        from pathlib import Path
-
-        from repro.telemetry import write_artifacts
-
-        base = Path(telemetry_dir)
-        write_artifacts(
-            telemetry,
-            trace_path=base / f"{cell.cell_id}.trace.json",
-            metrics_path=base / f"{cell.cell_id}.metrics.jsonl",
-        )
-    summary = outcome.to_jsonable()
-    summary["cell"] = cell.spec()
-    return summary
 
 
 def result_json(results: Mapping[str, Mapping[str, object]]) -> str:

@@ -1,52 +1,43 @@
 """Shard the experiment grid across worker processes, fault-tolerantly.
 
-``run_grid`` takes an enumerated list of :class:`GridCell` specs, skips
-every cell the checkpoint journal (``--resume``) or the cache already
-holds, and fans the rest out. Workers receive the cell spec only — they
-rebuild the router and re-seed the workload from it
-(:func:`repro.grid.cells.run_cell`), so a pooled run is bit-identical
-to a serial one and the merge order is the enumeration order, never the
-completion order.
+``run_grid`` takes a list of cells (:class:`~repro.grid.cells.Cell`),
+skips every cell the checkpoint journal (``--resume``) or the cache
+already holds, and runs the rest. A cell is executed from its spec
+alone — the router is rebuilt and the workload re-seeded inside
+:func:`repro.grid.cells.run_cell` — so a run on worker processes is
+bit-identical to an in-process one and the merge order is the
+enumeration order, never the completion order.
 
-Two execution paths share that contract:
+There is one way to run a cell and one choice about where, made from
+what ``run_grid`` can observe:
 
-* the **pool** path (default): a context-managed
-  :class:`~concurrent.futures.ProcessPoolExecutor` whose queued work is
-  cancelled the moment a cell raises — a failing cell aborts the run
-  (legacy semantics) but no longer strands queued futures;
-* the **supervised** path (any :class:`ExecutionPolicy` or chaos plan):
-  one process per attempt under :class:`~repro.grid.supervisor.
-  Supervisor`, with per-cell timeouts, deterministic retry, and
-  graceful degradation — the run completes every healthy cell and
-  carries the rest as structured :class:`CellFailure` records in
-  ``GridReport.failures`` instead of aborting.
-
-A fault-free supervised run produces byte-identical results to the
-pool path (same ``run_cell``, same merge order), which is why the
-golden regression gate passes unchanged under either.
+* **in-process** when at most one worker would be used and there is
+  nothing to supervise (no :class:`ExecutionPolicy`, no chaos plan):
+  the cells run in the calling process, in order, and a raising cell
+  propagates to the caller;
+* **supervised** otherwise: long-lived worker processes under
+  :class:`~repro.grid.supervisor.Supervisor`, with per-cell timeouts,
+  deterministic retry, and graceful degradation — the run completes
+  every healthy cell and carries the rest as structured
+  :class:`CellFailure` records in ``GridReport.failures`` instead of
+  aborting.
 """
 
 from __future__ import annotations
 
 # repro: boundary — grid reports cross the grid process boundary.
 
-import functools
 import warnings
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 from repro.grid.cache import GridCache
-from repro.grid.cells import GridCell, result_json, run_cell
+from repro.grid.cells import Cell, result_json, run_cell
 from repro.grid.chaos import ChaosPlan
 from repro.grid.journal import RunJournal
 from repro.grid.outcomes import (
     OUTCOME_CACHED,
-    OUTCOME_CRASHED,
-    OUTCOME_FAILED,
     OUTCOME_OK,
-    OUTCOME_QUARANTINED,
-    OUTCOME_TIMEOUT,
     OUTCOMES,
     CellFailure,
     ExecutionPolicy,
@@ -123,26 +114,6 @@ class GridReport:
         }
 
 
-def _execute_cell(
-    cell: GridCell,
-    sanitize: bool = False,
-    telemetry_dir: "str | None" = None,
-    shards: int = 1,
-) -> "tuple[str, dict]":
-    """Worker entry point — top-level so it pickles under spawn too."""
-    return cell.cell_id, run_cell(
-        cell, sanitize=sanitize, telemetry_dir=telemetry_dir, shards=shards
-    )
-
-
-def _worker_init() -> None:
-    """Pool-worker initializer: per the fork-safety contract in
-    docs/PERF.md, a forked worker begins with cold codec caches."""
-    from repro.bgp import reset_caches
-
-    reset_caches()
-
-
 def _safe_progress(
     progress: "Callable[[str, bool], None] | None",
 ) -> "Callable[[str, bool], None]":
@@ -165,7 +136,7 @@ def _safe_progress(
 
 
 def _cache_put(
-    cache: "GridCache | None", cell: GridCell, result: dict, report: GridReport
+    cache: "GridCache | None", cell: Cell, result: dict, report: GridReport
 ) -> None:
     """Store *result*, degrading an unwritable cache to a warning."""
     if cache is None:
@@ -209,7 +180,7 @@ def _publish_metrics(registry, report: GridReport) -> None:
 
 
 def run_grid(
-    cells: Sequence[GridCell],
+    cells: Sequence[Cell],
     workers: int = 1,
     cache: "GridCache | None" = None,
     refresh: bool = False,
@@ -232,10 +203,10 @@ def run_grid(
     checked mode and *telemetry_dir* drops per-cell trace/metrics
     artifacts — both observe-only, results are byte-identical.
 
-    *policy* (or a *chaos* plan) switches to supervised execution: one
-    process per attempt, per-cell timeouts, deterministic retry, and
-    structured :class:`CellFailure` records in ``report.failures``
-    instead of run-aborting exceptions (see
+    More than one worker, a *policy* or a *chaos* plan means supervised
+    execution: worker processes, per-cell timeouts, deterministic
+    retry, and structured :class:`CellFailure` records in
+    ``report.failures`` instead of run-aborting exceptions (see
     :mod:`repro.grid.supervisor`). *journal* checkpoints every terminal
     outcome; with *resume* the journal is replayed first and completed
     cells are skipped. *registry* publishes the
@@ -257,7 +228,7 @@ def run_grid(
         else:
             journal.reset()
 
-    pending: list[GridCell] = []
+    pending: list[Cell] = []
     for cell in cells:
         record = completed.get(cell.cell_id)
         if record is not None and record.spec == cell.spec():
@@ -277,7 +248,7 @@ def run_grid(
 
     report.workers = min(workers, len(pending))
 
-    def complete(cell: GridCell, result: dict) -> None:
+    def complete(cell: Cell, result: dict) -> None:
         merged[cell.cell_id] = result
         report.executed += 1
         _cache_put(cache, cell, result, report)
@@ -285,42 +256,39 @@ def run_grid(
             journal.record(cell, OUTCOME_OK, result)
         progress(cell.cell_id, False)
 
-    if policy is not None or chaos is not None:
-        _run_supervised(
-            pending,
-            policy if policy is not None else ExecutionPolicy(),
-            chaos,
-            report,
-            complete,
-            journal,
-            progress,
+    if report.workers <= 1 and policy is None and chaos is None:
+        for cell in pending:
+            complete(cell, run_cell(
+                cell, sanitize=sanitize, telemetry_dir=telemetry_dir, shards=shards
+            ))
+    else:
+        def on_success(cell: Cell, result: dict, records) -> None:
+            if len(records) > 1:
+                report.recovered[cell.cell_id] = [
+                    record.to_jsonable() for record in records
+                ]
+            complete(cell, result)
+
+        def on_failure(cell: Cell, failure: CellFailure) -> None:
+            report.failures[cell.cell_id] = failure
+            if journal is not None:
+                journal.record(
+                    cell, failure.outcome, None, detail=failure.to_jsonable()
+                )
+            progress(cell.cell_id, False)
+
+        supervisor = Supervisor(
+            policy or ExecutionPolicy(),
+            workers=report.workers,
             sanitize=sanitize,
             telemetry_dir=telemetry_dir,
+            chaos=chaos,
             shards=shards,
         )
-    elif pending:
-        execute = functools.partial(
-            _execute_cell,
-            sanitize=sanitize,
-            telemetry_dir=telemetry_dir,
-            shards=shards,
-        )
-        if report.workers <= 1:
-            for cell in pending:
-                complete(cell, execute(cell)[1])
-        else:
-            with ProcessPoolExecutor(
-                max_workers=report.workers, initializer=_worker_init
-            ) as pool:
-                try:
-                    for cell, (_cell_id, result) in zip(
-                        pending, pool.map(execute, pending)
-                    ):
-                        complete(cell, result)
-                except BaseException:
-                    # Don't strand queued cells behind a failing one.
-                    pool.shutdown(wait=False, cancel_futures=True)
-                    raise
+        _results, _failures, stats = supervisor.run(pending, on_success, on_failure)
+        report.retries = stats.retries
+        report.timeouts = stats.timeouts
+        report.worker_crashes = stats.worker_crashes
 
     # Enumeration order, not completion order.
     report.results = {
@@ -328,51 +296,3 @@ def run_grid(
     }
     _publish_metrics(registry, report)
     return report
-
-
-def _run_supervised(
-    pending: "list[GridCell]",
-    policy: ExecutionPolicy,
-    chaos: "ChaosPlan | None",
-    report: GridReport,
-    complete: "Callable[[GridCell, dict], None]",
-    journal: "RunJournal | None",
-    progress: "Callable[[str, bool], None]",
-    sanitize: bool,
-    telemetry_dir: "str | None",
-    shards: int = 1,
-) -> None:
-    """Drive *pending* through the supervisor, folding outcomes into
-    *report* (results via *complete*, failures into the manifest)."""
-    if not pending:
-        return
-    supervisor = Supervisor(
-        policy,
-        workers=max(1, report.workers),
-        sanitize=sanitize,
-        telemetry_dir=telemetry_dir,
-        chaos=chaos,
-        shards=shards,
-    )
-
-    def on_success(cell: GridCell, result: dict, records) -> None:
-        if len(records) > 1:
-            report.recovered[cell.cell_id] = [
-                record.to_jsonable() for record in records
-            ]
-        complete(cell, result)
-
-    def on_failure(cell: GridCell, failure: CellFailure) -> None:
-        report.failures[cell.cell_id] = failure
-        if journal is not None:
-            journal.record(
-                cell, failure.outcome, None, detail=failure.to_jsonable()
-            )
-        progress(cell.cell_id, False)
-
-    _results, _failures, stats = supervisor.run(
-        pending, on_success=on_success, on_failure=on_failure
-    )
-    report.retries = stats.retries
-    report.timeouts = stats.timeouts
-    report.worker_crashes = stats.worker_crashes

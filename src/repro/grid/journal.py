@@ -29,7 +29,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from repro.grid.cache import source_fingerprint
-from repro.grid.cells import GridCell
+from repro.grid.cells import Cell
 from repro.grid.outcomes import OUTCOME_CACHED, OUTCOME_OK, OUTCOMES
 
 #: Bumped when the journal record layout changes; old lines are skipped.
@@ -82,7 +82,7 @@ class RunJournal:
 
     def record(
         self,
-        cell: GridCell,
+        cell: Cell,
         outcome: str,
         result: "dict[str, object] | None" = None,
         detail: "dict[str, object] | None" = None,

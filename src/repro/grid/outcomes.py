@@ -14,7 +14,7 @@ cell attempt ends in one of a closed set of outcomes:
 * ``crashed`` — the worker process died without reporting a result
   (segfault, ``os._exit``, OOM kill);
 * ``quarantined`` — never attempted: the run's failure budget
-  (``max_failures`` / ``strict``) was already exhausted.
+  (``max_failures``) was already exhausted.
 
 Failed attempts are retried on a **deterministic** schedule: the delay
 before attempt *n+1* is ``ExecutionPolicy.backoff.delay(n)``, the same
@@ -140,15 +140,12 @@ class ExecutionPolicy:
     worker is killed and the attempt records ``timeout``. *retries*
     bounds re-attempts after any non-``ok`` attempt. *max_failures*
     quarantines all not-yet-launched cells once that many cells have
-    terminally failed; *strict* is the ``max_failures=1`` special case
-    plus a promise to the caller that any failure manifests as a
-    nonzero exit.
+    terminally failed.
     """
 
     cell_timeout: "float | None" = None
     retries: int = 0
     max_failures: "int | None" = None
-    strict: bool = False
     backoff: ReconnectBackoff = field(default_factory=_default_backoff)
 
     def __post_init__(self) -> None:
@@ -162,8 +159,6 @@ class ExecutionPolicy:
     @property
     def failure_budget(self) -> "int | None":
         """Terminal failures tolerated before quarantining the rest."""
-        if self.strict:
-            return 1 if self.max_failures is None else min(1, self.max_failures)
         return self.max_failures
 
     def retry_delay(self, attempt: int) -> float:
@@ -175,7 +170,6 @@ class ExecutionPolicy:
             "cell_timeout": self.cell_timeout,
             "retries": self.retries,
             "max_failures": self.max_failures,
-            "strict": self.strict,
             "backoff": {
                 "base": self.backoff.base,
                 "multiplier": self.backoff.multiplier,

@@ -1,18 +1,22 @@
-"""Per-cell process supervision: timeouts, kill-and-respawn, retry.
+"""Process supervision for grid cells: timeouts, kill-and-replace, retry.
 
-A :class:`Supervisor` runs each grid-cell attempt in its **own**
-process (not a shared pool): a worker that segfaults, is OOM-killed, or
-hangs takes down exactly one attempt. The supervisor watches every
-in-flight attempt over a one-way pipe and
+A :class:`Supervisor` keeps up to ``workers`` long-lived worker
+processes, each serving one cell attempt at a time over a task pipe and
+a result pipe (:func:`_worker_main`). Starting a process costs about as
+much as a small cell runs, so a healthy worker is reused for the whole
+run; it is replaced only when it can no longer be trusted. The
+supervisor watches every in-flight attempt and
 
 * on a result message, records ``ok``;
 * on an error message, records ``failed`` (the worker survived to
-  report — :class:`StallError`, :class:`SanitizerError`, chaos);
+  report — :class:`StallError`, :class:`SanitizerError`, chaos) and
+  keeps the worker;
 * on end-of-pipe without a message, records ``crashed`` (the process
-  died reporting nothing);
-* on a blown wall-clock deadline, **kills** the worker (SIGKILL) and
-  records ``timeout`` — a respawned process then serves the retry, so
-  one hung cell can never wedge the run.
+  died reporting nothing — segfault, OOM kill) and starts a fresh
+  worker for the slot when one is next needed;
+* on a blown wall-clock deadline, **kills** the worker (SIGKILL),
+  records ``timeout`` and likewise replaces it — so a bad cell takes
+  down exactly one attempt and one hung cell can never wedge the run.
 
 Failed attempts re-queue on the deterministic
 :meth:`~repro.grid.outcomes.ExecutionPolicy.retry_delay` schedule;
@@ -23,7 +27,9 @@ the run's failure budget is exhausted, not-yet-launched cells are
 The supervisor reads the *wall* clock — it polices real processes and
 never touches simulation state, so results stay a pure function of the
 cell spec. Cell execution itself still happens in
-:func:`repro.grid.cells.run_cell`, byte-identical to a serial run.
+:func:`repro.grid.cells.run_cell`, byte-identical to an in-process run;
+a worker that has served other cells before answers exactly as a fresh
+one (every cache it keeps is a value-keyed memo, docs/PERF.md).
 """
 
 from __future__ import annotations
@@ -34,7 +40,7 @@ from dataclasses import dataclass, field
 from multiprocessing.connection import wait as _wait_connections
 from typing import Callable, Sequence
 
-from repro.grid.cells import GridCell, run_cell
+from repro.grid.cells import Cell, run_cell
 from repro.grid.chaos import ChaosPlan, apply_chaos
 from repro.grid.outcomes import (
     OUTCOME_CRASHED,
@@ -47,10 +53,7 @@ from repro.grid.outcomes import (
     ExecutionPolicy,
 )
 
-#: Upper bound on one poll of the supervision loop (seconds).
-_POLL_SECONDS = 0.05
-
-#: Grace period for joining a worker that already reported (seconds).
+#: Grace period for joining a worker told to exit (seconds).
 _JOIN_GRACE = 2.0
 
 
@@ -61,37 +64,38 @@ def _now() -> float:
     return time.monotonic()  # repro: noqa[RPR001] — process supervision needs the wall clock
 
 
-def _attempt_main(
-    conn,
-    cell: GridCell,
-    attempt: int,
+def _worker_main(
+    tasks,
+    results,
     sanitize: bool,
     telemetry_dir: "str | None",
-    fault,
-    shards: int = 1,
-    shard_chaos: "dict[int, object] | None" = None,
+    shards: int,
 ) -> None:
-    """Worker entry point — top-level so it pickles under spawn too."""
+    """Worker entry point — top-level so it pickles under spawn too.
+
+    Serves ``(cell, attempt, fault, shard_chaos)`` messages from
+    *tasks* until the ``None`` sentinel (or end-of-pipe: under fork the
+    worker holds a copy of the parent's end, so only spawn sees that),
+    answering each with ``("ok", result)`` or ``("error", text)``."""
     from repro.bgp import reset_caches
 
     reset_caches()  # fork-safety contract: workers begin cold (docs/PERF.md)
     try:
-        apply_chaos(fault, attempt)
-        result = run_cell(
-            cell,
-            sanitize=sanitize,
-            telemetry_dir=telemetry_dir,
-            shards=shards,
-            shard_chaos=shard_chaos,
-        )
-        conn.send(("ok", result))
-    except BaseException as error:  # noqa: BLE001 — report, never escape
-        try:
-            conn.send(("error", f"{type(error).__name__}: {error}"))
-        except OSError:
-            pass  # parent already gone; nothing left to report to
-    finally:
-        conn.close()
+        for cell, attempt, fault, shard_chaos in iter(tasks.recv, None):
+            try:
+                apply_chaos(fault, attempt)
+                reply = ("ok", run_cell(
+                    cell,
+                    sanitize=sanitize,
+                    telemetry_dir=telemetry_dir,
+                    shards=shards,
+                    shard_chaos=shard_chaos,
+                ))
+            except BaseException as error:  # noqa: BLE001 — report, never escape
+                reply = ("error", f"{type(error).__name__}: {error}")
+            results.send(reply)
+    except (EOFError, OSError):
+        pass  # task pipe closed, or the parent is gone: nothing left to serve
 
 
 @dataclass(slots=True)
@@ -107,7 +111,7 @@ class SupervisorStats:
 class _Task:
     """One cell waiting to (re)run."""
 
-    cell: GridCell
+    cell: Cell
     attempt: int
     ready_at: float
     seq: int
@@ -115,13 +119,14 @@ class _Task:
 
 
 @dataclass(slots=True)
-class _Running:
-    """One in-flight attempt under supervision."""
+class _Worker:
+    """One worker process and the attempt it is serving, if any."""
 
-    task: _Task
     process: multiprocessing.Process
-    conn: object
-    deadline: "float | None"
+    tasks: object
+    results: object
+    task: "_Task | None" = None
+    deadline: "float | None" = None
 
 
 class Supervisor:
@@ -142,7 +147,6 @@ class Supervisor:
         self.telemetry_dir = telemetry_dir
         self.chaos = chaos
         self.shards = max(1, shards)
-        self._ctx = multiprocessing.get_context()
 
     def _shard_chaos(self, cell_id: str, attempt: int) -> "dict[int, object] | None":
         """Shard-scoped faults for one cell attempt: chaos-plan entries
@@ -161,55 +165,78 @@ class Supervisor:
         }
         return faults or None
 
-    # -- lifecycle of one attempt ------------------------------------------
+    # -- lifecycle of one worker -------------------------------------------
 
-    def _launch(self, task: _Task, now: float) -> _Running:
-        parent_conn, child_conn = self._ctx.Pipe(duplex=False)
-        fault = self.chaos.get(task.cell.cell_id) if self.chaos else None
-        process = self._ctx.Process(
-            target=_attempt_main,
-            args=(child_conn, task.cell, task.attempt, self.sanitize,
-                  self.telemetry_dir, fault, self.shards,
-                  self._shard_chaos(task.cell.cell_id, task.attempt)),
-            name=f"grid-{task.cell.cell_id}-a{task.attempt}",
+    def _spawn(self) -> _Worker:
+        task_recv, task_send = multiprocessing.Pipe(duplex=False)
+        result_recv, result_send = multiprocessing.Pipe(duplex=False)
+        process = multiprocessing.Process(
+            target=_worker_main,
+            args=(task_recv, result_send, self.sanitize, self.telemetry_dir,
+                  self.shards),
             # A sharded attempt spawns shard processes of its own;
             # daemonic processes cannot have children, so supervision
             # falls back to kill-the-tree-root semantics there (the
-            # shards exit on pipe EOF when the attempt dies).
+            # shards exit on pipe EOF when the worker dies).
             daemon=self.shards <= 1,
         )
         process.start()
-        child_conn.close()  # EOF on the parent end now means worker death
-        deadline = (
+        task_recv.close()
+        result_send.close()  # EOF on result_recv now means worker death
+        return _Worker(process, task_send, result_recv)
+
+    def _assign(self, worker: _Worker, task: _Task, now: float) -> None:
+        cell_id = task.cell.cell_id
+        fault = self.chaos.get(cell_id) if self.chaos else None
+        worker.task = task
+        worker.deadline = (
             None if self.policy.cell_timeout is None
             else now + self.policy.cell_timeout
         )
-        return _Running(task, process, parent_conn, deadline)
+        try:
+            worker.tasks.send(
+                (task.cell, task.attempt, fault,
+                 self._shard_chaos(cell_id, task.attempt))
+            )
+        except OSError:
+            pass  # died while idle: its result pipe reads EOF -> crashed
 
     @staticmethod
-    def _reap(process: multiprocessing.Process) -> int | None:
-        process.join(_JOIN_GRACE)
-        if process.is_alive():
-            process.kill()
-            process.join(_JOIN_GRACE)
-        exitcode = process.exitcode
-        process.close()
+    def _retire(worker: _Worker, kill: bool) -> "int | None":
+        """Stop *worker* — at once with *kill*, else by asking — and
+        return its exit code."""
+        if kill:
+            worker.process.kill()
+        else:
+            try:
+                worker.tasks.send(None)
+            except OSError:
+                pass  # already dead
+        worker.tasks.close()
+        worker.results.close()
+        worker.process.join(_JOIN_GRACE)
+        if worker.process.is_alive():
+            worker.process.kill()
+            worker.process.join(_JOIN_GRACE)
+        exitcode = worker.process.exitcode
+        worker.process.close()
         return exitcode
 
     # -- the supervision loop ----------------------------------------------
 
     def run(
         self,
-        cells: Sequence[GridCell],
-        on_success: "Callable[[GridCell, dict, list[AttemptRecord]], None] | None" = None,
-        on_failure: "Callable[[GridCell, CellFailure], None] | None" = None,
+        cells: Sequence[Cell],
+        on_success: "Callable[[Cell, dict, list[AttemptRecord]], None] | None" = None,
+        on_failure: "Callable[[Cell, CellFailure], None] | None" = None,
     ) -> "tuple[dict[str, dict], dict[str, CellFailure], SupervisorStats]":
         """Run every cell; return (results, failures, stats).
 
         *results* holds successful cells only; *failures* the terminal
         :class:`CellFailure` records. The two partitions cover the
         input exactly. Callbacks fire once per cell at its terminal
-        outcome, in completion order.
+        outcome, in completion order. No worker process outlives the
+        call, however it ends.
         """
         results: dict[str, dict] = {}
         failures: dict[str, CellFailure] = {}
@@ -218,8 +245,14 @@ class Supervisor:
             _Task(cell, attempt=0, ready_at=0.0, seq=seq)
             for seq, cell in enumerate(cells)
         ]
-        running: list[_Running] = []
+        live: list[_Worker] = []
         budget = self.policy.failure_budget
+
+        def fail(task: _Task, outcome: str) -> None:
+            failure = CellFailure(task.cell.cell_id, outcome, task.records)
+            failures[task.cell.cell_id] = failure
+            if on_failure is not None:
+                on_failure(task.cell, failure)
 
         def settle_failure(task: _Task, outcome: str, error: str, now: float) -> None:
             record = AttemptRecord(task.attempt, outcome, error)
@@ -231,94 +264,89 @@ class Supervisor:
                 queue.append(_Task(
                     task.cell, task.attempt + 1, now + delay, task.seq, task.records
                 ))
-                return
-            failure = CellFailure(task.cell.cell_id, outcome, task.records)
-            failures[task.cell.cell_id] = failure
-            if on_failure is not None:
-                on_failure(task.cell, failure)
+            else:
+                fail(task, outcome)
 
-        while queue or running:
-            now = _now()
+        try:
+            while queue or any(worker.task is not None for worker in live):
+                now = _now()
 
-            # Quarantine before launching anything new: once the budget
-            # is gone the run is already red, stop burning time on it.
-            if budget is not None and len(failures) >= budget and queue:
-                for task in sorted(queue, key=lambda t: t.seq):
-                    failure = CellFailure(
-                        task.cell.cell_id, OUTCOME_QUARANTINED, task.records
-                    )
-                    failures[task.cell.cell_id] = failure
-                    if on_failure is not None:
-                        on_failure(task.cell, failure)
-                queue = []
-                if not running:
-                    break
+                # Quarantine before launching anything new: once the budget
+                # is gone the run is already red, stop burning time on it.
+                if budget is not None and len(failures) >= budget and queue:
+                    for task in sorted(queue, key=lambda t: t.seq):
+                        fail(task, OUTCOME_QUARANTINED)
+                    queue = []
+                    continue
 
-            due = sorted(
-                (task for task in queue if task.ready_at <= now),
-                key=lambda task: (task.ready_at, task.seq),
-            )
-            for task in due:
-                if len(running) >= self.workers:
-                    break
-                queue.remove(task)
-                running.append(self._launch(task, now))
+                due = sorted(
+                    (task for task in queue if task.ready_at <= now),
+                    key=lambda task: (task.ready_at, task.seq),
+                )
+                for task in due:
+                    worker = next((w for w in live if w.task is None), None)
+                    if worker is None:
+                        if len(live) >= self.workers:
+                            break
+                        worker = self._spawn()
+                        live.append(worker)
+                    queue.remove(task)
+                    self._assign(worker, task, now)
 
-            if not running:
-                if not queue:
-                    break
-                next_ready = min(task.ready_at for task in queue)
-                time.sleep(min(max(next_ready - now, 0.0), _POLL_SECONDS))
-                continue
+                busy = [worker for worker in live if worker.task is not None]
+                # Wake for the earliest deadline, and for a cooling retry
+                # only when a slot is free to take it: with every slot
+                # busy nothing can launch before a result arrives.
+                wake = [w.deadline for w in busy if w.deadline is not None]
+                if queue and len(busy) < self.workers:
+                    wake.append(min(task.ready_at for task in queue))
+                timeout = max(min(wake) - now, 0.0) if wake else None
+                if not busy:
+                    time.sleep(timeout)
+                    continue
+                ready = _wait_connections([w.results for w in busy], timeout)
+                now = _now()
 
-            timeout = _POLL_SECONDS
-            for entry in running:
-                if entry.deadline is not None:
-                    timeout = min(timeout, max(entry.deadline - now, 0.0))
-            for task in queue:
-                timeout = min(timeout, max(task.ready_at - now, 0.0))
-            ready = _wait_connections([entry.conn for entry in running], timeout)
-            now = _now()
-
-            for entry in list(running):
-                if entry.conn in ready:
-                    running.remove(entry)
-                    try:
-                        message = entry.conn.recv()
-                    except (EOFError, OSError):
-                        message = None
-                    entry.conn.close()
-                    if message is not None and message[0] == "ok":
-                        task = entry.task
-                        task.records.append(AttemptRecord(task.attempt, OUTCOME_OK))
-                        results[task.cell.cell_id] = message[1]
-                        self._reap(entry.process)
-                        if on_success is not None:
-                            on_success(task.cell, message[1], task.records)
-                    elif message is not None:
-                        self._reap(entry.process)
-                        settle_failure(entry.task, OUTCOME_FAILED, message[1], now)
-                    else:
-                        exitcode = self._reap(entry.process)
-                        stats.worker_crashes += 1
+                for worker in busy:
+                    task = worker.task
+                    if worker.results in ready:
+                        try:
+                            message = worker.results.recv()
+                        except (EOFError, OSError):
+                            message = None
+                        if message is None:
+                            live.remove(worker)
+                            exitcode = self._retire(worker, kill=False)
+                            stats.worker_crashes += 1
+                            settle_failure(
+                                task,
+                                OUTCOME_CRASHED,
+                                f"worker died without reporting (exit code {exitcode})",
+                                now,
+                            )
+                            continue
+                        worker.task = worker.deadline = None
+                        if message[0] == "ok":
+                            task.records.append(AttemptRecord(task.attempt, OUTCOME_OK))
+                            results[task.cell.cell_id] = message[1]
+                            if on_success is not None:
+                                on_success(task.cell, message[1], task.records)
+                        else:
+                            settle_failure(task, OUTCOME_FAILED, message[1], now)
+                    elif worker.deadline is not None and now >= worker.deadline:
+                        live.remove(worker)
+                        self._retire(worker, kill=True)
+                        stats.timeouts += 1
                         settle_failure(
-                            entry.task,
-                            OUTCOME_CRASHED,
-                            f"worker died without reporting (exit code {exitcode})",
+                            task,
+                            OUTCOME_TIMEOUT,
+                            f"exceeded cell timeout ({self.policy.cell_timeout:g}s "
+                            f"wall clock); worker killed",
                             now,
                         )
-                elif entry.deadline is not None and now >= entry.deadline:
-                    running.remove(entry)
-                    entry.process.kill()
-                    self._reap(entry.process)
-                    entry.conn.close()
-                    stats.timeouts += 1
-                    settle_failure(
-                        entry.task,
-                        OUTCOME_TIMEOUT,
-                        f"exceeded cell timeout ({self.policy.cell_timeout:g}s "
-                        f"wall clock); worker killed",
-                        now,
-                    )
+        finally:
+            # daemon=False workers (shards > 1) would otherwise outlive us.
+            for worker in live:
+                self._retire(worker, kill=worker.task is not None)
 
         return results, failures, stats

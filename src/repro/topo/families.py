@@ -19,25 +19,22 @@ AsTopology` hierarchy:
   with RFC 2439 flap damping on or off; the headline metric is
   prefix-level transactions per virtual second at graph scale.
 
-A :class:`TopoCell` is the grid-compatible unit: self-describing spec,
-canonical ``spec_json``, content-addressed ``key`` — the same duck type
-as :class:`repro.grid.cells.GridCell`, so the executor, cache, journal
-and golden gate all work on topo cells unchanged. Everything is
-deterministic given the spec: two runs of one cell produce
-byte-identical :func:`result_json` output.
+A :class:`TopoCell` is the grid-compatible unit: it satisfies the
+:class:`repro.grid.cells.Cell` protocol (``cell_id``, ``spec``,
+``from_spec``, ``to_jsonable``, ``run``) without importing it, so the
+executor, cache, journal and golden gate all work on topo cells
+unchanged. Everything is deterministic given the spec: two runs of one
+cell produce byte-identical :func:`result_json` output.
 """
 
 from __future__ import annotations
 
-import hashlib
-import json
 import math
 import random
 from dataclasses import dataclass
 from functools import partial
 from typing import Mapping
 
-from repro.net.addr import Prefix
 from repro.systems.platforms import PLATFORMS
 from repro.topo.network import TopologyHarness, origin_prefix
 from repro.workload.astopo import AsTopology
@@ -140,21 +137,9 @@ class TopoCell:
             "platform": self.platform,
         }
 
-    def spec_json(self) -> str:
-        """Canonical JSON form — the hashed half of the cache key."""
-        return json.dumps(self.spec(), sort_keys=True, separators=(",", ":"))
-
     def to_jsonable(self) -> dict[str, object]:
         """Alias of :meth:`spec` — the cell *is* its spec."""
         return self.spec()
-
-    def key(self, fingerprint: str) -> str:
-        """Content address: cell spec plus source-tree fingerprint."""
-        digest = hashlib.sha256()
-        digest.update(self.spec_json().encode("utf-8"))
-        digest.update(b"\n")
-        digest.update(fingerprint.encode("utf-8"))
-        return digest.hexdigest()
 
     @classmethod
     def from_spec(cls, spec: Mapping[str, object]) -> "TopoCell":
@@ -172,6 +157,22 @@ class TopoCell:
             flap_interval=float(spec["flap_interval"]),  # type: ignore[arg-type]
             measured=int(spec.get("measured", 0)),  # type: ignore[arg-type]
             platform=str(spec.get("platform", "pentium3")),
+        )
+
+    def run(
+        self,
+        sanitize: bool = False,
+        telemetry_dir: "str | None" = None,
+        shards: int = 1,
+        shard_chaos: "Mapping[int, object] | None" = None,
+    ) -> dict[str, object]:
+        """The grid's entry: :func:`run_topo_cell` on this cell."""
+        return run_topo_cell(
+            self,
+            sanitize=sanitize,
+            telemetry_dir=telemetry_dir,
+            shards=shards,
+            shard_chaos=shard_chaos,
         )
 
 
@@ -439,9 +440,9 @@ def run_topo_cell(
 ) -> dict[str, object]:
     """Execute one topology cell from scratch; JSON-ready result.
 
-    The duck-typed sibling of :func:`repro.grid.cells.run_cell`: same
-    signature, same result shape (metrics at the top level plus the
-    cell spec under ``"cell"``), deterministic given the spec.
+    What :meth:`TopoCell.run` (and so :func:`repro.grid.cells.
+    run_cell`) executes: metrics at the top level plus the cell spec
+    under ``"cell"``, deterministic given the spec.
 
     With ``sanitize=True`` a :class:`~repro.topo.network.
     TopologySanitizer` observes every event and the quiescent
@@ -479,13 +480,6 @@ def run_topo_cell(
         result = _run_phases(cell, harness, origins)
         if sanitizer is not None:
             sanitizer.check_quiescent()
-    except Exception as error:
-        from repro.analysis.sanitizer import SanitizerError
-
-        if isinstance(error, SanitizerError):
-            error.cell_id = cell.cell_id
-            error.args = (f"[cell {cell.cell_id}] {error.args[0]}",) + error.args[1:]
-        raise
     finally:
         if sanitizer is not None:
             sanitizer.detach()

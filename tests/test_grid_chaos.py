@@ -181,7 +181,7 @@ class TestGridCliResilience:
             tmp_path, {"s1-cisco-seed7-n60": {"kind": "flaky"}}
         )
         code = main([
-            *self.CELL_ARGS, "--workers", "1", "--chaos", plan, "--strict",
+            *self.CELL_ARGS, "--workers", "1", "--chaos", plan, "--max-failures", "1",
             "--journal", str(tmp_path / "journal.jsonl"),
         ])
         out = capsys.readouterr().out

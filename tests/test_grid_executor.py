@@ -10,7 +10,7 @@ import json
 import pytest
 
 from repro.grid import GridCache, GridCell, enumerate_grid, run_grid, source_fingerprint
-from repro.grid.cache import CACHE_FORMAT
+from repro.grid.cache import CACHE_FORMAT, cell_key
 
 CELLS = enumerate_grid(
     scenarios=[1, 5], platforms=["pentium3", "cisco"], seeds=[7], table_sizes=[100]
@@ -121,4 +121,4 @@ class TestSourceFingerprint:
         cache = GridCache(tmp_path / "cache")
         assert cache.fingerprint == source_fingerprint()
         cell = GridCell(1, "xeon", 42, 100)
-        assert cache.path_for(cell).name == f"{cell.key(cache.fingerprint)}.json"
+        assert cache.path_for(cell).name == f"{cell_key(cell, cache.fingerprint)}.json"

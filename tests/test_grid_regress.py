@@ -6,7 +6,7 @@ import pytest
 
 from repro.experiments.runner import main
 from repro.grid import bless, compare, load_golden
-from repro.grid.baseline import GOLDEN_FORMAT, MetricDrift
+from repro.grid.baseline import GOLDEN_FORMAT, GoldenError, MetricDrift, grid_cells
 
 
 def cell_result(cell_id="s1-xeon-seed42-n100", tps=100.0, transactions=100,
@@ -202,6 +202,83 @@ class TestRegressCli:
         assert main(["regress", "--golden", str(golden), "--tolerance", "0.001",
                      *self.GRID_ARGS]) == 1
         capsys.readouterr()
+
+
+TOPO_SPEC = {
+    "kind": "topo", "family": "convergence", "tier1": 2, "tier2": 4, "stubs": 10,
+    "seed": 42, "link_delay": 0.01, "mrai": 0.0, "damping": False, "origins": 1,
+    "flaps": 4, "flap_interval": 60.0,
+}
+
+
+def golden_doc(grid, cells=None):
+    return json.dumps(
+        {"format": GOLDEN_FORMAT, "tolerance": 0.05, "grid": grid, "cells": cells or {}}
+    )
+
+
+class TestMalformedGolden:
+    """A golden file that cannot be used is a usage error — one
+    ``regress: <file>: ...`` line and exit 2 — never a traceback."""
+
+    @pytest.mark.parametrize(
+        "text, names",
+        [
+            ("[]", "must be an object, got list"),
+            (json.dumps({"format": GOLDEN_FORMAT}), "key 'grid'"),
+            ("{not json", "Expecting property name"),
+            (
+                golden_doc({"kind": "topo", "cells": [
+                    TOPO_SPEC, {k: v for k, v in TOPO_SPEC.items() if k != "tier1"},
+                ]}),
+                "key 'grid': missing key 'tier1'",
+            ),
+            (
+                golden_doc({"scenarios": [9], "platforms": ["xeon"], "seeds": [1],
+                            "table_sizes": [50]}),
+                "key 'grid': no scenario 9",
+            ),
+            (
+                golden_doc({"scenarios": [1], "platforms": ["xeon"], "seeds": [1]}),
+                "key 'grid': missing key 'table_sizes'",
+            ),
+            (
+                golden_doc(
+                    {"scenarios": [1], "platforms": ["xeon"], "seeds": [1],
+                     "table_sizes": [50]},
+                    cells={"s1-xeon-seed1-n50": {"transactions": 50}},
+                ),
+                "cell 's1-xeon-seed1-n50' is missing key 'fib_size_after'",
+            ),
+        ],
+        ids=["json-list", "no-grid", "not-json", "topo-cell-missing-field",
+             "scenario-out-of-range", "missing-axis", "cell-missing-metric"],
+    )
+    def test_usage_error_names_file_and_key(self, tmp_path, capsys, text, names):
+        golden = tmp_path / "golden.json"
+        golden.write_text(text)
+        code = main(["regress", "--golden", str(golden), "--workers", "1",
+                     "--no-cache"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err.startswith(f"regress: {golden}: ")
+        assert names in captured.err
+        assert len(captured.err.splitlines()) == 1
+
+    def test_grid_cells_reads_both_shapes(self):
+        topo = grid_cells({"kind": "topo", "cells": [TOPO_SPEC]})
+        assert [cell.cell_id for cell in topo] == ["topo-convergence-2x4x10-seed42"]
+        cartesian = grid_cells({"scenarios": [2, 1], "platforms": ["xeon"],
+                                "seeds": [7], "table_sizes": [50]})
+        assert [cell.cell_id for cell in cartesian] == [
+            "s1-xeon-seed7-n50", "s2-xeon-seed7-n50",
+        ]
+
+    def test_golden_error_is_a_value_error(self):
+        with pytest.raises(GoldenError):
+            grid_cells({"kind": "topo"})
+        assert issubclass(GoldenError, ValueError)
 
 
 class TestRegressPartialFailure:

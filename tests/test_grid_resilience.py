@@ -1,15 +1,18 @@
 """Fault-tolerant grid execution: supervisor semantics and degradation.
 
 The resilience layer's contract has three load-bearing planks: a
-fault-free supervised run is byte-identical to the plain pool runner
-(so the golden gate sees no difference); injected faults degrade to
+fault-free supervised run is byte-identical to the in-process one (so
+the golden gate sees no difference); injected faults degrade to
 structured ``CellFailure`` records while every healthy cell completes;
 and the retry schedule is a deterministic pure function, so two chaos
 runs agree byte-for-byte on their attempt histories.
 """
 
+import multiprocessing
+
 import pytest
 
+import repro.grid.supervisor as supervisor_module
 from repro.bgp.fsm import ReconnectBackoff
 from repro.grid import (
     CellFailure,
@@ -28,6 +31,8 @@ from repro.grid.outcomes import (
     OUTCOME_TIMEOUT,
     AttemptRecord,
 )
+from repro.grid.supervisor import Supervisor
+from repro.topo import TopoCell
 
 CELLS = enumerate_grid(
     scenarios=[1], platforms=["cisco", "pentium3", "xeon"], seeds=[7],
@@ -46,7 +51,7 @@ def fast_policy(**overrides) -> ExecutionPolicy:
 
 class TestFaultFreeByteIdentity:
     def test_supervised_run_matches_pool_runner(self):
-        plain = run_grid(CELLS, workers=2)
+        plain = run_grid(CELLS, workers=1)
         supervised = run_grid(
             CELLS, workers=2, policy=fast_policy(retries=2, cell_timeout=120.0)
         )
@@ -65,6 +70,153 @@ class TestFaultFreeByteIdentity:
     def test_results_stay_in_enumeration_order(self):
         report = run_grid(CELLS, workers=3, policy=fast_policy())
         assert list(report.results) == [cell.cell_id for cell in CELLS]
+
+
+MIXED = CELLS + [
+    TopoCell(family="convergence", tier1=2, tier2=4, stubs=10),
+    TopoCell(family="withdraw", tier1=2, tier2=4, stubs=10),
+]
+
+
+@pytest.fixture
+def spawned(monkeypatch):
+    """Every worker the supervisor starts during the test, in order."""
+    started = []
+    spawn = Supervisor._spawn
+
+    def counting(self):
+        worker = spawn(self)
+        started.append(worker)
+        return worker
+
+    monkeypatch.setattr(Supervisor, "_spawn", counting)
+    return started
+
+
+class TestWorkerReuse:
+    """Workers are long-lived: one process per slot serves attempt after
+    attempt, and only a hang or a silent death gets one replaced."""
+
+    SIX = enumerate_grid(
+        scenarios=[1, 2], platforms=["cisco", "pentium3", "xeon"], seeds=[7],
+        table_sizes=[60],
+    )
+
+    def test_healthy_run_starts_one_process_per_slot(self, spawned):
+        report = run_grid(self.SIX, workers=2)
+        assert report.ok and report.executed == 6
+        assert len(spawned) == 2
+
+    def test_crashed_worker_is_replaced_once(self, spawned):
+        chaos = ChaosPlan.from_spec({self.SIX[0].cell_id: {"kind": "crash"}})
+        report = run_grid(self.SIX, workers=2, policy=fast_policy(), chaos=chaos)
+        assert len(spawned) == 3
+        assert set(report.failures) == {self.SIX[0].cell_id}
+        assert set(report.results) == {cell.cell_id for cell in self.SIX[1:]}
+
+    def test_hung_worker_is_replaced_once(self, spawned):
+        chaos = ChaosPlan.from_spec(
+            {self.SIX[0].cell_id: {"kind": "hang", "hang_seconds": 60}}
+        )
+        # One slot, so the cells behind the hung one must land on its
+        # replacement (a second slot would quietly absorb them all).
+        report = run_grid(
+            self.SIX, workers=1, policy=fast_policy(cell_timeout=0.75), chaos=chaos
+        )
+        assert len(spawned) == 2
+        assert report.failures[self.SIX[0].cell_id].outcome == OUTCOME_TIMEOUT
+        assert set(report.results) == {cell.cell_id for cell in self.SIX[1:]}
+
+    def test_failed_attempt_keeps_its_worker(self, spawned):
+        chaos = ChaosPlan.from_spec({self.SIX[0].cell_id: {"kind": "flaky"}})
+        report = run_grid(self.SIX, workers=2, policy=fast_policy(), chaos=chaos)
+        assert report.failures[self.SIX[0].cell_id].outcome == OUTCOME_FAILED
+        assert len(spawned) == 2
+
+    def test_warm_worker_answers_as_a_cold_one(self, spawned):
+        """Scenario and topology cells mixed: in-process, fanned over
+        three workers, and one worker serving all of them agree byte for
+        byte."""
+        in_process = run_grid(MIXED, workers=1)
+        fanned = run_grid(MIXED, workers=3)
+        del spawned[:]
+        one_worker = run_grid(MIXED, workers=1, policy=fast_policy())
+        assert len(spawned) == 1 and one_worker.executed == len(MIXED) >= 2
+        assert fanned.to_json() == in_process.to_json() == one_worker.to_json()
+
+    def test_supervision_loop_blocks_instead_of_spinning(self, monkeypatch):
+        """The poll timeout used to fold in every *queued* task's
+        ``ready_at``, so with more cells than slots it was always 0 and
+        the parent busy-polled (10 871 waits for these six cells)."""
+        waits = []
+        wait = supervisor_module._wait_connections
+
+        def counting(connections, timeout=None):
+            waits.append((len(connections), timeout))
+            return wait(connections, timeout)
+
+        monkeypatch.setattr(supervisor_module, "_wait_connections", counting)
+        report = run_grid(self.SIX, workers=2)
+        assert report.ok
+        assert len(waits) <= 3 * len(self.SIX)
+        assert [w for w in waits if w == (2, 0.0)] == []
+
+
+class TestNoWorkerOutlivesTheRun:
+    def test_after_a_healthy_and_a_wounded_run(self):
+        chaos = ChaosPlan.from_spec({
+            CRASH_CELL: {"kind": "crash"},
+            HEALTHY_CELL: {"kind": "hang", "hang_seconds": 60},
+        })
+        run_grid(CELLS, workers=3)
+        run_grid(CELLS, workers=3, policy=fast_policy(cell_timeout=0.75), chaos=chaos)
+        assert multiprocessing.active_children() == []
+
+    def test_when_the_cache_write_raises(self, tmp_path):
+        class Broken(GridCache):
+            def put(self, cell, result):
+                raise RuntimeError("cache backend bug")
+
+        with pytest.raises(RuntimeError, match="cache backend bug"):
+            run_grid(CELLS, workers=2, cache=Broken(tmp_path / "c", fingerprint="fp"))
+        assert multiprocessing.active_children() == []
+
+    def test_when_progress_raises_keyboard_interrupt(self):
+        def interrupt(cell_id, cached):
+            raise KeyboardInterrupt
+
+        with pytest.raises(KeyboardInterrupt):
+            run_grid(CELLS, workers=2, progress=interrupt)
+        assert multiprocessing.active_children() == []
+
+
+@pytest.mark.skipif(
+    multiprocessing.get_start_method() != "fork",
+    reason="the monkeypatched run_scenario reaches workers by fork",
+)
+def test_multi_worker_run_degrades_a_raising_cell_without_a_policy(monkeypatch):
+    """``workers=2`` with no policy used to abort on the first raising
+    cell; it is supervised now, like every other multi-process run."""
+    from repro.benchmark.harness import StallError
+    from repro.grid import cells as cells_module
+
+    class _Diagnostics:
+        def describe(self):
+            return "no forward progress"
+
+    run_scenario = cells_module.run_scenario
+
+    def stall_on_xeon(router, scenario, **kwargs):
+        if router.spec.name == "xeon":
+            raise StallError(_Diagnostics())
+        return run_scenario(router, scenario, **kwargs)
+
+    monkeypatch.setattr(cells_module, "run_scenario", stall_on_xeon)
+    report = run_grid(CELLS, workers=2)
+    failure = report.failures[FLAKY_CELL]
+    assert isinstance(failure, CellFailure) and failure.outcome == OUTCOME_FAILED
+    assert "StallError" in failure.message and FLAKY_CELL in failure.message
+    assert set(report.results) == {CRASH_CELL, HEALTHY_CELL}
 
 
 class TestFailureOutcomes:
@@ -161,7 +313,7 @@ class TestFailureBudget:
 
     def test_strict_is_first_failure_quarantine(self):
         report = run_grid(
-            CELLS, workers=1, policy=fast_policy(strict=True), chaos=self.CHAOS
+            CELLS, workers=1, policy=fast_policy(max_failures=1), chaos=self.CHAOS
         )
         outcomes = {cid: f.outcome for cid, f in report.failures.items()}
         assert outcomes[CRASH_CELL] == OUTCOME_CRASHED
@@ -304,6 +456,6 @@ class TestOutcomeRecords:
             ExecutionPolicy(max_failures=0)
 
     def test_strict_failure_budget(self):
-        assert ExecutionPolicy(strict=True).failure_budget == 1
+        assert ExecutionPolicy(max_failures=1).failure_budget == 1
         assert ExecutionPolicy(max_failures=4).failure_budget == 4
         assert ExecutionPolicy().failure_budget is None

@@ -1,10 +1,12 @@
-"""Layering guard: the protocol core, the data plane and the simulator
-import nothing from the experiment or grid packages, the differential
-oracles live under ``tests/oracles/``, not ``src/``, and nothing in
-``src/`` times itself — a speed claim is a ``benchmarks/ledger/`` run.
+"""Layering guard: every ``repro.<a>`` → ``repro.<b>`` import follows
+the package DAG written down in DESIGN.md §6, the differential oracles
+live under ``tests/oracles/``, not ``src/``, and nothing in ``src/``
+times itself — a speed claim is a ``benchmarks/ledger/`` run.
 """
 
+import ast
 import importlib.util
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -38,6 +40,102 @@ def test_core_packages_do_not_import_their_consumers():
         env={"PYTHONPATH": str(Path(repro.__file__).parents[1])},
     )
     assert done.stdout.strip() == "[]"
+
+
+PACKAGE = Path(repro.__file__).parent
+
+#: Imports that point the wrong way today: (importing module, imported
+#: package) -> why it cannot move yet. This list may only shrink.
+KNOWN_BACK_EDGES = {
+    ("repro.systems.calibration", "experiments"):
+        "paper Table III lives in repro.experiments.paperdata, which the "
+        "frozen benchmarks/ledger imports by that name (ROADMAP item 6)",
+    ("repro.systems.router", "topo"):
+        "lazy; benchmarks/ledger/probes.py patches "
+        "repro.topo.wiring:establish_session by that name",
+    ("repro.benchmark.chain", "topo"):
+        "lazy; same frozen probe on repro.topo.wiring (wire_oneway lives beside it)",
+    ("repro.sim.monitor", "telemetry"):
+        "CpuMonitor buckets with repro.telemetry.buckets.spread; moving "
+        "buckets into sim is ROADMAP item 8(d)",
+    ("repro.bgp.fsm", "sim"):
+        "TYPE_CHECKING only: SessionFsm.attach_simulator() is annotated with "
+        "the simulator it schedules its timers on",
+    ("repro.topo.families", "parallel"):
+        "lazy; run_topo_cell(shards > 1) hands the cell to the parallel "
+        "engine (deleted or kept by ROADMAP item 5's verdict)",
+    ("repro.parallel.shard", "grid"):
+        "lazy; a shard process applies its chaos fault with "
+        "repro.grid.chaos.apply_chaos (same verdict)",
+}
+
+
+def design_layers():
+    """``{package: rank}`` and the observer set, read from the two-line
+    package DAG in DESIGN.md."""
+    text = (PACKAGE.parents[1] / "DESIGN.md").read_text()
+    order = re.search(r"^ {4}(net → .+)$", text, re.MULTILINE).group(1)
+    observers = re.search(r"^ {4}observers: (.+)$", text, re.MULTILINE).group(1)
+    ranks = {
+        package: rank
+        for rank, layer in enumerate(order.split(" → "))
+        for package in layer.split("/")
+    }
+    return ranks, set(observers.split())
+
+
+def package_imports():
+    """Every cross-package import under ``src/repro``, function-level
+    ones included: ``{(importing module, imported package)}``."""
+    edges = set()
+    for path in sorted(PACKAGE.rglob("*.py")):
+        parts = path.relative_to(PACKAGE).with_suffix("").parts
+        if len(parts) == 1:
+            continue  # repro/__init__.py belongs to no layer
+        module = ".".join(("repro",) + parts).removesuffix(".__init__")
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                assert node.level == 0, f"{module}: relative import"
+                names = [node.module]
+            else:
+                continue
+            for name in names:
+                target = name.split(".")
+                if target[0] == "repro" and len(target) > 1 and target[1] != parts[0]:
+                    edges.add((module, target[1]))
+    return edges
+
+
+def test_every_package_import_follows_the_design_dag():
+    ranks, observers = design_layers()
+    shipped = {path.name for path in PACKAGE.iterdir() if (path / "__init__.py").exists()}
+    assert shipped == set(ranks) | observers, "DESIGN.md §6 DAG names every package"
+
+    def allowed(importer: str, imported: str) -> bool:
+        if importer in observers:
+            return imported not in observers and ranks[imported] <= ranks["systems"]
+        if imported in observers:
+            return ranks[importer] >= ranks["benchmark"]
+        return ranks[imported] < ranks[importer]
+
+    offenders = {
+        (module, imported)
+        for module, imported in package_imports()
+        if not allowed(module.split(".")[1], imported)
+    }
+    # Both directions: a new back-edge fails, and so does an entry whose
+    # import is gone (delete it — the list only shrinks).
+    assert offenders == set(KNOWN_BACK_EDGES)
+
+
+def test_the_cell_runner_knows_no_cell_kind_but_its_own():
+    # run_cell used to dispatch on isinstance through a lazy topo import;
+    # only the golden-grid reader (grid.baseline) may name TopoCell.
+    grid_to_topo = {m for m, imported in package_imports() if imported == "topo"
+                    and m.startswith("repro.grid.")}
+    assert grid_to_topo == {"repro.grid.baseline"}
 
 
 def test_oracles_are_not_shipped():

@@ -297,13 +297,16 @@ def _probe_attempt_counters(conn, spec):
     from the parent, runs a real supervised-attempt entry, and reports
     the counters the attempt left behind."""
     from repro.bgp.attributes import codec_cache_stats
-    from repro.grid.supervisor import _attempt_main
+    from repro.grid.supervisor import _worker_main
     from repro.topo.families import TopoCell
 
     inherited = dict(codec_cache_stats())
-    parent_end, child_end = multiprocessing.Pipe(duplex=False)
-    _attempt_main(child_end, TopoCell.from_spec(spec), 0, False, None, None)
-    status = parent_end.recv()[0]
+    task_recv, task_send = multiprocessing.Pipe(duplex=False)
+    result_recv, result_send = multiprocessing.Pipe(duplex=False)
+    task_send.send((TopoCell.from_spec(spec), 0, None, None))
+    task_send.send(None)
+    _worker_main(task_recv, result_send, False, None, 1)
+    status = result_recv.recv()[0]
     conn.send((inherited, status, dict(codec_cache_stats())))
     conn.close()
 
@@ -312,7 +315,7 @@ def _probe_attempt_counters(conn, spec):
 class TestForkSafetyContract:
     def test_forked_attempt_worker_sees_cold_cache_counters(self):
         """docs/PERF.md contract: worker processes begin cold. Warm the
-        parent's codec caches, fork a worker running ``_attempt_main``,
+        parent's codec caches, fork a worker running ``_worker_main``,
         and check (a) the warmth really was inherited across the fork
         and (b) the attempt's final counters equal a cold reference run
         — i.e. ``reset_caches()`` ran before any cell work."""
