@@ -65,9 +65,9 @@ class FlapHistory:
     suppressed: bool = False
     flaps: int = 0
 
-    def decayed_penalty(self, config: DampingConfig, now: float) -> float:
+    def decayed_penalty(self, decay_rate: float, now: float) -> float:
         dt = max(0.0, now - self.last_update)
-        return self.penalty * math.exp(-config.decay_rate * dt)
+        return self.penalty * math.exp(-decay_rate * dt)
 
 
 class RouteDamper:
@@ -84,6 +84,9 @@ class RouteDamper:
 
     def __init__(self, config: DampingConfig | None = None):
         self.config = config if config is not None else DampingConfig()
+        # Derived constants of the (frozen) config, read on every flap.
+        self._decay_rate = self.config.decay_rate
+        self._penalty_ceiling = self.config.penalty_ceiling
         self._histories: dict[Prefix, FlapHistory] = {}
         self.suppressions = 0
         self.reuses = 0
@@ -96,8 +99,8 @@ class RouteDamper:
         if history is None:
             history = FlapHistory(last_update=now)
             self._histories[prefix] = history
-        decayed = history.decayed_penalty(self.config, now)
-        history.penalty = min(decayed + penalty, self.config.penalty_ceiling)
+        decayed = history.decayed_penalty(self._decay_rate, now)
+        history.penalty = min(decayed + penalty, self._penalty_ceiling)
         history.last_update = now
         history.flaps += 1
         if not history.suppressed and history.penalty >= self.config.suppress_threshold:
@@ -123,7 +126,7 @@ class RouteDamper:
         history = self._histories.get(prefix)
         if history is None:
             return False
-        penalty = history.decayed_penalty(self.config, now)
+        penalty = history.decayed_penalty(self._decay_rate, now)
         if history.suppressed and penalty < self.config.reuse_threshold:
             history.suppressed = False
             history.penalty = penalty
@@ -136,7 +139,7 @@ class RouteDamper:
 
     def penalty_of(self, prefix: Prefix, now: float) -> float:
         history = self._histories.get(prefix)
-        return 0.0 if history is None else history.decayed_penalty(self.config, now)
+        return 0.0 if history is None else history.decayed_penalty(self._decay_rate, now)
 
     def reuse_time(self, prefix: Prefix, now: float) -> float | None:
         """Seconds from *now* until the prefix becomes reusable, or None
@@ -144,4 +147,4 @@ class RouteDamper:
         if not self.is_suppressed(prefix, now):
             return None
         penalty = self.penalty_of(prefix, now)
-        return math.log(penalty / self.config.reuse_threshold) / self.config.decay_rate
+        return math.log(penalty / self.config.reuse_threshold) / self._decay_rate

@@ -39,6 +39,11 @@ class MraiLimiter:
     :meth:`offer` either passes a change through (returning it) or
     withholds it; :meth:`release_due` returns all withheld changes whose
     interval has expired. An interval of zero disables the gate.
+
+    The limiter owns its release deadline: a withheld change's due time
+    is born in :meth:`offer` and dies in :meth:`release_due`, so the
+    earliest one is maintained in those two places and
+    :meth:`next_release_time` is a plain read.
     """
 
     def __init__(self, interval: float = DEFAULT_EBGP_INTERVAL):
@@ -47,6 +52,8 @@ class MraiLimiter:
         self.interval = interval
         self._last_sent: dict[Prefix, float] = {}
         self._pending: dict[Prefix, PendingChange] = {}
+        #: ``min(_due_at(p) for p in _pending)``, None while empty.
+        self._next_due: float | None = None
         self.passed = 0
         self.withheld = 0
         self.coalesced = 0
@@ -76,6 +83,9 @@ class MraiLimiter:
         if last is not None and now - last < self.interval:
             self._pending[prefix] = PendingChange(attributes, now)
             self.withheld += 1
+            due = last + self.interval  # _due_at(prefix), bit for bit
+            if self._next_due is None or due < self._next_due:
+                self._next_due = due
             return None
         self._last_sent[prefix] = now
         self.passed += 1
@@ -84,12 +94,14 @@ class MraiLimiter:
     def _due_at(self, prefix: Prefix) -> float:
         """When the withheld change for *prefix* becomes sendable.
 
-        Shared by :meth:`release_due` and :meth:`next_release_time` so
-        both sides of the gate agree bit-for-bit: an event scheduled at
-        ``next_release_time()`` is guaranteed to release (the two used
-        to compare ``now - last >= interval`` vs ``last + interval``,
-        which disagree in floating point and could re-arm a release
-        event at its own fire time forever).
+        The one expression behind both sides of the gate —
+        :meth:`release_due` tests it and :meth:`offer` records it as the
+        deadline :meth:`next_release_time` reports — so they agree
+        bit-for-bit: an event scheduled at ``next_release_time()`` is
+        guaranteed to release (the two used to compare ``now - last >=
+        interval`` vs ``last + interval``, which disagree in floating
+        point and could re-arm a release event at its own fire time
+        forever).
         """
         return self._last_sent.get(prefix, -self.interval) + self.interval
 
@@ -97,16 +109,27 @@ class MraiLimiter:
         """Release every withheld change whose interval has expired, in
         prefix order (deterministic)."""
         released = []
+        next_due = None
         for prefix in sorted(self._pending):
-            if now >= self._due_at(prefix):
+            due = self._due_at(prefix)
+            if now >= due:
                 change = self._pending.pop(prefix)
                 self._last_sent[prefix] = now
                 self.passed += 1
                 released.append((prefix, change.attributes))
+            elif next_due is None or due < next_due:
+                next_due = due
+        self._next_due = next_due
         return released
 
     def next_release_time(self) -> float | None:
         """Earliest time at which a withheld change becomes sendable."""
-        if not self._pending:
-            return None
-        return min(self._due_at(prefix) for prefix in self._pending)
+        return self._next_due
+
+    def reset(self) -> None:
+        """Session loss: nothing is owed to the peer any more and nothing
+        it was sent counts against the next session's first
+        advertisement. The lifetime counters stay."""
+        self._last_sent.clear()
+        self._pending.clear()
+        self._next_due = None

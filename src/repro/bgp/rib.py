@@ -260,3 +260,10 @@ class AdjRibOut:
         self._pending_announce = {}
         self._pending_withdraw = set()
         return announce, withdraw
+
+    def clear(self) -> None:
+        """Session loss: forget what the peer was sent and is owed, so a
+        new session starts with the full initial transfer."""
+        self._advertised.clear()
+        self._pending_announce = {}
+        self._pending_withdraw = set()

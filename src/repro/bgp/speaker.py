@@ -269,6 +269,9 @@ class Peer:
         self.mrai = MraiLimiter(config.mrai_interval) if config.mrai_interval else None
         self.framer = _Framer()
         self.send_callback: Callable[[bytes], None] | None = None
+        #: :meth:`info`, built once per session: ``fsm.peer_open`` only
+        #: changes while a session is coming up, which drops it.
+        self._info: PeerInfo | None = None
         self.fsm = SessionFsm(
             local_asn=speaker.config.asn,
             local_identifier=speaker.config.bgp_identifier,
@@ -287,18 +290,21 @@ class Peer:
         return self.fsm.state is State.ESTABLISHED
 
     def info(self) -> PeerInfo:
-        identifier = (
-            self.fsm.peer_open.bgp_identifier
-            if self.fsm.peer_open is not None
-            else self.config.address
-        )
-        return PeerInfo(
-            peer_id=self.config.peer_id,
-            asn=self.config.asn,
-            address=self.config.address,
-            bgp_identifier=identifier,
-            is_ebgp=self.is_ebgp,
-        )
+        info = self._info
+        if info is None:
+            identifier = (
+                self.fsm.peer_open.bgp_identifier
+                if self.fsm.peer_open is not None
+                else self.config.address
+            )
+            info = self._info = PeerInfo(
+                peer_id=self.config.peer_id,
+                asn=self.config.asn,
+                address=self.config.address,
+                bgp_identifier=identifier,
+                is_ebgp=self.is_ebgp,
+            )
+        return info
 
 
 _peer_order = attrgetter("order")
@@ -351,6 +357,19 @@ class BgpSpeaker:
         #: Peers staged to since their last flush — what
         #: :meth:`flush_pending` visits instead of every neighbour.
         self._dirty: set[Peer] = set()
+        #: Peers whose earliest MRAI release may have moved since the
+        #: last :meth:`take_mrai_schedule` — the timer mirror of
+        #: ``_dirty``: whoever schedules release events visits these,
+        #: not every neighbour.
+        self._mrai_moved: set[Peer] = set()
+        #: The decision process's view of locally originated routes.
+        self._local_info = PeerInfo(
+            peer_id="<local>",
+            asn=config.asn,
+            address=config.local_address,
+            bgp_identifier=config.bgp_identifier,
+            is_ebgp=False,
+        )
         self._peers_added = 0
         #: eBGP export rewrite, memoized: export-policy output → the
         #: interned (own AS prepended, next hop self, no LOCAL_PREF) set.
@@ -387,10 +406,10 @@ class BgpSpeaker:
 
     def remove_peer(self, peer_id: str) -> None:
         peer = self.peers.pop(peer_id)
-        self._dirty.discard(peer)
         if peer.established:
             peer.fsm.handle(Event.MANUAL_STOP)
         self._flush_peer_routes(peer)
+        self._reset_outbox(peer)
 
     def start_peer(self, peer_id: str, now: float = 0.0) -> None:
         """Administratively start the session (ManualStart)."""
@@ -544,18 +563,7 @@ class BgpSpeaker:
         ]
         local = self._local_routes.get(prefix)
         if local is not None:
-            candidates.append(
-                Candidate(
-                    local,
-                    PeerInfo(
-                        peer_id="<local>",
-                        asn=self.config.asn,
-                        address=self.config.local_address,
-                        bgp_identifier=self.config.bgp_identifier,
-                        is_ebgp=False,
-                    ),
-                )
-            )
+            candidates.append(Candidate(local, self._local_info))
         return candidates
 
     def _run_decision(self, prefix: Prefix) -> None:
@@ -683,6 +691,7 @@ class BgpSpeaker:
         if peer.mrai is not None:
             gated = peer.mrai.offer(prefix, attributes, self._now)
             if gated is None:
+                self._mrai_moved.add(peer)
                 return
             prefix, attributes = gated
         self._stage(peer, prefix, attributes)
@@ -707,9 +716,29 @@ class BgpSpeaker:
         if peer.mrai is None:
             return 0
         released = peer.mrai.release_due(now)
+        self._mrai_moved.add(peer)
         for prefix, attributes in released:
             self._stage(peer, prefix, attributes)
         return len(released)
+
+    def take_mrai_schedule(self) -> "list[tuple[str, float | None]]":
+        """``(peer_id, earliest release time)`` for every peer whose MRAI
+        deadline may have moved since the last call, in ``peers`` order;
+        ``None`` = nothing is withheld any more (cancel its timer).
+
+        The limiter owns the deadlines and this publishes the moves, so
+        the owner of the clock only schedules what it is told — calling
+        :meth:`release_mrai` at the reported time releases at least one
+        change. A peer that is not reported has not moved.
+        """
+        moved = self._mrai_moved
+        if not moved:
+            return []
+        self._mrai_moved = set()
+        return [
+            (peer.config.peer_id, peer.mrai.next_release_time())
+            for peer in sorted(moved, key=_peer_order)
+        ]
 
     def flush_pending(self, max_prefixes: int | None = None) -> list[bytes]:
         """:meth:`flush_updates` for every peer staged to since its last
@@ -869,6 +898,7 @@ class BgpSpeaker:
     # -- session lifecycle ------------------------------------------------------
 
     def _on_session_up(self, peer: Peer) -> None:
+        peer._info = None
         self._log_session_event(peer.config.peer_id, "up")
         # Initial table transfer (RFC 4271 §9.4 / paper Phase 2): stage
         # the entire Loc-RIB for the new neighbour.
@@ -883,13 +913,24 @@ class BgpSpeaker:
 
     def _on_session_down(self, peer: Peer, reason: str) -> None:
         self._log_session_event(peer.config.peer_id, f"down: {reason}")
-        self._dirty.discard(peer)
         self._flush_peer_routes(peer)
+        self._reset_outbox(peer)
 
     def _log_session_event(self, peer_id: str, event: str) -> None:
         self._session_log.append((peer_id, event))
         if self.on_session_event is not None:
             self.on_session_event(peer_id, event)
+
+    def _reset_outbox(self, peer: Peer) -> None:
+        """Session loss: the peer holds nothing of ours any more. Forget
+        its Adj-RIB-Out (advertised and pending) and its MRAI gate, so
+        nothing is emitted onto the dead session and the next one gets
+        the full initial transfer (RFC 4271 §9.4)."""
+        self._dirty.discard(peer)
+        peer.adj_rib_out.clear()
+        if peer.mrai is not None:
+            peer.mrai.reset()
+            self._mrai_moved.add(peer)
 
     def _flush_peer_routes(self, peer: Peer) -> None:
         """Session loss: every route learned from the peer is re-decided."""

@@ -15,11 +15,13 @@ one :class:`~repro.sim.cpu.World`:
   (:mod:`repro.topo.policy`) and, optionally, per-peer MRAI timers and
   RFC 2439 flap damping.
 
-MRAI release is event-driven: whenever a flush leaves withheld changes
-behind, the owning node arms (or re-arms) one release event per peer at
-``MraiLimiter.next_release_time()``; the release stages the due changes
-and flushes them onto the link. The simulation therefore quiesces by
-itself — no polling, no daemon timers.
+MRAI release is event-driven: each speaker reports the peers whose
+earliest release moved (``BgpSpeaker.take_mrai_schedule()`` — a change
+was withheld, a release fired, a session went down) and the owning node
+arms, re-arms or cancels that peer's one release event accordingly; the
+release stages the due changes and flushes them onto the link. Nobody
+walks the peers asking, so the simulation quiesces by itself — no
+polling, no daemon timers.
 
 Determinism: nodes are built in sorted-ASN order, peers added in
 sorted-neighbour order, link delays drawn over the sorted link list
@@ -144,7 +146,7 @@ class SpeakerNode:
             address=as_address(neighbor),
             import_policy=import_chain,
             export_policy=export_chain,
-            damping=DampingConfig() if self.harness.damping else None,
+            damping=self.harness.damping,
             mrai_interval=self.harness.mrai_interval,
         )
 
@@ -195,11 +197,10 @@ class SpeakerNode:
     # -- MRAI ----------------------------------------------------------------
 
     def _arm_mrai(self) -> None:
+        """Apply the speaker's MRAI schedule to the per-peer release
+        events: only the peers it reports are touched."""
         sim = self.harness.sim
-        for peer_id, peer in self.speaker.peers.items():
-            if peer.mrai is None:
-                continue
-            due = peer.mrai.next_release_time()
+        for peer_id, due in self.speaker.take_mrai_schedule():
             handle = self._mrai_handles.get(peer_id)
             if due is None:
                 if handle is not None and handle.active:
@@ -375,7 +376,9 @@ class TopologyHarness:
         self.seed = seed
         self.link_delay = link_delay
         self.mrai_interval = mrai_interval
-        self.damping = damping
+        #: One (frozen) RFC 2439 parameter set shared by every peering;
+        #: None = damping off.
+        self.damping = DampingConfig() if damping else None
         self.packing = packing
         self.world = world if world is not None else World()
         self.sim = self.world.sim

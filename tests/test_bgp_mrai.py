@@ -1,6 +1,8 @@
 """Unit tests for the MinRouteAdvertisementInterval gate."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.bgp.attributes import AsPath, PathAttributes
 from repro.bgp.mrai import DEFAULT_EBGP_INTERVAL, MraiLimiter
@@ -99,3 +101,63 @@ class TestRelease:
         gate.offer(P1, A1, now=0.0)
         gate.offer(P1, A2, now=5.0)
         assert gate.next_release_time() == pytest.approx(30.0)
+
+    def test_reset_forgets_pending_and_history_keeps_counters(self):
+        gate = MraiLimiter(interval=30.0)
+        gate.offer(P1, A1, now=0.0)
+        gate.offer(P1, A2, now=5.0)
+        gate.reset()
+        assert len(gate) == 0
+        assert gate.next_release_time() is None
+        assert gate.release_due(now=100.0) == []
+        # A new session's first advertisement is not gated by the old one.
+        assert gate.offer(P1, A1, now=6.0) == (P1, A1)
+        assert (gate.passed, gate.withheld) == (2, 1)
+
+
+POOL = [Prefix.parse(f"10.{i}.0.0/16") for i in range(4)]
+
+# One step: advance the clock, then offer a change for a pooled prefix,
+# release at the current time, or release at the maintained deadline.
+steps = st.lists(
+    st.tuples(
+        st.floats(min_value=0.0, max_value=7.0, allow_nan=False),
+        st.one_of(
+            st.tuples(st.just("offer"), st.integers(0, len(POOL) - 1), st.booleans()),
+            st.tuples(st.just("release"), st.just(0), st.just(False)),
+            st.tuples(st.just("release_at_due"), st.just(0), st.just(False)),
+        ),
+    ),
+    max_size=40,
+)
+
+
+def brute_force_deadline(gate):
+    if not gate._pending:
+        return None
+    return min(gate._due_at(prefix) for prefix in gate._pending)
+
+
+class TestMaintainedDeadline:
+    @settings(max_examples=200)
+    @given(steps, st.sampled_from([0.1, 1.0, 5.0, 30.0]))
+    def test_deadline_equals_brute_force_min_and_always_releases(self, steps, interval):
+        gate = MraiLimiter(interval=interval)
+        now = 0.0
+        for advance, (op, index, announce) in steps:
+            now += advance
+            if op == "offer":
+                gate.offer(POOL[index], A1 if announce else None, now)
+            elif op == "release":
+                gate.release_due(now)
+            else:
+                due = gate.next_release_time()
+                if due is not None:
+                    # What a node does: fire at the deadline (never in
+                    # the past) and release — at least one change goes.
+                    now = max(now, due)
+                    assert len(gate.release_due(now)) >= 1
+            # Exact equality: the armed time and the release test are
+            # the same float, not merely close.
+            assert gate.next_release_time() == brute_force_deadline(gate)
+            assert (gate.next_release_time() is None) == (len(gate) == 0)

@@ -1,9 +1,14 @@
 """Tests for the live AS-graph network: wiring, harness, sanitizer."""
 
+import hashlib
+import json
+
 import pytest
 
+from repro.bgp.mrai import MraiLimiter
 from repro.bgp.speaker import BgpSpeaker, PeerConfig, SpeakerConfig
 from repro.net.addr import IPv4Address
+from repro.topo.families import TopoCell, run_topo_cell
 from repro.topo.network import (
     TopologyHarness,
     TopologySanitizer,
@@ -178,6 +183,103 @@ class TestTopologyHarness:
         assert "topo_link_packets_total" in state
         assert "topo_mrai_deferrals_total" in state
         assert "topo_ghost_paths_total" in state
+
+
+def star_topology(customers):
+    """One tier-1 hub (AS 1) with *customers* stub customers (AS 11...)."""
+    topology = AsTopology()
+    topology.add_as(1, tier=1)
+    for index in range(customers):
+        topology.add_as(11 + index, tier=3)
+        topology.relate(1, 11 + index, Relationship.CUSTOMER)
+    return topology
+
+
+class TestMraiScheduling:
+    """The node schedules what the speaker reports — it never walks its
+    peers asking each limiter for a deadline."""
+
+    N = 12
+
+    def hub_with_one_recently_sent_peer(self, monkeypatch):
+        harness = TopologyHarness(star_topology(self.N), seed=42, mrai_interval=30.0)
+        hub = harness.nodes[1]
+        prefix = origin_prefix(11)
+        # As if AS 12 alone had just been sent this prefix: the next
+        # change for it is withheld on that one gate and passes the rest.
+        hub.speaker.peers[peer_name(12)].mrai.offer(prefix, None, now=0.0)
+        calls = []
+        real = MraiLimiter.next_release_time
+
+        def counted(limiter):
+            calls.append(limiter)
+            return real(limiter)
+
+        monkeypatch.setattr(MraiLimiter, "next_release_time", counted)
+        return harness, hub, prefix, calls
+
+    def test_one_withheld_change_touches_one_handle_not_n(self, monkeypatch):
+        harness, hub, prefix, calls = self.hub_with_one_recently_sent_peer(monkeypatch)
+        origin = harness.nodes[11]
+        harness.sim.schedule(0.0, lambda: origin.originate(prefix))
+        harness.run(until=1.0)
+        assert hub.mrai_deferrals == 1
+        assert list(hub._mrai_handles) == [peer_name(12)]
+        assert hub._mrai_handles[peer_name(12)].time == 30.0
+        # One read when the change was withheld — not one per peer.
+        assert len(calls) == 1
+        harness.run()
+        # ... and one when the release fired and found nothing left.
+        assert len(calls) == 2
+        assert harness.quiescent()
+        assert harness.nodes[12].best_path(prefix) == (1, 11)
+
+    def test_session_down_cancels_the_armed_release(self, monkeypatch):
+        harness, hub, prefix, _calls = self.hub_with_one_recently_sent_peer(monkeypatch)
+        origin = harness.nodes[11]
+        harness.sim.schedule(0.0, lambda: origin.originate(prefix))
+        harness.run(until=1.0)
+        handle = hub._mrai_handles[peer_name(12)]
+        assert handle.active
+        link = harness.links[(1, 12)]
+        sent = link.a_to_b_packets
+        hub.speaker.transport_failed(peer_name(12), now=harness.sim.now)
+        hub.flush()
+        assert not handle.active
+        harness.run()
+        assert harness.quiescent()
+        # Nothing went onto the dead session.
+        assert link.a_to_b_packets == sent
+
+
+class TestMraiPinned:
+    """No golden has ``mrai > 0``; these pin the timer path's results
+    (values taken before the MRAI schedule moved into the speaker)."""
+
+    GRAPH = dict(tier1=2, tier2=8, stubs=30, seed=42)
+
+    @pytest.mark.parametrize(
+        "knobs, deferrals, expected",
+        [
+            (dict(family="churn", origins=3, mrai=5.0, damping=True), 486, "56fdc7f21464b5e6"),
+            (dict(family="churn", origins=3, mrai=30.0), 1351, "cd1f934ea60a40f3"),
+            (
+                dict(family="withdraw", origins=2, mrai=15.0, measured=1, platform="xeon"),
+                203,
+                "e498151abd3abda4",
+            ),
+            (
+                dict(family="convergence", origins=2, mrai=2.0, damping=True, measured=1),
+                8,
+                "9e0641d376533a82",
+            ),
+        ],
+    )
+    def test_result_hash(self, knobs, deferrals, expected):
+        result = run_topo_cell(TopoCell(**knobs, **self.GRAPH))
+        assert result["mrai_deferrals"] == deferrals  # the gates were exercised
+        blob = json.dumps(result, sort_keys=True).encode()
+        assert hashlib.sha256(blob).hexdigest()[:16] == expected
 
 
 class TestTopologySanitizer:
