@@ -68,18 +68,29 @@ def save_baseline(path: "Path | str", findings: Iterable[Finding]) -> Path:
 
 
 def load_baseline(path: "Path | str") -> set[str]:
-    """The set of baselined finding keys; raises ValueError on a file
-    this version of the tool does not understand."""
+    """The set of baselined finding keys; raises ValueError, naming the
+    file and what is wrong in it, on a file this version of the tool
+    does not understand."""
     payload = json.loads(Path(path).read_text())
+    if not isinstance(payload, dict):
+        raise ValueError(f"flow baseline {path}: not a JSON object")
     if payload.get("version") != BASELINE_VERSION:
         raise ValueError(
-            f"unsupported flow baseline version {payload.get('version')!r} "
+            f"flow baseline {path}: unsupported version {payload.get('version')!r} "
             f"(expected {BASELINE_VERSION})"
         )
-    return {
-        f"{entry['rule_id']}::{entry['path']}::{entry['message']}"
-        for entry in payload["findings"]
-    }
+    findings = payload.get("findings")
+    if not isinstance(findings, list):
+        raise ValueError(f"flow baseline {path}: no 'findings' list")
+    keys = set()
+    for index, entry in enumerate(findings):
+        if not isinstance(entry, dict):
+            raise ValueError(f"flow baseline {path}: findings[{index}] is not an object")
+        for field in ("rule_id", "path", "message"):
+            if field not in entry:
+                raise ValueError(f"flow baseline {path}: findings[{index}] has no {field!r}")
+        keys.add(f"{entry['rule_id']}::{entry['path']}::{entry['message']}")
+    return keys
 
 
 def apply_baseline(

@@ -11,22 +11,29 @@ Every mutation returns an explicit :class:`RouteChange` so the caller
 the forwarding table must change — the distinction on which benchmark
 scenarios 5/6 versus 7/8 turn.
 
-All three are backed by :class:`repro.net.trie.PrefixTrieMap`, an
-indexed patricia trie: per-UPDATE operations are one packed-int dict
-probe, withdrawn prefixes tombstone in place so churn re-adds are O(1),
-and iteration is a deterministic ascending ``(network, length)``
-snapshot — safe to consume while the speaker keeps mutating.
+The RFC calls these RIBs conceptual, so each is stored by what it is
+asked. The Adj-RIBs answer only exact-match questions: each is a plain
+``dict`` keyed by prefix. The Loc-RIB also answers aggregation's
+"which routes fall inside this prefix" and feeds the ordered initial
+transfer, so it sits on :class:`repro.net.trie.PrefixTrieMap`, as the
+FIB does. Every iterator is a snapshot in ascending ``(network,
+length)`` order — trie order, or a sort for the Adj-RIBs, which are
+walked only on session loss.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum, auto
+from operator import attrgetter
 from typing import Iterator
 
 from repro.bgp.attributes import PathAttributes
 from repro.net.addr import Prefix
 from repro.net.trie import PrefixTrieMap
+
+#: Sort key of the ascending ``(network, length)`` snapshot order.
+_ascending = attrgetter("network", "length")
 
 
 class RouteChange(Enum):
@@ -53,74 +60,47 @@ class AdjRibIn:
 
     def __init__(self, peer_id: str):
         self.peer_id = peer_id
-        self._routes = PrefixTrieMap()
-        # Hot-path alias: the trie's exact-match index is one dict that
-        # is mutated in place but never rebound, so the bound ``get``
-        # stays valid for the RIB's lifetime. Probing it directly makes
-        # the per-UPDATE fast path a single small-int dict lookup with
-        # no intervening method calls.
-        self._node_get = self._routes._index.get
+        self._routes: dict[Prefix, PathAttributes] = {}
 
     def __len__(self) -> int:
         return len(self._routes)
 
     def __contains__(self, prefix: Prefix) -> bool:
-        node = self._node_get((prefix.network << 6) | prefix.length)
-        return node is not None and node.has_value
+        return prefix in self._routes
 
     def get(self, prefix: Prefix) -> PathAttributes | None:
-        node = self._node_get((prefix.network << 6) | prefix.length)
-        if node is not None and node.has_value:
-            return node.value
-        return None
+        return self._routes.get(prefix)
 
     def update(self, prefix: Prefix, attributes: PathAttributes) -> RouteChange:
-        """Install or replace the neighbour's route for *prefix*.
-
-        An implicit withdraw (RFC 4271 §3.1): a new announcement for a
-        prefix replaces the previous one from the same neighbour.
-        """
-        routes = self._routes
-        node = self._node_get((prefix.network << 6) | prefix.length)
-        if node is not None:
-            if node.has_value:
-                existing = node.value
-                # Interned attributes make the no-op re-announcement
-                # (the flap workload's dominant case) an identity hit
-                # before the field-by-field comparison runs.
-                if existing is attributes or existing == attributes:
-                    return RouteChange.UNCHANGED
-                node.value = attributes
-                return RouteChange.REPLACED
-            # Tombstone left by a withdrawal: revive in place.
-            node.prefix = prefix
-            node.value = attributes
-            node.has_value = True
-            routes._count += 1
-            return RouteChange.ADDED
-        routes.insert(prefix, attributes)
-        return RouteChange.ADDED
+        """Install or replace the neighbour's route for *prefix*: a new
+        announcement is an implicit withdraw of the old (RFC 4271 §3.1)."""
+        existing = self._routes.get(prefix)
+        # Interned attributes make the no-op re-announcement (the flap
+        # workload's dominant case) an identity hit.
+        if existing is not None and (existing is attributes or existing == attributes):
+            return RouteChange.UNCHANGED
+        self._routes[prefix] = attributes
+        return RouteChange.ADDED if existing is None else RouteChange.REPLACED
 
     def withdraw(self, prefix: Prefix) -> RouteChange:
-        node = self._node_get((prefix.network << 6) | prefix.length)
-        if node is None or not node.has_value:
+        if self._routes.pop(prefix, None) is None:
             return RouteChange.ABSENT
-        node.value = None
-        node.has_value = False
-        self._routes._count -= 1
         return RouteChange.REMOVED
 
     def clear(self) -> int:
         """Drop all routes (session teardown); returns how many were dropped."""
-        return self._routes.clear()
+        count = len(self._routes)
+        self._routes.clear()
+        return count
 
     def prefixes(self) -> Iterator[Prefix]:
         """Snapshot iterator over prefixes in (network, length) order."""
-        return iter(self._routes.keys())
+        return iter(sorted(self._routes, key=_ascending))
 
     def items(self) -> Iterator[tuple[Prefix, PathAttributes]]:
         """Snapshot iterator over (prefix, attributes) in (network, length) order."""
-        return iter(self._routes.items())
+        routes = self._routes
+        return iter([(p, routes[p]) for p in sorted(routes, key=_ascending)])
 
 
 class LocRib:
@@ -128,49 +108,25 @@ class LocRib:
 
     def __init__(self) -> None:
         self._routes = PrefixTrieMap()
-        # Same hot-path alias as AdjRibIn: _index is mutated in place,
-        # never rebound.
-        self._node_get = self._routes._index.get
 
     def __len__(self) -> int:
         return len(self._routes)
 
     def __contains__(self, prefix: Prefix) -> bool:
-        node = self._node_get((prefix.network << 6) | prefix.length)
-        return node is not None and node.has_value
+        return prefix in self._routes
 
     def get(self, prefix: Prefix) -> RibRoute | None:
-        node = self._node_get((prefix.network << 6) | prefix.length)
-        if node is not None and node.has_value:
-            return node.value
-        return None
+        return self._routes.exact(prefix)
 
     def set_best(self, route: RibRoute) -> RouteChange:
-        prefix = route.prefix
-        node = self._node_get((prefix.network << 6) | prefix.length)
-        if node is not None:
-            if node.has_value:
-                existing = node.value
-                if existing is route or existing == route:
-                    return RouteChange.UNCHANGED
-                node.value = route
-                return RouteChange.REPLACED
-            node.prefix = prefix
-            node.value = route
-            node.has_value = True
-            self._routes._count += 1
-            return RouteChange.ADDED
-        self._routes.insert(prefix, route)
-        return RouteChange.ADDED
+        existing = self._routes.exact(route.prefix)
+        if existing is not None and (existing is route or existing == route):
+            return RouteChange.UNCHANGED
+        self._routes.insert(route.prefix, route)
+        return RouteChange.ADDED if existing is None else RouteChange.REPLACED
 
     def remove(self, prefix: Prefix) -> RouteChange:
-        node = self._node_get((prefix.network << 6) | prefix.length)
-        if node is None or not node.has_value:
-            return RouteChange.ABSENT
-        node.value = None
-        node.has_value = False
-        self._routes._count -= 1
-        return RouteChange.REMOVED
+        return RouteChange.REMOVED if self._routes.remove(prefix) else RouteChange.ABSENT
 
     def routes(self) -> Iterator[RibRoute]:
         """Snapshot iterator over routes in (network, length) order."""
@@ -187,29 +143,25 @@ class LocRib:
         return [route for _prefix, route in self._routes.covered(aggregate)]
 
     def fib_view(self) -> "list[tuple[Prefix, object]]":
-        """Deterministic (prefix, next_hop) snapshot, sorted by prefix —
-        the view the simulation sanitizer diffs against the FIB after
-        quiescence (RIB/FIB agreement invariant). Trie iteration order
-        is already the sort order, so this is a single pass."""
-        return [
-            (route.prefix, route.attributes.next_hop)
-            for route in self._routes.values()
-        ]
+        """Deterministic (prefix, next_hop) snapshot in trie (= sorted)
+        order — the view the simulation sanitizer diffs against the FIB
+        after quiescence (RIB/FIB agreement invariant)."""
+        routes = self._routes.values()
+        return [(route.prefix, route.attributes.next_hop) for route in routes]
 
 
 class AdjRibOut:
     """The subset of the Loc-RIB advertised to one neighbour.
 
     :meth:`stage` records the desired state; :meth:`take_pending`
-    extracts the delta (announcements and withdrawals) accumulated since
-    the last call, which the speaker packs into UPDATE messages. This
-    mirrors how real implementations batch output.
+    extracts the delta accumulated since the last call, which the
+    speaker packs into UPDATEs in staging order — how real
+    implementations batch output.
     """
 
     def __init__(self, peer_id: str):
         self.peer_id = peer_id
-        self._advertised = PrefixTrieMap()
-        self._node_get = self._advertised._index.get
+        self._advertised: dict[Prefix, PathAttributes] = {}
         self._pending_announce: dict[Prefix, PathAttributes] = {}
         self._pending_withdraw: set[Prefix] = set()
 
@@ -217,31 +169,21 @@ class AdjRibOut:
         return len(self._advertised)
 
     def advertised(self, prefix: Prefix) -> PathAttributes | None:
-        node = self._node_get((prefix.network << 6) | prefix.length)
-        if node is not None and node.has_value:
-            return node.value
-        return None
+        return self._advertised.get(prefix)
 
     def stage(self, prefix: Prefix, attributes: PathAttributes) -> RouteChange:
-        node = self._node_get((prefix.network << 6) | prefix.length)
-        if node is not None and node.has_value:
-            existing = node.value
-            if (
-                existing is attributes or existing == attributes
-            ) and prefix not in self._pending_withdraw:
-                return RouteChange.UNCHANGED
-            node.value = attributes
-            change = RouteChange.REPLACED
-        else:
-            self._advertised.insert(prefix, attributes)
-            change = RouteChange.ADDED
+        # Never both advertised and pending withdrawal (stage_withdraw).
+        existing = self._advertised.get(prefix)
+        if existing is not None and (existing is attributes or existing == attributes):
+            return RouteChange.UNCHANGED
+        self._advertised[prefix] = attributes
         self._pending_announce[prefix] = attributes
         self._pending_withdraw.discard(prefix)
-        return change
+        return RouteChange.ADDED if existing is None else RouteChange.REPLACED
 
     def stage_withdraw(self, prefix: Prefix) -> RouteChange:
         self._pending_announce.pop(prefix, None)
-        if not self._advertised.remove(prefix):
+        if self._advertised.pop(prefix, None) is None:
             return RouteChange.ABSENT
         self._pending_withdraw.add(prefix)
         return RouteChange.REMOVED
@@ -257,13 +199,11 @@ class AdjRibOut:
     def take_pending(self) -> tuple[dict[Prefix, PathAttributes], set[Prefix]]:
         """Return and clear (announcements, withdrawals) staged so far."""
         announce, withdraw = self._pending_announce, self._pending_withdraw
-        self._pending_announce = {}
-        self._pending_withdraw = set()
+        self._pending_announce, self._pending_withdraw = {}, set()
         return announce, withdraw
 
     def clear(self) -> None:
         """Session loss: forget what the peer was sent and is owed, so a
         new session starts with the full initial transfer."""
         self._advertised.clear()
-        self._pending_announce = {}
-        self._pending_withdraw = set()
+        self._pending_announce, self._pending_withdraw = {}, set()

@@ -34,7 +34,7 @@ class FibStats:
 
 
 class Fib:
-    """A next-hop table over the indexed patricia trie the RIBs use."""
+    """A next-hop table over the indexed patricia trie the Loc-RIB uses."""
 
     def __init__(self) -> None:
         self._trie = PrefixTrieMap()

@@ -4,7 +4,7 @@
 reference the property tests compare every other engine against, and
 a building block of :class:`~repro.forwarding.multibit.MultibitTable`
 and :class:`~repro.forwarding.lengthsearch.LengthSearchTable`. The
-path-compressed (Patricia-style) trie the FIB and the RIBs run on is
+path-compressed (Patricia-style) trie the FIB and the Loc-RIB run on is
 :class:`repro.net.trie.PrefixTrieMap`; all four engines share the
 ``insert/remove/exact/lookup/items`` interface.
 

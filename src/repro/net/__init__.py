@@ -3,7 +3,7 @@
 This package provides the low-level network substrate used by both the
 BGP protocol implementation (:mod:`repro.bgp`) and the forwarding plane
 (:mod:`repro.forwarding`): CIDR prefixes (RFC 1519/4632), the indexed
-patricia trie (:class:`PrefixTrieMap`) that holds every RIB and the
+patricia trie (:class:`PrefixTrieMap`) that holds the Loc-RIB and the
 FIB, an IPv4 header model, and the Internet checksum including the
 incremental update of RFC 1624 used when rewriting the TTL during
 forwarding.

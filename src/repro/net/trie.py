@@ -1,8 +1,11 @@
 """An indexed patricia trie mapping prefixes to values.
 
-:class:`PrefixTrieMap` is the one per-prefix store in the tree: the
-three RIB structures (:mod:`repro.bgp.rib`) and the FIB
-(:mod:`repro.forwarding.fib`) all sit on it. It speaks the vocabulary
+:class:`PrefixTrieMap` holds the two per-prefix stores that are asked
+more than exact-match questions: the Loc-RIB (:mod:`repro.bgp.rib`),
+for aggregation's covered-routes query and the ordered initial
+transfer, and the FIB (:mod:`repro.forwarding.fib`), for longest-prefix
+match. The Adj-RIBs are plain dicts. This module is the only one that
+knows the node layout and the tombstones. It speaks the vocabulary
 of the other LPM engines (``insert/remove/exact/lookup/items``, see
 :mod:`repro.forwarding.trie`) and combines two classic router
 techniques (surveyed by Ruiz-Sánchez et al., paper ref. [9], and used
@@ -212,14 +215,6 @@ class PrefixTrieMap:
         node.has_value = False
         self._count -= 1
         return True
-
-    def clear(self) -> int:
-        """Drop everything (session teardown); returns the entry count."""
-        count = self._count
-        self._root = None
-        self._index.clear()
-        self._count = 0
-        return count
 
     # -- traversal ----------------------------------------------------------
 

@@ -1,11 +1,12 @@
 """Shared bucketing arithmetic for every time-series collector.
 
-Monitors (:mod:`repro.sim.monitor`), histograms
-(:mod:`repro.telemetry.metrics`), and the CPU-attribution profiler
-(:mod:`repro.telemetry.profile`) all need the same primitive: split a
-half-open virtual-time interval across fixed-width buckets, or measure
-its overlap with an arbitrary window. Keeping the arithmetic in one
-place keeps every consumer's edge behaviour identical — an interval
+The monitors (:mod:`repro.sim.monitor`) and the CPU-attribution
+profiler (:mod:`repro.telemetry.profile`, an observer that imports it
+from here; :mod:`repro.telemetry` re-exports both functions) need the
+same primitive: split a half-open virtual-time interval across
+fixed-width buckets, or measure its overlap with an arbitrary window.
+It lives in ``sim`` because the monitors do. Keeping the arithmetic in
+one place keeps every consumer's edge behaviour identical — an interval
 ending exactly on a bucket boundary contributes nothing to the next
 bucket, and a zero-width interval contributes nothing at all.
 """

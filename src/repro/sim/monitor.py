@@ -12,20 +12,25 @@ from __future__ import annotations
 
 from collections import defaultdict
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
+from typing import Any, Protocol
 
+from repro.sim.buckets import spread as _spread
 from repro.sim.cpu import Machine, Task
-from repro.telemetry.buckets import spread as _spread
 
-if TYPE_CHECKING:
-    from repro.telemetry.metrics import MetricRegistry
+
+class CounterRegistry(Protocol):
+    """Where a bound monitor publishes: the ``counter`` half of
+    :class:`repro.telemetry.metrics.MetricRegistry`, named by shape so
+    ``sim`` imports nothing from the observer above it."""
+
+    def counter(self, name: str, help: str = "", labels: tuple[str, ...] = ()) -> Any: ...
 
 
 class CpuMonitor:
     """Per-bucket, per-task CPU-seconds accounting for one machine.
 
-    Bucket splitting uses the shared :func:`repro.telemetry.buckets.
-    spread` primitive. When bound to a :class:`~repro.telemetry.metrics.
+    Bucket splitting uses the shared :func:`repro.sim.buckets.spread`
+    primitive. When bound to a :class:`~repro.telemetry.metrics.
     MetricRegistry` (``bind_registry``), every recorded interval also
     publishes to the ``repro_cpu_seconds_total{machine,task}`` counter —
     observe-only, so binding never changes results.
@@ -40,7 +45,7 @@ class CpuMonitor:
         self._counter = None
         machine.monitors.append(self)
 
-    def bind_registry(self, registry: "MetricRegistry | None") -> None:
+    def bind_registry(self, registry: "CounterRegistry | None") -> None:
         """Start (or, with ``None``, stop) publishing into *registry*."""
         if registry is None:
             self._counter = None
@@ -112,7 +117,7 @@ class RateMonitor:
         self._offered_counter = None
         machine.monitors.append(self)
 
-    def bind_registry(self, registry: "MetricRegistry | None") -> None:
+    def bind_registry(self, registry: "CounterRegistry | None") -> None:
         """Start (or, with ``None``, stop) publishing served/offered work
         (in scaled units) into *registry*."""
         if registry is None:

@@ -23,7 +23,7 @@ to a plain run. The golden regression gate pins this
 (``bgpbench regress --telemetry``); see docs/TELEMETRY.md.
 """
 
-from repro.telemetry.buckets import overlap, spread
+from repro.sim.buckets import overlap, spread
 from repro.telemetry.export import (
     metrics_to_jsonl,
     metrics_to_prometheus,

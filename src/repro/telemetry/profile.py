@@ -23,7 +23,7 @@ import math
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Sequence
 
-from repro.telemetry.buckets import overlap
+from repro.sim.buckets import overlap
 
 if TYPE_CHECKING:
     from repro.sim.monitor import CpuMonitor

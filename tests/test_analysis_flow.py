@@ -43,6 +43,12 @@ from repro.experiments.runner import main as bgpbench
 FIXTURES = Path(__file__).parent / "fixtures" / "flow"
 FLOW_RULE_IDS = ("RPR101", "RPR102", "RPR103", "RPR104")
 REPO_ROOT = Path(__file__).parent.parent
+#: A well-formed flow-baseline entry.
+ENTRY = {"rule_id": "RPR102", "path": "x.py", "message": "m"}
+
+
+def without(entry: dict, field: str) -> dict:
+    return {key: value for key, value in entry.items() if key != field}
 
 
 def analyze_fixture(name: str):
@@ -412,6 +418,34 @@ class TestCli:
         capsys.readouterr()
         assert bgpbench(["lint", "--flow", fixture, "--baseline", str(baseline)]) == 0
         assert "baselined" in capsys.readouterr().out
+
+    @pytest.mark.parametrize(
+        "payload, named",
+        [
+            ([], "not a JSON object"),
+            ({"version": 1}, "'findings'"),
+            ({"version": 1, "findings": [1]}, "findings[0]"),
+            *[
+                (
+                    {"version": 1, "findings": [ENTRY, without(ENTRY, field)]},
+                    f"findings[1] has no {field!r}",
+                )
+                for field in ENTRY
+            ],
+        ],
+        ids=["top-level-list", "no-findings", "non-object-entry",
+             "no-rule_id", "no-path", "no-message"],
+    )
+    def test_malformed_baseline_is_one_error_line(self, tmp_path, capsys, payload, named):
+        baseline = tmp_path / "bad.json"
+        baseline.write_text(json.dumps(payload))
+        code = bgpbench(
+            ["lint", "--flow", str(FIXTURES / "rpr102_good.py"), "--baseline", str(baseline)]
+        )
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("lint: flow baseline ") and err.count("\n") == 1
+        assert str(baseline) in err and named in err
 
     def test_flow_sarif_written(self, tmp_path, capsys):
         sarif = tmp_path / "out.sarif"

@@ -249,6 +249,44 @@ class TestExportPath:
         assert sorted(sizes, reverse=True) == [3, 3, 3, 1]
 
 
+class TestSessionLossOrder:
+    """Session loss re-decides the lost peer's prefixes in ascending
+    ``(network, length)`` order, not in the order they arrived: the
+    UPDATEs a third neighbour sees must not depend on arrival order."""
+
+    PREFIXES = [Prefix.parse(f"10.{i}.0.0/16") for i in range(8)]
+
+    @staticmethod
+    def backup_path(index):
+        return [S2_AS, 64600 + index]  # distinct per prefix: one UPDATE each
+
+    def test_reroute_updates_follow_prefix_order(self):
+        router = make_router()
+        connect(router, S1, S1_AS, S1_ADDR, IPv4Address.parse("1.1.1.1"))
+        connect(router, S2, S2_AS, S2_ADDR, IPv4Address.parse("2.2.2.2"))
+        connect(router, "c", 65003, IPv4Address.parse("10.0.3.1"), IPv4Address.parse("3.3.3.3"))
+        for prefix in reversed(self.PREFIXES):
+            announce(router, S1, [prefix], [S1_AS], S1_ADDR)
+        for index in reversed(range(len(self.PREFIXES))):
+            announce(router, S2, [self.PREFIXES[index]], self.backup_path(index), S2_ADDR)
+        router.flush_pending()
+
+        router.receive_bytes(S1, NotificationMessage(6, 2).encode())
+        rerouted = router.flush_updates("c")
+
+        expected = [
+            UpdateMessage(
+                attributes=PathAttributes(
+                    as_path=AsPath.from_asns([ROUTER_AS, *self.backup_path(index)]),
+                    next_hop=router.config.local_address,
+                ),
+                nlri=(prefix,),
+            ).encode()
+            for index, prefix in enumerate(self.PREFIXES)
+        ]
+        assert rerouted == expected
+
+
 class TestOutbox:
     """The speaker knows which peers it staged to: ``flush_pending``
     visits those and nobody else, in ``peers`` order."""

@@ -55,9 +55,6 @@ KNOWN_BACK_EDGES = {
         "repro.topo.wiring:establish_session by that name",
     ("repro.benchmark.chain", "topo"):
         "lazy; same frozen probe on repro.topo.wiring (wire_oneway lives beside it)",
-    ("repro.sim.monitor", "telemetry"):
-        "CpuMonitor buckets with repro.telemetry.buckets.spread; moving "
-        "buckets into sim is ROADMAP item 8(d)",
     ("repro.bgp.fsm", "sim"):
         "TYPE_CHECKING only: SessionFsm.attach_simulator() is annotated with "
         "the simulator it schedules its timers on",
@@ -136,6 +133,27 @@ def test_the_cell_runner_knows_no_cell_kind_but_its_own():
     grid_to_topo = {m for m, imported in package_imports() if imported == "topo"
                     and m.startswith("repro.grid.")}
     assert grid_to_topo == {"repro.grid.baseline"}
+
+
+#: PrefixTrieMap's private state: its node tree, exact-match index
+#: (tombstones included), live-entry count and the walks over them.
+TRIE_INTERNALS = {"_index", "_count", "_root", "_splice", "_live_below"}
+
+
+def test_only_the_trie_module_touches_trie_internals():
+    # ``self._count`` is a class's own state; ``routes._count`` on any
+    # other object is a reach into the trie from outside.
+    trie = PACKAGE / "net" / "trie.py"
+    offenders = sorted(
+        f"{path.relative_to(PACKAGE)}:{node.lineno} .{node.attr}"
+        for path in PACKAGE.rglob("*.py")
+        if path != trie
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Attribute)
+        and node.attr in TRIE_INTERNALS
+        and not (isinstance(node.value, ast.Name) and node.value.id == "self")
+    )
+    assert offenders == []
 
 
 def test_oracles_are_not_shipped():

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.telemetry.buckets import overlap, spread
+from repro.sim.buckets import overlap, spread
 
 
 def reference_spread(start, end, width):
