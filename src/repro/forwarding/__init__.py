@@ -1,6 +1,6 @@
 """The data-plane substrate: longest-prefix-match engines, the FIB (on
-:class:`repro.net.trie.PrefixTrieMap`), and an RFC 1812 forwarding
-pipeline.
+the hash-per-length :class:`LengthSearchTable`), and an RFC 1812
+forwarding pipeline.
 
 The paper's cross-traffic experiments hinge on the router's forwarding
 path (header checksum, TTL, FIB lookup) contending with BGP processing

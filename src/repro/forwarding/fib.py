@@ -8,14 +8,18 @@ pipeline uses. Mutation counters feed the platform cost models: the
 paper attributes the slowness of scenarios 1–4 and 7–8 to exactly these
 operations ("changing the forwarding tables involves a large amount of
 other operations").
+
+Routes live in a :class:`~repro.forwarding.lengthsearch.LengthSearchTable`:
+an add, replace or delete is a dict store, and the hash-per-length
+search structure is rebuilt on the first lookup after a change.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
+from repro.forwarding.lengthsearch import LengthSearchTable
 from repro.net.addr import IPv4Address, Prefix
-from repro.net.trie import PrefixTrieMap
 
 
 @dataclass(slots=True)
@@ -34,37 +38,37 @@ class FibStats:
 
 
 class Fib:
-    """A next-hop table over the indexed patricia trie the Loc-RIB uses."""
+    """A next-hop table over binary search on prefix lengths."""
 
     def __init__(self) -> None:
-        self._trie = PrefixTrieMap()
+        self._table = LengthSearchTable()
         self.stats = FibStats()
 
     def __len__(self) -> int:
-        return len(self._trie)
+        return len(self._table)
 
     def __contains__(self, prefix: Prefix) -> bool:
-        return prefix in self._trie
+        return prefix in self._table
 
     # -- FibSink protocol ---------------------------------------------------
 
     def add_route(self, prefix: Prefix, next_hop: IPv4Address) -> None:
-        self._trie.insert(prefix, next_hop)
+        self._table.insert(prefix, next_hop)
         self.stats.adds += 1
 
     def replace_route(self, prefix: Prefix, next_hop: IPv4Address) -> None:
-        self._trie.insert(prefix, next_hop)
+        self._table.insert(prefix, next_hop)
         self.stats.replaces += 1
 
     def delete_route(self, prefix: Prefix) -> None:
-        self._trie.remove(prefix)
+        self._table.remove(prefix)
         self.stats.deletes += 1
 
     # -- lookup ----------------------------------------------------------------
 
     def lookup(self, destination: IPv4Address | int) -> IPv4Address | None:
         """Longest-prefix-match next hop for *destination*; None = no route."""
-        match = self._trie.lookup(destination)
+        match = self._table.lookup(destination)
         self.stats.lookups += 1
         if match is None:
             self.stats.lookup_misses += 1
@@ -73,9 +77,9 @@ class Fib:
 
     def next_hop_for(self, prefix: Prefix) -> IPv4Address | None:
         """The exact-match next hop for an installed prefix."""
-        return self._trie.exact(prefix)
+        return self._table.exact(prefix)
 
-    def routes(self):
+    def routes(self) -> "list[tuple[Prefix, IPv4Address]]":
         """All (prefix, next_hop) pairs, a snapshot in ascending
         (network, length) order."""
-        return self._trie.items()
+        return list(self._table.items())

@@ -18,7 +18,9 @@ Updates are the scheme's known weakness (markers and precomputed best
 matches depend on many prefixes); this implementation keeps the
 authoritative route set in a dict and rebuilds the search structure
 lazily on the first lookup after a mutation — the strategy real
-control planes approximate with batch updates.
+control planes approximate with batch updates. The FIB
+(:mod:`repro.forwarding.fib`) runs on this table, so route churn is a
+dict store and only a lookup pays for the rebuild.
 """
 
 from __future__ import annotations
@@ -62,6 +64,9 @@ class LengthSearchTable:
     def __len__(self) -> int:
         return len(self._routes)
 
+    def __contains__(self, prefix: Prefix) -> bool:
+        return prefix in self._routes
+
     # -- mutation (lazy) ----------------------------------------------------
 
     def insert(self, prefix: Prefix, value: Any) -> bool:
@@ -71,8 +76,10 @@ class LengthSearchTable:
         return is_new
 
     def remove(self, prefix: Prefix) -> bool:
-        if self._routes.pop(prefix, None) is None:
+        # Membership, not ``pop(...) is None``: a stored None is a route.
+        if prefix not in self._routes:
             return False
+        del self._routes[prefix]
         self._dirty = True
         return True
 
@@ -80,6 +87,8 @@ class LengthSearchTable:
         return self._routes.get(prefix)
 
     def items(self) -> Iterator[tuple[Prefix, Any]]:
+        """All (prefix, value) pairs, a snapshot in ascending (network,
+        length) order."""
         return iter(sorted(self._routes.items()))
 
     # -- build ------------------------------------------------------------------

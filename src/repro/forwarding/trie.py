@@ -3,9 +3,8 @@
 :class:`BinaryTrie` is the one-bit-per-level trie: simple, the
 reference the property tests compare every other engine against, and
 a building block of :class:`~repro.forwarding.multibit.MultibitTable`
-and :class:`~repro.forwarding.lengthsearch.LengthSearchTable`. The
-path-compressed (Patricia-style) trie the FIB and the Loc-RIB run on is
-:class:`repro.net.trie.PrefixTrieMap`; all four engines share the
+and :class:`~repro.forwarding.lengthsearch.LengthSearchTable` (the
+table the FIB runs on). All three engines share the
 ``insert/remove/exact/lookup/items`` interface.
 
 Values are opaque; the FIB stores next hops.
@@ -16,7 +15,11 @@ from __future__ import annotations
 from typing import Any, Iterator
 
 from repro.net.addr import IPv4Address, Prefix, address_int
-from repro.net.trie import _bit
+
+
+def _bit(network: int, index: int) -> int:
+    """Bit *index* of a 32-bit network, MSB first (index 0 = top bit)."""
+    return (network >> (31 - index)) & 1
 
 
 class _BinaryNode:
@@ -111,7 +114,8 @@ class BinaryTrie:
         return best
 
     def items(self) -> Iterator[tuple[Prefix, Any]]:
-        """All (prefix, value) pairs in lexicographic (network, length) order."""
+        """All (prefix, value) pairs in lexicographic (network, length)
+        order — a snapshot, so the caller may mutate while consuming it."""
 
         def walk(node: _BinaryNode, network: int, depth: int):
             if node.has_value:
@@ -121,4 +125,4 @@ class BinaryTrie:
                 if child is not None:
                     yield from walk(child, network | (bit << (31 - depth)), depth + 1)
 
-        yield from walk(self._root, 0, 0)
+        return iter(list(walk(self._root, 0, 0)))

@@ -177,16 +177,22 @@ def topo_grid_spec(cells: "Iterable[Cell]") -> "dict[str, object]":
 def grid_cells(grid: Mapping, source: object = "grid") -> "list[Cell]":
     """The cells a golden ``grid`` entry names, in run order. *source*
     (the golden file) prefixes the :class:`GoldenError` raised for a
-    missing key or a value no cell accepts."""
+    missing key or a value no cell accepts; a bad topology cell is
+    named by its index, ``cells[i]``."""
+    where = f"{source}: key 'grid'"
     try:
         if grid.get("kind") == "topo":
-            return [TopoCell.from_spec(spec) for spec in grid["cells"]]
+            cells = []
+            for index, spec in enumerate(grid["cells"]):
+                where = f"{source}: key 'grid': cells[{index}]"
+                cells.append(TopoCell.from_spec(spec))
+            return cells
         axes = ("scenarios", "platforms", "seeds", "table_sizes")
         return enumerate_grid(**{axis: grid[axis] for axis in axes})
     except KeyError as error:
-        raise GoldenError(f"{source}: key 'grid': missing key {error}") from None
+        raise GoldenError(f"{where}: missing key {error}") from None
     except (AttributeError, TypeError, ValueError) as error:
-        raise GoldenError(f"{source}: key 'grid': {error}") from None
+        raise GoldenError(f"{where}: {error}") from None
 
 
 def trim_for_golden(result: Mapping[str, object]) -> dict[str, object]:

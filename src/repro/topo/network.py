@@ -281,7 +281,7 @@ class SpeakerNode:
 
     @property
     def loc_rib_size(self) -> int:
-        return sum(1 for _ in self.speaker.loc_rib.prefixes())
+        return len(self.speaker.loc_rib)
 
 
 class RouterNode(SpeakerNode):
@@ -597,7 +597,7 @@ class TopologySanitizer(Sanitizer):
                 )
             if isinstance(node, RouterNode):
                 rib_view = node.speaker.loc_rib.fib_view()
-                fib_view = sorted(node.router.fib.routes())
+                fib_view = node.router.fib.routes()
                 if rib_view != fib_view:
                     self._violation(
                         "rib-fib-agreement",

@@ -287,6 +287,36 @@ class TestSessionLossOrder:
         assert rerouted == expected
 
 
+class TestSessionUpOrder:
+    """The initial transfer to a new neighbour (RFC 4271 §9.4) stages the
+    Loc-RIB in ascending ``(network, length)`` order, not in the order
+    the routes were learned."""
+
+    PREFIXES = TestSessionLossOrder.PREFIXES
+
+    def test_initial_transfer_follows_prefix_order(self):
+        router = make_router()
+        connect(router, S1, S1_AS, S1_ADDR, IPv4Address.parse("1.1.1.1"))
+        for index in reversed(range(len(self.PREFIXES))):
+            # Distinct paths: one UPDATE per prefix.
+            announce(router, S1, [self.PREFIXES[index]], [S1_AS, 64600 + index], S1_ADDR)
+
+        connect(router, "c", 65003, IPv4Address.parse("10.0.3.1"), IPv4Address.parse("3.3.3.3"))
+        transferred = router.flush_updates("c")
+
+        expected = [
+            UpdateMessage(
+                attributes=PathAttributes(
+                    as_path=AsPath.from_asns([ROUTER_AS, S1_AS, 64600 + index]),
+                    next_hop=router.config.local_address,
+                ),
+                nlri=(prefix,),
+            ).encode()
+            for index, prefix in enumerate(self.PREFIXES)
+        ]
+        assert transferred == expected
+
+
 class TestOutbox:
     """The speaker knows which peers it staged to: ``flush_pending``
     visits those and nobody else, in ``peers`` order."""

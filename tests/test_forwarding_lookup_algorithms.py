@@ -150,6 +150,18 @@ class TestLengthSearchSpecifics:
         hit = table.lookup(IPv4Address.parse("10.1.2.0"))
         assert hit == (Prefix.parse("10.0.0.0/8"), "short")
 
+    def test_removing_a_stored_none_invalidates_the_search(self):
+        """A None value is a route: removing it must report True and
+        rebuild, or a later lookup still returns it."""
+        prefix = Prefix.parse("10.0.0.0/8")
+        table = LengthSearchTable()
+        table.insert(prefix, None)
+        assert table.lookup(IPv4Address.parse("10.0.0.1")) == (prefix, None)
+        assert table.remove(prefix) is True
+        assert len(table) == 0 and prefix not in table
+        assert table.lookup(IPv4Address.parse("10.0.0.1")) is None
+        assert table.remove(prefix) is False
+
 
 class TestFourWayEquivalence:
     @settings(max_examples=40, deadline=None)

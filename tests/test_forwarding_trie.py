@@ -1,15 +1,15 @@
-"""Unit tests for both LPM trie implementations: the textbook
-:class:`BinaryTrie` and the path-compressed :class:`PrefixTrieMap` the
-FIB and the RIBs run on."""
+"""Unit tests for the LPM engine the FIB runs on, the hash-per-length
+:class:`LengthSearchTable`, beside the textbook :class:`BinaryTrie`
+every engine is compared against."""
 
 import pytest
 
+from repro.forwarding.lengthsearch import LengthSearchTable
 from repro.forwarding.trie import BinaryTrie
 from repro.net.addr import AddressError, IPv4Address, Prefix
-from repro.net.trie import PrefixTrieMap
 
 
-@pytest.fixture(params=[BinaryTrie, PrefixTrieMap], ids=["binary", "compressed"])
+@pytest.fixture(params=[BinaryTrie, LengthSearchTable], ids=["binary", "lengthsearch"])
 def trie(request):
     return request.param()
 
@@ -155,52 +155,37 @@ class TestItems:
         assert Prefix.parse("10.1.0.0/16") not in dict(trie.items())
 
 
-class TestCompressedSpecifics:
-    """Withdrawn prefixes stay in the trie as tombstones; every query
-    walks through them and reports live entries only."""
+class TestChurn:
+    """Mutations between lookups: every query reports the live entries
+    only, and nothing a remove left behind answers for the prefix."""
 
-    def test_ancestor_insert_after_descendant(self):
-        trie = PrefixTrieMap()
+    def test_ancestor_insert_after_descendant(self, trie):
         trie.insert(Prefix.parse("10.1.0.0/16"), "deep")
         trie.insert(Prefix.parse("10.0.0.0/8"), "shallow")
         assert trie.lookup(IPv4Address.parse("10.1.2.3"))[1] == "deep"
         assert trie.lookup(IPv4Address.parse("10.2.0.0"))[1] == "shallow"
 
-    def test_insert_on_a_branch_node(self):
-        trie = PrefixTrieMap()
-        trie.insert(Prefix.parse("10.0.0.0/8"), "a")
-        trie.insert(Prefix.parse("11.0.0.0/8"), "b")  # branch node at 10.0.0.0/7
-        branch = Prefix.parse("10.0.0.0/7")
-        assert trie.exact(branch) is None and branch not in trie
-        assert trie.lookup(IPv4Address.parse("10.1.1.1"))[1] == "a"
-        assert trie.insert(branch, "both") is True
-        assert trie.exact(branch) == "both" and len(trie) == 3
-        trie.remove(Prefix.parse("10.0.0.0/8"))
-        assert trie.lookup(IPv4Address.parse("10.1.1.1")) == (branch, "both")
-
-    def test_removed_more_specific_falls_back_to_covering_route(self):
-        trie = load(PrefixTrieMap())
+    def test_removed_more_specific_falls_back_to_covering_route(self, trie):
+        load(trie)
         assert trie.remove(Prefix.parse("10.1.2.0/24")) is True
         assert trie.lookup(IPv4Address.parse("10.1.2.3")) == (
             Prefix.parse("10.1.0.0/16"), "ten-one",
         )
-        # A tombstone between two live entries is walked through.
         trie.insert(Prefix.parse("10.1.2.0/24"), "back")
         trie.remove(Prefix.parse("10.1.0.0/16"))
         assert trie.lookup(IPv4Address.parse("10.1.2.3"))[1] == "back"
         assert trie.lookup(IPv4Address.parse("10.1.9.9"))[1] == "ten"
 
-    def test_reinsert_after_remove(self):
-        trie = load(PrefixTrieMap())
+    def test_reinsert_after_remove(self, trie):
+        load(trie)
         prefix = Prefix.parse("192.0.2.128/25")
         trie.remove(prefix)
-        assert prefix not in trie and len(trie) == len(ROUTES) - 1
+        assert trie.exact(prefix) is None and len(trie) == len(ROUTES) - 1
         assert trie.insert(prefix, "again") is True
         assert trie.exact(prefix) == "again" and len(trie) == len(ROUTES)
         assert trie.lookup(IPv4Address.parse("192.0.2.200")) == (prefix, "again")
 
-    def test_items_ascending_after_churn(self):
-        trie = PrefixTrieMap()
+    def test_items_ascending_after_churn(self, trie):
         prefixes = dense_prefixes()
         for prefix in prefixes:
             trie.insert(prefix, str(prefix))
@@ -211,24 +196,10 @@ class TestCompressedSpecifics:
         live = {p for i, p in enumerate(prefixes) if i % 3 or i % 6 == 0}
         keys = [prefix for prefix, _value in trie.items()]
         assert keys == sorted(live, key=lambda p: (p.network, p.length))
-        assert trie.keys() == keys and len(trie) == len(keys)
+        assert len(trie) == len(keys)
 
-    def test_covered_equals_brute_force_over_tombstones(self):
-        trie = PrefixTrieMap()
-        prefixes = dense_prefixes()
-        for prefix in prefixes:
-            trie.insert(prefix, str(prefix))
-        for prefix in prefixes[::2]:
-            trie.remove(prefix)
-        live = trie.items()
-        assert len(live) < len(set(prefixes))
-        for aggregate in [Prefix.parse("0.0.0.0/0"), Prefix.parse("128.0.0.0/1"),
-                          Prefix.parse("64.0.0.0/2"), *prefixes[:16]]:
-            expected = [(p, v) for p, v in live if aggregate.covers(p)]
-            assert trie.covered(aggregate) == expected, aggregate
-
-    def test_items_snapshot_survives_mutation(self):
-        trie = load(PrefixTrieMap())
+    def test_items_snapshot_survives_mutation(self, trie):
+        load(trie)
         seen = []
         for prefix, value in trie.items():
             seen.append((prefix, value))
@@ -240,17 +211,17 @@ class TestCompressedSpecifics:
 
 class TestCrossImplementationEquivalence:
     def test_same_results_on_dense_set(self):
-        binary, compressed = BinaryTrie(), PrefixTrieMap()
+        binary, table = BinaryTrie(), LengthSearchTable()
         prefixes = dense_prefixes()
         for prefix in prefixes:
             binary.insert(prefix, str(prefix))
-            compressed.insert(prefix, str(prefix))
-        assert len(binary) == len(compressed)
+            table.insert(prefix, str(prefix))
+        assert len(binary) == len(table)
         probes = [IPv4Address((i * 2246822519) & 0xFFFFFFFF) for i in range(256)]
         for probe in probes:
-            assert binary.lookup(probe) == compressed.lookup(probe)
+            assert binary.lookup(probe) == table.lookup(probe)
         # Remove half and re-check.
         for prefix in prefixes[::2]:
-            assert binary.remove(prefix) == compressed.remove(prefix)
+            assert binary.remove(prefix) == table.remove(prefix)
         for probe in probes:
-            assert binary.lookup(probe) == compressed.lookup(probe)
+            assert binary.lookup(probe) == table.lookup(probe)

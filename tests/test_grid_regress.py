@@ -231,7 +231,13 @@ class TestMalformedGolden:
                 golden_doc({"kind": "topo", "cells": [
                     TOPO_SPEC, {k: v for k, v in TOPO_SPEC.items() if k != "tier1"},
                 ]}),
-                "key 'grid': missing key 'tier1'",
+                "key 'grid': cells[1]: missing key 'tier1'",
+            ),
+            (
+                golden_doc({"kind": "topo", "cells": [
+                    TOPO_SPEC, TOPO_SPEC, {**TOPO_SPEC, "seed": "x"},
+                ]}),
+                "key 'grid': cells[2]: invalid literal for int()",
             ),
             (
                 golden_doc({"scenarios": [9], "platforms": ["xeon"], "seeds": [1],
@@ -252,7 +258,8 @@ class TestMalformedGolden:
             ),
         ],
         ids=["json-list", "no-grid", "not-json", "topo-cell-missing-field",
-             "scenario-out-of-range", "missing-axis", "cell-missing-metric"],
+             "topo-cell-bad-value", "scenario-out-of-range", "missing-axis",
+             "cell-missing-metric"],
     )
     def test_usage_error_names_file_and_key(self, tmp_path, capsys, text, names):
         golden = tmp_path / "golden.json"

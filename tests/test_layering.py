@@ -135,27 +135,6 @@ def test_the_cell_runner_knows_no_cell_kind_but_its_own():
     assert grid_to_topo == {"repro.grid.baseline"}
 
 
-#: PrefixTrieMap's private state: its node tree, exact-match index
-#: (tombstones included), live-entry count and the walks over them.
-TRIE_INTERNALS = {"_index", "_count", "_root", "_splice", "_live_below"}
-
-
-def test_only_the_trie_module_touches_trie_internals():
-    # ``self._count`` is a class's own state; ``routes._count`` on any
-    # other object is a reach into the trie from outside.
-    trie = PACKAGE / "net" / "trie.py"
-    offenders = sorted(
-        f"{path.relative_to(PACKAGE)}:{node.lineno} .{node.attr}"
-        for path in PACKAGE.rglob("*.py")
-        if path != trie
-        for node in ast.walk(ast.parse(path.read_text()))
-        if isinstance(node, ast.Attribute)
-        and node.attr in TRIE_INTERNALS
-        and not (isinstance(node.value, ast.Name) and node.value.id == "self")
-    )
-    assert offenders == []
-
-
 def test_oracles_are_not_shipped():
     package = Path(repro.__file__).parent
     shipped = sorted(
@@ -166,8 +145,12 @@ def test_oracles_are_not_shipped():
     assert shipped == []
 
 
-@pytest.mark.parametrize("name", ["repro.perf", "repro.parallel.bench"])
-def test_in_tree_timing_harnesses_are_gone(name):
+@pytest.mark.parametrize("name", [
+    "repro.perf",            # in-tree timing harnesses: a speed claim
+    "repro.parallel.bench",  # is a benchmarks/ledger/ run
+    "repro.net.trie",        # the Loc-RIB is a dict, the FIB a LengthSearchTable
+])
+def test_retired_modules_are_gone(name):
     assert importlib.util.find_spec(name) is None
 
 

@@ -1,7 +1,7 @@
-"""Differential pinning of the trie-backed RIBs.
+"""Differential pinning of the RIBs.
 
-The trie rewrite of :mod:`repro.bgp.rib` must be observationally
-identical to the dict-backed originals (retained verbatim in
+:mod:`repro.bgp.rib` must stay observationally identical to the
+original dict-backed classes (retained verbatim in
 :mod:`oracles.reference`). Seeded random operation sequences are
 replayed against both implementations in lock-step and every observable
 is compared: the :class:`RouteChange` returned by each mutation,
@@ -29,8 +29,8 @@ NEXT_HOP = IPv4Address.parse("10.0.0.1")
 
 def prefix_pool(rng: random.Random, size: int = 120) -> "list[Prefix]":
     """A pool rich in nested prefixes: a handful of /8s, each with /16,
-    /24 and /32 descendants, so aggregate queries and trie internal
-    splits are exercised alongside plain exact-match churn."""
+    /24 and /32 descendants, so aggregate queries are exercised
+    alongside plain exact-match churn."""
     pool: set[Prefix] = set()
     octets = [10, 10, 10, 172, 192]  # deliberately skewed: collisions wanted
     while len(pool) < size:
