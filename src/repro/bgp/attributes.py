@@ -513,7 +513,7 @@ def decode_attributes(data: bytes, require_mandatory: bool = True) -> PathAttrib
 
 # -- attribute flyweights and the codec caches -----------------------------
 #
-# Four small caches carry most of the speaker's hot-path speedup:
+# Five small caches carry most of the speaker's hot-path speedup:
 #
 # * ``intern_attributes`` maps every attribute set to one canonical
 #   instance, so the RIB equality checks on announcement/staging become
@@ -529,7 +529,11 @@ def decode_attributes(data: bytes, require_mandatory: bool = True) -> PathAttrib
 #   by their exact wire bytes (the dict lives here so that one stats
 #   call and one clear hook cover every codec cache): in a topology the
 #   same UPDATE reaches many receivers, and path exploration keeps
-#   re-announcing a small set of paths.
+#   re-announcing a small set of paths;
+# * ``repro.bgp.messages.UpdateMessage.encode`` is its mirror image,
+#   frozen UPDATE value → wire, under the same bounds: a speaker sends
+#   one single-route UPDATE to each neighbour, and every speaker on the
+#   path re-sends the same few.
 #
 # All of them stop growing at a fixed capacity instead of evicting:
 # behaviour stays deterministic (no eviction-order dependence), and the
@@ -555,9 +559,10 @@ def decode_attributes(data: bytes, require_mandatory: bool = True) -> PathAttrib
 _INTERN_CAPACITY = 1 << 16
 _DECODE_CACHE_CAPACITY = 1 << 15
 _ENCODE_CACHE_CAPACITY = 1 << 13
-#: Whole-message memo: entry count, and the longest message worth
-#: keeping. Single-route UPDATEs (up to a ~30-hop AS_PATH) fit; packed
-#: UPDATEs are unique by construction and must not cost memory.
+#: Whole-message memos (decode and encode): entry count, and the longest
+#: message worth keeping. Single-route UPDATEs (up to a ~30-hop AS_PATH)
+#: fit; packed UPDATEs are unique by construction and must not cost
+#: memory.
 _MESSAGE_CACHE_CAPACITY = 1 << 12
 _MESSAGE_CACHE_MAX_LEN = 128
 
@@ -566,6 +571,7 @@ _decode_cache_strict: "dict[bytes, PathAttributes]" = {}
 _decode_cache_lax: "dict[bytes, PathAttributes]" = {}
 _encode_cache: "dict[PathAttributes, bytes]" = {}
 _message_cache: "dict[bytes, object]" = {}
+_wire_cache: "dict[object, bytes]" = {}
 _cache_counters = {
     "intern_hits": 0,
     "intern_misses": 0,
@@ -575,6 +581,8 @@ _cache_counters = {
     "encode_misses": 0,
     "message_hits": 0,
     "message_misses": 0,
+    "wire_hits": 0,
+    "wire_misses": 0,
 }
 
 
@@ -624,6 +632,7 @@ def codec_cache_stats() -> "dict[str, int]":
         "decode_cache_size": len(_decode_cache_strict) + len(_decode_cache_lax),
         "encode_cache_size": len(_encode_cache),
         "message_cache_size": len(_message_cache),
+        "wire_cache_size": len(_wire_cache),
     }
 
 
@@ -636,5 +645,6 @@ def clear_codec_caches() -> None:
     _decode_cache_lax.clear()  # repro: noqa[RPR102] — cache reset, the contract itself
     _encode_cache.clear()  # repro: noqa[RPR102] — cache reset, the contract itself
     _message_cache.clear()  # repro: noqa[RPR102] — cache reset, the contract itself
+    _wire_cache.clear()  # repro: noqa[RPR102] — cache reset, the contract itself
     for key in _cache_counters:
         _cache_counters[key] = 0  # repro: noqa[RPR102] — cache reset, the contract itself

@@ -179,16 +179,27 @@ class SessionFsm:
         self._sync_timers()
 
     def handle_message(self, message: BgpMessage, now: float | None = None) -> None:
-        """Dispatch a decoded message as the corresponding FSM event."""
+        """Dispatch a decoded message as the corresponding FSM event.
+
+        An UPDATE in ESTABLISHED — every delivered route — takes one
+        direct hop: re-arm the hold timer, deliver. Every other (state,
+        message) pair goes through the dispatch table."""
         if now is not None:
             self._now = now
+        if self.state is State.ESTABLISHED and isinstance(message, UpdateMessage):
+            self._arm_hold()
+            self.actions.deliver_update(message)
+            # With no hold time, _arm_hold moved no deadline: the timer
+            # events already match, and the reconcile would find nothing.
+            if self.timers.hold_time:
+                self._sync_timers()
+            return
         if isinstance(message, OpenMessage):
             self.peer_open = message
             self.handle(Event.OPEN_RECEIVED)
         elif isinstance(message, KeepaliveMessage):
             self.handle(Event.KEEPALIVE_RECEIVED)
         elif isinstance(message, UpdateMessage):
-            self._pending_update = message
             self.handle(Event.UPDATE_RECEIVED)
         elif isinstance(message, NotificationMessage):
             self.last_error = NotificationData(message.code, message.subcode, message.data)
@@ -238,8 +249,8 @@ class SessionFsm:
             and timers.keepalive_deadline is None
             and timers.connect_retry_deadline is None
         ):
-            # Nothing armed — every UPDATE of a timers-off session (the
-            # benchmark and topology default) ends here.
+            # Nothing armed: a timers-off session (the benchmark and
+            # topology default) ends here.
             for handle in self._timer_handles.values():
                 if handle.active:
                     handle.cancel()
@@ -406,13 +417,6 @@ class SessionFsm:
     def _established_keepalive(self) -> None:
         self._arm_hold()
 
-    def _established_update(self) -> None:
-        self._arm_hold()
-        update = self._pending_update
-        self._pending_update = None
-        assert update is not None
-        self.actions.deliver_update(update)
-
     def _keepalive_timer_fired(self) -> None:
         self.actions.send(KeepaliveMessage())
         self._arm_keepalive()
@@ -430,8 +434,6 @@ class SessionFsm:
 
     def _tcp_failed_down(self) -> None:
         self._to_idle("transport failed")
-
-    _pending_update: UpdateMessage | None = None
 
 
 _DISPATCH = {
@@ -455,7 +457,6 @@ _DISPATCH = {
     (State.OPEN_CONFIRM, Event.TCP_FAILED): SessionFsm._tcp_failed_down,
     (State.OPEN_CONFIRM, Event.MANUAL_STOP): SessionFsm._manual_stop,
     (State.ESTABLISHED, Event.KEEPALIVE_RECEIVED): SessionFsm._established_keepalive,
-    (State.ESTABLISHED, Event.UPDATE_RECEIVED): SessionFsm._established_update,
     (State.ESTABLISHED, Event.KEEPALIVE_TIMER_EXPIRES): SessionFsm._keepalive_timer_fired,
     (State.ESTABLISHED, Event.HOLD_TIMER_EXPIRES): SessionFsm._hold_timer_fired,
     (State.ESTABLISHED, Event.NOTIFICATION_RECEIVED): SessionFsm._notification_received,

@@ -17,6 +17,7 @@ from repro.bgp.attributes import (
     PathAttributes,
     _cache_counters,
     _message_cache,
+    _wire_cache,
     decode_attributes,
     decode_attributes_cached,
     encode_attributes,
@@ -54,10 +55,9 @@ class Route:
 def encode_nlri(prefixes: "list[Prefix] | tuple[Prefix, ...]") -> bytes:
     """Pack prefixes into NLRI wire format: length octet + minimal bytes."""
     out = bytearray()
-    for prefix in prefixes:
-        out.append(prefix.length)
-        byte_count = (prefix.length + 7) // 8
-        out += prefix.network.to_bytes(4, "big")[:byte_count]
+    for network, length in prefixes:
+        out.append(length)
+        out += network.to_bytes(4, "big")[: (length + 7) >> 3]
     return bytes(out)
 
 
@@ -139,6 +139,28 @@ def decode_nlri(data: bytes) -> list[Prefix]:
     return _decode_nlri_range(data, 0, len(data))
 
 
+#: An UPDATE's octets outside its withdrawn routes, attributes and NLRI:
+#: the header and the two length fields (RFC 4271 §4.3).
+UPDATE_OVERHEAD = HEADER_LEN + 4
+#: The most octets one prefix takes in NLRI or withdrawn routes: a
+#: length octet and a whole address.
+MAX_PREFIX_OCTETS = 5
+
+
+def prefix_octets(prefix: Prefix) -> int:
+    """Octets *prefix* takes in NLRI or withdrawn routes."""
+    return 1 + ((prefix.length + 7) >> 3)
+
+
+def nlri_room(attributes: PathAttributes | None) -> int:
+    """Octets one UPDATE carrying *attributes* has left for its NLRI —
+    for its withdrawn routes when *attributes* is None."""
+    used = UPDATE_OVERHEAD
+    if attributes is not None:
+        used += len(encode_attributes(attributes))
+    return MAX_MESSAGE_LEN - used
+
+
 def _frame(msg_type: int, body: bytes) -> bytes:
     length = HEADER_LEN + len(body)
     if length > MAX_MESSAGE_LEN:
@@ -216,6 +238,14 @@ class UpdateMessage:
     nlri: tuple[Prefix, ...] = ()
 
     def encode(self) -> bytes:
+        """The wire bytes. Small UPDATEs are memoized by value (the
+        mirror of :func:`decode_message`'s memo, same bounds, same
+        contract: value-keyed, never evicting, errors never cached)."""
+        wire = _wire_cache.get(self)
+        if wire is not None:
+            _cache_counters["wire_hits"] += 1  # repro: noqa[RPR102] — telemetry only, never read by results
+            return wire
+        _cache_counters["wire_misses"] += 1  # repro: noqa[RPR102] — telemetry only, never read by results
         withdrawn_bytes = encode_nlri(self.withdrawn)
         if self.nlri and self.attributes is None:
             raise ValueError("UPDATE with NLRI requires path attributes")
@@ -228,7 +258,10 @@ class UpdateMessage:
             + attr_bytes
             + nlri_bytes
         )
-        return _frame(MSG_UPDATE, body)
+        wire = _frame(MSG_UPDATE, body)
+        if len(wire) <= _MESSAGE_CACHE_MAX_LEN and len(_wire_cache) < _MESSAGE_CACHE_CAPACITY:
+            _wire_cache[self] = wire  # repro: noqa[RPR102] — value-keyed memo, fork-safe
+        return wire
 
     @classmethod
     def decode_body(cls, body: bytes) -> "UpdateMessage":

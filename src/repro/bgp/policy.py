@@ -117,11 +117,11 @@ class Policy:
     Only its *deltas* around a call mean anything, so one instance may
     serve any number of peers and speakers.
 
-    A chain in which no rule looks at the prefix is a pure function of
-    the attribute set, so its verdicts are memoized per instance:
-    attribute set → (interned result, rule-match attempts). A hit adds
-    the stored attempts to ``evaluations`` — the cost model is charged
-    exactly as if the chain had been walked.
+    A chain in which no rule looks at the prefix (``reads_prefix`` is
+    False) is a pure function of the attribute set, so its verdicts are
+    memoized per instance: attribute set → (interned result, rule-match
+    attempts). A hit adds the stored attempts to ``evaluations`` — the
+    cost model is charged exactly as if the chain had been walked.
     """
 
     def __init__(
@@ -134,12 +134,13 @@ class Policy:
         self.default = default
         self.name = name
         self.evaluations = 0
+        #: Whether a verdict can depend on the prefix (a ``PrefixMatch``
+        #: somewhere in the chain). Rules are a tuple: this never changes.
+        self.reads_prefix = any(rule.match.prefixes for rule in self.rules)
         # An empty chain has nothing to save (and ACCEPT_ALL/REJECT_ALL
         # are module globals, which must not accumulate state).
         self._memo: "dict[PathAttributes, tuple[PathAttributes | None, int]] | None" = (
-            {}
-            if self.rules and not any(rule.match.prefixes for rule in self.rules)
-            else None
+            {} if self.rules and not self.reads_prefix else None
         )
 
     def apply(

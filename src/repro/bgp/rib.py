@@ -23,14 +23,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum, auto
-from operator import attrgetter
 from typing import Iterator
 
 from repro.bgp.attributes import PathAttributes
 from repro.net.addr import Prefix
-
-#: Sort key of the ascending ``(network, length)`` snapshot order.
-_ascending = attrgetter("network", "length")
 
 
 class RouteChange(Enum):
@@ -92,12 +88,12 @@ class AdjRibIn:
 
     def prefixes(self) -> Iterator[Prefix]:
         """Snapshot iterator over prefixes in (network, length) order."""
-        return iter(sorted(self._routes, key=_ascending))
+        return iter(sorted(self._routes))
 
     def items(self) -> Iterator[tuple[Prefix, PathAttributes]]:
         """Snapshot iterator over (prefix, attributes) in (network, length) order."""
         routes = self._routes
-        return iter([(p, routes[p]) for p in sorted(routes, key=_ascending)])
+        return iter([(p, routes[p]) for p in sorted(routes)])
 
 
 class LocRib:
@@ -129,7 +125,7 @@ class LocRib:
 
     def _sorted(self) -> "list[RibRoute]":
         routes = self._routes
-        return [routes[p] for p in sorted(routes, key=_ascending)]
+        return [routes[p] for p in sorted(routes)]
 
     def routes(self) -> Iterator[RibRoute]:
         """Snapshot iterator over routes in (network, length) order."""
@@ -137,13 +133,13 @@ class LocRib:
 
     def prefixes(self) -> Iterator[Prefix]:
         """Snapshot iterator over prefixes in (network, length) order."""
-        return iter(sorted(self._routes, key=_ascending))
+        return iter(sorted(self._routes))
 
     def covered(self, aggregate: Prefix) -> "list[RibRoute]":
         """Routes whose prefix falls inside *aggregate* (exact match
         included), in (network, length) order."""
         routes = self._routes
-        return [routes[p] for p in sorted(filter(aggregate.covers, routes), key=_ascending)]
+        return [routes[p] for p in sorted(filter(aggregate.covers, routes))]
 
     def fib_view(self) -> "list[tuple[Prefix, object]]":
         """Deterministic (prefix, next_hop) snapshot in (network, length)
@@ -197,6 +193,11 @@ class AdjRibOut:
         """(staged announcements, staged withdrawals) not yet flushed —
         the in-flight term of the sanitizer's conservation accounting."""
         return len(self._pending_announce), len(self._pending_withdraw)
+
+    def pending(self) -> tuple[dict[Prefix, PathAttributes], set[Prefix]]:
+        """(announcements, withdrawals) staged so far, left in place —
+        what :meth:`take_pending` will return; read, do not mutate."""
+        return self._pending_announce, self._pending_withdraw
 
     def take_pending(self) -> tuple[dict[Prefix, PathAttributes], set[Prefix]]:
         """Return and clear (announcements, withdrawals) staged so far."""

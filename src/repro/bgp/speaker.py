@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 from operator import attrgetter
-from typing import Callable, Iterator, Protocol
+from typing import Callable, Iterable, Iterator, Protocol
 
 from repro.bgp.attributes import PathAttributes, WellKnownCommunity, intern_attributes
 from repro.bgp.damping import DampingConfig, RouteDamper
@@ -30,12 +30,16 @@ from repro.bgp.fsm import Event, ReconnectBackoff, SessionFsm, State
 from repro.bgp.messages import (
     HEADER_LEN,
     MAX_MESSAGE_LEN,
+    MAX_PREFIX_OCTETS,
+    UPDATE_OVERHEAD,
     BgpMessage,
     KeepaliveMessage,
     NotificationMessage,
     OpenMessage,
     UpdateMessage,
     decode_message,
+    nlri_room,
+    prefix_octets,
 )
 from repro.bgp.policy import ACCEPT_ALL, Policy
 from repro.bgp.rib import AdjRibIn, AdjRibOut, LocRib, RibRoute, RouteChange
@@ -218,6 +222,46 @@ class PeerConfig:
 _EBGP_REWRITE_CAPACITY = 1 << 12
 
 
+class OversizeAttributesError(ValueError):
+    """An attribute set too large for an UPDATE carrying even one of
+    its prefixes: no packing can send it."""
+
+
+def _update_room(peer_id: str, attributes: PathAttributes, prefixes: "Iterable[Prefix]") -> int:
+    """Octets one UPDATE carrying *attributes* has left for NLRI; raises
+    :class:`OversizeAttributesError` when one of *prefixes* cannot fit
+    even alone."""
+    room = nlri_room(attributes)
+    if room < MAX_PREFIX_OCTETS:
+        for prefix in prefixes:
+            if prefix_octets(prefix) > room:
+                raise OversizeAttributesError(
+                    f"peer {peer_id!r}: "
+                    f"{MAX_MESSAGE_LEN - UPDATE_OVERHEAD - room}-octet attributes "
+                    f"leave no room for {prefix} in a {MAX_MESSAGE_LEN}-octet UPDATE"
+                )
+    return room
+
+
+def _chunks(prefixes: "list[Prefix]", limit: int, room: int) -> "list[tuple[Prefix, ...]]":
+    """*prefixes* cut into consecutive runs of at most *limit* prefixes
+    and *room* octets each (every prefix fits *room* on its own)."""
+    if limit * MAX_PREFIX_OCTETS <= room:
+        # No run of *limit* prefixes can overflow: cut by count alone.
+        return [tuple(prefixes[start : start + limit]) for start in range(0, len(prefixes), limit)]
+    chunks = []
+    start = size = 0
+    for index, prefix in enumerate(prefixes):
+        octets = prefix_octets(prefix)
+        if index - start == limit or size + octets > room:
+            chunks.append(tuple(prefixes[start:index]))
+            start, size = index, 0
+        size += octets
+    if prefixes:
+        chunks.append(tuple(prefixes[start:]))
+    return chunks
+
+
 class _Framer:
     """Reassemble framed BGP messages from a TCP-like byte stream."""
 
@@ -226,17 +270,6 @@ class _Framer:
 
     def push(self, data: bytes) -> Iterator[tuple[BgpMessage, int]]:
         """Append *data*; yield every complete (message, wire_length)."""
-        if not self._buffer:
-            # One packet, one whole message (how every harness here
-            # sends): decode the packet itself — no buffer round trip,
-            # and a bytes packet is the message memo's key as it stands.
-            size = len(data)
-            if (
-                HEADER_LEN <= size <= MAX_MESSAGE_LEN
-                and int.from_bytes(data[16:18], "big") == size
-            ):
-                yield decode_message(bytes(data)), size
-                return
         self._buffer += data
         while len(self._buffer) >= HEADER_LEN:
             length = int.from_bytes(self._buffer[16:18], "big")
@@ -265,6 +298,8 @@ class Peer:
         self.order = order
         self.adj_rib_in = AdjRibIn(config.peer_id)
         self.adj_rib_out = AdjRibOut(config.peer_id)
+        #: Both configs are frozen, so this never changes.
+        self.is_ebgp = config.asn != speaker.config.asn
         self.damper = RouteDamper(config.damping) if config.damping else None
         self.mrai = MraiLimiter(config.mrai_interval) if config.mrai_interval else None
         self.framer = _Framer()
@@ -280,10 +315,6 @@ class Peer:
             expected_peer_asn=config.asn,
             backoff=config.backoff,
         )
-
-    @property
-    def is_ebgp(self) -> bool:
-        return self.config.asn != self.speaker.config.asn
 
     @property
     def established(self) -> bool:
@@ -445,9 +476,24 @@ class BgpSpeaker:
         """
         peer = self.peers[peer_id]
         self._now = max(self._now, now)
-        self.work.packets_received += 1
-        self.work.bytes_received += len(data)
+        size = len(data)
+        work = self.work
+        work.packets_received += 1
+        work.bytes_received += size
         try:
+            if (
+                HEADER_LEN <= size <= MAX_MESSAGE_LEN
+                and int.from_bytes(data[16:18], "big") == size
+                and not peer.framer._buffer
+            ):
+                # One packet, one whole message (how every harness here
+                # sends): decode the packet itself — no framer buffer, no
+                # generator, and a bytes packet is the message memo's key
+                # as it stands.
+                message = decode_message(bytes(data))
+                work.messages_decoded += 1
+                peer.fsm.handle_message(message, now=now)
+                return
             for message, _length in peer.framer.push(data):
                 self.work.messages_decoded += 1
                 peer.fsm.handle_message(message, now=now)
@@ -507,6 +553,11 @@ class BgpSpeaker:
 
         policy = peer.config.import_policy
         before = policy.evaluations
+        # A chain that never reads the prefix gives every NLRI of this
+        # UPDATE the same verdict: run it once, and charge its attempts
+        # for each NLRI that reuses it, exactly as a walk would.
+        verdict: "tuple[PathAttributes | None, int] | None" = None
+        reused = 0
         for prefix in update.nlri:
             self.work.prefixes_announced += 1
             self.audit.announced += 1
@@ -519,12 +570,19 @@ class BgpSpeaker:
                 if peer.adj_rib_in.withdraw(prefix) is RouteChange.REMOVED:
                     self._run_decision(prefix)
                 continue
-            # Interning here makes every downstream equality check —
-            # Adj-RIB-In no-op detection, decision ties, Adj-RIB-Out
-            # staging — a pointer comparison in the common case.
-            imported = policy.apply(prefix, attrs)
-            if imported is not None:
-                imported = intern_attributes(imported)
+            if verdict is None:
+                start = policy.evaluations
+                imported = policy.apply(prefix, attrs)
+                # Interning here makes every downstream equality check —
+                # Adj-RIB-In no-op detection, decision ties, Adj-RIB-Out
+                # staging — a pointer comparison in the common case.
+                if imported is not None:
+                    imported = intern_attributes(imported)
+                if not policy.reads_prefix:
+                    verdict = (imported, policy.evaluations - start)
+            else:
+                imported, cost = verdict
+                reused += cost
             if imported is None:
                 # Rejected: an existing route from this peer must go away.
                 self.audit.policy_filtered += 1
@@ -542,7 +600,10 @@ class BgpSpeaker:
                 self.audit.unchanged += 1
                 if probe is not None:
                     probe.decision(prefix, "unchanged")
-        self.work.policy_evaluations += policy.evaluations - before
+        # The delta also holds any export evaluations made meanwhile by
+        # the same Policy object (ACCEPT_ALL both ways); the cost model
+        # is calibrated with them.
+        self.work.policy_evaluations += policy.evaluations - before + reused
         if probe is not None:
             probe.update_end()
 
@@ -721,6 +782,11 @@ class BgpSpeaker:
             self._stage(peer, prefix, attributes)
         return len(released)
 
+    @property
+    def mrai_schedule_pending(self) -> bool:
+        """True when :meth:`take_mrai_schedule` has a move to report."""
+        return bool(self._mrai_moved)
+
     def take_mrai_schedule(self) -> "list[tuple[str, float | None]]":
         """``(peer_id, earliest release time)`` for every peer whose MRAI
         deadline may have moved since the last call, in ``peers`` order;
@@ -758,32 +824,47 @@ class BgpSpeaker:
 
         Announcements sharing identical attributes are packed together,
         up to *max_prefixes* per message (default: 500, the paper's
-        large-packet size) and within the 4096-byte message limit.
-        Returns the encoded wire packets.
+        large-packet size) and within the 4096-byte message limit,
+        whichever binds first. Returns the encoded wire packets. Raises
+        :class:`OversizeAttributesError` — with the delta still pending
+        — when an attribute set cannot fit an UPDATE at all.
         """
         peer = self.peers[peer_id]
         self._dirty.discard(peer)
-        if not peer.adj_rib_out.has_pending():
+        rib_out = peer.adj_rib_out
+        if not rib_out.has_pending():
             return []
+        announce, withdraw = rib_out.pending()
+        if len(announce) + len(withdraw) == 1:
+            # One change — nearly every flush at packing 1: one UPDATE,
+            # nothing to sort, group or cut.
+            if withdraw:
+                update = UpdateMessage(withdrawn=tuple(withdraw))
+            else:
+                [(prefix, attrs)] = announce.items()
+                _update_room(peer_id, attrs, (prefix,))
+                update = UpdateMessage(attributes=attrs, nlri=(prefix,))
+            rib_out.take_pending()
+            return [self._emit(peer, update)]
+
         limit = max_prefixes or self.LARGE_UPDATE_PREFIXES
-        announce, withdraw = peer.adj_rib_out.take_pending()
-
-        packets: list[bytes] = []
-        # Key-based sort: one (network, length) tuple per element beats
-        # Prefix.__lt__'s two tuples per comparison; same order.
-        sort_key = lambda p: (p.network, p.length)  # noqa: E731
-        withdrawals = sorted(withdraw, key=sort_key)
-        for start in range(0, len(withdrawals), limit):
-            chunk = tuple(withdrawals[start : start + limit])
-            packets.append(self._emit(peer, UpdateMessage(withdrawn=chunk)))
-
         by_attrs: dict[PathAttributes, list[Prefix]] = {}
         for prefix, attrs in announce.items():
             by_attrs.setdefault(attrs, []).append(prefix)
-        for attrs, prefixes in by_attrs.items():
-            prefixes.sort(key=sort_key)
-            for start in range(0, len(prefixes), limit):
-                chunk = tuple(prefixes[start : start + limit])
+        # Sized before the delta leaves Adj-RIB-Out: an error here must
+        # not lose changes the peer has not been sent.
+        groups = [
+            (attrs, prefixes, _update_room(peer_id, attrs, prefixes))
+            for attrs, prefixes in by_attrs.items()
+        ]
+        rib_out.take_pending()
+
+        packets: list[bytes] = []
+        for chunk in _chunks(sorted(withdraw), limit, nlri_room(None)):
+            packets.append(self._emit(peer, UpdateMessage(withdrawn=chunk)))
+        for attrs, prefixes, room in groups:
+            prefixes.sort()
+            for chunk in _chunks(prefixes, limit, room):
                 packets.append(
                     self._emit(peer, UpdateMessage(attributes=attrs, nlri=chunk))
                 )
@@ -831,7 +912,7 @@ class BgpSpeaker:
         ]
 
     def _refresh_covering_aggregates(self, prefix: Prefix) -> None:
-        if self._refreshing_aggregates or not self._aggregates:
+        if not self._aggregates or self._refreshing_aggregates:
             return
         for aggregate in list(self._aggregates):
             if aggregate.covers(prefix) and prefix.length > aggregate.length:
@@ -870,7 +951,7 @@ class BgpSpeaker:
     def _suppressed_by_aggregate(self, prefix: Prefix) -> bool:
         """True when *prefix* is a contributor to an active summary-only
         aggregate (and is not itself an aggregate we originated)."""
-        if prefix in self._active_aggregates:
+        if not self._aggregates or prefix in self._active_aggregates:
             return False
         return any(
             summary_only

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import total_ordering
+from operator import itemgetter
 
 _MAX_U32 = 0xFFFFFFFF
 
@@ -97,30 +98,39 @@ def _mask(length: int) -> int:
     return (_MAX_U32 << (32 - length)) & _MAX_U32
 
 
-@total_ordering
-@dataclass(frozen=True, slots=True)
-class Prefix:
+class Prefix(tuple):
     """A CIDR prefix: a network address plus a length in [0, 32].
 
     The network address is canonicalised (host bits must be zero), which
     makes prefixes safe dictionary keys for RIBs and FIBs.
 
+    A prefix *is* the tuple ``(network, length)``: every RIB, memo and
+    dirty-set operation hashes and compares prefixes, and a tuple does
+    both in C. It hashes and compares equal to its plain tuple, and
+    orders by ``(network, length)``. Reading both fields, unpack it
+    (``network, length = prefix``); each attribute read is a call.
+
     >>> Prefix.parse("192.0.2.0/24")
     Prefix.parse('192.0.2.0/24')
     """
 
-    network: int
-    length: int
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if not 0 <= self.length <= 32:
-            raise AddressError(f"prefix length out of range: {self.length}")
-        if not 0 <= self.network <= _MAX_U32:
-            raise AddressError(f"network out of range: {self.network:#x}")
-        if self.network & ~_mask(self.length) & _MAX_U32:
-            raise AddressError(
-                f"host bits set in {IPv4Address(self.network)}/{self.length}"
-            )
+    def __new__(cls, network: int, length: int) -> "Prefix":
+        if not 0 <= length <= 32:
+            raise AddressError(f"prefix length out of range: {length}")
+        if not 0 <= network <= _MAX_U32:
+            raise AddressError(f"network out of range: {network:#x}")
+        if network & ~_mask(length) & _MAX_U32:
+            raise AddressError(f"host bits set in {IPv4Address(network)}/{length}")
+        return tuple.__new__(cls, (network, length))
+
+    network = property(itemgetter(0), doc="The network address as an int.")
+    length = property(itemgetter(1), doc="The prefix length in bits.")
+
+    def __getnewargs__(self) -> "tuple[int, int]":
+        # pickle and copy rebuild through __new__, validation included.
+        return tuple(self)
 
     @classmethod
     def parse(cls, text: str) -> "Prefix":
@@ -150,14 +160,14 @@ class Prefix:
 
     def contains(self, address: IPv4Address | int) -> bool:
         """True if *address* falls inside this prefix."""
-        value = int(address)
-        return (value & self.mask) == self.network
+        network, length = self
+        return (int(address) & _mask(length)) == network
 
     def covers(self, other: "Prefix") -> bool:
         """True if this prefix contains the whole of *other*."""
-        return self.length <= other.length and (
-            other.network & self.mask
-        ) == self.network
+        network, length = self
+        other_network, other_length = other
+        return length <= other_length and (other_network & _mask(length)) == network
 
     def first_address(self) -> IPv4Address:
         return IPv4Address(self.network)
@@ -176,9 +186,6 @@ class Prefix:
 
     def __repr__(self) -> str:
         return f"Prefix.parse({str(self)!r})"
-
-    def __lt__(self, other: "Prefix") -> bool:
-        return (self.network, self.length) < (other.network, other.length)
 
 
 def iter_subnets(prefix: Prefix, new_length: int):

@@ -372,19 +372,48 @@ class World:
     def run(self, until: float | None = None, max_steps: int = 50_000_000) -> float:
         """Run until no work remains (or the clock reaches *until*).
         Returns the final virtual time."""
+        if until is not None and not math.isfinite(until):
+            raise ValueError(f"non-finite run horizon: {until}")
+        if not self.machines:
+            return self._run_events(until, max_steps)
         for _ in range(max_steps):
             if not self._step(until):
                 return self.sim.now
         raise RuntimeError("simulation exceeded max_steps — likely a livelock")
 
+    def _run_events(self, until: float | None, max_steps: int) -> float:
+        """:meth:`run` for a world with no machines (every repro.topo
+        run): a plain event loop, one event per :meth:`Simulator.fire_due`
+        call, nothing to plan, advance or complete. A step is still one
+        event instant, as in :meth:`_step`, so *max_steps* means what it
+        means there."""
+        sim = self.sim
+        steps = 0
+        instant = None
+        while True:
+            next_event = sim.peek_time()
+            if next_event is None or (until is not None and next_event > until):
+                if steps == max_steps:
+                    break
+                if until is not None and until > sim.now:
+                    sim.advance_to(until)
+                return sim.now
+            if next_event != instant:
+                if steps == max_steps:
+                    break
+                steps += 1
+                instant = next_event
+                if next_event > sim.now:
+                    sim.advance_to(next_event)
+            sim.fire_due()
+        raise RuntimeError("simulation exceeded max_steps — likely a livelock")
+
     def _step(self, until: float | None) -> bool:
         sim = self.sim
-        # Empty for a world without machines (every repro.topo run), which
-        # is then a plain event loop: nothing to advance or complete.
         plans = [machine.plan() for machine in self.machines]
 
         next_event = sim.peek_time()
-        horizon = self._next_completion(plans) if plans else None
+        horizon = self._next_completion(plans)
         target = next_event
         if horizon is not None and (target is None or horizon < target):
             target = horizon
@@ -394,13 +423,12 @@ class World:
         if target is None:
             return False
         if target > sim.now:
-            if plans:
-                self._advance(plans, sim.now, target)
+            self._advance(plans, sim.now, target)
             sim.advance_to(target)
         # Nothing ran since the peek, so it still tells whether an event
         # is due; most steps end at a job completion with none.
         fired = sim.fire_due(sim.now) if next_event is not None and next_event <= sim.now else 0
-        completed = self._fire_completions() if self.machines else 0
+        completed = self._fire_completions()
         if fired == 0 and completed == 0 and target == sim.now and until is not None and sim.now >= until:
             return False
         if fired == 0 and completed == 0 and next_event is None and horizon is None:

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
-from math import isfinite
+from math import inf, isfinite
 from typing import Callable, Protocol
 
 
@@ -195,6 +195,8 @@ class Simulator:
 
     def run(self, until: float | None = None) -> None:
         """Fire events until the queue empties or the clock passes *until*."""
+        if until is not None and not isfinite(until):
+            raise ValueError(f"non-finite run horizon: {until}")
         while True:
             next_time = self.peek_time()
             if next_time is None:
@@ -207,7 +209,10 @@ class Simulator:
     def advance_to(self, time: float) -> None:
         """Move the clock forward without firing anything (the fluid CPU
         loop advances between event timestamps)."""
-        if time < self.now:
+        # One chained comparison on the per-step path; NaN fails it too.
+        if not self.now <= time < inf:
+            if not isfinite(time):
+                raise ValueError(f"non-finite clock time: {time}")
             raise ValueError(f"cannot rewind clock: {time} < {self.now}")
         self.now = time
 

@@ -169,7 +169,7 @@ class SpeakerNode:
         """Emit every staged Adj-RIB-Out delta, then (re)arm MRAI
         release events for anything the gates withheld."""
         self.speaker.flush_pending(self.harness.packing)
-        if self.harness.mrai_interval:
+        if self.speaker.mrai_schedule_pending:
             self._arm_mrai()
 
     # -- local origination (harness-driven, zero virtual cost) ---------------

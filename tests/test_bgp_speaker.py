@@ -5,6 +5,7 @@ import pytest
 from repro.bgp.attributes import AsPath, PathAttributes
 from repro.bgp.fsm import State
 from repro.bgp.messages import (
+    MAX_MESSAGE_LEN,
     KeepaliveMessage,
     NotificationMessage,
     OpenMessage,
@@ -13,7 +14,7 @@ from repro.bgp.messages import (
     iter_messages,
 )
 from repro.bgp.policy import Action, Match, Policy, PolicyResult, Rule
-from repro.bgp.speaker import BgpSpeaker, PeerConfig, SpeakerConfig
+from repro.bgp.speaker import BgpSpeaker, OversizeAttributesError, PeerConfig, SpeakerConfig
 from repro.forwarding.fib import Fib
 from repro.net.addr import IPv4Address, Prefix
 
@@ -247,6 +248,54 @@ class TestExportPath:
         packets = router.flush_updates(S2, max_prefixes=3)
         sizes = [len(decode_message(p).nlri) for p in packets]
         assert sorted(sizes, reverse=True) == [3, 3, 3, 1]
+
+
+class TestMessageSizeLimit:
+    """flush_updates keeps every UPDATE within RFC 4271's 4096 octets, and
+    never loses a delta it cannot send."""
+
+    def test_packing_cuts_by_octets_as_well_as_by_count(self):
+        # 500 /24s with a 2 400-octet COMMUNITIES attribute made one
+        # 4 445-octet UPDATE: _frame raised after take_pending() had
+        # emptied the delta, so the peer never heard of the 500 routes.
+        router = make_router()
+        connect(router, S2, S2_AS, S2_ADDR, IPv4Address.parse("2.2.2.2"))
+        attrs = PathAttributes(communities=tuple(range(1, 601)))
+        prefixes = [Prefix((100 << 24) | (i << 8), 24) for i in range(500)]
+        for prefix in prefixes:
+            router.originate(prefix, attrs)
+        packets = router.flush_updates(S2)
+        assert max(len(packet) for packet in packets) <= MAX_MESSAGE_LEN
+        sent = [p for packet in packets for p in decode_message(packet).nlri]
+        assert sent == prefixes
+        assert len(packets) == 2
+        assert not router.peers[S2].adj_rib_out.has_pending()
+
+    def test_withdrawals_above_the_packing_limit_fit_too(self):
+        router = make_router()
+        connect(router, S1, S1_AS, S1_ADDR, IPv4Address.parse("1.1.1.1"))
+        connect(router, S2, S2_AS, S2_ADDR, IPv4Address.parse("2.2.2.2"))
+        prefixes = [Prefix((100 << 24) | i, 32) for i in range(1000)]
+        announce(router, S1, prefixes[:500], [S1_AS], S1_ADDR)
+        announce(router, S1, prefixes[500:], [S1_AS], S1_ADDR)
+        router.flush_updates(S2, max_prefixes=1000)
+        withdraw(router, S1, prefixes[:500])
+        withdraw(router, S1, prefixes[500:])
+        packets = router.flush_updates(S2, max_prefixes=1000)
+        assert max(len(packet) for packet in packets) <= MAX_MESSAGE_LEN
+        assert [p for packet in packets for p in decode_message(packet).withdrawn] == prefixes
+
+    @pytest.mark.parametrize("others", [0, 1])
+    def test_attributes_no_update_can_carry_raise_before_the_delta_is_taken(self, others):
+        router = make_router()
+        connect(router, S2, S2_AS, S2_ADDR, IPv4Address.parse("2.2.2.2"))
+        router.originate(P1, PathAttributes(communities=tuple(range(1, 1021))))
+        if others:
+            router.originate(P2)
+        for _attempt in range(2):
+            with pytest.raises(OversizeAttributesError, match=f"no room for {P1}"):
+                router.flush_updates(S2)
+            assert router.peers[S2].adj_rib_out.pending_counts() == (1 + others, 0)
 
 
 class TestSessionLossOrder:

@@ -193,7 +193,9 @@ def test_reset_caches_empties_every_module_level_cache():
         "repro.bgp.attributes._decode_cache_strict",
         "repro.bgp.attributes._encode_cache",
         "repro.bgp.attributes._message_cache",
+        "repro.bgp.attributes._wire_cache",
         "repro.bgp.messages._message_cache",
+        "repro.bgp.messages._wire_cache",
         "repro.bgp.messages._prefix_cache",
     } <= warm
     repro.bgp.reset_caches()
@@ -202,7 +204,8 @@ def test_reset_caches_empties_every_module_level_cache():
     assert set(stats) >= {
         "intern_hits", "intern_misses", "decode_hits", "decode_misses",
         "message_hits", "message_misses", "encode_hits", "encode_misses",
+        "wire_hits", "wire_misses",
         "interned_size", "decode_cache_size", "encode_cache_size",
-        "message_cache_size",
+        "message_cache_size", "wire_cache_size",
     }
     assert not any(stats.values())

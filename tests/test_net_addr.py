@@ -1,5 +1,9 @@
 """Unit tests for IPv4 addresses and CIDR prefixes."""
 
+import copy
+import pickle
+import random
+
 import pytest
 
 from repro.net.addr import AddressError, IPv4Address, Prefix, iter_subnets
@@ -174,3 +178,69 @@ class TestIterSubnets:
 
     def test_count(self):
         assert len(list(iter_subnets(Prefix.parse("10.0.0.0/24"), 28))) == 16
+
+
+class TestPrefixValue:
+    """A prefix is the tuple ``(network, length)``: hashed and compared
+    in C, with the very hash the dataclass it replaced computed — so set
+    iteration orders, and every digest built on them, stay put."""
+
+    SAMPLES = ("0.0.0.0/0", "10.0.0.0/8", "192.0.2.0/24", "192.0.2.1/32", "255.255.255.255/32")
+
+    @pytest.mark.parametrize("text", SAMPLES)
+    def test_hash_and_equality_are_the_plain_tuples(self, text):
+        prefix = Prefix.parse(text)
+        assert hash(prefix) == hash((prefix.network, prefix.length))
+        assert prefix == (prefix.network, prefix.length)
+        network, length = prefix
+        assert (network, length) == (prefix.network, prefix.length)
+
+    @pytest.mark.parametrize("text", SAMPLES)
+    def test_pickle_and_copy_round_trip(self, text):
+        prefix = Prefix.parse(text)
+        clones = [copy.copy(prefix), copy.deepcopy(prefix)] + [
+            pickle.loads(pickle.dumps(prefix, protocol))
+            for protocol in range(pickle.HIGHEST_PROTOCOL + 1)
+        ]
+        for clone in clones:
+            assert type(clone) is Prefix
+            assert clone == prefix and hash(clone) == hash(prefix)
+            assert str(clone) == text
+
+    def test_sort_order_is_network_then_length(self):
+        rng = random.Random(7)
+        prefixes = [
+            Prefix.from_address(IPv4Address(rng.getrandbits(32)), rng.randint(0, 32))
+            for _ in range(500)
+        ]
+        assert sorted(prefixes) == sorted(prefixes, key=lambda p: (p.network, p.length))
+
+    @pytest.mark.parametrize(
+        "build, message",
+        [
+            (lambda: Prefix(0, 33), "prefix length out of range: 33"),
+            (lambda: Prefix(0, -1), "prefix length out of range: -1"),
+            (lambda: Prefix(1 << 32, 0), "network out of range: 0x100000000"),
+            (lambda: Prefix(-1, 8), "network out of range: -0x1"),
+            (lambda: Prefix(0x0A000001, 24), "host bits set in 10.0.0.1/24"),
+            (lambda: Prefix.parse("10.0.0.0"), "missing '/' in prefix '10.0.0.0'"),
+            (lambda: Prefix.parse("10.0.0.0/x"), "bad prefix length in '10.0.0.0/x'"),
+            (lambda: Prefix.parse("10.0.0.1/24"), "host bits set in 10.0.0.1/24"),
+            (
+                lambda: Prefix.from_address(IPv4Address(1), 40),
+                "prefix length out of range: 40",
+            ),
+        ],
+    )
+    def test_address_error_messages_unchanged(self, build, message):
+        with pytest.raises(AddressError) as caught:
+            build()
+        assert str(caught.value) == message
+
+    def test_keyword_construction(self):
+        assert Prefix(network=0x0A000000, length=8) == Prefix.parse("10.0.0.0/8")
+
+    def test_repr_and_str_unchanged(self):
+        prefix = Prefix.parse("192.0.2.0/24")
+        assert repr(prefix) == "Prefix.parse('192.0.2.0/24')"
+        assert str(prefix) == "192.0.2.0/24"

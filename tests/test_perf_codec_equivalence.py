@@ -18,6 +18,7 @@ from hypothesis import strategies as st
 
 import repro.bgp
 from repro.bgp.attributes import (
+    _MESSAGE_CACHE_MAX_LEN,
     AsPath,
     PathAttributes,
     WellKnownCommunity,
@@ -28,13 +29,16 @@ from repro.bgp.attributes import (
 )
 from repro.bgp.errors import BgpError
 from repro.bgp.messages import (
+    MSG_UPDATE,
     KeepaliveMessage,
     NotificationMessage,
     OpenMessage,
     UpdateMessage,
+    _frame,
     clear_prefix_cache,
     decode_message,
     decode_nlri,
+    encode_nlri,
     iter_messages,
 )
 from repro.bgp.policy import Action, Match, Policy, PolicyResult, PrefixMatch, Rule
@@ -300,6 +304,64 @@ class TestMessageMemo:
         repro.bgp.reset_caches()
         assert first == second == decode_outcome(decode_message, wire)
         assert first == decode_outcome(legacy_codec.legacy_decode_message, wire)
+
+
+def framed(update):
+    """*update*'s wire built field by field and framed by ``_frame``,
+    past the whole-message memo."""
+    withdrawn = encode_nlri(update.withdrawn)
+    attrs = encode_attributes(update.attributes) if update.attributes else b""
+    body = (
+        len(withdrawn).to_bytes(2, "big")
+        + withdrawn
+        + len(attrs).to_bytes(2, "big")
+        + attrs
+        + encode_nlri(update.nlri)
+    )
+    return _frame(MSG_UPDATE, body)
+
+
+class TestWireMemo:
+    @settings(max_examples=150, deadline=None)
+    @given(
+        path_attributes(),
+        st.lists(prefixes(), max_size=3, unique=True),
+        st.lists(prefixes(), max_size=3, unique=True),
+    )
+    def test_memoised_encode_equals_a_fresh_frame(self, attributes, nlri, withdrawn):
+        update = UpdateMessage(tuple(withdrawn), attributes, tuple(nlri))
+        fresh_caches()
+        cold = update.encode()
+        warm = update.encode()
+        twin = replace(update).encode()  # equal, not identical
+        expected = framed(update)
+        assert cold == warm == twin == expected
+        stats = codec_cache_stats()
+        kept = len(cold) <= _MESSAGE_CACHE_MAX_LEN
+        assert (stats["wire_hits"], stats["wire_cache_size"]) == ((2, 1) if kept else (0, 0))
+        assert legacy_codec.legacy_decode_message(cold) == update
+
+    @pytest.mark.parametrize(
+        "update, error",
+        [
+            (
+                UpdateMessage(
+                    attributes=ATTRS,
+                    nlri=tuple(Prefix((100 << 24) | (i << 8), 24) for i in range(1100)),
+                ),
+                "message too long",
+            ),
+            (UpdateMessage(nlri=(P,)), "requires path attributes"),
+        ],
+        ids=["oversize", "no-attributes"],
+    )
+    def test_failed_encodes_raise_every_time_and_are_never_kept(self, update, error):
+        fresh_caches()
+        for _attempt in range(3):
+            with pytest.raises(ValueError, match=error):
+                update.encode()
+        stats = codec_cache_stats()
+        assert (stats["wire_hits"], stats["wire_misses"], stats["wire_cache_size"]) == (0, 3, 0)
 
 
 class TestEncodeMemo:

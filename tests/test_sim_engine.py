@@ -115,6 +115,20 @@ class TestRunControl:
         with pytest.raises(ValueError):
             sim.advance_to(6.0)
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_non_finite_horizons_rejected_before_anything_fires(self, bad):
+        # run(until=nan) used to ignore the horizon and fire everything;
+        # advance_to(nan) set the clock to NaN, which every later
+        # comparison then passed.
+        sim = Simulator()
+        log = []
+        sim.schedule(1.0, lambda: log.append(1))
+        with pytest.raises(ValueError, match=f"non-finite run horizon: {bad}"):
+            sim.run(until=bad)
+        with pytest.raises(ValueError, match=f"non-finite clock time: {bad}"):
+            sim.advance_to(bad)
+        assert (log, sim.now, sim.pending()) == ([], 0.0, 1)
+
     def test_pending_count(self):
         sim = Simulator()
         a = sim.schedule(1.0, lambda: None)

@@ -410,6 +410,23 @@ class TestMachinelessWorld:
         assert world.run(until=3.0) == 3.0
         assert world.run() == 3.0
 
+    def test_a_step_is_an_event_instant(self):
+        def world_with_events():
+            world = World()
+            for when in (1.0, 1.0, 1.0, 2.0):
+                world.sim.schedule(when, lambda: fired.append(world.sim.now))
+            return world
+
+        fired = []
+        # Two instants fire in two steps; the step that finds the queue
+        # empty is the third.
+        with pytest.raises(RuntimeError, match="max_steps"):
+            world_with_events().run(max_steps=2)
+        assert fired == [1.0, 1.0, 1.0, 2.0]
+        fired.clear()
+        assert world_with_events().run(max_steps=3) == 2.0
+        assert fired == [1.0, 1.0, 1.0, 2.0]
+
     def test_honours_max_steps(self):
         world = World()
 

@@ -79,6 +79,22 @@ class TestGuards:
         machine.new_task("t").submit(1.0)
         assert world.run(until=10.0) == 10.0
 
+    @pytest.mark.parametrize("machines", [0, 1])
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_non_finite_horizon_rejected_before_anything_fires(self, bad, machines):
+        # until=nan used to be ignored (every event fired); until=inf
+        # left sim.now at inf, so the next schedule() raised instead.
+        world = World()
+        done = []
+        if machines:
+            world.new_machine("m", cores=1).new_task("t").submit(1.0, lambda: done.append("job"))
+        world.sim.schedule(1.0, lambda: done.append("event"))
+        with pytest.raises(ValueError, match=f"non-finite run horizon: {bad}"):
+            world.run(until=bad)
+        assert (done, world.sim.now) == ([], 0.0)
+        assert world.run() == 1.0
+        assert sorted(done) == ["event", "job"][: 1 + machines]
+
     def test_until_before_completion_freezes_job(self):
         world = World()
         machine = world.new_machine("m", cores=1)
