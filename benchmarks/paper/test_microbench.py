@@ -1,6 +1,6 @@
 """Microbenchmarks of the substrate hot paths (real wall-clock timing —
 the classic pytest-benchmark use): message codec, LPM tries, decision
-process, and the forwarding pipeline.
+process, policy chain, damping and MRAI.
 """
 
 import pytest
@@ -8,13 +8,10 @@ import pytest
 from repro.bgp.attributes import AsPath, PathAttributes
 from repro.bgp.decision import Candidate, DecisionProcess, PeerInfo
 from repro.bgp.messages import UpdateMessage, decode_message
-from repro.forwarding.fib import Fib
-from repro.forwarding.pipeline import ForwardingPipeline
 from repro.forwarding.lengthsearch import LengthSearchTable
 from repro.forwarding.multibit import MultibitTable
 from repro.forwarding.trie import BinaryTrie
 from repro.net.addr import IPv4Address
-from repro.net.packet import IPv4Packet
 from repro.workload.tablegen import generate_table
 
 TABLE = generate_table(2000, seed=42)
@@ -90,22 +87,6 @@ class TestDecisionThroughput:
         assert best is not None
 
 
-class TestForwardingThroughput:
-    def test_rfc1812_fast_path(self, benchmark):
-        fib = Fib()
-        for entry in TABLE.entries:
-            fib.add_route(entry.prefix, NH)
-        pipeline = ForwardingPipeline(fib)
-        packet = IPv4Packet(
-            source=IPv4Address.parse("8.8.8.8"),
-            destination=TABLE.entries[0].prefix.first_address(),
-            ttl=64,
-        )
-        packet.encode()
-        result = benchmark(pipeline.forward, packet)
-        assert result.next_hop == NH
-
-
 class TestPolicyThroughput:
     def test_rule_chain_evaluation(self, benchmark):
         from repro.bgp.policy import Match, Policy, Rule
@@ -152,24 +133,3 @@ class TestMraiThroughput:
 
         assert benchmark(churn) == 256
 
-
-class TestClassifierThroughput:
-    def test_tuple_space_classification(self, benchmark):
-        from repro.forwarding.classifier import (
-            FlowKey,
-            FlowRule,
-            TupleSpaceClassifier,
-        )
-
-        engine = TupleSpaceClassifier()
-        for i, entry in enumerate(TABLE.entries[:64]):
-            engine.add_rule(
-                FlowRule(f"r{i}", priority=i, destination=entry.prefix, protocol=6)
-            )
-        engine.add_rule(FlowRule("default", priority=0))
-        key = FlowKey(
-            IPv4Address.parse("8.8.8.8"),
-            TABLE.entries[0].prefix.first_address(),
-            6, 1234, 80,
-        )
-        assert benchmark(engine.classify, key) is not None

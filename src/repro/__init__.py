@@ -2,8 +2,8 @@
 IISWC 2007).
 
 The package implements the paper's BGP control-plane benchmark end to
-end: a from-scratch RFC 4271 BGP stack (:mod:`repro.bgp`), an RFC 1812
-forwarding plane (:mod:`repro.forwarding`), a discrete-event simulator
+end: a from-scratch RFC 4271 BGP stack (:mod:`repro.bgp`), the FIB it
+installs routes into (:mod:`repro.forwarding`), a discrete-event simulator
 with multi-core CPU scheduling (:mod:`repro.sim`), models of the four
 router architectures the paper evaluates (:mod:`repro.systems`),
 workload generators (:mod:`repro.workload`), the eight benchmark

@@ -318,28 +318,3 @@ class ProjectGraph:
                         targets.update(self.by_name.get(bare, ()))
                 stack.extend(t for t in sorted(targets) if t not in reached)
         return reached
-
-    def call_chain(self, entry: str, target: str) -> "list[str] | None":
-        """A shortest entry->target qualname chain (virtual edges
-        included), for human-readable diagnostics; None when unreachable."""
-        if entry not in self.functions:
-            return None
-        previous: dict[str, str] = {entry: ""}
-        frontier = [entry]
-        while frontier:
-            next_frontier: list[str] = []
-            for current in frontier:
-                if current == target:
-                    chain = [current]
-                    while previous[chain[-1]]:
-                        chain.append(previous[chain[-1]])
-                    return list(reversed(chain))
-                targets = set(self.calls.get(current, ()))
-                for bare in self.virtual.get(current, ()):
-                    targets.update(self.by_name.get(bare, ()))
-                for callee in sorted(targets):
-                    if callee not in previous:
-                        previous[callee] = current
-                        next_frontier.append(callee)
-            frontier = next_frontier
-        return None

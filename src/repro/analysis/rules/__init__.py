@@ -144,15 +144,6 @@ def resolve_dotted(node: ast.AST, aliases: dict[str, str]) -> str | None:
     return ".".join(reversed(parts))
 
 
-def iter_parents(tree: ast.Module) -> dict[ast.AST, ast.AST]:
-    """child -> parent map for the whole module."""
-    parents: dict[ast.AST, ast.AST] = {}
-    for parent in ast.walk(tree):
-        for child in ast.iter_child_nodes(parent):
-            parents[child] = parent
-    return parents
-
-
 # Import the rule modules last so their ``@register`` decorators run
 # against a fully initialised registry.
 from repro.analysis.rules import boundary, determinism, hygiene, ordering  # noqa: E402,F401

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.benchmark.harness import SPEAKER1_ADDR, SPEAKER1_ASN
+from repro.benchmark.harness import SPEAKER1_ADDR, SPEAKER1_ASN, stream_packets
 from repro.bgp.policy import ACCEPT_ALL
 from repro.bgp.speaker import PeerConfig
 from repro.net.addr import IPv4Address
@@ -143,57 +143,25 @@ def run_chain_propagation(
         downstream.handshake("upstream", up_asn, up_addr)
         connect_routers(upstream, "downstream", downstream, "upstream", link_delay)
 
-    for router, _platform in zip(routers, platforms):
+    for router in routers:
         router.export_packing = prefixes_per_update
         router.reset_counters()
 
-    # Track per-hop completion times by sampling on every completion.
-    completion: list[float | None] = [None] * len(routers)
-
-    def check_completion() -> None:
-        now = world.sim.now
-        for index, router in enumerate(routers):
-            if (
-                completion[index] is None
-                and router.transactions_completed >= len(table)
-            ):
-                completion[index] = now
-
-    for router in routers:
-        router.on_packet_done = check_completion
-
     builder = UpdateStreamBuilder(SPEAKER1_ASN, SPEAKER1_ADDR)
-    packets = builder.announcements(table, prefixes_per_update)
     # Feed the head with a window; downstream hops are event-driven.
-    iterator = iter(packets)
-    state = {"inflight": 0}
-    head = routers[0]
-
-    def feed() -> None:
-        while state["inflight"] < window:
-            packet = next(iterator, None)
-            if packet is None:
-                return
-            state["inflight"] += 1
-            head.deliver("upstream", packet)
-
-    def head_done() -> None:
-        state["inflight"] -= 1
-        check_completion()
-        feed()
-
-    head.on_packet_done = head_done
-    try:
-        feed()
-        world.run()
-    finally:
-        for router in routers:
-            router.on_packet_done = None
-
-    check_completion()
+    stream_packets(
+        routers[0], "upstream", builder.announcements(table, prefixes_per_update), window
+    )
+    # A hop receives each prefix once, so the packet that completes the
+    # table is its last one.
     return ChainResult(
         platforms=list(platforms),
         table_size=len(table),
-        fib_complete_at=[t if t is not None else float("inf") for t in completion],
+        fib_complete_at=[
+            router.last_completion
+            if router.transactions_completed >= len(table)
+            else float("inf")
+            for router in routers
+        ],
         fib_sizes=[len(router.fib) for router in routers],
     )

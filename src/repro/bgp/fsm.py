@@ -13,10 +13,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from enum import Enum, auto
-from typing import TYPE_CHECKING, Protocol
-
-if TYPE_CHECKING:
-    from repro.sim.engine import EventHandle, Simulator
+from typing import Callable, Protocol
 
 from repro.bgp.errors import (
     BgpError,
@@ -58,6 +55,28 @@ class Event(Enum):
     KEEPALIVE_RECEIVED = auto()      # event 26
     UPDATE_RECEIVED = auto()         # event 27
     NOTIFICATION_RECEIVED = auto()   # events 24/25
+
+
+class TimerHandle(Protocol):
+    """One scheduled timer: the part of :class:`repro.sim.engine.EventHandle`
+    the FSM uses."""
+
+    @property
+    def time(self) -> float: ...
+    @property
+    def active(self) -> bool: ...
+    def cancel(self) -> None: ...
+    def reschedule(self, delay: float) -> object: ...
+
+
+class TimerClock(Protocol):
+    """The virtual clock the FSM's timers run on: the part of
+    :class:`repro.sim.engine.Simulator` it uses, named by shape so
+    ``bgp`` imports nothing from ``sim``."""
+
+    now: float
+
+    def schedule(self, delay: float, callback: Callable[[], None]) -> TimerHandle: ...
 
 
 class SessionActions(Protocol):
@@ -162,8 +181,8 @@ class SessionFsm:
         self.connect_retry_counter = 0
         self.last_error: NotificationData | None = None
         self._now = 0.0
-        self._sim: "Simulator | None" = None
-        self._timer_handles: dict[str, "EventHandle"] = {}
+        self._sim: TimerClock | None = None
+        self._timer_handles: dict[str, TimerHandle] = {}
 
     # -- event entry points -------------------------------------------------
 
@@ -223,7 +242,7 @@ class SessionFsm:
 
     # -- simulator-driven timers ---------------------------------------------
 
-    def attach_simulator(self, sim: "Simulator") -> None:
+    def attach_simulator(self, sim: TimerClock) -> None:
         """Drive this session's timers from a virtual clock.
 
         Once attached, every armed deadline is mirrored as a simulator

@@ -10,6 +10,7 @@ the router under test.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Sequence
 
 from repro.bgp.attributes import (
     _MESSAGE_CACHE_CAPACITY,
@@ -159,6 +160,41 @@ def nlri_room(attributes: PathAttributes | None) -> int:
     if attributes is not None:
         used += len(encode_attributes(attributes))
     return MAX_MESSAGE_LEN - used
+
+
+class OversizeAttributesError(ValueError):
+    """An attribute set too large for an UPDATE carrying even one of
+    its prefixes: no packing can send it."""
+
+
+def nlri_chunks(
+    prefixes: "Sequence[Prefix]", limit: int, attributes: PathAttributes | None
+) -> "list[tuple[Prefix, ...]]":
+    """*prefixes* cut, in order, into the NLRI of consecutive UPDATEs
+    carrying *attributes* (their withdrawn routes when None): at most
+    *limit* prefixes and at most :func:`nlri_room` octets each. Raises
+    :class:`OversizeAttributesError` when a prefix cannot fit even
+    alone."""
+    room = nlri_room(attributes)
+    if limit * MAX_PREFIX_OCTETS <= room:
+        # No run of *limit* prefixes can overflow: cut by count alone.
+        return [tuple(prefixes[start : start + limit]) for start in range(0, len(prefixes), limit)]
+    chunks = []
+    start = size = 0
+    for index, prefix in enumerate(prefixes):
+        octets = prefix_octets(prefix)
+        if octets > room:
+            raise OversizeAttributesError(
+                f"{MAX_MESSAGE_LEN - UPDATE_OVERHEAD - room}-octet attributes "
+                f"leave no room for {prefix} in a {MAX_MESSAGE_LEN}-octet UPDATE"
+            )
+        if index - start == limit or size + octets > room:
+            chunks.append(tuple(prefixes[start:index]))
+            start, size = index, 0
+        size += octets
+    if prefixes:
+        chunks.append(tuple(prefixes[start:]))
+    return chunks
 
 
 def _frame(msg_type: int, body: bytes) -> bytes:

@@ -12,11 +12,11 @@ the forwarding table must change — the distinction on which benchmark
 scenarios 5/6 versus 7/8 turn.
 
 The RFC calls these RIBs conceptual, and all three are plain dicts
-keyed by prefix: every per-UPDATE question is exact match. The walks — session loss (Adj-RIB-In), the initial transfer and the
-quiescent RIB/FIB check (Loc-RIB) — sort a snapshot in ascending
+keyed by prefix: every per-UPDATE question is exact match. The walks —
+session loss (Adj-RIB-In), the initial transfer and the quiescent
+RIB/FIB check (Loc-RIB) — sort a snapshot in ascending
 ``(network, length)`` order, so their output never depends on arrival
-order. Aggregation's "which routes fall inside this prefix" is a
-filter over the Loc-RIB's snapshot; only aggregation asks it.
+order.
 """
 
 from __future__ import annotations
@@ -137,7 +137,9 @@ class LocRib:
 
     def covered(self, aggregate: Prefix) -> "list[RibRoute]":
         """Routes whose prefix falls inside *aggregate* (exact match
-        included), in (network, length) order."""
+        included), in (network, length) order. Nothing in the speaker
+        asks this; ``benchmarks/ledger/probes.py`` names it, so it stays
+        until that probe list drops it."""
         routes = self._routes
         return [routes[p] for p in sorted(filter(aggregate.covers, routes))]
 

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 from operator import attrgetter
-from typing import Callable, Iterable, Iterator, Protocol
+from typing import Callable, Iterator, Protocol
 
 from repro.bgp.attributes import PathAttributes, WellKnownCommunity, intern_attributes
 from repro.bgp.damping import DampingConfig, RouteDamper
@@ -30,16 +30,13 @@ from repro.bgp.fsm import Event, ReconnectBackoff, SessionFsm, State
 from repro.bgp.messages import (
     HEADER_LEN,
     MAX_MESSAGE_LEN,
-    MAX_PREFIX_OCTETS,
-    UPDATE_OVERHEAD,
     BgpMessage,
     KeepaliveMessage,
     NotificationMessage,
     OpenMessage,
     UpdateMessage,
     decode_message,
-    nlri_room,
-    prefix_octets,
+    nlri_chunks,
 )
 from repro.bgp.policy import ACCEPT_ALL, Policy
 from repro.bgp.rib import AdjRibIn, AdjRibOut, LocRib, RibRoute, RouteChange
@@ -222,46 +219,6 @@ class PeerConfig:
 _EBGP_REWRITE_CAPACITY = 1 << 12
 
 
-class OversizeAttributesError(ValueError):
-    """An attribute set too large for an UPDATE carrying even one of
-    its prefixes: no packing can send it."""
-
-
-def _update_room(peer_id: str, attributes: PathAttributes, prefixes: "Iterable[Prefix]") -> int:
-    """Octets one UPDATE carrying *attributes* has left for NLRI; raises
-    :class:`OversizeAttributesError` when one of *prefixes* cannot fit
-    even alone."""
-    room = nlri_room(attributes)
-    if room < MAX_PREFIX_OCTETS:
-        for prefix in prefixes:
-            if prefix_octets(prefix) > room:
-                raise OversizeAttributesError(
-                    f"peer {peer_id!r}: "
-                    f"{MAX_MESSAGE_LEN - UPDATE_OVERHEAD - room}-octet attributes "
-                    f"leave no room for {prefix} in a {MAX_MESSAGE_LEN}-octet UPDATE"
-                )
-    return room
-
-
-def _chunks(prefixes: "list[Prefix]", limit: int, room: int) -> "list[tuple[Prefix, ...]]":
-    """*prefixes* cut into consecutive runs of at most *limit* prefixes
-    and *room* octets each (every prefix fits *room* on its own)."""
-    if limit * MAX_PREFIX_OCTETS <= room:
-        # No run of *limit* prefixes can overflow: cut by count alone.
-        return [tuple(prefixes[start : start + limit]) for start in range(0, len(prefixes), limit)]
-    chunks = []
-    start = size = 0
-    for index, prefix in enumerate(prefixes):
-        octets = prefix_octets(prefix)
-        if index - start == limit or size + octets > room:
-            chunks.append(tuple(prefixes[start:index]))
-            start, size = index, 0
-        size += octets
-    if prefixes:
-        chunks.append(tuple(prefixes[start:]))
-    return chunks
-
-
 class _Framer:
     """Reassemble framed BGP messages from a TCP-like byte stream."""
 
@@ -419,11 +376,6 @@ class BgpSpeaker:
         #: never influences processing.
         self.probe = None
         self._now = 0.0
-        # Route aggregation: configured aggregate -> summary_only flag;
-        # active set tracks which are currently originated.
-        self._aggregates: dict[Prefix, bool] = {}
-        self._active_aggregates: set[Prefix] = set()
-        self._refreshing_aggregates = False
 
     # -- peer/session management ------------------------------------------
 
@@ -455,11 +407,6 @@ class BgpSpeaker:
 
     def set_send_callback(self, peer_id: str, callback: Callable[[bytes], None]) -> None:
         self.peers[peer_id].send_callback = callback
-
-    def tick(self, now: float) -> None:
-        """Advance all session timers to *now*."""
-        for peer in self.peers.values():
-            peer.fsm.tick(now)
 
     def session_events(self) -> list[tuple[str, str]]:
         """(peer_id, event) history: 'up' and 'down: <reason>' entries."""
@@ -644,7 +591,6 @@ class BgpSpeaker:
                 if probe is not None:
                     probe.fib_op("delete", prefix)
                 self._stage_withdraw_to_peers(prefix)
-            self._refresh_covering_aggregates(prefix)
             return
 
         route = RibRoute(prefix, best.attributes, best.peer.peer_id)
@@ -668,7 +614,6 @@ class BgpSpeaker:
             if probe is not None:
                 probe.fib_op("replace", prefix)
         self._stage_announce_to_peers(route)
-        self._refresh_covering_aggregates(prefix)
 
     # -- export path ---------------------------------------------------------
 
@@ -709,9 +654,6 @@ class BgpSpeaker:
         return rewritten
 
     def _stage_announce_to_peers(self, route: RibRoute) -> None:
-        if self._suppressed_by_aggregate(route.prefix):
-            self._stage_withdraw_to_peers(route.prefix)
-            return
         source = self.peers.get(route.peer_id)
         learned_over_ibgp = source is not None and not source.is_ebgp
         for peer in self.peers.values():
@@ -825,9 +767,11 @@ class BgpSpeaker:
         Announcements sharing identical attributes are packed together,
         up to *max_prefixes* per message (default: 500, the paper's
         large-packet size) and within the 4096-byte message limit,
-        whichever binds first. Returns the encoded wire packets. Raises
-        :class:`OversizeAttributesError` — with the delta still pending
-        — when an attribute set cannot fit an UPDATE at all.
+        whichever binds first (:func:`~repro.bgp.messages.nlri_chunks`).
+        Returns the encoded wire packets. Raises
+        :class:`~repro.bgp.messages.OversizeAttributesError` — with the
+        delta still pending — when an attribute set cannot fit an UPDATE
+        at all.
         """
         peer = self.peers[peer_id]
         self._dirty.discard(peer)
@@ -837,13 +781,13 @@ class BgpSpeaker:
         announce, withdraw = rib_out.pending()
         if len(announce) + len(withdraw) == 1:
             # One change — nearly every flush at packing 1: one UPDATE,
-            # nothing to sort, group or cut.
+            # nothing to sort or group.
             if withdraw:
                 update = UpdateMessage(withdrawn=tuple(withdraw))
             else:
                 [(prefix, attrs)] = announce.items()
-                _update_room(peer_id, attrs, (prefix,))
-                update = UpdateMessage(attributes=attrs, nlri=(prefix,))
+                [nlri] = nlri_chunks((prefix,), 1, attrs)
+                update = UpdateMessage(attributes=attrs, nlri=nlri)
             rib_out.take_pending()
             return [self._emit(peer, update)]
 
@@ -851,20 +795,18 @@ class BgpSpeaker:
         by_attrs: dict[PathAttributes, list[Prefix]] = {}
         for prefix, attrs in announce.items():
             by_attrs.setdefault(attrs, []).append(prefix)
-        # Sized before the delta leaves Adj-RIB-Out: an error here must
+        # Cut before the delta leaves Adj-RIB-Out: an error here must
         # not lose changes the peer has not been sent.
         groups = [
-            (attrs, prefixes, _update_room(peer_id, attrs, prefixes))
+            (attrs, nlri_chunks(sorted(prefixes), limit, attrs))
             for attrs, prefixes in by_attrs.items()
         ]
+        withdrawn = nlri_chunks(sorted(withdraw), limit, None)
         rib_out.take_pending()
 
-        packets: list[bytes] = []
-        for chunk in _chunks(sorted(withdraw), limit, nlri_room(None)):
-            packets.append(self._emit(peer, UpdateMessage(withdrawn=chunk)))
-        for attrs, prefixes, room in groups:
-            prefixes.sort()
-            for chunk in _chunks(prefixes, limit, room):
+        packets = [self._emit(peer, UpdateMessage(withdrawn=chunk)) for chunk in withdrawn]
+        for attrs, chunks in groups:
+            for chunk in chunks:
                 packets.append(
                     self._emit(peer, UpdateMessage(attributes=attrs, nlri=chunk))
                 )
@@ -884,82 +826,6 @@ class BgpSpeaker:
         self.work.bytes_sent += len(wire)
         if peer.send_callback is not None:
             peer.send_callback(wire)
-
-    # -- route aggregation --------------------------------------------------------
-
-    def configure_aggregate(self, aggregate: Prefix, summary_only: bool = False) -> None:
-        """Originate *aggregate* whenever the Loc-RIB holds one of its
-        more-specifics (RFC 4271 §9.2.2.2 semantics: the aggregate
-        carries ATOMIC_AGGREGATE and an AGGREGATOR naming this speaker).
-        With *summary_only*, the contributing more-specifics are
-        suppressed from advertisement to peers."""
-        self._aggregates[aggregate] = summary_only
-        self._refresh_aggregate(aggregate)
-
-    def remove_aggregate(self, aggregate: Prefix) -> None:
-        self._aggregates.pop(aggregate, None)
-        if aggregate in self._active_aggregates:
-            self._active_aggregates.discard(aggregate)
-            self.withdraw_local(aggregate)
-
-    def _contributors(self, aggregate: Prefix) -> list[Prefix]:
-        # A filter over the whole Loc-RIB: only aggregation asks, and no
-        # benchmark workload configures an aggregate.
-        return [
-            route.prefix
-            for route in self.loc_rib.covered(aggregate)
-            if route.prefix.length > aggregate.length
-        ]
-
-    def _refresh_covering_aggregates(self, prefix: Prefix) -> None:
-        if not self._aggregates or self._refreshing_aggregates:
-            return
-        for aggregate in list(self._aggregates):
-            if aggregate.covers(prefix) and prefix.length > aggregate.length:
-                self._refresh_aggregate(aggregate)
-
-    def _refresh_aggregate(self, aggregate: Prefix) -> None:
-        has_contributors = bool(self._contributors(aggregate))
-        active = aggregate in self._active_aggregates
-        self._refreshing_aggregates = True
-        try:
-            if has_contributors and not active:
-                from repro.bgp.attributes import Aggregator
-
-                self._active_aggregates.add(aggregate)
-                self.originate(
-                    aggregate,
-                    PathAttributes(
-                        next_hop=self.config.local_address,
-                        atomic_aggregate=True,
-                        aggregator=Aggregator(
-                            self.config.asn, self.config.bgp_identifier
-                        ),
-                    ),
-                )
-                if self._aggregates.get(aggregate):
-                    # summary-only: retract contributors that were staged
-                    # before the aggregate activated.
-                    for contributor in self._contributors(aggregate):
-                        self._stage_withdraw_to_peers(contributor)
-            elif not has_contributors and active:
-                self._active_aggregates.discard(aggregate)
-                self.withdraw_local(aggregate)
-        finally:
-            self._refreshing_aggregates = False
-
-    def _suppressed_by_aggregate(self, prefix: Prefix) -> bool:
-        """True when *prefix* is a contributor to an active summary-only
-        aggregate (and is not itself an aggregate we originated)."""
-        if not self._aggregates or prefix in self._active_aggregates:
-            return False
-        return any(
-            summary_only
-            and aggregate in self._active_aggregates
-            and aggregate.covers(prefix)
-            and prefix.length > aggregate.length
-            for aggregate, summary_only in self._aggregates.items()
-        )
 
     # -- local route origination ----------------------------------------------
 
@@ -985,8 +851,6 @@ class BgpSpeaker:
         # the entire Loc-RIB for the new neighbour.
         for route in self.loc_rib.routes():
             if route.peer_id == peer.config.peer_id:
-                continue
-            if self._suppressed_by_aggregate(route.prefix):
                 continue
             exported = self._export_attributes(peer, route)
             if exported is not None:

@@ -19,7 +19,7 @@
     bgpbench lint [paths ...] [--format json] [--select RPR001 ...]
     bgpbench lint --flow [paths ...] [--baseline PATH] [--update-baseline]
                   [--sarif out.sarif]
-    bgpbench check --sanitize [--platform pentium3] [--scenario 5]
+    bgpbench check [--platform pentium3] [--scenario 5]
 
 ``--output-dir`` writes the experiment's result as JSON next to the
 text rendering. ``grid`` runs the sharded experiment grid through the
@@ -36,7 +36,7 @@ docs/TOPOLOGY.md); ``regress --bless --topo`` creates the topology
 golden baseline. ``lint`` runs the
 determinism linter over the source tree (``--flow`` switches to the
 whole-program dataflow pass, gated through a committed baseline and
-exportable as SARIF) and ``check --sanitize`` runs
+exportable as SARIF) and ``check`` runs
 one scenario in checked mode (see docs/ANALYSIS.md); both exit
 non-zero on findings, so CI can gate on them. ``--trace``/``--metrics``
 (scenario) and ``--telemetry`` (grid/regress) instrument the run with
@@ -49,6 +49,7 @@ from __future__ import annotations
 # repro: cli — this module is the command-line entry point.
 
 import argparse
+import math
 import sys
 from pathlib import Path
 
@@ -75,10 +76,32 @@ _EXPERIMENTS = {
 }
 
 
+def _bounded(convert, accept, what: str):
+    """An argparse ``type=``: *convert* the text and keep it only if it
+    is finite and *accept*-ed, so a bad value is a usage error (exit 2)
+    named by its flag, not a traceback from deep inside a run."""
+
+    def parse(text: str):
+        try:
+            value = convert(text)
+        except ValueError:
+            value = None
+        if value is None or not math.isfinite(value) or not accept(value):
+            raise argparse.ArgumentTypeError(f"must be {what}, got {text!r}")
+        return value
+
+    return parse
+
+
+_positive_int = _bounded(int, lambda value: value > 0, "a positive integer")
+_positive_float = _bounded(float, lambda value: value > 0, "a positive number")
+_non_negative_float = _bounded(float, lambda value: value >= 0, "a non-negative number")
+
+
 def _add_common(parser: argparse.ArgumentParser, default_size: int) -> None:
     parser.add_argument(
         "--table-size",
-        type=int,
+        type=_positive_int,
         default=default_size,
         help="synthetic routing-table size (prefixes)",
     )
@@ -113,7 +136,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(single, 2000)
     single.add_argument("--platform", choices=sorted(PLATFORMS), required=True)
     single.add_argument("--scenario", type=int, choices=range(1, 9), required=True)
-    single.add_argument("--cross-traffic", type=float, default=0.0, help="Mb/s")
+    single.add_argument("--cross-traffic", type=_non_negative_float, default=0.0, help="Mb/s")
     single.add_argument(
         "--trace", type=Path, default=None, metavar="PATH",
         help="write a Chrome trace-event file of the run (Perfetto-loadable)",
@@ -140,9 +163,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     _add_common(stability, 500)
     stability.add_argument("--platform", choices=sorted(PLATFORMS), required=True)
-    stability.add_argument("--rate", type=float, default=1500.0, help="updates/s")
-    stability.add_argument("--duration", type=float, default=30.0, help="seconds")
-    stability.add_argument("--hold-time", type=float, default=15.0)
+    stability.add_argument("--rate", type=_positive_float, default=1500.0, help="updates/s")
+    stability.add_argument("--duration", type=_positive_float, default=30.0,
+                           help="seconds (at least one keepalive interval, --hold-time / 3)")
+    stability.add_argument("--hold-time", type=_positive_float, default=15.0)
 
     sub.add_parser("scenarios", help="list the Table I scenario definitions")
 
@@ -154,9 +178,9 @@ def build_parser() -> argparse.ArgumentParser:
         "--platforms", nargs="+", choices=sorted(PLATFORMS), required=True,
         help="one router per entry, head to tail",
     )
-    chain.add_argument("--packing", type=int, default=500,
+    chain.add_argument("--packing", type=_positive_int, default=500,
                        help="prefixes per UPDATE (1 = small packets)")
-    chain.add_argument("--link-delay", type=float, default=0.001, help="seconds")
+    chain.add_argument("--link-delay", type=_non_negative_float, default=0.001, help="seconds")
 
     grid = sub.add_parser(
         "grid", help="run the sharded (scenario x platform x seed x size) grid"
@@ -286,13 +310,9 @@ def build_parser() -> argparse.ArgumentParser:
     check = sub.add_parser(
         "check", help="run one scenario in checked (sanitized) mode"
     )
-    check.add_argument(
-        "--sanitize", action="store_true", default=True,
-        help="enable the invariant sanitizer (default: on)",
-    )
     check.add_argument("--platform", choices=sorted(PLATFORMS), default="pentium3")
     check.add_argument("--scenario", type=int, choices=range(1, 9), default=5)
-    check.add_argument("--table-size", type=int, default=150)
+    check.add_argument("--table-size", type=_positive_int, default=150)
     check.add_argument("--seed", type=int, default=42)
     return parser
 
@@ -704,32 +724,29 @@ def _run_check(args) -> int:
     from repro.analysis import Sanitizer, SanitizerError
 
     router = build_system(args.platform)
-    sanitizer = Sanitizer().attach(router) if args.sanitize else None
+    sanitizer = Sanitizer().attach(router)
     try:
         result = run_scenario(
             router, args.scenario, table_size=args.table_size, seed=args.seed
         )
-        if sanitizer is not None:
-            sanitizer.check_quiescent()
+        sanitizer.check_quiescent()
     except SanitizerError as error:
         print(error.describe(), file=sys.stderr)
         return 1
     finally:
-        if sanitizer is not None:
-            sanitizer.detach()
+        sanitizer.detach()
+    stats = sanitizer.stats
     print(
         f"{args.platform} scenario {args.scenario}: "
         f"{result.transactions_per_second:.1f} transactions/s "
         f"({result.transactions} transactions in {result.duration:.2f} virtual s)"
     )
-    if sanitizer is not None:
-        stats = sanitizer.stats
-        print(
-            f"sanitizer: {stats.events_checked} events checked, "
-            f"{stats.heap_checks} heap checks, "
-            f"{stats.conservation_checks} conservation checks, "
-            f"{stats.quiescent_checks} quiescent check(s) — all invariants held"
-        )
+    print(
+        f"sanitizer: {stats.events_checked} events checked, "
+        f"{stats.heap_checks} heap checks, "
+        f"{stats.conservation_checks} conservation checks, "
+        f"{stats.quiescent_checks} quiescent check(s) — all invariants held"
+    )
     return 0
 
 
@@ -781,6 +798,15 @@ def _run_stability(args) -> None:
     from repro.workload.tablegen import generate_table
     from repro.workload.updates import UpdateStreamBuilder
 
+    if args.duration < args.hold_time / 3.0:
+        # The probe sends one keepalive per hold_time / 3: a shorter run
+        # would watch none. A usage error, reported before anything is built.
+        print(
+            f"bgpbench stability: --duration {args.duration:g} is shorter than "
+            f"one keepalive interval (--hold-time / 3 = {args.hold_time / 3.0:g})",
+            file=sys.stderr,
+        )
+        raise SystemExit(2)
     router = build_system(args.platform)
     router.add_peer(
         PeerConfig(SPEAKER1, SPEAKER1_ASN, SPEAKER1_ADDR, ACCEPT_ALL, ACCEPT_ALL)

@@ -1,36 +1,21 @@
-"""The data-plane substrate: longest-prefix-match engines, the FIB (on
-the hash-per-length :class:`LengthSearchTable`), and an RFC 1812
-forwarding pipeline.
+"""The forwarding table: longest-prefix-match engines and the FIB (on
+the hash-per-length :class:`LengthSearchTable`).
 
-The paper's cross-traffic experiments hinge on the router's forwarding
-path (header checksum, TTL, FIB lookup) contending with BGP processing
-for CPU; this package provides that path, functionally real and
-instrumented.
+The BGP speaker pushes every Loc-RIB change here as a FIB add, replace
+or delete — the install cost the paper's scenarios 5–8 turn on. The
+binary trie and multibit engines are the survey's comparison points
+(paper ref. [9]), held equivalent by property tests.
 """
 
-from repro.forwarding.classifier import (
-    FlowKey,
-    FlowRule,
-    LinearClassifier,
-    TupleSpaceClassifier,
-)
 from repro.forwarding.fib import Fib, FibStats
 from repro.forwarding.lengthsearch import LengthSearchTable
 from repro.forwarding.multibit import MultibitTable
-from repro.forwarding.pipeline import ForwardAction, ForwardingPipeline, ForwardResult
 from repro.forwarding.trie import BinaryTrie
 
 __all__ = [
     "BinaryTrie",
     "Fib",
     "FibStats",
-    "ForwardAction",
-    "ForwardingPipeline",
-    "ForwardResult",
-    "FlowKey",
-    "FlowRule",
     "LengthSearchTable",
-    "LinearClassifier",
     "MultibitTable",
-    "TupleSpaceClassifier",
 ]

@@ -103,9 +103,6 @@ class Redistributor:
             self._originated[prefix] = med
         return {"originated": originated, "withdrawn": withdrawn, "updated": updated}
 
-    def originated_prefixes(self) -> list[Prefix]:
-        return sorted(self._originated)
-
 
 def rip_table_view(router) -> "dict[str, tuple[float, str]]":
     """Adapt a :class:`~repro.igp.rip.RipRouter` table to the

@@ -20,17 +20,14 @@ or event, whichever is first — lives in :class:`repro.sim.cpu.World`.
 from repro.sim.cpu import Job, Machine, Priority, Task, World
 from repro.sim.engine import EventHandle, Simulator
 from repro.sim.monitor import CpuMonitor, RateMonitor
-from repro.sim.trace import ExecutionTrace, ServiceInterval
 
 __all__ = [
     "CpuMonitor",
     "EventHandle",
-    "ExecutionTrace",
     "Job",
     "Machine",
     "Priority",
     "RateMonitor",
-    "ServiceInterval",
     "Simulator",
     "Task",
     "World",

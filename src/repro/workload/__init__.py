@@ -16,7 +16,6 @@ from repro.workload.astopo import (
     valley_free_paths,
 )
 from repro.workload.crosstraffic import CrossTrafficLoad, sweep_levels
-from repro.workload.events import Timeline, steady_state_churn
 from repro.workload.tablegen import RouteEntry, SyntheticTable, generate_table
 from repro.workload.updates import UpdateStreamBuilder
 
@@ -26,11 +25,9 @@ __all__ = [
     "Relationship",
     "RouteEntry",
     "SyntheticTable",
-    "Timeline",
     "UpdateStreamBuilder",
     "generate_policy_table",
     "generate_table",
-    "steady_state_churn",
     "sweep_levels",
     "valley_free_paths",
 ]

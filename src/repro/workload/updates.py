@@ -4,25 +4,20 @@ Streams are lists of wire-format packets. "Small" packets carry one
 UPDATE with a single prefix; "large" packets carry one UPDATE with 500
 prefixes (paper §III.D). Prefixes grouped into one UPDATE share one
 attribute set, so path variation happens per message, exactly as a
-table-dump replay would produce.
+table-dump replay would produce. A message is cut at the packing or at
+the 4096-octet limit, whichever binds first — the rule the speaker's
+own output follows (:func:`repro.bgp.messages.nlri_chunks`).
 """
 
 from __future__ import annotations
 
-from typing import Iterator
-
 from repro.bgp.attributes import AsPath, Origin, PathAttributes
-from repro.bgp.messages import UpdateMessage
+from repro.bgp.messages import UpdateMessage, nlri_chunks
 from repro.net.addr import IPv4Address
 from repro.workload.tablegen import RouteEntry, SyntheticTable
 
 #: The paper's "large packet" UPDATE size.
 LARGE_UPDATE_PREFIXES = 500
-
-
-def _batches(entries: list[RouteEntry], size: int) -> Iterator[list[RouteEntry]]:
-    for start in range(0, len(entries), size):
-        yield entries[start : start + size]
 
 
 class UpdateStreamBuilder:
@@ -50,11 +45,18 @@ class UpdateStreamBuilder:
         shorter; see :meth:`RouteEntry.path_via`)."""
         if prefixes_per_update < 1:
             raise ValueError("prefixes_per_update must be >= 1")
+        entries = list(table)
+        prefixes = [entry.prefix for entry in entries]
         packets = []
-        for batch in _batches(list(table), prefixes_per_update):
-            attrs = self._attributes(batch[0], extra_hops)
-            nlri = tuple(entry.prefix for entry in batch)
+        start = 0
+        while start < len(entries):
+            # The first entry's path is the message's: cut what follows
+            # to fit beside its attributes.
+            attrs = self._attributes(entries[start], extra_hops)
+            batch = prefixes[start : start + prefixes_per_update]
+            nlri = nlri_chunks(batch, prefixes_per_update, attrs)[0]
             packets.append(UpdateMessage(attributes=attrs, nlri=nlri).encode())
+            start += len(nlri)
         return packets
 
     def withdrawals(
@@ -65,11 +67,11 @@ class UpdateStreamBuilder:
         """Withdrawal packets for every entry."""
         if prefixes_per_update < 1:
             raise ValueError("prefixes_per_update must be >= 1")
-        packets = []
-        for batch in _batches(list(table), prefixes_per_update):
-            withdrawn = tuple(entry.prefix for entry in batch)
-            packets.append(UpdateMessage(withdrawn=withdrawn).encode())
-        return packets
+        prefixes = [entry.prefix for entry in table]
+        return [
+            UpdateMessage(withdrawn=withdrawn).encode()
+            for withdrawn in nlri_chunks(prefixes, prefixes_per_update, None)
+        ]
 
     def flap_storm(
         self,

@@ -1,15 +1,7 @@
-"""Tests for well-known communities and route aggregation."""
-
-import pytest
+"""Tests for the well-known communities (RFC 1997) on export."""
 
 from repro.bgp.attributes import AsPath, PathAttributes, WellKnownCommunity
-from repro.bgp.messages import (
-    KeepaliveMessage,
-    OpenMessage,
-    UpdateMessage,
-    decode_message,
-    iter_messages,
-)
+from repro.bgp.messages import KeepaliveMessage, OpenMessage, UpdateMessage
 from repro.bgp.speaker import BgpSpeaker, PeerConfig, SpeakerConfig
 from repro.net.addr import IPv4Address, Prefix
 
@@ -18,9 +10,7 @@ S1, S2 = "s1", "s2"
 S1_AS, S2_AS = 65001, 65002
 S1_ADDR = IPv4Address.parse("10.0.1.1")
 S2_ADDR = IPv4Address.parse("10.0.2.1")
-AGG = Prefix.parse("10.0.0.0/8")
 SPECIFIC1 = Prefix.parse("10.1.0.0/16")
-SPECIFIC2 = Prefix.parse("10.2.0.0/16")
 
 
 def make_router():
@@ -52,15 +42,6 @@ def announce(router, peer_id, prefixes, path, next_hop, communities=()):
     router.receive_bytes(
         peer_id, UpdateMessage(attributes=attrs, nlri=tuple(prefixes)).encode()
     )
-
-
-def withdrawn_and_announced(packets):
-    announced, withdrawn = set(), set()
-    for packet in packets:
-        message = decode_message(packet)
-        announced.update(message.nlri)
-        withdrawn.update(message.withdrawn)
-    return announced, withdrawn
 
 
 class TestWellKnownCommunities:
@@ -100,96 +81,3 @@ class TestWellKnownCommunities:
                  communities=(ROUTER_AS << 16 | 100,))
         assert router.flush_updates(S2)
 
-
-class TestAggregation:
-    def test_aggregate_originates_with_contributor(self):
-        router = make_router()
-        connect(router, S1, S1_AS, S1_ADDR, IPv4Address.parse("1.1.1.1"))
-        router.configure_aggregate(AGG)
-        assert AGG not in router.loc_rib  # no contributors yet
-        announce(router, S1, [SPECIFIC1], [S1_AS], S1_ADDR)
-        assert AGG in router.loc_rib
-        route = router.loc_rib.get(AGG)
-        assert route.attributes.atomic_aggregate
-        assert route.attributes.aggregator.asn == ROUTER_AS
-
-    def test_aggregate_withdrawn_with_last_contributor(self):
-        router = make_router()
-        connect(router, S1, S1_AS, S1_ADDR, IPv4Address.parse("1.1.1.1"))
-        router.configure_aggregate(AGG)
-        announce(router, S1, [SPECIFIC1, SPECIFIC2], [S1_AS], S1_ADDR)
-        assert AGG in router.loc_rib
-        router.receive_bytes(S1, UpdateMessage(withdrawn=(SPECIFIC1,)).encode())
-        assert AGG in router.loc_rib  # SPECIFIC2 still contributes
-        router.receive_bytes(S1, UpdateMessage(withdrawn=(SPECIFIC2,)).encode())
-        assert AGG not in router.loc_rib
-
-    def test_aggregate_advertised_to_peers(self):
-        router = make_router()
-        connect(router, S1, S1_AS, S1_ADDR, IPv4Address.parse("1.1.1.1"))
-        connect(router, S2, S2_AS, S2_ADDR, IPv4Address.parse("2.2.2.2"))
-        router.configure_aggregate(AGG)
-        announce(router, S1, [SPECIFIC1], [S1_AS], S1_ADDR)
-        announced, _ = withdrawn_and_announced(router.flush_updates(S2))
-        assert AGG in announced
-        assert SPECIFIC1 in announced  # not summary-only: both go
-
-    def test_summary_only_suppresses_specifics(self):
-        router = make_router()
-        connect(router, S1, S1_AS, S1_ADDR, IPv4Address.parse("1.1.1.1"))
-        connect(router, S2, S2_AS, S2_ADDR, IPv4Address.parse("2.2.2.2"))
-        router.configure_aggregate(AGG, summary_only=True)
-        announce(router, S1, [SPECIFIC1], [S1_AS], S1_ADDR)
-        announced, _ = withdrawn_and_announced(router.flush_updates(S2))
-        assert AGG in announced
-        assert SPECIFIC1 not in announced
-        # The specific is still used locally for forwarding.
-        assert SPECIFIC1 in router.loc_rib
-
-    def test_session_up_transfer_respects_summary_only(self):
-        router = make_router()
-        connect(router, S1, S1_AS, S1_ADDR, IPv4Address.parse("1.1.1.1"))
-        router.configure_aggregate(AGG, summary_only=True)
-        announce(router, S1, [SPECIFIC1], [S1_AS], S1_ADDR)
-        connect(router, S2, S2_AS, S2_ADDR, IPv4Address.parse("2.2.2.2"))
-        announced, _ = withdrawn_and_announced(router.flush_updates(S2))
-        assert AGG in announced
-        assert SPECIFIC1 not in announced
-
-    def test_remove_aggregate(self):
-        router = make_router()
-        connect(router, S1, S1_AS, S1_ADDR, IPv4Address.parse("1.1.1.1"))
-        router.configure_aggregate(AGG)
-        announce(router, S1, [SPECIFIC1], [S1_AS], S1_ADDR)
-        assert AGG in router.loc_rib
-        router.remove_aggregate(AGG)
-        assert AGG not in router.loc_rib
-        assert SPECIFIC1 in router.loc_rib
-
-    def test_exact_match_is_not_a_contributor(self):
-        """A route exactly equal to the aggregate must not trigger it."""
-        router = make_router()
-        connect(router, S1, S1_AS, S1_ADDR, IPv4Address.parse("1.1.1.1"))
-        router.configure_aggregate(AGG)
-        announce(router, S1, [AGG], [S1_AS], S1_ADDR)
-        # The learned /8 is in the Loc-RIB but the aggregate was not
-        # locally originated (no ATOMIC_AGGREGATE).
-        route = router.loc_rib.get(AGG)
-        assert route is not None
-        assert not route.attributes.atomic_aggregate
-
-    def test_aggregate_wire_format(self):
-        router = make_router()
-        connect(router, S1, S1_AS, S1_ADDR, IPv4Address.parse("1.1.1.1"))
-        connect(router, S2, S2_AS, S2_ADDR, IPv4Address.parse("2.2.2.2"))
-        router.configure_aggregate(AGG)
-        announce(router, S1, [SPECIFIC1], [S1_AS], S1_ADDR)
-        for packet in router.flush_updates(S2):
-            message = decode_message(packet)
-            if AGG in message.nlri:
-                assert message.attributes.atomic_aggregate
-                assert message.attributes.aggregator.asn == ROUTER_AS
-                assert message.attributes.as_path.all_asns() == (ROUTER_AS,)
-                break
-        else:
-            pytest.fail("aggregate not advertised")

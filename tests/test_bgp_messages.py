@@ -11,12 +11,14 @@ from repro.bgp.messages import (
     KeepaliveMessage,
     NotificationMessage,
     OpenMessage,
+    OversizeAttributesError,
     UpdateMessage,
     clear_prefix_cache,
     decode_message,
     decode_nlri,
     encode_nlri,
     iter_messages,
+    nlri_chunks,
 )
 from repro.net.addr import IPv4Address, Prefix
 
@@ -55,6 +57,37 @@ class TestNlri:
         # possible in one byte; use /9 with low bit of second byte set.
         with pytest.raises(BgpError):
             decode_nlri(b"\x09\x0a\x40")
+
+
+class TestNlriChunks:
+    """The one cut both the speaker's flush and the stream builder use."""
+
+    HOSTS = [Prefix((10 << 24) | i, 32) for i in range(2000)]  # 5 octets each
+
+    def test_nothing_to_cut_is_no_message(self):
+        assert nlri_chunks([], 500, ATTRS) == []
+        assert nlri_chunks([], 1, None) == []
+
+    def test_count_binds_below_the_octet_limit(self):
+        chunks = nlri_chunks(self.HOSTS[:7], 3, ATTRS)
+        assert chunks == [tuple(self.HOSTS[0:3]), tuple(self.HOSTS[3:6]), (self.HOSTS[6],)]
+
+    @pytest.mark.parametrize("attributes", [ATTRS, None])
+    def test_octets_bind_above_it(self, attributes):
+        chunks = nlri_chunks(self.HOSTS, 1000, attributes)
+        assert [p for chunk in chunks for p in chunk] == self.HOSTS
+        for chunk in chunks:
+            if attributes is None:
+                update = UpdateMessage(withdrawn=chunk)
+            else:
+                update = UpdateMessage(attributes=attributes, nlri=chunk)
+            assert len(update.encode()) <= MAX_MESSAGE_LEN
+        assert len(chunks[0]) < 1000
+
+    def test_attributes_that_leave_no_room_raise(self):
+        huge = PathAttributes(next_hop=NH, communities=tuple(range(1, 1021)))
+        with pytest.raises(OversizeAttributesError, match="no room for 10.0.0.0/32"):
+            nlri_chunks(self.HOSTS[:1], 1, huge)
 
 
 class TestOpenMessage:

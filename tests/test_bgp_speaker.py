@@ -9,12 +9,13 @@ from repro.bgp.messages import (
     KeepaliveMessage,
     NotificationMessage,
     OpenMessage,
+    OversizeAttributesError,
     UpdateMessage,
     decode_message,
     iter_messages,
 )
 from repro.bgp.policy import Action, Match, Policy, PolicyResult, Rule
-from repro.bgp.speaker import BgpSpeaker, OversizeAttributesError, PeerConfig, SpeakerConfig
+from repro.bgp.speaker import BgpSpeaker, PeerConfig, SpeakerConfig
 from repro.forwarding.fib import Fib
 from repro.net.addr import IPv4Address, Prefix
 

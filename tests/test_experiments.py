@@ -182,3 +182,34 @@ class TestRunnerCli:
     def test_scenario_requires_platform(self):
         with pytest.raises(SystemExit):
             build_parser().parse_args(["scenario", "--scenario", "1"])
+
+    @pytest.mark.parametrize("argv, flag", [
+        pytest.param(["table3", "--table-size", "0"], "--table-size", id="table3-size"),
+        pytest.param(["scenario", "--platform", "pentium3", "--scenario", "1",
+                      "--table-size", "0"], "--table-size", id="scenario-size"),
+        pytest.param(["scenario", "--platform", "xeon", "--scenario", "1",
+                      "--cross-traffic", "-5"], "--cross-traffic", id="cross-traffic"),
+        pytest.param(["scenario", "--platform", "xeon", "--scenario", "1",
+                      "--cross-traffic", "nan"], "--cross-traffic", id="cross-traffic-nan"),
+        pytest.param(["chain", "--platforms", "pentium3", "--packing", "0"], "--packing",
+                     id="packing"),
+        pytest.param(["chain", "--platforms", "pentium3", "--link-delay", "-1"],
+                     "--link-delay", id="link-delay"),
+        pytest.param(["stability", "--platform", "pentium3", "--rate", "0"], "--rate",
+                     id="rate"),
+        pytest.param(["stability", "--platform", "pentium3", "--hold-time", "0"],
+                     "--hold-time", id="hold-time"),
+        pytest.param(["stability", "--platform", "pentium3", "--duration", "3"],
+                     "--duration", id="duration-below-keepalive-interval"),
+    ])
+    def test_bad_numbers_are_usage_errors(self, argv, flag, capsys):
+        """A value out of a flag's range exits 2 before anything runs,
+        naming the flag on the last stderr line — not a traceback, and
+        not a run that reports 0.0 transactions/s."""
+        with pytest.raises(SystemExit) as raised:
+            main(argv)
+        assert raised.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        last = captured.err.strip().splitlines()[-1]
+        assert last.startswith(f"bgpbench {argv[0]}: ") and flag in last

@@ -6,9 +6,6 @@ import pytest
 from repro.benchmark import SCENARIOS, run_scenario
 from repro.benchmark.harness import SPEAKER1, SPEAKER2
 from repro.experiments.paperdata import PLATFORM_ORDER
-from repro.forwarding.pipeline import ForwardAction, ForwardingPipeline
-from repro.net.addr import IPv4Address
-from repro.net.packet import IPv4Packet
 from repro.systems import build_system
 from repro.workload.tablegen import generate_table
 
@@ -28,25 +25,19 @@ def test_every_cell_of_the_grid_runs(platform, scenario):
 
 class TestControlDataPlaneConsistency:
     def test_fib_forwards_to_announced_next_hops(self):
-        """After a benchmark run the FIB actually forwards packets to
-        the speakers' next hops — control plane feeding data plane."""
+        """After a benchmark run the FIB resolves every announced
+        destination to the speaker's next hop — control plane feeding
+        data plane."""
+        from repro.benchmark.harness import SPEAKER1_ADDR
+
         router = build_system("pentium3")
         table = generate_table(SIZE, seed=8)
         run_scenario(router, 1, table=table)
-        pipeline = ForwardingPipeline(router.fib)
-        hits = 0
+        # Some generated prefixes nest, so the LPM winner can be a
+        # different table entry — but every destination must resolve.
         for entry in table.entries[:50]:
-            packet = IPv4Packet(
-                source=IPv4Address.parse("8.8.8.8"),
-                destination=entry.prefix.first_address(),
-            )
-            packet.encode()
-            result = pipeline.forward(packet)
-            # Some generated prefixes nest, so the LPM winner can be a
-            # different table entry — but every destination must resolve.
-            assert result.action is ForwardAction.FORWARDED
-            hits += 1
-        assert hits == 50
+            assert router.fib.lookup(entry.prefix.first_address()) == SPEAKER1_ADDR
+            assert router.fib.lookup(entry.prefix.last_address()) == SPEAKER1_ADDR
 
     def test_scenario7_fib_next_hops_moved_to_speaker2(self):
         from repro.benchmark.harness import SPEAKER2_ADDR

@@ -17,6 +17,7 @@ import repro
 import repro.bgp
 import repro.bgp.attributes
 import repro.bgp.messages
+from repro.bgp.speaker import BgpSpeaker
 from repro.experiments.runner import main
 from repro.grid.cells import run_cell
 from repro.topo.families import TopoCell
@@ -55,9 +56,6 @@ KNOWN_BACK_EDGES = {
         "repro.topo.wiring:establish_session by that name",
     ("repro.benchmark.chain", "topo"):
         "lazy; same frozen probe on repro.topo.wiring (wire_oneway lives beside it)",
-    ("repro.bgp.fsm", "sim"):
-        "TYPE_CHECKING only: SessionFsm.attach_simulator() is annotated with "
-        "the simulator it schedules its timers on",
     ("repro.topo.families", "parallel"):
         "lazy; run_topo_cell(shards > 1) hands the cell to the parallel "
         "engine (deleted or kept by ROADMAP item 5's verdict)",
@@ -149,9 +147,34 @@ def test_oracles_are_not_shipped():
     "repro.perf",            # in-tree timing harnesses: a speed claim
     "repro.parallel.bench",  # is a benchmarks/ledger/ run
     "repro.net.trie",        # the Loc-RIB is a dict, the FIB a LengthSearchTable
+    # Nothing but their own tests ran them (DESIGN.md §7, the census):
+    "repro.net.packet",               # the IPv4 data plane: cross-traffic
+    "repro.net.checksum",             # is fluid CPU demand, no table or
+    "repro.forwarding.pipeline",      # figure forwards a packet
+    "repro.forwarding.classifier",
+    "repro.sim.trace",                # per-job service journal
+    "repro.workload.events",          # timelines: offer_at_rate paces
 ])
 def test_retired_modules_are_gone(name):
     assert importlib.util.find_spec(name) is None
+
+
+@pytest.mark.parametrize("name", ["configure_aggregate", "remove_aggregate", "tick"])
+def test_retired_speaker_methods_are_gone(name):
+    # Route aggregation and the all-peers timer poll: no workload, paper
+    # table or figure configured or called them.
+    assert not hasattr(BgpSpeaker, name)
+
+
+EXAMPLES = sorted((PACKAGE.parents[1] / "examples").glob("*.py"))
+
+
+@pytest.mark.parametrize("path", EXAMPLES, ids=[path.stem for path in EXAMPLES])
+def test_every_example_imports(path):
+    # Nothing else runs the examples: importing one (each is guarded by
+    # ``if __name__ == "__main__"``) checks every name it takes from src.
+    spec = importlib.util.spec_from_file_location(f"example_{path.stem}", path)
+    spec.loader.exec_module(importlib.util.module_from_spec(spec))
 
 
 def test_only_the_linter_name_table_mentions_perf_counter():

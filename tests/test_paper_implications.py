@@ -5,10 +5,10 @@ import pytest
 
 from repro.benchmark import run_scenario
 from repro.benchmark.harness import SPEAKER1, SPEAKER1_ADDR, SPEAKER1_ASN
+from repro.benchmark.stability import offer_at_rate
 from repro.bgp.policy import ACCEPT_ALL
 from repro.bgp.speaker import PeerConfig
 from repro.systems import build_system
-from repro.workload.events import Timeline
 from repro.workload.tablegen import generate_table
 from repro.workload.updates import UpdateStreamBuilder
 
@@ -31,9 +31,8 @@ def offer_typical_load(platform, rate=TYPICAL_RATE, duration=20.0):
     total = int(rate * duration)
     rounds = max(2, (total + len(table) - 1) // len(table))
     packets = BUILDER.flap_storm(table, rounds=rounds, prefixes_per_update=1)[:total]
-    timeline = Timeline().add_paced(0.0, SPEAKER1, packets, rate)
     router.reset_counters()
-    timeline.deliver_to(router)
+    offer_at_rate(router, SPEAKER1, packets, rate)
     # Stop the world at the end of the offering window to observe the
     # backlog, then measure completions so far.
     router.world.run(until=duration)

@@ -1,7 +1,6 @@
 """Property-based tests (hypothesis) for the core data structures:
-codecs round-trip, tries agree with a brute-force reference, checksums
-stay consistent under incremental update, and the decision process is
-well-behaved.
+codecs round-trip, tries agree with a brute-force reference, and the
+decision process is well-behaved.
 """
 
 from hypothesis import given, settings
@@ -21,8 +20,6 @@ from repro.bgp.messages import UpdateMessage, decode_message, decode_nlri, encod
 from repro.forwarding.lengthsearch import LengthSearchTable
 from repro.forwarding.trie import BinaryTrie
 from repro.net.addr import IPv4Address, Prefix
-from repro.net.checksum import incremental_checksum_update, internet_checksum
-from repro.net.packet import IPv4Packet
 
 # -- strategies ------------------------------------------------------------
 
@@ -93,37 +90,6 @@ class TestAddressProperties:
     @given(prefixes())
     def test_bits_length(self, prefix):
         assert len(prefix.bits()) == prefix.length
-
-
-class TestChecksumProperties:
-    @given(st.binary(min_size=0, max_size=128))
-    def test_checksum_in_range(self, data):
-        assert 0 <= internet_checksum(data) <= 0xFFFF
-
-    @given(st.binary(min_size=2, max_size=64).filter(lambda d: len(d) % 2 == 0),
-           st.integers(min_value=0, max_value=0xFFFF))
-    def test_incremental_matches_full(self, data, new_word):
-        """Replacing any aligned 16-bit word: incremental == recompute,
-        up to the one's-complement ±0 representation (unreachable for
-        real IPv4 headers; see the docstring in repro.net.checksum)."""
-        checksum = internet_checksum(data)
-        old_word = (data[0] << 8) | data[1]
-        mutated = bytes(new_word.to_bytes(2, "big")) + data[2:]
-        incremental = incremental_checksum_update(checksum, old_word, new_word)
-        full = internet_checksum(mutated)
-        assert incremental == full or {incremental, full} == {0x0000, 0xFFFF}
-
-    @given(addresses, addresses, st.integers(min_value=2, max_value=255),
-           st.binary(max_size=32))
-    def test_packet_round_trip(self, src, dst, ttl, payload):
-        packet = IPv4Packet(source=src, destination=dst, ttl=ttl, payload=payload)
-        decoded = IPv4Packet.decode(packet.encode())
-        assert decoded.source == src and decoded.destination == dst
-        assert decoded.ttl == ttl and decoded.payload == payload
-        assert decoded.header_checksum_ok()
-
-
-# -- bgp codec ---------------------------------------------------------------------
 
 
 class TestCodecProperties:

@@ -1,8 +1,10 @@
 """Unit tests for the UPDATE stream builders."""
 
+import hashlib
+
 import pytest
 
-from repro.bgp.messages import UpdateMessage, decode_message
+from repro.bgp.messages import MAX_MESSAGE_LEN, UpdateMessage, decode_message
 from repro.net.addr import IPv4Address
 from repro.workload.tablegen import generate_table
 from repro.workload.updates import LARGE_UPDATE_PREFIXES, UpdateStreamBuilder
@@ -99,3 +101,42 @@ class TestFlapStorm:
     def test_bad_rounds_rejected(self, builder):
         with pytest.raises(ValueError):
             builder.flap_storm(generate_table(5), rounds=0)
+
+
+class TestMessageSizeLimit:
+    """A batch is cut at the packing or at 4096 octets, whichever binds
+    first — the rule the speaker's own flush follows."""
+
+    def test_packing_above_the_octet_limit_cuts_by_octets(self, builder):
+        table = generate_table(4000, seed=42)
+        for packets in (builder.announcements(table, 1100), builder.withdrawals(table, 1100)):
+            assert max(len(packet) for packet in packets) <= MAX_MESSAGE_LEN
+            messages = [decode_message(packet) for packet in packets]
+            carried = [p for message in messages for p in message.nlri or message.withdrawn]
+            assert carried == table.prefixes()
+            assert len(messages) < len(table) / 500  # still packed, not one per prefix
+
+    def test_each_cut_carries_its_first_entrys_path(self, builder):
+        table = generate_table(4000, seed=42)
+        start = 0
+        for packet in builder.announcements(table, 1100):
+            message = decode_message(packet)
+            assert message.attributes == builder._attributes(table.entries[start], 0)
+            start += len(message.nlri)
+        assert start == len(table)
+
+    @pytest.mark.parametrize("stream, packing, digest", [
+        ("announcements", 1, "62ef10d8510c7c45cd9e812cd4d443305a52f286061a2e5c474a0421bd65f9e7"),
+        ("withdrawals", 1, "3755bef49ab2715d2c421846583f9a284e315ebc6932f8950b80aaca33de0aeb"),
+        ("flap_storm", 1, "a02e0c6dd630d50e2d8d11f42595c89ae1aa2e915b14a3cd716ac32bf9797354"),
+        ("announcements", 500, "acc52ec6b4d261fc013a3894507f571b8d06da08476df48bd8009940235ed01c"),
+        ("withdrawals", 500, "ab53afb937928ead51a9d42c388eae8e7e81721bd21a1174d73fea3d1477c026"),
+        ("flap_storm", 500, "b34268d3f6ff2da68e4f0e14f95f37846e70ac63ebe3f1b1ad55dbe6db9bbfdd"),
+    ])
+    def test_streams_that_fit_are_byte_identical(self, builder, stream, packing, digest):
+        table = generate_table(2000, seed=42)
+        if stream == "flap_storm":
+            packets = builder.flap_storm(table, 3, packing)
+        else:
+            packets = getattr(builder, stream)(table, packing)
+        assert hashlib.sha256(b"".join(packets)).hexdigest() == digest
