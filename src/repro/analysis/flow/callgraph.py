@@ -262,16 +262,12 @@ class ProjectGraph:
                 return CallSite("project", local, node)
             dotted = info.aliases.get(func.id)
             if dotted is not None:
-                if dotted in self.functions:
-                    return CallSite("project", dotted, node)
-                return CallSite("external", dotted, node)
+                return self._imported(dotted, node)
             return CallSite("virtual", func.id, node)
         if isinstance(func, ast.Attribute):
             dotted = resolve_dotted(func, info.aliases)
             if dotted is not None:
-                if dotted in self.functions:
-                    return CallSite("project", dotted, node)
-                return CallSite("external", dotted, node)
+                return self._imported(dotted, node)
             base = func.value
             if isinstance(base, ast.Name):
                 if base.id == "self" and class_name is not None:
@@ -284,6 +280,18 @@ class ProjectGraph:
                         return CallSite("project", method, node)
             return CallSite("virtual", func.attr, node)
         return CallSite("virtual", "<dynamic>", node)
+
+    def _imported(self, dotted: str, node: ast.Call) -> CallSite:
+        """A call through an import: a project function, possibly named
+        by a package that re-exports it (``from repro.benchmark import
+        run_scenario``), or else an external path."""
+        if dotted not in self.functions:
+            package, _, name = dotted.rpartition(".")
+            if package in self.modules:
+                dotted = self.modules[package].aliases.get(name, dotted)
+        if dotted in self.functions:
+            return CallSite("project", dotted, node)
+        return CallSite("external", dotted, node)
 
     # -- reachability -------------------------------------------------------
 

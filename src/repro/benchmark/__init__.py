@@ -20,14 +20,8 @@ from repro.benchmark.harness import (
     stream_packets,
 )
 from repro.benchmark.chain import ChainResult, run_chain_propagation
-from repro.benchmark.recovery import RecoveryResult, run_recovery
-from repro.benchmark.scenarios import (
-    RECOVERY_SCENARIOS,
-    SCENARIOS,
-    RecoveryScenario,
-    Scenario,
-)
-from repro.benchmark.report import format_recovery, format_table
+from repro.benchmark.scenarios import SCENARIOS, Scenario
+from repro.benchmark.report import format_table
 from repro.benchmark.stability import KeepaliveProbe, StabilityReport, offer_at_rate
 
 __all__ = [
@@ -35,9 +29,6 @@ __all__ = [
     "KeepaliveProbe",
     "MultiPeerResult",
     "PhaseTrace",
-    "RECOVERY_SCENARIOS",
-    "RecoveryResult",
-    "RecoveryScenario",
     "SCENARIOS",
     "Scenario",
     "ScenarioResult",
@@ -45,12 +36,10 @@ __all__ = [
     "StallDiagnostics",
     "StallError",
     "Watchdog",
-    "format_recovery",
     "format_table",
     "offer_at_rate",
     "run_chain_propagation",
     "run_multipeer_startup",
-    "run_recovery",
     "run_scenario",
     "stream_interleaved",
     "stream_packets",

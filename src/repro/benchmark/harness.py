@@ -100,6 +100,10 @@ class Watchdog:
     world alive by itself, so an armed watchdog adds zero virtual time
     to a stream that completes. One event handle is reused across
     checks (``EventHandle.reschedule``).
+
+    Safety code: no calibrated run livelocks, but without the watchdog
+    one that did would keep :func:`run_scenario` spinning forever
+    instead of failing with a diagnosis.
     """
 
     def __init__(self, router: RouterSystem, interval: float = 60.0, patience: int = 2):
@@ -282,13 +286,15 @@ def stream_packets(
     (TCP backpressure), then run the simulation dry. Public: workload
     examples use this to drive custom packet streams.
 
-    *deliver* overrides per-packet delivery — e.g. a
-    :class:`repro.faults.link.FaultyLink`'s ``send`` — while the window
-    still tracks the router's completion callbacks. *watchdog* arms a
-    virtual-time stall detector for the duration of the stream; with or
-    without one, a stream that goes idle with packets unaccounted for
-    (a fault link lost them and the window can never refill) raises
-    :class:`StallError` instead of returning as if it had finished.
+    *deliver* overrides per-packet delivery while the window still
+    tracks the router's completion callbacks. No benchmark passes it:
+    it is the seam through which a test substitutes a lossy link to
+    exercise the stall checks below. *watchdog* arms a virtual-time
+    stall detector for the duration of the stream; with or without
+    one, a stream that goes idle with packets unaccounted for (the
+    window can never refill) raises :class:`StallError` instead of
+    returning as if it had finished — safety code, so a lost packet
+    fails the run rather than hanging it.
 
     The in-flight accounting is exception-safe: a delivery that raises
     mid-feed rolls its window slot back, so the count stays truthful
@@ -363,9 +369,9 @@ def run_scenario(
     seconds after the measured phase so forwarding-rate monitors record
     the recovery tail (Figure 6(c)).
 
-    *deliver* optionally maps a speaker id to a delivery override (a
-    :class:`repro.faults.link.FaultyLink` ``send``), injecting faults
-    into that speaker's stream. *watchdog* (default: a fresh
+    *deliver* optionally maps a speaker id to a delivery override for
+    that speaker's stream — the test seam for a lossy link, passed by
+    no benchmark. *watchdog* (default: a fresh
     :class:`Watchdog`) guards every streaming phase; a phase that
     stalls — livelocked event traffic or a deadlocked window — is
     recorded as a failed :class:`PhaseTrace` carrying the

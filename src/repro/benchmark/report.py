@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import Mapping, Sequence
+from typing import Sequence
 
 
 def format_table(
@@ -29,53 +29,4 @@ def format_table(
                 cells.append(value_format.format(value))
         lines.append(f"{label:<{width}} | " + " | ".join(cells))
     lines.append(rule)
-    return "\n".join(lines)
-
-
-def format_recovery(results: "Sequence[object]") -> str:
-    """Render recovery-benchmark results (one row per scenario run).
-
-    *results* is a sequence of
-    :class:`repro.benchmark.recovery.RecoveryResult`.
-    """
-    rows = []
-    for result in results:
-        if result.stall is not None:
-            outcome = "STALLED"
-        elif not result.converged:
-            outcome = "gave up"
-        else:
-            outcome = "ok"
-        rows.append((
-            f"{result.scenario.name} @ {result.platform}",
-            (
-                result.transactions_per_second,
-                result.recovery_overhead,
-                float(result.flaps),
-                float(result.rounds),
-                outcome,
-            ),
-        ))
-    return format_table(
-        "Recovery: re-convergence after session reset",
-        ["trans/s", "overhead", "flaps", "rounds", "outcome"],
-        rows,
-    )
-
-
-def format_series(
-    title: str,
-    series: Mapping[str, Sequence[tuple[float, float]]],
-    max_points: int = 20,
-) -> str:
-    """Summarise time series (e.g. CPU loads) as a compact text block."""
-    lines = [title]
-    for name in sorted(series):
-        points = list(series[name])
-        if not points:
-            continue
-        step = max(1, len(points) // max_points)
-        sampled = points[::step]
-        rendered = " ".join(f"{t:.0f}s:{v:.0f}%" for t, v in sampled)
-        lines.append(f"  {name}: {rendered}")
     return "\n".join(lines)

@@ -16,8 +16,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.faults.link import PERFECT, LinkPolicy
-
 #: Large-packet UPDATE size (paper §III.D).
 LARGE = 500
 
@@ -83,84 +81,6 @@ def get_scenario(scenario: "int | Scenario") -> Scenario:
         return SCENARIOS[scenario]
     except KeyError:
         raise KeyError(f"no scenario {scenario}; valid: 1-8") from None
-
-
-@dataclass(frozen=True, slots=True)
-class RecoveryScenario:
-    """One session-recovery benchmark: a link fault policy plus a
-    scripted mid-replay fault, measured as re-convergence speed.
-
-    Fault timing is expressed as *fractions of the clean baseline
-    duration* (the same stream replayed fault-free), so one scenario
-    definition lands its faults mid-phase on every platform regardless
-    of how fast that platform processes the table.
-    """
-
-    name: str
-    description: str
-    #: Fault policy of the link carrying the measured replay.
-    policy: LinkPolicy = PERFECT
-    #: Scripted session crashes (0 = the link policy alone supplies
-    #: the faults, e.g. a corruption-teardown scenario).
-    crash_count: int = 1
-    #: When the first crash fires, as a fraction of the baseline.
-    crash_fraction: float = 0.5
-    #: Spacing of flap-storm crashes, as a fraction of the baseline.
-    crash_interval_fraction: float = 0.1
-    #: Link partition starting at the first crash, as a fraction of
-    #: the baseline (0 = no partition).
-    partition_fraction: float = 0.0
-    prefixes_per_update: int = 1
-    #: Replay rounds before giving up on convergence.
-    max_rounds: int = 8
-
-    def __post_init__(self) -> None:
-        if self.crash_count < 0:
-            raise ValueError(f"crash_count must be >= 0: {self.crash_count}")
-        if not 0.0 < self.crash_fraction <= 1.0:
-            raise ValueError(
-                f"crash_fraction must be in (0, 1]: {self.crash_fraction}"
-            )
-        if self.crash_interval_fraction <= 0:
-            raise ValueError("crash_interval_fraction must be positive")
-        if self.partition_fraction < 0:
-            raise ValueError("partition_fraction must be >= 0")
-        if self.max_rounds < 1:
-            raise ValueError(f"max_rounds must be >= 1: {self.max_rounds}")
-
-
-RECOVERY_SCENARIOS: dict[str, RecoveryScenario] = {
-    "clean-flap": RecoveryScenario(
-        "clean-flap",
-        "One session crash mid-replay on a perfect link",
-    ),
-    "lossy-flap": RecoveryScenario(
-        "lossy-flap",
-        "One session crash mid-replay over a link with 1% seeded loss",
-        policy=LinkPolicy(drop_rate=0.01),
-    ),
-    "partition": RecoveryScenario(
-        "partition",
-        "Crash plus link partition: reconnects blocked until the heal",
-        partition_fraction=0.5,
-    ),
-    "flap-storm": RecoveryScenario(
-        "flap-storm",
-        "Five session crashes in quick succession (RFC 2439's nightmare)",
-        crash_count=5,
-        crash_interval_fraction=0.1,
-    ),
-}
-
-
-def get_recovery_scenario(scenario: "str | RecoveryScenario") -> RecoveryScenario:
-    if isinstance(scenario, RecoveryScenario):
-        return scenario
-    try:
-        return RECOVERY_SCENARIOS[scenario]
-    except KeyError:
-        valid = ", ".join(sorted(RECOVERY_SCENARIOS))
-        raise KeyError(f"no recovery scenario {scenario!r}; valid: {valid}") from None
 
 
 def render_table1() -> str:

@@ -34,24 +34,6 @@ class Candidate:
     peer: PeerInfo
 
 
-def preference_key(candidate: Candidate):
-    """The MED-free part of the preference order as a sort key (smallest
-    = most preferred). MED cannot be folded into a total-order key —
-    it only applies between routes from the same neighbouring AS, which
-    is exactly the famous non-transitivity of BGP preference — so full
-    comparisons go through :meth:`DecisionProcess.prefer`.
-    """
-    attrs = candidate.attributes
-    return (
-        -attrs.effective_local_pref(),
-        attrs.as_path.length(),
-        int(attrs.origin),
-        0 if candidate.peer.is_ebgp else 1,
-        candidate.peer.bgp_identifier.value,
-        candidate.peer.address.value,
-    )
-
-
 class DecisionProcess:
     """Phase-2 route selection over a set of candidates.
 

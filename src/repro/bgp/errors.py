@@ -114,13 +114,3 @@ def open_error(subcode: OpenSubcode, data: bytes = b"", message: str = "") -> Bg
 
 def update_error(subcode: UpdateSubcode, data: bytes = b"", message: str = "") -> BgpError:
     return BgpError(ErrorCode.UPDATE_MESSAGE_ERROR, subcode, data, message)
-
-
-def cease_error(
-    subcode: CeaseSubcode = CeaseSubcode.ADMINISTRATIVE_RESET,
-    data: bytes = b"",
-    message: str = "",
-) -> BgpError:
-    """A CEASE (RFC 4486) — administrative teardown, used by the fault
-    injector to model a peer deliberately resetting the session."""
-    return BgpError(ErrorCode.CEASE, subcode, data, message)

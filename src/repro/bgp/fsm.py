@@ -113,7 +113,8 @@ class ReconnectBackoff:
     byte-identical retry schedules — the determinism the benchmark's
     repeatability claim requires — while distinct seeds still desynchronise
     reconnect storms the way RFC 4271 §8.2.1.1's DampPeerOscillations
-    intends.
+    intends. Two users: the FSM's connect-retry timer and the grid
+    supervisor's retry schedule (:mod:`repro.grid.outcomes`).
     """
 
     base: float = 1.0
@@ -142,10 +143,6 @@ _TIMER_EVENTS = {
 }
 
 _TIMER_EPS = 1e-9
-
-
-class FsmViolation(Exception):
-    """An event arrived in a state where it is a protocol error."""
 
 
 class SessionFsm:

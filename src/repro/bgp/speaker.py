@@ -367,10 +367,6 @@ class BgpSpeaker:
         #: by putting a list here (and drains it); None = nobody did.
         self.loc_rib_changes: list[Prefix] | None = None
         self._session_log: list[tuple[str, str]] = []
-        #: Optional observer called with every (peer_id, event) session
-        #: transition appended to the log ("up" / "down: <reason>") —
-        #: the hook session-recovery managers latch onto.
-        self.on_session_event: Callable[[str, str], None] | None = None
         #: Optional telemetry probe (:class:`repro.telemetry.Telemetry`)
         #: receiving update/decision/FIB events. Observe-only: the probe
         #: never influences processing.
@@ -846,7 +842,7 @@ class BgpSpeaker:
 
     def _on_session_up(self, peer: Peer) -> None:
         peer._info = None
-        self._log_session_event(peer.config.peer_id, "up")
+        self._session_log.append((peer.config.peer_id, "up"))
         # Initial table transfer (RFC 4271 §9.4 / paper Phase 2): stage
         # the entire Loc-RIB for the new neighbour.
         for route in self.loc_rib.routes():
@@ -857,14 +853,9 @@ class BgpSpeaker:
                 self._stage(peer, route.prefix, exported)
 
     def _on_session_down(self, peer: Peer, reason: str) -> None:
-        self._log_session_event(peer.config.peer_id, f"down: {reason}")
+        self._session_log.append((peer.config.peer_id, f"down: {reason}"))
         self._flush_peer_routes(peer)
         self._reset_outbox(peer)
-
-    def _log_session_event(self, peer_id: str, event: str) -> None:
-        self._session_log.append((peer_id, event))
-        if self.on_session_event is not None:
-            self.on_session_event(peer_id, event)
 
     def _reset_outbox(self, peer: Peer) -> None:
         """Session loss: the peer holds nothing of ours any more. Forget

@@ -94,6 +94,7 @@ def _bounded(convert, accept, what: str):
 
 
 _positive_int = _bounded(int, lambda value: value > 0, "a positive integer")
+_non_negative_int = _bounded(int, lambda value: value >= 0, "a non-negative integer")
 _positive_float = _bounded(float, lambda value: value > 0, "a positive number")
 _non_negative_float = _bounded(float, lambda value: value >= 0, "a non-negative number")
 
@@ -248,7 +249,7 @@ def build_parser() -> argparse.ArgumentParser:
     topo.add_argument("--platform", choices=sorted(PLATFORMS),
                       default="pentium3",
                       help="platform model for --measured routers")
-    topo.add_argument("--shards", type=int, default=1,
+    topo.add_argument("--shards", type=_positive_int, default=1,
                       help="run on the conservative parallel engine with this "
                            "many shard processes (results are byte-identical "
                            "to --shards 1; see docs/PARALLEL.md)")
@@ -319,7 +320,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _add_pool_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
-        "--workers", type=int, default=1,
+        "--workers", type=_positive_int, default=1,
         help="worker processes (results are identical for any count)",
     )
     parser.add_argument(
@@ -338,7 +339,7 @@ def _add_pool_arguments(parser: argparse.ArgumentParser) -> None:
         help="run executed cells in checked mode (invariant sanitizer)",
     )
     parser.add_argument(
-        "--shards", type=int, default=1,
+        "--shards", type=_positive_int, default=1,
         help="run executed topology cells on the conservative parallel "
              "engine with this many shard processes (byte-identical "
              "results; scenario cells ignore it — see docs/PARALLEL.md)",
@@ -353,17 +354,17 @@ def _add_pool_arguments(parser: argparse.ArgumentParser) -> None:
         help="directory for per-cell telemetry artifacts (with --telemetry)",
     )
     parser.add_argument(
-        "--cell-timeout", type=float, default=None, metavar="SECONDS",
+        "--cell-timeout", type=_positive_float, default=None, metavar="SECONDS",
         help="per-cell wall-clock budget; a cell exceeding it is killed and "
              "recorded as a timeout (supervised execution)",
     )
     parser.add_argument(
-        "--retries", type=int, default=0, metavar="N",
+        "--retries", type=_non_negative_int, default=0, metavar="N",
         help="re-run a failed/timed-out/crashed cell up to N times on a "
              "deterministic backoff schedule (supervised execution)",
     )
     parser.add_argument(
-        "--max-failures", type=int, default=None, metavar="N",
+        "--max-failures", type=_positive_int, default=None, metavar="N",
         help="quarantine all not-yet-started cells once N cells have "
              "terminally failed (supervised execution)",
     )
@@ -395,7 +396,7 @@ def _add_grid_arguments(parser: argparse.ArgumentParser) -> None:
         default=sorted(PLATFORMS),
     )
     parser.add_argument("--seeds", type=int, nargs="+", default=[42])
-    parser.add_argument("--table-sizes", type=int, nargs="+", default=[400])
+    parser.add_argument("--table-sizes", type=_positive_int, nargs="+", default=[400])
     _add_pool_arguments(parser)
 
 

@@ -19,9 +19,9 @@ cell attempt ends in one of a closed set of outcomes:
 Failed attempts are retried on a **deterministic** schedule: the delay
 before attempt *n+1* is ``ExecutionPolicy.backoff.delay(n)``, the same
 :class:`~repro.bgp.fsm.ReconnectBackoff` pure function of
-``(seed, attempt)`` that :class:`repro.faults.recovery.SessionRecovery`
-uses for session re-establishment — so two runs of the same grid retry
-at identical offsets and the attempt history is byte-reproducible.
+``(seed, attempt)`` that the BGP FSM uses for its connect-retry timer
+— so two runs of the same grid retry at identical offsets and the
+attempt history is byte-reproducible.
 
 Cells whose every attempt fails are carried as structured
 :class:`CellFailure` records inside the :class:`~repro.grid.executor.
@@ -126,7 +126,7 @@ class CellFailure:
 
 
 def _default_backoff() -> ReconnectBackoff:
-    # The SessionRecovery schedule scaled down to grid-retry timescales:
+    # The FSM's connect-retry schedule scaled down to grid-retry timescales:
     # 50 ms, ~100 ms, ~200 ms, … capped at 2 s. Deterministic jitter
     # (pure in (seed, attempt)) keeps repeated runs byte-identical.
     return ReconnectBackoff(base=0.05, multiplier=2.0, cap=2.0, jitter=0.1, seed=0)

@@ -18,22 +18,18 @@ from repro.igp.ospf import (
     RouterLsa,
     shortest_paths,
 )
-from repro.igp.redistribution import IgpSite, Redistributor, rip_table_view
 from repro.igp.rip import INFINITY_METRIC, RipNetwork, RipRouter, converge
 from repro.igp.topology import Topology
 
 __all__ = [
     "INFINITY_METRIC",
-    "IgpSite",
     "LinkStateDatabase",
     "OspfNetwork",
     "OspfRouter",
-    "Redistributor",
     "RipNetwork",
     "RipRouter",
     "RouterLsa",
     "Topology",
     "converge",
-    "rip_table_view",
     "shortest_paths",
 ]

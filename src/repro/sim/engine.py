@@ -57,7 +57,9 @@ class EventHandle:
         reused instead of allocating a new one — so a periodic timer
         that re-arms itself from its own callback never allocates after
         the first :meth:`Simulator.schedule`. Returns ``self`` so the
-        caller can keep a single handle alive across re-arms.
+        caller can keep a single handle alive across re-arms. The
+        topology's MRAI release timers, the FSM's session timers and
+        the benchmark watchdog all re-arm this way.
         """
         if not isfinite(delay):
             raise ValueError(f"non-finite delay: {delay}")
@@ -120,7 +122,9 @@ class Simulator:
         only daemon events remain queued, :meth:`peek_time` reports the
         queue as empty and run loops go idle. Observers (e.g. the
         benchmark watchdog) schedule themselves as daemons so watching
-        a run cannot prolong it.
+        a run cannot prolong it — without them the safety check that
+        keeps a stalled run from spinning forever would itself keep
+        every run alive.
         """
         if delay < 0:
             raise ValueError(f"negative delay: {delay}")

@@ -143,6 +143,26 @@ class TestCallGraph:
         )
         assert graph.calls["pkg.sub.app.main"] == {"pkg.util.helper"}
 
+    def test_package_reexport_resolves_to_project_edge(self, tmp_path):
+        # The grid imports run_scenario from repro.benchmark, not from
+        # repro.benchmark.harness; without this edge no worker reached
+        # the scenario path at all.
+        graph = build_project(
+            tmp_path,
+            {
+                "pkg/__init__.py": "from pkg.util import helper\n",
+                "pkg/util.py": "def helper():\n    return 1\n",
+                "app.py": (
+                    "from pkg import helper\n"
+                    "import pkg\n"
+                    "def main():\n"
+                    "    return helper() + pkg.helper()\n"
+                ),
+            },
+        )
+        assert graph.calls["app.main"] == {"pkg.util.helper"}
+        assert graph.external["app.main"] == set()
+
     def test_resolve_relative_handles_levels(self):
         import ast
 

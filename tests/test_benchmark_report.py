@@ -1,6 +1,6 @@
 """Unit tests for the text reporting helpers."""
 
-from repro.benchmark.report import format_series, format_table
+from repro.benchmark.report import format_table
 
 
 class TestFormatTable:
@@ -25,23 +25,3 @@ class TestFormatTable:
         pipes = [line.index("|") for line in data_lines]
         assert len(set(pipes)) == 1  # all rows align
 
-
-class TestFormatSeries:
-    def test_renders_each_series(self):
-        text = format_series(
-            "CPU",
-            {"xorp_bgp": [(0.0, 50.0), (1.0, 75.0)], "xorp_rib": [(0.0, 25.0)]},
-        )
-        assert "xorp_bgp" in text
-        assert "xorp_rib" in text
-        assert "0s:50%" in text
-
-    def test_empty_series_skipped(self):
-        text = format_series("CPU", {"idle": []})
-        assert "idle" not in text
-
-    def test_downsampling(self):
-        points = [(float(t), 1.0) for t in range(200)]
-        text = format_series("CPU", {"t": points}, max_points=10)
-        rendered_points = text.splitlines()[1].count("%")
-        assert rendered_points <= 21

@@ -1,7 +1,7 @@
 """Unit tests for the decision process, one tie-break level at a time."""
 
 from repro.bgp.attributes import AsPath, Origin, PathAttributes
-from repro.bgp.decision import Candidate, DecisionProcess, PeerInfo, preference_key
+from repro.bgp.decision import Candidate, DecisionProcess, PeerInfo
 from repro.net.addr import IPv4Address
 
 NH1 = IPv4Address.parse("10.0.1.1")
@@ -119,21 +119,6 @@ class TestSelect:
 
 
 class TestPreferenceKey:
-    def test_key_is_total_order(self):
-        candidates = [
-            candidate(local_pref=lp, path=p, bgp_id=i)
-            for lp, p, i in [
-                (200, (1,), "1.1.1.1"),
-                (100, (1,), "2.2.2.2"),
-                (100, (1, 2), "3.3.3.3"),
-                (None, (9,), "4.4.4.4"),
-            ]
-        ]
-        keys = [preference_key(c) for c in candidates]
-        assert sorted(keys) == sorted(keys, key=lambda k: k)  # comparable
-        # Highest local-pref candidate must sort first.
-        assert min(range(4), key=lambda i: keys[i]) == 0
-
     def test_med_nontransitivity_documented_behavior(self):
         # a beats b (same neighbor AS, lower MED), b beats c (shorter
         # path? no — same length; different neighbor AS so MED skipped,

@@ -201,6 +201,21 @@ class TestRunnerCli:
                      "--hold-time", id="hold-time"),
         pytest.param(["stability", "--platform", "pentium3", "--duration", "3"],
                      "--duration", id="duration-below-keepalive-interval"),
+        pytest.param(["grid", "--table-sizes", "0"], "--table-sizes", id="grid-size"),
+        pytest.param(["grid", "--table-sizes", "-5"], "--table-sizes",
+                     id="grid-size-negative"),
+        pytest.param(["grid", "--workers", "0"], "--workers", id="workers"),
+        pytest.param(["grid", "--workers", "-2"], "--workers", id="workers-negative"),
+        pytest.param(["regress", "--workers", "0"], "--workers", id="regress-workers"),
+        pytest.param(["grid", "--retries", "-1"], "--retries", id="retries"),
+        pytest.param(["grid", "--cell-timeout", "0"], "--cell-timeout", id="cell-timeout"),
+        pytest.param(["grid", "--cell-timeout", "nan"], "--cell-timeout",
+                     id="cell-timeout-nan"),
+        pytest.param(["grid", "--max-failures", "0"], "--max-failures", id="max-failures"),
+        pytest.param(["grid", "--shards", "0"], "--shards", id="grid-shards"),
+        pytest.param(["regress", "--shards", "0"], "--shards", id="regress-shards"),
+        pytest.param(["topo", "--shards", "0"], "--shards", id="topo-shards"),
+        pytest.param(["topo", "--shards", "-1"], "--shards", id="topo-shards-negative"),
     ])
     def test_bad_numbers_are_usage_errors(self, argv, flag, capsys):
         """A value out of a flag's range exits 2 before anything runs,

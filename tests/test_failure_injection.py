@@ -108,6 +108,21 @@ class TestSessionLossAndRecovery:
         assert len(router.fib) == 0
         assert len(router.speaker.peers[SPEAKER1].adj_rib_in) == 0
 
+    def test_transport_failure_mid_stream_flushes_routes(self):
+        # The peer's TCP connection dies partway through the table: no
+        # NOTIFICATION arrives, yet every route learned so far goes.
+        router = prepared_router()
+        builder = UpdateStreamBuilder(SPEAKER1_ASN, SPEAKER1_ADDR)
+        packets = builder.announcements(generate_table(100, seed=8), 1)
+        router.world.sim.schedule(
+            0.2, lambda: router.speaker.transport_failed(SPEAKER1, now=router.now)
+        )
+        stream_packets(router, SPEAKER1, packets, window=4)
+        assert 0 < router.transactions_completed < 100
+        assert router.speaker.session_events()[-1] == (SPEAKER1, "down: transport failed")
+        assert len(router.speaker.loc_rib) == 0
+        assert len(router.fib) == 0
+
     def test_session_reestablishes_after_teardown(self):
         router = prepared_router()
         router.deliver(SPEAKER1, NotificationMessage(6, 4).encode())

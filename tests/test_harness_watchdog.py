@@ -15,7 +15,6 @@ from repro.benchmark.harness import (
 )
 from repro.bgp.policy import ACCEPT_ALL
 from repro.bgp.speaker import PeerConfig
-from repro.faults.link import FaultyLink, LinkPolicy
 from repro.systems.platforms import build_system
 from repro.workload.tablegen import generate_table
 from repro.workload.updates import UpdateStreamBuilder
@@ -105,25 +104,20 @@ class TestWatchdog:
             Watchdog(router, patience=0)
 
     def test_livelock_raises_with_diagnostics(self):
-        # A permanently dark link with flat, tiny RTOs and an absurd
-        # retry budget: retransmission events fire forever while no
-        # packet ever completes — the livelock the watchdog exists for.
+        # A permanently dark link that retransmits every 50 ms without
+        # end: events fire forever while no packet ever completes — the
+        # livelock the watchdog exists for.
         router = make_router()
-        link = FaultyLink(
-            router.world.sim,
-            lambda data: router.deliver(SPEAKER1, data),
-            LinkPolicy(
-                retransmit_timeout=0.05,
-                retransmit_backoff=1.0,
-                max_retransmits=10**6,
-            ),
-        )
-        link.partition()
+        sim = router.world.sim
+
+        def retransmit_forever(data):
+            sim.schedule(0.05, lambda: retransmit_forever(data))
+
         watchdog = Watchdog(router, interval=5.0, patience=2)
         with pytest.raises(StallError) as info:
             stream_packets(
                 router, SPEAKER1, make_packets(), window=4,
-                deliver=link.send, watchdog=watchdog,
+                deliver=retransmit_forever, watchdog=watchdog,
             )
         diag = info.value.diagnostics
         assert "live event traffic" in diag.reason

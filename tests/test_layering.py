@@ -20,6 +20,7 @@ import repro.bgp.messages
 from repro.bgp.speaker import BgpSpeaker
 from repro.experiments.runner import main
 from repro.grid.cells import run_cell
+from repro.systems.platforms import build_system
 from repro.topo.families import TopoCell
 
 CORE = ("repro.net", "repro.bgp", "repro.forwarding", "repro.sim")
@@ -154,6 +155,9 @@ def test_oracles_are_not_shipped():
     "repro.forwarding.classifier",
     "repro.sim.trace",                # per-job service journal
     "repro.workload.events",          # timelines: offer_at_rate paces
+    "repro.faults",                   # the recovery family: the paper's
+    "repro.benchmark.recovery",       # router never loses a session
+    "repro.igp.redistribution",       # no paper table has an IGP feed BGP
 ])
 def test_retired_modules_are_gone(name):
     assert importlib.util.find_spec(name) is None
@@ -164,6 +168,23 @@ def test_retired_speaker_methods_are_gone(name):
     # Route aggregation and the all-peers timer poll: no workload, paper
     # table or figure configured or called them.
     assert not hasattr(BgpSpeaker, name)
+
+
+@pytest.mark.parametrize("name", [
+    "repro.bgp.fsm.FsmViolation",
+    "repro.bgp.decision.preference_key",
+    "repro.bgp.errors.cease_error",
+    "repro.benchmark.report.format_series",
+])
+def test_retired_names_are_gone(name):
+    # No caller was left outside their own tests (DESIGN.md §7, the census).
+    module, _, attribute = name.rpartition(".")
+    assert not hasattr(importlib.import_module(module), attribute)
+
+
+def test_speaker_has_no_session_event_hook():
+    # Session recovery was the hook's only setter; tests read session_events().
+    assert not hasattr(build_system("pentium3").speaker, "on_session_event")
 
 
 EXAMPLES = sorted((PACKAGE.parents[1] / "examples").glob("*.py"))
