@@ -1,29 +1,22 @@
 """Correctness tooling that guards the benchmark's reproducibility.
 
-Three prongs (see docs/ANALYSIS.md):
+Two prongs (see docs/ANALYSIS.md):
 
 * the **determinism linter** (:mod:`repro.analysis.linter` plus the rule
   registry in :mod:`repro.analysis.rules`) — static AST checks tuned to
   this codebase: no wall-clock reads, no unseeded randomness, no
   unordered-set iteration on ordering-sensitive paths, no mutable
-  default arguments, ``math.fsum`` for float aggregation, and
+  default arguments, ``math.fsum`` for float aggregation,
   ``to_jsonable`` completeness for dataclasses crossing the grid
-  process boundary;
-* the **flow analysis** (:mod:`repro.analysis.flow`) — a whole-program
-  pass over a project-wide call graph: interprocedural nondeterminism
-  taint (sources laundered through helpers into schedulers/hashes,
-  RPR101) and a shared-state census (module globals mutated on worker
-  process paths, identity-keyed caches, unpicklable boundary payloads,
-  RPR102–104), gated through a committed baseline and exportable as
-  SARIF;
+  process boundary, and no ``print()`` in library modules;
 * the **simulation sanitizer** (:mod:`repro.analysis.sanitizer`) — a
   checked mode that observes a live :class:`repro.sim.engine.Simulator`
   and asserts runtime invariants every event (monotonic clock, stable
   tie-breaking, heap integrity, prefix conservation) plus RIB/FIB
   agreement after quiescence.
 
-Exposed on the command line as ``bgpbench lint``, ``bgpbench lint
---flow``, and ``bgpbench check --sanitize``.
+Exposed on the command line as ``bgpbench lint`` and ``bgpbench check
+--sanitize``.
 """
 
 from repro.analysis.linter import (

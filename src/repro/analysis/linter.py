@@ -144,7 +144,10 @@ def lint_paths(
     select: "Iterable[str] | None" = None,
 ) -> LintReport:
     """Lint every ``*.py`` under *paths* (default: the ``repro`` package
-    source tree) with all rules, or just the *select* rule ids."""
+    source tree) with all rules, or just the *select* rule ids.
+
+    Raises :class:`ValueError` for an unknown rule id or a path that
+    cannot be read as text — a usage error, not a finding."""
     if paths is None:
         import repro
 
@@ -162,6 +165,11 @@ def lint_paths(
         report.files_scanned += 1
         try:
             source = file_path.read_text()
+        except OSError as error:
+            raise ValueError(f"{file_path}: {error.strerror}") from error
+        except UnicodeDecodeError as error:
+            raise ValueError(f"{file_path}: not UTF-8 text ({error.reason})") from error
+        try:
             findings, suppressed = lint_source(str(file_path), source, rules)
         except SyntaxError as error:
             report.parse_errors.append(f"{file_path}: {error.msg} (line {error.lineno})")
@@ -195,20 +203,11 @@ def render_json(report: LintReport) -> str:
 
 
 def render_rule_list() -> str:
-    """``--list-rules``: every rule id, severity, title, and rationale —
-    the per-module rules first, then the whole-program flow rules."""
-    from repro.analysis.flow.rules import FLOW_RULES
-
+    """``--list-rules``: every rule id, severity, title, and rationale."""
     lines = []
     for rule in all_rules():
         lines.append(f"{rule.rule_id} [{rule.severity}] {rule.title}")
         rationale = (rule.__doc__ or "").strip()
         for doc_line in rationale.splitlines():
             lines.append(f"    {doc_line.strip()}")
-    for flow_rule in FLOW_RULES.values():
-        lines.append(
-            f"{flow_rule.rule_id} [{flow_rule.severity}] {flow_rule.title} "
-            f"(whole-program, via --flow)"
-        )
-        lines.append(f"    {flow_rule.rationale}")
     return "\n".join(lines)

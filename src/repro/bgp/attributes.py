@@ -307,9 +307,9 @@ def encode_attributes(attrs: PathAttributes) -> bytes:
     """
     cached = _encode_cache.get(attrs)
     if cached is not None:
-        _cache_counters["encode_hits"] += 1  # repro: noqa[RPR102] — telemetry only, never read by results
+        _cache_counters["encode_hits"] += 1
         return cached
-    _cache_counters["encode_misses"] += 1  # repro: noqa[RPR102] — telemetry only, never read by results
+    _cache_counters["encode_misses"] += 1
     out = bytearray()
     out += _encode_attribute(
         AttrType.ORIGIN, AttrFlag.TRANSITIVE, bytes((attrs.origin,))
@@ -344,7 +344,7 @@ def encode_attributes(attrs: PathAttributes) -> bytes:
         out += _encode_attribute(unknown.type_code, unknown.flags, unknown.value)
     wire = bytes(out)
     if len(_encode_cache) < _ENCODE_CACHE_CAPACITY:
-        _encode_cache[attrs] = wire  # repro: noqa[RPR102] — value-keyed memo, fork-safe
+        _encode_cache[attrs] = wire
     return wire
 
 
@@ -541,20 +541,18 @@ def decode_attributes(data: bytes, require_mandatory: bool = True) -> PathAttrib
 # cached — corrupt input re-raises through the full parse every time,
 # keeping the error taxonomy identical to the uncached path.
 #
-# Fork-safety contract (RPR102, see docs/ANALYSIS.md): these module
-# globals are *pure memoization* — every entry is keyed on value
-# (attribute-set equality, exact wire blob) and maps to a value that is
-# a deterministic function of its key. A worker process that forks with
-# a warm, cold, or differently-warmed cache computes byte-identical
-# results; only the hit/miss telemetry differs per process. That is why
-# the cache-insert lines carry ``# repro: noqa[RPR102]``; the
-# ``_cache_counters`` increments are telemetry no result ever reads
-# (the intern/decode ones predate the suppressions and sit in the
-# committed flow baseline instead). Any new module global touched on a
+# Fork-safety contract (see docs/PERF.md): these module globals are
+# *pure memoization* — every entry is keyed on value (attribute-set
+# equality, exact wire blob) and maps to a value that is a deterministic
+# function of its key. A worker process that forks with a warm, cold, or
+# differently-warmed cache computes byte-identical results; only the
+# hit/miss telemetry differs per process, and ``_cache_counters`` is
+# telemetry no result ever reads. Any new module global touched on a
 # worker path must either satisfy this same value-keyed contract or be
 # threaded through the cell spec — and be emptied by
-# ``clear_codec_caches``/``repro.bgp.reset_caches`` (a tier-1 guard
-# checks every ``*_cache`` dict here and in ``repro.bgp.messages``).
+# ``clear_codec_caches``/``repro.bgp.reset_caches`` (a tier-1 test runs
+# a topology cell and a grid cell and fails on any module-level
+# container anywhere in ``repro`` that grew and survives the reset).
 
 _INTERN_CAPACITY = 1 << 16
 _DECODE_CACHE_CAPACITY = 1 << 15
@@ -599,7 +597,7 @@ def intern_attributes(attrs: PathAttributes) -> PathAttributes:
         return canonical
     _cache_counters["intern_misses"] += 1
     if len(_interned) < _INTERN_CAPACITY:
-        _interned[attrs] = attrs  # repro: noqa[RPR102] — value-keyed memo, fork-safe
+        _interned[attrs] = attrs
     return attrs
 
 
@@ -620,7 +618,7 @@ def decode_attributes_cached(
     blob = bytes(data)
     attrs = intern_attributes(decode_attributes(blob, require_mandatory))
     if len(cache) < _DECODE_CACHE_CAPACITY:
-        cache[blob] = attrs  # repro: noqa[RPR102] — value-keyed memo, fork-safe
+        cache[blob] = attrs
     return attrs
 
 
@@ -640,11 +638,11 @@ def clear_codec_caches() -> None:
     """Reset the flyweight and the codec memos (tests, benchmarks, and
     worker-process start — see the fork-safety contract in
     docs/PERF.md: clearing *is* how workers begin cold)."""
-    _interned.clear()  # repro: noqa[RPR102] — cache reset, the contract itself
-    _decode_cache_strict.clear()  # repro: noqa[RPR102] — cache reset, the contract itself
-    _decode_cache_lax.clear()  # repro: noqa[RPR102] — cache reset, the contract itself
-    _encode_cache.clear()  # repro: noqa[RPR102] — cache reset, the contract itself
-    _message_cache.clear()  # repro: noqa[RPR102] — cache reset, the contract itself
-    _wire_cache.clear()  # repro: noqa[RPR102] — cache reset, the contract itself
+    _interned.clear()
+    _decode_cache_strict.clear()
+    _decode_cache_lax.clear()
+    _encode_cache.clear()
+    _message_cache.clear()
+    _wire_cache.clear()
     for key in _cache_counters:
-        _cache_counters[key] = 0  # repro: noqa[RPR102] — cache reset, the contract itself
+        _cache_counters[key] = 0

@@ -67,9 +67,9 @@ def encode_nlri(prefixes: "list[Prefix] | tuple[Prefix, ...]") -> bytes:
 #: same table), and a hit skips both the ``Prefix`` construction and
 #: its canonical-form validation. Bounded: when full, new prefixes are
 #: simply built uncached — behaviour stays deterministic. Fork-safety
-#: contract (RPR102): the cache is value-keyed pure memoization, so a
-#: worker process forking with any warmth computes identical prefixes;
-#: see the contract note in :mod:`repro.bgp.attributes`.
+#: contract: the cache is value-keyed pure memoization, so a worker
+#: process forking with any warmth computes identical prefixes; see the
+#: contract note in :mod:`repro.bgp.attributes`.
 _PREFIX_CACHE_CAPACITY = 1 << 17
 _prefix_cache: dict[int, Prefix] = {}
 
@@ -77,7 +77,7 @@ _prefix_cache: dict[int, Prefix] = {}
 def clear_prefix_cache() -> None:
     """Reset the decoded-prefix flyweight cache (tests, benchmarks, and
     worker-process start — clearing is the fork-safety contract)."""
-    _prefix_cache.clear()  # repro: noqa[RPR102] — cache reset, the contract itself
+    _prefix_cache.clear()
 
 
 def _decode_nlri_range(data: bytes, offset: int, end: int) -> list[Prefix]:
@@ -129,7 +129,7 @@ def _decode_nlri_range(data: bytes, offset: int, end: int) -> list[Prefix]:
                 )
             prefix = Prefix(network, length)
             if len(cache) < _PREFIX_CACHE_CAPACITY:
-                cache[key] = prefix  # repro: noqa[RPR102] — value-keyed memo, fork-safe
+                cache[key] = prefix
         append(prefix)
     return prefixes
 
@@ -279,9 +279,9 @@ class UpdateMessage:
         contract: value-keyed, never evicting, errors never cached)."""
         wire = _wire_cache.get(self)
         if wire is not None:
-            _cache_counters["wire_hits"] += 1  # repro: noqa[RPR102] — telemetry only, never read by results
+            _cache_counters["wire_hits"] += 1
             return wire
-        _cache_counters["wire_misses"] += 1  # repro: noqa[RPR102] — telemetry only, never read by results
+        _cache_counters["wire_misses"] += 1
         withdrawn_bytes = encode_nlri(self.withdrawn)
         if self.nlri and self.attributes is None:
             raise ValueError("UPDATE with NLRI requires path attributes")
@@ -296,7 +296,7 @@ class UpdateMessage:
         )
         wire = _frame(MSG_UPDATE, body)
         if len(wire) <= _MESSAGE_CACHE_MAX_LEN and len(_wire_cache) < _MESSAGE_CACHE_CAPACITY:
-            _wire_cache[self] = wire  # repro: noqa[RPR102] — value-keyed memo, fork-safe
+            _wire_cache[self] = wire
         return wire
 
     @classmethod
@@ -395,9 +395,9 @@ def decode_message(data: bytes) -> BgpMessage:
     if cacheable:
         cached = _message_cache.get(data)
         if cached is not None:
-            _cache_counters["message_hits"] += 1  # repro: noqa[RPR102] — telemetry only, never read by results
+            _cache_counters["message_hits"] += 1
             return cached  # type: ignore[return-value]
-        _cache_counters["message_misses"] += 1  # repro: noqa[RPR102] — telemetry only, never read by results
+        _cache_counters["message_misses"] += 1
     message, consumed = _decode_one(data)
     if consumed != len(data):
         raise header_error(
@@ -405,7 +405,7 @@ def decode_message(data: bytes) -> BgpMessage:
             message=f"trailing bytes after message: {len(data) - consumed}",
         )
     if cacheable and len(_message_cache) < _MESSAGE_CACHE_CAPACITY:
-        _message_cache[data] = message  # repro: noqa[RPR102] — value-keyed memo, fork-safe
+        _message_cache[data] = message
     return message
 
 

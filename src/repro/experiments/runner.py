@@ -17,8 +17,6 @@
                   [--mrai 30] [--damping] [--sanitize] [--telemetry]
                   [--shards 4] [--json out.json]
     bgpbench lint [paths ...] [--format json] [--select RPR001 ...]
-    bgpbench lint --flow [paths ...] [--baseline PATH] [--update-baseline]
-                  [--sarif out.sarif]
     bgpbench check [--platform pentium3] [--scenario 5]
 
 ``--output-dir`` writes the experiment's result as JSON next to the
@@ -34,13 +32,12 @@ unusable golden file or chaos plan is a usage error (exit 2). ``topo`` runs
 one topology benchmark cell (an AS graph of interacting speakers, see
 docs/TOPOLOGY.md); ``topo --shards N`` is the one way onto the parallel
 engine (docs/PARALLEL.md). ``regress --bless --topo`` creates the
-topology golden baseline. ``lint`` runs the
-determinism linter over the source tree (``--flow`` switches to the
-whole-program dataflow pass, gated through a committed baseline and
-exportable as SARIF) and ``check`` runs
-one scenario in checked mode (see docs/ANALYSIS.md); both exit
-non-zero on findings, so CI can gate on them. ``--trace``/``--metrics``
-(scenario) and ``--telemetry`` (grid/regress) instrument the run with
+topology golden baseline. ``lint`` runs the determinism linter over
+the source tree and ``check`` runs one scenario in checked mode (see
+docs/ANALYSIS.md); both exit non-zero on findings, so CI can gate on
+them, and ``lint`` exits 2, not 1, on an unknown rule id or an
+unreadable path. ``--trace``/``--metrics`` (scenario) and
+``--telemetry`` (grid/regress) instrument the run with
 :mod:`repro.telemetry` — observe-only, results are byte-identical (see
 docs/TELEMETRY.md).
 """
@@ -283,30 +280,6 @@ def build_parser() -> argparse.ArgumentParser:
     lint.add_argument(
         "--list-rules", action="store_true",
         help="list the registered rules and exit",
-    )
-    lint.add_argument(
-        "--flow", action="store_true",
-        help="run the whole-program flow analysis (call graph + "
-             "interprocedural taint + shared-state census, RPR101-104) "
-             "instead of the per-module rules",
-    )
-    lint.add_argument(
-        "--baseline", type=Path,
-        default=Path("benchmarks/analysis/flow-baseline.json"),
-        metavar="PATH",
-        help="with --flow: committed findings baseline; only findings "
-             "absent from it fail the run (ignored when the file does "
-             "not exist)",
-    )
-    lint.add_argument(
-        "--update-baseline", action="store_true",
-        help="with --flow: rewrite --baseline from this run's findings "
-             "instead of gating on them",
-    )
-    lint.add_argument(
-        "--sarif", type=Path, default=None, metavar="PATH",
-        help="with --flow: also write the findings as a SARIF 2.1.0 "
-             "log (uploaded from CI to annotate PRs)",
     )
 
     check = sub.add_parser(
@@ -680,45 +653,12 @@ def _run_lint(args) -> int:
     if args.list_rules:
         print(render_rule_list())
         return 0
-    if args.flow:
-        return _run_lint_flow(args)
     try:
         report = lint_paths(args.paths or None, select=args.select)
     except ValueError as error:
         print(f"lint: {error}", file=sys.stderr)
         return 2
     print(render_json(report) if args.format == "json" else render_text(report))
-    return 0 if report.ok else 1
-
-
-def _run_lint_flow(args) -> int:
-    from repro.analysis.flow import (
-        analyze_paths,
-        render_flow_json,
-        render_flow_text,
-        render_sarif,
-        save_baseline,
-    )
-
-    try:
-        report = analyze_paths(
-            args.paths or None,
-            baseline_path=None if args.update_baseline else args.baseline,
-            select=args.select,
-        )
-    except ValueError as error:
-        print(f"lint: {error}", file=sys.stderr)
-        return 2
-    if args.update_baseline:
-        path = save_baseline(args.baseline, report.all_findings)
-        print(f"baselined {len(report.all_findings)} finding(s) -> {path}")
-        return 0
-    if args.sarif is not None:
-        args.sarif.parent.mkdir(parents=True, exist_ok=True)
-        args.sarif.write_text(render_sarif(report.findings) + "\n")
-    print(render_flow_json(report) if args.format == "json" else render_flow_text(report))
-    if args.sarif is not None:
-        print(f"[SARIF written {args.sarif}]")
     return 0 if report.ok else 1
 
 

@@ -202,8 +202,33 @@ class TestCli:
         assert bgpbench(["lint", "--select", "RPR999"]) == 2
         assert "unknown rule ids" in capsys.readouterr().err
 
+    def test_lint_missing_path_exits_two(self, tmp_path, capsys):
+        # Exit 1 means "findings"; a path that cannot be read is a usage
+        # error, one line naming it.
+        missing = tmp_path / "no" / "such.py"
+        assert bgpbench(["lint", str(missing)]) == 2
+        assert capsys.readouterr().err == f"lint: {missing}: No such file or directory\n"
+
+    def test_lint_non_text_file_exits_two(self, tmp_path, capsys):
+        binary = tmp_path / "blob.py"
+        binary.write_bytes(b"\xff\xfe\x00")
+        assert bgpbench(["lint", str(binary)]) == 2
+        assert capsys.readouterr().err.startswith(f"lint: {binary}: not UTF-8 text")
+
+    def test_whole_program_flow_lint_is_gone(self, capsys):
+        # The flow rules (RPR101-104) and their flags were deleted; the
+        # fork-safety contract they checked is a runtime test now
+        # (tests/test_layering.py).
+        with pytest.raises(SystemExit) as raised:
+            bgpbench(["lint", "--flow"])
+        assert raised.value.code == 2
+        assert "unrecognized arguments: --flow" in capsys.readouterr().err
+        assert bgpbench(["lint", "--select", "RPR101"]) == 2
+        assert "unknown rule ids: ['RPR101']" in capsys.readouterr().err
+
     def test_list_rules_names_every_rule(self, capsys):
         assert bgpbench(["lint", "--list-rules"]) == 0
         out = capsys.readouterr().out
         for rule_id in RULE_IDS:
             assert rule_id in out
+        assert "RPR1" not in out

@@ -7,6 +7,7 @@ times itself — a speed claim is a ``benchmarks/ledger/`` run.
 import ast
 import importlib.util
 import inspect
+import pkgutil
 import re
 import subprocess
 import sys
@@ -170,6 +171,7 @@ def test_oracles_are_not_shipped():
     "repro.faults",                   # the recovery family: the paper's
     "repro.benchmark.recovery",       # router never loses a session
     "repro.igp.redistribution",       # no paper table has an IGP feed BGP
+    "repro.analysis.flow",            # whole-program lint, no recorded catch
 ])
 def test_retired_modules_are_gone(name):
     assert importlib.util.find_spec(name) is None
@@ -227,23 +229,41 @@ def test_perf_is_not_a_subcommand(capsys):
     assert "invalid choice: 'perf'" in capsys.readouterr().err
 
 
+def module_level_containers():
+    """``{id: (container, names)}`` for every module-level ``dict``,
+    ``list``, ``set`` and ``bytearray`` in the imported ``repro``
+    modules; a container re-exported under several names is one entry."""
+    found = {}
+    for module_name, module in sorted(sys.modules.items()):
+        if module_name != "repro" and not module_name.startswith("repro."):
+            continue
+        for name, value in vars(module).items():
+            if isinstance(value, (dict, list, set, bytearray)):
+                _, names = found.setdefault(id(value), (value, []))
+                names.append(f"{module_name}.{name}")
+    return found
+
+
 def test_reset_caches_empties_every_module_level_cache():
     """The fork-safety contract (docs/PERF.md): grid and shard workers
-    begin cold by calling ``repro.bgp.reset_caches()``. A cache added
-    to the codec modules without a ``clear_*`` hook would leak warmth
-    into them — this finds it by name, so it cannot be forgotten."""
-    def caches():
-        return {
-            f"{module.__name__}.{name}": value
-            for module in (repro.bgp.attributes, repro.bgp.messages)
-            for name, value in vars(module).items()
-            if isinstance(value, dict)
-            and ("_cache" in name or name == "_interned")
-            and name != "_cache_counters"
-        }
+    begin cold by calling ``repro.bgp.reset_caches()``. Any module-level
+    container in ``repro`` that a grid cell or a topology cell grows is
+    a cache, and one the reset misses would leak warmth from cell to
+    cell — this finds it wherever it is defined, so it cannot be
+    forgotten."""
+    for info in pkgutil.walk_packages(repro.__path__, "repro."):
+        importlib.import_module(info.name)
+    repro.bgp.reset_caches()
+    before = {key: len(value) for key, (value, _) in module_level_containers().items()}
 
     run_cell(TopoCell(family="withdraw", origins=2))
-    warm = {name for name, cache in caches().items() if cache}
+    run_cell(GridCell(scenario=1, platform="pentium3", seed=42, table_size=200))
+    grown = {
+        name: value
+        for key, (value, names) in module_level_containers().items()
+        if len(value) > before.get(key, 0)
+        for name in names
+    }
     assert {
         "repro.bgp.attributes._interned",
         "repro.bgp.attributes._decode_cache_strict",
@@ -253,9 +273,9 @@ def test_reset_caches_empties_every_module_level_cache():
         "repro.bgp.messages._message_cache",
         "repro.bgp.messages._wire_cache",
         "repro.bgp.messages._prefix_cache",
-    } <= warm
+    } <= set(grown)
     repro.bgp.reset_caches()
-    assert {name: len(cache) for name, cache in caches().items() if cache} == {}
+    assert {name: len(value) for name, value in grown.items() if value} == {}
     stats = repro.bgp.attributes.codec_cache_stats()
     assert set(stats) >= {
         "intern_hits", "intern_misses", "decode_hits", "decode_misses",
