@@ -11,7 +11,6 @@
     bgpbench stability --platform pentium3 --rate 1500
     bgpbench grid --workers 4 [--scenarios ...] [--telemetry]
                   [--cell-timeout 300] [--retries 2] [--max-failures 5]
-                  [--resume] [--chaos plan.json]
     bgpbench regress [--golden benchmarks/golden/grid-small.json] [--bless]
     bgpbench topo --family convergence [--tier1 2 --tier2 5 --stubs 18]
                   [--mrai 30] [--damping] [--sanitize] [--telemetry]
@@ -24,19 +23,19 @@ text rendering. ``grid`` runs the sharded experiment grid through the
 on-disk cell cache; ``regress`` re-runs a committed golden baseline's
 grid and exits non-zero on drift (see docs/GRID.md). With one worker and
 no resilience flag the cells run in the calling process; ``--workers N``
-or any of ``--cell-timeout``/``--retries``/``--max-failures``/``--chaos``
-runs them on supervised worker processes, where failing cells degrade to
-a failure manifest and exit status 3 instead of aborting the run.
-``--resume`` finishes an interrupted run from its checkpoint journal; an
-unusable golden file or chaos plan is a usage error (exit 2). ``topo`` runs
-one topology benchmark cell (an AS graph of interacting speakers, see
-docs/TOPOLOGY.md); ``topo --shards N`` is the one way onto the parallel
-engine (docs/PARALLEL.md). ``regress --bless --topo`` creates the
-topology golden baseline. ``lint`` runs the determinism linter over
-the source tree and ``check`` runs one scenario in checked mode (see
-docs/ANALYSIS.md); both exit non-zero on findings, so CI can gate on
-them, and ``lint`` exits 2, not 1, on an unknown rule id or an
-unreadable path. ``--trace``/``--metrics`` (scenario) and
+or any of ``--cell-timeout``/``--retries``/``--max-failures`` runs them
+on supervised worker processes, where failing cells degrade to a failure
+manifest and exit status 3 instead of aborting the run. Every finished
+cell is cached at once, so running an interrupted command again executes
+only the cells it did not finish; an unusable golden file is a usage
+error (exit 2). ``topo`` runs one topology benchmark cell (an AS graph
+of interacting speakers, see docs/TOPOLOGY.md); ``topo --shards N`` is
+the one way onto the parallel engine (docs/PARALLEL.md).
+``regress --bless --topo`` creates the topology golden baseline.
+``lint`` runs the determinism linter over the source tree and ``check``
+runs one scenario in checked mode (see docs/ANALYSIS.md); both exit
+non-zero on findings, so CI can gate on them, and ``lint`` exits 2, not
+1, on an unknown rule id or an unreadable path. ``--trace``/``--metrics`` (scenario) and
 ``--telemetry`` (grid/regress) instrument the run with
 :mod:`repro.telemetry` — observe-only, results are byte-identical (see
 docs/TELEMETRY.md).
@@ -336,22 +335,6 @@ def _add_pool_arguments(parser: argparse.ArgumentParser) -> None:
         help="quarantine all not-yet-started cells once N cells have "
              "terminally failed (supervised execution)",
     )
-    parser.add_argument(
-        "--resume", action="store_true",
-        help="replay the checkpoint journal of an interrupted run and skip "
-             "already-completed cells",
-    )
-    parser.add_argument(
-        "--journal", type=Path, default=None, metavar="PATH",
-        help="checkpoint journal location (default: <cache-dir>/journal.jsonl; "
-             "written whenever supervision or --resume is active)",
-    )
-    parser.add_argument(
-        "--chaos", type=Path, default=None, metavar="PLAN",
-        help="inject worker faults from a JSON chaos plan "
-             "({cell_id: {kind: crash|hang|flaky, ...}}) — for testing the "
-             "resilience layer itself",
-    )
 
 
 def _add_grid_arguments(parser: argparse.ArgumentParser) -> None:
@@ -402,47 +385,13 @@ def _make_policy(args):
     the default policy)."""
     from repro.grid import ExecutionPolicy
 
-    if (
-        args.cell_timeout is None
-        and args.retries == 0
-        and args.max_failures is None
-        and args.chaos is None
-    ):
+    if args.cell_timeout is None and args.retries == 0 and args.max_failures is None:
         return None
     return ExecutionPolicy(
         cell_timeout=args.cell_timeout,
         retries=args.retries,
         max_failures=args.max_failures,
     )
-
-
-def _make_chaos(args):
-    """The --chaos plan, or None; a bad plan file is a usage error."""
-    from repro.grid import ChaosPlan, ChaosPlanError
-
-    if args.chaos is None:
-        return None
-    try:
-        return ChaosPlan.from_file(args.chaos)
-    except ChaosPlanError as error:
-        print(f"{args.command}: {error}", file=sys.stderr)
-        raise SystemExit(2) from None
-
-
-def _make_journal(args, policy):
-    """Checkpoint journal: on when a resilience flag, --resume or
-    --journal asks for one — keyed on the flags, not on whether the run
-    ends up supervised, so a plain ``--workers N`` run writes none."""
-    from repro.grid import DEFAULT_CACHE_DIR, DEFAULT_JOURNAL_NAME, RunJournal
-
-    if policy is None and not args.resume and args.journal is None:
-        return None
-    if args.journal is not None:
-        path = args.journal
-    else:
-        cache_dir = args.cache_dir if args.cache_dir is not None else DEFAULT_CACHE_DIR
-        path = Path(cache_dir) / DEFAULT_JOURNAL_NAME
-    return RunJournal(path)
 
 
 def _print_failures(report) -> None:
@@ -474,22 +423,18 @@ def _run_grid(args) -> int:
         sanitize=args.sanitize,
         telemetry_dir=_telemetry_dir(args),
         policy=policy,
-        chaos=_make_chaos(args),
-        journal=_make_journal(args, policy),
-        resume=args.resume,
     )
     for cell_id, result in report.results.items():
         tps = result["transactions_per_second"]
         flag = "" if result["completed"] else "  (STALLED)"
         print(f"{cell_id:32s} {tps:10.1f} tps{flag}")
-    resumed = f"{report.resumed} resumed, " if report.resumed else ""
     retried = (
         f"{report.retries} retries, {report.timeouts} timeouts, "
         f"{report.worker_crashes} worker crashes, "
         if policy is not None else ""
     )
     print(
-        f"{report.cells} cells, {report.executed} executed, {resumed}"
+        f"{report.cells} cells, {report.executed} executed, "
         f"{report.hits} cache hits ({100 * report.hit_rate:.0f}%), "
         f"{retried}{args.workers} worker(s)"
     )
@@ -621,13 +566,10 @@ def _run_regress(args) -> int:
     if args.tolerance is not None:
         tolerance = args.tolerance
 
-    policy = _make_policy(args)
     report = run_grid(
         cells, workers=args.workers, cache=_make_cache(args),
         refresh=args.refresh, sanitize=args.sanitize,
-        telemetry_dir=_telemetry_dir(args),
-        policy=policy, chaos=_make_chaos(args),
-        journal=_make_journal(args, policy), resume=args.resume,
+        telemetry_dir=_telemetry_dir(args), policy=_make_policy(args),
     )
     if not report.ok:
         # A partial run can neither be blessed nor meaningfully diffed:

@@ -22,9 +22,7 @@ from repro.grid.baseline import (
 )
 from repro.grid.cache import DEFAULT_CACHE_DIR, GridCache, source_fingerprint
 from repro.grid.cells import GridCell, enumerate_grid, result_json, run_cell
-from repro.grid.chaos import ChaosError, ChaosFault, ChaosPlan, ChaosPlanError
 from repro.grid.executor import GridReport, run_grid
-from repro.grid.journal import DEFAULT_JOURNAL_NAME, RunJournal
 from repro.grid.outcomes import (
     OUTCOME_CACHED,
     OUTCOME_CRASHED,
@@ -42,12 +40,7 @@ from repro.grid.supervisor import Supervisor
 __all__ = [
     "AttemptRecord",
     "CellFailure",
-    "ChaosError",
-    "ChaosFault",
-    "ChaosPlan",
-    "ChaosPlanError",
     "DEFAULT_CACHE_DIR",
-    "DEFAULT_JOURNAL_NAME",
     "DEFAULT_TOLERANCE",
     "ExecutionPolicy",
     "GridCache",
@@ -62,7 +55,6 @@ __all__ = [
     "OUTCOME_QUARANTINED",
     "OUTCOME_TIMEOUT",
     "RegressionReport",
-    "RunJournal",
     "Supervisor",
     "bless",
     "compare",

@@ -10,8 +10,8 @@ A cell's spec, hashed together with a fingerprint of the ``repro``
 source tree, is the content address under which its result is cached
 (see :mod:`repro.grid.cache`).
 
-:class:`Cell` is the protocol executor, supervisor, cache, journal and
-golden gate are written against; :class:`GridCell` here and
+:class:`Cell` is the protocol executor, supervisor, cache and golden
+gate are written against; :class:`GridCell` here and
 :class:`repro.topo.families.TopoCell` in the layer below satisfy it.
 """
 

@@ -1,20 +1,21 @@
 """Shard the experiment grid across worker processes, fault-tolerantly.
 
 ``run_grid`` takes a list of cells (:class:`~repro.grid.cells.Cell`),
-skips every cell the checkpoint journal (``--resume``) or the cache
-already holds, and runs the rest. A cell is executed from its spec
-alone — the router is rebuilt and the workload re-seeded inside
-:func:`repro.grid.cells.run_cell` — so a run on worker processes is
-bit-identical to an in-process one and the merge order is the
-enumeration order, never the completion order.
+skips every cell the cache already holds, and runs the rest. Each
+executed cell is cached the moment it finishes, so running an
+interrupted command again executes only the cells it did not finish.
+A cell is executed from its spec alone — the router is rebuilt and the
+workload re-seeded inside :func:`repro.grid.cells.run_cell` — so a run
+on worker processes is bit-identical to an in-process one and the merge
+order is the enumeration order, never the completion order.
 
 There is one way to run a cell and one choice about where, made from
 what ``run_grid`` can observe:
 
 * **in-process** when at most one worker would be used and there is
-  nothing to supervise (no :class:`ExecutionPolicy`, no chaos plan):
-  the cells run in the calling process, in order, and a raising cell
-  propagates to the caller;
+  nothing to supervise (no :class:`ExecutionPolicy`): the cells run in
+  the calling process, in order, and a raising cell propagates to the
+  caller;
 * **supervised** otherwise: long-lived worker processes under
   :class:`~repro.grid.supervisor.Supervisor`, with per-cell timeouts,
   deterministic retry, and graceful degradation — the run completes
@@ -33,8 +34,6 @@ from typing import Callable, Sequence
 
 from repro.grid.cache import GridCache
 from repro.grid.cells import Cell, result_json, run_cell
-from repro.grid.chaos import ChaosPlan
-from repro.grid.journal import RunJournal
 from repro.grid.outcomes import (
     OUTCOME_CACHED,
     OUTCOME_OK,
@@ -52,15 +51,13 @@ class GridReport:
 
     ``workers`` is clamped to the worker count actually used: at most
     one per executed cell, and 0 when every cell was served from the
-    journal or the cache.
+    cache.
     """
 
     workers: int
     results: dict[str, dict] = field(default_factory=dict)
     hits: int = 0
     executed: int = 0
-    #: Cells resumed from the checkpoint journal (no execution).
-    resumed: int = 0
     #: Terminal failures, keyed by cell id (empty on a healthy run).
     failures: "dict[str, CellFailure]" = field(default_factory=dict)
     #: Attempt histories of cells that needed >= 1 retry to succeed.
@@ -103,7 +100,6 @@ class GridReport:
             "workers": self.workers,
             "hits": self.hits,
             "executed": self.executed,
-            "resumed": self.resumed,
             "retries": self.retries,
             "timeouts": self.timeouts,
             "worker_crashes": self.worker_crashes,
@@ -172,7 +168,7 @@ def _publish_metrics(registry, report: GridReport) -> None:
     )
     counts = {outcome: 0 for outcome in OUTCOMES}
     counts[OUTCOME_OK] = report.executed
-    counts[OUTCOME_CACHED] = report.hits + report.resumed
+    counts[OUTCOME_CACHED] = report.hits
     for failure in report.failures.values():
         counts[failure.outcome] += 1
     for outcome in OUTCOMES:
@@ -188,9 +184,6 @@ def run_grid(
     sanitize: bool = False,
     telemetry_dir: "str | None" = None,
     policy: "ExecutionPolicy | None" = None,
-    chaos: "ChaosPlan | None" = None,
-    journal: "RunJournal | None" = None,
-    resume: bool = False,
     registry=None,
 ) -> GridReport:
     """Run every cell, through the cache when one is given.
@@ -202,13 +195,11 @@ def run_grid(
     checked mode and *telemetry_dir* drops per-cell trace/metrics
     artifacts — both observe-only, results are byte-identical.
 
-    More than one worker, a *policy* or a *chaos* plan means supervised
-    execution: worker processes, per-cell timeouts, deterministic
-    retry, and structured :class:`CellFailure` records in
-    ``report.failures`` instead of run-aborting exceptions (see
-    :mod:`repro.grid.supervisor`). *journal* checkpoints every terminal
-    outcome; with *resume* the journal is replayed first and completed
-    cells are skipped. *registry* publishes the
+    More than one worker or a *policy* means supervised execution:
+    worker processes, per-cell timeouts, deterministic retry, and
+    structured :class:`CellFailure` records in ``report.failures``
+    instead of run-aborting exceptions (see
+    :mod:`repro.grid.supervisor`). *registry* publishes the
     ``grid_retries / grid_timeouts / grid_worker_crashes / grid_cells``
     counters of the run.
     """
@@ -218,27 +209,12 @@ def run_grid(
     report = GridReport(workers=0)
     merged: dict[str, dict] = {}
 
-    completed = {}
-    if journal is not None:
-        if resume:
-            completed = journal.completed()
-        else:
-            journal.reset()
-
     pending: list[Cell] = []
     for cell in cells:
-        record = completed.get(cell.cell_id)
-        if record is not None and record.spec == cell.spec():
-            merged[cell.cell_id] = record.result
-            report.resumed += 1
-            progress(cell.cell_id, True)
-            continue
         cached = None if (cache is None or refresh) else cache.get(cell)
         if cached is not None:
             merged[cell.cell_id] = cached
             report.hits += 1
-            if journal is not None:
-                journal.record(cell, OUTCOME_CACHED, cached)
             progress(cell.cell_id, True)
         else:
             pending.append(cell)
@@ -249,11 +225,9 @@ def run_grid(
         merged[cell.cell_id] = result
         report.executed += 1
         _cache_put(cache, cell, result, report)
-        if journal is not None:
-            journal.record(cell, OUTCOME_OK, result)
         progress(cell.cell_id, False)
 
-    if report.workers <= 1 and policy is None and chaos is None:
+    if report.workers <= 1 and policy is None:
         for cell in pending:
             complete(
                 cell, run_cell(cell, sanitize=sanitize, telemetry_dir=telemetry_dir)
@@ -268,10 +242,6 @@ def run_grid(
 
         def on_failure(cell: Cell, failure: CellFailure) -> None:
             report.failures[cell.cell_id] = failure
-            if journal is not None:
-                journal.record(
-                    cell, failure.outcome, None, detail=failure.to_jsonable()
-                )
             progress(cell.cell_id, False)
 
         supervisor = Supervisor(
@@ -279,7 +249,6 @@ def run_grid(
             workers=report.workers,
             sanitize=sanitize,
             telemetry_dir=telemetry_dir,
-            chaos=chaos,
         )
         _results, _failures, stats = supervisor.run(pending, on_success, on_failure)
         report.retries = stats.retries

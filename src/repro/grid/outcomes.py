@@ -5,10 +5,10 @@ cell. Instead of letting a worker exception abort ``run_grid``, every
 cell attempt ends in one of a closed set of outcomes:
 
 * ``ok`` — the attempt produced a result;
-* ``cached`` — served from the content-addressed cache or resumed from
-  a checkpoint journal, no execution at all;
+* ``cached`` — served from the content-addressed cache, no execution
+  at all;
 * ``failed`` — the worker raised (:class:`StallError`,
-  :class:`SanitizerError`, a chaos fault, …) but exited cleanly;
+  :class:`SanitizerError`, …) but exited cleanly;
 * ``timeout`` — the attempt exceeded the per-cell wall-clock budget and
   the supervisor killed the worker;
 * ``crashed`` — the worker process died without reporting a result

@@ -9,8 +9,8 @@ supervisor watches every in-flight attempt and
 
 * on a result message, records ``ok``;
 * on an error message, records ``failed`` (the worker survived to
-  report — :class:`StallError`, :class:`SanitizerError`, chaos) and
-  keeps the worker;
+  report — :class:`StallError`, :class:`SanitizerError`, any other
+  exception a cell raises) and keeps the worker;
 * on end-of-pipe without a message, records ``crashed`` (the process
   died reporting nothing — segfault, OOM kill) and starts a fresh
   worker for the slot when one is next needed;
@@ -41,7 +41,6 @@ from multiprocessing.connection import wait as _wait_connections
 from typing import Callable, Sequence
 
 from repro.grid.cells import Cell, run_cell
-from repro.grid.chaos import ChaosPlan, apply_chaos
 from repro.grid.outcomes import (
     OUTCOME_CRASHED,
     OUTCOME_FAILED,
@@ -67,17 +66,21 @@ def _now() -> float:
 def _worker_main(tasks, results, sanitize: bool, telemetry_dir: "str | None") -> None:
     """Worker entry point — top-level so it pickles under spawn too.
 
-    Serves ``(cell, attempt, fault)`` messages from *tasks* until the
-    ``None`` sentinel (or end-of-pipe: under fork the worker holds a
-    copy of the parent's end, so only spawn sees that), answering each
-    with ``("ok", result)`` or ``("error", text)``."""
+    Serves cells from *tasks* until the ``None`` sentinel, answering
+    each with ``("ok", result)`` or ``("error", text)``. It also returns
+    when the parent process dies: under fork the worker holds a copy of
+    its own task pipe's write end, so the pipe never reads EOF, and
+    only the parent's sentinel tells an orphan to exit."""
     from repro.bgp import reset_caches
 
     reset_caches()  # fork-safety contract: workers begin cold (docs/PERF.md)
+    parent = multiprocessing.parent_process().sentinel
     try:
-        for cell, attempt, fault in iter(tasks.recv, None):
+        while parent not in _wait_connections([tasks, parent]):
+            cell = tasks.recv()
+            if cell is None:
+                return
             try:
-                apply_chaos(fault, attempt)
                 reply = ("ok", run_cell(
                     cell, sanitize=sanitize, telemetry_dir=telemetry_dir
                 ))
@@ -128,13 +131,11 @@ class Supervisor:
         workers: int = 1,
         sanitize: bool = False,
         telemetry_dir: "str | None" = None,
-        chaos: "ChaosPlan | None" = None,
     ):
         self.policy = policy
         self.workers = max(1, workers)
         self.sanitize = sanitize
         self.telemetry_dir = telemetry_dir
-        self.chaos = chaos
 
     # -- lifecycle of one worker -------------------------------------------
 
@@ -152,14 +153,13 @@ class Supervisor:
         return _Worker(process, task_send, result_recv)
 
     def _assign(self, worker: _Worker, task: _Task, now: float) -> None:
-        fault = self.chaos.get(task.cell.cell_id) if self.chaos else None
         worker.task = task
         worker.deadline = (
             None if self.policy.cell_timeout is None
             else now + self.policy.cell_timeout
         )
         try:
-            worker.tasks.send((task.cell, task.attempt, fault))
+            worker.tasks.send(task.cell)
         except OSError:
             pass  # died while idle: its result pipe reads EOF -> crashed
 

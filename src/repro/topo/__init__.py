@@ -5,8 +5,8 @@ topology scale. An :class:`~repro.workload.astopo.AsTopology` becomes a
 live network (:class:`TopologyHarness`) — one speaker or full costed
 router per AS, delayed links, compiled Gao–Rexford policies, per-peer
 MRAI — and three benchmark families (convergence, withdraw-storm path
-exploration, churn) run on it through the grid, cached, journaled and
-golden-gated like any scenario cell.
+exploration, churn) run on it through the grid, cached and golden-gated
+like any scenario cell.
 
 Layout:
 

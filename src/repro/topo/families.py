@@ -22,9 +22,9 @@ AsTopology` hierarchy:
 A :class:`TopoCell` is the grid-compatible unit: it satisfies the
 :class:`repro.grid.cells.Cell` protocol (``cell_id``, ``spec``,
 ``from_spec``, ``to_jsonable``, ``run``) without importing it, so the
-executor, cache, journal and golden gate all work on topo cells
-unchanged. Everything is deterministic given the spec: two runs of one
-cell produce byte-identical :func:`result_json` output.
+executor, cache and golden gate all work on topo cells unchanged.
+Everything is deterministic given the spec: two runs of one cell
+produce byte-identical :func:`result_json` output.
 """
 
 from __future__ import annotations

@@ -89,7 +89,6 @@ class TestGridResults:
             "workers": 3,
             "hits": 0,
             "executed": 0,
-            "resumed": 0,
             "retries": 0,
             "timeouts": 0,
             "worker_crashes": 0,

@@ -1,126 +1,91 @@
-"""The chaos harness itself, and the CLI surface of resilient runs.
+"""The grid command line under real worker faults.
 
-The chaos plan is test infrastructure, so it gets its own tests: fault
-specs must round-trip through JSON (CI writes plan files), apply to
-exactly the attempts they claim, and reject malformed input loudly —
-a chaos plan that silently no-ops would green-light a broken supervisor.
+Faults come from the processes themselves: a worker SIGKILLs itself or
+raises from inside the cell it runs (a ``run_scenario`` patch that the
+forked workers inherit), and the CLI's own parent process is SIGKILLed
+mid-run. An interrupted grid is resumed by running the same command
+again: every finished cell is already in the cache.
 """
 
 import json
+import multiprocessing
+import os
+import re
+import signal
+import subprocess
+import sys
+import time
 from pathlib import Path
 
 import pytest
 
+import repro
 from repro.experiments.runner import EXIT_PARTIAL_FAILURE, main
-from repro.grid import ChaosError, ChaosFault, ChaosPlan, ChaosPlanError
-from repro.grid.chaos import apply_chaos
+from repro.grid import cells as cells_module
 
-GOLDEN = Path(__file__).resolve().parents[1] / "benchmarks/golden/grid-small.json"
-
-
-class TestChaosSpecs:
-    def test_plan_round_trips_through_json(self, tmp_path):
-        plan = ChaosPlan.from_spec({
-            "a": {"kind": "crash", "exit_code": 7},
-            "b": {"kind": "hang", "hang_seconds": 2.5},
-            "c": {"kind": "flaky", "times": 3},
-        })
-        path = tmp_path / "plan.json"
-        path.write_text(json.dumps(plan.to_jsonable()))
-        loaded = ChaosPlan.from_file(path)
-        assert loaded == plan
-        assert loaded.get("a").exit_code == 7
-        assert loaded.get("b").hang_seconds == 2.5
-        assert loaded.get("missing") is None
-
-    def test_times_bounds_the_affected_attempts(self):
-        fault = ChaosFault("flaky", times=2)
-        assert fault.applies(0) and fault.applies(1)
-        assert not fault.applies(2)
-        always = ChaosFault("crash")
-        assert always.applies(0) and always.applies(99)
-
-    def test_unknown_kind_rejected(self):
-        with pytest.raises(ValueError, match="unknown chaos kind"):
-            ChaosFault("segfault")
-
-    def test_unknown_spec_keys_rejected(self):
-        with pytest.raises(ValueError, match="unknown chaos fault keys"):
-            ChaosFault.from_spec({"kind": "crash", "exitcode": 1})
-
-    def test_invalid_parameters_rejected(self):
-        with pytest.raises(ValueError):
-            ChaosFault("flaky", times=0)
-        with pytest.raises(ValueError):
-            ChaosFault("hang", hang_seconds=0.0)
-
-    @pytest.mark.parametrize("spec, names", [
-        ([{"kind": "crash"}], ["plan must be an object", "list"]),
-        ({"cell-a": {"times": 1}}, ["cell 'cell-a'", "missing key 'kind'"]),
-        ({"cell-a": "crash"}, ["cell 'cell-a'", "fault must be an object", "str"]),
-        ({"cell-a": {"kind": "flaky", "times": "x"}}, ["cell 'cell-a'", "'times'", "'x'"]),
-        ({"cell-a": {"kind": "hang", "hang_seconds": []}}, ["'hang_seconds'"]),
-        ({"cell-a": {"kind": "segfault"}}, ["cell 'cell-a'", "unknown chaos kind"]),
-    ])
-    def test_malformed_plan_is_one_named_error(self, tmp_path, spec, names):
-        path = tmp_path / "plan.json"
-        path.write_text(json.dumps(spec))
-        with pytest.raises(ChaosPlanError) as raised:
-            ChaosPlan.from_file(path)
-        for name in [str(path), *names]:
-            assert name in str(raised.value)
-
-    def test_unreadable_plan_file_is_the_same_error(self, tmp_path):
-        with pytest.raises(ChaosPlanError, match="missing.json"):
-            ChaosPlan.from_file(tmp_path / "missing.json")
-        (tmp_path / "torn.json").write_bytes(b'{"cell-a": \xff')
-        with pytest.raises(ChaosPlanError, match="torn.json"):
-            ChaosPlan.from_file(tmp_path / "torn.json")
-
-    def test_flaky_raises_chaos_error_only_while_applicable(self):
-        fault = ChaosFault("flaky", times=1)
-        with pytest.raises(ChaosError, match="injected flaky fault"):
-            apply_chaos(fault, attempt=0)
-        apply_chaos(fault, attempt=1)  # past the budget: a no-op
-        apply_chaos(None, attempt=0)   # no fault: a no-op
+forked_workers = pytest.mark.skipif(
+    multiprocessing.get_start_method() != "fork",
+    reason="the monkeypatched run_scenario reaches workers by fork",
+)
 
 
+def misbehave(monkeypatch, platform, action):
+    """Call *action* in the worker before every run of a *platform* cell."""
+    run_scenario = cells_module.run_scenario
+
+    def patched(router, scenario, **kwargs):
+        if router.spec.name == platform:
+            action()
+        return run_scenario(router, scenario, **kwargs)
+
+    monkeypatch.setattr(cells_module, "run_scenario", patched)
+
+
+def crash():
+    os.kill(os.getpid(), signal.SIGKILL)
+
+
+def fail_first(times, markers):
+    """An action that raises on its first *times* calls, counting them
+    with marker files in *markers* (the calls happen in workers)."""
+    def action():
+        done = len(list(markers.iterdir()))
+        if done < times:
+            (markers / str(done)).touch()
+            raise RuntimeError(f"injected failure {done + 1} of {times}")
+
+    markers.mkdir()
+    return action
+
+
+@pytest.mark.parametrize("command", ["grid", "regress"])
+@pytest.mark.parametrize("flag", [
+    ["--resume"], ["--journal", "journal.jsonl"], ["--chaos", "plan.json"],
+], ids=["resume", "journal", "chaos"])
+def test_checkpoint_and_fault_plan_flags_are_gone(capsys, command, flag):
+    # Re-running the command resumes from the cache, and the supervisor
+    # is tested on real faults, so neither flag family has a job left.
+    with pytest.raises(SystemExit) as raised:
+        main([command, *flag])
+    assert raised.value.code == 2
+    assert f"unrecognized arguments: {' '.join(flag)}" in capsys.readouterr().err
+
+
+@forked_workers
 class TestGridCliResilience:
-    CELL_ARGS = [
+    CELLS = [
         "grid", "--scenarios", "1", "--platforms", "cisco", "pentium3",
-        "--seeds", "7", "--table-sizes", "60", "--no-cache",
+        "--seeds", "7", "--table-sizes", "60",
     ]
+    CELL_ARGS = [*CELLS, "--no-cache"]
 
-    def write_plan(self, tmp_path, spec):
-        path = tmp_path / "plan.json"
-        path.write_text(json.dumps(spec))
-        return str(path)
-
-    @pytest.mark.parametrize("command", [
-        CELL_ARGS,
-        ["regress", "--golden", str(GOLDEN), "--no-cache"],
-    ], ids=["grid", "regress"])
-    def test_bad_chaos_plan_is_a_one_line_usage_error(self, tmp_path, capsys, command):
-        plan = self.write_plan(tmp_path, {"s1-cisco-seed7-n60": {"times": 1}})
-        with pytest.raises(SystemExit) as raised:
-            main([*command, "--chaos", plan])
-        captured = capsys.readouterr()
-        assert raised.value.code == 2
-        assert captured.out == ""
-        assert captured.err == (
-            f"{command[0]}: chaos plan {plan}: cell 's1-cisco-seed7-n60': "
-            f"missing key 'kind'\n"
-        )
-
-    def test_chaos_run_exits_partial_failure_with_manifest(self, tmp_path, capsys):
-        plan = self.write_plan(
-            tmp_path, {"s1-cisco-seed7-n60": {"kind": "crash"}}
-        )
+    def test_chaos_run_exits_partial_failure_with_manifest(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        misbehave(monkeypatch, "cisco", crash)
         manifest_path = tmp_path / "manifest.json"
         code = main([
-            *self.CELL_ARGS, "--chaos", plan, "--retries", "1",
-            "--journal", str(tmp_path / "journal.jsonl"),
-            "--manifest", str(manifest_path),
+            *self.CELL_ARGS, "--retries", "1", "--manifest", str(manifest_path),
         ])
         out = capsys.readouterr().out
         assert code == EXIT_PARTIAL_FAILURE
@@ -133,57 +98,107 @@ class TestGridCliResilience:
         assert manifest["worker_crashes"] == 2
         assert list(manifest["results"]) == ["s1-pentium3-seed7-n60"]
 
-    def test_flaky_cell_recovers_and_exits_zero(self, tmp_path, capsys):
-        plan = self.write_plan(
-            tmp_path, {"s1-pentium3-seed7-n60": {"kind": "flaky", "times": 1}}
-        )
+    def test_flaky_cell_recovers_and_exits_zero(self, tmp_path, capsys, monkeypatch):
+        misbehave(monkeypatch, "pentium3", fail_first(1, tmp_path / "markers"))
         code = main([
-            *self.CELL_ARGS, "--chaos", plan, "--retries", "2",
-            "--journal", str(tmp_path / "journal.jsonl"),
-            "--output", str(tmp_path / "out.json"),
+            *self.CELL_ARGS, "--retries", "2", "--output", str(tmp_path / "out.json"),
         ])
         out = capsys.readouterr().out
         assert code == 0
         assert "1 retries" in out
 
         # Byte-identical to an unsupervised clean run.
+        monkeypatch.undo()
         clean = tmp_path / "clean.json"
         assert main([*self.CELL_ARGS, "--output", str(clean)]) == 0
         capsys.readouterr()
         assert (tmp_path / "out.json").read_text() == clean.read_text()
 
-    def test_cli_resume_round_trip(self, tmp_path, capsys):
-        journal = str(tmp_path / "journal.jsonl")
-        plan = self.write_plan(
-            tmp_path, {"s1-cisco-seed7-n60": {"kind": "crash"}}
-        )
-        code = main([*self.CELL_ARGS, "--chaos", plan, "--journal", journal])
+    def test_cli_resume_round_trip(self, tmp_path, capsys, monkeypatch):
+        cached = [*self.CELLS, "--workers", "2", "--cache-dir", str(tmp_path / "c")]
+        misbehave(monkeypatch, "cisco", crash)
+        assert main(cached) == EXIT_PARTIAL_FAILURE
         capsys.readouterr()
-        assert code == EXIT_PARTIAL_FAILURE
 
-        # The interrupting fault is gone; --resume finishes the run
-        # without re-executing the completed cell.
-        code = main([
-            *self.CELL_ARGS, "--resume", "--journal", journal,
-            "--output", str(tmp_path / "resumed.json"),
-        ])
+        # The fault is gone; the same command finishes the run without
+        # re-executing the cell that completed.
+        monkeypatch.undo()
+        code = main([*cached, "--output", str(tmp_path / "resumed.json")])
         out = capsys.readouterr().out
         assert code == 0
-        assert "1 resumed" in out
+        assert "2 cells, 1 executed, 1 cache hits" in out
 
         clean = tmp_path / "clean.json"
         assert main([*self.CELL_ARGS, "--output", str(clean)]) == 0
         capsys.readouterr()
         assert (tmp_path / "resumed.json").read_text() == clean.read_text()
 
-    def test_strict_quarantines_and_reports(self, tmp_path, capsys):
-        plan = self.write_plan(
-            tmp_path, {"s1-cisco-seed7-n60": {"kind": "flaky"}}
-        )
-        code = main([
-            *self.CELL_ARGS, "--workers", "1", "--chaos", plan, "--max-failures", "1",
-            "--journal", str(tmp_path / "journal.jsonl"),
-        ])
+    def test_strict_quarantines_and_reports(self, tmp_path, capsys, monkeypatch):
+        misbehave(monkeypatch, "cisco", fail_first(99, tmp_path / "markers"))
+        code = main([*self.CELL_ARGS, "--workers", "1", "--max-failures", "1"])
         out = capsys.readouterr().out
         assert code == EXIT_PARTIAL_FAILURE
         assert "QUARANTINED" in out
+
+
+def _live_session_members(sid):
+    """Pids of the non-zombie processes in session *sid*."""
+    members = []
+    for pid in filter(str.isdigit, os.listdir("/proc")):
+        try:
+            stat = Path(f"/proc/{pid}/stat").read_text()
+        except OSError:
+            continue  # exited while we looked
+        state, _ppid, _pgrp, session = stat.rsplit(")", 1)[1].split()[:4]
+        if state != "Z" and int(session) == sid:
+            members.append(int(pid))
+    return members
+
+
+@pytest.mark.skipif(not Path("/proc/self/stat").exists(), reason="needs /proc")
+def test_killed_grid_leaves_no_worker_and_reruns_from_the_cache(tmp_path):
+    """SIGKILL the ``bgpbench grid`` parent mid-run: its workers must
+    not outlive it, and running the same command again serves every
+    finished cell from the cache with byte-identical output."""
+    src = str(Path(repro.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src, PYTHONUNBUFFERED="1")
+    grid = [
+        sys.executable, "-m", "repro.experiments.runner", "grid", "--workers", "2",
+        "--scenarios", "1", "3", "--table-sizes", "1000",
+    ]
+    command = [*grid, "--cache-dir", str(tmp_path / "cache"),
+               "--output", str(tmp_path / "rerun.json")]
+    killed_after = 2
+
+    parent = subprocess.Popen(
+        command, stdout=subprocess.PIPE, text=True, env=env, start_new_session=True
+    )
+    runs = 0
+    for line in parent.stdout:
+        runs += "[ run ]" in line
+        if runs == killed_after:
+            break
+    parent.kill()
+    parent.stdout.close()
+    assert parent.wait() == -signal.SIGKILL
+    deadline = time.monotonic() + 5.0
+    while _live_session_members(parent.pid) and time.monotonic() < deadline:
+        time.sleep(0.05)
+    survivors = _live_session_members(parent.pid)
+    for pid in survivors:
+        os.kill(pid, signal.SIGKILL)
+    assert survivors == []
+
+    rerun = subprocess.run(command, capture_output=True, text=True, env=env)
+    assert rerun.returncode == 0, rerun.stderr
+    hits = int(re.search(r"(\d+) cache hits", rerun.stdout).group(1))
+    assert hits >= killed_after, rerun.stdout
+
+    clean = subprocess.run(
+        [*grid, "--no-cache", "--output", str(tmp_path / "clean.json")],
+        capture_output=True, text=True, env=env,
+    )
+    assert clean.returncode == 0, clean.stderr
+    assert (tmp_path / "rerun.json").read_bytes() == (
+        tmp_path / "clean.json"
+    ).read_bytes()

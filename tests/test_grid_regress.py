@@ -1,6 +1,9 @@
 """The golden-baseline regression gate: diffs, exit codes, output."""
 
 import json
+import multiprocessing
+import os
+import signal
 
 import pytest
 
@@ -303,28 +306,32 @@ class TestRegressPartialFailure:
         capsys.readouterr()
         return golden
 
-    def chaos_plan(self, tmp_path):
-        plan = tmp_path / "plan.json"
-        plan.write_text(json.dumps({"s1-pentium3-seed7-n100": {"kind": "crash"}}))
-        return str(plan)
+    @staticmethod
+    def crash_every_worker(monkeypatch):
+        """SIGKILL whichever worker runs a cell; a supervising flag keeps
+        the one-cell run off the in-process path."""
+        if multiprocessing.get_start_method() != "fork":
+            pytest.skip("the monkeypatched run_scenario reaches workers by fork")
 
-    def test_partial_run_exits_3_not_1(self, tmp_path, capsys):
+        def crash(*args, **kwargs):
+            os.kill(os.getpid(), signal.SIGKILL)
+
+        monkeypatch.setattr("repro.grid.cells.run_scenario", crash)
+        return ["--cell-timeout", "120"]
+
+    def test_partial_run_exits_3_not_1(self, tmp_path, capsys, monkeypatch):
         golden = self.bless_tiny_golden(tmp_path, capsys)
         code = main(["regress", "--golden", str(golden),
-                     "--chaos", self.chaos_plan(tmp_path),
-                     "--journal", str(tmp_path / "journal.jsonl"),
-                     *self.GRID_ARGS])
+                     *self.crash_every_worker(monkeypatch), *self.GRID_ARGS])
         out = capsys.readouterr().out
         assert code == 3
         assert "CRASHED" in out
 
-    def test_bless_refuses_partial_run(self, tmp_path, capsys):
+    def test_bless_refuses_partial_run(self, tmp_path, capsys, monkeypatch):
         golden = self.bless_tiny_golden(tmp_path, capsys)
         before = golden.read_text()
         code = main(["regress", "--golden", str(golden), "--bless",
-                     "--chaos", self.chaos_plan(tmp_path),
-                     "--journal", str(tmp_path / "journal.jsonl"),
-                     *self.GRID_ARGS])
+                     *self.crash_every_worker(monkeypatch), *self.GRID_ARGS])
         err = capsys.readouterr().err
         assert code == 3
         assert "refusing to bless" in err
@@ -334,7 +341,6 @@ class TestRegressPartialFailure:
         golden = self.bless_tiny_golden(tmp_path, capsys)
         code = main(["regress", "--golden", str(golden),
                      "--retries", "2", "--cell-timeout", "120",
-                     "--journal", str(tmp_path / "journal.jsonl"),
                      *self.GRID_ARGS])
         out = capsys.readouterr().out
         assert code == 0

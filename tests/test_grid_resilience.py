@@ -2,13 +2,21 @@
 
 The resilience layer's contract has three load-bearing planks: a
 fault-free supervised run is byte-identical to the in-process one (so
-the golden gate sees no difference); injected faults degrade to
+the golden gate sees no difference); real worker faults degrade to
 structured ``CellFailure`` records while every healthy cell completes;
-and the retry schedule is a deterministic pure function, so two chaos
-runs agree byte-for-byte on their attempt histories.
+and the retry schedule is a deterministic pure function, so two runs
+with the same faults agree byte-for-byte on their attempt histories.
+
+The faults are real: :class:`FaultCell` wraps a grid cell and, inside
+the worker, SIGKILLs it, sleeps past the cell timeout, or raises.
 """
 
 import multiprocessing
+import os
+import signal
+import time
+from dataclasses import dataclass
+from pathlib import Path
 
 import pytest
 
@@ -16,7 +24,6 @@ import repro.grid.supervisor as supervisor_module
 from repro.bgp.fsm import ReconnectBackoff
 from repro.grid import (
     CellFailure,
-    ChaosPlan,
     ExecutionPolicy,
     GridCache,
     GridCell,
@@ -47,6 +54,70 @@ FAST_BACKOFF = ReconnectBackoff(base=0.01, multiplier=2.0, cap=0.05, jitter=0.1,
 def fast_policy(**overrides) -> ExecutionPolicy:
     overrides.setdefault("backoff", FAST_BACKOFF)
     return ExecutionPolicy(**overrides)
+
+
+class InjectedFault(RuntimeError):
+    """The transient failure a ``flaky`` :class:`FaultCell` raises."""
+
+
+@dataclass(frozen=True)
+class FaultCell:
+    """A grid cell that misbehaves in the worker before it runs.
+
+    ``crash`` SIGKILLs the worker; ``hang`` sleeps past any cell
+    timeout; ``flaky`` raises on the first *times* attempts (every
+    attempt when *times* is None), counting attempts with marker files
+    in *markers*. An attempt that gets past the fault returns the
+    wrapped cell's own result.
+    """
+
+    cell: GridCell
+    fault: str
+    times: "int | None" = None
+    markers: "str | None" = None
+
+    @property
+    def cell_id(self) -> str:
+        return self.cell.cell_id
+
+    def spec(self):
+        return self.cell.spec()
+
+    def to_jsonable(self):
+        return self.cell.to_jsonable()
+
+    @classmethod
+    def from_spec(cls, spec):
+        return GridCell.from_spec(spec)
+
+    def run(self, sanitize=False, telemetry_dir=None):
+        if self.fault == "crash":
+            os.kill(os.getpid(), signal.SIGKILL)
+        elif self.fault == "hang":
+            time.sleep(60)
+        elif self.fault == "flaky" and (
+            self.times is None or self._attempt() < self.times
+        ):
+            raise InjectedFault(f"injected failure of {self.cell_id}")
+        return self.cell.run(sanitize=sanitize, telemetry_dir=telemetry_dir)
+
+    def _attempt(self) -> int:
+        """This attempt's 0-based number; leaves a marker for the next."""
+        markers = Path(self.markers)
+        markers.mkdir(parents=True, exist_ok=True)
+        attempt = len(list(markers.glob(f"{self.cell_id}.*")))
+        (markers / f"{self.cell_id}.{attempt}").touch()
+        return attempt
+
+
+def inject(cells, faults, times=None, markers=None):
+    """*cells*, with each one named in *faults* (``{cell_id: fault}``)
+    wrapped in a :class:`FaultCell`."""
+    return [
+        FaultCell(cell, faults[cell.cell_id], times, str(markers))
+        if cell.cell_id in faults else cell
+        for cell in cells
+    ]
 
 
 class TestFaultFreeByteIdentity:
@@ -108,28 +179,24 @@ class TestWorkerReuse:
         assert len(spawned) == 2
 
     def test_crashed_worker_is_replaced_once(self, spawned):
-        chaos = ChaosPlan.from_spec({self.SIX[0].cell_id: {"kind": "crash"}})
-        report = run_grid(self.SIX, workers=2, policy=fast_policy(), chaos=chaos)
+        cells = inject(self.SIX, {self.SIX[0].cell_id: "crash"})
+        report = run_grid(cells, workers=2, policy=fast_policy())
         assert len(spawned) == 3
         assert set(report.failures) == {self.SIX[0].cell_id}
         assert set(report.results) == {cell.cell_id for cell in self.SIX[1:]}
 
     def test_hung_worker_is_replaced_once(self, spawned):
-        chaos = ChaosPlan.from_spec(
-            {self.SIX[0].cell_id: {"kind": "hang", "hang_seconds": 60}}
-        )
+        cells = inject(self.SIX, {self.SIX[0].cell_id: "hang"})
         # One slot, so the cells behind the hung one must land on its
         # replacement (a second slot would quietly absorb them all).
-        report = run_grid(
-            self.SIX, workers=1, policy=fast_policy(cell_timeout=0.75), chaos=chaos
-        )
+        report = run_grid(cells, workers=1, policy=fast_policy(cell_timeout=0.75))
         assert len(spawned) == 2
         assert report.failures[self.SIX[0].cell_id].outcome == OUTCOME_TIMEOUT
         assert set(report.results) == {cell.cell_id for cell in self.SIX[1:]}
 
     def test_failed_attempt_keeps_its_worker(self, spawned):
-        chaos = ChaosPlan.from_spec({self.SIX[0].cell_id: {"kind": "flaky"}})
-        report = run_grid(self.SIX, workers=2, policy=fast_policy(), chaos=chaos)
+        cells = inject(self.SIX, {self.SIX[0].cell_id: "flaky"})
+        report = run_grid(cells, workers=2, policy=fast_policy())
         assert report.failures[self.SIX[0].cell_id].outcome == OUTCOME_FAILED
         assert len(spawned) == 2
 
@@ -164,12 +231,9 @@ class TestWorkerReuse:
 
 class TestNoWorkerOutlivesTheRun:
     def test_after_a_healthy_and_a_wounded_run(self):
-        chaos = ChaosPlan.from_spec({
-            CRASH_CELL: {"kind": "crash"},
-            HEALTHY_CELL: {"kind": "hang", "hang_seconds": 60},
-        })
+        wounded = inject(CELLS, {CRASH_CELL: "crash", HEALTHY_CELL: "hang"})
         run_grid(CELLS, workers=3)
-        run_grid(CELLS, workers=3, policy=fast_policy(cell_timeout=0.75), chaos=chaos)
+        run_grid(wounded, workers=3, policy=fast_policy(cell_timeout=0.75))
         assert multiprocessing.active_children() == []
 
     def test_when_the_cache_write_raises(self, tmp_path):
@@ -221,29 +285,27 @@ def test_multi_worker_run_degrades_a_raising_cell_without_a_policy(monkeypatch):
 
 class TestFailureOutcomes:
     def test_crash_degrades_to_structured_failure(self):
-        chaos = ChaosPlan.from_spec({CRASH_CELL: {"kind": "crash"}})
-        report = run_grid(CELLS, workers=2, policy=fast_policy(), chaos=chaos)
+        cells = inject(CELLS, {CRASH_CELL: "crash"})
+        report = run_grid(cells, workers=2, policy=fast_policy())
         assert not report.ok
         failure = report.failures[CRASH_CELL]
         assert failure.outcome == OUTCOME_CRASHED
-        assert "exit code 13" in failure.message
+        assert f"exit code {-signal.SIGKILL}" in failure.message
         assert report.worker_crashes == 1
         # Every healthy cell still completed.
         assert set(report.results) == {HEALTHY_CELL, FLAKY_CELL}
 
     def test_flaky_worker_error_is_failed_not_crashed(self):
-        chaos = ChaosPlan.from_spec({FLAKY_CELL: {"kind": "flaky"}})
-        report = run_grid(CELLS, workers=2, policy=fast_policy(), chaos=chaos)
+        cells = inject(CELLS, {FLAKY_CELL: "flaky"})
+        report = run_grid(cells, workers=2, policy=fast_policy())
         failure = report.failures[FLAKY_CELL]
         assert failure.outcome == OUTCOME_FAILED
-        assert "ChaosError" in failure.message
+        assert "InjectedFault" in failure.message
         assert report.worker_crashes == 0
 
     def test_hung_cell_is_killed_at_the_timeout(self):
-        chaos = ChaosPlan.from_spec({HEALTHY_CELL: {"kind": "hang", "hang_seconds": 60}})
-        report = run_grid(
-            CELLS, workers=2, policy=fast_policy(cell_timeout=0.75), chaos=chaos
-        )
+        cells = inject(CELLS, {HEALTHY_CELL: "hang"})
+        report = run_grid(cells, workers=2, policy=fast_policy(cell_timeout=0.75))
         failure = report.failures[HEALTHY_CELL]
         assert failure.outcome == OUTCOME_TIMEOUT
         assert "killed" in failure.message
@@ -251,11 +313,8 @@ class TestFailureOutcomes:
         assert set(report.results) == {CRASH_CELL, FLAKY_CELL}
 
     def test_failure_manifest_is_jsonable_and_sorted(self):
-        chaos = ChaosPlan.from_spec({
-            CRASH_CELL: {"kind": "crash"},
-            FLAKY_CELL: {"kind": "flaky"},
-        })
-        report = run_grid(CELLS, workers=3, policy=fast_policy(), chaos=chaos)
+        cells = inject(CELLS, {CRASH_CELL: "crash", FLAKY_CELL: "flaky"})
+        report = run_grid(cells, workers=3, policy=fast_policy())
         manifest = report.failure_manifest()
         assert list(manifest) == sorted([CRASH_CELL, FLAKY_CELL])
         entry = manifest[CRASH_CELL]
@@ -263,76 +322,73 @@ class TestFailureOutcomes:
         assert entry["attempts"][0]["attempt"] == 0
 
 
-class TestDeterministicRetry:
-    CHAOS = ChaosPlan.from_spec({FLAKY_CELL: {"kind": "flaky", "times": 2}})
+def fail_twice(markers):
+    return inject(CELLS, {FLAKY_CELL: "flaky"}, times=2, markers=markers)
 
-    def test_fail_twice_then_succeed(self):
+
+class TestDeterministicRetry:
+    def test_fail_twice_then_succeed(self, tmp_path):
         report = run_grid(
-            CELLS, workers=2, policy=fast_policy(retries=3), chaos=self.CHAOS
+            fail_twice(tmp_path), workers=2, policy=fast_policy(retries=3)
         )
         assert report.ok
         assert report.retries == 2
         attempts = report.recovered[FLAKY_CELL]
         assert [record["outcome"] for record in attempts] == ["failed", "failed", "ok"]
 
-    def test_retry_budget_exhaustion_is_terminal(self):
+    def test_retry_budget_exhaustion_is_terminal(self, tmp_path):
         report = run_grid(
-            CELLS, workers=2, policy=fast_policy(retries=1), chaos=self.CHAOS
+            fail_twice(tmp_path), workers=2, policy=fast_policy(retries=1)
         )
         failure = report.failures[FLAKY_CELL]
         assert failure.outcome == OUTCOME_FAILED
         assert len(failure.attempts) == 2
 
-    def test_retry_schedule_is_reproducible(self):
-        def delays():
+    def test_retry_schedule_is_reproducible(self, tmp_path):
+        def delays(markers):
             report = run_grid(
-                CELLS, workers=2, policy=fast_policy(retries=3), chaos=self.CHAOS
+                fail_twice(markers), workers=2, policy=fast_policy(retries=3)
             )
             return [
                 record["retry_delay"] for record in report.recovered[FLAKY_CELL]
             ]
 
-        first, second = delays(), delays()
+        first, second = delays(tmp_path / "first"), delays(tmp_path / "second")
         assert first == second
-        # The schedule is the SessionRecovery backoff, pure in
+        # The schedule is the FSM's ReconnectBackoff, pure in
         # (seed, attempt) — not a measured wall-clock artifact.
         assert first == [FAST_BACKOFF.delay(0), FAST_BACKOFF.delay(1), None]
 
 
 class TestFailureBudget:
-    CHAOS = ChaosPlan.from_spec({CRASH_CELL: {"kind": "crash"}})
+    CRASHING = inject(CELLS, {CRASH_CELL: "crash"})
 
     def test_max_failures_quarantines_the_rest(self):
-        report = run_grid(
-            CELLS, workers=1, policy=fast_policy(max_failures=1), chaos=self.CHAOS
-        )
+        report = run_grid(self.CRASHING, workers=1, policy=fast_policy(max_failures=1))
         assert report.failures[CRASH_CELL].outcome == OUTCOME_CRASHED
         for cell_id in (HEALTHY_CELL, FLAKY_CELL):
             assert report.failures[cell_id].outcome == OUTCOME_QUARANTINED
         assert report.results == {}
 
     def test_strict_is_first_failure_quarantine(self):
-        report = run_grid(
-            CELLS, workers=1, policy=fast_policy(max_failures=1), chaos=self.CHAOS
-        )
+        report = run_grid(self.CRASHING, workers=1, policy=fast_policy(max_failures=1))
         outcomes = {cid: f.outcome for cid, f in report.failures.items()}
         assert outcomes[CRASH_CELL] == OUTCOME_CRASHED
         assert outcomes[HEALTHY_CELL] == OUTCOME_QUARANTINED
 
     def test_without_budget_healthy_cells_complete(self):
-        report = run_grid(CELLS, workers=1, policy=fast_policy(), chaos=self.CHAOS)
+        report = run_grid(self.CRASHING, workers=1, policy=fast_policy())
         assert set(report.results) == {HEALTHY_CELL, FLAKY_CELL}
 
 
 class TestMetricsPublication:
-    def test_counters_published_to_registry(self):
+    def test_counters_published_to_registry(self, tmp_path):
         from repro.telemetry import MetricRegistry
 
         registry = MetricRegistry()
-        chaos = ChaosPlan.from_spec({FLAKY_CELL: {"kind": "flaky", "times": 1}})
+        cells = inject(CELLS, {FLAKY_CELL: "flaky"}, times=1, markers=tmp_path)
         report = run_grid(
-            CELLS, workers=2, policy=fast_policy(retries=2), chaos=chaos,
-            registry=registry,
+            cells, workers=2, policy=fast_policy(retries=2), registry=registry
         )
         assert report.ok
         assert registry.get("grid_retries").value() == 1
@@ -345,10 +401,8 @@ class TestMetricsPublication:
         from repro.telemetry import MetricRegistry
 
         registry = MetricRegistry()
-        chaos = ChaosPlan.from_spec({CRASH_CELL: {"kind": "crash"}})
-        run_grid(
-            CELLS, workers=2, policy=fast_policy(), chaos=chaos, registry=registry
-        )
+        cells = inject(CELLS, {CRASH_CELL: "crash"})
+        run_grid(cells, workers=2, policy=fast_policy(), registry=registry)
         assert registry.get("grid_worker_crashes").value() == 1
         assert registry.get("grid_cells").value(outcome="crashed") == 1
         assert registry.get("grid_cells").value(outcome="ok") == 2
@@ -384,10 +438,9 @@ class TestGracefulDegradation:
         assert len(report.results) == 2
 
     def test_well_behaved_progress_sees_every_terminal_outcome(self):
-        chaos = ChaosPlan.from_spec({CRASH_CELL: {"kind": "crash"}})
         seen = []
         report = run_grid(
-            CELLS, workers=1, policy=fast_policy(), chaos=chaos,
+            inject(CELLS, {CRASH_CELL: "crash"}), workers=1, policy=fast_policy(),
             progress=lambda cell_id, cached: seen.append(cell_id),
         )
         assert not report.ok

@@ -172,6 +172,8 @@ def test_oracles_are_not_shipped():
     "repro.benchmark.recovery",       # router never loses a session
     "repro.igp.redistribution",       # no paper table has an IGP feed BGP
     "repro.analysis.flow",            # whole-program lint, no recorded catch
+    "repro.grid.journal",             # re-running a grid resumes from the cache
+    "repro.grid.chaos",               # the supervisor is tested on real faults
 ])
 def test_retired_modules_are_gone(name):
     assert importlib.util.find_spec(name) is None

@@ -287,7 +287,7 @@ def _probe_attempt_counters(conn, spec):
     inherited = dict(codec_cache_stats())
     task_recv, task_send = multiprocessing.Pipe(duplex=False)
     result_recv, result_send = multiprocessing.Pipe(duplex=False)
-    task_send.send((TopoCell.from_spec(spec), 0, None))
+    task_send.send(TopoCell.from_spec(spec))
     task_send.send(None)
     _worker_main(task_recv, result_send, False, None)
     status = result_recv.recv()[0]
