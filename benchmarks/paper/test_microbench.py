@@ -1,16 +1,11 @@
 """Microbenchmarks of the substrate hot paths (real wall-clock timing —
-the classic pytest-benchmark use): message codec, LPM tries, decision
-process, policy chain, damping and MRAI.
+the classic pytest-benchmark use): message codec, decision process,
+policy chain, damping and MRAI.
 """
-
-import pytest
 
 from repro.bgp.attributes import AsPath, PathAttributes
 from repro.bgp.decision import Candidate, DecisionProcess, PeerInfo
 from repro.bgp.messages import UpdateMessage, decode_message
-from repro.forwarding.lengthsearch import LengthSearchTable
-from repro.forwarding.multibit import MultibitTable
-from repro.forwarding.trie import BinaryTrie
 from repro.net.addr import IPv4Address
 from repro.workload.tablegen import generate_table
 
@@ -36,38 +31,6 @@ class TestCodecThroughput:
         wire = UpdateMessage(attributes=ATTRS, nlri=(TABLE.entries[0].prefix,)).encode()
         decoded = benchmark(decode_message, wire)
         assert len(decoded.nlri) == 1
-
-
-@pytest.mark.parametrize(
-    "trie_class",
-    [BinaryTrie, MultibitTable, LengthSearchTable],
-    ids=["binary", "multibit", "lengthsearch"],
-)
-class TestTrieThroughput:
-    def test_bulk_insert(self, benchmark, trie_class):
-        def build():
-            trie = trie_class()
-            for entry in TABLE.entries:
-                trie.insert(entry.prefix, NH)
-            return trie
-
-        trie = benchmark(build)
-        assert len(trie) == len(TABLE)
-
-    def test_lookup(self, benchmark, trie_class):
-        trie = trie_class()
-        for entry in TABLE.entries:
-            trie.insert(entry.prefix, NH)
-        probes = [entry.prefix.first_address() for entry in TABLE.entries[:256]]
-
-        def lookup_all():
-            hits = 0
-            for probe in probes:
-                if trie.lookup(probe) is not None:
-                    hits += 1
-            return hits
-
-        assert benchmark(lookup_all) == 256
 
 
 class TestDecisionThroughput:

@@ -113,8 +113,7 @@ class ReconnectBackoff:
     byte-identical retry schedules — the determinism the benchmark's
     repeatability claim requires — while distinct seeds still desynchronise
     reconnect storms the way RFC 4271 §8.2.1.1's DampPeerOscillations
-    intends. Two users: the FSM's connect-retry timer and the grid
-    supervisor's retry schedule (:mod:`repro.grid.outcomes`).
+    intends. One user: the FSM's connect-retry timer.
     """
 
     base: float = 1.0

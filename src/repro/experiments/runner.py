@@ -10,7 +10,7 @@
     bgpbench repeatability --platform pentium3 --scenario 1 --seeds 1 2 3
     bgpbench stability --platform pentium3 --rate 1500
     bgpbench grid --workers 4 [--scenarios ...] [--telemetry]
-                  [--cell-timeout 300] [--retries 2] [--max-failures 5]
+                  [--cell-timeout 300]
     bgpbench regress [--golden benchmarks/golden/grid-small.json] [--bless]
     bgpbench topo --family convergence [--tier1 2 --tier2 5 --stubs 18]
                   [--mrai 30] [--damping] [--sanitize] [--telemetry]
@@ -22,10 +22,10 @@
 text rendering. ``grid`` runs the sharded experiment grid through the
 on-disk cell cache; ``regress`` re-runs a committed golden baseline's
 grid and exits non-zero on drift (see docs/GRID.md). With one worker and
-no resilience flag the cells run in the calling process; ``--workers N``
-or any of ``--cell-timeout``/``--retries``/``--max-failures`` runs them
-on supervised worker processes, where failing cells degrade to a failure
-manifest and exit status 3 instead of aborting the run. Every finished
+no ``--cell-timeout`` the cells run in the calling process;
+``--workers N`` or ``--cell-timeout`` runs each cell once on supervised
+worker processes, where failing cells degrade to a failure manifest and
+exit status 3 instead of aborting the run. Every finished
 cell is cached at once, so running an interrupted command again executes
 only the cells it did not finish; an unusable golden file is a usage
 error (exit 2). ``topo`` runs one topology benchmark cell (an AS graph
@@ -91,7 +91,6 @@ def _bounded(convert, accept, what: str):
 
 
 _positive_int = _bounded(int, lambda value: value > 0, "a positive integer")
-_non_negative_int = _bounded(int, lambda value: value >= 0, "a non-negative integer")
 _positive_float = _bounded(float, lambda value: value > 0, "a positive number")
 _non_negative_float = _bounded(float, lambda value: value >= 0, "a non-negative number")
 
@@ -190,7 +189,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     grid.add_argument(
         "--manifest", type=Path, default=None,
-        help="write the full run report (results, failure manifest, retry "
+        help="write the full run report (results, failure manifest, worker "
              "accounting) as JSON",
     )
 
@@ -325,16 +324,6 @@ def _add_pool_arguments(parser: argparse.ArgumentParser) -> None:
         help="per-cell wall-clock budget; a cell exceeding it is killed and "
              "recorded as a timeout (supervised execution)",
     )
-    parser.add_argument(
-        "--retries", type=_non_negative_int, default=0, metavar="N",
-        help="re-run a failed/timed-out/crashed cell up to N times on a "
-             "deterministic backoff schedule (supervised execution)",
-    )
-    parser.add_argument(
-        "--max-failures", type=_positive_int, default=None, metavar="N",
-        help="quarantine all not-yet-started cells once N cells have "
-             "terminally failed (supervised execution)",
-    )
 
 
 def _add_grid_arguments(parser: argparse.ArgumentParser) -> None:
@@ -379,21 +368,6 @@ def _telemetry_dir(args) -> "str | None":
     return str(args.telemetry_dir) if args.telemetry else None
 
 
-def _make_policy(args):
-    """An ExecutionPolicy when any resilience flag asks for supervision,
-    else None (run_grid then supervises only a multi-worker run, with
-    the default policy)."""
-    from repro.grid import ExecutionPolicy
-
-    if args.cell_timeout is None and args.retries == 0 and args.max_failures is None:
-        return None
-    return ExecutionPolicy(
-        cell_timeout=args.cell_timeout,
-        retries=args.retries,
-        max_failures=args.max_failures,
-    )
-
-
 def _print_failures(report) -> None:
     print(f"failures ({len(report.failures)}):")
     for _cell_id, failure in sorted(report.failures.items()):
@@ -411,7 +385,6 @@ def _run_grid(args) -> int:
         seeds=args.seeds,
         table_sizes=args.table_sizes,
     )
-    policy = _make_policy(args)
     report = run_grid(
         cells,
         workers=args.workers,
@@ -422,21 +395,20 @@ def _run_grid(args) -> int:
         ),
         sanitize=args.sanitize,
         telemetry_dir=_telemetry_dir(args),
-        policy=policy,
+        cell_timeout=args.cell_timeout,
     )
     for cell_id, result in report.results.items():
         tps = result["transactions_per_second"]
         flag = "" if result["completed"] else "  (STALLED)"
         print(f"{cell_id:32s} {tps:10.1f} tps{flag}")
-    retried = (
-        f"{report.retries} retries, {report.timeouts} timeouts, "
-        f"{report.worker_crashes} worker crashes, "
-        if policy is not None else ""
+    faults = (
+        f"{report.timeouts} timeouts, {report.worker_crashes} worker crashes, "
+        if args.cell_timeout is not None else ""
     )
     print(
         f"{report.cells} cells, {report.executed} executed, "
         f"{report.hits} cache hits ({100 * report.hit_rate:.0f}%), "
-        f"{retried}{args.workers} worker(s)"
+        f"{faults}{args.workers} worker(s)"
     )
     if not report.ok:
         _print_failures(report)
@@ -569,7 +541,7 @@ def _run_regress(args) -> int:
     report = run_grid(
         cells, workers=args.workers, cache=_make_cache(args),
         refresh=args.refresh, sanitize=args.sanitize,
-        telemetry_dir=_telemetry_dir(args), policy=_make_policy(args),
+        telemetry_dir=_telemetry_dir(args), cell_timeout=args.cell_timeout,
     )
     if not report.ok:
         # A partial run can neither be blessed nor meaningfully diffed:

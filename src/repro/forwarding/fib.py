@@ -3,83 +3,67 @@
 The FIB is the kernel-side (or line-card-side) copy of the selected
 routes. It implements the :class:`repro.bgp.speaker.FibSink` protocol so
 a :class:`~repro.bgp.speaker.BgpSpeaker` pushes Loc-RIB changes straight
-into it, and exposes the longest-prefix-match lookup the forwarding
-pipeline uses. Mutation counters feed the platform cost models: the
-paper attributes the slowness of scenarios 1–4 and 7–8 to exactly these
-operations ("changing the forwarding tables involves a large amount of
-other operations").
-
-Routes live in a :class:`~repro.forwarding.lengthsearch.LengthSearchTable`:
-an add, replace or delete is a dict store, and the hash-per-length
-search structure is rebuilt on the first lookup after a change.
+into it. The paper charges the FIB for installing routes — the add,
+replace and delete work behind scenarios 5–8 ("changing the forwarding
+tables involves a large amount of other operations"), billed by the
+platform cost models through ``WorkLog.fib_adds/replaces/deletes`` — and
+measures no lookup rate. So the routes are one ``{prefix: next_hop}``
+dict: a change is a dict store, and :meth:`Fib.lookup` probes that dict
+once per prefix length, longest first.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from repro.net.addr import IPv4Address, Prefix, address_int
 
-from repro.forwarding.lengthsearch import LengthSearchTable
-from repro.net.addr import IPv4Address, Prefix
-
-
-@dataclass(slots=True)
-class FibStats:
-    """Counters over the FIB's lifetime."""
-
-    adds: int = 0
-    replaces: int = 0
-    deletes: int = 0
-    lookups: int = 0
-    lookup_misses: int = 0
-
-    @property
-    def changes(self) -> int:
-        return self.adds + self.replaces + self.deletes
+#: (length, mask) from /32 down to /0: the longest-prefix-match probe order.
+_PROBES = tuple(
+    (length, (0xFFFFFFFF << (32 - length)) & 0xFFFFFFFF)
+    for length in range(32, -1, -1)
+)
 
 
 class Fib:
-    """A next-hop table over binary search on prefix lengths."""
+    """A next-hop table: one dict from prefix to next hop."""
 
     def __init__(self) -> None:
-        self._table = LengthSearchTable()
-        self.stats = FibStats()
+        self._routes: dict[Prefix, IPv4Address] = {}
 
     def __len__(self) -> int:
-        return len(self._table)
+        return len(self._routes)
 
     def __contains__(self, prefix: Prefix) -> bool:
-        return prefix in self._table
+        return prefix in self._routes
 
     # -- FibSink protocol ---------------------------------------------------
 
     def add_route(self, prefix: Prefix, next_hop: IPv4Address) -> None:
-        self._table.insert(prefix, next_hop)
-        self.stats.adds += 1
+        self._routes[prefix] = next_hop
 
     def replace_route(self, prefix: Prefix, next_hop: IPv4Address) -> None:
-        self._table.insert(prefix, next_hop)
-        self.stats.replaces += 1
+        self._routes[prefix] = next_hop
 
     def delete_route(self, prefix: Prefix) -> None:
-        self._table.remove(prefix)
-        self.stats.deletes += 1
+        self._routes.pop(prefix, None)
 
     # -- lookup ----------------------------------------------------------------
 
     def lookup(self, destination: IPv4Address | int) -> IPv4Address | None:
         """Longest-prefix-match next hop for *destination*; None = no route."""
-        match = self._table.lookup(destination)
-        self.stats.lookups += 1
-        if match is None:
-            self.stats.lookup_misses += 1
-            return None
-        return match[1]
+        value = address_int(destination)
+        routes = self._routes
+        for length, mask in _PROBES:
+            # A Prefix hashes and compares equal to its plain tuple.
+            next_hop = routes.get((value & mask, length))
+            if next_hop is not None:
+                return next_hop
+        return None
 
     def next_hop_for(self, prefix: Prefix) -> IPv4Address | None:
         """The exact-match next hop for an installed prefix."""
-        return self._table.exact(prefix)
+        return self._routes.get(prefix)
 
     def routes(self) -> "list[tuple[Prefix, IPv4Address]]":
         """All (prefix, next_hop) pairs, a snapshot in ascending
         (network, length) order."""
-        return list(self._table.items())
+        return sorted(self._routes.items())

@@ -28,21 +28,16 @@ from repro.grid.outcomes import (
     OUTCOME_CRASHED,
     OUTCOME_FAILED,
     OUTCOME_OK,
-    OUTCOME_QUARANTINED,
     OUTCOME_TIMEOUT,
     OUTCOMES,
-    AttemptRecord,
     CellFailure,
-    ExecutionPolicy,
 )
 from repro.grid.supervisor import Supervisor
 
 __all__ = [
-    "AttemptRecord",
     "CellFailure",
     "DEFAULT_CACHE_DIR",
     "DEFAULT_TOLERANCE",
-    "ExecutionPolicy",
     "GridCache",
     "GridCell",
     "GridReport",
@@ -52,7 +47,6 @@ __all__ = [
     "OUTCOME_CRASHED",
     "OUTCOME_FAILED",
     "OUTCOME_OK",
-    "OUTCOME_QUARANTINED",
     "OUTCOME_TIMEOUT",
     "RegressionReport",
     "Supervisor",

@@ -13,12 +13,12 @@ There is one way to run a cell and one choice about where, made from
 what ``run_grid`` can observe:
 
 * **in-process** when at most one worker would be used and there is
-  nothing to supervise (no :class:`ExecutionPolicy`): the cells run in
-  the calling process, in order, and a raising cell propagates to the
+  nothing to supervise (no ``cell_timeout``): the cells run in the
+  calling process, in order, and a raising cell propagates to the
   caller;
 * **supervised** otherwise: long-lived worker processes under
-  :class:`~repro.grid.supervisor.Supervisor`, with per-cell timeouts,
-  deterministic retry, and graceful degradation — the run completes
+  :class:`~repro.grid.supervisor.Supervisor`, with per-cell timeouts
+  and graceful degradation — each cell runs once, the run completes
   every healthy cell and carries the rest as structured
   :class:`CellFailure` records in ``GridReport.failures`` instead of
   aborting.
@@ -34,20 +34,14 @@ from typing import Callable, Sequence
 
 from repro.grid.cache import GridCache
 from repro.grid.cells import Cell, result_json, run_cell
-from repro.grid.outcomes import (
-    OUTCOME_CACHED,
-    OUTCOME_OK,
-    OUTCOMES,
-    CellFailure,
-    ExecutionPolicy,
-)
-from repro.grid.supervisor import Supervisor
+from repro.grid.outcomes import OUTCOME_CACHED, OUTCOME_OK, OUTCOMES, CellFailure
+from repro.grid.supervisor import Supervisor, check_cell_timeout
 
 
 @dataclass(slots=True)
 class GridReport:
     """Outcome of one grid run: results in enumeration order, the
-    failure manifest, and cache/retry accounting.
+    failure manifest, and cache and worker accounting.
 
     ``workers`` is clamped to the worker count actually used: at most
     one per executed cell, and 0 when every cell was served from the
@@ -60,9 +54,6 @@ class GridReport:
     executed: int = 0
     #: Terminal failures, keyed by cell id (empty on a healthy run).
     failures: "dict[str, CellFailure]" = field(default_factory=dict)
-    #: Attempt histories of cells that needed >= 1 retry to succeed.
-    recovered: "dict[str, list[dict]]" = field(default_factory=dict)
-    retries: int = 0
     timeouts: int = 0
     worker_crashes: int = 0
     #: Cells executed but not cached (cache write failed), cell id ->
@@ -100,12 +91,10 @@ class GridReport:
             "workers": self.workers,
             "hits": self.hits,
             "executed": self.executed,
-            "retries": self.retries,
             "timeouts": self.timeouts,
             "worker_crashes": self.worker_crashes,
             "results": self.results,
             "failures": self.failure_manifest(),
-            "recovered": self.recovered,
             "uncached": self.uncached,
         }
 
@@ -155,10 +144,7 @@ def _publish_metrics(registry, report: GridReport) -> None:
     if registry is None:
         return
     registry.counter(
-        "grid_retries", "cell attempts re-run after a failed attempt"
-    ).inc(report.retries)
-    registry.counter(
-        "grid_timeouts", "cell attempts killed at the per-cell wall-clock timeout"
+        "grid_timeouts", "cells killed at the per-cell wall-clock timeout"
     ).inc(report.timeouts)
     registry.counter(
         "grid_worker_crashes", "grid workers that died without reporting a result"
@@ -183,7 +169,7 @@ def run_grid(
     progress: "Callable[[str, bool], None] | None" = None,
     sanitize: bool = False,
     telemetry_dir: "str | None" = None,
-    policy: "ExecutionPolicy | None" = None,
+    cell_timeout: "float | None" = None,
     registry=None,
 ) -> GridReport:
     """Run every cell, through the cache when one is given.
@@ -195,16 +181,17 @@ def run_grid(
     checked mode and *telemetry_dir* drops per-cell trace/metrics
     artifacts — both observe-only, results are byte-identical.
 
-    More than one worker or a *policy* means supervised execution:
-    worker processes, per-cell timeouts, deterministic retry, and
-    structured :class:`CellFailure` records in ``report.failures``
-    instead of run-aborting exceptions (see
+    More than one worker or a *cell_timeout* (wall-clock seconds per
+    cell) means supervised execution: worker processes, each cell run
+    once, and structured :class:`CellFailure` records in
+    ``report.failures`` instead of run-aborting exceptions (see
     :mod:`repro.grid.supervisor`). *registry* publishes the
-    ``grid_retries / grid_timeouts / grid_worker_crashes / grid_cells``
-    counters of the run.
+    ``grid_timeouts / grid_worker_crashes / grid_cells`` counters of
+    the run.
     """
     if workers < 1:
         raise ValueError(f"workers must be >= 1: {workers}")
+    check_cell_timeout(cell_timeout)
     progress = _safe_progress(progress)
     report = GridReport(workers=0)
     merged: dict[str, dict] = {}
@@ -227,31 +214,23 @@ def run_grid(
         _cache_put(cache, cell, result, report)
         progress(cell.cell_id, False)
 
-    if report.workers <= 1 and policy is None:
+    if report.workers <= 1 and cell_timeout is None:
         for cell in pending:
             complete(
                 cell, run_cell(cell, sanitize=sanitize, telemetry_dir=telemetry_dir)
             )
     else:
-        def on_success(cell: Cell, result: dict, records) -> None:
-            if len(records) > 1:
-                report.recovered[cell.cell_id] = [
-                    record.to_jsonable() for record in records
-                ]
-            complete(cell, result)
-
         def on_failure(cell: Cell, failure: CellFailure) -> None:
             report.failures[cell.cell_id] = failure
             progress(cell.cell_id, False)
 
         supervisor = Supervisor(
-            policy or ExecutionPolicy(),
             workers=report.workers,
             sanitize=sanitize,
             telemetry_dir=telemetry_dir,
+            cell_timeout=cell_timeout,
         )
-        _results, _failures, stats = supervisor.run(pending, on_success, on_failure)
-        report.retries = stats.retries
+        _results, _failures, stats = supervisor.run(pending, complete, on_failure)
         report.timeouts = stats.timeouts
         report.worker_crashes = stats.worker_crashes
 

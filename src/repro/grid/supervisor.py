@@ -1,11 +1,11 @@
-"""Process supervision for grid cells: timeouts, kill-and-replace, retry.
+"""Process supervision for grid cells: timeouts and kill-and-replace.
 
 A :class:`Supervisor` keeps up to ``workers`` long-lived worker
-processes, each serving one cell attempt at a time over a task pipe and
+processes, each serving one cell at a time over a task pipe and
 a result pipe (:func:`_worker_main`). Starting a process costs about as
 much as a small cell runs, so a healthy worker is reused for the whole
 run; it is replaced only when it can no longer be trusted. The
-supervisor watches every in-flight attempt and
+supervisor watches every in-flight cell and
 
 * on a result message, records ``ok``;
 * on an error message, records ``failed`` (the worker survived to
@@ -16,13 +16,10 @@ supervisor watches every in-flight attempt and
   worker for the slot when one is next needed;
 * on a blown wall-clock deadline, **kills** the worker (SIGKILL),
   records ``timeout`` and likewise replaces it — so a bad cell takes
-  down exactly one attempt and one hung cell can never wedge the run.
+  down exactly one worker and one hung cell can never wedge the run.
 
-Failed attempts re-queue on the deterministic
-:meth:`~repro.grid.outcomes.ExecutionPolicy.retry_delay` schedule;
-while a retry cools down, other cells keep the worker slots busy. When
-the run's failure budget is exhausted, not-yet-launched cells are
-``quarantined`` instead of burning time on a run that is already lost.
+Each cell runs once: a cell is a pure function of its spec, so a second
+run would replay the same failure.
 
 The supervisor reads the *wall* clock — it polices real processes and
 never touches simulation state, so results stay a pure function of the
@@ -34,9 +31,10 @@ one (every cache it keeps is a value-keyed memo, docs/PERF.md).
 
 from __future__ import annotations
 
+import math
 import multiprocessing
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from multiprocessing.connection import wait as _wait_connections
 from typing import Callable, Sequence
 
@@ -44,12 +42,8 @@ from repro.grid.cells import Cell, run_cell
 from repro.grid.outcomes import (
     OUTCOME_CRASHED,
     OUTCOME_FAILED,
-    OUTCOME_OK,
-    OUTCOME_QUARANTINED,
     OUTCOME_TIMEOUT,
-    AttemptRecord,
     CellFailure,
-    ExecutionPolicy,
 )
 
 #: Grace period for joining a worker told to exit (seconds).
@@ -58,9 +52,19 @@ _JOIN_GRACE = 2.0
 
 def _now() -> float:
     """Wall-clock read for supervising real worker processes. This is
-    deliberate ambient state: timeouts and retry pacing are operational
-    concerns that never feed back into cell results."""
+    deliberate ambient state: timeouts are an operational concern that
+    never feeds back into cell results."""
     return time.monotonic()  # repro: noqa[RPR001] — process supervision needs the wall clock
+
+
+def check_cell_timeout(cell_timeout: "float | None") -> None:
+    """Reject a per-cell wall-clock budget that could never fire (NaN,
+    infinite) or would fire at once (zero, negative)."""
+    if cell_timeout is not None and not 0 < cell_timeout < math.inf:
+        raise ValueError(
+            f"cell_timeout must be a positive, finite number of seconds, "
+            f"got {cell_timeout!r}"
+        )
 
 
 def _worker_main(tasks, results, sanitize: bool, telemetry_dir: "str | None") -> None:
@@ -95,44 +99,37 @@ def _worker_main(tasks, results, sanitize: bool, telemetry_dir: "str | None") ->
 class SupervisorStats:
     """Counters the run publishes into the grid metrics."""
 
-    retries: int = 0
     timeouts: int = 0
     worker_crashes: int = 0
 
 
 @dataclass(slots=True)
-class _Task:
-    """One cell waiting to (re)run."""
-
-    cell: Cell
-    attempt: int
-    ready_at: float
-    seq: int
-    records: "list[AttemptRecord]" = field(default_factory=list)
-
-
-@dataclass(slots=True)
 class _Worker:
-    """One worker process and the attempt it is serving, if any."""
+    """One worker process and the cell it is serving, if any."""
 
     process: multiprocessing.Process
     tasks: object
     results: object
-    task: "_Task | None" = None
+    cell: "Cell | None" = None
     deadline: "float | None" = None
 
 
 class Supervisor:
-    """Drive a set of cells to terminal outcomes under a policy."""
+    """Drive a set of cells to terminal outcomes on worker processes.
+
+    *cell_timeout*, if given, is a wall-clock budget per cell: exceeded,
+    the worker is killed and the cell records ``timeout``.
+    """
 
     def __init__(
         self,
-        policy: ExecutionPolicy,
         workers: int = 1,
         sanitize: bool = False,
         telemetry_dir: "str | None" = None,
+        cell_timeout: "float | None" = None,
     ):
-        self.policy = policy
+        check_cell_timeout(cell_timeout)
+        self.cell_timeout = cell_timeout
         self.workers = max(1, workers)
         self.sanitize = sanitize
         self.telemetry_dir = telemetry_dir
@@ -152,14 +149,13 @@ class Supervisor:
         result_send.close()  # EOF on result_recv now means worker death
         return _Worker(process, task_send, result_recv)
 
-    def _assign(self, worker: _Worker, task: _Task, now: float) -> None:
-        worker.task = task
+    def _assign(self, worker: _Worker, cell: Cell, now: float) -> None:
+        worker.cell = cell
         worker.deadline = (
-            None if self.policy.cell_timeout is None
-            else now + self.policy.cell_timeout
+            None if self.cell_timeout is None else now + self.cell_timeout
         )
         try:
-            worker.tasks.send(task.cell)
+            worker.tasks.send(cell)
         except OSError:
             pass  # died while idle: its result pipe reads EOF -> crashed
 
@@ -189,10 +185,10 @@ class Supervisor:
     def run(
         self,
         cells: Sequence[Cell],
-        on_success: "Callable[[Cell, dict, list[AttemptRecord]], None] | None" = None,
+        on_success: "Callable[[Cell, dict], None] | None" = None,
         on_failure: "Callable[[Cell, CellFailure], None] | None" = None,
     ) -> "tuple[dict[str, dict], dict[str, CellFailure], SupervisorStats]":
-        """Run every cell; return (results, failures, stats).
+        """Run every cell once; return (results, failures, stats).
 
         *results* holds successful cells only; *failures* the terminal
         :class:`CellFailure` records. The two partitions cover the
@@ -203,74 +199,35 @@ class Supervisor:
         results: dict[str, dict] = {}
         failures: dict[str, CellFailure] = {}
         stats = SupervisorStats()
-        queue: list[_Task] = [
-            _Task(cell, attempt=0, ready_at=0.0, seq=seq)
-            for seq, cell in enumerate(cells)
-        ]
+        queue = list(reversed(cells))  # pop() takes them in order
         live: list[_Worker] = []
-        budget = self.policy.failure_budget
 
-        def fail(task: _Task, outcome: str) -> None:
-            failure = CellFailure(task.cell.cell_id, outcome, task.records)
-            failures[task.cell.cell_id] = failure
+        def fail(cell: Cell, outcome: str, message: str) -> None:
+            failure = CellFailure(cell.cell_id, outcome, message)
+            failures[cell.cell_id] = failure
             if on_failure is not None:
-                on_failure(task.cell, failure)
-
-        def settle_failure(task: _Task, outcome: str, error: str, now: float) -> None:
-            record = AttemptRecord(task.attempt, outcome, error)
-            task.records.append(record)
-            if task.attempt < self.policy.retries:
-                delay = self.policy.retry_delay(task.attempt)
-                record.retry_delay = delay
-                stats.retries += 1
-                queue.append(_Task(
-                    task.cell, task.attempt + 1, now + delay, task.seq, task.records
-                ))
-            else:
-                fail(task, outcome)
+                on_failure(cell, failure)
 
         try:
-            while queue or any(worker.task is not None for worker in live):
+            while queue or any(worker.cell is not None for worker in live):
                 now = _now()
-
-                # Quarantine before launching anything new: once the budget
-                # is gone the run is already red, stop burning time on it.
-                if budget is not None and len(failures) >= budget and queue:
-                    for task in sorted(queue, key=lambda t: t.seq):
-                        fail(task, OUTCOME_QUARANTINED)
-                    queue = []
-                    continue
-
-                due = sorted(
-                    (task for task in queue if task.ready_at <= now),
-                    key=lambda task: (task.ready_at, task.seq),
-                )
-                for task in due:
-                    worker = next((w for w in live if w.task is None), None)
+                while queue:
+                    worker = next((w for w in live if w.cell is None), None)
                     if worker is None:
                         if len(live) >= self.workers:
                             break
                         worker = self._spawn()
                         live.append(worker)
-                    queue.remove(task)
-                    self._assign(worker, task, now)
+                    self._assign(worker, queue.pop(), now)
 
-                busy = [worker for worker in live if worker.task is not None]
-                # Wake for the earliest deadline, and for a cooling retry
-                # only when a slot is free to take it: with every slot
-                # busy nothing can launch before a result arrives.
-                wake = [w.deadline for w in busy if w.deadline is not None]
-                if queue and len(busy) < self.workers:
-                    wake.append(min(task.ready_at for task in queue))
-                timeout = max(min(wake) - now, 0.0) if wake else None
-                if not busy:
-                    time.sleep(timeout)
-                    continue
+                busy = [worker for worker in live if worker.cell is not None]
+                deadlines = [w.deadline for w in busy if w.deadline is not None]
+                timeout = max(min(deadlines) - now, 0.0) if deadlines else None
                 ready = _wait_connections([w.results for w in busy], timeout)
                 now = _now()
 
                 for worker in busy:
-                    task = worker.task
+                    cell = worker.cell
                     if worker.results in ready:
                         try:
                             message = worker.results.recv()
@@ -280,34 +237,31 @@ class Supervisor:
                             live.remove(worker)
                             exitcode = self._retire(worker, kill=False)
                             stats.worker_crashes += 1
-                            settle_failure(
-                                task,
+                            fail(
+                                cell,
                                 OUTCOME_CRASHED,
                                 f"worker died without reporting (exit code {exitcode})",
-                                now,
                             )
                             continue
-                        worker.task = worker.deadline = None
+                        worker.cell = worker.deadline = None
                         if message[0] == "ok":
-                            task.records.append(AttemptRecord(task.attempt, OUTCOME_OK))
-                            results[task.cell.cell_id] = message[1]
+                            results[cell.cell_id] = message[1]
                             if on_success is not None:
-                                on_success(task.cell, message[1], task.records)
+                                on_success(cell, message[1])
                         else:
-                            settle_failure(task, OUTCOME_FAILED, message[1], now)
+                            fail(cell, OUTCOME_FAILED, message[1])
                     elif worker.deadline is not None and now >= worker.deadline:
                         live.remove(worker)
                         self._retire(worker, kill=True)
                         stats.timeouts += 1
-                        settle_failure(
-                            task,
+                        fail(
+                            cell,
                             OUTCOME_TIMEOUT,
-                            f"exceeded cell timeout ({self.policy.cell_timeout:g}s "
+                            f"exceeded cell timeout ({self.cell_timeout:g}s "
                             f"wall clock); worker killed",
-                            now,
                         )
         finally:
             for worker in live:
-                self._retire(worker, kill=worker.task is not None)
+                self._retire(worker, kill=worker.cell is not None)
 
         return results, failures, stats

@@ -89,11 +89,9 @@ class TestGridResults:
             "workers": 3,
             "hits": 0,
             "executed": 0,
-            "retries": 0,
             "timeouts": 0,
             "worker_crashes": 0,
             "results": {},
             "failures": {},
-            "recovered": {},
             "uncached": {},
         }

@@ -207,11 +207,9 @@ class TestRunnerCli:
         pytest.param(["grid", "--workers", "0"], "--workers", id="workers"),
         pytest.param(["grid", "--workers", "-2"], "--workers", id="workers-negative"),
         pytest.param(["regress", "--workers", "0"], "--workers", id="regress-workers"),
-        pytest.param(["grid", "--retries", "-1"], "--retries", id="retries"),
         pytest.param(["grid", "--cell-timeout", "0"], "--cell-timeout", id="cell-timeout"),
         pytest.param(["grid", "--cell-timeout", "nan"], "--cell-timeout",
                      id="cell-timeout-nan"),
-        pytest.param(["grid", "--max-failures", "0"], "--max-failures", id="max-failures"),
         pytest.param(["topo", "--shards", "0"], "--shards", id="topo-shards"),
         pytest.param(["topo", "--shards", "-1"], "--shards", id="topo-shards-negative"),
     ])

@@ -45,26 +45,16 @@ def crash():
     os.kill(os.getpid(), signal.SIGKILL)
 
 
-def fail_first(times, markers):
-    """An action that raises on its first *times* calls, counting them
-    with marker files in *markers* (the calls happen in workers)."""
-    def action():
-        done = len(list(markers.iterdir()))
-        if done < times:
-            (markers / str(done)).touch()
-            raise RuntimeError(f"injected failure {done + 1} of {times}")
-
-    markers.mkdir()
-    return action
-
-
 @pytest.mark.parametrize("command", ["grid", "regress"])
 @pytest.mark.parametrize("flag", [
     ["--resume"], ["--journal", "journal.jsonl"], ["--chaos", "plan.json"],
-], ids=["resume", "journal", "chaos"])
+    ["--retries", "1"], ["--max-failures", "1"],
+], ids=["resume", "journal", "chaos", "retries", "max-failures"])
 def test_checkpoint_and_fault_plan_flags_are_gone(capsys, command, flag):
-    # Re-running the command resumes from the cache, and the supervisor
-    # is tested on real faults, so neither flag family has a job left.
+    # Re-running the command resumes from the cache, the supervisor is
+    # tested on real faults, and a cell runs once (it is a pure function
+    # of its spec, so a retry replays the failure): none of these flags
+    # has a job left.
     with pytest.raises(SystemExit) as raised:
         main([command, *flag])
     assert raised.value.code == 2
@@ -85,7 +75,7 @@ class TestGridCliResilience:
         misbehave(monkeypatch, "cisco", crash)
         manifest_path = tmp_path / "manifest.json"
         code = main([
-            *self.CELL_ARGS, "--retries", "1", "--manifest", str(manifest_path),
+            *self.CELL_ARGS, "--cell-timeout", "120", "--manifest", str(manifest_path),
         ])
         out = capsys.readouterr().out
         assert code == EXIT_PARTIAL_FAILURE
@@ -94,25 +84,9 @@ class TestGridCliResilience:
         manifest = json.loads(manifest_path.read_text())
         failure = manifest["failures"]["s1-cisco-seed7-n60"]
         assert failure["outcome"] == "crashed"
-        assert len(failure["attempts"]) == 2
-        assert manifest["worker_crashes"] == 2
+        assert f"exit code {-signal.SIGKILL}" in failure["message"]
+        assert manifest["worker_crashes"] == 1
         assert list(manifest["results"]) == ["s1-pentium3-seed7-n60"]
-
-    def test_flaky_cell_recovers_and_exits_zero(self, tmp_path, capsys, monkeypatch):
-        misbehave(monkeypatch, "pentium3", fail_first(1, tmp_path / "markers"))
-        code = main([
-            *self.CELL_ARGS, "--retries", "2", "--output", str(tmp_path / "out.json"),
-        ])
-        out = capsys.readouterr().out
-        assert code == 0
-        assert "1 retries" in out
-
-        # Byte-identical to an unsupervised clean run.
-        monkeypatch.undo()
-        clean = tmp_path / "clean.json"
-        assert main([*self.CELL_ARGS, "--output", str(clean)]) == 0
-        capsys.readouterr()
-        assert (tmp_path / "out.json").read_text() == clean.read_text()
 
     def test_cli_resume_round_trip(self, tmp_path, capsys, monkeypatch):
         cached = [*self.CELLS, "--workers", "2", "--cache-dir", str(tmp_path / "c")]
@@ -132,13 +106,6 @@ class TestGridCliResilience:
         assert main([*self.CELL_ARGS, "--output", str(clean)]) == 0
         capsys.readouterr()
         assert (tmp_path / "resumed.json").read_text() == clean.read_text()
-
-    def test_strict_quarantines_and_reports(self, tmp_path, capsys, monkeypatch):
-        misbehave(monkeypatch, "cisco", fail_first(99, tmp_path / "markers"))
-        code = main([*self.CELL_ARGS, "--workers", "1", "--max-failures", "1"])
-        out = capsys.readouterr().out
-        assert code == EXIT_PARTIAL_FAILURE
-        assert "QUARANTINED" in out
 
 
 def _live_session_members(sid):

@@ -340,7 +340,7 @@ class TestRegressPartialFailure:
     def test_resilience_flags_do_not_change_a_clean_verdict(self, tmp_path, capsys):
         golden = self.bless_tiny_golden(tmp_path, capsys)
         code = main(["regress", "--golden", str(golden),
-                     "--retries", "2", "--cell-timeout", "120",
+                     "--cell-timeout", "120",
                      *self.GRID_ARGS])
         out = capsys.readouterr().out
         assert code == 0

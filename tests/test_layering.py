@@ -160,7 +160,7 @@ def test_oracles_are_not_shipped():
 @pytest.mark.parametrize("name", [
     "repro.perf",            # in-tree timing harnesses: a speed claim
     "repro.parallel.bench",  # is a benchmarks/ledger/ run
-    "repro.net.trie",        # the Loc-RIB is a dict, the FIB a LengthSearchTable
+    "repro.net.trie",        # the Loc-RIB is a dict, and so is the FIB
     # Nothing but their own tests ran them (DESIGN.md §7, the census):
     "repro.net.packet",               # the IPv4 data plane: cross-traffic
     "repro.net.checksum",             # is fluid CPU demand, no table or
@@ -174,6 +174,9 @@ def test_oracles_are_not_shipped():
     "repro.analysis.flow",            # whole-program lint, no recorded catch
     "repro.grid.journal",             # re-running a grid resumes from the cache
     "repro.grid.chaos",               # the supervisor is tested on real faults
+    "repro.forwarding.trie",          # LPM engines: the paper charges FIB
+    "repro.forwarding.multibit",      # installs and measures no lookup
+    "repro.forwarding.lengthsearch",  # rate; the FIB is one dict
 ])
 def test_retired_modules_are_gone(name):
     assert importlib.util.find_spec(name) is None
@@ -191,6 +194,11 @@ def test_retired_speaker_methods_are_gone(name):
     "repro.bgp.decision.preference_key",
     "repro.bgp.errors.cease_error",
     "repro.benchmark.report.format_series",
+    # A grid cell runs once: it is a pure function of its spec.
+    "repro.grid.ExecutionPolicy",
+    "repro.grid.outcomes.AttemptRecord",
+    "repro.grid.outcomes.OUTCOME_QUARANTINED",
+    "repro.forwarding.FibStats",  # WorkLog.fib_* feeds the cost models
 ])
 def test_retired_names_are_gone(name):
     # No caller was left outside their own tests (DESIGN.md §7, the census).

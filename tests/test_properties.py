@@ -1,5 +1,5 @@
 """Property-based tests (hypothesis) for the core data structures:
-codecs round-trip, tries agree with a brute-force reference, and the
+codecs round-trip, the FIB agrees with a brute-force reference, and the
 decision process is well-behaved.
 """
 
@@ -17,9 +17,10 @@ from repro.bgp.attributes import (
 )
 from repro.bgp.decision import Candidate, DecisionProcess, PeerInfo
 from repro.bgp.messages import UpdateMessage, decode_message, decode_nlri, encode_nlri
-from repro.forwarding.lengthsearch import LengthSearchTable
-from repro.forwarding.trie import BinaryTrie
+from repro.forwarding.fib import Fib
 from repro.net.addr import IPv4Address, Prefix
+
+from oracles.lpm import brute_force_lookup
 
 # -- strategies ------------------------------------------------------------
 
@@ -125,67 +126,92 @@ class TestCodecProperties:
         assert message.transaction_count() == len(nlri)
 
 
-# -- tries ---------------------------------------------------------------------------
+# -- the FIB ------------------------------------------------------------------------
+
+#: Prefixes with the two edges drawn often: the default route and host routes.
+fib_prefixes = st.one_of(
+    prefixes(),
+    st.just(Prefix(0, 0)),
+    addresses.map(lambda address: Prefix(address.value, 32)),
+)
+
+#: Next hops; any non-None value stands in for an address.
+next_hops = st.integers(min_value=0, max_value=255)
 
 
-def brute_force_lookup(routes: dict, address: int):
-    best = None
-    for prefix, value in routes.items():
-        if prefix.contains(address):
-            if best is None or prefix.length > best[0].length:
-                best = (prefix, value)
-    return best
+def build_fib(routes: dict) -> Fib:
+    fib = Fib()
+    for prefix, next_hop in routes.items():
+        fib.add_route(prefix, next_hop)
+    return fib
+
+
+def expected_next_hop(routes: dict, address: int):
+    best = brute_force_lookup(routes, address)
+    return None if best is None else best[1]
+
+
+def edge_probes(installed) -> "list[int]":
+    """The first and last address of every prefix in *installed*, plus 0
+    and 2**32 - 1."""
+    probes = [0, 0xFFFFFFFF]
+    for prefix in installed:
+        probes += [prefix.network, prefix.network | (~prefix.mask & 0xFFFFFFFF)]
+    return probes
 
 
 class TestTrieProperties:
     @settings(max_examples=50)
-    @given(st.dictionaries(prefixes(), st.integers(), max_size=40),
+    @given(st.dictionaries(fib_prefixes, next_hops, max_size=40),
            st.lists(addresses, max_size=20))
     def test_lookup_matches_brute_force(self, routes, probes):
-        for trie_class in (BinaryTrie, LengthSearchTable):
-            trie = trie_class()
-            for prefix, value in routes.items():
-                trie.insert(prefix, value)
-            for probe in probes:
-                assert trie.lookup(probe) == brute_force_lookup(routes, int(probe)), \
-                    (trie_class.__name__, str(probe))
+        fib = build_fib(routes)
+        for probe in [*map(int, probes), *edge_probes(routes)]:
+            assert fib.lookup(probe) == expected_next_hop(routes, probe), probe
 
     @settings(max_examples=50)
-    @given(st.dictionaries(prefixes(), st.integers(), max_size=30))
+    @given(st.dictionaries(fib_prefixes, next_hops, max_size=30))
     def test_items_returns_inserted_set(self, routes):
-        for trie_class in (BinaryTrie, LengthSearchTable):
-            trie = trie_class()
-            for prefix, value in routes.items():
-                trie.insert(prefix, value)
-            assert dict(trie.items()) == routes
-            assert len(trie) == len(routes)
+        fib = build_fib(routes)
+        assert fib.routes() == sorted(routes.items())
+        assert len(fib) == len(routes)
 
     @settings(max_examples=50)
-    @given(st.dictionaries(prefixes(), st.integers(), min_size=1, max_size=30),
+    @given(st.dictionaries(fib_prefixes, next_hops, min_size=1, max_size=30),
            st.data())
     def test_remove_preserves_other_routes(self, routes, data):
         victim = data.draw(st.sampled_from(sorted(routes)))
-        for trie_class in (BinaryTrie, LengthSearchTable):
-            trie = trie_class()
-            for prefix, value in routes.items():
-                trie.insert(prefix, value)
-            assert trie.remove(victim)
-            remaining = {p: v for p, v in routes.items() if p != victim}
-            assert dict(trie.items()) == remaining
+        fib = build_fib(routes)
+        fib.delete_route(victim)
+        remaining = {p: v for p, v in routes.items() if p != victim}
+        assert dict(fib.routes()) == remaining
+        assert victim not in fib and fib.next_hop_for(victim) is None
+        for probe in edge_probes(routes):
+            assert fib.lookup(probe) == expected_next_hop(remaining, probe), probe
 
     @settings(max_examples=30)
-    @given(st.lists(st.tuples(prefixes(), st.booleans()), max_size=60))
+    @given(st.lists(
+        st.tuples(st.sampled_from(["add", "replace", "delete"]), fib_prefixes, next_hops),
+        max_size=60,
+    ))
     def test_interleaved_insert_remove_equivalence(self, operations):
-        binary, table, reference = BinaryTrie(), LengthSearchTable(), {}
-        for prefix, is_insert in operations:
-            if is_insert:
-                assert binary.insert(prefix, 1) == table.insert(prefix, 1)
-                reference[prefix] = 1
+        """Add, replace and delete in any order, as the speaker pushes
+        them — a delete of an absent route is a no-op, as in the RIB."""
+        fib, reference = Fib(), {}
+        for operation, prefix, next_hop in operations:
+            if operation == "add":
+                fib.add_route(prefix, next_hop)
+                reference[prefix] = next_hop
+            elif operation == "replace":
+                fib.replace_route(prefix, next_hop)
+                reference[prefix] = next_hop
             else:
-                assert binary.remove(prefix) == table.remove(prefix)
+                fib.delete_route(prefix)
                 reference.pop(prefix, None)
-        assert dict(binary.items()) == reference
-        assert dict(table.items()) == reference
+        assert fib.routes() == sorted(reference.items())
+        assert len(fib) == len(reference)
+        for probe in edge_probes(prefix for _op, prefix, _nh in operations):
+            assert fib.lookup(probe) == expected_next_hop(reference, probe), probe
 
 
 # -- decision process ---------------------------------------------------------------------
