@@ -96,8 +96,8 @@ class Sanitizer:
 
     ``heap_check_every`` trades coverage for cost: the heap-invariant
     scan is O(queue length), so large runs can check every Nth event.
-    The default checks every event — ``bgpbench check --sanitize`` and
-    the grid's ``--sanitize`` smoke cells are small by design.
+    The default checks every event — ``bgpbench scenario --sanitize``
+    and the grid's ``--sanitize`` smoke cells are small by design.
     """
 
     def __init__(self, trace_depth: int = DEFAULT_TRACE_DEPTH, heap_check_every: int = 1):

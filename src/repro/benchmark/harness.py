@@ -12,10 +12,9 @@ of the router's processing, as a real TCP receive window enforces.
 
 from __future__ import annotations
 
-# repro: boundary — results defined here cross the grid process boundary.
-
 from dataclasses import dataclass, field
-from typing import Callable
+from itertools import repeat, zip_longest
+from typing import Callable, Iterator
 
 from repro.bgp.policy import ACCEPT_ALL
 from repro.bgp.speaker import PeerConfig
@@ -301,22 +300,36 @@ def stream_packets(
     for whoever catches the error, and the router's ``on_packet_done``
     hook is always restored.
     """
-    iterator = iter(packets)
-    total = len(packets)
     send = deliver if deliver is not None else (
         lambda data: router.deliver(peer_id, data)
     )
+    _stream_window(router, iter(packets), len(packets), window, send, watchdog)
+
+
+def _stream_window(
+    router: RouterSystem,
+    items: "Iterator",
+    total: int,
+    window: int,
+    send: "Callable",
+    watchdog: Watchdog | None = None,
+) -> None:
+    """The windowed feeder behind :func:`stream_packets` and
+    :func:`stream_interleaved`: ``send`` each of the *total* *items* with
+    at most *window* in flight, refilling from the router's completion
+    callback, run the simulation dry, and raise :class:`StallError` if
+    any item is unaccounted for."""
     state = {"inflight": 0, "sent": 0}
 
     def feed() -> None:
         while state["inflight"] < window:
-            packet = next(iterator, None)
-            if packet is None:
+            item = next(items, None)
+            if item is None:
                 return
             state["inflight"] += 1
             state["sent"] += 1
             try:
-                send(packet)
+                send(item)
             except BaseException:
                 state["inflight"] -= 1
                 state["sent"] -= 1
@@ -485,38 +498,10 @@ def stream_interleaved(
 ) -> None:
     """Deliver several peers' packet streams concurrently, round-robin,
     sharing one in-flight window — a router with many busy neighbours."""
-    iterators = [(peer_id, iter(packets)) for peer_id, packets in feeds]
-    state = {"inflight": 0, "cursor": 0}
-
-    def feed() -> None:
-        idle_passes = 0
-        while state["inflight"] < window and iterators and idle_passes < len(iterators):
-            index = state["cursor"] % len(iterators)
-            state["cursor"] += 1
-            peer_id, iterator = iterators[index]
-            packet = next(iterator, None)
-            if packet is None:
-                idle_passes += 1
-                continue
-            idle_passes = 0
-            state["inflight"] += 1
-            try:
-                router.deliver(peer_id, packet)
-            except BaseException:
-                state["inflight"] -= 1
-                raise
-
-    def on_done() -> None:
-        state["inflight"] -= 1
-        feed()
-
-    previous = router.on_packet_done
-    router.on_packet_done = on_done
-    try:
-        feed()
-        router.run_until_idle()
-    finally:
-        router.on_packet_done = previous
+    streams = [zip(repeat(peer_id), packets) for peer_id, packets in feeds]
+    items = (item for row in zip_longest(*streams) for item in row if item is not None)
+    total = sum(len(packets) for _peer_id, packets in feeds)
+    _stream_window(router, items, total, window, lambda item: router.deliver(*item))
 
 
 @dataclass(slots=True)

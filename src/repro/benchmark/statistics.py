@@ -39,20 +39,26 @@ class SampleStats:
         return (self.maximum - self.minimum) / self.mean if self.mean else float("inf")
 
 
+def mean(values: "list[float]") -> float:
+    """The arithmetic mean of a non-empty sample. ``math.fsum`` is
+    exactly rounded, so the result does not depend on summand order;
+    a plain ``sum`` would round left to right."""
+    return math.fsum(values) / len(values)
+
+
 def summarize(values: "list[float]") -> SampleStats:
     """Mean, sample standard deviation, and extremes of *values*."""
     if not values:
         raise ValueError("cannot summarize an empty sample")
     count = len(values)
-    # fsum: exactly rounded, summand-order-independent (lint RPR005).
-    mean = math.fsum(values) / count
+    average = mean(values)
     if count > 1:
-        variance = math.fsum((v - mean) ** 2 for v in values) / (count - 1)
+        variance = math.fsum((v - average) ** 2 for v in values) / (count - 1)
     else:
         variance = 0.0
     return SampleStats(
         count=count,
-        mean=mean,
+        mean=average,
         stdev=math.sqrt(variance),
         minimum=min(values),
         maximum=max(values),

@@ -13,13 +13,11 @@ the paper highlights and this runner reproduces:
 
 from __future__ import annotations
 
-# repro: cli — the main() entry point prints its rendering.
-
-import math
 from dataclasses import dataclass, field
 
 from repro.benchmark import run_scenario
 from repro.benchmark.harness import PhaseTrace
+from repro.benchmark.statistics import mean
 from repro.systems import build_system
 
 XORP_PROCESSES = ("xorp_bgp", "xorp_fea", "xorp_rib", "xorp_policy", "xorp_rtrmgr")
@@ -70,9 +68,9 @@ def render(result: Fig3Result) -> str:
                 lines.append(f"  {process:13s}: idle")
                 continue
             peak = max(v for _, v in series)
-            mean = math.fsum(v for _, v in series) / len(series)
+            average = mean([v for _, v in series])
             lines.append(
-                f"  {process:13s}: peak {peak:5.1f}%  mean {mean:5.1f}%  "
+                f"  {process:13s}: peak {peak:5.1f}%  mean {average:5.1f}%  "
                 f"({len(series)} samples)"
             )
     return "\n".join(lines)

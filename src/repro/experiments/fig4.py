@@ -10,12 +10,10 @@ sooner overall (higher transactions/s).
 
 from __future__ import annotations
 
-# repro: cli — the main() entry point prints its rendering.
-
-import math
 from dataclasses import dataclass, field
 
 from repro.benchmark import run_scenario
+from repro.benchmark.statistics import mean
 from repro.experiments.fig3 import XORP_PROCESSES
 from repro.systems import build_system
 
@@ -81,8 +79,7 @@ def render(result: Fig4Result) -> str:
             if not series:
                 lines.append(f"  {process:13s}: idle")
                 continue
-            mean = math.fsum(v for _, v in series) / len(series)
-            lines.append(f"  {process:13s}: mean {mean:5.1f}%")
+            lines.append(f"  {process:13s}: mean {mean([v for _, v in series]):5.1f}%")
     return "\n".join(lines)
 
 

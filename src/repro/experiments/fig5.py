@@ -12,8 +12,6 @@ maximum forwarding rate. The shapes this reproduces:
 
 from __future__ import annotations
 
-# repro: cli — the main() entry point prints its rendering.
-
 from dataclasses import dataclass, field
 
 from repro.benchmark import run_scenario

@@ -13,13 +13,11 @@ Three panels:
 
 from __future__ import annotations
 
-# repro: cli — the main() entry point prints its rendering.
-
-import math
 from dataclasses import dataclass, field
 
 from repro.benchmark import run_scenario
 from repro.benchmark.harness import PhaseTrace
+from repro.benchmark.statistics import mean
 from repro.systems import build_system
 
 #: Figure 6's three CPU categories, mapped onto our task names.
@@ -59,7 +57,7 @@ class Fig6Result:
         series = self.cpu["with-traffic"]["interrupts"]
         end = self.duration["with-traffic"]
         samples = [v for t, v in series if t <= end]
-        return math.fsum(samples) / len(samples) / 100.0 if samples else 0.0
+        return mean(samples) / 100.0 if samples else 0.0
 
     def min_forwarding_in_phase3(self) -> float:
         phase3 = next(p for p in self.phases["with-traffic"] if p.phase == 3)
@@ -101,8 +99,8 @@ def render(result: Fig6Result) -> str:
         )
         for category, series in result.cpu[label].items():
             in_run = [v for t, v in series if t <= result.duration[label]]
-            mean = math.fsum(in_run) / len(in_run) if in_run else 0.0
-            lines.append(f"  {category:10s}: mean {mean:5.1f}%")
+            average = mean(in_run) if in_run else 0.0
+            lines.append(f"  {category:10s}: mean {average:5.1f}%")
     lines.append(
         f"\ninterrupt share under load: "
         f"{100 * result.interrupt_share_during_run():.1f}% (paper: 20-30%)"

@@ -7,6 +7,7 @@
     bgpbench all
     bgpbench scenario --platform xeon --scenario 6 [--cross-traffic 300]
                       [--trace out.trace.json] [--metrics out.metrics.jsonl]
+                      [--sanitize]
     bgpbench repeatability --platform pentium3 --scenario 1 --seeds 1 2 3
     bgpbench stability --platform pentium3 --rate 1500
     bgpbench grid --workers 4 [--scenarios ...] [--telemetry]
@@ -15,8 +16,6 @@
     bgpbench topo --family convergence [--tier1 2 --tier2 5 --stubs 18]
                   [--mrai 30] [--damping] [--sanitize] [--telemetry]
                   [--shards 4] [--json out.json]
-    bgpbench lint [paths ...] [--format json] [--select RPR001 ...]
-    bgpbench check [--platform pentium3] [--scenario 5]
 
 ``--output-dir`` writes the experiment's result as JSON next to the
 text rendering. ``grid`` runs the sharded experiment grid through the
@@ -32,10 +31,9 @@ error (exit 2). ``topo`` runs one topology benchmark cell (an AS graph
 of interacting speakers, see docs/TOPOLOGY.md); ``topo --shards N`` is
 the one way onto the parallel engine (docs/PARALLEL.md).
 ``regress --bless --topo`` creates the topology golden baseline.
-``lint`` runs the determinism linter over the source tree and ``check``
-runs one scenario in checked mode (see docs/ANALYSIS.md); both exit
-non-zero on findings, so CI can gate on them, and ``lint`` exits 2, not
-1, on an unknown rule id or an unreadable path. ``--trace``/``--metrics`` (scenario) and
+``--sanitize`` (scenario/grid/regress/topo) runs in checked mode (see
+docs/ANALYSIS.md); ``scenario --sanitize`` exits 1 on a violated
+invariant, so CI can gate on it. ``--trace``/``--metrics`` (scenario) and
 ``--telemetry`` (grid/regress) instrument the run with
 :mod:`repro.telemetry` — observe-only, results are byte-identical (see
 docs/TELEMETRY.md).
@@ -43,13 +41,12 @@ docs/TELEMETRY.md).
 
 from __future__ import annotations
 
-# repro: cli — this module is the command-line entry point.
-
 import argparse
 import math
 import sys
 from pathlib import Path
 
+from repro.analysis import Sanitizer, SanitizerError
 from repro.benchmark import run_scenario
 from repro.benchmark.statistics import repeatability_study
 from repro.experiments import fig3, fig4, fig5, fig6, table3
@@ -145,6 +142,10 @@ def build_parser() -> argparse.ArgumentParser:
     single.add_argument(
         "--profile", action="store_true",
         help="print the top-style virtual-CPU attribution after the run",
+    )
+    single.add_argument(
+        "--sanitize", action="store_true",
+        help="run in checked mode (invariant sanitizer); exit 1 on a violation",
     )
 
     repeat = sub.add_parser(
@@ -260,33 +261,6 @@ def build_parser() -> argparse.ArgumentParser:
                       help="write the canonical {cell_id: result} JSON "
                            "(byte-identical across runs of one spec)")
 
-    lint = sub.add_parser(
-        "lint", help="run the determinism linter over the source tree"
-    )
-    lint.add_argument(
-        "paths", nargs="*", type=Path,
-        help="files or directories to lint (default: the repro package)",
-    )
-    lint.add_argument(
-        "--format", choices=("text", "json"), default="text",
-        help="diagnostic output format",
-    )
-    lint.add_argument(
-        "--select", nargs="+", metavar="RPRxxx", default=None,
-        help="run only these rule ids",
-    )
-    lint.add_argument(
-        "--list-rules", action="store_true",
-        help="list the registered rules and exit",
-    )
-
-    check = sub.add_parser(
-        "check", help="run one scenario in checked (sanitized) mode"
-    )
-    check.add_argument("--platform", choices=sorted(PLATFORMS), default="pentium3")
-    check.add_argument("--scenario", type=int, choices=range(1, 9), default=5)
-    check.add_argument("--table-size", type=_positive_int, default=150)
-    check.add_argument("--seed", type=int, default=42)
     return parser
 
 
@@ -560,59 +534,18 @@ def _run_regress(args) -> int:
     return 0 if outcome.ok else 1
 
 
-def _run_lint(args) -> int:
-    from repro.analysis import lint_paths, render_json, render_text
-    from repro.analysis.linter import render_rule_list
-
-    if args.list_rules:
-        print(render_rule_list())
-        return 0
-    try:
-        report = lint_paths(args.paths or None, select=args.select)
-    except ValueError as error:
-        print(f"lint: {error}", file=sys.stderr)
-        return 2
-    print(render_json(report) if args.format == "json" else render_text(report))
-    return 0 if report.ok else 1
-
-
-def _run_check(args) -> int:
-    from repro.analysis import Sanitizer, SanitizerError
-
-    router = build_system(args.platform)
-    sanitizer = Sanitizer().attach(router)
-    try:
-        result = run_scenario(
-            router, args.scenario, table_size=args.table_size, seed=args.seed
-        )
-        sanitizer.check_quiescent()
-    except SanitizerError as error:
-        print(error.describe(), file=sys.stderr)
-        return 1
-    finally:
-        sanitizer.detach()
-    stats = sanitizer.stats
-    print(
-        f"{args.platform} scenario {args.scenario}: "
-        f"{result.transactions_per_second:.1f} transactions/s "
-        f"({result.transactions} transactions in {result.duration:.2f} virtual s)"
-    )
-    print(
-        f"sanitizer: {stats.events_checked} events checked, "
-        f"{stats.heap_checks} heap checks, "
-        f"{stats.conservation_checks} conservation checks, "
-        f"{stats.quiescent_checks} quiescent check(s) — all invariants held"
-    )
-    return 0
-
-
 def _run_single_scenario(args) -> int:
     instrument = (
         args.trace is not None or args.metrics is not None or args.profile
     )
+    sanitizer = None
     telemetry = None
     router = build_system(args.platform)
+    if args.sanitize:
+        sanitizer = Sanitizer().attach(router)
     if instrument:
+        # Attach after the sanitizer, as GridCell.run does: Telemetry
+        # composes with an occupied observer slot via FanoutObserver.
         from repro.telemetry import Telemetry
 
         telemetry = Telemetry().attach(router)
@@ -624,15 +557,30 @@ def _run_single_scenario(args) -> int:
             cross_traffic_mbps=args.cross_traffic,
             seed=args.seed,
         )
+        if sanitizer is not None:
+            sanitizer.check_quiescent()
+    except SanitizerError as error:
+        print(error.describe(), file=sys.stderr)
+        return 1
     finally:
         if telemetry is not None:
             telemetry.detach()
+        if sanitizer is not None:
+            sanitizer.detach()
     print(
         f"{args.platform} scenario {args.scenario}: "
         f"{result.transactions_per_second:.1f} transactions/s "
         f"({result.transactions} transactions in {result.duration:.2f} virtual s, "
         f"cross-traffic {result.cross_traffic_mbps:.0f} Mb/s)"
     )
+    if sanitizer is not None:
+        stats = sanitizer.stats
+        print(
+            f"sanitizer: {stats.events_checked} events checked, "
+            f"{stats.heap_checks} heap checks, "
+            f"{stats.conservation_checks} conservation checks, "
+            f"{stats.quiescent_checks} quiescent check(s) — all invariants held"
+        )
     if telemetry is not None:
         from repro.telemetry import build_profile, write_artifacts
 
@@ -704,10 +652,6 @@ def main(argv: "list[str] | None" = None) -> int:
         return _run_regress(args)
     elif args.command == "topo":
         return _run_topo(args)
-    elif args.command == "lint":
-        return _run_lint(args)
-    elif args.command == "check":
-        return _run_check(args)
     elif args.command == "scenario":
         return _run_single_scenario(args)
     elif args.command == "repeatability":

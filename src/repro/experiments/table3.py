@@ -7,8 +7,6 @@ checks the paper draws from it.
 
 from __future__ import annotations
 
-# repro: cli — the main() entry point prints its rendering.
-
 from dataclasses import dataclass, field
 
 from repro.benchmark import run_scenario

@@ -24,12 +24,9 @@ from repro.grid.cache import DEFAULT_CACHE_DIR, GridCache, source_fingerprint
 from repro.grid.cells import GridCell, enumerate_grid, result_json, run_cell
 from repro.grid.executor import GridReport, run_grid
 from repro.grid.outcomes import (
-    OUTCOME_CACHED,
     OUTCOME_CRASHED,
     OUTCOME_FAILED,
-    OUTCOME_OK,
     OUTCOME_TIMEOUT,
-    OUTCOMES,
     CellFailure,
 )
 from repro.grid.supervisor import Supervisor
@@ -42,11 +39,8 @@ __all__ = [
     "GridCell",
     "GridReport",
     "MetricDrift",
-    "OUTCOMES",
-    "OUTCOME_CACHED",
     "OUTCOME_CRASHED",
     "OUTCOME_FAILED",
-    "OUTCOME_OK",
     "OUTCOME_TIMEOUT",
     "RegressionReport",
     "Supervisor",

@@ -17,8 +17,6 @@ gate are written against; :class:`GridCell` here and
 
 from __future__ import annotations
 
-# repro: boundary — cell specs and results cross the grid process boundary.
-
 import json
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Protocol

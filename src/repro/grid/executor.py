@@ -26,15 +26,13 @@ what ``run_grid`` can observe:
 
 from __future__ import annotations
 
-# repro: boundary — grid reports cross the grid process boundary.
-
 import warnings
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 from repro.grid.cache import GridCache
 from repro.grid.cells import Cell, result_json, run_cell
-from repro.grid.outcomes import OUTCOME_CACHED, OUTCOME_OK, OUTCOMES, CellFailure
+from repro.grid.outcomes import CellFailure
 from repro.grid.supervisor import Supervisor, check_cell_timeout
 
 
@@ -137,30 +135,6 @@ def _cache_put(
         )
 
 
-def _publish_metrics(registry, report: GridReport) -> None:
-    """Publish the run's resilience counters into a
-    :class:`repro.telemetry.MetricRegistry` (zero-valued counters are
-    published too, so the export shape is run-independent)."""
-    if registry is None:
-        return
-    registry.counter(
-        "grid_timeouts", "cells killed at the per-cell wall-clock timeout"
-    ).inc(report.timeouts)
-    registry.counter(
-        "grid_worker_crashes", "grid workers that died without reporting a result"
-    ).inc(report.worker_crashes)
-    outcomes = registry.counter(
-        "grid_cells", "terminal cell outcomes", labels=("outcome",)
-    )
-    counts = {outcome: 0 for outcome in OUTCOMES}
-    counts[OUTCOME_OK] = report.executed
-    counts[OUTCOME_CACHED] = report.hits
-    for failure in report.failures.values():
-        counts[failure.outcome] += 1
-    for outcome in OUTCOMES:
-        outcomes.inc(counts[outcome], outcome=outcome)
-
-
 def run_grid(
     cells: Sequence[Cell],
     workers: int = 1,
@@ -170,7 +144,6 @@ def run_grid(
     sanitize: bool = False,
     telemetry_dir: "str | None" = None,
     cell_timeout: "float | None" = None,
-    registry=None,
 ) -> GridReport:
     """Run every cell, through the cache when one is given.
 
@@ -185,9 +158,7 @@ def run_grid(
     cell) means supervised execution: worker processes, each cell run
     once, and structured :class:`CellFailure` records in
     ``report.failures`` instead of run-aborting exceptions (see
-    :mod:`repro.grid.supervisor`). *registry* publishes the
-    ``grid_timeouts / grid_worker_crashes / grid_cells`` counters of
-    the run.
+    :mod:`repro.grid.supervisor`).
     """
     if workers < 1:
         raise ValueError(f"workers must be >= 1: {workers}")
@@ -238,5 +209,4 @@ def run_grid(
     report.results = {
         cell.cell_id: merged[cell.cell_id] for cell in cells if cell.cell_id in merged
     }
-    _publish_metrics(registry, report)
     return report

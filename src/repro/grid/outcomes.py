@@ -25,24 +25,13 @@ as run-aborting exceptions.
 
 from __future__ import annotations
 
-# repro: boundary — failure records cross the grid process boundary.
-
 from dataclasses import dataclass
 
-#: Terminal outcome labels (the closed taxonomy).
-OUTCOME_OK = "ok"
-OUTCOME_CACHED = "cached"
+#: Failure outcome labels; ``ok`` and ``cached`` cells are counted in
+#: the report's results and cache hits.
 OUTCOME_FAILED = "failed"
 OUTCOME_TIMEOUT = "timeout"
 OUTCOME_CRASHED = "crashed"
-
-OUTCOMES = (
-    OUTCOME_OK,
-    OUTCOME_CACHED,
-    OUTCOME_FAILED,
-    OUTCOME_TIMEOUT,
-    OUTCOME_CRASHED,
-)
 
 
 @dataclass(slots=True)

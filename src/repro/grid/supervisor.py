@@ -54,7 +54,7 @@ def _now() -> float:
     """Wall-clock read for supervising real worker processes. This is
     deliberate ambient state: timeouts are an operational concern that
     never feeds back into cell results."""
-    return time.monotonic()  # repro: noqa[RPR001] — process supervision needs the wall clock
+    return time.monotonic()
 
 
 def check_cell_timeout(cell_timeout: "float | None") -> None:

@@ -18,8 +18,6 @@ exactly the order the serial engine would have scheduled them —
 
 from __future__ import annotations
 
-# repro: boundary — remote updates cross the shard process boundary.
-
 from dataclasses import dataclass
 
 

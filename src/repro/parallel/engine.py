@@ -47,7 +47,7 @@ def _now() -> float:
     """Wall-clock read for policing real shard processes. Deliberate
     ambient state: barrier deadlines are operational and never feed
     back into cell results."""
-    return time.monotonic()  # repro: noqa[RPR001] — process supervision needs the wall clock
+    return time.monotonic()
 
 
 @dataclass(slots=True)

@@ -16,8 +16,6 @@ schedule.
 
 from __future__ import annotations
 
-# repro: boundary — partitions cross the shard process boundary.
-
 from dataclasses import dataclass
 from typing import Iterable, Mapping
 

@@ -79,6 +79,8 @@ class ShardRuntime:
         self.outbox: "list[RemoteUpdate]" = []
         self._link_seq: "dict[tuple[int, int], int]" = {}
         self._peer_name = peer_name
+        #: Process CPU seconds spent simulating: operational accounting
+        #: only, never part of a result.
         self.busy_s = 0.0
         self._intercept_links()
         self.sanitizer = None
@@ -135,7 +137,7 @@ class ShardRuntime:
         at a measured-phase boundary, and schedule this shard's share of
         the phase's events — mirroring the serial ``_run_phases`` step
         for the origins this shard owns."""
-        started = time.process_time()  # repro: noqa[RPR001] — operational accounting only
+        started = time.process_time()
         harness = self.harness
         if start > harness.sim.now:
             harness.sim.advance_to(start)
@@ -146,7 +148,7 @@ class ShardRuntime:
             harness.reset_measurement()
             harness.start_watch([origin_prefix(asn) for asn in self.origins])
         plan.schedule(harness, self.local_origins)
-        self.busy_s += time.process_time() - started  # repro: noqa[RPR001]
+        self.busy_s += time.process_time() - started
 
     def inject(self, messages: "list[RemoteUpdate]") -> None:
         """Schedule incoming remote packets as local arrival events, in
@@ -168,14 +170,14 @@ class ShardRuntime:
         """Fire every local event strictly before *window_end*; leave the
         clock on the last fired event (never bumped to the barrier, so
         phase-relative scheduling stays bit-equal to serial)."""
-        started = time.process_time()  # repro: noqa[RPR001] — operational accounting only
+        started = time.process_time()
         sim = self.harness.sim
         while True:
             next_time = sim.peek_time()
             if next_time is None or next_time >= window_end:
                 break
             sim.fire_due(next_time)
-        self.busy_s += time.process_time() - started  # repro: noqa[RPR001]
+        self.busy_s += time.process_time() - started
         return sim.peek_time()
 
     def drain_outbox(self) -> "list[RemoteUpdate]":

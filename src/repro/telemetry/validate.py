@@ -9,8 +9,6 @@ counts must sum to the advertised count. Exit code 0 means every file
 validated.
 """
 
-# repro: cli — this module is a command-line entry point.
-
 from __future__ import annotations
 
 import sys

@@ -1,8 +1,5 @@
 """Topology benchmark families: convergence, withdraw-storm, churn.
 
-# repro: boundary — topo cell specs and results cross the grid process
-# boundary and land in golden files.
-
 Three benchmark families run an :class:`~repro.topo.network.
 TopologyHarness` built from a seeded :class:`~repro.workload.astopo.
 AsTopology` hierarchy:

@@ -1,9 +1,14 @@
-"""Round-trip tests for every dataclass crossing the grid process
-boundary (the contract RPR006 enforces): ``to_jsonable()`` must survive
+"""The boundary contract: every public dataclass in a module whose
+results cross the grid or shard process boundary (or land in the cache
+and golden files) defines ``to_jsonable()``, and its output survives
 ``json.dumps``/``loads`` unchanged — no tuples, dataclasses, or other
 shapes JSON would silently rewrite."""
 
+import dataclasses
+import importlib
 import json
+
+import pytest
 
 from repro.benchmark import run_scenario
 from repro.benchmark.harness import (
@@ -17,8 +22,34 @@ from repro.grid.executor import GridReport, run_grid
 from repro.systems import build_system
 
 
+#: The modules whose dataclasses cross a process boundary.
+BOUNDARY_MODULES = (
+    "repro.benchmark.harness",
+    "repro.grid.cells",
+    "repro.grid.executor",
+    "repro.grid.outcomes",
+    "repro.topo.families",
+    "repro.parallel.partition",
+    "repro.parallel.channel",
+)
+
+
 def roundtrips(payload) -> bool:
     return json.loads(json.dumps(payload)) == payload
+
+
+@pytest.mark.parametrize("name", BOUNDARY_MODULES)
+def test_every_boundary_dataclass_defines_to_jsonable(name):
+    # Defined on the class itself: an inherited to_jsonable() would drop
+    # the fields a subclass adds.
+    module = importlib.import_module(name)
+    classes = [
+        value for attribute, value in vars(module).items()
+        if isinstance(value, type) and dataclasses.is_dataclass(value)
+        and value.__module__ == name and not attribute.startswith("_")
+    ]
+    assert classes
+    assert [cls.__name__ for cls in classes if "to_jsonable" not in vars(cls)] == []
 
 
 class TestHarnessResults:

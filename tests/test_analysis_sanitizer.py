@@ -167,13 +167,38 @@ class TestAuditLedger:
 
 
 class TestCheckCli:
+    """Checked mode on the command line: ``scenario --sanitize``."""
+
+    ARGS = ["scenario", "--platform", "pentium3", "--scenario", "5", "--table-size", "100"]
+
     def test_check_command_exits_zero_on_clean_run(self, capsys):
         from repro.experiments.runner import main as bgpbench
 
-        code = bgpbench(
-            ["check", "--platform", "pentium3", "--scenario", "5", "--table-size", "100"]
-        )
+        assert bgpbench(self.ARGS) == 0
+        plain = capsys.readouterr().out
+        code = bgpbench(self.ARGS + ["--sanitize"])
         assert code == 0
         out = capsys.readouterr().out
+        assert out.startswith(plain)  # observe-only: the same result line
         assert "sanitizer:" in out
         assert "all invariants held" in out
+
+    def test_sanitizer_composes_with_telemetry(self, capsys, tmp_path):
+        from repro.experiments.runner import main as bgpbench
+
+        metrics = tmp_path / "run.metrics.jsonl"
+        assert bgpbench(self.ARGS + ["--sanitize", "--metrics", str(metrics)]) == 0
+        assert "all invariants held" in capsys.readouterr().out
+        assert metrics.read_text()
+
+    def test_violation_exits_one_with_the_event_trace(self, capsys, monkeypatch):
+        from repro.experiments.runner import main as bgpbench
+
+        def violated(self):
+            raise SanitizerError("rib-fib-agreement", "seeded", 1.0, [])
+
+        monkeypatch.setattr(Sanitizer, "check_quiescent", violated)
+        assert bgpbench(self.ARGS + ["--sanitize"]) == 1
+        captured = capsys.readouterr()
+        assert "rib-fib-agreement violated" in captured.err
+        assert "all invariants held" not in captured.out

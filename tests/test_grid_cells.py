@@ -2,9 +2,13 @@
 
 import json
 import pickle
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import repro
 from repro.benchmark import run_scenario
 from repro.grid import GridCell, enumerate_grid, result_json, run_cell
 from repro.grid.cache import cell_key, spec_json
@@ -90,7 +94,31 @@ class TestEnumeration:
         assert len(cells) == 1
 
 
+HASH_SEED_PROBE = """
+from repro.grid.cells import GridCell, result_json, run_cell
+from repro.topo.families import TopoCell
+
+cells = [TopoCell(family="withdraw", origins=2), GridCell(1, "pentium3", 42, 200)]
+print(result_json({cell.cell_id: run_cell(cell) for cell in cells}))
+"""
+
+
 class TestRunCell:
+    def test_results_do_not_depend_on_the_hash_seed(self):
+        # The iteration order of a set of str follows PYTHONHASHSEED: a
+        # result that leaks it differs between two fresh interpreters.
+        outputs = [
+            subprocess.run(
+                [sys.executable, "-c", HASH_SEED_PROBE],
+                capture_output=True, check=True,
+                env={"PYTHONPATH": str(Path(repro.__file__).parents[1]),
+                     "PYTHONHASHSEED": seed},
+            ).stdout
+            for seed in ("0", "1")
+        ]
+        assert b"topo-withdraw" in outputs[0] and b"s1-pentium3" in outputs[0]
+        assert outputs[0] == outputs[1]
+
     def test_matches_direct_scenario_run(self):
         cell = GridCell(1, "pentium3", 11, 120)
         result = run_cell(cell)

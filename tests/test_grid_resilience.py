@@ -301,30 +301,6 @@ class TestFailureOutcomes:
         assert set(report.results) == {HEALTHY_CELL, FAILING_CELL}
 
 
-class TestMetricsPublication:
-    def test_counters_published_to_registry(self):
-        from repro.telemetry import MetricRegistry
-
-        registry = MetricRegistry()
-        report = run_grid(CELLS, workers=2, cell_timeout=SUPERVISED, registry=registry)
-        assert report.ok
-        assert registry.get("grid_timeouts").value() == 0
-        assert registry.get("grid_worker_crashes").value() == 0
-        assert registry.get("grid_cells").value(outcome="ok") == 3
-        assert registry.get("grid_cells").value(outcome="crashed") == 0
-        assert registry.get("grid_cells").value(outcome="failed") == 0
-
-    def test_counters_cover_failures(self):
-        from repro.telemetry import MetricRegistry
-
-        registry = MetricRegistry()
-        cells = inject(CELLS, {CRASH_CELL: "crash"})
-        run_grid(cells, workers=2, cell_timeout=SUPERVISED, registry=registry)
-        assert registry.get("grid_worker_crashes").value() == 1
-        assert registry.get("grid_cells").value(outcome="crashed") == 1
-        assert registry.get("grid_cells").value(outcome="ok") == 2
-
-
 class _UnwritableCache(GridCache):
     def put(self, cell, result):
         raise OSError(28, "No space left on device")

@@ -172,6 +172,8 @@ def test_oracles_are_not_shipped():
     "repro.benchmark.recovery",       # router never loses a session
     "repro.igp.redistribution",       # no paper table has an IGP feed BGP
     "repro.analysis.flow",            # whole-program lint, no recorded catch
+    "repro.analysis.linter",          # per-file lint: its two recorded
+    "repro.analysis.rules",           # contracts are tier-1 tests
     "repro.grid.journal",             # re-running a grid resumes from the cache
     "repro.grid.chaos",               # the supervisor is tested on real faults
     "repro.forwarding.trie",          # LPM engines: the paper charges FIB
@@ -222,21 +224,24 @@ def test_every_example_imports(path):
     spec.loader.exec_module(importlib.util.module_from_spec(spec))
 
 
-def test_only_the_linter_name_table_mentions_perf_counter():
+def test_no_module_mentions_perf_counter():
     package = Path(repro.__file__).parent
     mentions = sorted(
         str(path.relative_to(package))
         for path in package.rglob("*.py")
         if "perf_counter" in path.read_text()
     )
-    assert mentions == ["analysis/rules/determinism.py"]
+    assert mentions == []
 
 
-def test_perf_is_not_a_subcommand(capsys):
+@pytest.mark.parametrize("command", ["perf", "lint", "check"])
+def test_retired_subcommands_are_gone(command, capsys):
+    # `check` is `scenario --sanitize`; `lint`'s two recorded contracts
+    # are tier-1 tests (docs/ANALYSIS.md).
     with pytest.raises(SystemExit) as raised:
-        main(["perf"])
+        main([command])
     assert raised.value.code == 2
-    assert "invalid choice: 'perf'" in capsys.readouterr().err
+    assert f"invalid choice: '{command}'" in capsys.readouterr().err
 
 
 def module_level_containers():
