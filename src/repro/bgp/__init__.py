@@ -14,6 +14,8 @@ This package provides the protocol substrate the benchmark exercises:
 * :mod:`repro.bgp.speaker` — a complete BGP speaker tying it together.
 """
 
+from typing import Callable
+
 from repro.bgp.attributes import (
     Aggregator,
     AsPath,
@@ -35,9 +37,20 @@ from repro.bgp.messages import (
 )
 from repro.bgp.speaker import BgpSpeaker, PeerConfig, SpeakerConfig
 
+#: Clear hooks of the caches kept by packages above this one, which
+#: this package may not import (DESIGN.md §6).
+_cache_clear_hooks: "list[Callable[[], None]]" = []
+
+
+def register_cache_clear(clear: "Callable[[], None]") -> None:
+    """Have :func:`reset_caches` call *clear* too. A module-level cache
+    outside this package registers its clear hook at import."""
+    _cache_clear_hooks.append(clear)
+
 
 def reset_caches() -> None:
-    """Reset every codec-level cache in the package to a cold state.
+    """Reset every codec-level cache in the package, and every cache
+    registered with :func:`register_cache_clear`, to a cold state.
 
     Cache discipline: the attribute flyweight, decode memo, and prefix
     flyweight are value-keyed pure memoization (warm vs cold never
@@ -52,6 +65,8 @@ def reset_caches() -> None:
 
     clear_codec_caches()
     clear_prefix_cache()
+    for clear in _cache_clear_hooks:
+        clear()
 
 
 __all__ = [
@@ -74,5 +89,6 @@ __all__ = [
     "UpdateMessage",
     "decode_message",
     "iter_messages",
+    "register_cache_clear",
     "reset_caches",
 ]

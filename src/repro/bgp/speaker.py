@@ -39,7 +39,15 @@ from repro.bgp.messages import (
     nlri_chunks,
 )
 from repro.bgp.policy import ACCEPT_ALL, Policy
-from repro.bgp.rib import AdjRibIn, AdjRibOut, LocRib, RibRoute, RouteChange
+from repro.bgp.rib import (
+    ADDED,
+    REMOVED,
+    UNCHANGED,
+    AdjRibIn,
+    AdjRibOut,
+    LocRib,
+    RibRoute,
+)
 from repro.net.addr import IPv4Address, Prefix
 
 
@@ -275,7 +283,7 @@ class Peer:
 
     @property
     def established(self) -> bool:
-        return self.fsm.state is State.ESTABLISHED
+        return self.fsm.state is _ESTABLISHED
 
     def info(self) -> PeerInfo:
         info = self._info
@@ -296,6 +304,8 @@ class Peer:
 
 
 _peer_order = attrgetter("order")
+#: Read per prefix; a read through the Enum class costs a metaclass hook.
+_ESTABLISHED = State.ESTABLISHED
 
 
 class _PeerActions:
@@ -446,25 +456,38 @@ class BgpSpeaker:
     # -- update processing (the benchmark's hot path) ------------------------
 
     def _process_update(self, peer: Peer, update: UpdateMessage) -> None:
-        self.work.updates_processed += 1
+        work = self.work
+        audit = self.audit
+        adj_rib_in = peer.adj_rib_in
+        work.updates_processed += 1
         probe = self.probe
         if probe is not None:
             probe.update_begin(
                 peer.config.peer_id, len(update.withdrawn), len(update.nlri)
             )
+        # Every prefix of one UPDATE shares its attribute set, so prefix
+        # after prefix meets the same candidates and exports the same
+        # route: decide and export once per distinct candidate set, and
+        # charge each prefix as a walk would (see _run_decision). One
+        # prefix has nothing to share.
+        if len(update.withdrawn) + len(update.nlri) > 1:
+            decided: "dict | None" = {}
+            exports: "dict | None" = {}
+        else:
+            decided = exports = None
 
         for prefix in update.withdrawn:
-            self.work.prefixes_withdrawn += 1
-            self.audit.withdrawn += 1
+            work.prefixes_withdrawn += 1
+            audit.withdrawn += 1
             if peer.damper is not None:
                 peer.damper.record_withdrawal(prefix, self._now)
-            if peer.adj_rib_in.withdraw(prefix) is RouteChange.REMOVED:
-                self.audit.withdrawals_applied += 1
+            if adj_rib_in.withdraw(prefix) is REMOVED:
+                audit.withdrawals_applied += 1
                 if probe is not None:
                     probe.decision(prefix, "withdraw_applied")
-                self._run_decision(prefix)
+                self._run_decision(prefix, decided, exports)
             else:
-                self.audit.withdrawals_absent += 1
+                audit.withdrawals_absent += 1
                 if probe is not None:
                     probe.decision(prefix, "withdraw_absent")
 
@@ -482,14 +505,14 @@ class BgpSpeaker:
         # linger in our Adj-RIB-In — at topology scale that residue
         # leaves phantom reachability after the origin withdraws.
         if peer.is_ebgp and attrs.as_path.contains(self.config.asn):
-            self.work.prefixes_announced += len(update.nlri)
-            self.audit.announced += len(update.nlri)
-            self.audit.loop_dropped += len(update.nlri)
+            work.prefixes_announced += len(update.nlri)
+            audit.announced += len(update.nlri)
+            audit.loop_dropped += len(update.nlri)
             for prefix in update.nlri:
                 if probe is not None:
                     probe.decision(prefix, "loop_dropped")
-                if peer.adj_rib_in.withdraw(prefix) is RouteChange.REMOVED:
-                    self._run_decision(prefix)
+                if adj_rib_in.withdraw(prefix) is REMOVED:
+                    self._run_decision(prefix, decided, exports)
             if probe is not None:
                 probe.update_end()
             return
@@ -502,16 +525,16 @@ class BgpSpeaker:
         verdict: "tuple[PathAttributes | None, int] | None" = None
         reused = 0
         for prefix in update.nlri:
-            self.work.prefixes_announced += 1
-            self.audit.announced += 1
+            work.prefixes_announced += 1
+            audit.announced += 1
             if peer.damper is not None and self._record_flap(peer, prefix):
                 # Suppressed (RFC 2439): the route is not usable; any
                 # previously accepted state must go away.
-                self.audit.damping_suppressed += 1
+                audit.damping_suppressed += 1
                 if probe is not None:
                     probe.decision(prefix, "damping_suppressed")
-                if peer.adj_rib_in.withdraw(prefix) is RouteChange.REMOVED:
-                    self._run_decision(prefix)
+                if adj_rib_in.withdraw(prefix) is REMOVED:
+                    self._run_decision(prefix, decided, exports)
                 continue
             if verdict is None:
                 start = policy.evaluations
@@ -528,25 +551,25 @@ class BgpSpeaker:
                 reused += cost
             if imported is None:
                 # Rejected: an existing route from this peer must go away.
-                self.audit.policy_filtered += 1
+                audit.policy_filtered += 1
                 if probe is not None:
                     probe.decision(prefix, "policy_filtered")
-                if peer.adj_rib_in.withdraw(prefix) is RouteChange.REMOVED:
-                    self._run_decision(prefix)
+                if adj_rib_in.withdraw(prefix) is REMOVED:
+                    self._run_decision(prefix, decided, exports)
                 continue
-            if peer.adj_rib_in.update(prefix, imported) is not RouteChange.UNCHANGED:
-                self.audit.accepted += 1
+            if adj_rib_in.update(prefix, imported) is not UNCHANGED:
+                audit.accepted += 1
                 if probe is not None:
                     probe.decision(prefix, "accepted")
-                self._run_decision(prefix)
+                self._run_decision(prefix, decided, exports)
             else:
-                self.audit.unchanged += 1
+                audit.unchanged += 1
                 if probe is not None:
                     probe.decision(prefix, "unchanged")
         # The delta also holds any export evaluations made meanwhile by
         # the same Policy object (ACCEPT_ALL both ways); the cost model
         # is calibrated with them.
-        self.work.policy_evaluations += policy.evaluations - before + reused
+        work.policy_evaluations += policy.evaluations - before + reused
         if probe is not None:
             probe.update_end()
 
@@ -559,26 +582,52 @@ class BgpSpeaker:
             peer.damper.record_readvertisement(prefix, self._now)
         return peer.damper.is_suppressed(prefix, self._now)
 
-    def _candidates(self, prefix: Prefix) -> list[Candidate]:
-        candidates = [
-            Candidate(attrs, peer.info())
+    def _select(
+        self, routes: "list[tuple[Peer, PathAttributes]]", local: PathAttributes | None
+    ) -> "tuple[Candidate | None, int]":
+        """The best of *routes* (peer, attributes) and the local route,
+        with the pairwise comparisons it took."""
+        candidates = [Candidate(attrs, peer.info()) for peer, attrs in routes]
+        if local is not None:
+            candidates.append(Candidate(local, self._local_info))
+        before = self.decision.comparisons
+        best = self.decision.select(candidates)
+        return best, self.decision.comparisons - before
+
+    def _run_decision(
+        self,
+        prefix: Prefix,
+        decided: "dict | None" = None,
+        exports: "dict | None" = None,
+    ) -> None:
+        """Phase 2 + 3 for one prefix: select best, sync Loc-RIB, FIB, outputs.
+
+        *decided* and *exports* are one UPDATE's memos (None: none).
+        *decided* maps a candidate set — each peer's route in ``peers``
+        order, plus the local route — to the winner and the comparisons
+        it took: selection reads nothing else, so equal sets have equal
+        winners, and a hit is charged the comparisons again. *exports*
+        goes to :meth:`_export_attributes`.
+        """
+        routes = [
+            (peer, attrs)
             for peer in self.peers.values()
             if (attrs := peer.adj_rib_in.get(prefix)) is not None
         ]
         local = self._local_routes.get(prefix)
-        if local is not None:
-            candidates.append(Candidate(local, self._local_info))
-        return candidates
-
-    def _run_decision(self, prefix: Prefix) -> None:
-        """Phase 2 + 3 for one prefix: select best, sync Loc-RIB, FIB, outputs."""
-        before = self.decision.comparisons
-        best = self.decision.select(self._candidates(prefix))
-        self.work.decisions += self.decision.comparisons - before + 1
+        if decided is None:
+            best, comparisons = self._select(routes, local)
+        else:
+            key = (*routes, local)
+            outcome = decided.get(key)
+            if outcome is None:
+                outcome = decided[key] = self._select(routes, local)
+            best, comparisons = outcome
+        self.work.decisions += comparisons + 1
         probe = self.probe
 
         if best is None:
-            if self.loc_rib.remove(prefix) is RouteChange.REMOVED:
+            if self.loc_rib.remove(prefix) is REMOVED:
                 if self.loc_rib_changes is not None:
                     self.loc_rib_changes.append(prefix)
                 self.fib.delete_route(prefix)
@@ -591,13 +640,13 @@ class BgpSpeaker:
 
         route = RibRoute(prefix, best.attributes, best.peer.peer_id)
         change = self.loc_rib.set_best(route)
-        if change is RouteChange.UNCHANGED:
+        if change is UNCHANGED:
             self.work.loc_rib_unchanged += 1
             return
         if self.loc_rib_changes is not None:
             self.loc_rib_changes.append(prefix)
         assert best.attributes.next_hop is not None
-        if change is RouteChange.ADDED:
+        if change is ADDED:
             self.fib.add_route(prefix, best.attributes.next_hop)
             self.work.fib_adds += 1
             self.work.loc_rib_adds += 1
@@ -609,11 +658,33 @@ class BgpSpeaker:
             self.work.loc_rib_replaces += 1
             if probe is not None:
                 probe.fib_op("replace", prefix)
-        self._stage_announce_to_peers(route)
+        self._stage_announce_to_peers(route, exports)
 
     # -- export path ---------------------------------------------------------
 
-    def _export_attributes(self, peer: Peer, route: RibRoute) -> PathAttributes | None:
+    def _export_attributes(
+        self, peer: Peer, route: RibRoute, exports: "dict | None" = None
+    ) -> PathAttributes | None:
+        """What *peer* is sent for *route*; None = nothing.
+
+        *exports* is one UPDATE's memo, (peer, attribute set) → (result,
+        export-policy evaluations): unless the chain reads the prefix,
+        the result depends on nothing else, and a hit is charged the
+        evaluations the export it stands for made.
+        """
+        policy = peer.config.export_policy
+        if exports is not None and not policy.reads_prefix:
+            key = (peer, route.attributes)
+            known = exports.get(key)
+            if known is None:
+                before = policy.evaluations
+                exported = self._export_attributes(peer, route)
+                exports[key] = (exported, policy.evaluations - before)
+                return exported
+            exported, cost = known
+            policy.evaluations += cost
+            self.work.policy_evaluations += cost
+            return exported
         # Well-known communities (RFC 1997) override everything else.
         communities = route.attributes.communities
         if WellKnownCommunity.NO_ADVERTISE in communities:
@@ -623,7 +694,6 @@ class BgpSpeaker:
             or WellKnownCommunity.NO_EXPORT_SUBCONFED in communities
         ):
             return None
-        policy = peer.config.export_policy
         before = policy.evaluations
         exported = policy.apply(route.prefix, route.attributes)
         self.work.policy_evaluations += policy.evaluations - before
@@ -649,7 +719,9 @@ class BgpSpeaker:
                 self._ebgp_rewrites[exported] = rewritten
         return rewritten
 
-    def _stage_announce_to_peers(self, route: RibRoute) -> None:
+    def _stage_announce_to_peers(
+        self, route: RibRoute, exports: "dict | None" = None
+    ) -> None:
         source = self.peers.get(route.peer_id)
         learned_over_ibgp = source is not None and not source.is_ebgp
         for peer in self.peers.values():
@@ -671,11 +743,7 @@ class BgpSpeaker:
                 ):
                     self._stage_one(peer, route.prefix, None)
                 continue
-            exported = self._export_attributes(peer, route)
-            if exported is None:
-                self._stage_one(peer, route.prefix, None)
-            else:
-                self._stage_one(peer, route.prefix, exported)
+            self._stage_one(peer, route.prefix, self._export_attributes(peer, route, exports))
 
     def _stage_withdraw_to_peers(self, prefix: Prefix) -> None:
         for peer in self.peers.values():
@@ -701,9 +769,9 @@ class BgpSpeaker:
         """Record one outbound change in the peer's Adj-RIB-Out; a peer
         whose pending delta moved is dirty until its next flush."""
         if attributes is None:
-            moved = peer.adj_rib_out.stage_withdraw(prefix) is RouteChange.REMOVED
+            moved = peer.adj_rib_out.stage_withdraw(prefix) is REMOVED
         else:
-            moved = peer.adj_rib_out.stage(prefix, attributes) is not RouteChange.UNCHANGED
+            moved = peer.adj_rib_out.stage(prefix, attributes) is not UNCHANGED
         if moved:
             self._dirty.add(peer)
 

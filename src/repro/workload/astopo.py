@@ -263,4 +263,4 @@ def generate_policy_table(
                 f"vantage AS {vantage} cannot reach enough origins"
             )
         entries.append(RouteEntry(prefix, origin_as=path[-1], transit=tuple(path[:-1])))
-    return SyntheticTable(entries, seed)
+    return SyntheticTable(tuple(entries), seed)

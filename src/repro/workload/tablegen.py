@@ -18,9 +18,12 @@ path" variant 2 hops (paper scenarios 5–8).
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from bisect import bisect_right
+from dataclasses import dataclass, field
+from itertools import accumulate
 
-from repro.net.addr import IPv4Address, Prefix
+from repro.bgp import register_cache_clear
+from repro.net.addr import Prefix
 
 #: Approximate share of table entries by prefix length, modeled on the
 #: 2007 global table (dominated by /24s, with mass at /16 and /19–/22).
@@ -40,6 +43,12 @@ PREFIX_LENGTH_MIX: tuple[tuple[int, float], ...] = (
     (23, 0.050),
     (24, 0.510),
 )
+
+#: Running totals of the mix, summed in :data:`PREFIX_LENGTH_MIX` order.
+_CUMULATIVE_SHARE = tuple(accumulate(share for _length, share in PREFIX_LENGTH_MIX))
+
+#: Network mask of each prefix length 0-32.
+_MASKS = tuple((0xFFFFFFFF << (32 - length)) & 0xFFFFFFFF for length in range(33))
 
 #: First-octet range for generated prefixes: stay inside conventional
 #: unicast space and away from 0/8, 10/8, 127/8, and 224/4.
@@ -76,12 +85,16 @@ class RouteEntry:
         return (speaker_as, *middle, self.origin_as)
 
 
+@dataclass(frozen=True, slots=True)
 class SyntheticTable:
-    """A generated routing table: an ordered list of unique entries."""
+    """A generated routing table: an immutable sequence of unique entries.
 
-    def __init__(self, entries: list[RouteEntry], seed: int):
-        self.entries = entries
-        self.seed = seed
+    Immutable because :func:`generate_table` hands the same instance to
+    every caller that asks for the same ``(size, seed)``.
+    """
+
+    entries: tuple[RouteEntry, ...] = field(repr=False)
+    seed: int
 
     def __len__(self) -> int:
         return len(self.entries)
@@ -103,13 +116,9 @@ class SyntheticTable:
 
 
 def _draw_length(rng: random.Random) -> int:
-    roll = rng.random()
-    cumulative = 0.0
-    for length, share in PREFIX_LENGTH_MIX:
-        cumulative += share
-        if roll < cumulative:
-            return length
-    return PREFIX_LENGTH_MIX[-1][0]
+    # The first length whose running total exceeds the roll.
+    index = bisect_right(_CUMULATIVE_SHARE, rng.random())
+    return PREFIX_LENGTH_MIX[min(index, len(PREFIX_LENGTH_MIX) - 1)][0]
 
 
 def draw_unique_prefixes(rng: random.Random, size: int) -> list[Prefix]:
@@ -121,7 +130,7 @@ def draw_unique_prefixes(rng: random.Random, size: int) -> list[Prefix]:
         first_octet = rng.choice(_FIRST_OCTET_CHOICES)
         rest = rng.getrandbits(24)
         network = (first_octet << 24) | rest
-        prefix = Prefix.from_address(IPv4Address(network), length)
+        prefix = Prefix(network & _MASKS[length], length)
         if prefix in seen:
             continue
         seen.add(prefix)
@@ -129,17 +138,37 @@ def draw_unique_prefixes(rng: random.Random, size: int) -> list[Prefix]:
     return prefixes
 
 
+#: Generated tables by ``(size, seed)``: every cell of a run asks for
+#: the same table (Table III asks 32 times for one). Value-keyed pure
+#: memoization under the fork-safety contract (docs/PERF.md): a table is
+#: a deterministic function of its key and immutable, and
+#: :func:`repro.bgp.reset_caches` empties the memo. A full memo stops
+#: admitting instead of evicting.
+_TABLE_CAPACITY = 16
+_tables: "dict[tuple[int, int], SyntheticTable]" = {}
+register_cache_clear(_tables.clear)
+
+
 def generate_table(size: int, seed: int = 42) -> SyntheticTable:
-    """Generate *size* unique route entries, deterministically from *seed*."""
+    """Generate *size* unique route entries, deterministically from *seed*.
+
+    Repeated calls return the same immutable table.
+    """
+    table = _tables.get((size, seed))
+    if table is not None:
+        return table
     if size < 0:
         raise ValueError(f"negative table size: {size}")
     rng = random.Random(seed)
-    entries = [
+    entries = tuple(
         RouteEntry(
             prefix,
             origin_as=rng.randrange(1000, 29000),
             transit=(rng.randrange(1000, 29000), rng.randrange(1000, 29000)),
         )
         for prefix in draw_unique_prefixes(rng, size)
-    ]
-    return SyntheticTable(entries, seed)
+    )
+    table = SyntheticTable(entries, seed)
+    if len(_tables) < _TABLE_CAPACITY:
+        _tables[size, seed] = table
+    return table

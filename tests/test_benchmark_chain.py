@@ -45,6 +45,17 @@ class TestPropagation:
         times = result.fib_complete_at
         assert times[0] <= times[1] <= times[2]
 
+    @pytest.mark.xfail(
+        strict=True,
+        reason="ROADMAP 7(d): a costed router re-advertises before its export "
+        "CPU is charged, so the xeon hop completes at 1.985 s, before the "
+        "pentium3 hop feeding it (2.553 s)",
+    )
+    def test_completion_monotonic_across_platforms(self):
+        result = run_chain_propagation(["pentium3", "xeon"], table_size=500)
+        times = result.fib_complete_at
+        assert times[0] <= times[1]
+
     def test_paths_accumulate_hop_asns(self):
         world = World()
         # Use run_chain_propagation then inspect the last router.

@@ -288,6 +288,7 @@ def test_reset_caches_empties_every_module_level_cache():
         "repro.bgp.messages._message_cache",
         "repro.bgp.messages._wire_cache",
         "repro.bgp.messages._prefix_cache",
+        "repro.workload.tablegen._tables",
     } <= set(grown)
     repro.bgp.reset_caches()
     assert {name: len(value) for name, value in grown.items() if value} == {}

@@ -1,7 +1,11 @@
 """Unit tests for the synthetic routing-table generator."""
 
+import dataclasses
+import hashlib
+
 import pytest
 
+import repro.bgp
 from repro.workload.tablegen import PREFIX_LENGTH_MIX, RouteEntry, generate_table
 from repro.net.addr import Prefix
 
@@ -58,6 +62,40 @@ class TestGeneration:
         table = generate_table(10)
         assert table[0] in list(table)
         assert isinstance(table[0], RouteEntry)
+
+
+class TestTableIdentity:
+    #: sha256 of ``repr([(prefix, origin_as, transit), ...])``, recorded
+    #: from the generator that built every prefix through
+    #: ``Prefix.from_address(IPv4Address(network), length)``: the memo
+    #: and the direct masking must not move a single draw.
+    PINNED = {
+        (2000, 42): "28963433cede88765288ecab26c66383fceba128088f9b7f7f9c2316ffa12cae",
+        (400, 42): "645d8ad3d3cfce6ef73e7df61b1cf09029c0db4036db938de1545349a45b4188",
+        (150, 43): "1a4c481650e5383886743b567c009a6be1771657443e47a0cf6c93875d5eb175",
+    }
+
+    @pytest.mark.parametrize("size, seed", sorted(PINNED))
+    def test_table_is_bit_identical(self, size, seed):
+        table = generate_table(size, seed)
+        text = repr([(tuple(e.prefix), e.origin_as, e.transit) for e in table.entries])
+        assert hashlib.sha256(text.encode()).hexdigest() == self.PINNED[size, seed]
+
+    def test_repeated_call_returns_the_same_table(self):
+        assert generate_table(300, seed=5) is generate_table(300, seed=5)
+
+    def test_table_is_immutable(self):
+        table = generate_table(20)
+        assert isinstance(table.entries, tuple)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            table.entries = ()
+
+    def test_reset_caches_makes_the_next_call_cold(self):
+        before = generate_table(300, seed=5)
+        repro.bgp.reset_caches()
+        after = generate_table(300, seed=5)
+        assert after is not before
+        assert after == before
 
 
 class TestPathVia:
