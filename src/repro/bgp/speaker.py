@@ -190,7 +190,6 @@ class SpeakerConfig:
     bgp_identifier: IPv4Address
     local_address: IPv4Address
     hold_time: float = 90.0
-    compare_med_always: bool = False
     #: When the best route switches to one learned from a peer that
     #: previously received our advertisement, stage an explicit withdraw
     #: toward that peer (and toward iBGP peers skipped by split horizon)
@@ -216,7 +215,6 @@ class PeerConfig:
     address: IPv4Address
     import_policy: Policy = ACCEPT_ALL
     export_policy: Policy = ACCEPT_ALL
-    passive: bool = False
     damping: DampingConfig | None = None
     mrai_interval: float = 0.0
     backoff: ReconnectBackoff | None = None
@@ -350,7 +348,7 @@ class BgpSpeaker:
         self.work = WorkLog()
         #: Monotonic conservation ledger the sanitizer audits.
         self.audit = PrefixAudit()
-        self.decision = DecisionProcess(config.compare_med_always)
+        self.decision = DecisionProcess()
         self._local_routes: dict[Prefix, PathAttributes] = {}
         #: Peers staged to since their last flush — what
         #: :meth:`flush_pending` visits instead of every neighbour.

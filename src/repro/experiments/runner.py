@@ -137,7 +137,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     single.add_argument(
         "--metrics", type=Path, default=None, metavar="PATH",
-        help="write the metric registry (.prom = Prometheus text, else JSON-lines)",
+        help="write the metric registry as JSON-lines (a .prom path is refused)",
     )
     single.add_argument(
         "--profile", action="store_true",
@@ -535,6 +535,15 @@ def _run_regress(args) -> int:
 
 
 def _run_single_scenario(args) -> int:
+    if args.metrics is not None and args.metrics.suffix == ".prom":
+        # A usage error, reported before anything runs: JSON-lines under
+        # a Prometheus suffix would mislead whatever reads the file.
+        print(
+            f"bgpbench scenario: --metrics {args.metrics}: metrics are written "
+            f"as JSON-lines, not Prometheus text",
+            file=sys.stderr,
+        )
+        return 2
     instrument = (
         args.trace is not None or args.metrics is not None or args.profile
     )
@@ -582,7 +591,7 @@ def _run_single_scenario(args) -> int:
             f"{stats.quiescent_checks} quiescent check(s) — all invariants held"
         )
     if telemetry is not None:
-        from repro.telemetry import build_profile, write_artifacts
+        from repro.telemetry import render_top, top_table, write_artifacts
 
         for path in write_artifacts(
             telemetry, trace_path=args.trace, metrics_path=args.metrics
@@ -590,7 +599,7 @@ def _run_single_scenario(args) -> int:
             print(f"[written {path}]")
         if args.profile:
             print()
-            print(build_profile(router.cpu_monitor, telemetry.tracer.spans()).render_top())
+            print(render_top(top_table(router.cpu_monitor)))
     return 0
 
 

@@ -1,14 +1,10 @@
 """Shared bucketing arithmetic for every time-series collector.
 
-The monitors (:mod:`repro.sim.monitor`) and the CPU-attribution
-profiler (:mod:`repro.telemetry.profile`, an observer that imports it
-from here; :mod:`repro.telemetry` re-exports both functions) need the
-same primitive: split a half-open virtual-time interval across
-fixed-width buckets, or measure its overlap with an arbitrary window.
-It lives in ``sim`` because the monitors do. Keeping the arithmetic in
-one place keeps every consumer's edge behaviour identical — an interval
-ending exactly on a bucket boundary contributes nothing to the next
-bucket, and a zero-width interval contributes nothing at all.
+Both monitors (:mod:`repro.sim.monitor`) need the same primitive: split
+a half-open virtual-time interval across fixed-width buckets. Keeping
+the arithmetic in one place keeps their edge behaviour identical — an
+interval ending exactly on a bucket boundary contributes nothing to the
+next bucket, and a zero-width interval contributes nothing at all.
 """
 
 from __future__ import annotations
@@ -45,7 +41,3 @@ def spread(start: float, end: float, width: float) -> Sequence[tuple[int, float]
         index += 1
     return pieces
 
-
-def overlap(start: float, end: float, lo: float, hi: float) -> float:
-    """Length of ``[start, end) ∩ [lo, hi)``; zero when disjoint."""
-    return max(0.0, min(end, hi) - max(start, lo))

@@ -77,8 +77,8 @@ class CpuMonitor:
         return series
 
     def bucket_usage(self) -> dict[int, dict[str, float]]:
-        """Copy of the raw (bucket_index → task → cpu-seconds) table —
-        the input :mod:`repro.telemetry.profile` attributes to phases."""
+        """Copy of the raw (bucket_index → task → cpu-seconds) table:
+        the monitor's whole state as one comparable value."""
         return {bucket: dict(tasks) for bucket, tasks in self._usage.items()}
 
     def task_names(self) -> list[str]:

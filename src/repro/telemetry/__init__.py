@@ -11,10 +11,10 @@ per-phase timing — without changing a single result byte:
   phase → packet → UPDATE → decision/FIB span hierarchy;
 * :mod:`repro.telemetry.probe` — the :class:`Telemetry` facade that
   attaches all hooks to a router in one call;
-* :mod:`repro.telemetry.profile` — top- and flame-style virtual-CPU
-  attribution merging monitor buckets with phase spans;
-* :mod:`repro.telemetry.export` — JSON-lines, Prometheus text, and
-  Chrome trace-event artifacts (plus the parsers that round-trip them);
+* :mod:`repro.telemetry.profile` — the top-style per-task virtual-CPU
+  table;
+* :mod:`repro.telemetry.export` — JSON-lines metrics and Chrome
+  trace-event artifacts (plus the parsers that round-trip them);
 * :mod:`repro.telemetry.validate` — artifact schema validation (the CI
   smoke job's checker).
 
@@ -23,13 +23,10 @@ to a plain run. The golden regression gate pins this
 (``bgpbench regress --telemetry``); see docs/TELEMETRY.md.
 """
 
-from repro.sim.buckets import overlap, spread
 from repro.telemetry.export import (
     metrics_to_jsonl,
-    metrics_to_prometheus,
     parse_chrome_trace,
     parse_metrics_jsonl,
-    parse_prometheus,
     spans_to_chrome_trace,
     write_artifacts,
     write_metrics,
@@ -43,14 +40,7 @@ from repro.telemetry.metrics import (
     MetricRegistry,
 )
 from repro.telemetry.probe import FanoutObserver, Telemetry
-from repro.telemetry.profile import (
-    ProfileReport,
-    TopRow,
-    attribute_phases,
-    build_profile,
-    folded_stacks,
-    top_table,
-)
+from repro.telemetry.profile import TopRow, render_top, top_table
 from repro.telemetry.spans import Span, Tracer, validate_spans
 
 __all__ = [
@@ -60,22 +50,15 @@ __all__ = [
     "Gauge",
     "Histogram",
     "MetricRegistry",
-    "ProfileReport",
     "Span",
     "Telemetry",
     "TopRow",
     "Tracer",
-    "attribute_phases",
-    "build_profile",
-    "folded_stacks",
     "metrics_to_jsonl",
-    "metrics_to_prometheus",
-    "overlap",
     "parse_chrome_trace",
     "parse_metrics_jsonl",
-    "parse_prometheus",
+    "render_top",
     "spans_to_chrome_trace",
-    "spread",
     "top_table",
     "validate_spans",
     "write_artifacts",

@@ -1,15 +1,12 @@
-"""Exporters: JSON-lines, Prometheus text exposition, Chrome trace JSON.
+"""Exporters: JSON-lines metrics and Chrome trace JSON.
 
-Three artifact formats, one per consumer class:
+Two artifact formats:
 
 * **JSON-lines** (``*.jsonl``) — the lossless machine format: one
   ``family`` line per metric family followed by one ``sample`` line per
   labelled child. :func:`parse_metrics_jsonl` reconstructs exactly the
   :meth:`~repro.telemetry.metrics.MetricRegistry.state` snapshot that
   produced it (the round-trip the tests pin).
-* **Prometheus text exposition** (``*.prom``) — for scraping tooling;
-  counters/gauges as single samples, histograms as cumulative
-  ``_bucket``/``_sum``/``_count`` series.
 * **Chrome trace events** (``*.trace.json``) — the span forest as
   ``"ph": "X"`` complete events, loadable in Perfetto /
   ``chrome://tracing``. Overlapping sibling spans (a windowed packet
@@ -26,7 +23,7 @@ from __future__ import annotations
 
 import json
 from pathlib import Path
-from typing import TYPE_CHECKING, Iterable, Sequence
+from typing import TYPE_CHECKING, Sequence
 
 from repro.telemetry.metrics import MetricRegistry
 from repro.telemetry.spans import Span, Tracer
@@ -78,160 +75,56 @@ def metrics_to_jsonl(registry: MetricRegistry) -> str:
 
 
 def parse_metrics_jsonl(text: str) -> dict[str, object]:
-    """Rebuild the ``MetricRegistry.state()`` snapshot from JSON-lines."""
+    """Rebuild the ``MetricRegistry.state()`` snapshot from JSON-lines;
+    raises ``ValueError`` naming the first malformed line."""
     state: dict[str, dict] = {}
     for line_number, line in enumerate(text.splitlines(), start=1):
         if not line.strip():
             continue
-        record = json.loads(line)
-        kind = record.get("type")
-        if kind == "family":
-            family: dict[str, object] = {
-                "kind": record["kind"],
-                "help": record["help"],
-                "labels": record["label_names"],
-                "children": [],
-            }
-            if record["kind"] == "histogram":
-                family["buckets"] = record["buckets"]
-            state[record["name"]] = family
-        elif kind == "sample":
-            family = state.get(record["name"])
-            if family is None:
-                raise ValueError(
-                    f"line {line_number}: sample for undeclared family "
-                    f"{record['name']!r}"
-                )
-            child: dict[str, object] = {
-                "labels": record["labels"],
-                "time": record["time"],
-            }
-            if family["kind"] == "histogram":
-                child["counts"] = record["counts"]
-                child["sum"] = record["sum"]
-                child["count"] = record["count"]
-            elif family["kind"] == "gauge":
-                child["value"] = record["value"]
-                child["samples"] = record["samples"]
-            else:
-                child["value"] = record["value"]
-            family["children"].append(child)  # type: ignore[union-attr]
-        else:
-            raise ValueError(f"line {line_number}: unknown record type {kind!r}")
-    return state
-
-
-# -- Prometheus text exposition ----------------------------------------------
-
-
-def _escape_label(value: str) -> str:
-    return value.replace("\\", "\\\\").replace('"', '\\"').replace("\n", "\\n")
-
-
-def _format_labels(names: Iterable[str], values: Iterable[str], extra: str = "") -> str:
-    parts = [
-        f'{name}="{_escape_label(value)}"' for name, value in zip(names, values)
-    ]
-    if extra:
-        parts.append(extra)
-    return "{" + ",".join(parts) + "}" if parts else ""
-
-
-def _format_value(value: float) -> str:
-    if value == int(value) and abs(value) < 1e15:
-        return str(int(value))
-    return repr(value)
-
-
-def metrics_to_prometheus(registry: MetricRegistry) -> str:
-    """The text exposition format scraping tools ingest."""
-    lines: list[str] = []
-    for metric in registry.collect():
-        if metric.help:
-            lines.append(f"# HELP {metric.name} {metric.help}")
-        lines.append(f"# TYPE {metric.name} {metric.kind}")
-        for label_values, child in metric.children():
-            labels = _format_labels(metric.label_names, label_values)
-            if metric.kind == "histogram":
-                cumulative = 0
-                for edge, count in zip(metric.buckets, child["counts"]):  # type: ignore[attr-defined]
-                    cumulative += count
-                    bucket_labels = _format_labels(
-                        metric.label_names, label_values, f'le="{_format_value(edge)}"'
-                    )
-                    lines.append(
-                        f"{metric.name}_bucket{bucket_labels} {cumulative}"
-                    )
-                cumulative += child["counts"][-1]
-                inf_labels = _format_labels(
-                    metric.label_names, label_values, 'le="+Inf"'
-                )
-                lines.append(f"{metric.name}_bucket{inf_labels} {cumulative}")
-                lines.append(f"{metric.name}_sum{labels} {_format_value(child['sum'])}")
-                lines.append(f"{metric.name}_count{labels} {child['count']}")
-            else:
-                lines.append(
-                    f"{metric.name}{labels} {_format_value(child['value'])}"
-                )
-    return "\n".join(lines) + ("\n" if lines else "")
-
-
-def parse_prometheus(text: str) -> dict[str, object]:
-    """A minimal exposition-format parser: enough to verify our own
-    output is well-formed. Returns ``{"types": {name: kind}, "samples":
-    [(name, {label: value}, float)]}``; raises ``ValueError`` on any
-    line it cannot parse."""
-    types: dict[str, str] = {}
-    samples: list[tuple[str, dict[str, str], float]] = []
-    for line_number, line in enumerate(text.splitlines(), start=1):
-        if not line.strip():
-            continue
-        if line.startswith("# TYPE "):
-            _, _, rest = line.partition("# TYPE ")
-            name, _, kind = rest.partition(" ")
-            if not name or kind not in ("counter", "gauge", "histogram", "untyped"):
-                raise ValueError(f"line {line_number}: malformed TYPE line")
-            types[name] = kind
-            continue
-        if line.startswith("#"):
-            continue
-        name, labels, remainder = _parse_sample_name(line, line_number)
-        value_text = remainder.strip()
-        if not value_text:
-            raise ValueError(f"line {line_number}: missing sample value")
         try:
-            value = float(value_text)
+            record = json.loads(line)
         except ValueError as error:
-            raise ValueError(f"line {line_number}: bad value {value_text!r}") from error
-        samples.append((name, labels, value))
-    return {"types": types, "samples": samples}
-
-
-def _parse_sample_name(line: str, line_number: int) -> tuple[str, dict[str, str], str]:
-    brace = line.find("{")
-    if brace == -1:
-        name, _, remainder = line.partition(" ")
-        if not name:
-            raise ValueError(f"line {line_number}: missing metric name")
-        return name, {}, remainder
-    name = line[:brace]
-    closing = line.find("}", brace)
-    if closing == -1:
-        raise ValueError(f"line {line_number}: unterminated label block")
-    labels: dict[str, str] = {}
-    body = line[brace + 1 : closing]
-    if body:
-        for part in body.split(","):
-            key, eq, raw = part.partition("=")
-            if eq != "=" or not raw.startswith('"') or not raw.endswith('"'):
-                raise ValueError(f"line {line_number}: malformed label {part!r}")
-            labels[key] = (
-                raw[1:-1]
-                .replace("\\n", "\n")
-                .replace('\\"', '"')
-                .replace("\\\\", "\\")
-            )
-    return name, labels, line[closing + 1 :]
+            raise ValueError(f"line {line_number}: {error}") from None
+        if not isinstance(record, dict):
+            raise ValueError(f"line {line_number}: not a JSON object")
+        kind = record.get("type")
+        try:
+            if kind == "family":
+                family: dict[str, object] = {
+                    "kind": record["kind"],
+                    "help": record["help"],
+                    "labels": record["label_names"],
+                    "children": [],
+                }
+                if record["kind"] == "histogram":
+                    family["buckets"] = record["buckets"]
+                state[record["name"]] = family
+            elif kind == "sample":
+                family = state.get(record["name"])
+                if family is None:
+                    raise ValueError(
+                        f"line {line_number}: sample for undeclared family "
+                        f"{record['name']!r}"
+                    )
+                child: dict[str, object] = {
+                    "labels": record["labels"],
+                    "time": record["time"],
+                }
+                if family["kind"] == "histogram":
+                    child["counts"] = record["counts"]
+                    child["sum"] = record["sum"]
+                    child["count"] = record["count"]
+                elif family["kind"] == "gauge":
+                    child["value"] = record["value"]
+                    child["samples"] = record["samples"]
+                else:
+                    child["value"] = record["value"]
+                family["children"].append(child)  # type: ignore[union-attr]
+            else:
+                raise ValueError(f"line {line_number}: unknown record type {kind!r}")
+        except KeyError as error:
+            raise ValueError(f"line {line_number}: {kind} record has no {error}") from None
+    return state
 
 
 # -- Chrome trace events -----------------------------------------------------
@@ -302,23 +195,35 @@ def spans_to_chrome_trace(source: "Tracer | Sequence[Span]") -> str:
 def parse_chrome_trace(text: str) -> list[Span]:
     """Rebuild the span list from Chrome trace-event JSON, using the
     exact ``args.t0``/``args.t1`` stamps; spans return in creation
-    (span-id) order."""
+    (span-id) order. Raises ``ValueError`` naming the first malformed
+    event."""
     payload = json.loads(text)
+    events = payload.get("traceEvents") if isinstance(payload, dict) else None
+    if not isinstance(events, list):
+        raise ValueError("not a JSON object with a 'traceEvents' list")
     spans: list[Span] = []
-    for event in payload["traceEvents"]:
+    for index, event in enumerate(events):
+        if not isinstance(event, dict):
+            raise ValueError(f"traceEvents[{index}]: not a JSON object")
         if event.get("ph") != "X":
             continue
+        if not isinstance(event.get("args"), dict):
+            raise ValueError(f"traceEvents[{index}]: 'args' is not a JSON object")
         args = dict(event["args"])
-        span_id = args.pop("span_id")
-        parent_id = args.pop("parent_id", None)
-        start = args.pop("t0")
-        end = args.pop("t1")
+        try:
+            span_id = args.pop("span_id")
+            parent_id = args.pop("parent_id", None)
+            start = args.pop("t0")
+            end = args.pop("t1")
+            name = event["name"]
+        except KeyError as error:
+            raise ValueError(f"traceEvents[{index}]: complete event has no {error}") from None
         backdated = bool(args.pop("backdated", False))
         spans.append(
             Span(
                 span_id=span_id,
                 parent_id=parent_id,
-                name=event["name"],
+                name=name,
                 category=event.get("cat", ""),
                 start=start,
                 end=end,
@@ -341,14 +246,10 @@ def write_trace(source: "Tracer | Sequence[Span]", path: "Path | str") -> Path:
 
 
 def write_metrics(registry: MetricRegistry, path: "Path | str") -> Path:
-    """Write metrics in the format the suffix names: ``.prom`` gets the
-    Prometheus exposition, anything else JSON-lines."""
+    """Write the registry as JSON-lines, whatever the suffix."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    if path.suffix == ".prom":
-        path.write_text(metrics_to_prometheus(registry))
-    else:
-        path.write_text(metrics_to_jsonl(registry))
+    path.write_text(metrics_to_jsonl(registry))
     return path
 
 

@@ -14,11 +14,7 @@ from __future__ import annotations
 import sys
 from pathlib import Path
 
-from repro.telemetry.export import (
-    parse_chrome_trace,
-    parse_metrics_jsonl,
-    parse_prometheus,
-)
+from repro.telemetry.export import parse_chrome_trace, parse_metrics_jsonl
 from repro.telemetry.spans import validate_spans
 
 
@@ -37,19 +33,9 @@ def validate_trace_file(path: "Path | str") -> dict[str, object]:
 
 
 def validate_metrics_file(path: "Path | str") -> dict[str, object]:
-    """Validate a metrics artifact (JSON-lines, or ``.prom`` exposition
-    text); returns a summary dict or raises ``ValueError``."""
-    path = Path(path)
-    text = path.read_text()
-    if path.suffix == ".prom":
-        parsed = parse_prometheus(text)
-        if not parsed["types"]:
-            raise ValueError("exposition contains no TYPE declarations")
-        return {
-            "families": len(parsed["types"]),  # type: ignore[arg-type]
-            "samples": len(parsed["samples"]),  # type: ignore[arg-type]
-        }
-    state = parse_metrics_jsonl(text)
+    """Validate a JSON-lines metrics artifact; returns a summary dict or
+    raises ``ValueError``."""
+    state = parse_metrics_jsonl(Path(path).read_text())
     if not state:
         raise ValueError("metrics file declares no families")
     samples = 0
@@ -87,7 +73,7 @@ def main(argv: "list[str] | None" = None) -> int:
     for argument in arguments:
         try:
             summary = validate_file(argument)
-        except (ValueError, KeyError, OSError) as error:
+        except (ValueError, OSError) as error:
             print(f"{argument}: INVALID — {error}")
             failures += 1
         else:

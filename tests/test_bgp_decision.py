@@ -65,11 +65,6 @@ class TestTieBreakLevels:
         b = candidate(path=(8, 3), med=1, bgp_id="2.2.2.2")
         assert DecisionProcess().select([a, b]) is a
 
-    def test_compare_med_always_flag(self):
-        a = candidate(path=(7, 2), med=100, bgp_id="1.1.1.1")
-        b = candidate(path=(8, 3), med=1, bgp_id="2.2.2.2")
-        assert DecisionProcess(compare_med_always=True).select([a, b]) is b
-
     def test_ebgp_preferred_over_ibgp(self):
         a = candidate(path=(1, 2), ebgp=False, bgp_id="1.1.1.1")
         b = candidate(path=(3, 4), ebgp=True, bgp_id="9.9.9.9")

@@ -13,14 +13,13 @@ P1 = Prefix.parse("192.0.2.0/24")
 ROUTER_AS = 65000
 
 
-def make_router(compare_med_always=False):
+def make_router():
     return BgpSpeaker(
         SpeakerConfig(
             asn=ROUTER_AS,
             bgp_identifier=IPv4Address.parse("9.9.9.9"),
             local_address=IPv4Address.parse("10.0.0.254"),
             hold_time=0.0,
-            compare_med_always=compare_med_always,
         )
     )
 
@@ -68,18 +67,6 @@ class TestMedThroughSpeaker:
             as_path=AsPath.from_asns([65002, 300]),
             next_hop=IPv4Address.parse("10.0.1.2"), med=1))
         assert router.loc_rib.get(P1).peer_id == "a"
-
-    def test_compare_med_always_config(self):
-        router = make_router(compare_med_always=True)
-        connect(router, "a", 65001, "10.0.1.1", "1.1.1.1")
-        connect(router, "b", 65002, "10.0.1.2", "2.2.2.2")
-        announce(router, "a", PathAttributes(
-            as_path=AsPath.from_asns([65001, 300]),
-            next_hop=IPv4Address.parse("10.0.1.1"), med=100))
-        announce(router, "b", PathAttributes(
-            as_path=AsPath.from_asns([65002, 300]),
-            next_hop=IPv4Address.parse("10.0.1.2"), med=1))
-        assert router.loc_rib.get(P1).peer_id == "b"
 
 
 class TestCommunityPropagation:

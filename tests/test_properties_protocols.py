@@ -1,9 +1,7 @@
-"""Property-based tests for the protocol state machines: the BGP FSM
+"""Property-based tests for the BGP session state machine: the FSM
 never crashes or reaches an inconsistent state under arbitrary event
-sequences, and RIP converges to true shortest hop counts."""
+sequences."""
 
-import networkx as nx
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -14,8 +12,6 @@ from repro.bgp.messages import (
     OpenMessage,
     UpdateMessage,
 )
-from repro.igp.rip import INFINITY_METRIC, RipNetwork
-from repro.igp.topology import Topology
 from repro.net.addr import IPv4Address
 
 
@@ -99,62 +95,3 @@ class TestFsmRobustness:
             if fsm.state is State.ESTABLISHED:
                 assert saw_open
 
-
-def random_connected_topology(draw_edges, n):
-    topology = Topology.line(n)  # spanning backbone keeps it connected
-    for a, b in draw_edges:
-        a, b = a % n, b % n
-        if a != b:
-            topology.add_link(f"r{a}", f"r{b}", 1.0)
-    return topology
-
-
-class TestRipCorrectness:
-    @settings(max_examples=25, deadline=None)
-    @given(
-        st.integers(min_value=2, max_value=8),
-        st.lists(
-            st.tuples(st.integers(min_value=0, max_value=7),
-                      st.integers(min_value=0, max_value=7)),
-            max_size=8,
-        ),
-    )
-    def test_converged_metrics_are_shortest_hop_counts(self, n, extra_edges):
-        topology = random_connected_topology(
-            [(a, b) for a, b in extra_edges], n
-        )
-        network = RipNetwork(topology)
-        network.converge()
-
-        graph = nx.Graph()
-        for a, b, _cost in topology.links():
-            graph.add_edge(a, b)
-        reference = dict(nx.all_pairs_shortest_path_length(graph))
-        for source, router in network.routers.items():
-            for destination in topology.routers():
-                if destination == source:
-                    continue
-                expected = reference[source].get(destination)
-                entry = router.route_to(destination)
-                if expected is None or expected >= INFINITY_METRIC:
-                    assert entry is None
-                else:
-                    assert entry is not None, (source, destination)
-                    assert entry.metric == expected
-
-    @settings(max_examples=15, deadline=None)
-    @given(st.integers(min_value=3, max_value=8))
-    def test_next_hops_form_no_loops(self, n):
-        network = RipNetwork(Topology.ring(n))
-        network.converge()
-        for source in network.routers:
-            for destination in network.routers:
-                if source == destination:
-                    continue
-                current, hops = source, 0
-                while current != destination:
-                    entry = network.routers[current].route_to(destination)
-                    assert entry is not None
-                    current = entry.next_hop
-                    hops += 1
-                    assert hops <= n, "forwarding loop"

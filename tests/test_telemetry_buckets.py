@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.sim.buckets import overlap, spread
+from repro.sim.buckets import spread
 
 
 def reference_spread(start, end, width):
@@ -87,17 +87,3 @@ class TestSpread:
         assert list(spread(start, start + length, width)) == list(
             reference_spread(start, start + length, width)
         )
-
-
-class TestOverlap:
-    def test_disjoint_is_zero(self):
-        assert overlap(0.0, 1.0, 2.0, 3.0) == 0.0
-        assert overlap(2.0, 3.0, 0.0, 1.0) == 0.0
-
-    def test_touching_at_edge_is_zero(self):
-        assert overlap(0.0, 1.0, 1.0, 2.0) == 0.0
-
-    def test_partial_and_containment(self):
-        assert overlap(0.0, 2.0, 1.0, 3.0) == pytest.approx(1.0)
-        assert overlap(0.0, 10.0, 2.0, 3.0) == pytest.approx(1.0)
-        assert overlap(2.5, 2.75, 0.0, 10.0) == pytest.approx(0.25)

@@ -3,8 +3,7 @@
 JSON-lines must reconstruct the exact ``MetricRegistry.state()``
 snapshot; the Chrome trace must reconstruct the exact span list
 (timestamps ride in ``args.t0/t1`` because ``ts`` microseconds would
-quantise); the Prometheus exposition must pass a strict minimal parser
-with cumulative ``_bucket`` series that end at the observation count.
+quantise).
 """
 
 import json
@@ -13,10 +12,8 @@ import pytest
 
 from repro.telemetry.export import (
     metrics_to_jsonl,
-    metrics_to_prometheus,
     parse_chrome_trace,
     parse_metrics_jsonl,
-    parse_prometheus,
     spans_to_chrome_trace,
     write_metrics,
     write_trace,
@@ -84,6 +81,11 @@ class TestMetricsJsonl:
             populated_registry()
         )
 
+    def test_write_metrics_writes_jsonl(self, tmp_path):
+        reg = populated_registry()
+        path = write_metrics(reg, tmp_path / "deep" / "m.metrics.jsonl")
+        assert parse_metrics_jsonl(path.read_text()) == reg.state()
+
 
 class TestChromeTrace:
     def test_roundtrip_reconstructs_spans_exactly(self):
@@ -121,60 +123,3 @@ class TestChromeTrace:
         assert path.exists()
         assert parse_chrome_trace(path.read_text())
 
-
-class TestPrometheus:
-    def test_output_passes_minimal_parser(self):
-        parsed = parse_prometheus(metrics_to_prometheus(populated_registry()))
-        assert parsed["types"] == {
-            "repro_depth": "gauge",
-            "repro_latency_seconds": "histogram",
-            "repro_packets_total": "counter",
-        }
-
-    def test_counter_samples_carry_labels(self):
-        parsed = parse_prometheus(metrics_to_prometheus(populated_registry()))
-        samples = {
-            (name, tuple(sorted(labels.items()))): value
-            for name, labels, value in parsed["samples"]
-        }
-        assert samples[("repro_packets_total", (("peer", "p1"),))] == 3.0
-        assert samples[("repro_packets_total", (("peer", "p2"),))] == 1.0
-
-    def test_histogram_buckets_cumulative_and_end_at_count(self):
-        parsed = parse_prometheus(metrics_to_prometheus(populated_registry()))
-        buckets = [
-            (labels["le"], value)
-            for name, labels, value in parsed["samples"]
-            if name == "repro_latency_seconds_bucket"
-        ]
-        counts = [value for _, value in buckets]
-        assert counts == sorted(counts), "bucket series must be cumulative"
-        assert buckets[-1][0] == "+Inf"
-        count = next(
-            value
-            for name, _, value in parsed["samples"]
-            if name == "repro_latency_seconds_count"
-        )
-        assert buckets[-1][1] == count == 3.0
-
-    def test_label_escaping_roundtrips(self):
-        reg = MetricRegistry()
-        counter = reg.counter("repro_odd_total", "odd labels", ("note",))
-        counter.inc(note='quote " backslash \\ newline \n done')
-        parsed = parse_prometheus(metrics_to_prometheus(reg))
-        ((_, labels, value),) = parsed["samples"]
-        assert labels["note"] == 'quote " backslash \\ newline \n done'
-        assert value == 1.0
-
-    def test_parser_rejects_malformed_lines(self):
-        with pytest.raises(ValueError):
-            parse_prometheus("repro_x_total{peer=p1} 1\n")
-        with pytest.raises(ValueError):
-            parse_prometheus("repro_x_total not_a_number\n")
-
-    def test_write_metrics_picks_format_by_suffix(self, tmp_path):
-        reg = populated_registry()
-        prom = write_metrics(reg, tmp_path / "m.prom")
-        jsonl = write_metrics(reg, tmp_path / "m.jsonl")
-        assert "# TYPE" in prom.read_text()
-        assert parse_metrics_jsonl(jsonl.read_text()) == reg.state()

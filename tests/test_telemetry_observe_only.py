@@ -132,6 +132,23 @@ class TestCliArtifacts:
         assert "repro_packets_total" in state
         assert "repro_sim_events_total" in state
 
+    def test_prometheus_metrics_path_is_a_usage_error(self, tmp_path, capsys):
+        metrics_path = tmp_path / "m.prom"
+        code = bgpbench(
+            [
+                "scenario",
+                "--platform", "pentium3",
+                "--scenario", "1",
+                "--table-size", str(SIZE),
+                "--metrics", str(metrics_path),
+            ]
+        )
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.count("\n") == 1 and "JSON-lines" in captured.err
+        assert not metrics_path.exists()
+
     def test_run_cell_writes_valid_artifacts(self, tmp_path):
         cell = GridCell(scenario=1, platform="pentium3", seed=7, table_size=SIZE)
         run_cell(cell, sanitize=True, telemetry_dir=str(tmp_path))

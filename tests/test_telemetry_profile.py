@@ -1,34 +1,17 @@
-"""The profile views: top table, phase attribution, folded stacks.
-
-``attribute_phases`` must conserve CPU: the per-(phase, task) pieces sum
-exactly to the monitor's totals, with anything outside every phase span
-booked to ``(unphased)``. ``folded_stacks`` must report *self* time —
-a parent tiled exactly by its children contributes zero.
-"""
+"""The top-style profile view: per-task totals and their rendering."""
 
 import math
 
 import pytest
 
-from repro.telemetry.profile import (
-    UNPHASED,
-    attribute_phases,
-    build_profile,
-    folded_stacks,
-    top_table,
-)
-from repro.telemetry.spans import Span
+from repro.telemetry.profile import render_top, top_table
 
 
 class FakeCpuMonitor:
-    """The slice of the CpuMonitor surface the profile functions read."""
+    """The slice of the CpuMonitor surface ``top_table`` reads."""
 
-    def __init__(self, bucket_width, usage):
-        self.bucket_width = bucket_width
+    def __init__(self, usage):
         self._usage = usage
-
-    def bucket_usage(self):
-        return {bucket: dict(tasks) for bucket, tasks in self._usage.items()}
 
     def task_names(self):
         names = set()
@@ -42,24 +25,10 @@ class FakeCpuMonitor:
         )
 
 
-def phase_span(span_id, name, start, end):
-    return Span(
-        span_id=span_id, parent_id=None, name=name, category="phase",
-        start=start, end=end,
-    )
-
-
-def child_span(span_id, parent, name, start, end):
-    return Span(
-        span_id=span_id, parent_id=parent, name=name, category="",
-        start=start, end=end,
-    )
-
-
 class TestTopTable:
     def test_rows_sorted_by_cpu_then_name(self):
         monitor = FakeCpuMonitor(
-            1.0, {0: {"bgpd": 0.4, "os": 0.1}, 1: {"bgpd": 0.2, "fib": 0.3}}
+            {0: {"bgpd": 0.4, "os": 0.1}, 1: {"bgpd": 0.2, "fib": 0.3}}
         )
         rows = top_table(monitor)
         assert [row.task for row in rows] == ["bgpd", "fib", "os"]
@@ -67,106 +36,17 @@ class TestTopTable:
         assert math.fsum(row.share for row in rows) == pytest.approx(1.0)
 
     def test_empty_monitor_gives_empty_table(self):
-        assert top_table(FakeCpuMonitor(1.0, {})) == []
+        assert top_table(FakeCpuMonitor({})) == []
 
 
-class TestAttributePhases:
-    def test_bucket_inside_one_phase_books_fully_to_it(self):
-        monitor = FakeCpuMonitor(1.0, {2: {"bgpd": 0.7}})
-        phases = [phase_span(1, "phase1", 0.0, 10.0)]
-        assert attribute_phases(monitor, phases) == {
-            ("phase1", "bgpd"): pytest.approx(0.7)
-        }
-
-    def test_bucket_split_across_phase_boundary(self):
-        # Bucket [2, 3) straddles the phase1/phase2 boundary at 2.5.
-        monitor = FakeCpuMonitor(1.0, {2: {"bgpd": 0.8}})
-        phases = [
-            phase_span(1, "phase1", 0.0, 2.5),
-            phase_span(2, "phase2", 2.5, 10.0),
+class TestRenderTop:
+    def test_render(self):
+        monitor = FakeCpuMonitor({0: {"bgpd": 0.6, "os": 0.2}})
+        assert render_top(top_table(monitor)).splitlines() == [
+            "TASK      CPU(s)   SHARE",
+            "bgpd      0.6000   75.0%",
+            "os        0.2000   25.0%",
         ]
-        parts = attribute_phases(monitor, phases)
-        assert parts[("phase1", "bgpd")] == pytest.approx(0.4)
-        assert parts[("phase2", "bgpd")] == pytest.approx(0.4)
 
-    def test_cpu_outside_every_phase_books_to_unphased(self):
-        monitor = FakeCpuMonitor(1.0, {0: {"bgpd": 0.5}, 9: {"bgpd": 0.3}})
-        phases = [phase_span(1, "phase1", 0.0, 1.0)]
-        parts = attribute_phases(monitor, phases)
-        assert parts[("phase1", "bgpd")] == pytest.approx(0.5)
-        assert parts[(UNPHASED, "bgpd")] == pytest.approx(0.3)
-
-    def test_attribution_conserves_monitor_totals(self):
-        monitor = FakeCpuMonitor(
-            0.5,
-            {
-                0: {"bgpd": 0.11, "os": 0.02},
-                1: {"bgpd": 0.23},
-                3: {"bgpd": 0.05, "fib": 0.17},
-                7: {"os": 0.4},
-            },
-        )
-        phases = [
-            phase_span(1, "phase1", 0.1, 0.9),
-            phase_span(2, "phase2", 0.9, 2.0),
-        ]
-        parts = attribute_phases(monitor, phases)
-        for task in monitor.task_names():
-            attributed = math.fsum(
-                seconds for (_, name), seconds in parts.items() if name == task
-            )
-            assert attributed == pytest.approx(monitor.total_cpu_seconds(task))
-
-    def test_no_spans_books_everything_unphased(self):
-        monitor = FakeCpuMonitor(1.0, {0: {"bgpd": 1.0}})
-        assert attribute_phases(monitor, []) == {
-            (UNPHASED, "bgpd"): pytest.approx(1.0)
-        }
-
-
-class TestFoldedStacks:
-    def test_self_time_excludes_children(self):
-        spans = [
-            phase_span(1, "phase1", 0.0, 10.0),
-            child_span(2, 1, "packet", 1.0, 4.0),
-            child_span(3, 2, "update", 2.0, 3.0),
-        ]
-        folded = folded_stacks(spans)
-        assert folded["phase1"] == pytest.approx(7.0)
-        assert folded["phase1;packet"] == pytest.approx(2.0)
-        assert folded["phase1;packet;update"] == pytest.approx(1.0)
-
-    def test_exactly_tiled_parent_has_zero_self_time(self):
-        spans = [
-            phase_span(1, "phase1", 0.0, 2.0),
-            child_span(2, 1, "packet", 0.0, 1.0),
-            child_span(3, 1, "packet", 1.0, 2.0),
-        ]
-        folded = folded_stacks(spans)
-        assert folded["phase1"] == 0.0
-        assert folded["phase1;packet"] == pytest.approx(2.0)
-
-    def test_same_path_aggregates(self):
-        spans = [
-            phase_span(1, "phase1", 0.0, 10.0),
-            child_span(2, 1, "packet", 0.0, 1.0),
-            child_span(3, 1, "packet", 2.0, 5.0),
-        ]
-        assert folded_stacks(spans)["phase1;packet"] == pytest.approx(4.0)
-
-
-class TestProfileReport:
-    def test_build_and_render(self):
-        monitor = FakeCpuMonitor(1.0, {0: {"bgpd": 0.6, "os": 0.2}})
-        spans = [phase_span(1, "phase1", 0.0, 1.0)]
-        report = build_profile(monitor, spans)
-        top = report.render_top()
-        assert "bgpd" in top and "75.0%" in top
-        assert report.render_flame() == "phase1 1.000000000"
-        payload = report.to_jsonable()
-        assert payload["top"][0]["task"] == "bgpd"
-        assert payload["phases"][0]["phase"] == "phase1"
-
-    def test_empty_report_renders_placeholder(self):
-        report = build_profile(FakeCpuMonitor(1.0, {}), [])
-        assert report.render_top() == "(no CPU activity)"
+    def test_empty_table_renders_placeholder(self):
+        assert render_top(top_table(FakeCpuMonitor({}))) == "(no CPU activity)"
