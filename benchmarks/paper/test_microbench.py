@@ -55,10 +55,9 @@ class TestPolicyThroughput:
         from repro.bgp.policy import Match, Policy, Rule
 
         policy = Policy([Rule(Match(as_in_path=60000 + i)) for i in range(50)])
-        prefix = TABLE.entries[0].prefix
 
         def evaluate():
-            return policy.apply(prefix, ATTRS)
+            return policy.apply(ATTRS)
 
         assert benchmark(evaluate) == ATTRS  # falls through to accept
 

@@ -37,7 +37,7 @@ if TYPE_CHECKING:
     from repro.systems.router import RouterSystem
 
 #: Events kept in the diagnostic ring buffer attached to errors.
-DEFAULT_TRACE_DEPTH = 32
+TRACE_DEPTH = 32
 
 
 def _describe_callback(callback: object) -> str:
@@ -94,20 +94,16 @@ class SanitizerStats:
 class Sanitizer:
     """Wraps a live simulator (and optionally a router) in checked mode.
 
-    ``heap_check_every`` trades coverage for cost: the heap-invariant
-    scan is O(queue length), so large runs can check every Nth event.
-    The default checks every event — ``bgpbench scenario --sanitize``
-    and the grid's ``--sanitize`` smoke cells are small by design.
+    The heap-invariant scan is O(queue length) and runs after every
+    event: ``bgpbench scenario --sanitize`` and the sanitized topology
+    and grid cells are small by design.
     """
 
-    def __init__(self, trace_depth: int = DEFAULT_TRACE_DEPTH, heap_check_every: int = 1):
-        if heap_check_every < 1:
-            raise ValueError(f"heap_check_every must be >= 1: {heap_check_every}")
+    def __init__(self) -> None:
         self.sim: "Simulator | None" = None
         self.router: "RouterSystem | None" = None
         self.stats = SanitizerStats()
-        self._trace: "deque[dict[str, object]]" = deque(maxlen=trace_depth)
-        self._heap_check_every = heap_check_every
+        self._trace: "deque[dict[str, object]]" = deque(maxlen=TRACE_DEPTH)
         self._last_time = float("-inf")
         self._last_seq = -1
         self._last_now = float("-inf")
@@ -155,8 +151,7 @@ class Sanitizer:
                 f"simultaneous events fired out of scheduling order: "
                 f"seq {event.seq} after seq {self._last_seq} at t={event.time:g}",
             )
-        if self.stats.events_checked % self._heap_check_every == 0:
-            self._check_heap()
+        self._check_heap()
         self._last_time = event.time
         self._last_seq = event.seq
 

@@ -247,12 +247,12 @@ class ScenarioResult:
             return 0.0
         return self.transactions / self.duration
 
-    def to_jsonable(self, include_series: bool = False) -> "dict[str, object]":
+    def to_jsonable(self) -> "dict[str, object]":
         """Plain dicts/lists only — safe to ``json.dumps`` and to ship
         across process boundaries (the grid executor stores exactly
-        this). Monitor series are large and excluded unless asked for.
+        this). Monitor series are large and excluded.
         """
-        out: dict[str, object] = {
+        return {
             "scenario": self.scenario.number,
             "platform": self.platform,
             "table_size": self.table_size,
@@ -264,13 +264,6 @@ class ScenarioResult:
             "completed": self.completed,
             "phases": [phase.to_jsonable() for phase in self.phases],
         }
-        if include_series:
-            out["cpu_series"] = {
-                name: [[t, v] for t, v in points]
-                for name, points in self.cpu_series.items()
-            }
-            out["forwarding_series"] = [[t, v] for t, v in self.forwarding_series]
-        return out
 
 
 def stream_packets(

@@ -33,7 +33,6 @@ from repro.bgp.messages import (
     Route,
     UpdateMessage,
     decode_message,
-    iter_messages,
 )
 from repro.bgp.speaker import BgpSpeaker, PeerConfig, SpeakerConfig
 
@@ -88,7 +87,6 @@ __all__ = [
     "SpeakerConfig",
     "UpdateMessage",
     "decode_message",
-    "iter_messages",
     "register_cache_clear",
     "reset_caches",
 ]

@@ -135,13 +135,6 @@ class AsPath:
             return None
         return None
 
-    def origin_as(self) -> int | None:
-        """The AS that originated the route: rightmost AS of the path."""
-        if not self.segments:
-            return None
-        last = self.segments[-1]
-        return last.asns[-1] if last.kind is _AS_SEQUENCE else None
-
     def prepend(self, asn: int, count: int = 1) -> "AsPath":
         """Return a new path with *asn* prepended *count* times, merging
         into a leading AS_SEQUENCE when one exists (RFC 4271 §5.1.2)."""
@@ -284,6 +277,7 @@ class PathAttributes:
         we adopt the common missing-as-zero vendor behaviour)."""
         return 0 if self.med is None else self.med
 
+    # Kept as a probed attributes-layer boundary (benchmarks/ledger/probes.py).
     def with_prepended_as(self, asn: int, count: int = 1) -> "PathAttributes":
         return replace(self, as_path=self.as_path.prepend(asn, count))
 
@@ -314,9 +308,7 @@ def encode_attributes(attrs: PathAttributes) -> bytes:
     """
     cached = _encode_cache.get(attrs)
     if cached is not None:
-        _cache_counters["encode_hits"] += 1
         return cached
-    _cache_counters["encode_misses"] += 1
     out = bytearray()
     out += _encode_attribute(
         AttrType.ORIGIN, AttrFlag.TRANSITIVE, bytes((attrs.origin,))
@@ -582,12 +574,6 @@ _cache_counters = {
     "intern_misses": 0,
     "decode_hits": 0,
     "decode_misses": 0,
-    "encode_hits": 0,
-    "encode_misses": 0,
-    "message_hits": 0,
-    "message_misses": 0,
-    "wire_hits": 0,
-    "wire_misses": 0,
 }
 
 

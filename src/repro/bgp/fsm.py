@@ -10,7 +10,6 @@ time.
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
 from enum import Enum, auto
 from typing import Callable, Protocol
@@ -102,38 +101,6 @@ class Timers:
     connect_retry_deadline: float | None = None
 
 
-@dataclass(frozen=True, slots=True)
-class ReconnectBackoff:
-    """Exponential backoff with deterministic jitter for reconnects.
-
-    The delay for *attempt* (0-based) is ``base * multiplier**attempt``
-    capped at *cap*, scaled by a jitter factor drawn uniformly from
-    ``[1 - jitter, 1 + jitter]``. The jitter is a pure function of
-    ``(seed, attempt)``, so repeated runs of a seeded scenario produce
-    byte-identical retry schedules — the determinism the benchmark's
-    repeatability claim requires — while distinct seeds still desynchronise
-    reconnect storms the way RFC 4271 §8.2.1.1's DampPeerOscillations
-    intends. One user: the FSM's connect-retry timer.
-    """
-
-    base: float = 1.0
-    multiplier: float = 2.0
-    cap: float = 120.0
-    jitter: float = 0.1
-    seed: int = 0
-
-    def delay(self, attempt: int) -> float:
-        if attempt < 0:
-            raise ValueError(f"negative attempt: {attempt}")
-        raw = min(self.cap, self.base * self.multiplier ** min(attempt, 63))
-        if not self.jitter:
-            return raw
-        factor = random.Random((self.seed << 20) ^ attempt).uniform(
-            1.0 - self.jitter, 1.0 + self.jitter
-        )
-        return raw * factor
-
-
 #: Maps a timer name to the FSM event its expiry produces.
 _TIMER_EVENTS = {
     "hold": Event.HOLD_TIMER_EXPIRES,
@@ -158,9 +125,7 @@ class SessionFsm:
         local_identifier: IPv4Address,
         actions: SessionActions,
         hold_time: float = 90.0,
-        connect_retry_time: float = 120.0,
         expected_peer_asn: int | None = None,
-        backoff: ReconnectBackoff | None = None,
     ):
         self.local_asn = local_asn
         self.local_identifier = local_identifier
@@ -168,11 +133,9 @@ class SessionFsm:
         self.actions = actions
         self.state = State.IDLE
         self.timers = Timers(
-            connect_retry_time=connect_retry_time,
             hold_time=hold_time,
             keepalive_time=max(hold_time / 3.0, 1.0) if hold_time else 30.0,
         )
-        self.backoff = backoff
         self.peer_open: OpenMessage | None = None
         self.connect_retry_counter = 0
         self.last_error: NotificationData | None = None
@@ -307,11 +270,7 @@ class SessionFsm:
             self.timers.keepalive_deadline = self._now + self.timers.keepalive_time
 
     def _arm_connect_retry(self) -> None:
-        if self.backoff is not None:
-            delay = self.backoff.delay(self.connect_retry_counter)
-        else:
-            delay = self.timers.connect_retry_time
-        self.timers.connect_retry_deadline = self._now + delay
+        self.timers.connect_retry_deadline = self._now + self.timers.connect_retry_time
 
     def _disarm_all(self) -> None:
         self.timers.hold_deadline = None

@@ -2,9 +2,9 @@
 
 All four message types encode to and decode from exact wire bytes,
 including the 16-byte all-ones marker, NLRI prefix packing, and the
-4096-byte maximum message size. :func:`iter_messages` frames messages
-out of a TCP-like byte stream, which is how the benchmark speakers feed
-the router under test.
+4096-byte maximum message size. :func:`decode_message` decodes one
+framed message; the speaker's framer cuts them out of a TCP-like byte
+stream, which is how the benchmark speakers feed the router under test.
 """
 
 from __future__ import annotations
@@ -16,7 +16,6 @@ from repro.bgp.attributes import (
     _MESSAGE_CACHE_CAPACITY,
     _MESSAGE_CACHE_MAX_LEN,
     PathAttributes,
-    _cache_counters,
     _message_cache,
     _wire_cache,
     decode_attributes,
@@ -279,9 +278,7 @@ class UpdateMessage:
         contract: value-keyed, never evicting, errors never cached)."""
         wire = _wire_cache.get(self)
         if wire is not None:
-            _cache_counters["wire_hits"] += 1
             return wire
-        _cache_counters["wire_misses"] += 1
         withdrawn_bytes = encode_nlri(self.withdrawn)
         if self.nlri and self.attributes is None:
             raise ValueError("UPDATE with NLRI requires path attributes")
@@ -395,9 +392,7 @@ def decode_message(data: bytes) -> BgpMessage:
     if cacheable:
         cached = _message_cache.get(data)
         if cached is not None:
-            _cache_counters["message_hits"] += 1
             return cached  # type: ignore[return-value]
-        _cache_counters["message_misses"] += 1
     message, consumed = _decode_one(data)
     if consumed != len(data):
         raise header_error(
@@ -446,29 +441,3 @@ def _decode_one(data: bytes) -> tuple[BgpMessage, int]:
     if msg_type == MSG_NOTIFICATION:
         return NotificationMessage.decode_body(body), length
     return KeepaliveMessage(), length
-
-
-def iter_messages(stream: bytes):
-    """Frame and decode messages from a contiguous byte stream.
-
-    Yields ``(message, wire_length)`` pairs; raises on the first framing
-    or protocol error, mirroring how a session would be torn down.
-    """
-    offset = 0
-    total = len(stream)
-    while offset < total:
-        # Peek the declared length so only one message's bytes are
-        # sliced out per iteration (O(n) over the stream instead of the
-        # old copy-the-remainder O(n²)). Clamping the slice to at least
-        # a header keeps _decode_one's error taxonomy identical: the
-        # marker is still checked before a bad declared length.
-        if offset + HEADER_LEN <= total:
-            length = (stream[offset + 16] << 8) | stream[offset + 17]
-            end = offset + (length if length > HEADER_LEN else HEADER_LEN)
-            if end > total:
-                end = total
-        else:
-            end = total
-        message, consumed = _decode_one(stream[offset:end])
-        yield message, consumed
-        offset += consumed

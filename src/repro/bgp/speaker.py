@@ -26,7 +26,7 @@ from repro.bgp.damping import DampingConfig, RouteDamper
 from repro.bgp.decision import Candidate, DecisionProcess, PeerInfo
 from repro.bgp.errors import BgpError
 from repro.bgp.mrai import MraiLimiter
-from repro.bgp.fsm import Event, ReconnectBackoff, SessionFsm, State
+from repro.bgp.fsm import Event, SessionFsm, State
 from repro.bgp.messages import (
     HEADER_LEN,
     MAX_MESSAGE_LEN,
@@ -217,7 +217,6 @@ class PeerConfig:
     export_policy: Policy = ACCEPT_ALL
     damping: DampingConfig | None = None
     mrai_interval: float = 0.0
-    backoff: ReconnectBackoff | None = None
 
 
 #: Distinct export-policy outputs one speaker remembers the eBGP
@@ -276,7 +275,6 @@ class Peer:
             actions=_PeerActions(self),
             hold_time=speaker.config.hold_time,
             expected_peer_asn=config.asn,
-            backoff=config.backoff,
         )
 
     @property
@@ -517,9 +515,9 @@ class BgpSpeaker:
 
         policy = peer.config.import_policy
         before = policy.evaluations
-        # A chain that never reads the prefix gives every NLRI of this
-        # UPDATE the same verdict: run it once, and charge its attempts
-        # for each NLRI that reuses it, exactly as a walk would.
+        # A verdict depends on the attribute set alone, so every NLRI of
+        # this UPDATE gets the same one: run the chain once, and charge
+        # its attempts for each NLRI that reuses it, as a walk would.
         verdict: "tuple[PathAttributes | None, int] | None" = None
         reused = 0
         for prefix in update.nlri:
@@ -536,14 +534,13 @@ class BgpSpeaker:
                 continue
             if verdict is None:
                 start = policy.evaluations
-                imported = policy.apply(prefix, attrs)
+                imported = policy.apply(attrs)
                 # Interning here makes every downstream equality check —
                 # Adj-RIB-In no-op detection, decision ties, Adj-RIB-Out
                 # staging — a pointer comparison in the common case.
                 if imported is not None:
                     imported = intern_attributes(imported)
-                if not policy.reads_prefix:
-                    verdict = (imported, policy.evaluations - start)
+                verdict = (imported, policy.evaluations - start)
             else:
                 imported, cost = verdict
                 reused += cost
@@ -666,12 +663,12 @@ class BgpSpeaker:
         """What *peer* is sent for *route*; None = nothing.
 
         *exports* is one UPDATE's memo, (peer, attribute set) → (result,
-        export-policy evaluations): unless the chain reads the prefix,
-        the result depends on nothing else, and a hit is charged the
-        evaluations the export it stands for made.
+        export-policy evaluations): the result depends on nothing else,
+        and a hit is charged the evaluations the export it stands for
+        made.
         """
         policy = peer.config.export_policy
-        if exports is not None and not policy.reads_prefix:
+        if exports is not None:
             key = (peer, route.attributes)
             known = exports.get(key)
             if known is None:
@@ -693,7 +690,7 @@ class BgpSpeaker:
         ):
             return None
         before = policy.evaluations
-        exported = policy.apply(route.prefix, route.attributes)
+        exported = policy.apply(route.attributes)
         self.work.policy_evaluations += policy.evaluations - before
         if exported is None:
             return None

@@ -17,6 +17,11 @@ from repro.benchmark.statistics import mean
 from repro.experiments.fig3 import XORP_PROCESSES
 from repro.systems import build_system
 
+#: The processes whose simultaneous load is the small-packet signature,
+#: and the load (percent) at which a process counts as busy.
+COMPETING = ("xorp_bgp", "xorp_fea", "xorp_rib")
+BUSY_PERCENT = 5.0
+
 
 @dataclass(slots=True)
 class Fig4Result:
@@ -43,21 +48,18 @@ def run_fig4(table_size: int = 2000, seed: int = 42) -> Fig4Result:
     return result
 
 
-def busy_overlap_fraction(
-    series: dict[str, list[tuple[float, float]]],
-    processes: tuple[str, ...] = ("xorp_bgp", "xorp_fea", "xorp_rib"),
-    threshold: float = 5.0,
-) -> float:
-    """Fraction of samples where all *processes* are simultaneously above
-    *threshold* percent — the "competing for the CPU" signature."""
+def busy_overlap_fraction(series: dict[str, list[tuple[float, float]]]) -> float:
+    """Fraction of samples where all of :data:`COMPETING` are
+    simultaneously at or above :data:`BUSY_PERCENT` percent — the
+    "competing for the CPU" signature."""
     by_time: dict[float, int] = {}
-    for process in processes:
+    for process in COMPETING:
         for t, load in series.get(process, []):
-            if load >= threshold:
+            if load >= BUSY_PERCENT:
                 by_time[t] = by_time.get(t, 0) + 1
     if not by_time:
         return 0.0
-    competing = sum(1 for count in by_time.values() if count == len(processes))
+    competing = sum(1 for count in by_time.values() if count == len(COMPETING))
     return competing / len(by_time)
 
 

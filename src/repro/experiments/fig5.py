@@ -61,7 +61,7 @@ def run_fig5(
     return result
 
 
-def render(result: Fig5Result, charts: bool = True) -> str:
+def render(result: Fig5Result) -> str:
     from repro.benchmark.charts import render_chart
 
     lines = [
@@ -74,17 +74,16 @@ def render(result: Fig5Result, charts: bool = True) -> str:
             rendered = "  ".join(f"{mbps:.0f}M:{tps:.1f}" for mbps, tps in curve)
             retained = 100 * result.degradation(scenario, platform)
             lines.append(f"  {platform:9s} {rendered}   (retains {retained:.0f}%)")
-        if charts:
-            lines.append(
-                render_chart(
-                    per_platform,
-                    title=f"  Benchmark {scenario} (log y, as in the paper)",
-                    log_y=True,
-                    x_label="cross traffic (Mb/s)",
-                    y_label="transactions/s",
-                    height=12,
-                )
+        lines.append(
+            render_chart(
+                per_platform,
+                title=f"  Benchmark {scenario} (log y, as in the paper)",
+                log_y=True,
+                x_label="cross traffic (Mb/s)",
+                y_label="transactions/s",
+                height=12,
             )
+        )
     return "\n".join(lines)
 
 

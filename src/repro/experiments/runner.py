@@ -202,10 +202,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="golden baseline file (defines the grid to run)",
     )
     regress.add_argument(
-        "--tolerance", type=float, default=None,
-        help="override the golden file's relative tolerance",
-    )
-    regress.add_argument(
         "--bless", action="store_true",
         help="rewrite the golden file from the fresh results instead of diffing",
     )
@@ -509,8 +505,6 @@ def _run_regress(args) -> int:
     except GoldenError as error:
         print(f"regress: {error}", file=sys.stderr)
         return 2
-    if args.tolerance is not None:
-        tolerance = args.tolerance
 
     report = run_grid(
         cells, workers=args.workers, cache=_make_cache(args),

@@ -2,8 +2,8 @@
 
 A :class:`RemoteUpdate` is one BGP packet crossing a shard boundary:
 the encoded wire bytes exactly as the zero-copy codec emitted them
-(the receiving shard decodes them through the same
-:func:`repro.bgp.messages.iter_messages` path a local delivery takes),
+(the receiving shard decodes them through the same framer and
+:func:`repro.bgp.messages.decode_message` path a local delivery takes),
 plus the metadata the coordinator needs to route and order it —
 source/destination ASN, send and arrival timestamps, and a per-directed-
 link sequence number.

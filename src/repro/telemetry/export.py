@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import json
 from pathlib import Path
-from typing import TYPE_CHECKING, Sequence
+from typing import TYPE_CHECKING, Any, Sequence
 
 from repro.telemetry.metrics import MetricRegistry
 from repro.telemetry.spans import Span, Tracer
@@ -34,6 +34,18 @@ if TYPE_CHECKING:
 
 def _dumps(payload: object) -> str:
     return json.dumps(payload, sort_keys=True, separators=(",", ":"))
+
+
+#: JSON value kinds an artifact field may be required to hold.
+_KINDS = {"a number": (int, float), "an integer": int, "a string": str, "a list": list}
+
+
+def _typed(value: Any, kind: str, where: str, key: str) -> Any:
+    """*value* if it is *kind* (a :data:`_KINDS` key), else ``ValueError``
+    naming *key* at *where*; ``true``/``false`` are not numbers here."""
+    if isinstance(value, bool) or not isinstance(value, _KINDS[kind]):
+        raise ValueError(f"{where}: {key!r} is {json.dumps(value)}, not {kind}")
+    return value
 
 
 # -- JSON-lines metrics ------------------------------------------------------
@@ -87,8 +99,12 @@ def parse_metrics_jsonl(text: str) -> dict[str, object]:
             raise ValueError(f"line {line_number}: {error}") from None
         if not isinstance(record, dict):
             raise ValueError(f"line {line_number}: not a JSON object")
+        where = f"line {line_number}"
         kind = record.get("type")
+        if kind not in ("family", "sample"):
+            raise ValueError(f"{where}: unknown record type {kind!r}")
         try:
+            name = _typed(record["name"], "a string", where, "name")
             if kind == "family":
                 family: dict[str, object] = {
                     "kind": record["kind"],
@@ -98,32 +114,34 @@ def parse_metrics_jsonl(text: str) -> dict[str, object]:
                 }
                 if record["kind"] == "histogram":
                     family["buckets"] = record["buckets"]
-                state[record["name"]] = family
-            elif kind == "sample":
-                family = state.get(record["name"])
+                state[name] = family
+            else:
+                family = state.get(name)
                 if family is None:
-                    raise ValueError(
-                        f"line {line_number}: sample for undeclared family "
-                        f"{record['name']!r}"
-                    )
+                    raise ValueError(f"{where}: sample for undeclared family {name!r}")
                 child: dict[str, object] = {
                     "labels": record["labels"],
-                    "time": record["time"],
+                    "time": _typed(record["time"], "a number", where, "time"),
                 }
                 if family["kind"] == "histogram":
-                    child["counts"] = record["counts"]
-                    child["sum"] = record["sum"]
-                    child["count"] = record["count"]
+                    counts = _typed(record["counts"], "a list", where, "counts")
+                    for count in counts:
+                        _typed(count, "an integer", where, "counts")
+                    child["counts"] = counts
+                    child["sum"] = _typed(record["sum"], "a number", where, "sum")
+                    child["count"] = _typed(record["count"], "an integer", where, "count")
                 elif family["kind"] == "gauge":
-                    child["value"] = record["value"]
-                    child["samples"] = record["samples"]
+                    child["value"] = _typed(record["value"], "a number", where, "value")
+                    samples = _typed(record["samples"], "a list", where, "samples")
+                    for pair in samples:
+                        for item in _typed(pair, "a list", where, "samples"):
+                            _typed(item, "a number", where, "samples")
+                    child["samples"] = samples
                 else:
-                    child["value"] = record["value"]
+                    child["value"] = _typed(record["value"], "a number", where, "value")
                 family["children"].append(child)  # type: ignore[union-attr]
-            else:
-                raise ValueError(f"line {line_number}: unknown record type {kind!r}")
         except KeyError as error:
-            raise ValueError(f"line {line_number}: {kind} record has no {error}") from None
+            raise ValueError(f"{where}: {kind} record has no {error}") from None
     return state
 
 
@@ -218,6 +236,14 @@ def parse_chrome_trace(text: str) -> list[Span]:
             name = event["name"]
         except KeyError as error:
             raise ValueError(f"traceEvents[{index}]: complete event has no {error}") from None
+        where = f"traceEvents[{index}]"
+        _typed(span_id, "an integer", where, "span_id")
+        if parent_id is not None:
+            _typed(parent_id, "an integer", where, "parent_id")
+        _typed(start, "a number", where, "t0")
+        if end is not None:  # null: a span never closed, which validate_spans names
+            _typed(end, "a number", where, "t1")
+        _typed(event.get("cat", ""), "a string", where, "cat")
         backdated = bool(args.pop("backdated", False))
         spans.append(
             Span(

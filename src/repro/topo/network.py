@@ -47,6 +47,10 @@ from repro.workload.astopo import AsTopology, Relationship
 
 _TIME_EPS = 1e-12
 
+#: Prefixes per UPDATE a topology node sends: one, so every route change
+#: is its own message on the link, as in the paper's small-packet runs.
+PACKING = 1
+
 
 def as_address(asn: int) -> IPv4Address:
     """The deterministic router identity of an AS: ``10.<asn>/16ish.1``."""
@@ -168,7 +172,7 @@ class SpeakerNode:
     def flush(self) -> None:
         """Emit every staged Adj-RIB-Out delta, then (re)arm MRAI
         release events for anything the gates withheld."""
-        self.speaker.flush_pending(self.harness.packing)
+        self.speaker.flush_pending(PACKING)
         if self.speaker.mrai_schedule_pending:
             self._arm_mrai()
 
@@ -219,9 +223,7 @@ class SpeakerNode:
     def _release_mrai(self, peer_id: str) -> None:
         released = self.speaker.release_mrai(peer_id, self.harness.sim.now)
         if released:
-            self.speaker.flush_updates(
-                peer_id, max_prefixes=self.harness.packing
-            )
+            self.speaker.flush_updates(peer_id, max_prefixes=PACKING)
             self.harness.note_activity()
         self._arm_mrai()
 
@@ -317,7 +319,7 @@ class RouterNode(SpeakerNode):
             local_address=address,
             split_horizon_withdraw=True,
         )
-        self.router.export_packing = harness.packing
+        self.router.export_packing = PACKING
         self.router.on_packet_done = self._packet_done
         self.speaker = self.router.speaker
         self._mrai_handles = {}
@@ -358,15 +360,11 @@ class TopologyHarness:
         link_delay: float = 0.01,
         mrai_interval: float = 0.0,
         damping: bool = False,
-        packing: int = 1,
         measured: "frozenset[int] | set[int] | tuple[int, ...]" = (),
         platform: str = "pentium3",
-        world: "World | None" = None,
     ):
         if link_delay <= 0:
             raise ValueError(f"link_delay must be positive: {link_delay}")
-        if packing < 1:
-            raise ValueError(f"packing must be >= 1: {packing}")
         measured_set = frozenset(measured)
         unknown = sorted(measured_set - set(topology.ases()))
         if unknown:
@@ -379,8 +377,7 @@ class TopologyHarness:
         #: One (frozen) RFC 2439 parameter set shared by every peering;
         #: None = damping off.
         self.damping = DampingConfig() if damping else None
-        self.packing = packing
-        self.world = world if world is not None else World()
+        self.world = World()
         self.sim = self.world.sim
         self.last_activity = 0.0
         self.watched: tuple[Prefix, ...] = ()
@@ -568,8 +565,8 @@ class TopologySanitizer(Sanitizer):
     checks RIB/FIB agreement on every measured node.
     """
 
-    def __init__(self, harness: TopologyHarness, heap_check_every: int = 1):
-        super().__init__(heap_check_every=heap_check_every)
+    def __init__(self, harness: TopologyHarness):
+        super().__init__()
         self.harness = harness
         self.attach_simulator(harness.sim)
 

@@ -29,6 +29,9 @@ class Relationship(Enum):
     PEER = "peer"
 
 
+#: The lowest ASN :meth:`AsTopology.hierarchy` assigns.
+BASE_ASN = 1000
+
 _INVERSE = {
     Relationship.CUSTOMER: Relationship.PROVIDER,
     Relationship.PROVIDER: Relationship.CUSTOMER,
@@ -115,19 +118,19 @@ class AsTopology:
         tier2: int = 12,
         stubs: int = 60,
         seed: int = 42,
-        base_asn: int = 1000,
     ) -> "AsTopology":
         """A three-tier Internet-like hierarchy.
 
         Tier-1 ASes form a full peering clique; tier-2 ASes buy transit
         from 1-2 tier-1s and peer laterally with probability ~0.3; stub
-        ASes buy transit from 1-2 tier-2s (multihoming).
+        ASes buy transit from 1-2 tier-2s (multihoming). ASNs count up
+        from :data:`BASE_ASN`, tier by tier.
         """
         rng = random.Random(seed)
         topology = cls()
-        t1 = [base_asn + i for i in range(tier1)]
-        t2 = [base_asn + tier1 + i for i in range(tier2)]
-        t3 = [base_asn + tier1 + tier2 + i for i in range(stubs)]
+        t1 = [BASE_ASN + i for i in range(tier1)]
+        t2 = [BASE_ASN + tier1 + i for i in range(tier2)]
+        t3 = [BASE_ASN + tier1 + tier2 + i for i in range(stubs)]
         for asn in t1:
             topology.add_as(asn, tier=1)
         for asn in t2:

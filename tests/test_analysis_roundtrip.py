@@ -57,12 +57,6 @@ class TestHarnessResults:
         result = run_scenario(build_system("pentium3"), 5, table_size=100, seed=5)
         assert roundtrips(result.to_jsonable())
 
-    def test_scenario_result_with_series_roundtrips(self):
-        result = run_scenario(build_system("pentium3"), 1, table_size=60, seed=5)
-        payload = result.to_jsonable(include_series=True)
-        assert roundtrips(payload)
-        assert "cpu_series" in payload and "forwarding_series" in payload
-
     def test_phase_trace_roundtrips_with_stall(self):
         stall = StallDiagnostics(
             reason="livelock",

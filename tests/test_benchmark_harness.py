@@ -158,17 +158,6 @@ class TestResultPortability:
         assert all(p["stall"] is None for p in summary["phases"])
         assert "cpu_series" not in summary
 
-    def test_to_jsonable_can_include_series(self):
-        import json
-
-        result = run_scenario(
-            build_system("pentium3"), 1, table_size=100, cross_traffic_mbps=50.0
-        )
-        summary = result.to_jsonable(include_series=True)
-        assert json.loads(json.dumps(summary)) == summary
-        assert summary["cpu_series"]["xorp_bgp"]
-        assert summary["forwarding_series"]
-
     def test_stalled_result_stays_portable(self):
         import json
         import pickle

@@ -25,13 +25,11 @@ class TestAsPath:
         path = AsPath.from_asns([65001, 65002, 65003])
         assert path.length() == 3
         assert path.first_as() == 65001
-        assert path.origin_as() == 65003
 
     def test_empty_path(self):
         path = AsPath()
         assert path.length() == 0
         assert path.first_as() is None
-        assert path.origin_as() is None
 
     def test_as_set_counts_one(self):
         path = AsPath((

@@ -17,9 +17,9 @@ from repro.bgp.messages import (
     decode_message,
     decode_nlri,
     encode_nlri,
-    iter_messages,
     nlri_chunks,
 )
+from repro.bgp.speaker import _Framer
 from repro.net.addr import IPv4Address, Prefix
 
 NH = IPv4Address.parse("10.0.0.1")
@@ -239,21 +239,21 @@ class TestFraming:
         with pytest.raises(BgpError):
             decode_message(wire)
 
-    def test_iter_messages_splits_stream(self):
+    def test_framer_splits_stream(self):
         stream = (
             OpenMessage(65001, 90, IPv4Address.parse("1.2.3.4")).encode()
             + KeepaliveMessage().encode()
             + UpdateMessage(attributes=ATTRS, nlri=(Prefix.parse("192.0.2.0/24"),)).encode()
         )
-        messages = [m for m, _length in iter_messages(stream)]
+        messages = [m for m, _length in _Framer().push(stream)]
         assert len(messages) == 3
         assert isinstance(messages[0], OpenMessage)
         assert isinstance(messages[1], KeepaliveMessage)
         assert isinstance(messages[2], UpdateMessage)
 
-    def test_iter_messages_reports_lengths(self):
+    def test_framer_reports_lengths(self):
         keepalive = KeepaliveMessage().encode()
-        lengths = [length for _m, length in iter_messages(keepalive * 3)]
+        lengths = [length for _m, length in _Framer().push(keepalive * 3)]
         assert lengths == [HEADER_LEN] * 3
 
     def test_marker_constant(self):
@@ -261,26 +261,26 @@ class TestFraming:
         assert len(MARKER) == 16
 
     def test_bad_marker_reported_before_bad_length(self):
-        """The O(n) framer peeks the declared length to slice the
-        stream, but a corrupt marker must still win the error race —
-        RFC 4271 checks synchronization before the length field."""
+        """The framer reads the declared length to cut the stream, but
+        a corrupt marker must still win the error race — RFC 4271
+        checks synchronization before the length field."""
         wire = bytearray(KeepaliveMessage().encode())
         wire[0] = 0  # marker corrupt
         wire[16:18] = (5).to_bytes(2, "big")  # length also absurd (< header)
         with pytest.raises(BgpError) as excinfo:
-            next(iter(iter_messages(bytes(wire))))
+            next(iter(_Framer().push(bytes(wire))))
         assert (
             excinfo.value.notification.subcode
             == HeaderSubcode.CONNECTION_NOT_SYNCHRONIZED
         )
 
-    def test_iter_messages_matches_per_message_decode(self):
+    def test_framer_matches_per_message_decode(self):
         updates = [
             UpdateMessage(attributes=ATTRS, nlri=(Prefix.parse(f"10.{i}.0.0/16"),))
             for i in range(5)
         ]
         stream = b"".join(m.encode() for m in updates)
-        assert [m for m, _length in iter_messages(stream)] == updates
+        assert [m for m, _length in _Framer().push(stream)] == updates
 
 
 class TestPrefixCache:

@@ -12,7 +12,6 @@ from repro.bgp.messages import (
     OversizeAttributesError,
     UpdateMessage,
     decode_message,
-    iter_messages,
 )
 from repro.bgp.policy import Action, Match, Policy, PolicyResult, Rule
 from repro.bgp.speaker import BgpSpeaker, PeerConfig, SpeakerConfig

@@ -105,21 +105,6 @@ class TestCommunityPropagation:
 
 
 class TestPolicyPrependThroughSpeaker:
-    def test_export_prepend_lengthens_advertised_path(self):
-        prepend = Policy([Rule(Match(), PolicyResult.ACCEPT,
-                               Action(prepend_as=ROUTER_AS, prepend_count=2))])
-        router = make_router()
-        connect(router, "in", 65001, "10.0.1.1", "1.1.1.1")
-        connect(router, "out", 65002, "10.0.1.2", "2.2.2.2", export_policy=prepend)
-        announce(router, "in", PathAttributes(
-            as_path=AsPath.from_asns([65001]),
-            next_hop=IPv4Address.parse("10.0.1.1")))
-        update = decode_message(router.flush_updates("out")[0])
-        # Policy prepends twice, the eBGP export prepends once more.
-        assert update.attributes.as_path.all_asns() == (
-            ROUTER_AS, ROUTER_AS, ROUTER_AS, 65001
-        )
-
     def test_prepend_influences_downstream_decision(self):
         """A speaker that receives both the prepended and plain paths
         prefers the shorter one — traffic engineering end to end."""

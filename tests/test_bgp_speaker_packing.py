@@ -12,9 +12,9 @@ or a charge.
 Three eBGP neighbours feed announce-only or withdraw-only UPDATEs over
 a small pool of overlapping prefixes. The attribute sets include a path
 through the speaker's own AS (loop-dropped), routes an import policy
-rejects, NO_EXPORT routes, one set every neighbour may announce
-verbatim (equal routes from different peers), and export chains that do
-and do not read the prefix. One chain is both a neighbour's import
+rejects or rewrites, NO_EXPORT routes, one set every neighbour may
+announce verbatim (equal routes from different peers), and export
+chains that hide some paths or none. One chain is both a neighbour's import
 policy and another's export policy: its evaluation counter then serves
 both, as ``ACCEPT_ALL`` does in the paper scenarios.
 """
@@ -26,7 +26,7 @@ from hypothesis import strategies as st
 
 from repro.bgp.attributes import AsPath, PathAttributes, WellKnownCommunity
 from repro.bgp.messages import KeepaliveMessage, OpenMessage, UpdateMessage
-from repro.bgp.policy import ACCEPT_ALL, Action, Match, Policy, PolicyResult, PrefixMatch, Rule
+from repro.bgp.policy import ACCEPT_ALL, Action, Match, Policy, PolicyResult, Rule
 from repro.bgp.speaker import BgpSpeaker, PeerConfig, SpeakerConfig
 from repro.net.addr import IPv4Address, Prefix
 
@@ -42,21 +42,22 @@ FILTER = Policy(
         Rule(Match(as_in_path=65001), PolicyResult.REJECT),
     ]
 )
-#: Reads the prefix: every NLRI gets its own verdict.
-PREFER_POOL_2 = Policy(
+#: Rewrites what crossed AS 100 (variant 1) and rejects what crossed
+#: AS 64999: p2's import policy.
+PREFER_VIA_100 = Policy(
     [
-        Rule(Match(prefixes=(PrefixMatch(POOL[2]),)), action=Action(set_local_pref=200)),
+        Rule(Match(as_in_path=100), action=Action(set_local_pref=200)),
         Rule(Match(as_in_path=64999), PolicyResult.REJECT),
     ]
 )
-#: An export chain that reads the prefix.
-HIDE_POOL_1 = Policy([Rule(Match(prefixes=(PrefixMatch(POOL[1]),)), PolicyResult.REJECT)])
+#: An export chain that hides what crossed AS 500 (variant 5).
+HIDE_VIA_500 = Policy([Rule(Match(as_in_path=500), PolicyResult.REJECT)])
 
 #: (peer id, ASN, import policy, export policy)
 PEERS = (
     ("p0", 65001, ACCEPT_ALL, ACCEPT_ALL),
-    ("p1", 65002, FILTER, HIDE_POOL_1),
-    ("p2", 65003, PREFER_POOL_2, FILTER),
+    ("p1", 65002, FILTER, HIDE_VIA_500),
+    ("p2", 65003, PREFER_VIA_100, FILTER),
 )
 
 

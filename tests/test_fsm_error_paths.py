@@ -1,11 +1,11 @@
 """FSM error paths: hold-timer expiry everywhere it can fire,
 corrupted bytes surfacing as NOTIFICATIONs through the framer, and
-connect-retry counter / backoff growth across repeated failures."""
+connect-retry counter growth across repeated failures."""
 
 import pytest
 
 from repro.bgp.errors import ErrorCode, HeaderSubcode
-from repro.bgp.fsm import Event, ReconnectBackoff, SessionFsm, State
+from repro.bgp.fsm import Event, SessionFsm, State
 from repro.bgp.messages import (
     KeepaliveMessage,
     NotificationMessage,
@@ -49,9 +49,9 @@ class RecordingActions:
         self.downs.append(reason)
 
 
-def make_fsm(hold_time=90.0, backoff=None):
+def make_fsm(hold_time=90.0):
     actions = RecordingActions()
-    fsm = SessionFsm(65000, LOCAL_ID, actions, hold_time=hold_time, backoff=backoff)
+    fsm = SessionFsm(65000, LOCAL_ID, actions, hold_time=hold_time)
     return fsm, actions
 
 
@@ -242,51 +242,7 @@ class TestConnectRetryGrowth:
             assert fsm.state is State.IDLE
             assert fsm.connect_retry_counter == expected
 
-    def test_backoff_stretches_connect_retry_deadline(self):
-        backoff = ReconnectBackoff(base=1.0, multiplier=2.0, jitter=0.0)
-        fsm, actions = make_fsm(backoff=backoff)
-        delays = []
-        drive_to(fsm, State.ESTABLISHED)
-        for _ in range(3):
-            fsm.handle(Event.TCP_FAILED, now=0.0)
-            fsm.handle(Event.MANUAL_START, now=0.0)
-            delays.append(fsm.timers.connect_retry_deadline)
-            fsm.handle(Event.TCP_CONNECTED, now=0.0)
-            fsm.handle_message(OpenMessage(65001, 90, PEER_ID), now=0.0)
-            fsm.handle_message(KeepaliveMessage(), now=0.0)
-            assert fsm.state is State.ESTABLISHED
-        # counter was 1, 2, 3 at the successive restarts
-        assert delays == [2.0, 4.0, 8.0]
-
     def test_without_backoff_retry_time_is_flat(self):
         fsm, actions = make_fsm()
         fsm.handle(Event.MANUAL_START, now=0.0)
         assert fsm.timers.connect_retry_deadline == 120.0
-
-
-class TestReconnectBackoff:
-    def test_exponential_growth_and_cap(self):
-        backoff = ReconnectBackoff(base=1.0, multiplier=2.0, cap=60.0, jitter=0.0)
-        assert [backoff.delay(i) for i in range(7)] == [
-            1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 60.0,
-        ]
-        assert backoff.delay(400) == 60.0  # huge attempts stay capped
-
-    def test_jitter_is_deterministic_per_seed_and_attempt(self):
-        a = ReconnectBackoff(seed=7)
-        b = ReconnectBackoff(seed=7)
-        assert [a.delay(i) for i in range(5)] == [b.delay(i) for i in range(5)]
-
-    def test_distinct_seeds_desynchronise(self):
-        a = ReconnectBackoff(seed=1)
-        b = ReconnectBackoff(seed=2)
-        assert [a.delay(i) for i in range(5)] != [b.delay(i) for i in range(5)]
-
-    def test_jitter_bounds(self):
-        backoff = ReconnectBackoff(base=10.0, multiplier=1.0, jitter=0.25, seed=3)
-        for attempt in range(50):
-            assert 7.5 <= backoff.delay(attempt) <= 12.5
-
-    def test_negative_attempt_rejected(self):
-        with pytest.raises(ValueError):
-            ReconnectBackoff().delay(-1)

@@ -194,17 +194,24 @@ class TestRegressCli:
         assert "no golden baseline" in err
 
     def test_tolerance_override(self, tmp_path, capsys):
+        # The golden file's own tolerance is the one way to override the
+        # default: there is no command-line flag for it.
         golden = self.bless_tiny_golden(tmp_path, capsys)
         doc = json.loads(golden.read_text())
         cell_id = next(iter(doc["cells"]))
         doc["cells"][cell_id]["transactions_per_second"] *= 1.02
-        golden.write_text(json.dumps(doc))
-        assert main(["regress", "--golden", str(golden), "--tolerance", "0.5",
-                     *self.GRID_ARGS]) == 0
-        capsys.readouterr()
-        assert main(["regress", "--golden", str(golden), "--tolerance", "0.001",
-                     *self.GRID_ARGS]) == 1
-        capsys.readouterr()
+        for tolerance, code in ((0.5, 0), (0.001, 1)):
+            doc["tolerance"] = tolerance
+            golden.write_text(json.dumps(doc))
+            assert main(["regress", "--golden", str(golden), *self.GRID_ARGS]) == code
+            capsys.readouterr()
+
+    def test_tolerance_flag_is_a_usage_error(self, tmp_path, capsys):
+        with pytest.raises(SystemExit) as raised:
+            main(["regress", "--golden", str(tmp_path / "g.json"), "--tolerance", "0.1",
+                  *self.GRID_ARGS])
+        assert raised.value.code == 2
+        assert "unrecognized arguments: --tolerance 0.1" in capsys.readouterr().err
 
 
 TOPO_SPEC = {

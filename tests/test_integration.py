@@ -73,27 +73,27 @@ class TestAdjRibConsistency:
 
     def test_router_advertises_to_speaker2_in_phase2(self):
         """Phase 2: the initial table transfer reaches Speaker 2's wire."""
-        from repro.bgp.messages import UpdateMessage, iter_messages
+        from repro.bgp.messages import UpdateMessage, decode_message
 
         router = build_system("pentium3")
         run_scenario(router, 5, table_size=SIZE)
         announced = set()
         for packet in router.outboxes[SPEAKER2]:
-            for message, _length in iter_messages(packet):
-                if isinstance(message, UpdateMessage):
-                    announced.update(message.nlri)
+            message = decode_message(packet)
+            if isinstance(message, UpdateMessage):
+                announced.update(message.nlri)
         assert len(announced) == SIZE
 
     def test_scenario7_re_advertises_replacement_to_speaker1(self):
-        from repro.bgp.messages import UpdateMessage, iter_messages
+        from repro.bgp.messages import UpdateMessage, decode_message
 
         router = build_system("pentium3")
         run_scenario(router, 7, table_size=SIZE)
         replaced = set()
         for packet in router.outboxes[SPEAKER1]:
-            for message, _length in iter_messages(packet):
-                if isinstance(message, UpdateMessage):
-                    replaced.update(message.nlri)
+            message = decode_message(packet)
+            if isinstance(message, UpdateMessage):
+                replaced.update(message.nlri)
         assert len(replaced) == SIZE
 
 

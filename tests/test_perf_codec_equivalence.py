@@ -1,13 +1,14 @@
 """Codec equivalence: the zero-copy decoder against the frozen legacy one.
 
-The optimized path in :mod:`repro.bgp.messages` (O(n) stream framing,
-batched ``memoryview`` NLRI parsing, memoized attribute decode, prefix
-flyweights) must be a pure performance change. This suite replays the
-same corpora — seeded benchmark streams, every encodable message shape,
-and systematically corrupted wire bytes — through both decoders and
-asserts byte-for-byte equal results and an identical error taxonomy:
-same exception type, same NOTIFICATION code and subcode, same data
-payload, raised at the same offset in the stream.
+The optimized path in :mod:`repro.bgp.messages` (batched
+``memoryview`` NLRI parsing, memoized attribute decode, prefix
+flyweights), fed by the speaker's stream framer, must be a pure
+performance change. This suite replays the same corpora — seeded
+benchmark streams, every encodable message shape, and systematically
+corrupted wire bytes — through both decoders and asserts byte-for-byte
+equal results and an identical error taxonomy: same exception type,
+same NOTIFICATION code and subcode, same data payload, raised at the
+same offset in the stream.
 """
 
 from dataclasses import replace
@@ -39,11 +40,10 @@ from repro.bgp.messages import (
     decode_message,
     decode_nlri,
     encode_nlri,
-    iter_messages,
 )
-from repro.bgp.policy import Action, Match, Policy, PolicyResult, PrefixMatch, Rule
+from repro.bgp.policy import Action, Match, Policy, PolicyResult, Rule
 from repro.bgp.rib import RibRoute
-from repro.bgp.speaker import BgpSpeaker, PeerConfig, SpeakerConfig
+from repro.bgp.speaker import BgpSpeaker, PeerConfig, SpeakerConfig, _Framer
 from repro.net.addr import IPv4Address, Prefix
 from repro.topo.policy import TAG_PEER, export_policy, import_policy
 from repro.workload.astopo import Relationship
@@ -101,6 +101,28 @@ def stream_outcome(iterator, stream):
     return (messages, None)
 
 
+def framer_outcome(stream):
+    """Push a whole stream through one speaker framer: the
+    :func:`stream_outcome` of the push, and the bytes left pending."""
+    framer = _Framer()
+    return stream_outcome(framer.push, stream), framer.pending_bytes
+
+
+def assert_framer_matches_legacy(stream):
+    """The speaker's framer decodes what the legacy stream decoder does.
+    The one difference is a tail too short for its declared length: the
+    framer keeps it pending (more bytes may come), where the legacy
+    decoder, handed the whole stream, raised a message header error
+    after the same messages."""
+    outcome, pending = framer_outcome(stream)
+    legacy = stream_outcome(legacy_codec.legacy_iter_messages, stream)
+    if outcome[1] is None and pending:
+        assert outcome[0] == legacy[0]
+        assert legacy[1] is not None and legacy[2] == 1  # Message Header Error
+    else:
+        assert outcome == legacy
+
+
 def corpus_messages():
     return [
         KeepaliveMessage().encode(),
@@ -136,10 +158,10 @@ class TestValidCorpus:
     def test_benchmark_stream_equal(self):
         fresh_caches()
         stream = flap_stream(table_size=80, passes=3)
-        optimized = stream_outcome(iter_messages, stream)
+        optimized, pending = framer_outcome(stream)
         legacy = stream_outcome(legacy_codec.legacy_iter_messages, stream)
         assert optimized == legacy
-        assert optimized[1] is None
+        assert optimized[1] is None and pending == 0
         assert len(optimized[0]) > 0
 
     def test_cached_decode_equals_cold_decode(self):
@@ -147,8 +169,8 @@ class TestValidCorpus:
         indistinguishable from the cold pass."""
         stream = flap_stream(table_size=40, passes=2)
         fresh_caches()
-        cold = stream_outcome(iter_messages, stream)
-        warm = stream_outcome(iter_messages, stream)
+        cold = framer_outcome(stream)
+        warm = framer_outcome(stream)
         assert cold == warm
 
     def test_nlri_decoders_equal(self):
@@ -201,21 +223,24 @@ class TestCorruptCorpus:
         stream[index] = data.draw(st.integers(0, 255))
         stream = bytes(stream)
         fresh_caches()
-        assert stream_outcome(iter_messages, stream) == stream_outcome(
-            legacy_codec.legacy_iter_messages, stream
-        )
+        assert_framer_matches_legacy(stream)
 
     @settings(max_examples=100, deadline=None)
     @given(st.integers(min_value=0, max_value=200))
     def test_truncations_same_taxonomy(self, keep):
-        wire = UpdateMessage(
+        whole = UpdateMessage(
             attributes=ATTRS,
             nlri=(Prefix.parse("192.0.2.0/24"), Prefix.parse("198.51.100.0/24")),
-        ).encode()[:keep]
+        ).encode()
+        wire = whole[:keep]
         fresh_caches()
-        assert stream_outcome(iter_messages, wire) == stream_outcome(
-            legacy_codec.legacy_iter_messages, wire
-        )
+        outcome, pending = framer_outcome(wire)
+        if keep < len(whole):
+            # Nothing decodes and nothing raises: every byte waits.
+            assert (outcome, pending) == (([], None), keep)
+        else:
+            assert pending == 0 and len(outcome[0]) == 1
+        assert_framer_matches_legacy(wire)
 
     def test_errors_never_cached(self):
         """A corrupt UPDATE must raise identically on every attempt —
@@ -242,7 +267,7 @@ P = Prefix.parse("192.0.2.0/24")
 
 def policy_chains():
     """Builders of the chains a memo may front: the six Gao–Rexford
-    ones and a hand-written chain using every attribute condition."""
+    ones and a hand-written chain using every condition and action."""
     builders = [
         (lambda make=make, rel=rel: make(rel))
         for make in (import_policy, export_policy)
@@ -252,10 +277,10 @@ def policy_chains():
         lambda: Policy(
             [
                 Rule(match=Match(as_in_path=7), result=PolicyResult.REJECT),
-                Rule(match=Match(community=TAG_PEER), action=Action(set_med=5)),
+                Rule(match=Match(community=TAG_PEER), action=Action(set_local_pref=5)),
                 Rule(
-                    match=Match(max_path_length=3),
-                    action=Action(prepend_as=65000, prepend_count=2, add_community=9),
+                    match=Match(as_in_path=300, community=9),
+                    action=Action(strip_communities=True, add_community=9),
                 ),
             ],
             default=PolicyResult.REJECT,
@@ -266,7 +291,7 @@ def policy_chains():
 
 def apply_counted(policy, attributes):
     before = policy.evaluations
-    return policy.apply(P, attributes), policy.evaluations - before
+    return policy.apply(attributes), policy.evaluations - before
 
 
 class TestMessageMemo:
@@ -278,9 +303,9 @@ class TestMessageMemo:
         first = decode_message(wire)
         second = decode_message(wire)
         assert first == second == legacy_codec.legacy_decode_message(wire)
-        stats = codec_cache_stats()
-        assert stats["message_hits"] + stats["message_misses"] in (0, 2)
-        assert stats["message_hits"] == stats["message_cache_size"]
+        kept = len(wire) <= _MESSAGE_CACHE_MAX_LEN
+        assert (second is first) == kept
+        assert codec_cache_stats()["message_cache_size"] == kept
 
     def test_large_messages_are_not_kept(self):
         nlri = tuple(Prefix.parse(f"10.{i}.0.0/16") for i in range(200))
@@ -336,9 +361,9 @@ class TestWireMemo:
         twin = replace(update).encode()  # equal, not identical
         expected = framed(update)
         assert cold == warm == twin == expected
-        stats = codec_cache_stats()
         kept = len(cold) <= _MESSAGE_CACHE_MAX_LEN
-        assert (stats["wire_hits"], stats["wire_cache_size"]) == ((2, 1) if kept else (0, 0))
+        assert (warm is cold and twin is cold) == kept
+        assert codec_cache_stats()["wire_cache_size"] == kept
         assert legacy_codec.legacy_decode_message(cold) == update
 
     @pytest.mark.parametrize(
@@ -360,8 +385,7 @@ class TestWireMemo:
         for _attempt in range(3):
             with pytest.raises(ValueError, match=error):
                 update.encode()
-        stats = codec_cache_stats()
-        assert (stats["wire_hits"], stats["wire_misses"], stats["wire_cache_size"]) == (0, 3, 0)
+        assert codec_cache_stats()["wire_cache_size"] == 0
 
 
 class TestEncodeMemo:
@@ -372,7 +396,7 @@ class TestEncodeMemo:
         cold = encode_attributes(attributes)
         warm = encode_attributes(attributes)
         twin = encode_attributes(replace(attributes))  # equal, not identical
-        assert codec_cache_stats()["encode_hits"] == 2
+        assert warm is cold and twin is cold
         fresh_caches()
         assert cold == warm == twin == encode_attributes(replace(attributes))
         assert legacy_codec.legacy_decode_attributes(cold) == attributes
@@ -393,22 +417,13 @@ class TestPolicyMemo:
 
     def test_memo_hit_returns_the_interned_result(self):
         chain = import_policy(Relationship.PEER)
-        first = chain.apply(P, ATTRS)
-        assert chain.apply(P, replace(ATTRS)) is first is intern_attributes(first)
-
-    def test_prefix_conditions_disable_the_memo(self):
-        inside = PrefixMatch(Prefix.parse("10.0.0.0/8"), le=24)
-        chain = Policy(
-            [Rule(match=Match(prefixes=(inside,)), action=Action(set_local_pref=200))]
-        )
-        assert chain._memo is None
-        assert chain.apply(Prefix.parse("10.1.0.0/16"), ATTRS).local_pref == 200
-        assert chain.apply(Prefix.parse("11.1.0.0/16"), ATTRS).local_pref is None
+        first = chain.apply(ATTRS)
+        assert chain.apply(replace(ATTRS)) is first is intern_attributes(first)
 
     def test_ruleless_module_level_policies_hold_no_state(self):
-        from repro.bgp.policy import ACCEPT_ALL, REJECT_ALL
+        from repro.bgp.policy import ACCEPT_ALL
 
-        assert ACCEPT_ALL._memo is None and REJECT_ALL._memo is None
+        assert ACCEPT_ALL._memo is None
 
 
 class TestExportRewriteMemo:

@@ -51,6 +51,34 @@ def test_wrong_shape_metrics_line_is_invalid(tmp_path, capsys, lines, reason):
     assert_invalid(path, capsys, reason)
 
 
+COUNTER_FAMILY = ('{"type": "family", "name": "repro_x_total", "kind": "counter", '
+                  '"help": "", "label_names": []}')
+HISTOGRAM_FAMILY = ('{"type": "family", "name": "repro_h", "kind": "histogram", '
+                    '"help": "", "label_names": [], "buckets": [1.0]}')
+
+
+@pytest.mark.parametrize(("lines", "reason"), [
+    ([COUNTER_FAMILY, '{"type": "sample", "name": "repro_x_total", "labels": {}, '
+                      '"time": 0.0, "value": "x"}'],
+     "line 2: 'value' is \"x\", not a number"),
+    ([HISTOGRAM_FAMILY, '{"type": "sample", "name": "repro_h", "labels": {}, '
+                        '"time": 0.0, "counts": [1, 0], "sum": 0.5, "count": 1.5}'],
+     "line 2: 'count' is 1.5, not an integer"),
+], ids=["string-counter-value", "fractional-histogram-count"])
+def test_wrong_typed_metrics_value_is_invalid(tmp_path, capsys, lines, reason):
+    path = tmp_path / "x.metrics.jsonl"
+    path.write_text("\n".join(lines) + "\n")
+    assert_invalid(path, capsys, reason)
+
+
+def test_string_span_time_is_invalid(tmp_path, capsys):
+    path = tmp_path / "x.trace.json"
+    path.write_text(json.dumps({"traceEvents": [
+        {"ph": "X", "name": "p", "args": {"span_id": 1, "t0": "a", "t1": 1.0}},
+    ]}))
+    assert_invalid(path, capsys, "traceEvents[0]: 't0' is \"a\", not a number")
+
+
 def test_well_formed_artifacts_validate(tmp_path, capsys):
     clock = [0.0]
     tracer = Tracer(lambda: clock[0])

@@ -27,14 +27,14 @@ def attrs(communities=()):
 
 class TestImportPolicy:
     def test_customer_routes_tagged_and_preferred(self):
-        accepted = import_policy(Relationship.CUSTOMER).apply(PREFIX, attrs())
+        accepted = import_policy(Relationship.CUSTOMER).apply(attrs())
         assert accepted is not None
         assert accepted.local_pref == LOCAL_PREF_CUSTOMER
         assert accepted.communities == (TAG_CUSTOMER,)
 
     def test_preference_ladder(self):
         prefs = {
-            relationship: import_policy(relationship).apply(PREFIX, attrs()).local_pref
+            relationship: import_policy(relationship).apply(attrs()).local_pref
             for relationship in Relationship
         }
         assert prefs[Relationship.CUSTOMER] == LOCAL_PREF_CUSTOMER
@@ -46,7 +46,7 @@ class TestImportPolicy:
         # A route arriving already tagged (the neighbour's own marker)
         # must be re-classified, never accumulate tags.
         arriving = attrs(communities=(TAG_CUSTOMER, 0xDEADBEEF))
-        accepted = import_policy(Relationship.PROVIDER).apply(PREFIX, arriving)
+        accepted = import_policy(Relationship.PROVIDER).apply(arriving)
         assert accepted.communities == (TAG_PROVIDER,)
 
     def test_fresh_policy_instance_per_call(self):
@@ -59,13 +59,13 @@ class TestExportPolicy:
     def test_customer_gets_everything(self):
         policy = export_policy(Relationship.CUSTOMER)
         for tag in (TAG_CUSTOMER, TAG_PEER, TAG_PROVIDER):
-            assert policy.apply(PREFIX, attrs(communities=(tag,))) is not None
-        assert policy.apply(PREFIX, attrs()) is not None  # locally originated
+            assert policy.apply(attrs(communities=(tag,))) is not None
+        assert policy.apply(attrs()) is not None  # locally originated
 
     def test_peer_and_provider_get_customer_routes_only(self):
         for relationship in (Relationship.PEER, Relationship.PROVIDER):
             policy = export_policy(relationship)
-            assert policy.apply(PREFIX, attrs(communities=(TAG_CUSTOMER,))) is not None
-            assert policy.apply(PREFIX, attrs()) is not None  # locally originated
-            assert policy.apply(PREFIX, attrs(communities=(TAG_PEER,))) is None
-            assert policy.apply(PREFIX, attrs(communities=(TAG_PROVIDER,))) is None
+            assert policy.apply(attrs(communities=(TAG_CUSTOMER,))) is not None
+            assert policy.apply(attrs()) is not None  # locally originated
+            assert policy.apply(attrs(communities=(TAG_PEER,))) is None
+            assert policy.apply(attrs(communities=(TAG_PROVIDER,))) is None
