@@ -19,13 +19,13 @@ from repro.benchmark.harness import (
 from repro.bgp.policy import ACCEPT_ALL
 from repro.bgp.speaker import PeerConfig
 from repro.systems import build_system
+from repro.telemetry import Telemetry
 from repro.workload.tablegen import generate_table
 from repro.workload.updates import UpdateStreamBuilder
 
 
 def measure_latencies(platform, cross_mbps=0.0, table_size=400, window=8):
     router = build_system(platform)
-    router.collect_latency = True
     router.add_peer(
         PeerConfig(SPEAKER1, SPEAKER1_ASN, SPEAKER1_ADDR, ACCEPT_ALL, ACCEPT_ALL)
     )
@@ -34,8 +34,10 @@ def measure_latencies(platform, cross_mbps=0.0, table_size=400, window=8):
     builder = UpdateStreamBuilder(SPEAKER1_ASN, SPEAKER1_ADDR)
     table = generate_table(table_size, seed=13)
     router.reset_counters()
+    # Each packet span runs from the packet's arrival to its completion.
+    telemetry = Telemetry().attach(router)
     stream_packets(router, SPEAKER1, builder.announcements(table, 1), window)
-    return sorted(router.latencies())
+    return sorted(span.duration for span in telemetry.tracer.spans("packet"))
 
 
 def percentile(values, fraction):

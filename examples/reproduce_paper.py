@@ -9,24 +9,8 @@ Run:  python examples/reproduce_paper.py [table_size]
 
 import sys
 
-from repro.experiments import fig3, fig4, fig5, fig6, table3
-
-
-def main(table_size: int = 2000) -> None:
-    banner = "=" * 72
-    for title, module in (
-        ("Table III — transactions/s without cross-traffic", table3),
-        ("Figure 3 — XORP process activity, Scenario 6", fig3),
-        ("Figure 4 — small vs large packets on the Pentium III", fig4),
-        ("Figure 5 — performance under cross-traffic", fig5),
-        ("Figure 6 — CPU breakdown and forwarding rate", fig6),
-    ):
-        print(banner)
-        print(title)
-        print(banner)
-        module.main(table_size)
-        print()
-
+from repro.experiments.runner import main
 
 if __name__ == "__main__":
-    main(int(sys.argv[1]) if len(sys.argv) > 1 else 2000)
+    table_size = sys.argv[1] if len(sys.argv) > 1 else "2000"
+    sys.exit(main(["all", "--table-size", table_size]))

@@ -33,11 +33,16 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 if TYPE_CHECKING:
+    from repro.bgp.speaker import BgpSpeaker
     from repro.sim.engine import Simulator, _ScheduledEvent
     from repro.systems.router import RouterSystem
 
 #: Events kept in the diagnostic ring buffer attached to errors.
 TRACE_DEPTH = 32
+
+
+def _where(asn: "int | None") -> str:
+    return "" if asn is None else f"AS {asn}: "
 
 
 def _describe_callback(callback: object) -> str:
@@ -77,15 +82,14 @@ class SanitizerError(RuntimeError):
 class SanitizerStats:
     """How much checking a sanitized run actually performed."""
 
+    #: Events fired under the sanitizer; the heap is checked on each.
     events_checked: int = 0
-    heap_checks: int = 0
     conservation_checks: int = 0
     quiescent_checks: int = 0
 
     def to_jsonable(self) -> dict[str, object]:
         return {
             "events_checked": self.events_checked,
-            "heap_checks": self.heap_checks,
             "conservation_checks": self.conservation_checks,
             "quiescent_checks": self.quiescent_checks,
         }
@@ -166,13 +170,13 @@ class Sanitizer:
             )
         self._last_now = self.sim.now
         if self.router is not None:
-            self._check_conservation()
+            self.stats.conservation_checks += 1
+            self._check_conservation(self.router.speaker)
 
     # -- invariant checks ---------------------------------------------------
 
     def _check_heap(self) -> None:
         assert self.sim is not None
-        self.stats.heap_checks += 1
         queue = self.sim._queue
         for index, (time, seq, event) in enumerate(queue):
             if (time, seq) != (event.time, event.seq):
@@ -194,14 +198,15 @@ class Sanitizer:
                     f"replaced in place",
                 )
 
-    def _check_conservation(self) -> None:
-        assert self.router is not None
-        self.stats.conservation_checks += 1
-        audit = self.router.speaker.audit
+    def _check_conservation(self, speaker: "BgpSpeaker", asn: "int | None" = None) -> None:
+        """Prefix conservation on one speaker's audit ledger; on a
+        topology the message names the speaker's *asn*."""
+        audit = speaker.audit
         if not audit.balanced():
             self._violation(
                 "prefix-conservation",
-                f"received prefixes not conserved: {audit.describe_imbalance()}",
+                f"{_where(asn)}received prefixes not conserved: "
+                f"{audit.describe_imbalance()}",
             )
 
     def check_quiescent(self) -> None:
@@ -210,9 +215,15 @@ class Sanitizer:
         self.stats.quiescent_checks += 1
         if self.router is None:
             return
-        self._check_conservation()
-        rib_view = self.router.speaker.loc_rib.fib_view()
-        fib_view = self.router.fib.routes()
+        self.stats.conservation_checks += 1
+        self._check_conservation(self.router.speaker)
+        self._check_rib_fib(self.router)
+
+    def _check_rib_fib(self, router: "RouterSystem", asn: "int | None" = None) -> None:
+        """RIB/FIB agreement on one router, naming the first prefix of
+        each kind of difference (and, on a topology, the router's *asn*)."""
+        rib_view = router.speaker.loc_rib.fib_view()
+        fib_view = router.fib.routes()
         if rib_view != fib_view:
             rib_map = dict(rib_view)
             fib_map = dict(fib_view)
@@ -234,7 +245,8 @@ class Sanitizer:
                 )
             self._violation(
                 "rib-fib-agreement",
-                "Loc-RIB and FIB disagree after quiescence: " + "; ".join(details),
+                f"{_where(asn)}Loc-RIB and FIB disagree after quiescence: "
+                + "; ".join(details),
             )
 
     def _violation(self, invariant: str, message: str) -> None:

@@ -22,8 +22,8 @@ from repro.bgp.policy import ACCEPT_ALL
 from repro.bgp.speaker import PeerConfig
 from repro.net.addr import IPv4Address
 from repro.sim.cpu import World
-from repro.systems.platforms import get_spec
-from repro.systems.router import CiscoRouter, RouterSystem, XorpRouter
+from repro.systems.platforms import build_system
+from repro.systems.router import RouterSystem
 from repro.workload.tablegen import SyntheticTable, generate_table
 from repro.workload.updates import UpdateStreamBuilder
 
@@ -34,40 +34,14 @@ CHAIN_BASE_ASN = 64600
 def build_router(platform: str, world: World, index: int = 0) -> RouterSystem:
     """Instantiate a chain hop inside an existing world, with its own AS
     (an eBGP chain — otherwise loop detection drops routes at hop 2)."""
-    spec = get_spec(platform)
-    asn = CHAIN_BASE_ASN + index
     router_id = IPv4Address.parse(f"10.254.{index}.254")
-    kwargs = dict(asn=asn, router_id=router_id, local_address=router_id)
-    if spec.kind == "cisco":
-        return CiscoRouter(spec, world=world, **kwargs)
-    return XorpRouter(spec, world=world, **kwargs)
-
-
-def connect_routers(
-    upstream: RouterSystem,
-    upstream_peer: str,
-    downstream: RouterSystem,
-    downstream_peer: str,
-    link_delay: float = 0.0,
-) -> None:
-    """Wire *upstream*'s emissions toward *downstream* (one direction:
-    the chain propagates head → tail; reverse traffic is not needed for
-    the propagation experiment). Both routers must share one world.
-
-    The upstream speaker's send callback for *upstream_peer* is replaced
-    so every emitted packet is delivered into *downstream*'s costed
-    receive path after *link_delay* virtual seconds. Delegates to the
-    graph-general helper in :mod:`repro.topo.wiring` (lazy import to
-    keep the import-time dependency one-way).
-    """
-    from repro.topo.wiring import wire_oneway
-
-    try:
-        wire_oneway(
-            upstream, upstream_peer, downstream, downstream_peer, link_delay
-        )
-    except ValueError:
-        raise ValueError("chained routers must share a world") from None
+    return build_system(
+        platform,
+        world=world,
+        asn=CHAIN_BASE_ASN + index,
+        router_id=router_id,
+        local_address=router_id,
+    )
 
 
 @dataclass(slots=True)
@@ -107,6 +81,9 @@ def run_chain_propagation(
 ) -> ChainResult:
     """Propagate a table through a chain of routers, one per entry of
     *platforms*, and record when each hop's FIB completes."""
+    # Lazy: a known back-edge into repro.topo (tests/test_layering.py).
+    from repro.topo.wiring import wire_oneway
+
     if not platforms:
         raise ValueError("need at least one router in the chain")
     if table is None:
@@ -126,7 +103,8 @@ def run_chain_propagation(
 
     # Each router peers with the next; sessions are established
     # functionally, then the downstream-facing send callback is wired
-    # into the next router's costed receive path.
+    # into the next router's costed receive path (one direction: the
+    # table propagates head to tail).
     for index in range(len(routers) - 1):
         upstream, downstream = routers[index], routers[index + 1]
         up_asn = CHAIN_BASE_ASN + index
@@ -141,7 +119,7 @@ def run_chain_propagation(
         )
         upstream.handshake("downstream", down_asn, IPv4Address.parse(f"10.254.{index}.2"))
         downstream.handshake("upstream", up_asn, up_addr)
-        connect_routers(upstream, "downstream", downstream, "upstream", link_delay)
+        wire_oneway(upstream, "downstream", downstream, "upstream", link_delay)
 
     for router in routers:
         router.export_packing = prefixes_per_update

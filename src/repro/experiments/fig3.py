@@ -34,6 +34,32 @@ class Fig3Result:
     phases: dict[str, list[PhaseTrace]] = field(default_factory=dict)
     total_time: dict[str, float] = field(default_factory=dict)
 
+    def to_jsonable(self) -> dict[str, object]:
+        return {
+            "experiment": "fig3",
+            "table_size": self.table_size,
+            "scenario": self.scenario,
+            "total_time": self.total_time,
+            "series": {
+                platform: series_to_lists(processes)
+                for platform, processes in self.series.items()
+            },
+            "phases": {
+                platform: [
+                    {"phase": p.phase, "start": p.start, "end": p.end}
+                    for p in phases
+                ]
+                for platform, phases in self.phases.items()
+            },
+        }
+
+
+def series_to_lists(
+    series: dict[str, list[tuple[float, float]]],
+) -> dict[str, list[list[float]]]:
+    """``{name: [(x, y)]}`` with each point as a JSON list."""
+    return {name: [[t, v] for t, v in points] for name, points in series.items()}
+
 
 def run_fig3(table_size: int = 2000, scenario: int = 6, seed: int = 42) -> Fig3Result:
     result = Fig3Result(table_size=table_size, scenario=scenario)
@@ -74,13 +100,3 @@ def render(result: Fig3Result) -> str:
                 f"({len(series)} samples)"
             )
     return "\n".join(lines)
-
-
-def main(table_size: int = 2000) -> str:
-    text = render(run_fig3(table_size))
-    print(text)
-    return text
-
-
-if __name__ == "__main__":
-    main()

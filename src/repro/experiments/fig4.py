@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 from repro.benchmark import run_scenario
 from repro.benchmark.statistics import mean
-from repro.experiments.fig3 import XORP_PROCESSES
+from repro.experiments.fig3 import XORP_PROCESSES, series_to_lists
 from repro.systems import build_system
 
 #: The processes whose simultaneous load is the small-packet signature,
@@ -31,6 +31,18 @@ class Fig4Result:
     series: dict[int, dict[str, list[tuple[float, float]]]] = field(default_factory=dict)
     duration: dict[int, float] = field(default_factory=dict)
     tps: dict[int, float] = field(default_factory=dict)
+
+    def to_jsonable(self) -> dict[str, object]:
+        return {
+            "experiment": "fig4",
+            "table_size": self.table_size,
+            "duration": {str(s): d for s, d in self.duration.items()},
+            "tps": {str(s): v for s, v in self.tps.items()},
+            "series": {
+                str(scenario): series_to_lists(processes)
+                for scenario, processes in self.series.items()
+            },
+        }
 
 
 def run_fig4(table_size: int = 2000, seed: int = 42) -> Fig4Result:
@@ -83,13 +95,3 @@ def render(result: Fig4Result) -> str:
                 continue
             lines.append(f"  {process:13s}: mean {mean([v for _, v in series]):5.1f}%")
     return "\n".join(lines)
-
-
-def main(table_size: int = 2000) -> str:
-    text = render(run_fig4(table_size))
-    print(text)
-    return text
-
-
-if __name__ == "__main__":
-    main()

@@ -15,6 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.benchmark import run_scenario
+from repro.experiments.fig3 import series_to_lists
 from repro.experiments.paperdata import PLATFORM_ORDER
 from repro.systems import build_system
 from repro.workload.crosstraffic import sweep_levels
@@ -27,6 +28,17 @@ class Fig5Result:
     table_size: int
     points: int
     series: dict[int, dict[str, list[tuple[float, float]]]] = field(default_factory=dict)
+
+    def to_jsonable(self) -> dict[str, object]:
+        return {
+            "experiment": "fig5",
+            "table_size": self.table_size,
+            "points": self.points,
+            "series": {
+                str(scenario): series_to_lists(per_platform)
+                for scenario, per_platform in self.series.items()
+            },
+        }
 
     def degradation(self, scenario: int, platform: str) -> float:
         """tps at max cross-traffic relative to tps with none."""
@@ -85,13 +97,3 @@ def render(result: Fig5Result) -> str:
             )
         )
     return "\n".join(lines)
-
-
-def main(table_size: int = 1500) -> str:
-    text = render(run_fig5(table_size))
-    print(text)
-    return text
-
-
-if __name__ == "__main__":
-    main()

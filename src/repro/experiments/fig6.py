@@ -18,6 +18,7 @@ from dataclasses import dataclass, field
 from repro.benchmark import run_scenario
 from repro.benchmark.harness import PhaseTrace
 from repro.benchmark.statistics import mean
+from repro.experiments.fig3 import series_to_lists
 from repro.systems import build_system
 
 #: Figure 6's three CPU categories, mapped onto our task names.
@@ -51,6 +52,21 @@ class Fig6Result:
     forwarding: list[tuple[float, float]] = field(default_factory=list)
     phases: dict[str, list[PhaseTrace]] = field(default_factory=dict)
     duration: dict[str, float] = field(default_factory=dict)
+
+    def to_jsonable(self) -> dict[str, object]:
+        return {
+            "experiment": "fig6",
+            "table_size": self.table_size,
+            "cross_mbps": self.cross_mbps,
+            "duration": self.duration,
+            "cpu": {
+                label: series_to_lists(categories)
+                for label, categories in self.cpu.items()
+            },
+            "forwarding": [[t, v] for t, v in self.forwarding],
+            "interrupt_share": self.interrupt_share_during_run(),
+            "min_forwarding_phase3": self.min_forwarding_in_phase3(),
+        }
 
     def interrupt_share_during_run(self) -> float:
         """Mean interrupt CPU fraction over the loaded run (paper: 20-30%)."""
@@ -120,13 +136,3 @@ def render(result: Fig6Result) -> str:
         lines.append("forwarding rate over time (Fig. 6c):")
         lines.append("  " + render_sparkline(result.forwarding, width=70))
     return "\n".join(lines)
-
-
-def main(table_size: int = 2000) -> str:
-    text = render(run_fig6(table_size))
-    print(text)
-    return text
-
-
-if __name__ == "__main__":
-    main()

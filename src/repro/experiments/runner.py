@@ -42,6 +42,7 @@ docs/TELEMETRY.md).
 from __future__ import annotations
 
 import argparse
+import json
 import math
 import sys
 from pathlib import Path
@@ -50,7 +51,6 @@ from repro.analysis import Sanitizer, SanitizerError
 from repro.benchmark import run_scenario
 from repro.benchmark.statistics import repeatability_study
 from repro.experiments import fig3, fig4, fig5, fig6, table3
-from repro.experiments.export import save_json
 from repro.systems import build_system
 from repro.systems.platforms import PLATFORMS
 
@@ -317,7 +317,9 @@ def _run_experiment(
     result = run(table_size, seed)
     print(render(result))
     if output_dir is not None:
-        path = save_json(result, output_dir / f"{command}.json")
+        path = output_dir / f"{command}.json"
+        output_dir.mkdir(parents=True, exist_ok=True)
+        path.write_text(json.dumps(result.to_jsonable(), indent=2, sort_keys=True))
         print(f"\n[written {path}]")
 
 
@@ -345,8 +347,6 @@ def _print_failures(report) -> None:
 
 
 def _run_grid(args) -> int:
-    import json
-
     from repro.grid import enumerate_grid, run_grid
 
     cells = enumerate_grid(
@@ -399,8 +399,6 @@ def _run_grid(args) -> int:
 
 
 def _run_topo(args) -> int:
-    import json
-
     from repro.grid.cells import result_json
     from repro.topo import TopoCell, run_topo_cell
 
@@ -580,7 +578,6 @@ def _run_single_scenario(args) -> int:
         stats = sanitizer.stats
         print(
             f"sanitizer: {stats.events_checked} events checked, "
-            f"{stats.heap_checks} heap checks, "
             f"{stats.conservation_checks} conservation checks, "
             f"{stats.quiescent_checks} quiescent check(s) — all invariants held"
         )

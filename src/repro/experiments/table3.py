@@ -22,6 +22,21 @@ class Table3Result:
     table_size: int
     measured: dict[str, dict[int, float]] = field(default_factory=dict)
 
+    def to_jsonable(self) -> dict[str, object]:
+        return {
+            "experiment": "table3",
+            "table_size": self.table_size,
+            "measured": {
+                platform: {str(s): tps for s, tps in row.items()}
+                for platform, row in self.measured.items()
+            },
+            "paper": {
+                platform: {str(s): tps for s, tps in row.items()}
+                for platform, row in PAPER_TABLE3.items()
+            },
+            "checks": self.checks(),
+        }
+
     def winner(self, scenario: int) -> str:
         return max(self.measured, key=lambda platform: self.measured[platform][scenario])
 
@@ -93,13 +108,3 @@ def render(result: Table3Result) -> str:
         for claim, passed in result.checks().items()
     )
     return f"{body}\nQualitative checks:\n{checks}"
-
-
-def main(table_size: int = 2000) -> str:
-    text = render(run_table3(table_size))
-    print(text)
-    return text
-
-
-if __name__ == "__main__":
-    main()

@@ -5,17 +5,51 @@ seconds into fixed-width time buckets — exactly what the paper plots as
 "CPU load (percent)" per process per second. :class:`RateMonitor`
 tracks the served versus offered work of a continuous load (the
 forwarding path), yielding the forwarding-rate-over-time curve of
-Figure 6(c).
+Figure 6(c). Both split every recorded interval with :func:`spread`,
+so their bucket edges behave identically.
 """
 
 from __future__ import annotations
 
 from collections import defaultdict
 from dataclasses import dataclass
-from typing import Any, Protocol
+from typing import Any, Protocol, Sequence
 
-from repro.sim.buckets import spread as _spread
 from repro.sim.cpu import Machine, Task
+
+#: Width of every monitor bucket, in virtual seconds: the paper plots
+#: load and forwarding rate per second.
+BUCKET_WIDTH = 1.0
+
+
+def spread(start: float, end: float, width: float) -> Sequence[tuple[int, float]]:
+    """Split ``[start, end)`` at bucket boundaries of *width*; return
+    ``(bucket_index, overlap_seconds)`` pairs in bucket order.
+
+    The interval is half-open: an interval ending exactly on a bucket
+    edge never reaches the bucket starting at that edge, and a zero- (or
+    negative-) width interval gives nothing. Every overlap is strictly
+    positive and the overlaps sum to ``end - start``.
+
+    The fluid CPU loop reaches this for every served task on every step,
+    and a step of a per-packet run lies inside one bucket: that case is
+    the loop's first iteration (``min(boundary, end) - start``), answered
+    without the loop.
+    """
+    if end <= start:
+        return ()
+    index = int(start // width)
+    if end <= (index + 1) * width:
+        return ((index, end - start),)
+    pieces = []
+    cursor = start
+    while cursor < end:
+        boundary = (index + 1) * width
+        upper = min(boundary, end)
+        pieces.append((index, upper - cursor))
+        cursor = upper
+        index += 1
+    return pieces
 
 
 class CounterRegistry(Protocol):
@@ -29,18 +63,14 @@ class CounterRegistry(Protocol):
 class CpuMonitor:
     """Per-bucket, per-task CPU-seconds accounting for one machine.
 
-    Bucket splitting uses the shared :func:`repro.sim.buckets.spread`
-    primitive. When bound to a :class:`~repro.telemetry.metrics.
-    MetricRegistry` (``bind_registry``), every recorded interval also
-    publishes to the ``repro_cpu_seconds_total{machine,task}`` counter —
-    observe-only, so binding never changes results.
+    When bound to a :class:`~repro.telemetry.metrics.MetricRegistry`
+    (``bind_registry``), every recorded interval also publishes to the
+    ``repro_cpu_seconds_total{machine,task}`` counter — observe-only, so
+    binding never changes results.
     """
 
-    def __init__(self, machine: Machine, bucket_width: float = 1.0):
-        if bucket_width <= 0:
-            raise ValueError("bucket width must be positive")
+    def __init__(self, machine: Machine):
         self.machine = machine
-        self.bucket_width = bucket_width
         self._usage: dict[int, dict[str, float]] = defaultdict(lambda: defaultdict(float))
         self._counter = None
         machine.monitors.append(self)
@@ -62,18 +92,18 @@ class CpuMonitor:
         if self._counter is not None:
             self._counter.inc(served, machine=self.machine.name, task=task.name)
         duration = end - start
-        for bucket, overlap in _spread(start, end, self.bucket_width):
+        for bucket, overlap in spread(start, end, BUCKET_WIDTH):
             self._usage[bucket][task.name] += served * overlap / duration
 
     def load_percent(self, task_name: str) -> list[tuple[float, float]]:
         """(bucket_start_time, load%) series for one task. 100% = one of
         *this machine's* cores fully busy, matching the paper's axes
         (the Xeon plot sums all threads and exceeds 100%)."""
-        scale = 100.0 / (self.bucket_width * self.machine.speed)
+        scale = 100.0 / (BUCKET_WIDTH * self.machine.speed)
         series = []
         for bucket in sorted(self._usage):
             usage = self._usage[bucket].get(task_name, 0.0)
-            series.append((bucket * self.bucket_width, usage * scale))
+            series.append((bucket * BUCKET_WIDTH, usage * scale))
         return series
 
     def bucket_usage(self) -> dict[int, dict[str, float]]:
@@ -105,13 +135,12 @@ class RateMonitor:
 
     ``scale`` converts cpu-seconds of served work into the reported
     unit — for the forwarding path, megabits (so the series reads in
-    Mb/s when buckets are one second wide).
+    Mb/s, buckets being one second wide).
     """
 
-    def __init__(self, machine: Machine, task: Task, scale: float = 1.0, bucket_width: float = 1.0):
+    def __init__(self, machine: Machine, task: Task, scale: float = 1.0):
         self.task = task
         self.scale = scale
-        self.bucket_width = bucket_width
         self._samples: dict[int, _RateSample] = defaultdict(_RateSample)
         self._served_counter = None
         self._offered_counter = None
@@ -144,7 +173,7 @@ class RateMonitor:
             self._served_counter.inc(self.scale * served, task=task.name)
         if self._offered_counter is not None and demand * duration > 0.0:
             self._offered_counter.inc(self.scale * demand * duration, task=task.name)
-        for bucket, overlap in _spread(start, end, self.bucket_width):
+        for bucket, overlap in spread(start, end, BUCKET_WIDTH):
             sample = self._samples[bucket]
             sample.served += served * overlap / duration
             sample.offered += demand * overlap
@@ -160,7 +189,7 @@ class RateMonitor:
             if sample.covered <= 0:
                 continue
             out.append(
-                (bucket * self.bucket_width, self.scale * sample.served / sample.covered)
+                (bucket * BUCKET_WIDTH, self.scale * sample.served / sample.covered)
             )
         return out
 

@@ -75,13 +75,10 @@ class RouterSystem:
         self.last_completion = 0.0
         self.on_packet_done: Callable[[], None] | None = None
         #: Optional :class:`repro.telemetry.Telemetry` instrumenting this
-        #: run (set by ``Telemetry.attach``). Observe-only.
+        #: run (set by ``Telemetry.attach``). Observe-only. Its ``packet``
+        #: spans run from a packet's arrival to its completion: they are
+        #: the per-packet (update-to-FIB) latency.
         self.telemetry = None
-        #: When True, (arrival_time, completion_time) is recorded per
-        #: packet in :attr:`latency_samples` — the update-to-FIB latency
-        #: metric (a natural companion to transactions/s).
-        self.collect_latency = False
-        self.latency_samples: list[tuple[float, float]] = []
 
     # -- peers (functional, zero virtual cost: test-harness plumbing) -----
 
@@ -113,7 +110,6 @@ class RouterSystem:
         self.transactions_completed = 0
         self.packets_completed = 0
         self.last_completion = self.world.sim.now
-        self.latency_samples = []
 
     # -- interface the subclasses implement ---------------------------------
 
@@ -152,25 +148,14 @@ class RouterSystem:
         delta = work_delta(self.speaker.work, before)
         return delta.prefixes_sent, delta.updates_sent
 
-    def _packet_done(
-        self,
-        transactions: int,
-        arrived_at: float | None = None,
-        span: object | None = None,
-    ) -> None:
+    def _packet_done(self, transactions: int, span: object | None = None) -> None:
         self.transactions_completed += transactions
         self.packets_completed += 1
         self.last_completion = self.world.sim.now
-        if self.collect_latency and arrived_at is not None:
-            self.latency_samples.append((arrived_at, self.world.sim.now))
         if span is not None and self.telemetry is not None:
             self.telemetry.packet_end(span, transactions)
         if self.on_packet_done is not None:
             self.on_packet_done()
-
-    def latencies(self) -> list[float]:
-        """Per-packet processing latencies (completion - arrival)."""
-        return [done - arrived for arrived, done in self.latency_samples]
 
 
 class XorpRouter(RouterSystem):
@@ -243,7 +228,6 @@ class XorpRouter(RouterSystem):
         self.world.sim.schedule(delay, lambda: self._arrive(peer_id, data))
 
     def _arrive(self, peer_id: str, data: bytes) -> None:
-        arrived_at = self.world.sim.now
         span = None
         if self.telemetry is not None:
             span = self.telemetry.packet_begin(peer_id)
@@ -260,28 +244,29 @@ class XorpRouter(RouterSystem):
             (self.fea, charges.fea),
             (self.kernel, charges.kernel_fib),
         ]
-
-        def flush_exports() -> None:
-            # The functional flush happens at the chain tail, so any
-            # downstream router (see repro.benchmark.chain) receives the
-            # re-advertisement only after this router has finished its
-            # own processing in virtual time.
-            export_prefixes, export_updates = self._functional_flush()
-            export_bgp, export_tx = export_charges(
-                self.costs, export_prefixes, export_updates
-            )
-            export_stages = [
-                (self.bgp, export_bgp),
-                (self.kernel, export_tx),
-            ]
-            self._submit_chain(
-                [(task, cost) for task, cost in export_stages if cost > _TINY],
-                lambda: self._packet_done(delta.transactions, arrived_at, span),
-            )
-
         self._submit_chain(
             [(task, cost) for task, cost in stages if cost > _TINY],
-            flush_exports,
+            lambda: self._submit_exports(
+                lambda: self._packet_done(delta.transactions, span)
+            ),
+        )
+
+    def _submit_exports(self, done: Callable[[], None]) -> None:
+        """Flush every staged export, charge it (xorp_bgp, then the
+        kernel's transmit), then call *done*.
+
+        At a packet's chain tail the flush comes after this router's own
+        processing, so a downstream router (see repro.benchmark.chain)
+        receives the re-advertisement causally in virtual time.
+        """
+        export_prefixes, export_updates = self._functional_flush()
+        export_bgp, export_tx = export_charges(self.costs, export_prefixes, export_updates)
+        stages = [
+            (self.bgp, export_bgp),
+            (self.kernel, export_tx),
+        ]
+        self._submit_chain(
+            [(task, cost) for task, cost in stages if cost > _TINY], done
         )
 
     def _submit_chain(
@@ -308,16 +293,7 @@ class XorpRouter(RouterSystem):
 
     def schedule_initial_advertisement(self, peer_id: str) -> None:
         """Charge and emit the full-table transfer staged at session-up."""
-        export_prefixes, export_updates = self._functional_flush()
-        export_bgp, export_tx = export_charges(self.costs, export_prefixes, export_updates)
-        stages = [
-            (self.bgp, export_bgp),
-            (self.kernel, export_tx),
-        ]
-        self._submit_chain(
-            [(task, cost) for task, cost in stages if cost > _TINY],
-            lambda: self._packet_done(0),
-        )
+        self._submit_exports(lambda: self._packet_done(0))
 
 
 class CiscoRouter(RouterSystem):
@@ -394,17 +370,15 @@ class CiscoRouter(RouterSystem):
             if export_work > _TINY:
                 self.ios.submit(
                     export_work,
-                    lambda: self._finish(delta.transactions, arrived_at, span),
+                    lambda: self._finish(delta.transactions, span),
                 )
             else:
-                self._finish(delta.transactions, arrived_at, span)
+                self._finish(delta.transactions, span)
 
         self.ios.submit(work, flush_then_finish)
 
-    def _finish(
-        self, transactions: int, arrived_at: float, span: object | None = None
-    ) -> None:
-        self._packet_done(transactions, arrived_at, span)
+    def _finish(self, transactions: int, span: object | None = None) -> None:
+        self._packet_done(transactions, span)
         if self._head < len(self._queue):
             self._schedule_release()
         else:

@@ -302,17 +302,14 @@ class RouterNode(SpeakerNode):
     def __init__(self, harness: "TopologyHarness", asn: int, platform: str):
         # Deliberately skip SpeakerNode.__init__: the speaker lives
         # inside the RouterSystem.
-        from repro.systems.platforms import get_spec
-        from repro.systems.router import CiscoRouter, XorpRouter
+        from repro.systems.platforms import build_system
 
         self.harness = harness
         self.asn = asn
         self.platform = platform
         address = as_address(asn)
-        spec = get_spec(platform)
-        cls = CiscoRouter if spec.kind == "cisco" else XorpRouter
-        self.router = cls(
-            spec,
+        self.router = build_system(
+            platform,
             world=harness.world,
             asn=asn,
             router_id=address,
@@ -560,9 +557,10 @@ class TopologySanitizer(Sanitizer):
     """Checked mode for a whole topology, not just one router.
 
     Inherits the simulator invariants (monotonic clock, stable
-    tie-break, heap integrity) and extends prefix-conservation to every
-    node's audit ledger after every event; at quiescence it additionally
-    checks RIB/FIB agreement on every measured node.
+    tie-break, heap integrity) and runs the base prefix-conservation
+    check on every node's audit ledger after every event (counted once
+    per event); at quiescence it runs it again, plus the base RIB/FIB
+    agreement check on every measured node. Messages name the AS.
     """
 
     def __init__(self, harness: TopologyHarness):
@@ -574,30 +572,11 @@ class TopologySanitizer(Sanitizer):
         super().after_fire(event)
         self.stats.conservation_checks += 1
         for node in self.harness.nodes.values():
-            audit = node.speaker.audit
-            if not audit.balanced():
-                self._violation(
-                    "prefix-conservation",
-                    f"AS {node.asn}: received prefixes not conserved: "
-                    f"{audit.describe_imbalance()}",
-                )
+            self._check_conservation(node.speaker, node.asn)
 
     def check_quiescent(self) -> None:
         self.stats.quiescent_checks += 1
         for node in self.harness.nodes.values():
-            audit = node.speaker.audit
-            if not audit.balanced():
-                self._violation(
-                    "prefix-conservation",
-                    f"AS {node.asn}: received prefixes not conserved: "
-                    f"{audit.describe_imbalance()}",
-                )
+            self._check_conservation(node.speaker, node.asn)
             if isinstance(node, RouterNode):
-                rib_view = node.speaker.loc_rib.fib_view()
-                fib_view = node.router.fib.routes()
-                if rib_view != fib_view:
-                    self._violation(
-                        "rib-fib-agreement",
-                        f"AS {node.asn}: Loc-RIB ({len(rib_view)} routes) and "
-                        f"FIB ({len(fib_view)} routes) disagree after quiescence",
-                    )
+                self._check_rib_fib(node.router, node.asn)

@@ -1,6 +1,7 @@
 """The boundary contract: every public dataclass in a module whose
-results cross the grid or shard process boundary (or land in the cache
-and golden files) defines ``to_jsonable()``, and its output survives
+results cross the grid or shard process boundary (or land in the cache,
+the golden files or ``bgpbench --output-dir``) defines ``to_jsonable()``,
+and its output survives
 ``json.dumps``/``loads`` unchanged — no tuples, dataclasses, or other
 shapes JSON would silently rewrite."""
 
@@ -17,13 +18,24 @@ from repro.benchmark.harness import (
     StallDiagnostics,
     run_multipeer_startup,
 )
+from repro.experiments.fig3 import run_fig3
+from repro.experiments.fig4 import run_fig4
+from repro.experiments.fig5 import run_fig5
+from repro.experiments.fig6 import run_fig6
+from repro.experiments.table3 import run_table3
 from repro.grid.cells import GridCell
 from repro.grid.executor import GridReport, run_grid
 from repro.systems import build_system
 
 
-#: The modules whose dataclasses cross a process boundary.
+#: The modules whose dataclasses cross a process boundary or are
+#: written as JSON.
 BOUNDARY_MODULES = (
+    "repro.experiments.table3",
+    "repro.experiments.fig3",
+    "repro.experiments.fig4",
+    "repro.experiments.fig5",
+    "repro.experiments.fig6",
     "repro.benchmark.harness",
     "repro.grid.cells",
     "repro.grid.executor",
@@ -120,3 +132,34 @@ class TestGridResults:
             "failures": {},
             "uncached": {},
         }
+
+
+class TestExperimentResults:
+    """What ``bgpbench <experiment> --output-dir`` writes."""
+
+    def test_table3_result_roundtrips(self):
+        payload = run_table3(table_size=60).to_jsonable()
+        assert roundtrips(payload)
+        assert payload["experiment"] == "table3"
+
+    def test_fig3_result_roundtrips(self):
+        payload = run_fig3(table_size=60).to_jsonable()
+        assert roundtrips(payload)
+        assert payload["experiment"] == "fig3"
+
+    def test_fig4_result_roundtrips(self):
+        payload = run_fig4(table_size=60).to_jsonable()
+        assert roundtrips(payload)
+        assert payload["experiment"] == "fig4"
+
+    def test_fig5_result_roundtrips(self):
+        result = run_fig5(table_size=60, points=2, scenarios=(1, 2),
+                          platforms=("pentium3", "cisco"))
+        payload = result.to_jsonable()
+        assert roundtrips(payload)
+        assert payload["experiment"] == "fig5"
+
+    def test_fig6_result_roundtrips(self):
+        payload = run_fig6(table_size=100).to_jsonable()
+        assert roundtrips(payload)
+        assert payload["experiment"] == "fig6"

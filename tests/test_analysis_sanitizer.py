@@ -29,7 +29,6 @@ class TestCleanRuns:
         sanitizer.check_quiescent()
         assert result.completed
         assert sanitizer.stats.events_checked > 0
-        assert sanitizer.stats.heap_checks > 0
         assert sanitizer.stats.conservation_checks > sanitizer.stats.events_checked
         assert sanitizer.stats.quiescent_checks == 1
 

@@ -5,10 +5,10 @@ import pytest
 from repro.benchmark.chain import (
     ChainResult,
     build_router,
-    connect_routers,
     run_chain_propagation,
 )
 from repro.sim.cpu import World
+from repro.topo.wiring import wire_oneway
 from repro.workload.tablegen import generate_table
 
 SIZE = 300
@@ -25,7 +25,7 @@ class TestChainConstruction:
         a = build_router("pentium3", World(), 0)
         b = build_router("pentium3", World(), 1)
         with pytest.raises(ValueError):
-            connect_routers(a, "x", b, "y")
+            wire_oneway(a, "x", b, "y")
 
     def test_empty_chain_rejected(self):
         with pytest.raises(ValueError):

@@ -14,6 +14,7 @@ from repro.benchmark.harness import (
 from repro.bgp.policy import ACCEPT_ALL
 from repro.bgp.speaker import PeerConfig
 from repro.systems import build_system
+from repro.telemetry import Telemetry
 from repro.workload.tablegen import generate_table
 from repro.workload.updates import UpdateStreamBuilder
 
@@ -90,59 +91,61 @@ class TestStreamInterleaved:
 
 
 class TestLatencyCollection:
+    """Per-packet latency is the duration of each ``packet`` span of an
+    attached :class:`Telemetry`: arrival to completion."""
+
     def prepared(self, platform="pentium3"):
         router = build_system(platform)
-        router.collect_latency = True
         router.add_peer(PeerConfig(SPEAKER1, SPEAKER1_ASN, SPEAKER1_ADDR,
                                    ACCEPT_ALL, ACCEPT_ALL))
         router.handshake(SPEAKER1, SPEAKER1_ASN, SPEAKER1_ADDR)
-        return router
+        return router, Telemetry().attach(router)
+
+    @staticmethod
+    def latencies(telemetry):
+        return [span.duration for span in telemetry.tracer.spans("packet")]
 
     def test_latencies_recorded_per_packet(self):
-        router = self.prepared()
+        router, telemetry = self.prepared()
         builder = UpdateStreamBuilder(SPEAKER1_ASN, SPEAKER1_ADDR)
         table = generate_table(50, seed=2)
         stream_packets(router, SPEAKER1, builder.announcements(table, 1), 4)
-        latencies = router.latencies()
+        latencies = self.latencies(telemetry)
         assert len(latencies) == 50
         assert all(latency > 0 for latency in latencies)
 
     def test_latency_near_per_prefix_cost_when_unloaded(self):
-        router = self.prepared()
+        router, telemetry = self.prepared()
         builder = UpdateStreamBuilder(SPEAKER1_ASN, SPEAKER1_ADDR)
         table = generate_table(20, seed=2)
         stream_packets(router, SPEAKER1, builder.announcements(table, 1), 1)
         # Window 1: each packet is alone in the router; latency equals
         # the scenario-1 per-prefix cost (~5.4 ms).
-        for latency in router.latencies():
+        for latency in self.latencies(telemetry):
             assert latency == pytest.approx(5.37e-3, rel=0.05)
 
     def test_latency_grows_under_cross_traffic(self):
         def mean_latency(mbps):
-            router = self.prepared()
+            router, telemetry = self.prepared()
             router.set_cross_traffic(mbps)
             builder = UpdateStreamBuilder(SPEAKER1_ASN, SPEAKER1_ADDR)
             table = generate_table(30, seed=2)
             stream_packets(router, SPEAKER1, builder.announcements(table, 1), 1)
-            values = router.latencies()
+            values = self.latencies(telemetry)
             return sum(values) / len(values)
 
         assert mean_latency(300.0) > 1.3 * mean_latency(0.0)
 
-    def test_disabled_by_default(self):
-        router = build_system("pentium3")
-        assert not router.collect_latency
-        assert router.latencies() == []
-
     def test_cisco_latency_includes_pacing_queue(self):
-        router = self.prepared("cisco")
+        router, telemetry = self.prepared("cisco")
         builder = UpdateStreamBuilder(SPEAKER1_ASN, SPEAKER1_ADDR)
         table = generate_table(10, seed=2)
-        # Deliver all at once: the i-th packet waits i pacing intervals.
+        # Deliver all at once: the i-th packet waits i pacing intervals,
+        # and its span starts at arrival, so the wait is included.
         for packet in builder.announcements(table, 1):
             router.deliver(SPEAKER1, packet)
         router.run_until_idle()
-        latencies = router.latencies()
+        latencies = self.latencies(telemetry)
         assert len(latencies) == 10
         pacing = router.costs.pacing_interval
         assert latencies[-1] == pytest.approx(9 * pacing, rel=0.1)

@@ -1,10 +1,8 @@
-"""Tests for result export and the extended CLI."""
+"""Tests for result export (each result's ``to_jsonable()``) and the
+extended CLI."""
 
 import json
 
-import pytest
-
-from repro.experiments.export import save_json, to_dict
 from repro.experiments.fig4 import run_fig4
 from repro.experiments.fig6 import run_fig6
 from repro.experiments.runner import main
@@ -16,7 +14,7 @@ SIZE = 200
 class TestToDict:
     def test_table3(self):
         result = run_table3(table_size=SIZE)
-        data = to_dict(result)
+        data = result.to_jsonable()
         assert data["experiment"] == "table3"
         assert data["table_size"] == SIZE
         assert set(data["measured"]) == {"pentium3", "xeon", "ixp2400", "cisco"}
@@ -25,30 +23,28 @@ class TestToDict:
         json.dumps(data)  # must be JSON-serialisable
 
     def test_fig4(self):
-        data = to_dict(run_fig4(table_size=SIZE))
+        data = run_fig4(table_size=SIZE).to_jsonable()
         assert data["experiment"] == "fig4"
         assert set(data["tps"]) == {"1", "2"}
         json.dumps(data)
 
     def test_fig6(self):
-        data = to_dict(run_fig6(table_size=400))
+        data = run_fig6(table_size=400).to_jsonable()
         assert data["experiment"] == "fig6"
         assert "forwarding" in data
         assert 0.0 <= data["interrupt_share"] <= 1.0
         json.dumps(data)
 
-    def test_unknown_type_rejected(self):
-        with pytest.raises(TypeError):
-            to_dict(object())
-
 
 class TestSaveJson:
     def test_writes_file_and_creates_directories(self, tmp_path):
-        result = run_fig4(table_size=SIZE)
-        path = save_json(result, tmp_path / "nested" / "fig4.json")
-        assert path.exists()
-        loaded = json.loads(path.read_text())
-        assert loaded["experiment"] == "fig4"
+        # --output-dir writes exactly the result's to_jsonable(), creating
+        # missing directories on the way.
+        directory = tmp_path / "nested" / "out"
+        main(["fig4", "--table-size", str(SIZE), "--output-dir", str(directory)])
+        text = (directory / "fig4.json").read_text()
+        expected = run_fig4(table_size=SIZE).to_jsonable()
+        assert text == json.dumps(expected, indent=2, sort_keys=True)
 
 
 class TestCli:
@@ -108,7 +104,7 @@ class TestRemainingConverters:
     def test_fig3(self):
         from repro.experiments.fig3 import run_fig3
 
-        data = to_dict(run_fig3(table_size=SIZE))
+        data = run_fig3(table_size=SIZE).to_jsonable()
         assert data["experiment"] == "fig3"
         assert set(data["series"]) == {"pentium3", "xeon", "ixp2400"}
         assert data["phases"]["pentium3"][0]["phase"] == 1
@@ -119,7 +115,7 @@ class TestRemainingConverters:
 
         result = run_fig5(table_size=SIZE, points=2, scenarios=(1,),
                           platforms=("pentium3",))
-        data = to_dict(result)
+        data = result.to_jsonable()
         assert data["experiment"] == "fig5"
         curve = data["series"]["1"]["pentium3"]
         assert len(curve) == 2 and curve[0][0] == 0.0

@@ -146,9 +146,13 @@ class TestWorkerReuse:
 
     def test_crashed_worker_is_replaced_once(self, spawned):
         cells = inject(self.SIX, {self.SIX[0].cell_id: "crash"})
-        report = run_grid(cells, workers=2, cell_timeout=SUPERVISED)
-        assert len(spawned) == 3
+        # One slot, so the cells behind the crashed one must land on its
+        # replacement: with two, the survivor could drain the queue before
+        # the crash is read, and no replacement would start.
+        report = run_grid(cells, workers=1, cell_timeout=SUPERVISED)
+        assert len(spawned) == 2
         assert set(report.failures) == {self.SIX[0].cell_id}
+        assert report.failures[self.SIX[0].cell_id].outcome == OUTCOME_CRASHED
         assert set(report.results) == {cell.cell_id for cell in self.SIX[1:]}
 
     def test_hung_worker_is_replaced_once(self, spawned):

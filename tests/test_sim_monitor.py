@@ -3,15 +3,15 @@
 import pytest
 
 from repro.sim.cpu import Priority, World
-from repro.sim.monitor import CpuMonitor, RateMonitor, _spread
+from repro.sim.monitor import CpuMonitor, RateMonitor, spread
 
 
 class TestSpread:
     def test_within_one_bucket(self):
-        assert list(_spread(0.2, 0.7, 1.0)) == [(0, pytest.approx(0.5))]
+        assert list(spread(0.2, 0.7, 1.0)) == [(0, pytest.approx(0.5))]
 
     def test_across_buckets(self):
-        chunks = list(_spread(0.5, 2.5, 1.0))
+        chunks = list(spread(0.5, 2.5, 1.0))
         assert chunks == [
             (0, pytest.approx(0.5)),
             (1, pytest.approx(1.0)),
@@ -19,13 +19,13 @@ class TestSpread:
         ]
 
     def test_exact_boundary(self):
-        assert list(_spread(1.0, 2.0, 1.0)) == [(1, pytest.approx(1.0))]
+        assert list(spread(1.0, 2.0, 1.0)) == [(1, pytest.approx(1.0))]
 
     def test_empty_interval(self):
-        assert list(_spread(1.0, 1.0, 1.0)) == []
+        assert list(spread(1.0, 1.0, 1.0)) == []
 
     def test_custom_width(self):
-        chunks = list(_spread(0.0, 1.0, 0.5))
+        chunks = list(spread(0.0, 1.0, 0.5))
         assert [bucket for bucket, _dt in chunks] == [0, 1]
 
 
@@ -74,12 +74,6 @@ class TestCpuMonitor:
         world.run()
         assert monitor.task_names() == ["a", "b"]
         assert set(monitor.table()) == {"a", "b"}
-
-    def test_bucket_width_validation(self):
-        world = World()
-        machine = world.new_machine("m", cores=1)
-        with pytest.raises(ValueError):
-            CpuMonitor(machine, bucket_width=0.0)
 
 
 class TestRateMonitor:

@@ -281,8 +281,8 @@ def build(world_class, scenario):
         )
         for task_spec in spec["tasks"]:
             place_task(world, machine, task_spec, log)
-        monitors.append(CpuMonitor(machine, bucket_width=0.25))
-        monitors.append(RateMonitor(machine, machine.tasks[0], bucket_width=0.25))
+        monitors.append(CpuMonitor(machine))
+        monitors.append(RateMonitor(machine, machine.tasks[0]))
     for when, machine_index, task_index, (kind, value) in scenario["events"]:
         machine = world.machines[machine_index % len(world.machines)]
 

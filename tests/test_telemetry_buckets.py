@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.sim.buckets import spread
+from repro.sim.monitor import spread
 
 
 def reference_spread(start, end, width):

@@ -303,6 +303,21 @@ class TestTopologySanitizer:
         with pytest.raises(SanitizerError, match="prefix-conservation"):
             converge(harness, topology.ases()[-1])
 
+    def test_rib_fib_disagreement_names_the_as_and_the_prefix(self):
+        from repro.analysis.sanitizer import SanitizerError
+
+        topology = small_topology()
+        measured, origin = topology.ases()[0], topology.ases()[-1]
+        harness = TopologyHarness(topology, seed=42, measured={measured})
+        sanitizer = TopologySanitizer(harness)
+        converge(harness, origin)
+        harness.nodes[measured].router.fib.delete_route(origin_prefix(origin))
+        with pytest.raises(SanitizerError) as excinfo:
+            sanitizer.check_quiescent()
+        assert excinfo.value.invariant == "rib-fib-agreement"
+        assert excinfo.value.message.startswith(f"AS {measured}: ")
+        assert f"Loc-RIB only (first: {origin_prefix(origin)})" in excinfo.value.message
+
 
 def assert_valley_free(topology, traversal):
     """*traversal* is the propagation order origin ... viewer; after the
