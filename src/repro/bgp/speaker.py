@@ -89,10 +89,6 @@ class WorkLog:
     prefixes_withdrawn: int = 0
     policy_evaluations: int = 0
     decisions: int = 0
-    loc_rib_adds: int = 0
-    loc_rib_replaces: int = 0
-    loc_rib_removes: int = 0
-    loc_rib_unchanged: int = 0
     fib_adds: int = 0
     fib_replaces: int = 0
     fib_deletes: int = 0
@@ -627,7 +623,6 @@ class BgpSpeaker:
                     self.loc_rib_changes.append(prefix)
                 self.fib.delete_route(prefix)
                 self.work.fib_deletes += 1
-                self.work.loc_rib_removes += 1
                 if probe is not None:
                     probe.fib_op("delete", prefix)
                 self._stage_withdraw_to_peers(prefix)
@@ -636,7 +631,6 @@ class BgpSpeaker:
         route = RibRoute(prefix, best.attributes, best.peer.peer_id)
         change = self.loc_rib.set_best(route)
         if change is UNCHANGED:
-            self.work.loc_rib_unchanged += 1
             return
         if self.loc_rib_changes is not None:
             self.loc_rib_changes.append(prefix)
@@ -644,13 +638,11 @@ class BgpSpeaker:
         if change is ADDED:
             self.fib.add_route(prefix, best.attributes.next_hop)
             self.work.fib_adds += 1
-            self.work.loc_rib_adds += 1
             if probe is not None:
                 probe.fib_op("add", prefix)
         else:
             self.fib.replace_route(prefix, best.attributes.next_hop)
             self.work.fib_replaces += 1
-            self.work.loc_rib_replaces += 1
             if probe is not None:
                 probe.fib_op("replace", prefix)
         self._stage_announce_to_peers(route, exports)

@@ -6,15 +6,14 @@
     bgpbench fig3 | fig4 | fig5 | fig6
     bgpbench all
     bgpbench scenario --platform xeon --scenario 6 [--cross-traffic 300]
-                      [--trace out.trace.json] [--metrics out.metrics.jsonl]
-                      [--sanitize]
+                      [--trace out.trace.json] [--profile] [--sanitize]
     bgpbench repeatability --platform pentium3 --scenario 1 --seeds 1 2 3
     bgpbench stability --platform pentium3 --rate 1500
     bgpbench grid --workers 4 [--scenarios ...] [--telemetry]
                   [--cell-timeout 300]
     bgpbench regress [--golden benchmarks/golden/grid-small.json] [--bless]
     bgpbench topo --family convergence [--tier1 2 --tier2 5 --stubs 18]
-                  [--mrai 30] [--damping] [--sanitize] [--telemetry]
+                  [--mrai 30] [--damping] [--sanitize]
                   [--shards 4] [--json out.json]
 
 ``--output-dir`` writes the experiment's result as JSON next to the
@@ -33,10 +32,11 @@ the one way onto the parallel engine (docs/PARALLEL.md).
 ``regress --bless --topo`` creates the topology golden baseline.
 ``--sanitize`` (scenario/grid/regress/topo) runs in checked mode (see
 docs/ANALYSIS.md); ``scenario --sanitize`` exits 1 on a violated
-invariant, so CI can gate on it. ``--trace``/``--metrics`` (scenario) and
-``--telemetry`` (grid/regress) instrument the run with
-:mod:`repro.telemetry` — observe-only, results are byte-identical (see
-docs/TELEMETRY.md).
+invariant, so CI can gate on it. ``--trace`` (scenario) and
+``--telemetry`` (grid/regress, scenario cells) record the run's span
+trace with :mod:`repro.telemetry` — observe-only, results are
+byte-identical (see docs/TELEMETRY.md); ``scenario --profile`` prints
+the per-task virtual-CPU table of the router's own CPU monitor.
 """
 
 from __future__ import annotations
@@ -134,10 +134,6 @@ def build_parser() -> argparse.ArgumentParser:
     single.add_argument(
         "--trace", type=Path, default=None, metavar="PATH",
         help="write a Chrome trace-event file of the run (Perfetto-loadable)",
-    )
-    single.add_argument(
-        "--metrics", type=Path, default=None, metavar="PATH",
-        help="write the metric registry as JSON-lines (a .prom path is refused)",
     )
     single.add_argument(
         "--profile", action="store_true",
@@ -248,11 +244,6 @@ def build_parser() -> argparse.ArgumentParser:
                            "to --shards 1; see docs/PARALLEL.md)")
     topo.add_argument("--sanitize", action="store_true",
                       help="run in checked mode (topology-wide sanitizer)")
-    topo.add_argument("--telemetry", action="store_true",
-                      help="publish per-AS/per-link counters as a metrics "
-                           "artifact (observe-only)")
-    topo.add_argument("--telemetry-dir", type=Path, default=Path("telemetry"),
-                      help="directory for the metrics artifact (with --telemetry)")
     topo.add_argument("--json", type=Path, default=None, metavar="PATH",
                       help="write the canonical {cell_id: result} JSON "
                            "(byte-identical across runs of one spec)")
@@ -282,12 +273,12 @@ def _add_pool_arguments(parser: argparse.ArgumentParser) -> None:
     )
     parser.add_argument(
         "--telemetry", action="store_true",
-        help="instrument executed cells and write per-cell trace/metrics "
-             "artifacts (observe-only: results are byte-identical)",
+        help="trace executed scenario cells and write a per-cell "
+             "<cell>.trace.json (observe-only: results are byte-identical)",
     )
     parser.add_argument(
         "--telemetry-dir", type=Path, default=Path("telemetry"),
-        help="directory for per-cell telemetry artifacts (with --telemetry)",
+        help="directory for the per-cell traces (with --telemetry)",
     )
     parser.add_argument(
         "--cell-timeout", type=_positive_float, default=None, metavar="SECONDS",
@@ -383,8 +374,8 @@ def _run_grid(args) -> int:
     if not report.ok:
         _print_failures(report)
     if args.telemetry and report.executed:
-        print(f"[telemetry artifacts for {report.executed} executed cell(s) "
-              f"in {args.telemetry_dir}]")
+        # Every grid cell is a scenario cell: one trace per executed cell.
+        print(f"[{report.executed} trace file(s) written to {args.telemetry_dir}]")
     if args.output is not None:
         args.output.parent.mkdir(parents=True, exist_ok=True)
         args.output.write_text(report.to_json() + "\n")
@@ -433,14 +424,11 @@ def _run_topo(args) -> int:
             # before any shard process starts.
             print(f"bgpbench topo: --shards {args.shards}: {error}", file=sys.stderr)
             raise SystemExit(2) from None
-    telemetry_dir = _telemetry_dir(args)
-    if telemetry_dir is not None:
-        args.telemetry_dir.mkdir(parents=True, exist_ok=True)
     if engine is not None:
-        result = engine.run_json(telemetry_dir)
+        result = engine.run_json()
         print(f"[parallel engine: {args.shards} shards]")
     else:
-        result = run_topo_cell(cell, sanitize=args.sanitize, telemetry_dir=telemetry_dir)
+        result = run_topo_cell(cell, sanitize=args.sanitize)
     print(
         f"{cell.cell_id}: {result['ases']} ASes, {result['links']} links, "
         f"origins {result['origin_ases']}"
@@ -458,8 +446,6 @@ def _run_topo(args) -> int:
     )
     if args.sanitize:
         print("[sanitizer: clean]")
-    if telemetry_dir is not None:
-        print(f"[metrics artifact in {telemetry_dir}]")
     if args.json is not None:
         args.json.parent.mkdir(parents=True, exist_ok=True)
         args.json.write_text(result_json({cell.cell_id: result}) + "\n")
@@ -527,26 +513,12 @@ def _run_regress(args) -> int:
 
 
 def _run_single_scenario(args) -> int:
-    if args.metrics is not None and args.metrics.suffix == ".prom":
-        # A usage error, reported before anything runs: JSON-lines under
-        # a Prometheus suffix would mislead whatever reads the file.
-        print(
-            f"bgpbench scenario: --metrics {args.metrics}: metrics are written "
-            f"as JSON-lines, not Prometheus text",
-            file=sys.stderr,
-        )
-        return 2
-    instrument = (
-        args.trace is not None or args.metrics is not None or args.profile
-    )
     sanitizer = None
     telemetry = None
     router = build_system(args.platform)
     if args.sanitize:
         sanitizer = Sanitizer().attach(router)
-    if instrument:
-        # Attach after the sanitizer, as GridCell.run does: Telemetry
-        # composes with an occupied observer slot via FanoutObserver.
+    if args.trace is not None:
         from repro.telemetry import Telemetry
 
         telemetry = Telemetry().attach(router)
@@ -582,15 +554,14 @@ def _run_single_scenario(args) -> int:
             f"{stats.quiescent_checks} quiescent check(s) — all invariants held"
         )
     if telemetry is not None:
-        from repro.telemetry import render_top, top_table, write_artifacts
+        from repro.telemetry import write_trace
 
-        for path in write_artifacts(
-            telemetry, trace_path=args.trace, metrics_path=args.metrics
-        ):
-            print(f"[written {path}]")
-        if args.profile:
-            print()
-            print(render_top(top_table(router.cpu_monitor)))
+        print(f"[written {write_trace(telemetry.tracer, args.trace)}]")
+    if args.profile:
+        from repro.telemetry import render_top, top_table
+
+        print()
+        print(render_top(top_table(router.cpu_monitor)))
     return 0
 
 

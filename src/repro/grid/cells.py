@@ -111,8 +111,6 @@ class GridCell:
         if sanitize:
             sanitizer = Sanitizer().attach(router)
         if telemetry_dir is not None:
-            # Attach after the sanitizer: Telemetry composes with an
-            # occupied observer slot via FanoutObserver.
             from repro.telemetry import Telemetry
 
             telemetry = Telemetry().attach(router)
@@ -126,8 +124,6 @@ class GridCell:
             if sanitizer is not None:
                 sanitizer.check_quiescent()
         finally:
-            # Detach in reverse attach order so the sanitizer gets its
-            # exclusive observer slot back before releasing it.
             if telemetry is not None:
                 telemetry.detach()
             if sanitizer is not None:
@@ -135,14 +131,9 @@ class GridCell:
         if telemetry is not None:
             from pathlib import Path
 
-            from repro.telemetry import write_artifacts
+            from repro.telemetry import write_trace
 
-            base = Path(telemetry_dir)
-            write_artifacts(
-                telemetry,
-                trace_path=base / f"{self.cell_id}.trace.json",
-                metrics_path=base / f"{self.cell_id}.metrics.jsonl",
-            )
+            write_trace(telemetry.tracer, Path(telemetry_dir) / f"{self.cell_id}.trace.json")
         summary = outcome.to_jsonable()
         summary["cell"] = self.spec()
         return summary
@@ -184,9 +175,10 @@ def run_cell(
     sanitizer observes every event and the quiescent invariants are
     asserted after the run (violations raise
     :class:`~repro.analysis.sanitizer.SanitizerError` instead of
-    returning a result). With *telemetry_dir* set, the run is
-    instrumented and ``<cell_id>.*`` artifacts are written there. Both
-    modes observe only, so the result is byte-identical either way.
+    returning a result). With *telemetry_dir* set, a scenario cell's run
+    is traced and ``<cell_id>.trace.json`` is written there; a topology
+    cell writes nothing. Both modes observe only, so the result is
+    byte-identical either way.
     """
     try:
         return cell.run(sanitize=sanitize, telemetry_dir=telemetry_dir)

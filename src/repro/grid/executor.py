@@ -151,8 +151,9 @@ def run_grid(
     entries). *progress*, if given, is called as ``progress(cell_id,
     from_cache)`` once per cell in completion order; a raising callback
     is degraded to a warning. *sanitize* runs every executed cell in
-    checked mode and *telemetry_dir* drops per-cell trace/metrics
-    artifacts — both observe-only, results are byte-identical.
+    checked mode and *telemetry_dir* receives each executed scenario
+    cell's ``<cell_id>.trace.json`` — both observe-only, results are
+    byte-identical.
 
     More than one worker or a *cell_timeout* (wall-clock seconds per
     cell) means supervised execution: worker processes, each cell run

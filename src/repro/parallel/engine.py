@@ -126,8 +126,6 @@ class ParallelEngine:
             lookahead=self.lookahead,
             cross_links=len(cross),
         )
-        self.final_now = 0.0
-        self._link_counts: "dict[tuple[int, int], list[int]]" = {}
         self._conns: list = []
         self._procs: list = []
         self._reports: "list[dict]" = []
@@ -247,7 +245,6 @@ class ParallelEngine:
                     self.stats.rounds += 1
                     self.stats.remote_messages += len(pending)
                 global_now = max(state[1] for state in states)
-            self.final_now = global_now
             self._broadcast(("collect",))
             self._reports = [reply[0] for reply in self._gather()]
             self._broadcast(("stop",))
@@ -285,12 +282,6 @@ class ParallelEngine:
             )
             for row in rows
         ]
-        counts = {pair: [0, 0] for pair in self.delays}
-        for report in reports:
-            for a, b, a_to_b, b_to_a in report["links"]:
-                counts[(a, b)][0] += a_to_b
-                counts[(a, b)][1] += b_to_a
-        self._link_counts = counts
         self.stats.busy_s = [report["busy_s"] for report in reports]
         last = max(report["last_activity"] for report in reports)
         duration = max(0.0, last - phase_start)
@@ -308,50 +299,15 @@ class ParallelEngine:
             ghost_paths=sum(node.ghost_paths for node in nodes),
             path_changes=sum(node.path_changes for node in nodes),
             damping_suppressed=sum(report["damping"] for report in reports),
-            link_packets=sum(
-                a_to_b + b_to_a for a_to_b, b_to_a in counts.values()
-            ),
+            link_packets=sum(report["link_packets"] for report in reports),
             fib_size_after=sum(node.loc_rib_size for node in nodes),
             completed=all(report["quiescent"] for report in reports),
             nodes=nodes,
         )
 
-    def publish_metrics(self, registry) -> None:
-        """Publish the merged counters exactly as the serial harness
-        would — same creation order, same row order, same clock value —
-        so instrumented parallel runs produce byte-identical artifacts."""
-        from repro.topo.network import publish_topology_metrics
-
-        rows = sorted(
-            (row for report in self._reports for row in report["nodes"]),
-            key=lambda row: row[0],
-        )
-        publish_topology_metrics(
-            registry,
-            ((row[0], row[3], row[4], row[5], row[6], row[7]) for row in rows),
-            (
-                (a, b, self._link_counts[(a, b)][0], self._link_counts[(a, b)][1])
-                for a, b in self.topology.links()
-            ),
-        )
-
-
-    def run_json(self, telemetry_dir: "str | None" = None) -> "dict[str, object]":
+    def run_json(self) -> "dict[str, object]":
         """:meth:`run`, returned as the JSON-ready result — byte-identical
-        to :func:`repro.topo.families.run_topo_cell` run serially,
-        including the telemetry artifact written to *telemetry_dir*."""
-        result = self.run()
-        if telemetry_dir is not None:
-            from pathlib import Path
-
-            from repro.telemetry.export import write_metrics
-            from repro.telemetry.metrics import MetricRegistry
-
-            registry = MetricRegistry(clock=lambda: self.final_now)
-            self.publish_metrics(registry)
-            write_metrics(
-                registry, Path(telemetry_dir) / f"{self.cell.cell_id}.metrics.jsonl"
-            )
-        summary = result.to_jsonable()
+        to :func:`repro.topo.families.run_topo_cell` run serially."""
+        summary = self.run().to_jsonable()
         summary["cell"] = self.cell.spec()
         return summary

@@ -208,16 +208,12 @@ class ShardRuntime:
             for asn, node in harness.nodes.items()
             if asn in self.local
         ]
-        links = [
-            (
-                link.a,
-                link.b,
-                link.a_to_b_packets if link.a in self.local else 0,
-                link.b_to_a_packets if link.b in self.local else 0,
-            )
+        # Each direction is counted where its sender lives.
+        link_packets = sum(
+            (link.a_to_b_packets if link.a in self.local else 0)
+            + (link.b_to_a_packets if link.b in self.local else 0)
             for link in harness.links.values()
-            if link.a in self.local or link.b in self.local
-        ]
+        )
         damping = sum(
             harness.nodes[asn].speaker.audit.damping_suppressed
             for asn in harness.nodes
@@ -225,7 +221,7 @@ class ShardRuntime:
         )
         return {
             "nodes": nodes,
-            "links": links,
+            "link_packets": link_packets,
             "damping": damping,
             "quiescent": harness.sim.peek_time() is None,
             "now": harness.sim.now,

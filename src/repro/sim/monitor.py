@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from collections import defaultdict
 from dataclasses import dataclass
-from typing import Any, Protocol, Sequence
+from typing import Sequence
 
 from repro.sim.cpu import Machine, Task
 
@@ -52,45 +52,17 @@ def spread(start: float, end: float, width: float) -> Sequence[tuple[int, float]
     return pieces
 
 
-class CounterRegistry(Protocol):
-    """Where a bound monitor publishes: the ``counter`` half of
-    :class:`repro.telemetry.metrics.MetricRegistry`, named by shape so
-    ``sim`` imports nothing from the observer above it."""
-
-    def counter(self, name: str, help: str = "", labels: tuple[str, ...] = ()) -> Any: ...
-
-
 class CpuMonitor:
-    """Per-bucket, per-task CPU-seconds accounting for one machine.
-
-    When bound to a :class:`~repro.telemetry.metrics.MetricRegistry`
-    (``bind_registry``), every recorded interval also publishes to the
-    ``repro_cpu_seconds_total{machine,task}`` counter — observe-only, so
-    binding never changes results.
-    """
+    """Per-bucket, per-task CPU-seconds accounting for one machine."""
 
     def __init__(self, machine: Machine):
         self.machine = machine
         self._usage: dict[int, dict[str, float]] = defaultdict(lambda: defaultdict(float))
-        self._counter = None
         machine.monitors.append(self)
-
-    def bind_registry(self, registry: "CounterRegistry | None") -> None:
-        """Start (or, with ``None``, stop) publishing into *registry*."""
-        if registry is None:
-            self._counter = None
-            return
-        self._counter = registry.counter(
-            "repro_cpu_seconds_total",
-            "virtual CPU seconds served, by machine and task",
-            ("machine", "task"),
-        )
 
     def record(self, task: Task, start: float, end: float, served: float) -> None:
         if served <= 0.0:
             return
-        if self._counter is not None:
-            self._counter.inc(served, machine=self.machine.name, task=task.name)
         duration = end - start
         for bucket, overlap in spread(start, end, BUCKET_WIDTH):
             self._usage[bucket][task.name] += served * overlap / duration
@@ -142,37 +114,13 @@ class RateMonitor:
         self.task = task
         self.scale = scale
         self._samples: dict[int, _RateSample] = defaultdict(_RateSample)
-        self._served_counter = None
-        self._offered_counter = None
         machine.monitors.append(self)
-
-    def bind_registry(self, registry: "CounterRegistry | None") -> None:
-        """Start (or, with ``None``, stop) publishing served/offered work
-        (in scaled units) into *registry*."""
-        if registry is None:
-            self._served_counter = None
-            self._offered_counter = None
-            return
-        self._served_counter = registry.counter(
-            "repro_forwarding_served_total",
-            "forwarding work served, in the monitor's scaled units",
-            ("task",),
-        )
-        self._offered_counter = registry.counter(
-            "repro_forwarding_offered_total",
-            "forwarding work offered, in the monitor's scaled units",
-            ("task",),
-        )
 
     def record(self, task: Task, start: float, end: float, served: float) -> None:
         if task is not self.task:
             return
         demand = task.continuous_demand + task.background_demand
         duration = end - start
-        if self._served_counter is not None and served > 0.0:
-            self._served_counter.inc(self.scale * served, task=task.name)
-        if self._offered_counter is not None and demand * duration > 0.0:
-            self._offered_counter.inc(self.scale * demand * duration, task=task.name)
         for bucket, overlap in spread(start, end, BUCKET_WIDTH):
             sample = self._samples[bucket]
             sample.served += served * overlap / duration

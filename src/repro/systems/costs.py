@@ -106,17 +106,16 @@ class StageCharges:
 def charges_for(costs: CostModel, delta: WorkLog) -> StageCharges:
     """Convert the speaker's work ledger for one packet into per-stage
     CPU charges."""
-    changed_messages = delta.updates_processed if delta.fib_changes or delta.loc_rib_removes else 0
-    rib_changes = delta.loc_rib_adds + delta.loc_rib_replaces + delta.loc_rib_removes
+    changed_messages = delta.updates_processed if delta.fib_changes else 0
     return StageCharges(
         irq=costs.pkt_rx * delta.packets_received,
         bgp=costs.msg_parse * delta.messages_decoded + costs.decide_unit * delta.decisions,
         policy=costs.policy_eval * delta.policy_evaluations,
         rib=(
             costs.ipc_rib_msg * changed_messages
-            + costs.rib_add * delta.loc_rib_adds
-            + costs.rib_replace * delta.loc_rib_replaces
-            + costs.rib_remove * delta.loc_rib_removes
+            + costs.rib_add * delta.fib_adds
+            + costs.rib_replace * delta.fib_replaces
+            + costs.rib_remove * delta.fib_deletes
         ),
         fea=(
             costs.ipc_fea_msg * changed_messages

@@ -1,148 +1,41 @@
-"""Exporters: JSON-lines metrics and Chrome trace JSON.
+"""Exporter: the span trace as Chrome trace-event JSON.
 
-Two artifact formats:
+A trace artifact (``*.trace.json``) holds the span forest as ``"ph":
+"X"`` complete events, loadable in Perfetto / ``chrome://tracing``.
+Overlapping sibling spans (a windowed packet stream keeps several in
+flight) are laid out on separate ``tid`` tracks; exact virtual
+timestamps ride in ``args.t0``/``args.t1`` so :func:`parse_chrome_trace`
+round-trips spans losslessly (``ts`` is microseconds and would
+otherwise quantise).
 
-* **JSON-lines** (``*.jsonl``) — the lossless machine format: one
-  ``family`` line per metric family followed by one ``sample`` line per
-  labelled child. :func:`parse_metrics_jsonl` reconstructs exactly the
-  :meth:`~repro.telemetry.metrics.MetricRegistry.state` snapshot that
-  produced it (the round-trip the tests pin).
-* **Chrome trace events** (``*.trace.json``) — the span forest as
-  ``"ph": "X"`` complete events, loadable in Perfetto /
-  ``chrome://tracing``. Overlapping sibling spans (a windowed packet
-  stream keeps several in flight) are laid out on separate ``tid``
-  tracks; exact virtual timestamps ride in ``args.t0``/``args.t1`` so
-  :func:`parse_chrome_trace` round-trips spans losslessly (``ts`` is
-  microseconds and would otherwise quantise).
-
-All output is deterministic: families in name order, children in label
-order, spans in creation order.
+All output is deterministic: spans in creation order.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from pathlib import Path
-from typing import TYPE_CHECKING, Any, Sequence
+from typing import Any, Sequence
 
-from repro.telemetry.metrics import MetricRegistry
 from repro.telemetry.spans import Span, Tracer
-
-if TYPE_CHECKING:
-    from repro.telemetry.probe import Telemetry
-
-
-def _dumps(payload: object) -> str:
-    return json.dumps(payload, sort_keys=True, separators=(",", ":"))
 
 
 #: JSON value kinds an artifact field may be required to hold.
-_KINDS = {"a number": (int, float), "an integer": int, "a string": str, "a list": list}
+_KINDS = {"a finite number": (int, float), "an integer": int, "a string": str}
 
 
 def _typed(value: Any, kind: str, where: str, key: str) -> Any:
     """*value* if it is *kind* (a :data:`_KINDS` key), else ``ValueError``
-    naming *key* at *where*; ``true``/``false`` are not numbers here."""
-    if isinstance(value, bool) or not isinstance(value, _KINDS[kind]):
+    naming *key* at *where*; ``true``/``false`` are not numbers here, and
+    neither are the ``NaN``/``Infinity`` literals ``json.loads`` accepts."""
+    if (
+        isinstance(value, bool)
+        or not isinstance(value, _KINDS[kind])
+        or (isinstance(value, float) and not math.isfinite(value))
+    ):
         raise ValueError(f"{where}: {key!r} is {json.dumps(value)}, not {kind}")
     return value
-
-
-# -- JSON-lines metrics ------------------------------------------------------
-
-
-def metrics_to_jsonl(registry: MetricRegistry) -> str:
-    """One JSON object per line; lossless against ``registry.state()``."""
-    lines: list[str] = []
-    state = registry.state()
-    for name, family in state.items():
-        declaration: dict[str, object] = {
-            "type": "family",
-            "name": name,
-            "kind": family["kind"],
-            "help": family["help"],
-            "label_names": family["labels"],
-        }
-        if family["kind"] == "histogram":
-            declaration["buckets"] = family["buckets"]
-        lines.append(_dumps(declaration))
-        for child in family["children"]:  # type: ignore[union-attr]
-            sample: dict[str, object] = {
-                "type": "sample",
-                "name": name,
-                "labels": child["labels"],
-                "time": child["time"],
-            }
-            if family["kind"] == "histogram":
-                sample["counts"] = child["counts"]
-                sample["sum"] = child["sum"]
-                sample["count"] = child["count"]
-            elif family["kind"] == "gauge":
-                sample["value"] = child["value"]
-                sample["samples"] = child["samples"]
-            else:
-                sample["value"] = child["value"]
-            lines.append(_dumps(sample))
-    return "\n".join(lines) + ("\n" if lines else "")
-
-
-def parse_metrics_jsonl(text: str) -> dict[str, object]:
-    """Rebuild the ``MetricRegistry.state()`` snapshot from JSON-lines;
-    raises ``ValueError`` naming the first malformed line."""
-    state: dict[str, dict] = {}
-    for line_number, line in enumerate(text.splitlines(), start=1):
-        if not line.strip():
-            continue
-        try:
-            record = json.loads(line)
-        except ValueError as error:
-            raise ValueError(f"line {line_number}: {error}") from None
-        if not isinstance(record, dict):
-            raise ValueError(f"line {line_number}: not a JSON object")
-        where = f"line {line_number}"
-        kind = record.get("type")
-        if kind not in ("family", "sample"):
-            raise ValueError(f"{where}: unknown record type {kind!r}")
-        try:
-            name = _typed(record["name"], "a string", where, "name")
-            if kind == "family":
-                family: dict[str, object] = {
-                    "kind": record["kind"],
-                    "help": record["help"],
-                    "labels": record["label_names"],
-                    "children": [],
-                }
-                if record["kind"] == "histogram":
-                    family["buckets"] = record["buckets"]
-                state[name] = family
-            else:
-                family = state.get(name)
-                if family is None:
-                    raise ValueError(f"{where}: sample for undeclared family {name!r}")
-                child: dict[str, object] = {
-                    "labels": record["labels"],
-                    "time": _typed(record["time"], "a number", where, "time"),
-                }
-                if family["kind"] == "histogram":
-                    counts = _typed(record["counts"], "a list", where, "counts")
-                    for count in counts:
-                        _typed(count, "an integer", where, "counts")
-                    child["counts"] = counts
-                    child["sum"] = _typed(record["sum"], "a number", where, "sum")
-                    child["count"] = _typed(record["count"], "an integer", where, "count")
-                elif family["kind"] == "gauge":
-                    child["value"] = _typed(record["value"], "a number", where, "value")
-                    samples = _typed(record["samples"], "a list", where, "samples")
-                    for pair in samples:
-                        for item in _typed(pair, "a list", where, "samples"):
-                            _typed(item, "a number", where, "samples")
-                    child["samples"] = samples
-                else:
-                    child["value"] = _typed(record["value"], "a number", where, "value")
-                family["children"].append(child)  # type: ignore[union-attr]
-        except KeyError as error:
-            raise ValueError(f"{where}: {kind} record has no {error}") from None
-    return state
 
 
 # -- Chrome trace events -----------------------------------------------------
@@ -214,12 +107,13 @@ def parse_chrome_trace(text: str) -> list[Span]:
     """Rebuild the span list from Chrome trace-event JSON, using the
     exact ``args.t0``/``args.t1`` stamps; spans return in creation
     (span-id) order. Raises ``ValueError`` naming the first malformed
-    event."""
+    event, or the first event whose ``span_id`` an earlier one holds."""
     payload = json.loads(text)
     events = payload.get("traceEvents") if isinstance(payload, dict) else None
     if not isinstance(events, list):
         raise ValueError("not a JSON object with a 'traceEvents' list")
     spans: list[Span] = []
+    first_index: dict[int, int] = {}
     for index, event in enumerate(events):
         if not isinstance(event, dict):
             raise ValueError(f"traceEvents[{index}]: not a JSON object")
@@ -238,11 +132,17 @@ def parse_chrome_trace(text: str) -> list[Span]:
             raise ValueError(f"traceEvents[{index}]: complete event has no {error}") from None
         where = f"traceEvents[{index}]"
         _typed(span_id, "an integer", where, "span_id")
+        if span_id in first_index:
+            raise ValueError(
+                f"{where}: span_id {span_id} repeats "
+                f"traceEvents[{first_index[span_id]}]"
+            )
+        first_index[span_id] = index
         if parent_id is not None:
             _typed(parent_id, "an integer", where, "parent_id")
-        _typed(start, "a number", where, "t0")
+        _typed(start, "a finite number", where, "t0")
         if end is not None:  # null: a span never closed, which validate_spans names
-            _typed(end, "a number", where, "t1")
+            _typed(end, "a finite number", where, "t1")
         _typed(event.get("cat", ""), "a string", where, "cat")
         backdated = bool(args.pop("backdated", False))
         spans.append(
@@ -269,25 +169,3 @@ def write_trace(source: "Tracer | Sequence[Span]", path: "Path | str") -> Path:
     path.parent.mkdir(parents=True, exist_ok=True)
     path.write_text(spans_to_chrome_trace(source) + "\n")
     return path
-
-
-def write_metrics(registry: MetricRegistry, path: "Path | str") -> Path:
-    """Write the registry as JSON-lines, whatever the suffix."""
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(metrics_to_jsonl(registry))
-    return path
-
-
-def write_artifacts(
-    telemetry: "Telemetry",
-    trace_path: "Path | str | None" = None,
-    metrics_path: "Path | str | None" = None,
-) -> list[Path]:
-    """Write whichever artifacts were asked for; returns written paths."""
-    written: list[Path] = []
-    if trace_path is not None:
-        written.append(write_trace(telemetry.tracer, trace_path))
-    if metrics_path is not None:
-        written.append(write_metrics(telemetry.registry, metrics_path))
-    return written

@@ -1,93 +1,38 @@
 """The run-time telemetry facade: one object wires every layer.
 
-``Telemetry().attach(router)`` binds the registry and tracer clocks to
-the router's virtual clock and plants the three instrumentation hooks:
+``Telemetry().attach(router)`` binds the tracer clock to the router's
+virtual clock and plants the two instrumentation hooks:
 
-* the simulator's :class:`~repro.sim.engine.SimObserver` slot (event
-  counting) — composing with an already-attached observer such as the
-  sanitizer via :class:`FanoutObserver`;
 * the speaker's ``probe`` (per-UPDATE message, per-prefix decision and
   FIB-install events, see :mod:`repro.bgp.speaker`);
 * the router's ``telemetry`` attribute, which the platform models and
   the benchmark harness consult for packet and phase spans.
 
-Everything recorded is derived state: counters, gauges, histograms, and
-spans, all stamped with virtual time. Attaching a ``Telemetry`` never
-schedules an event and never feeds a value back into the simulation, so
-an instrumented run is **byte-identical** to a plain run — the golden
-regression gate pins this (``bgpbench regress --telemetry``).
+Everything recorded is a span stamped with virtual time. Attaching a
+``Telemetry`` never schedules an event and never feeds a value back
+into the simulation, so an instrumented run is **byte-identical** to a
+plain run — the golden regression gate pins this (``bgpbench regress
+--telemetry``). The simulator's observer slot is left to the sanitizer.
 """
 
 from __future__ import annotations
 
 from typing import TYPE_CHECKING
 
-from repro.telemetry.metrics import MetricRegistry
 from repro.telemetry.spans import Span, Tracer
 
 if TYPE_CHECKING:
-    from repro.sim.engine import Simulator, _ScheduledEvent
     from repro.systems.router import RouterSystem
 
 
-class FanoutObserver:
-    """Fans one simulator-observer slot out to several observers, so
-    checked mode (the sanitizer) and telemetry can watch the same run."""
-
-    def __init__(self, *observers: object):
-        self.observers = tuple(observers)
-
-    def before_fire(self, event: "_ScheduledEvent") -> None:
-        for observer in self.observers:
-            observer.before_fire(event)  # type: ignore[attr-defined]
-
-    def after_fire(self, event: "_ScheduledEvent") -> None:
-        for observer in self.observers:
-            observer.after_fire(event)  # type: ignore[attr-defined]
-
-
 class Telemetry:
-    """Metrics + spans for one instrumented run (see docs/TELEMETRY.md)."""
+    """The span trace of one instrumented run (see docs/TELEMETRY.md)."""
 
     def __init__(self):
-        self.registry = MetricRegistry()
         self.tracer = Tracer()
         self.router: "RouterSystem | None" = None
-        self.sim: "Simulator | None" = None
-        self._prev_observer: object = None
         self._phase: "Span | None" = None
         self._updates: list[Span] = []
-
-        reg = self.registry
-        self._events = reg.counter(
-            "repro_sim_events_total", "simulator events fired"
-        )
-        self._packets = reg.counter(
-            "repro_packets_total", "packets delivered to the router", ("peer",)
-        )
-        self._transactions = reg.counter(
-            "repro_transactions_total", "benchmark transactions completed"
-        )
-        self._latency = reg.histogram(
-            "repro_packet_latency_seconds",
-            "per-packet arrival-to-completion latency (virtual seconds)",
-        )
-        self._updates_total = reg.counter(
-            "repro_bgp_updates_total", "UPDATE messages processed", ("peer",)
-        )
-        self._prefixes = reg.counter(
-            "repro_bgp_prefixes_total",
-            "received prefixes by classification outcome", ("outcome",)
-        )
-        self._fib_ops = reg.counter(
-            "repro_fib_ops_total", "FIB operations by kind", ("op",)
-        )
-        self._phase_seconds = reg.gauge(
-            "repro_phase_seconds", "wall (virtual) duration of each phase", ("phase",)
-        )
-        self._phase_transactions = reg.gauge(
-            "repro_phase_transactions", "transactions measured in each phase", ("phase",)
-        )
 
     # -- attachment --------------------------------------------------------
 
@@ -98,17 +43,9 @@ class Telemetry:
             raise ValueError("telemetry already attached")
         self.router = router
         sim = router.world.sim
-        self.sim = sim
-        self.registry.clock = lambda: sim.now
         self.tracer.clock = lambda: sim.now
-        self._prev_observer = sim.observer
-        sim.observer = self if sim.observer is None else FanoutObserver(sim.observer, self)
         router.telemetry = self
         router.speaker.probe = self
-        for monitor_name in ("cpu_monitor", "forwarding_monitor"):
-            monitor = getattr(router, monitor_name, None)
-            if monitor is not None:
-                monitor.bind_registry(self.registry)
         return self
 
     def detach(self) -> None:
@@ -116,27 +53,12 @@ class Telemetry:
         router = self.router
         if router is None:
             return
-        sim = router.world.sim
-        sim.observer = self._prev_observer
-        self._prev_observer = None
         if router.speaker.probe is self:
             router.speaker.probe = None
         if router.telemetry is self:
             router.telemetry = None
-        for monitor_name in ("cpu_monitor", "forwarding_monitor"):
-            monitor = getattr(router, monitor_name, None)
-            if monitor is not None:
-                monitor.bind_registry(None)
         self.tracer.finish()
         self.router = None
-
-    # -- SimObserver protocol ----------------------------------------------
-
-    def before_fire(self, event: "_ScheduledEvent") -> None:
-        pass
-
-    def after_fire(self, event: "_ScheduledEvent") -> None:
-        self._events.inc()
 
     # -- harness hooks: phases ---------------------------------------------
 
@@ -147,9 +69,6 @@ class Telemetry:
 
     def phase_end(self, span: Span, transactions: int, completed: bool) -> None:
         self.tracer.close(span, transactions=transactions, completed=completed)
-        label = str(span.args["number"])
-        self._phase_seconds.set(span.duration, phase=label)
-        self._phase_transactions.set(float(transactions), phase=label)
         if self._phase is span:
             self._phase = None
 
@@ -158,7 +77,6 @@ class Telemetry:
     def packet_begin(self, peer_id: str, start: "float | None" = None) -> Span:
         """Open a packet span (parent: the current phase) and make it the
         context for the synchronous receive path."""
-        self._packets.inc(peer=peer_id)
         span = self.tracer.open(
             "packet", "packet", parent=self._phase, start=start, peer=peer_id
         )
@@ -172,13 +90,10 @@ class Telemetry:
 
     def packet_end(self, span: Span, transactions: int) -> None:
         self.tracer.close(span, transactions=transactions)
-        self._transactions.inc(float(transactions))
-        self._latency.observe(span.duration)
 
     # -- speaker probe: messages, decisions, FIB ---------------------------
 
     def update_begin(self, peer_id: str, withdrawn: int, announced: int) -> None:
-        self._updates_total.inc(peer=peer_id)
         span = self.tracer.open(
             "update", "message",
             peer=peer_id, withdrawn=withdrawn, announced=announced,
@@ -187,11 +102,9 @@ class Telemetry:
         self._updates.append(span)
 
     def decision(self, prefix: object, outcome: str) -> None:
-        self._prefixes.inc(outcome=outcome)
         self.tracer.instant("decision", "decision", prefix=str(prefix), outcome=outcome)
 
     def fib_op(self, op: str, prefix: object) -> None:
-        self._fib_ops.inc(op=op)
         self.tracer.instant("fib", "fib", op=op, prefix=str(prefix))
 
     def update_end(self) -> None:

@@ -159,8 +159,9 @@ class TopoCell:
     def run(
         self, sanitize: bool = False, telemetry_dir: "str | None" = None
     ) -> dict[str, object]:
-        """The grid's entry: :func:`run_topo_cell` on this cell."""
-        return run_topo_cell(self, sanitize=sanitize, telemetry_dir=telemetry_dir)
+        """The grid's entry: :func:`run_topo_cell` on this cell. A
+        topology run is not traced, so *telemetry_dir* writes nothing."""
+        return run_topo_cell(self, sanitize=sanitize)
 
 
 @dataclass(frozen=True, slots=True)
@@ -418,11 +419,7 @@ def build_harness(cell: TopoCell) -> TopologyHarness:
     )
 
 
-def run_topo_cell(
-    cell: TopoCell,
-    sanitize: bool = False,
-    telemetry_dir: "str | None" = None,
-) -> dict[str, object]:
+def run_topo_cell(cell: TopoCell, sanitize: bool = False) -> dict[str, object]:
     """Execute one topology cell from scratch; JSON-ready result.
 
     What :meth:`TopoCell.run` (and so :func:`repro.grid.cells.
@@ -431,11 +428,8 @@ def run_topo_cell(
 
     With ``sanitize=True`` a :class:`~repro.topo.network.
     TopologySanitizer` observes every event and the quiescent
-    invariants are asserted over the whole graph after the run. With
-    *telemetry_dir* set, per-AS and per-link counters are published to
-    a :class:`~repro.telemetry.metrics.MetricRegistry` and written as
-    ``<cell_id>.metrics.jsonl``. Both modes observe only: the result is
-    byte-identical either way.
+    invariants are asserted over the whole graph after the run; it
+    observes only, so the result is byte-identical either way.
 
     This is the serial engine. The parallel engine
     (:meth:`repro.parallel.ParallelEngine.run_json`) returns the same
@@ -455,15 +449,6 @@ def run_topo_cell(
     finally:
         if sanitizer is not None:
             sanitizer.detach()
-    if telemetry_dir is not None:
-        from pathlib import Path
-
-        from repro.telemetry.export import write_metrics
-        from repro.telemetry.metrics import MetricRegistry
-
-        registry = MetricRegistry(clock=lambda: harness.sim.now)
-        harness.publish_metrics(registry)
-        write_metrics(registry, Path(telemetry_dir) / f"{cell.cell_id}.metrics.jsonl")
     summary = result.to_jsonable()
     summary["cell"] = cell.spec()
     return summary

@@ -476,82 +476,6 @@ class TopologyHarness:
         authoritative converged state)."""
         return sum(node.loc_rib_size for node in self.nodes.values())
 
-    def publish_metrics(self, registry) -> None:
-        """Publish per-AS and per-link counters into a telemetry
-        :class:`~repro.telemetry.metrics.MetricRegistry`. Observe-only:
-        results never read the registry back, so instrumented runs stay
-        byte-identical."""
-        publish_topology_metrics(
-            registry,
-            (
-                (
-                    asn,
-                    node.speaker.work.updates_sent,
-                    node.speaker.work.updates_processed,
-                    node.speaker.work.transactions,
-                    node.mrai_deferrals,
-                    node.ghost_paths,
-                )
-                for asn, node in self.nodes.items()
-            ),
-            (
-                (link.a, link.b, link.a_to_b_packets, link.b_to_a_packets)
-                for link in self.links.values()
-            ),
-        )
-
-
-def publish_topology_metrics(registry, node_rows, link_rows) -> None:
-    """Publish topology counters from plain rows.
-
-    *node_rows* yields ``(asn, updates_sent, updates_received,
-    transactions, mrai_deferrals, ghost_paths)`` and *link_rows* yields
-    ``(a, b, a_to_b_packets, b_to_a_packets)`` — both in the harness's
-    canonical order (sorted ASN; ``topology.links()`` order). Shared
-    between :meth:`TopologyHarness.publish_metrics` (live nodes) and the
-    parallel engine (merged shard reports) so both produce byte-equal
-    metric artifacts."""
-    updates_sent = registry.counter(
-        "topo_updates_sent_total",
-        "UPDATE messages emitted, per AS",
-        labels=("asn",),
-    )
-    updates_received = registry.counter(
-        "topo_updates_received_total",
-        "UPDATE messages processed, per AS",
-        labels=("asn",),
-    )
-    transactions = registry.counter(
-        "topo_transactions_total",
-        "prefix-level route changes processed, per AS",
-        labels=("asn",),
-    )
-    deferrals = registry.counter(
-        "topo_mrai_deferrals_total",
-        "outbound changes withheld or coalesced by MRAI gates, per AS",
-        labels=("asn",),
-    )
-    ghosts = registry.counter(
-        "topo_ghost_paths_total",
-        "distinct transient best paths adopted during the watched phase, per AS",
-        labels=("asn",),
-    )
-    link_packets = registry.counter(
-        "topo_link_packets_total",
-        "packets carried, per directed link",
-        labels=("link",),
-    )
-    for asn, sent, received, txns, mrai_deferrals, ghost_paths in node_rows:
-        label = str(asn)
-        updates_sent.inc(sent, asn=label)
-        updates_received.inc(received, asn=label)
-        transactions.inc(txns, asn=label)
-        deferrals.inc(mrai_deferrals, asn=label)
-        ghosts.inc(ghost_paths, asn=label)
-    for a, b, a_to_b, b_to_a in link_rows:
-        link_packets.inc(a_to_b, link=f"{a}->{b}")
-        link_packets.inc(b_to_a, link=f"{b}->{a}")
-
 
 class TopologySanitizer(Sanitizer):
     """Checked mode for a whole topology, not just one router.

@@ -185,10 +185,10 @@ class TestCheckCli:
     def test_sanitizer_composes_with_telemetry(self, capsys, tmp_path):
         from repro.experiments.runner import main as bgpbench
 
-        metrics = tmp_path / "run.metrics.jsonl"
-        assert bgpbench(self.ARGS + ["--sanitize", "--metrics", str(metrics)]) == 0
+        trace = tmp_path / "run.trace.json"
+        assert bgpbench(self.ARGS + ["--sanitize", "--trace", str(trace)]) == 0
         assert "all invariants held" in capsys.readouterr().out
-        assert metrics.read_text()
+        assert trace.read_text()
 
     def test_violation_exits_one_with_the_event_trace(self, capsys, monkeypatch):
         from repro.experiments.runner import main as bgpbench

@@ -155,7 +155,6 @@ def make_router() -> BgpSpeaker:
 
 COMPARED_WORK = (
     "prefixes_announced", "prefixes_withdrawn", "policy_evaluations", "decisions",
-    "loc_rib_adds", "loc_rib_replaces", "loc_rib_removes", "loc_rib_unchanged",
     "fib_adds", "fib_replaces", "fib_deletes",
 )
 

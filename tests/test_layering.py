@@ -184,6 +184,8 @@ RETIRED_MODULES = [
     # One way to do each job:
     "repro.experiments.export",       # each result has its to_jsonable()
     "repro.sim.buckets",              # spread lives beside its one caller
+    # Each fact recorded once: the span trace is the telemetry artifact.
+    "repro.telemetry.metrics",        # counters that re-counted the spans
 ]
 
 
@@ -201,6 +203,14 @@ def test_retired_speaker_methods_are_gone(name):
     # Route aggregation and the all-peers timer poll: no workload, paper
     # table or figure configured or called them.
     assert not hasattr(BgpSpeaker, name)
+
+
+def _resolve(path):
+    module, _, attributes = path.partition(":")
+    target = importlib.import_module(module)
+    for attribute in filter(None, attributes.split(".")):
+        target = getattr(target, attribute)
+    return target
 
 
 @pytest.mark.parametrize("name", [
@@ -229,21 +239,29 @@ def test_retired_speaker_methods_are_gone(name):
     "repro.experiments.fig5.main",
     "repro.experiments.fig6.main",
     "repro.benchmark.chain.connect_routers",
+    # The metrics registry's feeders, exporters and checker: the span
+    # trace and the result JSON hold what it counted.
+    "repro.telemetry.probe.FanoutObserver",
+    "repro.telemetry.FanoutObserver",
+    "repro.telemetry.export.write_metrics",
+    "repro.telemetry.export.write_artifacts",
+    "repro.telemetry.export.metrics_to_jsonl",
+    "repro.telemetry.export.parse_metrics_jsonl",
+    "repro.telemetry.validate.validate_metrics_file",
+    "repro.telemetry.validate.validate_file",
+    "repro.topo.network.publish_topology_metrics",
+    "repro.topo.network:TopologyHarness.publish_metrics",
+    "repro.parallel.engine:ParallelEngine.publish_metrics",
+    "repro.sim.monitor.CounterRegistry",
+    "repro.sim.monitor:CpuMonitor.bind_registry",
+    "repro.sim.monitor:RateMonitor.bind_registry",
 ])
 def test_retired_names_are_gone(name):
     # No caller was left outside their own tests (DESIGN.md §7, the census).
-    module, _, attribute = name.rpartition(".")
-    if module in RETIRED_MODULES:  # the whole module is gone
+    owner, _, attribute = name.rpartition(".")
+    if owner in RETIRED_MODULES:  # the whole module is gone
         return
-    assert not hasattr(importlib.import_module(module), attribute)
-
-
-def _resolve(path):
-    module, _, attributes = path.partition(":")
-    target = importlib.import_module(module)
-    for attribute in filter(None, attributes.split(".")):
-        target = getattr(target, attribute)
-    return target
+    assert not hasattr(_resolve(owner), attribute)
 
 
 @pytest.mark.parametrize(("owner", "name"), [
@@ -281,6 +299,9 @@ def _resolve(path):
     # One framer: the speaker's.
     ("repro.bgp.messages", "iter_messages"),
     ("repro.bgp", "iter_messages"),
+    # Topology runs write no metrics artifact.
+    ("repro.topo.families:run_topo_cell", "telemetry_dir"),
+    ("repro.parallel.engine:ParallelEngine.run_json", "telemetry_dir"),
 ], ids=lambda value: value.rpartition(":")[2].rpartition(".")[2] or value)
 def test_retired_options_are_gone(owner, name):
     # DESIGN.md §7 census: outside tests, one value was ever used.
@@ -336,6 +357,34 @@ def test_retired_subcommands_are_gone(command, capsys):
         main([command])
     assert raised.value.code == 2
     assert f"invalid choice: '{command}'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(("argv", "flag"), [
+    (["scenario", "--platform", "pentium3", "--scenario", "1", "--metrics", "m.jsonl"],
+     "--metrics"),
+    (["topo", "--telemetry"], "--telemetry"),
+    (["topo", "--telemetry-dir", "telemetry"], "--telemetry-dir"),
+], ids=["scenario-metrics", "topo-telemetry", "topo-telemetry-dir"])
+def test_retired_flags_are_gone(argv, flag, capsys):
+    # The metrics artifact is gone: `scenario --trace` and `grid
+    # --telemetry` write the span trace, and a topology result holds its
+    # per-AS rows.
+    with pytest.raises(SystemExit) as raised:
+        main(argv)
+    assert raised.value.code == 2
+    assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+
+
+def test_only_the_sanitizer_sets_the_simulator_observer():
+    # Telemetry records spans through the router and speaker hooks; the
+    # simulator's observer slot has one user.
+    package = Path(repro.__file__).parent
+    setters = sorted(
+        str(path.relative_to(package))
+        for path in package.rglob("*.py")
+        if re.search(r"\.observer\s*=(?!=)", path.read_text())
+    )
+    assert setters == ["analysis/sanitizer.py"]
 
 
 def module_level_containers():

@@ -4,7 +4,7 @@ byte-identity with the serial engine, and failure semantics.
 The headline invariant — the whole reason the subsystem can exist under
 the golden gate — is **bit-identity**: for any topology cell and any
 shard count, ``ParallelEngine.run_json`` must produce exactly the JSON
-``run_topo_cell`` produces serially, telemetry artifacts included. The
+``run_topo_cell`` produces serially, under the sanitizer too. The
 edge cases the barrier protocol has to survive (zero-delay cross links,
 shards with no cross-shard neighbours, stragglers, crashing shard
 processes) are pinned here too, each asserting either byte-identity or
@@ -42,9 +42,9 @@ def serial_json(cell, **kwargs):
     return json.dumps(run_topo_cell(cell, **kwargs), sort_keys=True)
 
 
-def parallel_json(cell, shards, sanitize=False, telemetry_dir=None):
+def parallel_json(cell, shards, sanitize=False):
     engine = ParallelEngine(cell, shards=shards, sanitize=sanitize)
-    return json.dumps(engine.run_json(telemetry_dir), sort_keys=True)
+    return json.dumps(engine.run_json(), sort_keys=True)
 
 
 class TestPartition:
@@ -140,21 +140,10 @@ class TestByteIdentity:
         cell = TopoCell(family="churn", mrai=2.0, damping=True, **SMALL)
         assert parallel_json(cell, 3) == serial_json(cell)
 
-    def test_sanitize_and_telemetry_identical(self, tmp_path):
+    def test_sanitize_identical(self):
         cell = TopoCell(family="withdraw", **SMALL)
-        serial_dir = tmp_path / "serial"
-        parallel_dir = tmp_path / "parallel"
-        serial_dir.mkdir()
-        parallel_dir.mkdir()
-        expected = serial_json(cell, sanitize=True, telemetry_dir=str(serial_dir))
-        actual = parallel_json(
-            cell, 2, sanitize=True, telemetry_dir=str(parallel_dir)
-        )
-        assert actual == expected
-        artifact = f"{cell.cell_id}.metrics.jsonl"
-        assert (parallel_dir / artifact).read_bytes() == (
-            serial_dir / artifact
-        ).read_bytes()
+        expected = serial_json(cell, sanitize=True)
+        assert parallel_json(cell, 2, sanitize=True) == expected
 
 
 class TestBarrierEdgeCases:
@@ -260,8 +249,8 @@ class TestTopoCommand:
 
     def run_cli(self, tmp_path, shards, capsys):
         out = tmp_path / f"shards{shards}"
-        assert main([*self.ARGS, "--shards", str(shards), "--telemetry",
-                     "--telemetry-dir", str(out), "--json", str(out / "run.json")]) == 0
+        assert main([*self.ARGS, "--shards", str(shards),
+                     "--json", str(out / "run.json")]) == 0
         return capsys.readouterr().out, out
 
     def test_sharded_command_writes_the_serial_bytes(self, tmp_path, capsys):
@@ -269,8 +258,7 @@ class TestTopoCommand:
         sharded_out, sharded = self.run_cli(tmp_path, 3, capsys)
         assert "[parallel engine: 3 shards]" in sharded_out
         assert "parallel engine" not in serial_out
-        for name in ("run.json", "topo-churn-2x4x10-seed42-mrai5-damp-o2.metrics.jsonl"):
-            assert (sharded / name).read_bytes() == (serial / name).read_bytes()
+        assert (sharded / "run.json").read_bytes() == (serial / "run.json").read_bytes()
 
 
 # -- fork-safety contract ----------------------------------------------------

@@ -51,7 +51,6 @@ class TestChargesFor:
             prefixes_announced=1,
             decisions=1,
             policy_evaluations=1,
-            loc_rib_adds=1,
             fib_adds=1,
         )
         charges = charges_for(XORP_BASE_COSTS, delta)
@@ -64,10 +63,8 @@ class TestChargesFor:
         assert charges.kernel_fib == pytest.approx(XORP_BASE_COSTS.kfib_add)
 
     def test_ipc_charged_per_message_not_per_prefix(self):
-        small = WorkLog(updates_processed=1, prefixes_announced=1,
-                        loc_rib_adds=1, fib_adds=1)
-        large = WorkLog(updates_processed=1, prefixes_announced=500,
-                        loc_rib_adds=500, fib_adds=500)
+        small = WorkLog(updates_processed=1, prefixes_announced=1, fib_adds=1)
+        large = WorkLog(updates_processed=1, prefixes_announced=500, fib_adds=500)
         c_small = charges_for(XORP_BASE_COSTS, small)
         c_large = charges_for(XORP_BASE_COSTS, large)
         ipc = XORP_BASE_COSTS.ipc_rib_msg
@@ -85,7 +82,6 @@ class TestChargesFor:
             updates_processed=1,
             prefixes_withdrawn=1,
             decisions=1,
-            loc_rib_removes=1,
             fib_deletes=1,
         )
         charges = charges_for(XORP_BASE_COSTS, delta)

@@ -1,42 +1,15 @@
-"""Exporter round-trips: every artifact re-parses to what produced it.
+"""Exporter round-trip: the trace artifact re-parses to what produced it.
 
-JSON-lines must reconstruct the exact ``MetricRegistry.state()``
-snapshot; the Chrome trace must reconstruct the exact span list
-(timestamps ride in ``args.t0/t1`` because ``ts`` microseconds would
-quantise).
+The Chrome trace must reconstruct the exact span list (timestamps ride
+in ``args.t0/t1`` because ``ts`` microseconds would quantise).
 """
 
 import json
 
 import pytest
 
-from repro.telemetry.export import (
-    metrics_to_jsonl,
-    parse_chrome_trace,
-    parse_metrics_jsonl,
-    spans_to_chrome_trace,
-    write_metrics,
-    write_trace,
-)
-from repro.telemetry.metrics import MetricRegistry
+from repro.telemetry.export import parse_chrome_trace, spans_to_chrome_trace, write_trace
 from repro.telemetry.spans import Tracer
-
-
-def populated_registry() -> MetricRegistry:
-    times = iter(float(i) for i in range(100))
-    reg = MetricRegistry(clock=lambda: next(times))
-    packets = reg.counter("repro_packets_total", "packets", ("peer",))
-    packets.inc(3, peer="p1")
-    packets.inc(1, peer="p2")
-    depth = reg.gauge("repro_depth", "queue depth")
-    depth.set(2.0)
-    depth.set(5.0)
-    latency = reg.histogram(
-        "repro_latency_seconds", "latency", buckets=(0.001, 0.01, 0.1)
-    )
-    for value in (0.0005, 0.05, 7.0):
-        latency.observe(value)
-    return reg
 
 
 def populated_tracer() -> Tracer:
@@ -58,33 +31,6 @@ def populated_tracer() -> Tracer:
     tracer.close(queued)
     tracer.close(phase)
     return tracer
-
-
-class TestMetricsJsonl:
-    def test_roundtrip_reconstructs_state_exactly(self):
-        reg = populated_registry()
-        assert parse_metrics_jsonl(metrics_to_jsonl(reg)) == reg.state()
-
-    def test_sample_without_family_rejected(self):
-        line = json.dumps(
-            {"type": "sample", "name": "repro_x_total", "labels": {}, "time": 0.0, "value": 1.0}
-        )
-        with pytest.raises(ValueError, match="undeclared family"):
-            parse_metrics_jsonl(line)
-
-    def test_empty_registry_exports_empty(self):
-        assert metrics_to_jsonl(MetricRegistry()) == ""
-        assert parse_metrics_jsonl("") == {}
-
-    def test_output_is_deterministic(self):
-        assert metrics_to_jsonl(populated_registry()) == metrics_to_jsonl(
-            populated_registry()
-        )
-
-    def test_write_metrics_writes_jsonl(self, tmp_path):
-        reg = populated_registry()
-        path = write_metrics(reg, tmp_path / "deep" / "m.metrics.jsonl")
-        assert parse_metrics_jsonl(path.read_text()) == reg.state()
 
 
 class TestChromeTrace:

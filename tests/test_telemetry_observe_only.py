@@ -1,8 +1,8 @@
 """The telemetry acceptance gates: observe-only, and a complete trace.
 
 Two properties anchor the subsystem. First, instrumentation must be
-invisible: a run with telemetry (and with the sanitizer sharing the
-observer slot) is byte-identical to a plain run. Second, a traced
+invisible: a run with telemetry (and with the sanitizer attached too,
+in either order) is byte-identical to a plain run. Second, a traced
 scenario-5 run must produce a Chrome trace covering all three benchmark
 phases whose span forest passes every structural invariant — nesting
 and virtual-time monotonicity included.
@@ -17,24 +17,29 @@ from repro.experiments.runner import main as bgpbench
 from repro.grid.cells import GridCell, run_cell
 from repro.systems import build_system
 from repro.telemetry import Telemetry
-from repro.telemetry.export import parse_chrome_trace, parse_metrics_jsonl
+from repro.telemetry.export import parse_chrome_trace
 from repro.telemetry.spans import validate_spans
 
 SIZE = 120
 
 
 def scenario_summary(platform, *, telemetry=None, sanitize=False):
-    """One scenario-5 run reduced to its canonical JSON bytes."""
+    """One scenario-5 run reduced to its canonical JSON bytes. The
+    sanitizer, when asked for, attaches after the telemetry and checks
+    the quiescent invariants at the end."""
     router = build_system(platform)
     sanitizer = None
+    if telemetry is not None:
+        telemetry.attach(router)
     if sanitize:
         from repro.analysis.sanitizer import Sanitizer
 
         sanitizer = Sanitizer().attach(router)
-    if telemetry is not None:
-        telemetry.attach(router)
     try:
         result = run_scenario(router, 5, table_size=SIZE, seed=7)
+        if sanitizer is not None:
+            sanitizer.check_quiescent()
+            assert sanitizer.stats.events_checked > 0
     finally:
         if telemetry is not None:
             telemetry.detach()
@@ -50,10 +55,15 @@ class TestObserveOnly:
             platform, telemetry=Telemetry()
         )
 
-    def test_identical_with_sanitizer_sharing_observer_slot(self):
+    def test_identical_with_sanitizer_attached_after_telemetry(self):
+        """Telemetry takes no simulator observer slot, so the sanitizer
+        attaches after it and checks every event of a traced run."""
         plain = scenario_summary("pentium3")
-        both = scenario_summary("pentium3", telemetry=Telemetry(), sanitize=True)
+        telemetry = Telemetry()
+        both = scenario_summary("pentium3", telemetry=telemetry, sanitize=True)
         assert plain == both
+        validate_spans(telemetry.tracer.spans())
+        assert telemetry.tracer.spans("packet")
 
     def test_run_cell_result_unchanged_by_telemetry(self, tmp_path):
         cell = GridCell(scenario=5, platform="pentium3", seed=7, table_size=SIZE)
@@ -95,18 +105,11 @@ class TestTraceShape:
         assert decisions
         assert all(span.parent_id in messages for span in decisions)
 
-    def test_metrics_agree_with_spans(self, telemetry):
-        packets = telemetry.registry.get("repro_packets_total")
-        total = sum(child["value"] for _, child in packets.children())
-        assert total == len(telemetry.tracer.spans("packet"))
-        latency = telemetry.registry.get("repro_packet_latency_seconds")
-        assert latency.labelled()["count"] == total
 
 
 class TestCliArtifacts:
-    def test_scenario_trace_and_metrics_flags(self, tmp_path, capsys):
+    def test_scenario_trace_and_profile_flags(self, tmp_path, capsys):
         trace_path = tmp_path / "run.trace.json"
-        metrics_path = tmp_path / "run.metrics.jsonl"
         code = bgpbench(
             [
                 "scenario",
@@ -114,13 +117,14 @@ class TestCliArtifacts:
                 "--scenario", "5",
                 "--table-size", str(SIZE),
                 "--trace", str(trace_path),
-                "--metrics", str(metrics_path),
                 "--profile",
             ]
         )
         assert code == 0
         out = capsys.readouterr().out
+        assert f"[written {trace_path}]" in out
         assert "TASK" in out, "--profile must print the top table"
+        assert [path.name for path in tmp_path.iterdir()] == ["run.trace.json"]
 
         spans = parse_chrome_trace(trace_path.read_text())
         validate_spans(spans)
@@ -128,33 +132,25 @@ class TestCliArtifacts:
             "phase1", "phase2", "phase3"
         }
 
-        state = parse_metrics_jsonl(metrics_path.read_text())
-        assert "repro_packets_total" in state
-        assert "repro_sim_events_total" in state
-
-    def test_prometheus_metrics_path_is_a_usage_error(self, tmp_path, capsys):
-        metrics_path = tmp_path / "m.prom"
-        code = bgpbench(
-            [
-                "scenario",
-                "--platform", "pentium3",
-                "--scenario", "1",
-                "--table-size", str(SIZE),
-                "--metrics", str(metrics_path),
-            ]
-        )
-        assert code == 2
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err.count("\n") == 1 and "JSON-lines" in captured.err
-        assert not metrics_path.exists()
+    def test_profile_alone_writes_nothing(self, tmp_path, capsys, monkeypatch):
+        """``--profile`` reads the router's CPU monitor: no trace is
+        recorded or written."""
+        monkeypatch.chdir(tmp_path)
+        args = ["scenario", "--platform", "pentium3", "--scenario", "5",
+                "--table-size", str(SIZE)]
+        assert bgpbench(args) == 0
+        plain = capsys.readouterr().out
+        assert bgpbench([*args, "--profile"]) == 0
+        out = capsys.readouterr().out
+        assert out.startswith(plain)
+        assert "TASK" in out and "[written" not in out
+        assert list(tmp_path.iterdir()) == []
 
     def test_run_cell_writes_valid_artifacts(self, tmp_path):
         cell = GridCell(scenario=1, platform="pentium3", seed=7, table_size=SIZE)
         run_cell(cell, sanitize=True, telemetry_dir=str(tmp_path))
         trace = tmp_path / f"{cell.cell_id}.trace.json"
-        metrics = tmp_path / f"{cell.cell_id}.metrics.jsonl"
         spans = parse_chrome_trace(trace.read_text())
         validate_spans(spans)
         assert spans, "cell trace must not be empty"
-        assert parse_metrics_jsonl(metrics.read_text())
+        assert list(tmp_path.iterdir()) == [trace]

@@ -1,13 +1,17 @@
 """``python -m repro.telemetry.validate``: well-formed JSON of the wrong
-shape is an invalid artifact (exit 1, one ``INVALID — <reason>`` line
+shape is an invalid trace (exit 1, one ``INVALID — <reason>`` line
 naming the problem), never a traceback."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
-from repro.telemetry.export import metrics_to_jsonl, spans_to_chrome_trace
-from repro.telemetry.metrics import MetricRegistry
+import repro
+from repro.telemetry.export import spans_to_chrome_trace
 from repro.telemetry.spans import Tracer
 from repro.telemetry.validate import main
 
@@ -17,6 +21,10 @@ def assert_invalid(path, capsys, reason):
     out = capsys.readouterr().out
     assert out.count("\n") == 1
     assert out.startswith(f"{path}: INVALID — {reason}")
+
+
+def complete_event(span_id=1, t0=0.0, t1=1.0, name="p"):
+    return {"ph": "X", "name": name, "args": {"span_id": span_id, "t0": t0, "t1": t1}}
 
 
 @pytest.mark.parametrize(("name", "payload", "reason"), [
@@ -37,46 +45,54 @@ def test_wrong_shape_trace_is_invalid(tmp_path, capsys, name, payload, reason):
     assert_invalid(path, capsys, reason)
 
 
-@pytest.mark.parametrize(("lines", "reason"), [
-    (["[1]"], "line 1: not a JSON object"),
-    (['{"type": "family", "name": "repro_x_total", "kind": "counter", '
-      '"help": "", "label_names": []}', "{"],
-     "line 2: Expecting property name"),
-    (['{"type": "family", "name": "repro_x_total"}'],
-     "line 1: family record has no 'kind'"),
-], ids=["line-not-object", "bad-json", "missing-key"])
-def test_wrong_shape_metrics_line_is_invalid(tmp_path, capsys, lines, reason):
-    path = tmp_path / "x.metrics.jsonl"
-    path.write_text("\n".join(lines) + "\n")
-    assert_invalid(path, capsys, reason)
-
-
-COUNTER_FAMILY = ('{"type": "family", "name": "repro_x_total", "kind": "counter", '
-                  '"help": "", "label_names": []}')
-HISTOGRAM_FAMILY = ('{"type": "family", "name": "repro_h", "kind": "histogram", '
-                    '"help": "", "label_names": [], "buckets": [1.0]}')
-
-
-@pytest.mark.parametrize(("lines", "reason"), [
-    ([COUNTER_FAMILY, '{"type": "sample", "name": "repro_x_total", "labels": {}, '
-                      '"time": 0.0, "value": "x"}'],
-     "line 2: 'value' is \"x\", not a number"),
-    ([HISTOGRAM_FAMILY, '{"type": "sample", "name": "repro_h", "labels": {}, '
-                        '"time": 0.0, "counts": [1, 0], "sum": 0.5, "count": 1.5}'],
-     "line 2: 'count' is 1.5, not an integer"),
-], ids=["string-counter-value", "fractional-histogram-count"])
-def test_wrong_typed_metrics_value_is_invalid(tmp_path, capsys, lines, reason):
-    path = tmp_path / "x.metrics.jsonl"
-    path.write_text("\n".join(lines) + "\n")
-    assert_invalid(path, capsys, reason)
-
-
 def test_string_span_time_is_invalid(tmp_path, capsys):
     path = tmp_path / "x.trace.json"
+    path.write_text(json.dumps({"traceEvents": [complete_event(t0="a")]}))
+    assert_invalid(path, capsys, "traceEvents[0]: 't0' is \"a\", not a finite number")
+
+
+# json.loads reads the NaN/Infinity literals as floats, and NaN passes
+# every ordering check validate_spans makes: the parser must refuse them.
+@pytest.mark.parametrize(("event", "reason"), [
+    (complete_event(t0=float("nan")), "traceEvents[1]: 't0' is NaN, not a finite number"),
+    (complete_event(t1=float("inf")),
+     "traceEvents[1]: 't1' is Infinity, not a finite number"),
+    (complete_event(t0=float("-inf")),
+     "traceEvents[1]: 't0' is -Infinity, not a finite number"),
+], ids=["nan-t0", "infinity-t1", "minus-infinity-t0"])
+def test_non_finite_span_time_is_invalid(tmp_path, capsys, event, reason):
+    path = tmp_path / "x.trace.json"
+    path.write_text(json.dumps({"traceEvents": [{"ph": "M"}, event]}))
+    assert_invalid(path, capsys, reason)
+
+
+def test_repeated_span_id_is_invalid(tmp_path, capsys):
+    path = tmp_path / "x.trace.json"
     path.write_text(json.dumps({"traceEvents": [
-        {"ph": "X", "name": "p", "args": {"span_id": 1, "t0": "a", "t1": 1.0}},
+        complete_event(1, name="a"), {"ph": "M"}, complete_event(1, name="b"),
     ]}))
-    assert_invalid(path, capsys, "traceEvents[0]: 't0' is \"a\", not a number")
+    assert_invalid(path, capsys, "traceEvents[2]: span_id 1 repeats traceEvents[0]")
+
+
+def test_metrics_file_is_invalid_without_a_traceback(tmp_path):
+    """The validator reads traces only: a JSON-lines metrics file from an
+    older run is an invalid trace, reported on one line."""
+    path = tmp_path / "x.metrics.jsonl"
+    path.write_text(
+        '{"type": "family", "name": "repro_x_total", "kind": "counter", '
+        '"help": "", "label_names": []}\n'
+        '{"type": "sample", "name": "repro_x_total", "labels": {}, '
+        '"time": 0.0, "value": 1.0}\n'
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(repro.__file__).resolve().parents[1]))
+    completed = subprocess.run(
+        [sys.executable, "-m", "repro.telemetry.validate", str(path)],
+        capture_output=True, text=True, env=env,
+    )
+    assert completed.returncode == 1
+    assert completed.stdout.startswith(f"{path}: INVALID — ")
+    assert completed.stdout.count("\n") == 1
+    assert "Traceback" not in completed.stderr
 
 
 def test_well_formed_artifacts_validate(tmp_path, capsys):
@@ -85,14 +101,9 @@ def test_well_formed_artifacts_validate(tmp_path, capsys):
     phase = tracer.open("phase1", "phase")
     clock[0] = 1.0
     tracer.close(phase)
-    registry = MetricRegistry()
-    registry.counter("repro_x_total", "x").inc()
     trace = tmp_path / "x.trace.json"
     trace.write_text(spans_to_chrome_trace(tracer))
-    metrics = tmp_path / "x.metrics.jsonl"
-    metrics.write_text(metrics_to_jsonl(registry))
-    assert main([str(trace), str(metrics)]) == 0
+    assert main([str(trace)]) == 0
     assert capsys.readouterr().out.splitlines() == [
         f"{trace}: ok (spans=1, categories={{'phase': 1}})",
-        f"{metrics}: ok (families=1, samples=1)",
     ]

@@ -177,16 +177,15 @@ class TestRunTopoCell:
             {cell.cell_id: checked}
         )
 
-    def test_telemetry_artifact_written_and_deterministic(self, tmp_path):
+    def test_telemetry_dir_writes_nothing(self, tmp_path):
+        """A topology cell is not traced: the grid's ``telemetry_dir``
+        leaves the result unchanged and the directory empty."""
         cell = TopoCell(family="convergence", **SMALL)
-        a_dir, b_dir = tmp_path / "a", tmp_path / "b"
-        a_dir.mkdir(), b_dir.mkdir()
-        run_topo_cell(cell, telemetry_dir=str(a_dir))
-        run_topo_cell(cell, telemetry_dir=str(b_dir))
-        artifact = f"{cell.cell_id}.metrics.jsonl"
-        a_bytes = (a_dir / artifact).read_bytes()
-        assert a_bytes
-        assert a_bytes == (b_dir / artifact).read_bytes()
+        traced = cell.run(telemetry_dir=str(tmp_path))
+        assert result_json({cell.cell_id: traced}) == result_json(
+            {cell.cell_id: run_topo_cell(cell)}
+        )
+        assert list(tmp_path.iterdir()) == []
 
     def test_hundred_as_graph_deterministic_and_sanitized(self):
         """The acceptance bar: a 100+-AS convergence run is clean under

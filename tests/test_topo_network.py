@@ -167,23 +167,6 @@ class TestTopologyHarness:
         with pytest.raises(ValueError, match="not in topology"):
             TopologyHarness(small_topology(), measured={9999})
 
-    def test_metrics_published_with_as_labels(self):
-        from repro.telemetry.metrics import MetricRegistry
-
-        topology = small_topology()
-        harness = TopologyHarness(topology, seed=42)
-        origin = topology.ases()[-1]
-        converge(harness, origin)
-        registry = MetricRegistry(clock=lambda: harness.sim.now)
-        harness.publish_metrics(registry)
-        state = registry.state()
-        sent = state["topo_updates_sent_total"]
-        labelled = {child["labels"]["asn"] for child in sent["children"]}
-        assert labelled == {str(asn) for asn in topology.ases()}
-        assert "topo_link_packets_total" in state
-        assert "topo_mrai_deferrals_total" in state
-        assert "topo_ghost_paths_total" in state
-
 
 def star_topology(customers):
     """One tier-1 hub (AS 1) with *customers* stub customers (AS 11...)."""
