@@ -21,7 +21,7 @@ from repro.benchmark.harness import (
     SPEAKER1_ASN,
     stream_packets,
 )
-from repro.benchmark.stability import KeepaliveProbe, offer_at_rate
+from repro.benchmark.stability import run_storm
 from repro.bgp.policy import ACCEPT_ALL
 from repro.bgp.speaker import PeerConfig
 from repro.systems import build_system
@@ -81,18 +81,9 @@ def main() -> None:
     print(f"{'platform':12s} {'offered':>10s} {'worst gap':>11s}  verdict")
     print("-" * 52)
     for platform, rate in (("pentium3", 1500.0), ("xeon", 1500.0)):
-        router = build_system(platform)
-        router.add_peer(
-            PeerConfig(SPEAKER1, SPEAKER1_ASN, SPEAKER1_ADDR, ACCEPT_ALL, ACCEPT_ALL)
+        report = run_storm(
+            platform, rate, duration=30.0, hold_time=15.0, table_size=500, seed=99
         )
-        router.handshake(SPEAKER1, SPEAKER1_ASN, SPEAKER1_ADDR)
-        probe = KeepaliveProbe(router, interval=5.0, hold_time=15.0, horizon=30.0)
-        builder = UpdateStreamBuilder(SPEAKER1_ASN, SPEAKER1_ADDR)
-        table = generate_table(500, seed=99)
-        packets = builder.flap_storm(table, rounds=90, prefixes_per_update=1)
-        offer_at_rate(router, SPEAKER1, packets[: int(rate * 30)], rate)
-        router.run_until_idle()
-        report = probe.stop()
         verdict = "session holds" if report.session_survives else "SESSION FLAPS"
         print(
             f"{platform:12s} {rate:>8.0f}/s {report.max_gap:>9.1f} s  {verdict}"

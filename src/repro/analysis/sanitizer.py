@@ -219,9 +219,9 @@ class Sanitizer:
         self._check_conservation(self.router.speaker)
         self._check_rib_fib(self.router)
 
-    def _check_rib_fib(self, router: "RouterSystem", asn: "int | None" = None) -> None:
+    def _check_rib_fib(self, router: "RouterSystem") -> None:
         """RIB/FIB agreement on one router, naming the first prefix of
-        each kind of difference (and, on a topology, the router's *asn*)."""
+        each kind of difference."""
         rib_view = router.speaker.loc_rib.fib_view()
         fib_view = router.fib.routes()
         if rib_view != fib_view:
@@ -245,7 +245,7 @@ class Sanitizer:
                 )
             self._violation(
                 "rib-fib-agreement",
-                f"{_where(asn)}Loc-RIB and FIB disagree after quiescence: "
+                "Loc-RIB and FIB disagree after quiescence: "
                 + "; ".join(details),
             )
 

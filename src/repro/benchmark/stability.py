@@ -12,13 +12,20 @@ whatever update processing is already backlogged — exactly the
 starvation mechanism. The probe records when each keepalive actually
 completes; if the gap between consecutive completions ever exceeds the
 peer's hold time, the peer would have declared the session dead.
+:func:`run_storm` drives one such storm end to end.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from repro.benchmark.harness import SPEAKER1, SPEAKER1_ADDR, SPEAKER1_ASN
+from repro.bgp.policy import ACCEPT_ALL
+from repro.bgp.speaker import PeerConfig
+from repro.systems.platforms import build_system
 from repro.systems.router import CiscoRouter, RouterSystem, XorpRouter
+from repro.workload.tablegen import generate_table
+from repro.workload.updates import UpdateStreamBuilder
 
 #: CPU cost of building and sending one KEEPALIVE (reference seconds) —
 #: the 19-byte message is trivial; the problem is getting scheduled.
@@ -128,3 +135,32 @@ class KeepaliveProbe:
         become no-ops)."""
         self._stopped = True
         return self.report
+
+
+def run_storm(
+    platform: str,
+    rate: float,
+    duration: float,
+    hold_time: float,
+    table_size: int,
+    seed: int,
+) -> StabilityReport:
+    """Offer *rate* small-packet flaps per second over a *table_size*
+    table for *duration* seconds to a fresh *platform* router, probing a
+    keepalive every ``hold_time / 3`` (the RFC 4271 suggested ratio)."""
+    router = build_system(platform)
+    router.add_peer(
+        PeerConfig(SPEAKER1, SPEAKER1_ASN, SPEAKER1_ADDR, ACCEPT_ALL, ACCEPT_ALL)
+    )
+    router.handshake(SPEAKER1, SPEAKER1_ASN, SPEAKER1_ADDR)
+    probe = KeepaliveProbe(
+        router, interval=hold_time / 3.0, hold_time=hold_time, horizon=duration
+    )
+    builder = UpdateStreamBuilder(SPEAKER1_ASN, SPEAKER1_ADDR)
+    table = generate_table(table_size, seed=seed)
+    total = int(rate * duration)
+    rounds = max(2, (total + len(table) - 1) // len(table))
+    packets = builder.flap_storm(table, rounds=rounds, prefixes_per_update=1)[:total]
+    offer_at_rate(router, SPEAKER1, packets, rate)
+    router.run_until_idle()
+    return probe.stop()

@@ -10,6 +10,7 @@ identifier, then lowest peer address.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from repro.bgp.attributes import PathAttributes
 from repro.net.addr import IPv4Address
@@ -26,9 +27,9 @@ class PeerInfo:
     is_ebgp: bool = True
 
 
-@dataclass(frozen=True, slots=True)
-class Candidate:
-    """One candidate route for a prefix."""
+class Candidate(NamedTuple):
+    """One candidate route for a prefix (a tuple: one is built per
+    candidate on every decision no per-UPDATE memo covers)."""
 
     attributes: PathAttributes
     peer: PeerInfo

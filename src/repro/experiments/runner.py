@@ -9,21 +9,21 @@
                       [--trace out.trace.json] [--profile] [--sanitize]
     bgpbench repeatability --platform pentium3 --scenario 1 --seeds 1 2 3
     bgpbench stability --platform pentium3 --rate 1500
-    bgpbench grid --workers 4 [--scenarios ...] [--telemetry]
+    bgpbench grid --workers 4 [--scenarios ...] [--telemetry [DIR]]
                   [--cell-timeout 300]
     bgpbench regress [--golden benchmarks/golden/grid-small.json] [--bless]
     bgpbench topo --family convergence [--tier1 2 --tier2 5 --stubs 18]
                   [--mrai 30] [--damping] [--sanitize]
                   [--shards 4] [--json out.json]
 
-``--output-dir`` writes the experiment's result as JSON next to the
-text rendering. ``grid`` runs the sharded experiment grid through the
-on-disk cell cache; ``regress`` re-runs a committed golden baseline's
-grid and exits non-zero on drift (see docs/GRID.md). With one worker and
-no ``--cell-timeout`` the cells run in the calling process;
-``--workers N`` or ``--cell-timeout`` runs each cell once on supervised
-worker processes, where failing cells degrade to a failure manifest and
-exit status 3 instead of aborting the run. Every finished
+``--output-dir`` (the experiments and ``all``) writes each result as
+JSON next to its text rendering. ``grid`` runs the sharded experiment
+grid through the on-disk cell cache; ``regress`` re-runs a committed
+golden baseline's grid and exits non-zero on drift (see docs/GRID.md).
+With one worker and no ``--cell-timeout`` the cells run in the calling
+process; ``--workers N`` or ``--cell-timeout`` runs each cell once on
+supervised worker processes, where failing cells degrade to a failure
+manifest and exit status 3 instead of aborting the run. Every finished
 cell is cached at once, so running an interrupted command again executes
 only the cells it did not finish; an unusable golden file is a usage
 error (exit 2). ``topo`` runs one topology benchmark cell (an AS graph
@@ -33,10 +33,11 @@ the one way onto the parallel engine (docs/PARALLEL.md).
 ``--sanitize`` (scenario/grid/regress/topo) runs in checked mode (see
 docs/ANALYSIS.md); ``scenario --sanitize`` exits 1 on a violated
 invariant, so CI can gate on it. ``--trace`` (scenario) and
-``--telemetry`` (grid/regress, scenario cells) record the run's span
-trace with :mod:`repro.telemetry` — observe-only, results are
-byte-identical (see docs/TELEMETRY.md); ``scenario --profile`` prints
-the per-task virtual-CPU table of the router's own CPU monitor.
+``--telemetry [DIR]`` (grid/regress; scenario cells only, a topology
+golden refuses it) record the run's span trace with
+:mod:`repro.telemetry` — observe-only, results are byte-identical (see
+docs/TELEMETRY.md); ``scenario --profile`` prints the per-task
+virtual-CPU table of the router's own CPU monitor.
 """
 
 from __future__ import annotations
@@ -100,12 +101,6 @@ def _add_common(parser: argparse.ArgumentParser, default_size: int) -> None:
         help="synthetic routing-table size (prefixes)",
     )
     parser.add_argument("--seed", type=int, default=42, help="workload PRNG seed")
-    parser.add_argument(
-        "--output-dir",
-        type=Path,
-        default=None,
-        help="also write the result as JSON into this directory",
-    )
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -121,10 +116,13 @@ def build_parser() -> argparse.ArgumentParser:
         "fig4": "Figure 4: small vs large packets",
         "fig5": "Figure 5: cross-traffic sweep",
         "fig6": "Figure 6: CPU breakdown + forwarding",
+        "all": "run every experiment",
     }
-    for command, (_run, _render, default_size) in _EXPERIMENTS.items():
-        _add_common(sub.add_parser(command, help=help_text[command]), default_size)
-    _add_common(sub.add_parser("all", help="run every experiment"), 1500)
+    for command, text in help_text.items():
+        experiment = sub.add_parser(command, help=text)
+        _add_common(experiment, _EXPERIMENTS.get(command, (None, None, 1500))[2])
+        experiment.add_argument("--output-dir", type=Path, default=None,
+                                help="also write the result as JSON into this directory")
 
     single = sub.add_parser("scenario", help="run one scenario on one platform")
     _add_common(single, 2000)
@@ -232,12 +230,6 @@ def build_parser() -> argparse.ArgumentParser:
                       help="flap cycles per origin (churn family)")
     topo.add_argument("--flap-interval", type=float, default=60.0,
                       help="seconds per flap cycle (churn family)")
-    topo.add_argument("--measured", type=int, default=0,
-                      help="instantiate this many tier-1 ASes as full costed "
-                           "router systems")
-    topo.add_argument("--platform", choices=sorted(PLATFORMS),
-                      default="pentium3",
-                      help="platform model for --measured routers")
     topo.add_argument("--shards", type=_positive_int, default=1,
                       help="run on the conservative parallel engine with this "
                            "many shard processes (results are byte-identical "
@@ -272,13 +264,10 @@ def _add_pool_arguments(parser: argparse.ArgumentParser) -> None:
         help="run executed cells in checked mode (invariant sanitizer)",
     )
     parser.add_argument(
-        "--telemetry", action="store_true",
+        "--telemetry", nargs="?", const="telemetry", default=None, metavar="DIR",
         help="trace executed scenario cells and write a per-cell "
-             "<cell>.trace.json (observe-only: results are byte-identical)",
-    )
-    parser.add_argument(
-        "--telemetry-dir", type=Path, default=Path("telemetry"),
-        help="directory for the per-cell traces (with --telemetry)",
+             "<cell>.trace.json into DIR (default: telemetry; observe-only: "
+             "results are byte-identical)",
     )
     parser.add_argument(
         "--cell-timeout", type=_positive_float, default=None, metavar="SECONDS",
@@ -327,10 +316,6 @@ def _make_cache(args):
     return GridCache(args.cache_dir if args.cache_dir is not None else DEFAULT_CACHE_DIR)
 
 
-def _telemetry_dir(args) -> "str | None":
-    return str(args.telemetry_dir) if args.telemetry else None
-
-
 def _print_failures(report) -> None:
     print(f"failures ({len(report.failures)}):")
     for _cell_id, failure in sorted(report.failures.items()):
@@ -355,7 +340,7 @@ def _run_grid(args) -> int:
             f"  [{'cache' if cached else ' run '}] {cell_id}"
         ),
         sanitize=args.sanitize,
-        telemetry_dir=_telemetry_dir(args),
+        telemetry_dir=args.telemetry,
         cell_timeout=args.cell_timeout,
     )
     for cell_id, result in report.results.items():
@@ -373,9 +358,9 @@ def _run_grid(args) -> int:
     )
     if not report.ok:
         _print_failures(report)
-    if args.telemetry and report.executed:
+    if args.telemetry is not None and report.executed:
         # Every grid cell is a scenario cell: one trace per executed cell.
-        print(f"[{report.executed} trace file(s) written to {args.telemetry_dir}]")
+        print(f"[{report.executed} trace file(s) written to {args.telemetry}]")
     if args.output is not None:
         args.output.parent.mkdir(parents=True, exist_ok=True)
         args.output.write_text(report.to_json() + "\n")
@@ -406,8 +391,6 @@ def _run_topo(args) -> int:
             origins=args.origins,
             flaps=args.flaps,
             flap_interval=args.flap_interval,
-            measured=args.measured,
-            platform=args.platform,
         )
     except ValueError as error:
         # A bad spec is a usage error, reported before anything is built.
@@ -420,8 +403,8 @@ def _run_topo(args) -> int:
         try:
             engine = ParallelEngine(cell, shards=args.shards, sanitize=args.sanitize)
         except ParallelError as error:
-            # Measured routers or a too-short cross-shard delay: refused
-            # before any shard process starts.
+            # A too-short cross-shard delay: refused before any shard
+            # process starts.
             print(f"bgpbench topo: --shards {args.shards}: {error}", file=sys.stderr)
             raise SystemExit(2) from None
     if engine is not None:
@@ -489,11 +472,14 @@ def _run_regress(args) -> int:
     except GoldenError as error:
         print(f"regress: {error}", file=sys.stderr)
         return 2
+    if args.telemetry is not None and grid_spec.get("kind") == "topo":
+        print("regress: --telemetry: topology cells are not traced", file=sys.stderr)
+        return 2
 
     report = run_grid(
         cells, workers=args.workers, cache=_make_cache(args),
         refresh=args.refresh, sanitize=args.sanitize,
-        telemetry_dir=_telemetry_dir(args), cell_timeout=args.cell_timeout,
+        telemetry_dir=args.telemetry, cell_timeout=args.cell_timeout,
     )
     if not report.ok:
         # A partial run can neither be blessed nor meaningfully diffed:
@@ -566,12 +552,7 @@ def _run_single_scenario(args) -> int:
 
 
 def _run_stability(args) -> None:
-    from repro.benchmark.harness import SPEAKER1, SPEAKER1_ADDR, SPEAKER1_ASN
-    from repro.benchmark.stability import KeepaliveProbe, offer_at_rate
-    from repro.bgp.policy import ACCEPT_ALL
-    from repro.bgp.speaker import PeerConfig
-    from repro.workload.tablegen import generate_table
-    from repro.workload.updates import UpdateStreamBuilder
+    from repro.benchmark.stability import run_storm
 
     if args.duration < args.hold_time / 3.0:
         # The probe sends one keepalive per hold_time / 3: a shorter run
@@ -582,25 +563,10 @@ def _run_stability(args) -> None:
             file=sys.stderr,
         )
         raise SystemExit(2)
-    router = build_system(args.platform)
-    router.add_peer(
-        PeerConfig(SPEAKER1, SPEAKER1_ASN, SPEAKER1_ADDR, ACCEPT_ALL, ACCEPT_ALL)
+    report = run_storm(
+        args.platform, args.rate, args.duration, args.hold_time,
+        args.table_size, args.seed,
     )
-    router.handshake(SPEAKER1, SPEAKER1_ASN, SPEAKER1_ADDR)
-    probe = KeepaliveProbe(
-        router,
-        interval=args.hold_time / 3.0,
-        hold_time=args.hold_time,
-        horizon=args.duration,
-    )
-    builder = UpdateStreamBuilder(SPEAKER1_ASN, SPEAKER1_ADDR)
-    table = generate_table(args.table_size, seed=args.seed)
-    total = int(args.rate * args.duration)
-    rounds = max(2, (total + len(table) - 1) // len(table))
-    packets = builder.flap_storm(table, rounds=rounds, prefixes_per_update=1)[:total]
-    offer_at_rate(router, SPEAKER1, packets, args.rate)
-    router.run_until_idle()
-    report = probe.stop()
     verdict = "session holds" if report.session_survives else "SESSION FLAPS"
     print(
         f"{args.platform}: offered {args.rate:.0f} updates/s for "

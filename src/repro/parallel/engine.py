@@ -89,11 +89,6 @@ class ParallelEngine:
         from repro.topo.families import phase_plans, pick_origins
         from repro.topo.network import draw_link_delays
 
-        if cell.measured:
-            raise ParallelError(
-                "measured (costed) routers require the serial engine; "
-                f"cell {cell.cell_id} has measured={cell.measured}"
-            )
         self.topology = AsTopology.hierarchy(
             tier1=cell.tier1, tier2=cell.tier2, stubs=cell.stubs, seed=cell.seed
         )
@@ -267,21 +262,7 @@ class ParallelEngine:
                 f"[cell {self.cell.cell_id}] shards did not report every AS "
                 f"exactly once"
             )
-        nodes = [
-            NodeReport(
-                asn=row[0],
-                tier=row[1],
-                measured=row[2],
-                updates_sent=row[3],
-                updates_received=row[4],
-                transactions=row[5],
-                mrai_deferrals=row[6],
-                ghost_paths=row[7],
-                path_changes=row[8],
-                loc_rib_size=row[9],
-            )
-            for row in rows
-        ]
+        nodes = [NodeReport(*row) for row in rows]
         self.stats.busy_s = [report["busy_s"] for report in reports]
         last = max(report["last_activity"] for report in reports)
         duration = max(0.0, last - phase_start)

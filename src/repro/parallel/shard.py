@@ -66,8 +66,8 @@ class ShardRuntime:
         from repro.topo.families import build_harness, phase_plans, pick_origins
         from repro.topo.network import peer_name
 
-        # ParallelEngine, the only constructor, has already refused
-        # measured cells and checked that the partition covers the graph.
+        # ParallelEngine, the only constructor, has already checked that
+        # the partition covers the graph.
         self.cell = cell
         self.partition = partition
         self.index = index
@@ -190,13 +190,14 @@ class ShardRuntime:
 
     def collect(self) -> "dict[str, object]":
         """This shard's slice of the cell result: counters for the ASes
-        it owns and the link directions it transmitted on."""
+        it owns (one row per AS, in :class:`~repro.topo.families.
+        NodeReport` field order) and the link directions it transmitted
+        on."""
         harness = self.harness
         nodes = [
             (
                 asn,
                 harness.topology.tier_of(asn),
-                node.measured,
                 node.speaker.work.updates_sent,
                 node.speaker.work.updates_processed,
                 node.speaker.work.transactions,

@@ -51,7 +51,6 @@ class RouterSystem:
         asn: int = ROUTER_ASN,
         router_id: IPv4Address = ROUTER_ID,
         local_address: IPv4Address = ROUTER_ADDRESS,
-        split_horizon_withdraw: bool = False,
     ):
         self.spec = spec
         self.world = world if world is not None else World()
@@ -62,7 +61,6 @@ class RouterSystem:
                 bgp_identifier=router_id,
                 local_address=local_address,
                 hold_time=0.0,  # timers off: the benchmark drives all I/O
-                split_horizon_withdraw=split_horizon_withdraw,
             ),
             fib=self.fib,
         )

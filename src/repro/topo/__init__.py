@@ -2,11 +2,11 @@
 
 ROADMAP open item 1: lift the paper's single-router measurement to
 topology scale. An :class:`~repro.workload.astopo.AsTopology` becomes a
-live network (:class:`TopologyHarness`) — one speaker or full costed
-router per AS, delayed links, compiled Gao–Rexford policies, per-peer
-MRAI — and three benchmark families (convergence, withdraw-storm path
-exploration, churn) run on it through the grid, cached and golden-gated
-like any scenario cell.
+live network (:class:`TopologyHarness`) — one uncosted speaker per AS,
+delayed links, compiled Gao–Rexford policies, per-peer MRAI — and three
+benchmark families (convergence, withdraw-storm path exploration,
+churn) run on it through the grid, cached and golden-gated like any
+scenario cell.
 
 Layout:
 
@@ -32,7 +32,6 @@ from repro.topo.families import (
 )
 from repro.topo.network import (
     Link,
-    RouterNode,
     SpeakerNode,
     TopologyHarness,
     TopologySanitizer,
@@ -67,7 +66,6 @@ __all__ = [
     "pick_origins",
     "run_topo_cell",
     "Link",
-    "RouterNode",
     "SpeakerNode",
     "TopologyHarness",
     "TopologySanitizer",

@@ -32,12 +32,17 @@ from dataclasses import dataclass
 from functools import partial
 from typing import Mapping
 
-from repro.systems.platforms import PLATFORMS
 from repro.topo.network import TopologyHarness, origin_prefix
 from repro.workload.astopo import AsTopology
 
 #: The registered topology benchmark families.
 TOPO_FAMILIES = ("convergence", "withdraw", "churn")
+
+#: Spec keys of the retired costed-node mode, at their one committed
+#: value: the goldens and ledger digests hash them, so ``spec()`` (and
+#: each ``nodes`` row, as ``false``) keeps them and ``from_spec`` refuses
+#: any other value. The next re-bless of those digests drops them.
+RETIRED_SPEC = {"measured": 0, "platform": "pentium3"}
 
 
 @dataclass(frozen=True, slots=True, order=True)
@@ -55,8 +60,6 @@ class TopoCell:
     origins: int = 1
     flaps: int = 4
     flap_interval: float = 60.0
-    measured: int = 0
-    platform: str = "pentium3"
 
     def __post_init__(self) -> None:
         if self.family not in TOPO_FAMILIES:
@@ -87,14 +90,6 @@ class TopoCell:
             raise ValueError(
                 f"flap_interval must be positive: {self.flap_interval}"
             )
-        if not 0 <= self.measured <= self.tier1:
-            raise ValueError(
-                f"measured must be in 0..tier1={self.tier1}: {self.measured}"
-            )
-        if self.platform not in PLATFORMS:
-            raise ValueError(
-                f"unknown platform {self.platform!r}; choose from {sorted(PLATFORMS)}"
-            )
 
     @property
     def cell_id(self) -> str:
@@ -112,8 +107,6 @@ class TopoCell:
             parts.append(f"o{self.origins}")
         if self.family == "churn" and (self.flaps, self.flap_interval) != (4, 60.0):
             parts.append(f"flap{self.flaps}x{self.flap_interval:g}")
-        if self.measured:
-            parts.append(f"m{self.measured}-{self.platform}")
         return "-".join(parts)
 
     def spec(self) -> dict[str, object]:
@@ -130,8 +123,7 @@ class TopoCell:
             "origins": self.origins,
             "flaps": self.flaps,
             "flap_interval": self.flap_interval,
-            "measured": self.measured,
-            "platform": self.platform,
+            **RETIRED_SPEC,
         }
 
     def to_jsonable(self) -> dict[str, object]:
@@ -140,6 +132,12 @@ class TopoCell:
 
     @classmethod
     def from_spec(cls, spec: Mapping[str, object]) -> "TopoCell":
+        for key, value in RETIRED_SPEC.items():
+            if spec.get(key, value) != value:
+                raise ValueError(
+                    f"{key} must be {value!r}, not {spec[key]!r}: a topology "
+                    f"cell runs uncosted speakers only"
+                )
         return cls(
             family=str(spec["family"]),
             tier1=int(spec["tier1"]),  # type: ignore[arg-type]
@@ -152,15 +150,15 @@ class TopoCell:
             origins=int(spec["origins"]),  # type: ignore[arg-type]
             flaps=int(spec["flaps"]),  # type: ignore[arg-type]
             flap_interval=float(spec["flap_interval"]),  # type: ignore[arg-type]
-            measured=int(spec.get("measured", 0)),  # type: ignore[arg-type]
-            platform=str(spec.get("platform", "pentium3")),
         )
 
     def run(
         self, sanitize: bool = False, telemetry_dir: "str | None" = None
     ) -> dict[str, object]:
         """The grid's entry: :func:`run_topo_cell` on this cell. A
-        topology run is not traced, so *telemetry_dir* writes nothing."""
+        topology run is not traced, so a *telemetry_dir* is refused."""
+        if telemetry_dir is not None:
+            raise ValueError(f"{self.cell_id}: topology cells are not traced")
         return run_topo_cell(self, sanitize=sanitize)
 
 
@@ -170,7 +168,6 @@ class NodeReport:
 
     asn: int
     tier: int
-    measured: bool
     updates_sent: int
     updates_received: int
     transactions: int
@@ -183,7 +180,7 @@ class NodeReport:
         return {
             "asn": self.asn,
             "tier": self.tier,
-            "measured": self.measured,
+            "measured": bool(RETIRED_SPEC["measured"]),
             "updates_sent": self.updates_sent,
             "updates_received": self.updates_received,
             "transactions": self.transactions,
@@ -343,7 +340,6 @@ def _collect(
         NodeReport(
             asn=asn,
             tier=harness.topology.tier_of(asn),
-            measured=node.measured,
             updates_sent=node.speaker.work.updates_sent,
             updates_received=node.speaker.work.updates_processed,
             transactions=node.speaker.work.transactions,
@@ -405,17 +401,12 @@ def build_harness(cell: TopoCell) -> TopologyHarness:
     topology = AsTopology.hierarchy(
         tier1=cell.tier1, tier2=cell.tier2, stubs=cell.stubs, seed=cell.seed
     )
-    # Measured routers occupy the first (lowest-ASN) tier-1 slots: the
-    # best-connected vantage, and a deterministic choice.
-    measured = tuple(topology.ases()[: cell.measured])
     return TopologyHarness(
         topology,
         seed=cell.seed,
         link_delay=cell.link_delay,
         mrai_interval=cell.mrai,
         damping=cell.damping,
-        measured=measured,
-        platform=cell.platform,
     )
 
 

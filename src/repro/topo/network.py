@@ -6,9 +6,8 @@ one :class:`~repro.sim.cpu.World`:
 
 * every AS gets a functionally real :class:`~repro.bgp.speaker.
   BgpSpeaker` (:class:`SpeakerNode`, zero virtual CPU cost — the clock
-  is driven by link propagation), or a full costed
-  :class:`~repro.systems.router.RouterSystem` when the AS is in the
-  *measured* set (:class:`RouterNode`);
+  is driven by link propagation); costed routers are driven by the
+  single-router harnesses and the chain in :mod:`repro.benchmark`;
 * every adjacency becomes a :class:`Link` with a per-link propagation
   delay drawn deterministically from the harness seed;
 * every peering runs the compiled Gao–Rexford import/export policies
@@ -120,8 +119,6 @@ class SpeakerNode:
     rather than a specific platform's CPU.
     """
 
-    measured = False
-
     def __init__(self, harness: "TopologyHarness", asn: int):
         self.harness = harness
         self.asn = asn
@@ -142,20 +139,19 @@ class SpeakerNode:
 
     # -- construction -------------------------------------------------------
 
-    def _peer_config(self, neighbor: int, relationship: Relationship) -> PeerConfig:
-        import_chain, export_chain = self.harness.policies[relationship]
-        return PeerConfig(
-            peer_id=peer_name(neighbor),
-            asn=neighbor,
-            address=as_address(neighbor),
-            import_policy=import_chain,
-            export_policy=export_chain,
-            damping=self.harness.damping,
-            mrai_interval=self.harness.mrai_interval,
-        )
-
     def add_peer(self, neighbor: int, relationship: Relationship) -> None:
-        peer = self.speaker.add_peer(self._peer_config(neighbor, relationship))
+        import_chain, export_chain = self.harness.policies[relationship]
+        peer = self.speaker.add_peer(
+            PeerConfig(
+                peer_id=peer_name(neighbor),
+                asn=neighbor,
+                address=as_address(neighbor),
+                import_policy=import_chain,
+                export_policy=export_chain,
+                damping=self.harness.damping,
+                mrai_interval=self.harness.mrai_interval,
+            )
+        )
         peer.fsm.attach_simulator(self.harness.sim)
 
     # -- traffic ------------------------------------------------------------
@@ -276,68 +272,9 @@ class SpeakerNode:
         :meth:`reset_watch` — the path-exploration count."""
         return sum(len(paths) for paths in self._ghosts.values())
 
-    # -- measurement ---------------------------------------------------------
-
-    def reset_measurement(self) -> None:
-        self.speaker.take_work()
-
     @property
     def loc_rib_size(self) -> int:
         return len(self.speaker.loc_rib)
-
-
-class RouterNode(SpeakerNode):
-    """A *measured* AS: a full costed router system in the shared world.
-
-    Deliveries run through the platform's staged CPU pipeline (receive,
-    decision, FIB install, re-advertisement all cost virtual time);
-    the surrounding uncosted speakers provide the protocol environment
-    at graph scale. Harness-driven control operations (origination,
-    MRAI release emission) stay uncosted, as in the paper's setup
-    phases.
-    """
-
-    measured = True
-
-    def __init__(self, harness: "TopologyHarness", asn: int, platform: str):
-        # Deliberately skip SpeakerNode.__init__: the speaker lives
-        # inside the RouterSystem.
-        from repro.systems.platforms import build_system
-
-        self.harness = harness
-        self.asn = asn
-        self.platform = platform
-        address = as_address(asn)
-        self.router = build_system(
-            platform,
-            world=harness.world,
-            asn=asn,
-            router_id=address,
-            local_address=address,
-            split_horizon_withdraw=True,
-        )
-        self.router.export_packing = PACKING
-        self.router.on_packet_done = self._packet_done
-        self.speaker = self.router.speaker
-        self._mrai_handles = {}
-        self._best = {}
-        self._ghosts = {}
-        self.path_changes = 0
-
-    def add_peer(self, neighbor: int, relationship: Relationship) -> None:
-        self.router.add_peer(self._peer_config(neighbor, relationship))
-
-    def deliver(self, peer_id: str, data: bytes, delay: float = 0.0) -> None:
-        self.router.deliver(peer_id, data, delay=delay)
-
-    def _packet_done(self) -> None:
-        # The router flushed its own exports at the costed chain tail.
-        self._arm_mrai()
-        self.harness.note_activity()
-        self.observe_paths()
-
-    def reset_measurement(self) -> None:
-        self.router.reset_counters()
 
 
 class TopologyHarness:
@@ -357,15 +294,9 @@ class TopologyHarness:
         link_delay: float = 0.01,
         mrai_interval: float = 0.0,
         damping: bool = False,
-        measured: "frozenset[int] | set[int] | tuple[int, ...]" = (),
-        platform: str = "pentium3",
     ):
         if link_delay <= 0:
             raise ValueError(f"link_delay must be positive: {link_delay}")
-        measured_set = frozenset(measured)
-        unknown = sorted(measured_set - set(topology.ases()))
-        if unknown:
-            raise ValueError(f"measured ASes not in topology: {unknown}")
 
         self.topology = topology
         self.seed = seed
@@ -389,12 +320,9 @@ class TopologyHarness:
 
         # Nodes in sorted-ASN order (dict insertion order is iteration
         # order everywhere below).
-        self.nodes: dict[int, SpeakerNode] = {}
-        for asn in topology.ases():
-            if asn in measured_set:
-                self.nodes[asn] = RouterNode(self, asn, platform)
-            else:
-                self.nodes[asn] = SpeakerNode(self, asn)
+        self.nodes: dict[int, SpeakerNode] = {
+            asn: SpeakerNode(self, asn) for asn in topology.ases()
+        }
 
         # Links with per-link delay drawn over the sorted link list from
         # one seeded PRNG (see draw_link_delays).
@@ -441,7 +369,7 @@ class TopologyHarness:
     def reset_measurement(self) -> None:
         """Zero every node's work ledger at a phase boundary."""
         for node in self.nodes.values():
-            node.reset_measurement()
+            node.speaker.take_work()
         self.last_activity = self.sim.now
 
     def note_activity(self) -> None:
@@ -466,10 +394,6 @@ class TopologyHarness:
 
     # -- aggregate views -----------------------------------------------------
 
-    def total(self, field: str) -> int:
-        """Sum one WorkLog field (or property) across all nodes."""
-        return sum(getattr(node.speaker.work, field) for node in self.nodes.values())
-
     def total_routes(self) -> int:
         """Loc-RIB entries across the graph — the 'fib_size_after' of a
         topology cell (plain nodes run a null FIB; the Loc-RIB is the
@@ -483,8 +407,7 @@ class TopologySanitizer(Sanitizer):
     Inherits the simulator invariants (monotonic clock, stable
     tie-break, heap integrity) and runs the base prefix-conservation
     check on every node's audit ledger after every event (counted once
-    per event); at quiescence it runs it again, plus the base RIB/FIB
-    agreement check on every measured node. Messages name the AS.
+    per event); at quiescence it runs it once more. Messages name the AS.
     """
 
     def __init__(self, harness: TopologyHarness):
@@ -502,5 +425,3 @@ class TopologySanitizer(Sanitizer):
         self.stats.quiescent_checks += 1
         for node in self.harness.nodes.values():
             self._check_conservation(node.speaker, node.asn)
-            if isinstance(node, RouterNode):
-                self._check_rib_fib(node.router, node.asn)

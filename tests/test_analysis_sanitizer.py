@@ -139,7 +139,7 @@ class TestQuiescentInvariants:
         with pytest.raises(SanitizerError) as excinfo:
             sanitizer.check_quiescent()
         assert excinfo.value.invariant == "rib-fib-agreement"
-        assert "Loc-RIB only" in excinfo.value.message
+        assert f"Loc-RIB only (first: {prefix})" in excinfo.value.message
 
     def test_clean_router_passes(self, quiesced_router):
         _router, sanitizer = quiesced_router

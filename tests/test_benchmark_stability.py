@@ -13,6 +13,7 @@ from repro.benchmark.stability import (
     KeepaliveProbe,
     StabilityReport,
     offer_at_rate,
+    run_storm,
 )
 from repro.bgp.policy import ACCEPT_ALL
 from repro.bgp.speaker import PeerConfig
@@ -42,6 +43,10 @@ def storm_at_rate(
 ):
     """Sustain *updates_per_second* of small-packet flaps for *duration*
     simulated seconds — a worm storm lasts minutes, not one burst."""
+    if interval == hold_time / 3.0:  # the probe interval run_storm uses
+        return run_storm(
+            platform, updates_per_second, duration, hold_time, table_size=500, seed=77
+        )
     router = prepared_router(platform)
     probe = KeepaliveProbe(
         router, interval=interval, hold_time=hold_time, horizon=duration

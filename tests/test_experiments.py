@@ -234,8 +234,6 @@ class TestRunnerCli:
         assert "unrecognized arguments: --shards 2" in capsys.readouterr().err
 
     @pytest.mark.parametrize("argv, message", [
-        pytest.param(["--measured", "1"], "measured (costed) routers require the "
-                     "serial engine", id="measured"),
         pytest.param(["--link-delay", "1e-12"], "give the conservative engine no "
                      "lookahead", id="no-lookahead"),
     ])

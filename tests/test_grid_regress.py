@@ -213,6 +213,37 @@ class TestRegressCli:
         assert raised.value.code == 2
         assert "unrecognized arguments: --tolerance 0.1" in capsys.readouterr().err
 
+    def test_telemetry_writes_into_its_directory(self, tmp_path, capsys):
+        golden = self.bless_tiny_golden(tmp_path, capsys)
+        traces = tmp_path / "traces"
+        code = main(["regress", "--golden", str(golden), "--telemetry", str(traces),
+                     *self.GRID_ARGS])
+        capsys.readouterr()
+        assert code == 0
+        assert [path.name for path in traces.iterdir()] == [
+            "s1-pentium3-seed7-n100.trace.json"
+        ]
+
+    def test_telemetry_on_a_topology_golden_is_a_usage_error(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        # A topology cell is not traced: the run once went ahead and
+        # wrote nothing. Now it is refused before any cell runs.
+        import repro.grid
+
+        def no_run(*args, **kwargs):
+            raise AssertionError("cells ran for a refused --telemetry")
+
+        monkeypatch.setattr(repro.grid, "run_grid", no_run)
+        golden = tmp_path / "golden.json"
+        golden.write_text(golden_doc({"kind": "topo", "cells": [TOPO_SPEC]}))
+        code = main(["regress", "--golden", str(golden), "--telemetry",
+                     *self.GRID_ARGS])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err == "regress: --telemetry: topology cells are not traced\n"
+
 
 TOPO_SPEC = {
     "kind": "topo", "family": "convergence", "tier1": 2, "tier2": 4, "stubs": 10,
@@ -250,6 +281,14 @@ class TestMalformedGolden:
                 "key 'grid': cells[2]: invalid literal for int()",
             ),
             (
+                golden_doc({"kind": "topo", "cells": [{**TOPO_SPEC, "measured": 1}]}),
+                "key 'grid': cells[0]: measured must be 0, not 1",
+            ),
+            (
+                golden_doc({"kind": "topo", "cells": [{**TOPO_SPEC, "platform": "xeon"}]}),
+                "key 'grid': cells[0]: platform must be 'pentium3', not 'xeon'",
+            ),
+            (
                 golden_doc({"scenarios": [9], "platforms": ["xeon"], "seeds": [1],
                             "table_sizes": [50]}),
                 "key 'grid': no scenario 9",
@@ -268,7 +307,8 @@ class TestMalformedGolden:
             ),
         ],
         ids=["json-list", "no-grid", "not-json", "topo-cell-missing-field",
-             "topo-cell-bad-value", "scenario-out-of-range", "missing-axis",
+             "topo-cell-bad-value", "topo-cell-measured", "topo-cell-platform",
+             "scenario-out-of-range", "missing-axis",
              "cell-missing-metric"],
     )
     def test_usage_error_names_file_and_key(self, tmp_path, capsys, text, names):

@@ -140,6 +140,14 @@ def test_one_door_to_the_parallel_engine():
     assert importers == {"repro.experiments.runner"}
 
 
+def test_the_topology_imports_no_costed_router():
+    # The AS graph runs uncosted speakers only; costed routers are driven
+    # by the single-router harnesses and the chain in repro.benchmark.
+    importers = {m for m, imported in package_imports() if imported == "systems"
+                 and (m == "repro.topo" or m.startswith("repro.topo."))}
+    assert importers == set()
+
+
 @pytest.mark.parametrize("function", [
     run_cell, run_grid, Supervisor, _worker_main, run_topo_cell, TopoCell.run,
     GridCell.run, Cell.run,
@@ -255,6 +263,11 @@ def _resolve(path):
     "repro.sim.monitor.CounterRegistry",
     "repro.sim.monitor:CpuMonitor.bind_registry",
     "repro.sim.monitor:RateMonitor.bind_registry",
+    # The AS graph runs uncosted speakers only: costed routers are driven
+    # by the single-router harnesses and the chain.
+    "repro.topo.RouterNode",
+    "repro.topo.network.RouterNode",
+    "repro.topo.network:TopologyHarness.total",
 ])
 def test_retired_names_are_gone(name):
     # No caller was left outside their own tests (DESIGN.md §7, the census).
@@ -302,6 +315,12 @@ def test_retired_names_are_gone(name):
     # Topology runs write no metrics artifact.
     ("repro.topo.families:run_topo_cell", "telemetry_dir"),
     ("repro.parallel.engine:ParallelEngine.run_json", "telemetry_dir"),
+    # Costed routers left the topology.
+    ("repro.topo.network:TopologyHarness", "measured"),
+    ("repro.topo.network:TopologyHarness", "platform"),
+    ("repro.topo.families:TopoCell", "measured"),
+    ("repro.topo.families:TopoCell", "platform"),
+    ("repro.systems.router:RouterSystem", "split_horizon_withdraw"),
 ], ids=lambda value: value.rpartition(":")[2].rpartition(".")[2] or value)
 def test_retired_options_are_gone(owner, name):
     # DESIGN.md §7 census: outside tests, one value was ever used.
@@ -364,11 +383,23 @@ def test_retired_subcommands_are_gone(command, capsys):
      "--metrics"),
     (["topo", "--telemetry"], "--telemetry"),
     (["topo", "--telemetry-dir", "telemetry"], "--telemetry-dir"),
-], ids=["scenario-metrics", "topo-telemetry", "topo-telemetry-dir"])
+    (["topo", "--measured", "1"], "--measured"),
+    (["topo", "--platform", "xeon"], "--platform"),
+    (["grid", "--telemetry-dir", "telemetry"], "--telemetry-dir"),
+    (["scenario", "--platform", "pentium3", "--scenario", "1", "--output-dir", "d"],
+     "--output-dir"),
+    (["repeatability", "--platform", "pentium3", "--scenario", "1",
+      "--output-dir", "d"], "--output-dir"),
+    (["stability", "--platform", "pentium3", "--output-dir", "d"], "--output-dir"),
+    (["chain", "--platforms", "pentium3", "--output-dir", "d"], "--output-dir"),
+], ids=["scenario-metrics", "topo-telemetry", "topo-telemetry-dir", "topo-measured",
+        "topo-platform", "grid-telemetry-dir", "scenario-output-dir",
+        "repeatability-output-dir", "stability-output-dir", "chain-output-dir"])
 def test_retired_flags_are_gone(argv, flag, capsys):
     # The metrics artifact is gone: `scenario --trace` and `grid
-    # --telemetry` write the span trace, and a topology result holds its
-    # per-AS rows.
+    # --telemetry [DIR]` write the span trace, and a topology result holds
+    # its per-AS rows. The AS graph runs no costed router, and only the
+    # experiments write an --output-dir.
     with pytest.raises(SystemExit) as raised:
         main(argv)
     assert raised.value.code == 2

@@ -184,11 +184,6 @@ class TestBarrierEdgeCases:
             {**result.to_jsonable(), "cell": cell.spec()}, sort_keys=True
         ) == serial_json(cell)
 
-    def test_measured_routers_require_serial_engine(self):
-        cell = TopoCell(family="convergence", measured=1, **SMALL)
-        with pytest.raises(ParallelError, match="measured"):
-            ParallelEngine(cell, shards=2)
-
     def test_engine_needs_shards_or_partition(self):
         with pytest.raises(ParallelError, match="shard count"):
             ParallelEngine(TopoCell(family="convergence", **SMALL))

@@ -35,12 +35,8 @@ class TestTopoCell:
             origins=3,
             flaps=6,
             flap_interval=45.0,
-            measured=1,
-            platform="xeon",
         )
-        assert cell.cell_id == (
-            "topo-churn-2x5x18-seed42-mrai30-damp-o3-flap6x45-m1-xeon"
-        )
+        assert cell.cell_id == "topo-churn-2x5x18-seed42-mrai30-damp-o3-flap6x45"
 
     def test_flap_suffix_is_churn_only(self):
         cell = TopoCell(family="convergence", flaps=6)
@@ -48,8 +44,15 @@ class TestTopoCell:
 
     def test_spec_roundtrip(self):
         for family in TOPO_FAMILIES:
-            cell = TopoCell(family=family, mrai=15.0, origins=2, measured=1)
+            cell = TopoCell(family=family, mrai=15.0, origins=2)
             assert TopoCell.from_spec(cell.spec()) == cell
+
+    @pytest.mark.parametrize("key, value", [("measured", 1), ("platform", "xeon")])
+    def test_from_spec_refuses_a_costed_node(self, key, value):
+        # A spec asking for costed routers once built them silently.
+        spec = {**TopoCell(family="withdraw").spec(), key: value}
+        with pytest.raises(ValueError, match=f"^{key} must be "):
+            TopoCell.from_spec(spec)
 
     def test_to_jsonable_is_spec(self):
         cell = TopoCell(family="withdraw")
@@ -75,8 +78,6 @@ class TestTopoCell:
             dict(family="churn", mrai=-1.0),
             dict(family="churn", flaps=0),
             dict(family="churn", flap_interval=0.0),
-            dict(family="churn", measured=99),
-            dict(family="churn", platform="vax"),
         ],
     )
     def test_invalid_spec_rejected(self, kwargs):
@@ -177,14 +178,12 @@ class TestRunTopoCell:
             {cell.cell_id: checked}
         )
 
-    def test_telemetry_dir_writes_nothing(self, tmp_path):
-        """A topology cell is not traced: the grid's ``telemetry_dir``
-        leaves the result unchanged and the directory empty."""
+    def test_telemetry_dir_is_refused(self, tmp_path):
+        """A topology cell is not traced: the grid's ``telemetry_dir`` is
+        an error, not a silent no-op."""
         cell = TopoCell(family="convergence", **SMALL)
-        traced = cell.run(telemetry_dir=str(tmp_path))
-        assert result_json({cell.cell_id: traced}) == result_json(
-            {cell.cell_id: run_topo_cell(cell)}
-        )
+        with pytest.raises(ValueError, match="topology cells are not traced"):
+            cell.run(telemetry_dir=str(tmp_path))
         assert list(tmp_path.iterdir()) == []
 
     def test_hundred_as_graph_deterministic_and_sanitized(self):
