@@ -93,14 +93,17 @@ _positive_float = _bounded(float, lambda value: value > 0, "a positive number")
 _non_negative_float = _bounded(float, lambda value: value >= 0, "a non-negative number")
 
 
-def _add_common(parser: argparse.ArgumentParser, default_size: int) -> None:
+def _add_common(parser: argparse.ArgumentParser, default_size: int, seed: bool = True) -> None:
+    """``--table-size``, and ``--seed`` unless the command takes its
+    seeds another way (``repeatability --seeds``)."""
     parser.add_argument(
         "--table-size",
         type=_positive_int,
         default=default_size,
         help="synthetic routing-table size (prefixes)",
     )
-    parser.add_argument("--seed", type=int, default=42, help="workload PRNG seed")
+    if seed:
+        parser.add_argument("--seed", type=int, default=42, help="workload PRNG seed")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -142,10 +145,12 @@ def build_parser() -> argparse.ArgumentParser:
         help="run in checked mode (invariant sanitizer); exit 1 on a violation",
     )
 
+    # No abbreviations: ``--seed`` would otherwise parse as ``--seeds``.
     repeat = sub.add_parser(
-        "repeatability", help="dispersion of the metric across workload seeds"
+        "repeatability", help="dispersion of the metric across workload seeds",
+        allow_abbrev=False,
     )
-    _add_common(repeat, 1000)
+    _add_common(repeat, 1000, seed=False)
     repeat.add_argument("--platform", choices=sorted(PLATFORMS), required=True)
     repeat.add_argument("--scenario", type=int, choices=range(1, 9), required=True)
     repeat.add_argument("--seeds", type=int, nargs="+", default=[1, 2, 3, 4, 5])

@@ -28,12 +28,21 @@ The rate allocation is a pure function of a machine's *scheduling
 state* (which tasks hold a job, which are lock-blocked, their demands
 and backlog class), and a run revisits a few dozen such states tens of
 thousands of times, so :meth:`Machine.plan` memoises
-:meth:`Machine.compute_rates` on that state (docs/MODELING.md).
+:meth:`Machine.compute_rates` on that state (docs/MODELING.md). The
+machine keeps the state current instead of reading it back every step:
+a bitmask of the tasks that hold a job, flipped when a queue turns empty
+or non-empty; two bits per task for its backlog class, rewritten when a
+backlog changes class; and a configuration tuple (demands, priorities,
+blockers, machine parameters), rebuilt only after a write to one of
+them. A step then costs what changed in it: finished jobs leave their
+queue at once, and only tasks whose head job can have finished are
+visited for completions.
 """
 
 from __future__ import annotations
 
 import math
+from collections import deque
 from dataclasses import dataclass, field
 from enum import IntEnum
 from typing import Callable, NamedTuple
@@ -45,6 +54,25 @@ _EPS = 1e-12
 #: benchmark cell shows a few dozen; only a sweep of ever-new demand
 #: values (cross-traffic ramps) reaches the cap.
 _PLAN_MEMO_MAX = 1024
+
+
+class _StateField:
+    """An attribute the rate allocation reads. A write marks the owning
+    machine's scheduling state stale, so direct assignment
+    (``task.priority = ...``, ``machine.speed = ...``) is seen by the
+    next :meth:`Machine.plan` without a setter call."""
+
+    def __set_name__(self, owner: type, name: str) -> None:
+        self.slot = "_" + name
+
+    def __get__(self, instance, owner=None):
+        if instance is None:
+            return self
+        return instance.__dict__[self.slot]
+
+    def __set__(self, instance, value) -> None:
+        instance.__dict__[self.slot] = value
+        instance._state_changed()
 
 
 class Priority(IntEnum):
@@ -73,6 +101,10 @@ class Job:
 class Task:
     """One schedulable entity on a machine."""
 
+    priority = _StateField()
+    continuous_demand = _StateField()
+    background_demand = _StateField()
+
     def __init__(
         self,
         name: str,
@@ -82,18 +114,17 @@ class Task:
         if not max_backlog >= 0:
             raise ValueError(f"negative or NaN backlog cap: {max_backlog}")
         self.name = name
-        self.priority = priority
         self.machine: "Machine | None" = None
-        #: Lock coupling: while the blocker has a job in service, this
-        #: task cannot run (its continuous demand keeps accruing and
-        #: overflows into drops). Models the kernel FIB write lock
-        #: stalling the forwarding path during route installation.
-        self.blocked_by: "Task | None" = None
-        self._queue: list[Job] = []
-        self._head = 0
+        #: This task's position in its machine's ``tasks``, and its bit
+        #: in the machine's job and due masks.
+        self._index = 0
+        self._bit = 0
+        self.priority = priority
+        self._blocked_by: "Task | None" = None
+        self._queue: deque[Job] = deque()
         # Continuous-load state (used when continuous_demand > 0).
         self.continuous_demand = 0.0
-        self.backlog = 0.0
+        self._backlog = 0.0
         self.max_backlog = max_backlog
         self.served_total = 0.0
         self.dropped_total = 0.0
@@ -101,31 +132,74 @@ class Task:
         # Background demand: like a continuous load but with no backlog
         # accounting — models housekeeping (xorp_rtrmgr).
         self.background_demand = 0.0
+        #: The ``record`` methods of the monitors that hear this task.
+        self._recorders: tuple = ()
+
+    def _state_changed(self) -> None:
+        if self.machine is not None:
+            self.machine._state_changed()
+
+    @property
+    def backlog(self) -> float:
+        """Continuous-load work waiting for the CPU, in cpu-seconds. Its
+        class (zero, at most ``_EPS``, more) is scheduling state."""
+        return self._backlog
+
+    @backlog.setter
+    def backlog(self, value: float) -> None:
+        self._backlog = value
+        if self.machine is not None:
+            self.machine._backlog_moved(self)
+
+    @property
+    def blocked_by(self) -> "Task | None":
+        """Lock coupling: while the blocker has a job in service, this
+        task cannot run (its continuous demand keeps accruing and
+        overflows into drops). Models the kernel FIB write lock stalling
+        the forwarding path during route installation. Both tasks must
+        already sit on the same machine."""
+        return self._blocked_by
+
+    @blocked_by.setter
+    def blocked_by(self, blocker: "Task | None") -> None:
+        if blocker is not None and (self.machine is None or blocker.machine is not self.machine):
+            raise ValueError(
+                f"task {self.name} can only be blocked by a task on its own machine,"
+                f" not by {blocker.name}"
+            )
+        self._blocked_by = blocker
+        self._state_changed()
 
     # -- discrete jobs ---------------------------------------------------
 
-    def enqueue(self, job: Job) -> None:
-        self._queue.append(job)
-
     def submit(self, service: float, callback: Callable[[], None] | None = None, tag: str = "") -> None:
-        """Convenience: enqueue a job; zero-cost jobs complete at the next
-        advance without consuming CPU."""
-        self.enqueue(Job(service, callback, tag))
+        """Queue a job of *service* cpu-seconds; *callback* runs when it
+        completes. Zero-cost jobs complete at the next advance without
+        consuming CPU."""
+        job = Job(service, callback, tag)
+        queue = self._queue
+        machine = self.machine
+        if not queue and machine is not None:
+            machine._mask |= self._bit
+            machine._plan = None
+            if job.remaining <= _EPS:
+                machine._due |= self._bit
+        queue.append(job)
 
     @property
     def current_job(self) -> Job | None:
-        return self._queue[self._head] if self._head < len(self._queue) else None
+        return self._queue[0] if self._queue else None
 
     def queue_length(self) -> int:
-        return len(self._queue) - self._head
+        return len(self._queue)
 
     def _pop_job(self) -> Job:
-        job = self._queue[self._head]
-        self._head += 1
-        # Compact occasionally so memory stays bounded on long runs.
-        if self._head > 1024 and self._head * 2 > len(self._queue):
-            del self._queue[: self._head]
-            self._head = 0
+        """Remove and return the head job; the queue keeps no reference."""
+        queue = self._queue
+        job = queue.popleft()
+        if not queue and self.machine is not None:
+            self.machine._mask &= ~self._bit
+            self.machine._plan = None
         return job
 
     # -- continuous load ------------------------------------------------------
@@ -186,6 +260,11 @@ class RatePlan(NamedTuple):
 class Machine:
     """A multi-core CPU with SMT and a set of tasks."""
 
+    cores = _StateField()
+    threads_per_core = _StateField()
+    smt_efficiency = _StateField()
+    speed = _StateField()
+
     def __init__(
         self,
         name: str,
@@ -199,22 +278,82 @@ class Machine:
         if not 0.0 < smt_efficiency <= 1.0:
             raise ValueError("smt_efficiency must be in (0, 1]")
         self.name = name
+        self.tasks: list[Task] = []
+        #: ``(monitor, task)`` per attached monitor, in attach order:
+        #: the monitor hears *task*, or every task when it is None.
+        self._monitors: "list[tuple[object, Task | None]]" = []
+        # The scheduling state, kept current: one bit per task that
+        # holds a job; two bits per task for its backlog class; the
+        # plans per configuration tuple (everything else the allocation
+        # reads), by (job mask, backlog classes); the configuration's
+        # plans and the current plan, None once stale.
+        self._mask = 0
+        self._backlogs = 0
+        self._plans: "dict[tuple, dict[tuple[int, int], RatePlan]]" = {}
+        self._plan_count = 0
+        self._config: tuple = ()
+        self._config_plans: "dict[tuple[int, int], RatePlan] | None" = None
+        self._plan: RatePlan | None = None
+        #: One bit per task whose head job may have finished: the only
+        #: tasks World visits for completions.
+        self._due = 0
         self.cores = cores
         self.threads_per_core = threads_per_core
         self.smt_efficiency = smt_efficiency
         self.speed = speed
-        self.tasks: list[Task] = []
-        self.monitors: list = []
-        self._plans: dict[tuple, RatePlan] = {}
+
+    def _state_changed(self) -> None:
+        self._config_plans = None
+        self._plan = None
+
+    def _backlog_moved(self, task: Task) -> None:
+        """Re-read *task*'s backlog class into the state."""
+        backlog = task._backlog
+        shift = 2 * task._index
+        backlogs = (self._backlogs & ~(3 << shift)) | (
+            ((backlog > _EPS) + (backlog != 0.0)) << shift
+        )
+        if backlogs != self._backlogs:
+            self._backlogs = backlogs
+            self._plan = None
 
     def add_task(self, task: Task) -> Task:
         if task.machine is not None:
             raise ValueError(f"task {task.name} already placed")
         task.machine = self
+        task._index = len(self.tasks)
+        task._bit = 1 << task._index
         self.tasks.append(task)
-        # Keys are positional over ``tasks``: none describes the new list.
+        task._recorders = self._recorders_for(task)
+        self._backlog_moved(task)
+        if task._queue:
+            self._mask |= task._bit
+            if task._queue[0].remaining <= _EPS:
+                self._due |= task._bit
+        # Configurations are positional over ``tasks``: none describes
+        # the new list.
         self._plans.clear()
+        self._plan_count = 0
+        self._state_changed()
         return task
+
+    def add_monitor(self, monitor, task: Task | None = None) -> None:
+        """Have ``monitor.record(task, start, end, served)`` hear every
+        advance in which *task* (every task of this machine, if None)
+        served work, held a rate or had continuous demand."""
+        self._monitors.append((monitor, task))
+        for each in self.tasks:
+            each._recorders = self._recorders_for(each)
+
+    def _recorders_for(self, task: Task) -> tuple:
+        return tuple(
+            monitor.record for monitor, only in self._monitors if only is None or only is task
+        )
+
+    @property
+    def monitors(self) -> list:
+        """Every attached monitor, in attach order."""
+        return [monitor for monitor, _task in self._monitors]
 
     def new_task(self, name: str, priority: Priority = Priority.USER, **kwargs) -> Task:
         return self.add_task(Task(name, priority, **kwargs))
@@ -280,33 +419,53 @@ class Machine:
     def plan(self) -> RatePlan:
         """The allocation for the current scheduling state, memoised.
 
-        The key holds, per task and for the machine, exactly what
-        :meth:`compute_rates` reads, so a hit returns what a fresh call
-        would: there is nothing to invalidate and direct attribute
-        writes (``task.blocked_by = ...``) need no notification. Backlog
-        enters as a class — zero, at most ``_EPS``, more — which is all
-        the allocator and the ``active`` view distinguish.
+        The state is the key ``(job mask, backlog classes,
+        configuration)``: which tasks hold a job; each task's backlog
+        class (zero, at most ``_EPS``, more: all the allocator and the
+        ``active`` view distinguish); and per task and for the machine
+        everything else :meth:`compute_rates` reads — priority, demands
+        and the blocker's position; cores, threads, SMT efficiency and
+        speed. The machine keeps all three current: a queue turning
+        empty or non-empty flips its task's job bit, a backlog moving to
+        another class rewrites its two bits, and either drops the
+        current plan; a write to any other part (a :class:`_StateField`
+        or ``blocked_by``) marks the configuration stale. Until then
+        this returns the current plan as it is.
         """
-        key = [
-            (
-                task._head < len(task._queue),
-                blocker is not None and blocker._head < len(blocker._queue),
-                (task.backlog > _EPS) + (task.backlog != 0.0),
-                task.continuous_demand,
-                task.background_demand,
-                task.priority,
-            )
-            for task in self.tasks
-            for blocker in (task.blocked_by,)
-        ]
-        key.append((self.cores, self.threads_per_core, self.smt_efficiency, self.speed))
-        key = tuple(key)
-        plan = self._plans.get(key)
+        plan = self._plan
+        if plan is not None:
+            return plan
+        if self._config_plans is None:
+            self._config = self._read_config()
+            self._config_plans = self._plans.setdefault(self._config, {})
+        key = (self._mask, self._backlogs)
+        plan = self._config_plans.get(key)
         if plan is None:
-            if len(self._plans) >= _PLAN_MEMO_MAX:
+            if self._plan_count >= _PLAN_MEMO_MAX:
                 self._plans.clear()
-            plan = self._plans[key] = self._derive_plan()
+                self._plan_count = 0
+                self._config_plans = self._plans[self._config] = {}
+            plan = self._config_plans[key] = self._derive_plan()
+            self._plan_count += 1
+        self._plan = plan
         return plan
+
+    def _read_config(self) -> tuple:
+        return (
+            self._cores,
+            self._threads_per_core,
+            self._smt_efficiency,
+            self._speed,
+            *(
+                (
+                    task._priority,
+                    task._continuous_demand,
+                    task._background_demand,
+                    None if task._blocked_by is None else task._blocked_by._index,
+                )
+                for task in self.tasks
+            ),
+        )
 
     def _derive_plan(self) -> RatePlan:
         rates = self.compute_rates()
@@ -329,6 +488,38 @@ class Machine:
             ):
                 active.append((task, rate, has_job))
         return RatePlan(rates, tuple(jobs), tuple(drains), tuple(active))
+
+    def _fire_completions(self) -> int:
+        """Pop every finished head job of the due tasks, in ``tasks``
+        order, and run its callback; return how many finished."""
+        tasks = self.tasks
+        completed = 0
+        index = 0
+        while True:
+            # Callbacks may make any task due: a later one is visited in
+            # this pass, an earlier one (or this one again) next step.
+            rest = self._due >> index
+            if not rest:
+                return completed
+            index += (rest & -rest).bit_length() - 1
+            task = tasks[index]
+            self._due &= ~task._bit
+            queue = task._queue
+            # Bound the drain to the jobs present on entry: a completion
+            # callback may enqueue further zero-cost jobs on the same
+            # task, which must be handled in the *next* step so the run
+            # loop's max_steps guard can catch pathological
+            # self-respawning work.
+            budget = len(queue)
+            while budget > 0 and queue[0].remaining <= _EPS:
+                job = task._pop_job()
+                completed += 1
+                budget -= 1
+                if job.callback is not None:
+                    job.callback()
+            if queue and queue[0].remaining <= _EPS:
+                self._due |= task._bit
+            index += 1
 
 
 def _max_min_fill(demands: "list[tuple[Task, float]]", budget: float) -> dict[Task, float]:
@@ -410,10 +601,28 @@ class World:
 
     def _step(self, until: float | None) -> bool:
         sim = self.sim
-        plans = [machine.plan() for machine in self.machines]
-
+        now = sim.now
+        machines = self.machines
+        # The next job completion or backlog depletion. A head job with
+        # nothing left is due now; every other candidate is >= now.
+        horizon = None
+        for machine in machines:
+            _rates, jobs, drains, _active = machine.plan()
+            for task, rate in jobs:
+                remaining = task._queue[0].remaining
+                if remaining <= _EPS:
+                    when = now
+                elif rate <= _EPS:
+                    continue
+                else:
+                    when = now + remaining / rate
+                if horizon is None or when < horizon:
+                    horizon = when
+            for task, drain in drains:
+                when = now + task._backlog / drain
+                if horizon is None or when < horizon:
+                    horizon = when
         next_event = sim.peek_time()
-        horizon = self._next_completion(plans)
         target = next_event
         if horizon is not None and (target is None or horizon < target):
             target = horizon
@@ -422,89 +631,55 @@ class World:
 
         if target is None:
             return False
-        if target > sim.now:
-            self._advance(plans, sim.now, target)
+        if target > now:
+            dt = target - now
+            for machine in machines:
+                # The plan fetched above: since then only monitors, which
+                # change no task, have run.
+                _rates, _jobs, _drains, active = machine._plan
+                for task, rate, has_job in active:
+                    served = rate * dt
+                    if has_job:
+                        job = task._queue[0]
+                        job.remaining -= served
+                        if job.remaining <= _EPS:
+                            machine._due |= task._bit
+                    else:
+                        # Continuous/background load: new demand arrives
+                        # over dt; service drains backlog; overflow past
+                        # the cap is dropped (packet loss).
+                        before = task._backlog
+                        demand_in = (task._continuous_demand + task._background_demand) * dt
+                        backlog = before + demand_in - served
+                        if backlog < 0.0:
+                            served = before + demand_in
+                            backlog = 0.0
+                        dropped = 0.0
+                        if backlog > task.max_backlog:
+                            dropped = backlog - task.max_backlog
+                            backlog = task.max_backlog
+                        task._backlog = backlog
+                        if (backlog > _EPS) != (before > _EPS) or (backlog == 0.0) != (before == 0.0):
+                            machine._backlog_moved(task)
+                        task.served_total += served
+                        task.dropped_total += dropped
+                    task.busy_time += served
+                    if served > 0 or rate > 0 or task._continuous_demand > 0:
+                        for record in task._recorders:
+                            record(task, now, target, served)
             sim.advance_to(target)
         # Nothing ran since the peek, so it still tells whether an event
         # is due; most steps end at a job completion with none.
         fired = sim.fire_due(sim.now) if next_event is not None and next_event <= sim.now else 0
-        completed = self._fire_completions()
+        completed = 0
+        for machine in machines:
+            if machine._due:
+                completed += machine._fire_completions()
         if fired == 0 and completed == 0 and target == sim.now and until is not None and sim.now >= until:
             return False
         if fired == 0 and completed == 0 and next_event is None and horizon is None:
             return False
         return True
-
-    def _next_completion(self, plans: list[RatePlan]) -> float | None:
-        now = self.sim.now
-        soonest: float | None = None
-        for _rates, jobs, drains, _active in plans:
-            for task, rate in jobs:
-                remaining = task._queue[task._head].remaining
-                if remaining <= _EPS:
-                    return now
-                if rate <= _EPS:
-                    continue
-                when = now + remaining / rate
-                if soonest is None or when < soonest:
-                    soonest = when
-            for task, drain in drains:
-                when = now + task.backlog / drain
-                if soonest is None or when < soonest:
-                    soonest = when
-        return soonest
-
-    def _advance(self, plans: list[RatePlan], start: float, end: float) -> None:
-        dt = end - start
-        if dt <= 0:
-            return
-        for machine, plan in zip(self.machines, plans):
-            monitors = machine.monitors
-            for task, rate, has_job in plan.active:
-                served = rate * dt
-                if has_job:
-                    task._queue[task._head].remaining -= served
-                else:
-                    # Continuous/background load: new demand arrives over
-                    # dt; service drains backlog; overflow past the cap
-                    # is dropped (packet loss).
-                    demand_in = (task.continuous_demand + task.background_demand) * dt
-                    backlog = task.backlog + demand_in - served
-                    if backlog < 0.0:
-                        served = task.backlog + demand_in
-                        backlog = 0.0
-                    dropped = 0.0
-                    if backlog > task.max_backlog:
-                        dropped = backlog - task.max_backlog
-                        backlog = task.max_backlog
-                    task.backlog = backlog
-                    task.served_total += served
-                    task.dropped_total += dropped
-                task.busy_time += served
-                if served > 0 or rate > 0 or task.continuous_demand > 0:
-                    for monitor in monitors:
-                        monitor.record(task, start, end, served)
-
-    def _fire_completions(self) -> int:
-        completed = 0
-        for machine in self.machines:
-            for task in machine.tasks:
-                # Bound the drain to the jobs present on entry: a
-                # completion callback may enqueue further zero-cost jobs
-                # on the same task, which must be handled in the *next*
-                # step so the run loop's max_steps guard can catch
-                # pathological self-respawning work.
-                budget = len(task._queue) - task._head
-                while budget > 0 and task._head < len(task._queue):
-                    job = task._queue[task._head]
-                    if job.remaining > _EPS:
-                        break
-                    task._pop_job()
-                    completed += 1
-                    budget -= 1
-                    if job.callback is not None:
-                        job.callback()
-        return completed
 
     # -- convenience -------------------------------------------------------------
 
@@ -513,7 +688,6 @@ class World:
         if self.sim.peek_time() is not None:
             return False
         return not any(
-            task._head < len(task._queue) or task.backlog > _EPS
+            machine._mask or any(task._backlog > _EPS for task in machine.tasks)
             for machine in self.machines
-            for task in machine.tasks
         )

@@ -31,10 +31,9 @@ def spread(start: float, end: float, width: float) -> Sequence[tuple[int, float]
     negative-) width interval gives nothing. Every overlap is strictly
     positive and the overlaps sum to ``end - start``.
 
-    The fluid CPU loop reaches this for every served task on every step,
-    and a step of a per-packet run lies inside one bucket: that case is
-    the loop's first iteration (``min(boundary, end) - start``), answered
-    without the loop.
+    A step of a per-packet run lies inside one bucket: that case is the
+    loop's first iteration (``min(boundary, end) - start``), answered
+    without the loop (and by :meth:`CpuMonitor.record` without the call).
     """
     if end <= start:
         return ()
@@ -58,12 +57,19 @@ class CpuMonitor:
     def __init__(self, machine: Machine):
         self.machine = machine
         self._usage: dict[int, dict[str, float]] = defaultdict(lambda: defaultdict(float))
-        machine.monitors.append(self)
+        machine.add_monitor(self)
 
     def record(self, task: Task, start: float, end: float, served: float) -> None:
-        if served <= 0.0:
+        if served <= 0.0 or end <= start:
             return
         duration = end - start
+        index = int(start // BUCKET_WIDTH)
+        if end <= (index + 1) * BUCKET_WIDTH:
+            # spread()'s one-bucket case, inline: the overlap is the
+            # whole interval, and the arithmetic (rounding included) is
+            # the loop's below.
+            self._usage[index][task.name] += served * duration / duration
+            return
         for bucket, overlap in spread(start, end, BUCKET_WIDTH):
             self._usage[bucket][task.name] += served * overlap / duration
 
@@ -114,7 +120,7 @@ class RateMonitor:
         self.task = task
         self.scale = scale
         self._samples: dict[int, _RateSample] = defaultdict(_RateSample)
-        machine.monitors.append(self)
+        machine.add_monitor(self, task)
 
     def record(self, task: Task, start: float, end: float, served: float) -> None:
         if task is not self.task:

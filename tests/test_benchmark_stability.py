@@ -97,6 +97,11 @@ class TestIdleRouter:
 
 
 class TestUnderStorm:
+    """Each storm's keepalive completion times are pinned exactly
+    (``==`` on floats): the fluid CPU model is deterministic, and a
+    change to its loop that is meant to be a pure speed-up must leave
+    every float where it was."""
+
     def test_pentium3_starves_when_offered_exceeds_capacity(self):
         """Sustained 1000 small updates/s saturates the Pentium III's
         xorp_bgp (which also sends the keepalives): its queue grows
@@ -104,11 +109,19 @@ class TestUnderStorm:
         report = storm_at_rate("pentium3", updates_per_second=1500)
         assert not report.session_survives
         assert report.max_gap > HOLD_TIME
+        assert report.completions == [
+            20.791545454536394, 38.054323232305784, 52.59330303028251,
+            67.06663636361635, 81.56152525251845, 96.06620202020925,
+        ]
 
     def test_xeon_survives_the_same_offered_rate(self):
         """The dual-core has ample parsing headroom at 1000/s."""
         report = storm_at_rate("xeon", updates_per_second=1000)
         assert report.session_survives
+        assert report.completions == [
+            5.000018518518519, 10.000018518518518, 15.000018518518518,
+            20.00001851851852, 25.00001851851852, 30.00001515151515,
+        ]
 
     def test_no_system_survives_full_worm_rate(self):
         """Paper §V.C: 'no system can handle the workload generated by
@@ -120,8 +133,23 @@ class TestUnderStorm:
             interval=1.5, hold_time=3.5,
         )
         assert not report.session_survives
+        assert report.completions == [
+            4.192987398766435, 8.044733587477056, 11.62936508624446,
+            15.21496145302223,
+        ]
 
     def test_offered_below_capacity_survives_everywhere(self):
+        expected = {
+            "pentium3": [
+                5.000252525252526, 10.000252525252526, 15.000252525252526,
+                20.000050505050506,
+            ],
+            "xeon": [
+                5.000015151515152, 10.000015151515152, 15.000015151515152,
+                20.00001111111111,
+            ],
+        }
         for platform in ("pentium3", "xeon"):
             report = storm_at_rate(platform, updates_per_second=100, duration=20.0)
             assert report.session_survives, platform
+            assert report.completions == expected[platform], platform

@@ -392,14 +392,18 @@ def test_retired_subcommands_are_gone(command, capsys):
       "--output-dir", "d"], "--output-dir"),
     (["stability", "--platform", "pentium3", "--output-dir", "d"], "--output-dir"),
     (["chain", "--platforms", "pentium3", "--output-dir", "d"], "--output-dir"),
+    (["repeatability", "--platform", "pentium3", "--scenario", "1", "--seed", "7"],
+     "--seed"),
 ], ids=["scenario-metrics", "topo-telemetry", "topo-telemetry-dir", "topo-measured",
         "topo-platform", "grid-telemetry-dir", "scenario-output-dir",
-        "repeatability-output-dir", "stability-output-dir", "chain-output-dir"])
+        "repeatability-output-dir", "stability-output-dir", "chain-output-dir",
+        "repeatability-seed"])
 def test_retired_flags_are_gone(argv, flag, capsys):
     # The metrics artifact is gone: `scenario --trace` and `grid
     # --telemetry [DIR]` write the span trace, and a topology result holds
     # its per-AS rows. The AS graph runs no costed router, and only the
-    # experiments write an --output-dir.
+    # experiments write an --output-dir. `repeatability` draws its
+    # workloads from `--seeds` alone.
     with pytest.raises(SystemExit) as raised:
         main(argv)
     assert raised.value.code == 2

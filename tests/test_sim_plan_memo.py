@@ -12,10 +12,15 @@ exact (``==`` on floats) equality with
 
 over random machines and task mixes that are mutated mid-run the way
 callers mutate them: by direct attribute assignment (``blocked_by``,
-demands, backlog, priority, machine speed) and by ``add_task``. The
-hygiene tests pin what keeps the memo safe to leave on: bounded size,
-dropped when the task list changes, absent from machine-less worlds.
+demands, backlog, priority, machine cores, threads, SMT efficiency and
+speed), by ``add_task`` and by attaching a monitor. The hygiene tests
+pin what keeps the memo safe to leave on: bounded size, dropped when the
+task list changes, absent from machine-less worlds; and that a finished
+job is released at once, not kept in its queue.
 """
+
+import gc
+import weakref
 
 import pytest
 from hypothesis import given, settings
@@ -208,7 +213,11 @@ mutations = st.one_of(
     st.tuples(st.just("submit"), st.sampled_from(SERVICES)),
     st.tuples(st.just("priority"), st.sampled_from(list(Priority))),
     st.tuples(st.just("speed"), st.sampled_from([0.5, 1.0, 1.3, 2.0])),
+    st.tuples(st.just("cores"), st.integers(min_value=1, max_value=3)),
+    st.tuples(st.just("threads_per_core"), st.integers(min_value=1, max_value=2)),
+    st.tuples(st.just("smt_efficiency"), st.sampled_from([0.5, 0.6, 0.75, 1.0])),
     st.tuples(st.just("add_task"), task_specs),
+    st.tuples(st.just("monitor"), st.none()),
 )
 
 event_specs = st.tuples(
@@ -248,7 +257,7 @@ def submit(world, task, service, log):
     task.submit(service, lambda: log.append((world.sim.now, task.name)))
 
 
-def apply(world, machine, task, kind, value, log):
+def apply(world, machine, task, kind, value, log, monitors):
     if kind == "continuous":
         task.continuous_demand = value
     elif kind == "background":
@@ -261,10 +270,12 @@ def apply(world, machine, task, kind, value, log):
         submit(world, task, value, log)
     elif kind == "priority":
         task.priority = value
-    elif kind == "speed":
-        machine.speed = value
+    elif kind in ("speed", "cores", "threads_per_core", "smt_efficiency"):
+        setattr(machine, kind, value)
     elif kind == "add_task":
         place_task(world, machine, value, log)
+    elif kind == "monitor":
+        monitors.append(CpuMonitor(machine))
 
 
 def build(world_class, scenario):
@@ -288,7 +299,7 @@ def build(world_class, scenario):
 
         def fire(machine=machine, task_index=task_index, kind=kind, value=value):
             task = machine.tasks[task_index % len(machine.tasks)]
-            apply(world, machine, task, kind, value, log)
+            apply(world, machine, task, kind, value, log, monitors)
 
         world.sim.schedule(when, fire)
     return world, monitors, log
@@ -303,7 +314,7 @@ def observed(world, monitors, log):
             task.served_total,
             task.dropped_total,
             task.backlog,
-            [job.remaining for job in task._queue[task._head:]],
+            [job.remaining for job in task._queue],
         )
         for machine in world.machines
         for task in machine.tasks
@@ -345,6 +356,42 @@ class TestDifferential:
         assert machine.plan().rates == {blocker: 1.0}
         load.blocked_by = None
         assert machine.plan().rates == {blocker: 0.5, load: 0.5}
+
+    def test_zero_cost_work_queued_by_completion_callbacks(self):
+        """Callbacks that queue zero-cost jobs on their own task (behind a
+        job finishing in the same pass, past its budget), on a later task
+        (served in the same pass) and on an earlier one (next step): the
+        completion order matches the reference loop's."""
+
+        def run(world_class):
+            world = world_class()
+            machine = world.new_machine("m", cores=1)
+            first, second = machine.new_task("a"), machine.new_task("b")
+            log = []
+
+            def job(task, label, depth):
+                def done():
+                    log.append(label)
+                    if depth < 3:
+                        for target in (task, second if task is first else first):
+                            target.submit(0.0, job(target, f"{label}>{target.name}", depth + 1))
+                return done
+
+            first.submit(0.0, job(first, "a0", 0))
+            first.submit(0.0, job(first, "a1", 0))
+            second.submit(0.0, job(second, "b0", 0))
+            world.run(until=1.0, max_steps=200)
+            return log
+
+        assert run(World) == run(ReferenceWorld)
+
+    def test_blocked_by_on_another_machine_is_refused(self):
+        world = World()
+        kernel = world.new_machine("host").new_task("kfib", Priority.KERNEL)
+        softnet = world.new_machine("pp").new_task("softnet", Priority.KERNEL)
+        with pytest.raises(ValueError, match="own machine"):
+            softnet.blocked_by = kernel
+        assert softnet.blocked_by is None
 
 
 class TestMemoHygiene:
@@ -389,6 +436,30 @@ class TestMemoHygiene:
         b.new_task("t").submit(1.0)
         assert list(a.plan().rates.values()) == [1.0]
         assert list(b.plan().rates.values()) == [2.0]
+
+
+class TestJobRelease:
+    def test_finished_job_is_released_without_a_collection(self):
+        class Callback:
+            def __call__(self):
+                done.append(world.sim.now)
+
+        world = World()
+        task = world.new_machine("m", cores=1).new_task("t")
+        done = []
+        callback = Callback()
+        watch = weakref.ref(callback)
+        task.submit(0.5, callback)
+        task.submit(0.25)
+        del callback
+        gc.disable()
+        try:
+            world.run(until=0.6)
+            assert done == [0.5]
+            assert watch() is None
+        finally:
+            gc.enable()
+        assert task.queue_length() == 1
 
 
 class TestMachinelessWorld:
