@@ -56,12 +56,13 @@ class TestFibLockAblation:
             router = XorpRouter(PLATFORMS["pentium3"])
             if not locked:
                 router.softnet.blocked_by = None
+            forwarding = router.watch_forwarding()
             result = run_scenario(
                 router, 8, table_size=800, cross_traffic_mbps=300.0
             )
             phase3 = result.phases[-1]
             rates = [
-                v for t, v in result.forwarding_series
+                v for t, v in forwarding.series()
                 if phase3.start <= t <= phase3.end
             ]
             return min(rates) if rates else 300.0

@@ -225,8 +225,6 @@ class ScenarioResult:
     transactions: int
     duration: float
     phases: list[PhaseTrace] = field(default_factory=list)
-    cpu_series: dict[str, list[tuple[float, float]]] = field(default_factory=dict)
-    forwarding_series: list[tuple[float, float]] = field(default_factory=list)
     fib_size_after: int = 0
 
     @property
@@ -250,7 +248,7 @@ class ScenarioResult:
     def to_jsonable(self) -> "dict[str, object]":
         """Plain dicts/lists only — safe to ``json.dumps`` and to ship
         across process boundaries (the grid executor stores exactly
-        this). Monitor series are large and excluded.
+        this).
         """
         return {
             "scenario": self.scenario.number,
@@ -478,8 +476,6 @@ def run_scenario(
         transactions=measured.transactions,
         duration=measured.duration,
         phases=phases,
-        cpu_series=router.cpu_monitor.table(),
-        forwarding_series=router.forwarding_monitor.series(),
         fib_size_after=len(router.fib),
     )
 

@@ -67,9 +67,12 @@ class DecisionProcess:
                 return a if med_a < med_b else b
         if a.peer.is_ebgp != b.peer.is_ebgp:
             return a if a.peer.is_ebgp else b
-        if a.peer.bgp_identifier != b.peer.bgp_identifier:
-            return a if a.peer.bgp_identifier < b.peer.bgp_identifier else b
-        return a if a.peer.address <= b.peer.address else b
+        # Addresses compare as their ints: IPv4Address's order, without
+        # its comparison methods (a tie this deep is common in an AS graph).
+        id_a, id_b = a.peer.bgp_identifier.value, b.peer.bgp_identifier.value
+        if id_a != id_b:
+            return a if id_a < id_b else b
+        return a if a.peer.address.value <= b.peer.address.value else b
 
     def select(self, candidates: "list[Candidate]") -> Candidate | None:
         """Select the best route; ``None`` when there are no candidates."""

@@ -18,6 +18,7 @@ from dataclasses import dataclass, field
 from repro.benchmark import run_scenario
 from repro.benchmark.harness import PhaseTrace
 from repro.benchmark.statistics import mean
+from repro.sim.monitor import CpuMonitor
 from repro.systems import build_system
 
 XORP_PROCESSES = ("xorp_bgp", "xorp_fea", "xorp_rib", "xorp_policy", "xorp_rtrmgr")
@@ -64,12 +65,12 @@ def series_to_lists(
 def run_fig3(table_size: int = 2000, scenario: int = 6, seed: int = 42) -> Fig3Result:
     result = Fig3Result(table_size=table_size, scenario=scenario)
     for platform in FIG3_PLATFORMS:
-        outcome = run_scenario(
-            build_system(platform), scenario, table_size=table_size, seed=seed
-        )
+        router = build_system(platform)
+        monitor = CpuMonitor(router.machine)
+        outcome = run_scenario(router, scenario, table_size=table_size, seed=seed)
+        loads = monitor.table()
         result.series[platform] = {
-            process: outcome.cpu_series.get(process, [])
-            for process in XORP_PROCESSES
+            process: loads.get(process, []) for process in XORP_PROCESSES
         }
         result.phases[platform] = outcome.phases
         result.total_time[platform] = outcome.phases[-1].end

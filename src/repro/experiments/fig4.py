@@ -15,6 +15,7 @@ from dataclasses import dataclass, field
 from repro.benchmark import run_scenario
 from repro.benchmark.statistics import mean
 from repro.experiments.fig3 import XORP_PROCESSES, series_to_lists
+from repro.sim.monitor import CpuMonitor
 from repro.systems import build_system
 
 #: The processes whose simultaneous load is the small-packet signature,
@@ -48,12 +49,12 @@ class Fig4Result:
 def run_fig4(table_size: int = 2000, seed: int = 42) -> Fig4Result:
     result = Fig4Result(table_size=table_size)
     for scenario in (1, 2):
-        outcome = run_scenario(
-            build_system("pentium3"), scenario, table_size=table_size, seed=seed
-        )
+        router = build_system("pentium3")
+        monitor = CpuMonitor(router.machine)
+        outcome = run_scenario(router, scenario, table_size=table_size, seed=seed)
+        loads = monitor.table()
         result.series[scenario] = {
-            process: outcome.cpu_series.get(process, [])
-            for process in XORP_PROCESSES
+            process: loads.get(process, []) for process in XORP_PROCESSES
         }
         result.duration[scenario] = outcome.duration
         result.tps[scenario] = outcome.transactions_per_second

@@ -19,6 +19,7 @@ from repro.benchmark import run_scenario
 from repro.benchmark.harness import PhaseTrace
 from repro.benchmark.statistics import mean
 from repro.experiments.fig3 import series_to_lists
+from repro.sim.monitor import CpuMonitor
 from repro.systems import build_system
 
 #: Figure 6's three CPU categories, mapped onto our task names.
@@ -84,23 +85,28 @@ class Fig6Result:
 def run_fig6(table_size: int = 2000, cross_mbps: float = 300.0, seed: int = 42) -> Fig6Result:
     result = Fig6Result(table_size=table_size, cross_mbps=cross_mbps)
 
-    quiet = run_scenario(build_system("pentium3"), 8, table_size=table_size, seed=seed)
-    result.cpu["no-traffic"] = categorise(quiet.cpu_series)
+    router = build_system("pentium3")
+    monitor = CpuMonitor(router.machine)
+    quiet = run_scenario(router, 8, table_size=table_size, seed=seed)
+    result.cpu["no-traffic"] = categorise(monitor.table())
     result.phases["no-traffic"] = quiet.phases
     result.duration["no-traffic"] = quiet.phases[-1].end
 
+    router = build_system("pentium3")
+    monitor = CpuMonitor(router.machine)
+    forwarding = router.watch_forwarding()
     loaded = run_scenario(
-        build_system("pentium3"),
+        router,
         8,
         table_size=table_size,
         cross_traffic_mbps=cross_mbps,
         settle_after=10.0,
         seed=seed,
     )
-    result.cpu["with-traffic"] = categorise(loaded.cpu_series)
+    result.cpu["with-traffic"] = categorise(monitor.table())
     result.phases["with-traffic"] = loaded.phases
     result.duration["with-traffic"] = loaded.phases[-1].end
-    result.forwarding = loaded.forwarding_series
+    result.forwarding = forwarding.series()
     return result
 
 

@@ -36,8 +36,8 @@ invariant, so CI can gate on it. ``--trace`` (scenario) and
 ``--telemetry [DIR]`` (grid/regress; scenario cells only, a topology
 golden refuses it) record the run's span trace with
 :mod:`repro.telemetry` — observe-only, results are byte-identical (see
-docs/TELEMETRY.md); ``scenario --profile`` prints the per-task
-virtual-CPU table of the router's own CPU monitor.
+docs/TELEMETRY.md); ``scenario --profile`` attaches a CPU monitor to
+the router's machine and prints its per-task virtual-CPU table.
 """
 
 from __future__ import annotations
@@ -52,6 +52,7 @@ from repro.analysis import Sanitizer, SanitizerError
 from repro.benchmark import run_scenario
 from repro.benchmark.statistics import repeatability_study
 from repro.experiments import fig3, fig4, fig5, fig6, table3
+from repro.sim.monitor import CpuMonitor
 from repro.systems import build_system
 from repro.systems.platforms import PLATFORMS
 
@@ -507,6 +508,7 @@ def _run_single_scenario(args) -> int:
     sanitizer = None
     telemetry = None
     router = build_system(args.platform)
+    monitor = CpuMonitor(router.machine) if args.profile else None
     if args.sanitize:
         sanitizer = Sanitizer().attach(router)
     if args.trace is not None:
@@ -552,7 +554,7 @@ def _run_single_scenario(args) -> int:
         from repro.telemetry import render_top, top_table
 
         print()
-        print(render_top(top_table(router.cpu_monitor)))
+        print(render_top(top_table(monitor)))
     return 0
 
 

@@ -1,7 +1,7 @@
 """IPv4 addresses and CIDR prefixes.
 
-These are deliberately lightweight value types: the BGP codec and the
-forwarding trie manipulate millions of them, so they avoid the overhead
+These are deliberately lightweight value types: the BGP codec, the
+RIBs and the FIB handle millions of them, so they avoid the overhead
 of :mod:`ipaddress` while keeping the same semantics for the subset of
 operations the benchmark needs.
 """

@@ -32,11 +32,13 @@ thousands of times, so :meth:`Machine.plan` memoises
 machine keeps the state current instead of reading it back every step:
 a bitmask of the tasks that hold a job, flipped when a queue turns empty
 or non-empty; two bits per task for its backlog class, rewritten when a
-backlog changes class; and a configuration tuple (demands, priorities,
-blockers, machine parameters), rebuilt only after a write to one of
-them. A step then costs what changed in it: finished jobs leave their
-queue at once, and only tasks whose head job can have finished are
-visited for completions.
+backlog changes class; and a configuration tuple (demands and
+blockers), rebuilt only after :meth:`Task.set_continuous_demand`,
+:meth:`Task.set_background_demand` or a ``blocked_by`` write. A
+machine's cores, threads, SMT efficiency and speed and a task's
+priority are fixed at construction. A step then costs what changed in
+it: finished jobs leave their queue at once, and only tasks whose head
+job can have finished are visited for completions.
 """
 
 from __future__ import annotations
@@ -54,25 +56,6 @@ _EPS = 1e-12
 #: benchmark cell shows a few dozen; only a sweep of ever-new demand
 #: values (cross-traffic ramps) reaches the cap.
 _PLAN_MEMO_MAX = 1024
-
-
-class _StateField:
-    """An attribute the rate allocation reads. A write marks the owning
-    machine's scheduling state stale, so direct assignment
-    (``task.priority = ...``, ``machine.speed = ...``) is seen by the
-    next :meth:`Machine.plan` without a setter call."""
-
-    def __set_name__(self, owner: type, name: str) -> None:
-        self.slot = "_" + name
-
-    def __get__(self, instance, owner=None):
-        if instance is None:
-            return self
-        return instance.__dict__[self.slot]
-
-    def __set__(self, instance, value) -> None:
-        instance.__dict__[self.slot] = value
-        instance._state_changed()
 
 
 class Priority(IntEnum):
@@ -99,11 +82,9 @@ class Job:
 
 
 class Task:
-    """One schedulable entity on a machine."""
-
-    priority = _StateField()
-    continuous_demand = _StateField()
-    background_demand = _StateField()
+    """One schedulable entity on a machine. Its priority is fixed at
+    construction; its demands are set through
+    :meth:`set_continuous_demand` and :meth:`set_background_demand`."""
 
     def __init__(
         self,
@@ -209,11 +190,13 @@ class Task:
         if not 0 <= rate < math.inf:
             raise ValueError(f"negative or non-finite demand: {rate}")
         self.continuous_demand = rate
+        self._state_changed()
 
     def set_background_demand(self, rate: float) -> None:
         if not 0 <= rate < math.inf:
             raise ValueError(f"negative or non-finite demand: {rate}")
         self.background_demand = rate
+        self._state_changed()
 
     # -- scheduling interface ---------------------------------------------------
 
@@ -258,12 +241,8 @@ class RatePlan(NamedTuple):
 
 
 class Machine:
-    """A multi-core CPU with SMT and a set of tasks."""
-
-    cores = _StateField()
-    threads_per_core = _StateField()
-    smt_efficiency = _StateField()
-    speed = _StateField()
+    """A multi-core CPU with SMT and a set of tasks. Its cores, threads,
+    SMT efficiency and speed are fixed at construction."""
 
     def __init__(
         self,
@@ -278,6 +257,10 @@ class Machine:
         if not 0.0 < smt_efficiency <= 1.0:
             raise ValueError("smt_efficiency must be in (0, 1]")
         self.name = name
+        self.cores = cores
+        self.threads_per_core = threads_per_core
+        self.smt_efficiency = smt_efficiency
+        self.speed = speed
         self.tasks: list[Task] = []
         #: ``(monitor, task)`` per attached monitor, in attach order:
         #: the monitor hears *task*, or every task when it is None.
@@ -297,10 +280,6 @@ class Machine:
         #: One bit per task whose head job may have finished: the only
         #: tasks World visits for completions.
         self._due = 0
-        self.cores = cores
-        self.threads_per_core = threads_per_core
-        self.smt_efficiency = smt_efficiency
-        self.speed = speed
 
     def _state_changed(self) -> None:
         self._config_plans = None
@@ -422,14 +401,14 @@ class Machine:
         The state is the key ``(job mask, backlog classes,
         configuration)``: which tasks hold a job; each task's backlog
         class (zero, at most ``_EPS``, more: all the allocator and the
-        ``active`` view distinguish); and per task and for the machine
-        everything else :meth:`compute_rates` reads — priority, demands
-        and the blocker's position; cores, threads, SMT efficiency and
-        speed. The machine keeps all three current: a queue turning
-        empty or non-empty flips its task's job bit, a backlog moving to
-        another class rewrites its two bits, and either drops the
-        current plan; a write to any other part (a :class:`_StateField`
-        or ``blocked_by``) marks the configuration stale. Until then
+        ``active`` view distinguish); and per task the rest of what
+        :meth:`compute_rates` reads and can change — the demands and the
+        blocker's position (priorities and the machine's parameters are
+        fixed at construction). The machine keeps all three current: a
+        queue turning empty or non-empty flips its task's job bit, a
+        backlog moving to another class rewrites its two bits, and
+        either drops the current plan; a demand setter or a
+        ``blocked_by`` write marks the configuration stale. Until then
         this returns the current plan as it is.
         """
         plan = self._plan
@@ -451,20 +430,18 @@ class Machine:
         return plan
 
     def _read_config(self) -> tuple:
-        return (
-            self._cores,
-            self._threads_per_core,
-            self._smt_efficiency,
-            self._speed,
-            *(
-                (
-                    task._priority,
-                    task._continuous_demand,
-                    task._background_demand,
-                    None if task._blocked_by is None else task._blocked_by._index,
-                )
-                for task in self.tasks
-            ),
+        """What the allocation reads beyond the job mask and backlog
+        classes and can change while the task list stands: each task's
+        demands and blocker. The machine's parameters and the tasks'
+        priorities are fixed at construction, and ``add_task`` drops
+        every plan, so neither is part of the key."""
+        return tuple(
+            (
+                task.continuous_demand,
+                task.background_demand,
+                None if task._blocked_by is None else task._blocked_by._index,
+            )
+            for task in self.tasks
         )
 
     def _derive_plan(self) -> RatePlan:
@@ -649,7 +626,7 @@ class World:
                         # over dt; service drains backlog; overflow past
                         # the cap is dropped (packet loss).
                         before = task._backlog
-                        demand_in = (task._continuous_demand + task._background_demand) * dt
+                        demand_in = (task.continuous_demand + task.background_demand) * dt
                         backlog = before + demand_in - served
                         if backlog < 0.0:
                             served = before + demand_in
@@ -664,7 +641,7 @@ class World:
                         task.served_total += served
                         task.dropped_total += dropped
                     task.busy_time += served
-                    if served > 0 or rate > 0 or task._continuous_demand > 0:
+                    if served > 0 or rate > 0 or task.continuous_demand > 0:
                         for record in task._recorders:
                             record(task, now, target, served)
             sim.advance_to(target)

@@ -30,7 +30,7 @@ from repro.bgp.speaker import BgpSpeaker, PeerConfig, SpeakerConfig, WorkLog
 from repro.forwarding.fib import Fib
 from repro.net.addr import IPv4Address
 from repro.sim.cpu import Priority, Task, World
-from repro.sim.monitor import CpuMonitor, RateMonitor
+from repro.sim.monitor import RateMonitor
 from repro.systems.costs import charges_for, export_charges, work_delta
 from repro.systems.platforms import PlatformSpec
 
@@ -120,6 +120,11 @@ class RouterSystem:
     def schedule_initial_advertisement(self, peer_id: str) -> None:
         raise NotImplementedError
 
+    def watch_forwarding(self) -> RateMonitor:
+        """Attach a monitor of the forwarding path's served rate, in
+        Mb/s (Figure 6(c)), and return it."""
+        raise NotImplementedError
+
     # -- shared helpers ------------------------------------------------------------
 
     @property
@@ -169,7 +174,6 @@ class XorpRouter(RouterSystem):
             smt_efficiency=spec.smt_efficiency,
             speed=spec.speed,
         )
-        self.cpu_monitor = CpuMonitor(self.machine)
 
         self.irq = self.machine.new_task("interrupts", Priority.INTERRUPT)
         self.irq_xt = self.machine.new_task("interrupts-xt", Priority.INTERRUPT)
@@ -187,8 +191,6 @@ class XorpRouter(RouterSystem):
                 f"{spec.name}-packet-processors", cores=spec.offload_processors
             )
             self.softnet = self.pp_machine.new_task("packet-processors", Priority.KERNEL)
-            scale = 1.0 / spec.offload_cost_per_mbit
-            self.forwarding_monitor = RateMonitor(self.pp_machine, self.softnet, scale=scale)
         else:
             # The device/driver ring buffers roughly 25 ms of line-rate
             # traffic; anything stalled longer than that is dropped.
@@ -201,12 +203,16 @@ class XorpRouter(RouterSystem):
             # FIB write lock: forwarding lookups stall while the kernel
             # installs routes — the cause of the Figure 6(c) packet loss.
             self.softnet.blocked_by = self.kernel
-            scale = (
-                1.0 / forwarding.softnet_cost_per_mbit
-                if forwarding.softnet_cost_per_mbit > 0
-                else 1.0
-            )
-            self.forwarding_monitor = RateMonitor(self.machine, self.softnet, scale=scale)
+
+    def watch_forwarding(self) -> RateMonitor:
+        forwarding = self.spec.forwarding
+        if forwarding.kind == "offload":
+            scale = 1.0 / self.spec.offload_cost_per_mbit
+        elif forwarding.softnet_cost_per_mbit > 0:
+            scale = 1.0 / forwarding.softnet_cost_per_mbit
+        else:
+            scale = 1.0
+        return RateMonitor(self.softnet.machine, self.softnet, scale=scale)
 
     # -- cross-traffic ----------------------------------------------------------
 
@@ -301,15 +307,8 @@ class CiscoRouter(RouterSystem):
         super().__init__(spec, world, **speaker_kwargs)
         self.costs = spec.cisco_costs
         self.machine = self.world.new_machine(spec.name, cores=1, speed=spec.speed)
-        self.cpu_monitor = CpuMonitor(self.machine)
         self.ios = self.machine.new_task("ios-bgp")
         self.irq_xt = self.machine.new_task("interrupts-xt", Priority.INTERRUPT)
-        scale = (
-            1.0 / spec.forwarding.irq_cost_per_mbit
-            if spec.forwarding.irq_cost_per_mbit > 0
-            else 1.0
-        )
-        self.forwarding_monitor = RateMonitor(self.machine, self.irq_xt, scale=scale)
         self._queue: list[tuple[str, bytes, float]] = []
         self._head = 0
         self._gate_busy = False
@@ -321,6 +320,10 @@ class CiscoRouter(RouterSystem):
         self.irq_xt.set_continuous_demand(
             effective * self.spec.forwarding.irq_cost_per_mbit
         )
+
+    def watch_forwarding(self) -> RateMonitor:
+        cost = self.spec.forwarding.irq_cost_per_mbit
+        return RateMonitor(self.machine, self.irq_xt, scale=1.0 / cost if cost > 0 else 1.0)
 
     def deliver(self, peer_id: str, data: bytes, delay: float = 0.0) -> None:
         self.world.sim.schedule(delay, lambda: self._enqueue(peer_id, data))

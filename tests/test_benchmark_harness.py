@@ -4,6 +4,7 @@ import pytest
 
 from repro.benchmark import run_scenario
 from repro.benchmark.harness import SPEAKER1, SPEAKER2, PhaseTrace
+from repro.sim.monitor import CpuMonitor
 from repro.systems import build_system
 from repro.workload.tablegen import generate_table
 
@@ -113,16 +114,22 @@ class TestMetric:
 
 
 class TestSeries:
+    """A run records no series of its own: a reader attaches the monitor
+    it reads before the run."""
+
     def test_cpu_series_present(self):
-        result = run_scenario(build_system("pentium3"), 1, table_size=SIZE)
-        assert "xorp_bgp" in result.cpu_series
-        assert result.cpu_series["xorp_bgp"]
+        router = build_system("pentium3")
+        monitor = CpuMonitor(router.machine)
+        run_scenario(router, 1, table_size=SIZE)
+        loads = monitor.table()
+        assert "xorp_bgp" in loads
+        assert loads["xorp_bgp"]
 
     def test_forwarding_series_with_cross_traffic(self):
-        result = run_scenario(
-            build_system("pentium3"), 1, table_size=SIZE, cross_traffic_mbps=100.0
-        )
-        assert result.forwarding_series
+        router = build_system("pentium3")
+        forwarding = router.watch_forwarding()
+        result = run_scenario(router, 1, table_size=SIZE, cross_traffic_mbps=100.0)
+        assert forwarding.series()
         assert result.cross_traffic_mbps == 100.0
 
     def test_cross_traffic_recorded_clamped(self):

@@ -6,6 +6,7 @@ import pytest
 from repro.benchmark import SCENARIOS, run_scenario
 from repro.benchmark.harness import SPEAKER1, SPEAKER2
 from repro.experiments.paperdata import PLATFORM_ORDER
+from repro.sim.monitor import CpuMonitor
 from repro.systems import build_system
 from repro.workload.tablegen import generate_table
 
@@ -102,8 +103,8 @@ class TestVirtualTimeInvariants:
         """On a single core, elapsed virtual time >= total CPU charged,
         and utilisation is near 100% while saturated."""
         router = build_system("pentium3")
+        monitor = CpuMonitor(router.machine)
         result = run_scenario(router, 1, table_size=SIZE)
-        monitor = router.cpu_monitor
         total_cpu = sum(
             monitor.total_cpu_seconds(name) for name in monitor.task_names()
         )

@@ -268,6 +268,8 @@ def _resolve(path):
     "repro.topo.RouterNode",
     "repro.topo.network.RouterNode",
     "repro.topo.network:TopologyHarness.total",
+    # A machine's shape and a task's priority are fixed at construction.
+    "repro.sim.cpu._StateField",
 ])
 def test_retired_names_are_gone(name):
     # No caller was left outside their own tests (DESIGN.md §7, the census).
@@ -321,6 +323,9 @@ def test_retired_names_are_gone(name):
     ("repro.topo.families:TopoCell", "measured"),
     ("repro.topo.families:TopoCell", "platform"),
     ("repro.systems.router:RouterSystem", "split_horizon_withdraw"),
+    # Monitors are attached by their readers; a result carries no series.
+    ("repro.benchmark.harness:ScenarioResult", "cpu_series"),
+    ("repro.benchmark.harness:ScenarioResult", "forwarding_series"),
 ], ids=lambda value: value.rpartition(":")[2].rpartition(".")[2] or value)
 def test_retired_options_are_gone(owner, name):
     # DESIGN.md §7 census: outside tests, one value was ever used.

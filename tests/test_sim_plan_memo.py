@@ -11,9 +11,11 @@ exact (``==`` on floats) equality with
   rates recomputed from scratch —
 
 over random machines and task mixes that are mutated mid-run the way
-callers mutate them: by direct attribute assignment (``blocked_by``,
-demands, backlog, priority, machine cores, threads, SMT efficiency and
-speed), by ``add_task`` and by attaching a monitor. The hygiene tests
+callers mutate them: by the demand setters, by direct assignment of
+``blocked_by`` and backlog, by ``add_task``, by a fresh machine joining
+the world and by attaching a monitor. A machine's cores, threads, SMT
+efficiency and speed and a task's priority are fixed at construction,
+so a new value of one comes with a new machine or task. The hygiene tests
 pin what keeps the memo safe to leave on: bounded size, dropped when the
 task list changes, absent from machine-less worlds; and that a finished
 job is released at once, not kept in its queue.
@@ -211,18 +213,14 @@ mutations = st.one_of(
     st.tuples(st.just("backlog"), st.sampled_from(BACKLOGS)),
     st.tuples(st.just("blocked_by"), st.none() | st.integers(min_value=0, max_value=5)),
     st.tuples(st.just("submit"), st.sampled_from(SERVICES)),
-    st.tuples(st.just("priority"), st.sampled_from(list(Priority))),
-    st.tuples(st.just("speed"), st.sampled_from([0.5, 1.0, 1.3, 2.0])),
-    st.tuples(st.just("cores"), st.integers(min_value=1, max_value=3)),
-    st.tuples(st.just("threads_per_core"), st.integers(min_value=1, max_value=2)),
-    st.tuples(st.just("smt_efficiency"), st.sampled_from([0.5, 0.6, 0.75, 1.0])),
     st.tuples(st.just("add_task"), task_specs),
+    st.tuples(st.just("machine"), machine_specs),
     st.tuples(st.just("monitor"), st.none()),
 )
 
 event_specs = st.tuples(
     TIMES,
-    st.integers(min_value=0, max_value=1),  # machine (modulo how many there are)
+    st.integers(min_value=0, max_value=3),  # machine (modulo how many there are)
     st.integers(min_value=0, max_value=5),  # task (modulo)
     mutations,
 )
@@ -241,10 +239,10 @@ def place_task(world, machine, spec, log):
     task = machine.new_task(
         f"t{len(machine.tasks)}", spec["priority"], max_backlog=spec["max_backlog"]
     )
-    # State goes in the way callers outside the class put it: attribute
-    # writes the memo is never told about.
-    task.continuous_demand = spec["continuous"]
-    task.background_demand = spec["background"]
+    # State goes in the way callers outside the class put it: the demand
+    # setters, and attribute writes the memo is never told about.
+    task.set_continuous_demand(spec["continuous"])
+    task.set_background_demand(spec["background"])
     task.backlog = spec["backlog"]
     if spec["blocked_by"] is not None:
         task.blocked_by = machine.tasks[spec["blocked_by"] % len(machine.tasks)]
@@ -259,45 +257,49 @@ def submit(world, task, service, log):
 
 def apply(world, machine, task, kind, value, log, monitors):
     if kind == "continuous":
-        task.continuous_demand = value
+        task.set_continuous_demand(value)
     elif kind == "background":
-        task.background_demand = value
+        task.set_background_demand(value)
     elif kind == "backlog":
         task.backlog = value
     elif kind == "blocked_by":
         task.blocked_by = None if value is None else machine.tasks[value % len(machine.tasks)]
     elif kind == "submit":
         submit(world, task, value, log)
-    elif kind == "priority":
-        task.priority = value
-    elif kind in ("speed", "cores", "threads_per_core", "smt_efficiency"):
-        setattr(machine, kind, value)
     elif kind == "add_task":
         place_task(world, machine, value, log)
+    elif kind == "machine":
+        place_machine(world, value, log, monitors)
     elif kind == "monitor":
         monitors.append(CpuMonitor(machine))
+
+
+def place_machine(world, spec, log, monitors):
+    machine = world.new_machine(
+        f"m{len(world.machines)}",
+        cores=spec["cores"],
+        threads_per_core=spec["threads_per_core"],
+        smt_efficiency=spec["smt_efficiency"],
+        speed=spec["speed"],
+    )
+    for task_spec in spec["tasks"]:
+        place_task(world, machine, task_spec, log)
+    monitors.append(CpuMonitor(machine))
+    monitors.append(RateMonitor(machine, machine.tasks[0]))
 
 
 def build(world_class, scenario):
     world = world_class()
     log = []
     monitors = []
-    for index, spec in enumerate(scenario["machines"]):
-        machine = world.new_machine(
-            f"m{index}",
-            cores=spec["cores"],
-            threads_per_core=spec["threads_per_core"],
-            smt_efficiency=spec["smt_efficiency"],
-            speed=spec["speed"],
-        )
-        for task_spec in spec["tasks"]:
-            place_task(world, machine, task_spec, log)
-        monitors.append(CpuMonitor(machine))
-        monitors.append(RateMonitor(machine, machine.tasks[0]))
+    for spec in scenario["machines"]:
+        place_machine(world, spec, log, monitors)
     for when, machine_index, task_index, (kind, value) in scenario["events"]:
-        machine = world.machines[machine_index % len(world.machines)]
 
-        def fire(machine=machine, task_index=task_index, kind=kind, value=value):
+        def fire(machine_index=machine_index, task_index=task_index, kind=kind, value=value):
+            # Picked when the event fires, so a machine that joined
+            # earlier in the run can be picked.
+            machine = world.machines[machine_index % len(world.machines)]
             task = machine.tasks[task_index % len(machine.tasks)]
             apply(world, machine, task, kind, value, log, monitors)
 

@@ -8,6 +8,7 @@ from repro.bgp.policy import ACCEPT_ALL
 from repro.bgp.speaker import PeerConfig
 from repro.net.addr import IPv4Address, Prefix
 from repro.systems import build_system
+from repro.systems.platforms import PLATFORMS
 
 S1 = "speaker1"
 S1_AS = 65101
@@ -25,6 +26,18 @@ def with_peer(router):
     router.handshake(S1, S1_AS, S1_ID)
     router.reset_counters()
     return router
+
+
+@pytest.mark.parametrize("platform", sorted(PLATFORMS))
+def test_a_built_router_records_nothing(platform):
+    # Monitors are attached by their readers (the figures, `scenario
+    # --profile`): a run nobody watches pays for no recording.
+    router = build_system(platform)
+    assert router.world.machines
+    for machine in router.world.machines:
+        assert machine.monitors == []
+    assert not hasattr(router, "cpu_monitor")
+    assert not hasattr(router, "forwarding_monitor")
 
 
 class TestXorpRouterChain:
@@ -112,12 +125,24 @@ class TestCrossTraffic:
 
     def test_forwarding_monitor_reports_rate(self):
         router = with_peer(build_system("pentium3"))
+        forwarding = router.watch_forwarding()
         router.set_cross_traffic(100.0)
         router.deliver(S1, announce_packet([Prefix.parse("192.0.2.0/24")]))
         router.run_until_idle(extra=2.0)
-        series = router.forwarding_monitor.series()
+        series = forwarding.series()
         assert series
         assert series[-1][1] == pytest.approx(100.0, rel=0.1)
+
+    @pytest.mark.parametrize("platform", ["pentium3", "xeon", "ixp2400", "cisco"])
+    def test_watch_forwarding_reads_in_mbps_on_every_platform(self, platform):
+        # The per-platform task and scale: softnet on the host, the
+        # packet processors on the IXP2400, the interrupt path on IOS.
+        router = build_system(platform)
+        forwarding = router.watch_forwarding()
+        router.set_cross_traffic(50.0)
+        router.run_until_idle(extra=2.0)
+        assert [rate for _t, rate in forwarding.series()] == pytest.approx([50.0, 50.0])
+        assert forwarding.loss_fraction() == pytest.approx(0.0, abs=1e-9)
 
 
 class TestCiscoRouter:
