@@ -108,20 +108,21 @@ class WorkLog:
     def counts(self) -> tuple[int, ...]:
         """Every counter, in field order (``WorkLog(*log.counts())``
         rebuilds the log)."""
-        return _work_counts(self)
+        return work_counts(self)
 
     def add(self, other: "WorkLog") -> None:
-        for name, mine, theirs in zip(_WORK_FIELDS, _work_counts(self), _work_counts(other)):
+        for name, mine, theirs in zip(_WORK_FIELDS, work_counts(self), work_counts(other)):
             setattr(self, name, mine + theirs)
 
     def snapshot(self) -> "WorkLog":
-        return WorkLog(*_work_counts(self))
+        return WorkLog(*work_counts(self))
 
 
-# The per-packet path snapshots and subtracts a WorkLog for every packet:
-# one C-level getter over the field tuple instead of a getattr loop.
 _WORK_FIELDS = tuple(WorkLog.__dataclass_fields__)
-_work_counts = attrgetter(*_WORK_FIELDS)
+#: ``work_counts(log) == log.counts()``: one C-level getter over the
+#: field tuple. The costed routers read it before and after every
+#: packet and subtract the two tuples.
+work_counts = attrgetter(*_WORK_FIELDS)
 
 
 @dataclass(slots=True)

@@ -45,7 +45,6 @@ from __future__ import annotations
 
 import math
 from collections import deque
-from dataclasses import dataclass, field
 from enum import IntEnum
 from typing import Callable, NamedTuple
 
@@ -66,19 +65,21 @@ class Priority(IntEnum):
     USER = 2
 
 
-@dataclass(slots=True)
 class Job:
-    """A discrete piece of CPU work: *service* seconds at unit speed."""
+    """A discrete piece of CPU work: *service* seconds at unit speed,
+    *remaining* of it still to serve."""
 
-    service: float
-    callback: Callable[[], None] | None = None
-    tag: str = ""
-    remaining: float = field(init=False)
+    __slots__ = ("service", "callback", "tag", "remaining")
 
-    def __post_init__(self) -> None:
-        if not 0 <= self.service < math.inf:
-            raise ValueError(f"negative or non-finite service time: {self.service}")
-        self.remaining = self.service
+    def __init__(
+        self, service: float, callback: Callable[[], None] | None = None, tag: str = ""
+    ):
+        if not 0 <= service < math.inf:
+            raise ValueError(f"negative or non-finite service time: {service}")
+        self.service = service
+        self.callback = callback
+        self.tag = tag
+        self.remaining = service
 
 
 class Task:

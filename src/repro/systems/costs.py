@@ -31,9 +31,7 @@ comparatively light.
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
-from operator import sub
-
-from repro.bgp.speaker import WorkLog
+from typing import NamedTuple
 
 _MS = 1e-3
 
@@ -87,10 +85,10 @@ class CostModel:
 XORP_BASE_COSTS = CostModel()
 
 
-@dataclass(frozen=True, slots=True)
-class StageCharges:
+class StageCharges(NamedTuple):
     """CPU seconds charged to each pipeline stage for one unit of
-    received work (derived from a :class:`WorkLog` delta)."""
+    received work, in pipeline order (irq first, the kernel's FIB
+    syscall last)."""
 
     irq: float = 0.0
     bgp: float = 0.0
@@ -103,30 +101,37 @@ class StageCharges:
         return self.irq + self.bgp + self.policy + self.rib + self.fea + self.kernel_fib
 
 
-def charges_for(costs: CostModel, delta: WorkLog) -> StageCharges:
-    """Convert the speaker's work ledger for one packet into per-stage
-    CPU charges."""
-    changed_messages = delta.updates_processed if delta.fib_changes else 0
+def charges_for(costs: CostModel, counts: tuple[int, ...]) -> StageCharges:
+    """Convert the speaker's work for one packet — a
+    :meth:`WorkLog.counts <repro.bgp.speaker.WorkLog.counts>` tuple of
+    per-packet differences — into per-stage CPU charges."""
+    (
+        packets_received, _bytes_received, messages_decoded, updates_processed,
+        _announced, _withdrawn, policy_evaluations, decisions,
+        fib_adds, fib_replaces, fib_deletes,
+        _updates_sent, _prefixes_sent, _bytes_sent,
+    ) = counts
+    changed_messages = updates_processed if fib_adds + fib_replaces + fib_deletes else 0
     return StageCharges(
-        irq=costs.pkt_rx * delta.packets_received,
-        bgp=costs.msg_parse * delta.messages_decoded + costs.decide_unit * delta.decisions,
-        policy=costs.policy_eval * delta.policy_evaluations,
-        rib=(
+        costs.pkt_rx * packets_received,
+        costs.msg_parse * messages_decoded + costs.decide_unit * decisions,
+        costs.policy_eval * policy_evaluations,
+        (
             costs.ipc_rib_msg * changed_messages
-            + costs.rib_add * delta.fib_adds
-            + costs.rib_replace * delta.fib_replaces
-            + costs.rib_remove * delta.fib_deletes
+            + costs.rib_add * fib_adds
+            + costs.rib_replace * fib_replaces
+            + costs.rib_remove * fib_deletes
         ),
-        fea=(
+        (
             costs.ipc_fea_msg * changed_messages
-            + costs.fea_add * delta.fib_adds
-            + costs.fea_replace * delta.fib_replaces
-            + costs.fea_remove * delta.fib_deletes
+            + costs.fea_add * fib_adds
+            + costs.fea_replace * fib_replaces
+            + costs.fea_remove * fib_deletes
         ),
-        kernel_fib=(
-            costs.kfib_add * delta.fib_adds
-            + costs.kfib_replace * delta.fib_replaces
-            + costs.kfib_remove * delta.fib_deletes
+        (
+            costs.kfib_add * fib_adds
+            + costs.kfib_replace * fib_replaces
+            + costs.kfib_remove * fib_deletes
         ),
     )
 
@@ -136,8 +141,3 @@ def export_charges(costs: CostModel, prefixes_sent: int, updates_sent: int) -> t
     bgp = costs.export_prefix * prefixes_sent + costs.msg_encode * updates_sent
     kernel = costs.pkt_tx * updates_sent
     return bgp, kernel
-
-
-def work_delta(after: WorkLog, before: WorkLog) -> WorkLog:
-    """Field-wise ``after - before``."""
-    return WorkLog(*map(sub, after.counts(), before.counts()))

@@ -16,6 +16,12 @@ charge the *virtual CPU time* each packet costs on the modeled platform:
 * :class:`CiscoRouter` — the commercial black box: a paced input gate
   (one packet per IOS scheduler quantum) feeding a single CPU.
 
+A packet's way through the stages is one object, built when the packet
+is parsed: a :class:`_PacketChain` (XORP) or an :class:`_IosPacket`
+(Cisco). Its bound method is every stage job's callback, so a packet
+costs one allocation for its whole chain, and nothing refers back to
+it: once its last job is done it is freed without a collection.
+
 Cross-traffic is a continuous interrupt + softnet load with priority
 over user processing ("cross-traffic is given higher priority by the
 operating system", §V.B); on the IXP2400 it lands on a separate
@@ -24,17 +30,26 @@ packet-processor machine and therefore does not touch the XScale.
 
 from __future__ import annotations
 
+from operator import attrgetter, sub
 from typing import Callable
 
-from repro.bgp.speaker import BgpSpeaker, PeerConfig, SpeakerConfig, WorkLog
+from repro.bgp.speaker import BgpSpeaker, PeerConfig, SpeakerConfig, WorkLog, work_counts
 from repro.forwarding.fib import Fib
 from repro.net.addr import IPv4Address
 from repro.sim.cpu import Priority, Task, World
 from repro.sim.monitor import RateMonitor
-from repro.systems.costs import charges_for, export_charges, work_delta
+from repro.systems.costs import charges_for, export_charges
 from repro.systems.platforms import PlatformSpec
 
 _TINY = 1e-12
+
+#: The two export counters a flush moves.
+_sent_counts = attrgetter("prefixes_sent", "updates_sent")
+#: Positions in a ``WorkLog.counts()`` tuple that the packet path reads.
+_ANNOUNCED, _WITHDRAWN, _FIB_ADDS, _FIB_REPLACES, _FIB_DELETES = map(
+    list(WorkLog.__dataclass_fields__).index,
+    ("prefixes_announced", "prefixes_withdrawn", "fib_adds", "fib_replaces", "fib_deletes"),
+)
 
 ROUTER_ASN = 65000
 ROUTER_ID = IPv4Address.parse("10.255.0.1")
@@ -139,17 +154,20 @@ class RouterSystem:
             self.world.run(until=end + extra)
         return self.world.sim.now
 
-    def _functional_receive(self, peer_id: str, data: bytes) -> WorkLog:
-        before = self.speaker.work.snapshot()
+    def _functional_receive(self, peer_id: str, data: bytes) -> tuple[int, ...]:
+        """Process *data* for real; returns the work it took, as a
+        :meth:`WorkLog.counts <repro.bgp.speaker.WorkLog.counts>` tuple
+        of differences."""
+        before = work_counts(self.speaker.work)
         self.speaker.receive_bytes(peer_id, data, now=self.world.sim.now)
-        return work_delta(self.speaker.work, before)
+        return tuple(map(sub, work_counts(self.speaker.work), before))
 
     def _functional_flush(self) -> tuple[int, int]:
         """Flush every staged export; returns (prefixes, updates)."""
-        before = self.speaker.work.snapshot()
+        prefixes, updates = _sent_counts(self.speaker.work)
         self.speaker.flush_pending(self.export_packing)
-        delta = work_delta(self.speaker.work, before)
-        return delta.prefixes_sent, delta.updates_sent
+        prefixes_after, updates_after = _sent_counts(self.speaker.work)
+        return prefixes_after - prefixes, updates_after - updates
 
     def _packet_done(self, transactions: int, span: object | None = None) -> None:
         self.transactions_completed += transactions
@@ -184,6 +202,11 @@ class XorpRouter(RouterSystem):
         self.fea = self.machine.new_task("xorp_fea")
         self.rtrmgr = self.machine.new_task("xorp_rtrmgr")
         self.rtrmgr.set_background_demand(spec.rtrmgr_background * spec.speed)
+        #: A packet's two legs, in the order of their charges:
+        #: :class:`StageCharges <repro.systems.costs.StageCharges>` and
+        #: :func:`export_charges <repro.systems.costs.export_charges>`.
+        self._receive_stages = (self.irq, self.bgp, self.policy, self.rib, self.fea, self.kernel)
+        self._export_stages = (self.bgp, self.kernel)
 
         forwarding = spec.forwarding
         if forwarding.kind == "offload":
@@ -238,66 +261,94 @@ class XorpRouter(RouterSystem):
         delta = self._functional_receive(peer_id, data)
         if span is not None:
             self.telemetry.packet_parsed(span)
-        charges = charges_for(self.costs, delta)
-
-        stages: list[tuple[Task, float]] = [
-            (self.irq, charges.irq),
-            (self.bgp, charges.bgp),
-            (self.policy, charges.policy),
-            (self.rib, charges.rib),
-            (self.fea, charges.fea),
-            (self.kernel, charges.kernel_fib),
-        ]
         self._submit_chain(
-            [(task, cost) for task, cost in stages if cost > _TINY],
-            lambda: self._submit_exports(
-                lambda: self._packet_done(delta.transactions, span)
-            ),
+            _PacketChain(
+                self,
+                self._receive_stages,
+                charges_for(self.costs, delta),
+                delta[_ANNOUNCED] + delta[_WITHDRAWN],
+                span,
+            )
         )
 
-    def _submit_exports(self, done: Callable[[], None]) -> None:
-        """Flush every staged export, charge it (xorp_bgp, then the
-        kernel's transmit), then call *done*.
-
-        At a packet's chain tail the flush comes after this router's own
-        processing, so a downstream router (see repro.benchmark.chain)
-        receives the re-advertisement causally in virtual time.
-        """
-        export_prefixes, export_updates = self._functional_flush()
-        export_bgp, export_tx = export_charges(self.costs, export_prefixes, export_updates)
-        stages = [
-            (self.bgp, export_bgp),
-            (self.kernel, export_tx),
-        ]
-        self._submit_chain(
-            [(task, cost) for task, cost in stages if cost > _TINY], done
-        )
-
-    def _submit_chain(
-        self, stages: list[tuple[Task, float]], done: Callable[[], None]
-    ) -> None:
-        if not stages:
-            # Still count completion in virtual time order.
-            self.world.sim.schedule(0.0, done)
-            return
-
-        def make_callback(index: int) -> Callable[[], None]:
-            if index >= len(stages):
-                return done
-
-            def advance() -> None:
-                task, cost = stages[index]
-                task.submit(cost, make_callback(index + 1))
-
-            return advance
-
-        make_callback(0)()
+    def _submit_chain(self, chain: "_PacketChain") -> None:
+        """Start *chain*'s current leg: submit its first costed stage, or,
+        if no stage costs anything, end the leg through a zero-delay
+        event, so the completion still counts in virtual-time order."""
+        if not chain.submit_next():
+            self.world.sim.schedule(0.0, chain.leg_done)
 
     # -- phase 2: initial table transfer ---------------------------------------------
 
     def schedule_initial_advertisement(self, peer_id: str) -> None:
         """Charge and emit the full-table transfer staged at session-up."""
-        self._submit_exports(lambda: self._packet_done(0))
+        _PacketChain(self, self._export_stages, (), 0, None).export()
+
+
+class _PacketChain:
+    """One packet's way through a :class:`XorpRouter`: the receive leg
+    (one job per stage that costs more than ``_TINY``), then at its end
+    the flush of every staged export and the export leg (xorp_bgp, then
+    the kernel's transmit), then the packet's completion.
+
+    At the chain's tail the flush comes after this router's own
+    processing, so a downstream router (see repro.benchmark.chain)
+    receives the re-advertisement causally in virtual time.
+    """
+
+    __slots__ = ("router", "tasks", "costs", "index", "transactions", "span")
+
+    def __init__(
+        self,
+        router: XorpRouter,
+        tasks: "tuple[Task, ...]",
+        costs: "tuple[float, ...]",
+        transactions: int,
+        span: object | None,
+    ):
+        self.router = router
+        #: The current leg: its tasks, their charges, the next to look at.
+        self.tasks = tasks
+        self.costs = costs
+        self.index = 0
+        self.transactions = transactions
+        self.span = span
+
+    def submit_next(self) -> bool:
+        """Submit the leg's next costed stage with :meth:`step` as its
+        callback; False when the leg has none left."""
+        costs = self.costs
+        index = self.index
+        while index < len(costs):
+            cost = costs[index]
+            index += 1
+            if cost > _TINY:
+                self.index = index
+                self.tasks[index - 1].submit(cost, self.step)
+                return True
+        return False
+
+    def step(self) -> None:
+        """A stage's job completed: on to the next stage, or the leg is done."""
+        if not self.submit_next():
+            self.leg_done()
+
+    def leg_done(self) -> None:
+        """The receive leg hands over to the export leg; the export leg
+        completes the packet."""
+        if self.tasks is self.router._receive_stages:
+            self.export()
+        else:
+            self.router._packet_done(self.transactions, self.span)
+
+    def export(self) -> None:
+        """Flush every staged export and start the export leg."""
+        router = self.router
+        export_prefixes, export_updates = router._functional_flush()
+        self.tasks = router._export_stages
+        self.costs = export_charges(router.costs, export_prefixes, export_updates)
+        self.index = 0
+        router._submit_chain(self)
 
 
 class CiscoRouter(RouterSystem):
@@ -355,28 +406,16 @@ class CiscoRouter(RouterSystem):
         delta = self._functional_receive(peer_id, data)
         if span is not None:
             self.telemetry.packet_parsed(span)
+        costs = self.costs
         work = (
-            self.costs.prefix_announce * delta.prefixes_announced
-            + self.costs.prefix_withdraw * delta.prefixes_withdrawn
-            + self.costs.fib_add * delta.fib_adds
-            + self.costs.fib_replace * delta.fib_replaces
-            + self.costs.fib_remove * delta.fib_deletes
+            costs.prefix_announce * delta[_ANNOUNCED]
+            + costs.prefix_withdraw * delta[_WITHDRAWN]
+            + costs.fib_add * delta[_FIB_ADDS]
+            + costs.fib_replace * delta[_FIB_REPLACES]
+            + costs.fib_remove * delta[_FIB_DELETES]
         )
-
-        def flush_then_finish() -> None:
-            # Flush at the work's completion so downstream routers (see
-            # repro.benchmark.chain) receive re-advertisements causally.
-            export_prefixes, _updates = self._functional_flush()
-            export_work = self.costs.export_prefix * export_prefixes
-            if export_work > _TINY:
-                self.ios.submit(
-                    export_work,
-                    lambda: self._finish(delta.transactions, span),
-                )
-            else:
-                self._finish(delta.transactions, span)
-
-        self.ios.submit(work, flush_then_finish)
+        packet = _IosPacket(self, delta[_ANNOUNCED] + delta[_WITHDRAWN], span)
+        self.ios.submit(work, packet.worked)
 
     def _finish(self, transactions: int, span: object | None = None) -> None:
         self._packet_done(transactions, span)
@@ -390,3 +429,30 @@ class CiscoRouter(RouterSystem):
         work = self.costs.export_prefix * export_prefixes
         if work > _TINY:
             self.ios.submit(work, lambda: self._packet_done(0))
+
+
+class _IosPacket:
+    """One packet's way through a :class:`CiscoRouter`: its work, then at
+    the work's completion the flush of staged exports — so downstream
+    routers (see repro.benchmark.chain) receive re-advertisements
+    causally — and their work if it costs more than ``_TINY``, then the
+    packet's completion."""
+
+    __slots__ = ("router", "transactions", "span")
+
+    def __init__(self, router: CiscoRouter, transactions: int, span: object | None):
+        self.router = router
+        self.transactions = transactions
+        self.span = span
+
+    def worked(self) -> None:
+        router = self.router
+        export_prefixes, _updates = router._functional_flush()
+        export_work = router.costs.export_prefix * export_prefixes
+        if export_work > _TINY:
+            router.ios.submit(export_work, self.exported)
+        else:
+            self.exported()
+
+    def exported(self) -> None:
+        self.router._finish(self.transactions, self.span)

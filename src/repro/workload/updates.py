@@ -11,6 +11,7 @@ own output follows (:func:`repro.bgp.messages.nlri_chunks`).
 
 from __future__ import annotations
 
+from repro.bgp import register_cache_clear
 from repro.bgp.attributes import AsPath, Origin, PathAttributes
 from repro.bgp.messages import UpdateMessage, nlri_chunks
 from repro.net.addr import IPv4Address
@@ -18,6 +19,19 @@ from repro.workload.tablegen import RouteEntry, SyntheticTable
 
 #: The paper's "large packet" UPDATE size.
 LARGE_UPDATE_PREFIXES = 500
+
+#: Encoded announcement streams of a :class:`SyntheticTable` by
+#: ``(id(table), speaker AS, next hop, packing, extra_hops)``, each held
+#: beside its table so the id cannot be reused while the entry lives: a
+#: scenario asks for the same stream on every platform. Pure memoization
+#: under the fork-safety contract (docs/PERF.md), like
+#: :mod:`repro.workload.tablegen`'s tables: a table is immutable, a
+#: stream is a deterministic function of it and the rest of the key, and
+#: :func:`repro.bgp.reset_caches` empties the memo. A full memo stops
+#: admitting instead of evicting.
+_STREAM_CAPACITY = 64
+_streams: "dict[tuple, tuple[SyntheticTable, tuple[bytes, ...]]]" = {}
+register_cache_clear(_streams.clear)
 
 
 class UpdateStreamBuilder:
@@ -45,6 +59,25 @@ class UpdateStreamBuilder:
         shorter; see :meth:`RouteEntry.path_via`)."""
         if prefixes_per_update < 1:
             raise ValueError("prefixes_per_update must be >= 1")
+        if not isinstance(table, SyntheticTable):
+            # A list of entries may change under the caller's hands.
+            return self._encode_announcements(table, prefixes_per_update, extra_hops)
+        key = (id(table), self.speaker_asn, self.next_hop, prefixes_per_update, extra_hops)
+        held = _streams.get(key)
+        if held is None:
+            held = table, tuple(
+                self._encode_announcements(table, prefixes_per_update, extra_hops)
+            )
+            if len(_streams) < _STREAM_CAPACITY:
+                _streams[key] = held
+        return list(held[1])
+
+    def _encode_announcements(
+        self,
+        table: "SyntheticTable | list[RouteEntry]",
+        prefixes_per_update: int,
+        extra_hops: int,
+    ) -> list[bytes]:
         entries = list(table)
         prefixes = [entry.prefix for entry in entries]
         packets = []

@@ -270,6 +270,9 @@ def _resolve(path):
     "repro.topo.network:TopologyHarness.total",
     # A machine's shape and a task's priority are fixed at construction.
     "repro.sim.cpu._StateField",
+    # A packet's chain is one object: counts, not WorkLog deltas.
+    "repro.systems.costs.work_delta",
+    "repro.systems.router:XorpRouter._submit_exports",
 ])
 def test_retired_names_are_gone(name):
     # No caller was left outside their own tests (DESIGN.md §7, the census).

@@ -9,7 +9,6 @@ from repro.systems.costs import (
     StageCharges,
     charges_for,
     export_charges,
-    work_delta,
 )
 
 
@@ -33,7 +32,7 @@ class TestChargesFor:
             decisions=2,
             policy_evaluations=1,
         )
-        charges = charges_for(XORP_BASE_COSTS, delta)
+        charges = charges_for(XORP_BASE_COSTS, delta.counts())
         assert charges.irq == pytest.approx(XORP_BASE_COSTS.pkt_rx)
         assert charges.bgp == pytest.approx(
             XORP_BASE_COSTS.msg_parse + 2 * XORP_BASE_COSTS.decide_unit
@@ -53,7 +52,7 @@ class TestChargesFor:
             policy_evaluations=1,
             fib_adds=1,
         )
-        charges = charges_for(XORP_BASE_COSTS, delta)
+        charges = charges_for(XORP_BASE_COSTS, delta.counts())
         assert charges.rib == pytest.approx(
             XORP_BASE_COSTS.ipc_rib_msg + XORP_BASE_COSTS.rib_add
         )
@@ -65,15 +64,15 @@ class TestChargesFor:
     def test_ipc_charged_per_message_not_per_prefix(self):
         small = WorkLog(updates_processed=1, prefixes_announced=1, fib_adds=1)
         large = WorkLog(updates_processed=1, prefixes_announced=500, fib_adds=500)
-        c_small = charges_for(XORP_BASE_COSTS, small)
-        c_large = charges_for(XORP_BASE_COSTS, large)
+        c_small = charges_for(XORP_BASE_COSTS, small.counts())
+        c_large = charges_for(XORP_BASE_COSTS, large.counts())
         ipc = XORP_BASE_COSTS.ipc_rib_msg
         assert c_small.rib == pytest.approx(ipc + XORP_BASE_COSTS.rib_add)
         assert c_large.rib == pytest.approx(ipc + 500 * XORP_BASE_COSTS.rib_add)
 
     def test_no_ipc_without_changes(self):
         delta = WorkLog(updates_processed=1, prefixes_announced=500, decisions=1000)
-        charges = charges_for(XORP_BASE_COSTS, delta)
+        charges = charges_for(XORP_BASE_COSTS, delta.counts())
         assert charges.rib == 0.0
         assert charges.fea == 0.0
 
@@ -84,7 +83,7 @@ class TestChargesFor:
             decisions=1,
             fib_deletes=1,
         )
-        charges = charges_for(XORP_BASE_COSTS, delta)
+        charges = charges_for(XORP_BASE_COSTS, delta.counts())
         assert charges.kernel_fib == pytest.approx(XORP_BASE_COSTS.kfib_remove)
         assert charges.fea > 0
 
@@ -103,22 +102,3 @@ class TestExportCharges:
             500 * XORP_BASE_COSTS.export_prefix + XORP_BASE_COSTS.msg_encode
         )
         assert kernel == pytest.approx(XORP_BASE_COSTS.pkt_tx)
-
-
-class TestWorkDelta:
-    def test_subtraction(self):
-        before = WorkLog(prefixes_announced=5, fib_adds=3)
-        after = WorkLog(prefixes_announced=8, fib_adds=3, fib_deletes=2)
-        delta = work_delta(after, before)
-        assert delta.prefixes_announced == 3
-        assert delta.fib_adds == 0
-        assert delta.fib_deletes == 2
-
-    def test_work_delta_covers_every_field_in_place(self):
-        from dataclasses import fields
-
-        names = [f.name for f in fields(WorkLog)]
-        before = WorkLog(*range(len(names)))
-        after = WorkLog(*(3 * i + 1 for i in range(len(names))))
-        delta = work_delta(after, before)
-        assert [getattr(delta, name) for name in names] == [2 * i + 1 for i in range(len(names))]

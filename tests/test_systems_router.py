@@ -1,14 +1,20 @@
 """Unit tests for the simulated router systems."""
 
+import gc
+import hashlib
+
 import pytest
 
 from repro.bgp.attributes import AsPath, PathAttributes
 from repro.bgp.messages import UpdateMessage
 from repro.bgp.policy import ACCEPT_ALL
 from repro.bgp.speaker import PeerConfig
+from repro.benchmark.harness import run_scenario
 from repro.net.addr import IPv4Address, Prefix
+from repro.sim.cpu import Task
 from repro.systems import build_system
 from repro.systems.platforms import PLATFORMS
+from repro.systems.router import _IosPacket, _PacketChain
 
 S1 = "speaker1"
 S1_AS = 65101
@@ -95,6 +101,130 @@ class TestXorpRouterChain:
         router.reset_counters()
         assert router.transactions_completed == 0
         assert router.speaker.work.transactions == 0
+
+
+def record_jobs(monkeypatch):
+    """Have every ``Task.submit`` append ``(task name, service)`` to the
+    returned list."""
+    jobs = []
+    submit = Task.submit
+
+    def recording(task, service, callback=None, tag=""):
+        jobs.append((task.name, service))
+        submit(task, service, callback, tag)
+
+    monkeypatch.setattr(Task, "submit", recording)
+    return jobs
+
+
+class TestPacketChain:
+    """A packet's stage jobs, their order and costs, and its completion
+    instant do not depend on how the chain is held."""
+
+    #: ``run_scenario(router, scenario, table_size=1)`` — one packet per
+    #: streamed phase: (platform, scenario) -> (jobs submitted, sha256
+    #: prefix of ``repr`` of their ``(task name, service)`` list, the
+    #: router's last completion). Recorded from the closure chain that
+    #: the chain object replaced.
+    PINNED = {
+        ("cisco", 1): (1, "4486ad245241b55a", 0.00039999999999999996),
+        ("cisco", 2): (1, "4486ad245241b55a", 0.00039999999999999996),
+        ("cisco", 3): (2, "8f503c1cfe9f3c82", 0.09284),
+        ("cisco", 4): (2, "8f503c1cfe9f3c82", 0.09284),
+        ("cisco", 5): (3, "110ae4cd7a64664c", 0.0928),
+        ("cisco", 6): (3, "110ae4cd7a64664c", 0.0928),
+        ("cisco", 7): (4, "e71addd7d9aba837", 0.09295999999999999),
+        ("cisco", 8): (4, "e71addd7d9aba837", 0.09295999999999999),
+        ("ixp2400", 1): (6, "6dd9b14332f1dd9b", 0.04555357142857142),
+        ("ixp2400", 2): (6, "6dd9b14332f1dd9b", 0.04555357142857142),
+        ("ixp2400", 3): (11, "f968b341820f2a9a", 0.09017857142857143),
+        ("ixp2400", 4): (11, "f968b341820f2a9a", 0.09017857142857143),
+        ("ixp2400", 5): (11, "45b973718ad80c54", 0.07553571428571429),
+        ("ixp2400", 6): (11, "45b973718ad80c54", 0.07553571428571429),
+        ("ixp2400", 7): (16, "9c4a0297fe148d16", 0.16419642857142858),
+        ("ixp2400", 8): (16, "9c4a0297fe148d16", 0.16419642857142858),
+        ("pentium3", 1): (6, "6dd9b14332f1dd9b", 0.005353131313131313),
+        ("pentium3", 2): (6, "6dd9b14332f1dd9b", 0.005353131313131313),
+        ("pentium3", 3): (11, "f968b341820f2a9a", 0.010403535353535354),
+        ("pentium3", 4): (11, "f968b341820f2a9a", 0.010403535353535354),
+        ("pentium3", 5): (11, "45b973718ad80c54", 0.008545454545454545),
+        ("pentium3", 6): (11, "45b973718ad80c54", 0.008545454545454545),
+        ("pentium3", 7): (16, "9c4a0297fe148d16", 0.018604545454545453),
+        ("pentium3", 8): (16, "9c4a0297fe148d16", 0.018604545454545453),
+        ("xeon", 1): (6, "6dd9b14332f1dd9b", 0.00118),
+        ("xeon", 2): (6, "6dd9b14332f1dd9b", 0.00118),
+        ("xeon", 3): (11, "f968b341820f2a9a", 0.002291111111111111),
+        ("xeon", 4): (11, "f968b341820f2a9a", 0.002291111111111111),
+        ("xeon", 5): (11, "45b973718ad80c54", 0.00188),
+        ("xeon", 6): (11, "45b973718ad80c54", 0.00188),
+        ("xeon", 7): (16, "9c4a0297fe148d16", 0.004093333333333333),
+        ("xeon", 8): (16, "9c4a0297fe148d16", 0.004093333333333333),
+    }
+
+    #: The Pentium III's scenario 7, spelled out: Speaker 1's packet
+    #: (six stages), the initial transfer to Speaker 2 (export leg only),
+    #: then Speaker 2's shorter path (six stages and an export leg).
+    SCENARIO7 = [
+        ("interrupts", 0.0002), ("xorp_bgp", 0.00053), ("xorp_policy", 7.000000000000001e-05),
+        ("xorp_rib", 0.0018), ("xorp_fea", 0.00167), ("kernel-fib", 0.0010400000000000001),
+        ("xorp_bgp", 0.0021000000000000003), ("kernel-fib", 0.00015),
+        ("interrupts", 0.0002), ("xorp_bgp", 0.00063), ("xorp_policy", 0.00021),
+        ("xorp_rib", 0.002), ("xorp_fea", 0.00277), ("kernel-fib", 0.0028),
+        ("xorp_bgp", 0.0021000000000000003), ("kernel-fib", 0.00015),
+    ]
+
+    @pytest.mark.parametrize("platform, scenario", sorted(PINNED))
+    def test_job_sequence_and_completion_are_pinned(self, monkeypatch, platform, scenario):
+        jobs = record_jobs(monkeypatch)
+        router = build_system(platform)
+        run_scenario(router, scenario, table_size=1)
+        digest = hashlib.sha256(repr(jobs).encode()).hexdigest()[:16]
+        assert (len(jobs), digest, router.last_completion) == self.PINNED[platform, scenario]
+
+    def test_scenario7_sequence(self, monkeypatch):
+        jobs = record_jobs(monkeypatch)
+        run_scenario(build_system("pentium3"), 7, table_size=1)
+        assert jobs == self.SCENARIO7
+
+    def test_a_chain_with_no_costed_stage_completes_through_a_zero_delay_event(
+        self, monkeypatch
+    ):
+        router = with_peer(build_system("pentium3"))
+        router.costs = router.costs.scaled(1e-16)  # every stage <= _TINY
+        jobs = record_jobs(monkeypatch)
+        done = []
+        router.on_packet_done = lambda: done.append(router.now)
+        start = router.now
+        fired = router.world.sim.events_fired
+        router._arrive(S1, announce_packet([Prefix.parse("192.0.2.0/24")]))
+        assert done == []
+        assert router.run_until_idle() == start
+        assert done == [start]
+        assert jobs == []
+        # One zero-delay event ends each leg: receive, then export.
+        assert router.world.sim.events_fired == fired + 2
+        assert router.transactions_completed == 1
+        assert len(router.fib) == 1
+
+    @pytest.mark.parametrize("platform", ["pentium3", "cisco"])
+    def test_a_finished_chain_is_freed_without_a_collection(self, platform):
+        router = with_peer(build_system(platform))
+        prefixes = [Prefix.parse(f"10.{i}.0.0/16") for i in range(2)]
+        router.deliver(S1, announce_packet(prefixes))
+
+        def chains():
+            return [o for o in gc.get_objects() if isinstance(o, (_PacketChain, _IosPacket))]
+
+        gc.collect()
+        gc.disable()
+        try:
+            router.world.run(until=1e-4)
+            assert len(chains()) == 1
+            router.run_until_idle()
+            assert router.packets_completed == 1
+            assert chains() == []
+        finally:
+            gc.enable()
 
 
 class TestCrossTraffic:

@@ -4,9 +4,11 @@ import hashlib
 
 import pytest
 
+import repro.bgp
 from repro.bgp.messages import MAX_MESSAGE_LEN, UpdateMessage, decode_message
 from repro.net.addr import IPv4Address
 from repro.workload.tablegen import generate_table
+from repro.workload import updates
 from repro.workload.updates import LARGE_UPDATE_PREFIXES, UpdateStreamBuilder
 
 ADDR = IPv4Address.parse("10.255.1.1")
@@ -140,3 +142,56 @@ class TestMessageSizeLimit:
         else:
             packets = getattr(builder, stream)(table, packing)
         assert hashlib.sha256(b"".join(packets)).hexdigest() == digest
+
+
+class TestStreamMemo:
+    """Each announcement stream of a table is encoded once per cold
+    start: every platform of a scenario replays the same bytes."""
+
+    #: (speaker AS, packing, extra_hops): Speaker 1's stream, and
+    #: Speaker 2's longer- and shorter-path streams (scenarios 5-8).
+    STREAMS = [(65101, 1, 0), (65102, 1, 2), (65102, 500, -2)]
+
+    @pytest.mark.parametrize("asn, packing, extra_hops", STREAMS)
+    def test_warm_bytes_equal_cold_bytes(self, asn, packing, extra_hops):
+        table = generate_table(700, seed=9)
+        builder = UpdateStreamBuilder(asn, ADDR)
+        repro.bgp.reset_caches()
+        cold = builder.announcements(table, packing, extra_hops)
+        warm = UpdateStreamBuilder(asn, ADDR).announcements(table, packing, extra_hops)
+        assert warm == cold
+        assert warm == builder.announcements(list(table), packing, extra_hops)
+
+    def test_reset_caches_empties_the_memo(self, builder):
+        builder.announcements(generate_table(50, seed=9))
+        assert updates._streams
+        repro.bgp.reset_caches()
+        assert not updates._streams
+
+    def test_a_returned_list_is_the_callers_own(self, builder, table):
+        first = builder.announcements(table)
+        expected = list(first)
+        first.clear()
+        second = builder.announcements(table)
+        assert second == expected
+        assert second is not first
+
+    def test_each_stream_has_its_own_key(self, table):
+        repro.bgp.reset_caches()
+        streams = {
+            (asn, packing, hops): UpdateStreamBuilder(asn, ADDR).announcements(table, packing, hops)
+            for asn, packing, hops in self.STREAMS + [(65101, 500, 0)]
+        }
+        assert len(updates._streams) == 4
+        assert len({tuple(stream) for stream in streams.values()}) == 4
+
+    def test_the_memo_is_bounded(self, builder):
+        repro.bgp.reset_caches()
+        table = generate_table(3, seed=9)
+        for packing in range(1, updates._STREAM_CAPACITY + 10):
+            builder.announcements(table, packing)
+        assert len(updates._streams) == updates._STREAM_CAPACITY
+        # Past the bound a stream is still encoded, just not kept.
+        assert builder.announcements(table, 200) == builder.announcements(list(table), 200)
+        assert len(updates._streams) == updates._STREAM_CAPACITY
+        repro.bgp.reset_caches()
