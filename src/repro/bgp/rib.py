@@ -17,12 +17,20 @@ session loss (Adj-RIB-In), the initial transfer and the quiescent
 RIB/FIB check (Loc-RIB) — sort a snapshot in ascending
 ``(network, length)`` order, so their output never depends on arrival
 order.
+
+A packed UPDATE reaches Adj-RIB-In and Adj-RIB-Out as a *column*: each
+``*_many`` method does what a loop of its per-prefix namesake does, in
+one pass, and returns the prefixes whose entry moved as that loop would
+report them — a prefix repeated in a sequence moves at most once, at
+its first copy.
 """
 
 from __future__ import annotations
 
 from enum import Enum, auto
-from typing import Iterator, NamedTuple
+from itertools import compress, repeat
+from operator import is_not
+from typing import Iterator, NamedTuple, Sequence
 
 from repro.bgp.attributes import PathAttributes
 from repro.net.addr import Prefix
@@ -72,6 +80,11 @@ class AdjRibIn:
     def get(self, prefix: Prefix) -> PathAttributes | None:
         return self._routes.get(prefix)
 
+    def get_many(self, prefixes: "Sequence[Prefix]") -> "Iterator[PathAttributes | None]":
+        """``get`` of each prefix, in order (lazily: read it before the
+        next write)."""
+        return map(self._routes.get, prefixes)
+
     def update(self, prefix: Prefix, attributes: PathAttributes) -> RouteChange:
         """Install or replace the neighbour's route for *prefix*: a new
         announcement is an implicit withdraw of the old (RFC 4271 §3.1)."""
@@ -83,10 +96,41 @@ class AdjRibIn:
         self._routes[prefix] = attributes
         return ADDED if existing is None else REPLACED
 
+    def update_many(
+        self, prefixes: "Sequence[Prefix]", attributes: PathAttributes
+    ) -> "list[Prefix]":
+        """``[p for p in prefixes if update(p, attributes) is not UNCHANGED]``
+        in one pass: the changed entries are found before any is
+        written, and written with one ``dict.update``."""
+        if len(prefixes) == 1:
+            # A column of one (every topology UPDATE): the one-pass
+            # iterators cost more than they save.
+            return list(prefixes) if self.update(prefixes[0], attributes) is not UNCHANGED else []
+        routes = self._routes
+        changed = [
+            prefix
+            for prefix, existing in zip(prefixes, map(routes.get, prefixes))
+            if existing is None or (existing is not attributes and existing != attributes)
+        ]
+        if not changed:
+            return changed
+        # Both copies of a repeated prefix read the entry before either
+        # wrote it; the second is the no-op the loop would find.
+        entries = dict.fromkeys(changed, attributes)
+        routes.update(entries)
+        return list(entries)
+
     def withdraw(self, prefix: Prefix) -> RouteChange:
         if self._routes.pop(prefix, None) is None:
             return ABSENT
         return REMOVED
+
+    def withdraw_many(self, prefixes: "Sequence[Prefix]") -> "list[Prefix]":
+        """``[p for p in prefixes if withdraw(p) is REMOVED]``."""
+        if len(prefixes) == 1:
+            return list(prefixes) if self.withdraw(prefixes[0]) is REMOVED else []
+        popped = map(self._routes.pop, prefixes, repeat(None))
+        return list(compress(prefixes, map(is_not, popped, repeat(None))))
 
     def clear(self) -> int:
         """Drop all routes (session teardown); returns how many were dropped."""
@@ -189,12 +233,43 @@ class AdjRibOut:
         self._pending_withdraw.discard(prefix)
         return ADDED if existing is None else REPLACED
 
+    def stage_many(self, routes: "dict[Prefix, PathAttributes]") -> "list[Prefix]":
+        """``[p for p, a in routes.items() if stage(p, a) is not UNCHANGED]``,
+        each dict written once."""
+        advertised = self._advertised
+        moved = [
+            prefix
+            for (prefix, attributes), existing in zip(routes.items(), map(advertised.get, routes))
+            if existing is None or (existing is not attributes and existing != attributes)
+        ]
+        if not moved:
+            return moved
+        if len(moved) < len(routes):
+            routes = {prefix: routes[prefix] for prefix in moved}
+        advertised.update(routes)
+        self._pending_announce.update(routes)
+        if self._pending_withdraw:
+            self._pending_withdraw.difference_update(moved)
+        return moved
+
     def stage_withdraw(self, prefix: Prefix) -> RouteChange:
         self._pending_announce.pop(prefix, None)
         if self._advertised.pop(prefix, None) is None:
             return ABSENT
         self._pending_withdraw.add(prefix)
         return REMOVED
+
+    def stage_withdraw_many(self, prefixes: "Sequence[Prefix]") -> "list[Prefix]":
+        """``[p for p in prefixes if stage_withdraw(p) is REMOVED]``."""
+        pending = self._pending_announce
+        if pending:
+            for prefix in prefixes:
+                pending.pop(prefix, None)
+        popped = map(self._advertised.pop, prefixes, repeat(None))
+        removed = list(compress(prefixes, map(is_not, popped, repeat(None))))
+        if removed:
+            self._pending_withdraw.update(removed)
+        return removed
 
     def has_pending(self) -> bool:
         return bool(self._pending_announce or self._pending_withdraw)

@@ -13,10 +13,22 @@ simulated router systems convert into CPU time. The speaker itself is
 functionally real — it decodes actual RFC 4271 bytes and maintains real
 RIBs — while the *performance* of a given platform is modeled by
 :mod:`repro.systems`.
+
+An UPDATE's prefixes travel the pipeline as columns, the withdrawn
+routes and then the NLRI, because they share one attribute set: the
+import verdict is taken once, Adj-RIB-In is written in one pass, the
+decision runs once per distinct candidate set, and each neighbour's
+export is computed once per winner and staged with one Adj-RIB-Out call
+per run. Loc-RIB and FIB are written prefix by prefix, in NLRI order,
+and every prefix is charged what a walk over it would charge, so
+neither the state nor the :class:`WorkLog` depends on how the prefixes
+were packed (``tests/test_bgp_speaker_packing.py``). A one-prefix
+UPDATE is a column of one, served by the per-prefix RIB methods.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field, replace
 from operator import attrgetter
 from typing import Callable, Iterator, Protocol
@@ -109,13 +121,6 @@ class WorkLog:
         """Every counter, in field order (``WorkLog(*log.counts())``
         rebuilds the log)."""
         return work_counts(self)
-
-    def add(self, other: "WorkLog") -> None:
-        for name, mine, theirs in zip(_WORK_FIELDS, work_counts(self), work_counts(other)):
-            setattr(self, name, mine + theirs)
-
-    def snapshot(self) -> "WorkLog":
-        return WorkLog(*work_counts(self))
 
 
 _WORK_FIELDS = tuple(WorkLog.__dataclass_fields__)
@@ -297,8 +302,34 @@ class Peer:
 
 
 _peer_order = attrgetter("order")
+_route_attributes = attrgetter("attributes")
 #: Read per prefix; a read through the Enum class costs a metaclass hook.
 _ESTABLISHED = State.ESTABLISHED
+
+
+def _events(
+    prefixes: "tuple[Prefix, ...]", decided: "list[Prefix]", hit: str, miss: str
+) -> "Iterator[tuple[Prefix, str, bool]]":
+    """A column's probe events in arrival order: *hit* for the copy of a
+    prefix that put it in the *decided* column, *miss* for every other."""
+    left = set(decided)
+    events = []
+    for prefix in prefixes:
+        if prefix in left:
+            left.discard(prefix)
+            events.append((prefix, hit, True))
+        else:
+            events.append((prefix, miss, False))
+    return iter(events)
+
+
+def _replay(probe, events: "Iterator[tuple[Prefix, str, bool]]") -> None:
+    """Emit *events* up to and including the next one that was decided
+    (all that are left when none is)."""
+    for prefix, outcome, decided in events:
+        probe.decision(prefix, outcome)
+        if decided:
+            return
 
 
 class _PeerActions:
@@ -449,6 +480,10 @@ class BgpSpeaker:
     # -- update processing (the benchmark's hot path) ------------------------
 
     def _process_update(self, peer: Peer, update: UpdateMessage) -> None:
+        """Process one UPDATE's prefixes as columns: the withdrawn, then
+        the NLRI. Adj-RIB-In is written in one pass per column (the
+        import verdict is taken once), and the prefixes whose entry moved
+        are decided together (:meth:`_decide`)."""
         work = self.work
         audit = self.audit
         adj_rib_in = peer.adj_rib_in
@@ -458,38 +493,36 @@ class BgpSpeaker:
             probe.update_begin(
                 peer.config.peer_id, len(update.withdrawn), len(update.nlri)
             )
-        # Every prefix of one UPDATE shares its attribute set, so prefix
-        # after prefix meets the same candidates and exports the same
-        # route: decide and export once per distinct candidate set, and
-        # charge each prefix as a walk would (see _run_decision). One
-        # prefix has nothing to share.
-        if len(update.withdrawn) + len(update.nlri) > 1:
-            decided: "dict | None" = {}
-            exports: "dict | None" = {}
-        else:
-            decided = exports = None
 
-        for prefix in update.withdrawn:
-            work.prefixes_withdrawn += 1
-            audit.withdrawn += 1
+        withdrawn = update.withdrawn
+        if withdrawn:
+            count = len(withdrawn)
+            work.prefixes_withdrawn += count
+            audit.withdrawn += count
             if peer.damper is not None:
-                peer.damper.record_withdrawal(prefix, self._now)
-            if adj_rib_in.withdraw(prefix) is REMOVED:
-                audit.withdrawals_applied += 1
-                if probe is not None:
-                    probe.decision(prefix, "withdraw_applied")
-                self._run_decision(prefix, decided, exports)
-            else:
-                audit.withdrawals_absent += 1
-                if probe is not None:
-                    probe.decision(prefix, "withdraw_absent")
+                for prefix in withdrawn:
+                    peer.damper.record_withdrawal(prefix, self._now)
+            removed = adj_rib_in.withdraw_many(withdrawn)
+            applied = len(removed)
+            audit.withdrawals_applied += applied
+            audit.withdrawals_absent += count - applied
+            if probe is not None:
+                self._decide(
+                    removed, _events(withdrawn, removed, "withdraw_applied", "withdraw_absent")
+                )
+            elif removed:
+                self._decide(removed)
 
-        if not update.nlri:
+        nlri = update.nlri
+        if not nlri:
             if probe is not None:
                 probe.update_end()
             return
         assert update.attributes is not None
         attrs = update.attributes
+        count = len(nlri)
+        work.prefixes_announced += count
+        audit.announced += count
 
         # eBGP sender-side loop detection: drop routes carrying our AS.
         # The announcement still replaces the peer's previous route for
@@ -498,16 +531,13 @@ class BgpSpeaker:
         # linger in our Adj-RIB-In — at topology scale that residue
         # leaves phantom reachability after the origin withdraws.
         if peer.is_ebgp and attrs.as_path.contains(self.config.asn):
-            work.prefixes_announced += len(update.nlri)
-            audit.announced += len(update.nlri)
-            audit.loop_dropped += len(update.nlri)
-            for prefix in update.nlri:
-                if probe is not None:
-                    probe.decision(prefix, "loop_dropped")
-                if adj_rib_in.withdraw(prefix) is REMOVED:
-                    self._run_decision(prefix, decided, exports)
+            audit.loop_dropped += count
+            removed = adj_rib_in.withdraw_many(nlri)
             if probe is not None:
+                self._decide(removed, _events(nlri, removed, "loop_dropped", "loop_dropped"))
                 probe.update_end()
+            elif removed:
+                self._decide(removed)
             return
 
         policy = peer.config.import_policy
@@ -515,49 +545,74 @@ class BgpSpeaker:
         # A verdict depends on the attribute set alone, so every NLRI of
         # this UPDATE gets the same one: run the chain once, and charge
         # its attempts for each NLRI that reuses it, as a walk would.
-        verdict: "tuple[PathAttributes | None, int] | None" = None
-        reused = 0
-        for prefix in update.nlri:
-            work.prefixes_announced += 1
-            audit.announced += 1
-            if peer.damper is not None and self._record_flap(peer, prefix):
-                # Suppressed (RFC 2439): the route is not usable; any
-                # previously accepted state must go away.
-                audit.damping_suppressed += 1
-                if probe is not None:
-                    probe.decision(prefix, "damping_suppressed")
-                if adj_rib_in.withdraw(prefix) is REMOVED:
-                    self._run_decision(prefix, decided, exports)
-                continue
-            if verdict is None:
-                start = policy.evaluations
-                imported = policy.apply(attrs)
-                # Interning here makes every downstream equality check —
-                # Adj-RIB-In no-op detection, decision ties, Adj-RIB-Out
-                # staging — a pointer comparison in the common case.
-                if imported is not None:
-                    imported = intern_attributes(imported)
-                verdict = (imported, policy.evaluations - start)
-            else:
-                imported, cost = verdict
-                reused += cost
+        # Interning the verdict makes every downstream equality check —
+        # Adj-RIB-In no-op detection, decision ties, Adj-RIB-Out staging —
+        # a pointer comparison in the common case.
+        events: "Iterator[tuple[Prefix, str, bool]] | None" = None
+        if peer.damper is None:
+            imported = policy.apply(attrs)
+            reused = (policy.evaluations - before) * (count - 1)
+            if imported is not None:
+                imported = intern_attributes(imported)
             if imported is None:
-                # Rejected: an existing route from this peer must go away.
-                audit.policy_filtered += 1
+                # Rejected: existing routes from this peer must go away.
+                audit.policy_filtered += count
+                column = adj_rib_in.withdraw_many(nlri)
                 if probe is not None:
-                    probe.decision(prefix, "policy_filtered")
-                if adj_rib_in.withdraw(prefix) is REMOVED:
-                    self._run_decision(prefix, decided, exports)
-                continue
-            if adj_rib_in.update(prefix, imported) is not UNCHANGED:
-                audit.accepted += 1
-                if probe is not None:
-                    probe.decision(prefix, "accepted")
-                self._run_decision(prefix, decided, exports)
+                    events = _events(nlri, column, "policy_filtered", "policy_filtered")
             else:
-                audit.unchanged += 1
+                column = adj_rib_in.update_many(nlri, imported)
+                accepted = len(column)
+                audit.accepted += accepted
+                audit.unchanged += count - accepted
                 if probe is not None:
-                    probe.decision(prefix, "unchanged")
+                    events = _events(nlri, column, "accepted", "unchanged")
+        else:
+            # The damper rules prefix by prefix, and on a repeated prefix
+            # it reads what the copy before it left: walk Adj-RIB-In, and
+            # cut the column before a prefix already in it.
+            verdict: "tuple[PathAttributes | None, int] | None" = None
+            reused = 0
+            column = []
+            walked: "list[tuple[Prefix, str, bool]] | None" = None if probe is None else []
+            for prefix in nlri:
+                if prefix in column:
+                    self._decide(column, None if walked is None else iter(walked))
+                    column, walked = [], None if walked is None else []
+                if self._record_flap(peer, prefix):
+                    # Suppressed (RFC 2439): the route is not usable; any
+                    # previously accepted state must go away.
+                    audit.damping_suppressed += 1
+                    outcome = "damping_suppressed"
+                    moved = adj_rib_in.withdraw(prefix) is REMOVED
+                else:
+                    if verdict is None:
+                        start = policy.evaluations
+                        imported = policy.apply(attrs)
+                        if imported is not None:
+                            imported = intern_attributes(imported)
+                        verdict = (imported, policy.evaluations - start)
+                    else:
+                        imported, cost = verdict
+                        reused += cost
+                    if imported is None:
+                        audit.policy_filtered += 1
+                        outcome = "policy_filtered"
+                        moved = adj_rib_in.withdraw(prefix) is REMOVED
+                    elif adj_rib_in.update(prefix, imported) is not UNCHANGED:
+                        audit.accepted += 1
+                        outcome, moved = "accepted", True
+                    else:
+                        audit.unchanged += 1
+                        outcome, moved = "unchanged", False
+                if moved:
+                    column.append(prefix)
+                if walked is not None:
+                    walked.append((prefix, outcome, moved))
+            if walked is not None:
+                events = iter(walked)
+        if column or events is not None:
+            self._decide(column, events)
         # The delta also holds any export evaluations made meanwhile by
         # the same Policy object (ACCEPT_ALL both ways); the cost model
         # is calibrated with them.
@@ -579,102 +634,140 @@ class BgpSpeaker:
     ) -> "tuple[Candidate | None, int]":
         """The best of *routes* (peer, attributes) and the local route,
         with the pairwise comparisons it took."""
-        candidates = [Candidate(attrs, peer.info()) for peer, attrs in routes]
+        # ``_info`` is built once per session: read it without the call.
+        candidates = [Candidate(attrs, peer._info or peer.info()) for peer, attrs in routes]
         if local is not None:
             candidates.append(Candidate(local, self._local_info))
         before = self.decision.comparisons
         best = self.decision.select(candidates)
         return best, self.decision.comparisons - before
 
-    def _run_decision(
-        self,
-        prefix: Prefix,
-        decided: "dict | None" = None,
-        exports: "dict | None" = None,
-    ) -> None:
-        """Phase 2 + 3 for one prefix: select best, sync Loc-RIB, FIB, outputs.
+    def _select_column(
+        self, prefixes: "list[Prefix]"
+    ) -> "list[tuple[Candidate | None, int]]":
+        """:meth:`_select` for each prefix of a column, run once per
+        distinct candidate key.
 
-        *decided* and *exports* are one UPDATE's memos (None: none).
-        *decided* maps a candidate set — each peer's route in ``peers``
-        order, plus the local route — to the winner and the comparisons
-        it took: selection reads nothing else, so equal sets have equal
-        winners, and a hit is charged the comparisons again. *exports*
-        goes to :meth:`_export_attributes`.
+        A prefix's key is each peer's route (None where absent) in
+        ``peers`` order, then the local route; selection reads nothing
+        else. The keys are read column by column, and consecutive equal
+        keys compare in C (interned sets are identical), so a column of
+        one key — an UPDATE's prefixes usually share one — hashes none.
         """
-        routes = [
-            (peer, attrs)
-            for peer in self.peers.values()
-            if (attrs := peer.adj_rib_in.get(prefix)) is not None
-        ]
-        local = self._local_routes.get(prefix)
-        if decided is None:
-            best, comparisons = self._select(routes, local)
-        else:
-            key = (*routes, local)
-            outcome = decided.get(key)
-            if outcome is None:
-                outcome = decided[key] = self._select(routes, local)
-            best, comparisons = outcome
-        self.work.decisions += comparisons + 1
-        probe = self.probe
+        peers = list(self.peers.values())
+        keys = zip(
+            *[peer.adj_rib_in.get_many(prefixes) for peer in peers],
+            map(self._local_routes.get, prefixes),
+        )
+        outcomes = []
+        selected: "dict[tuple, tuple[Candidate | None, int]]" = {}
+        last = outcome = None
+        for key in keys:
+            if key != last:
+                if outcome is not None:
+                    selected[last] = outcome
+                    outcome = selected.get(key)
+                if outcome is None:
+                    routes = [(peer, attrs) for peer, attrs in zip(peers, key) if attrs is not None]
+                    outcome = self._select(routes, key[-1])
+                last = key
+            outcomes.append(outcome)
+        return outcomes
 
-        if best is None:
-            if self.loc_rib.remove(prefix) is REMOVED:
-                if self.loc_rib_changes is not None:
-                    self.loc_rib_changes.append(prefix)
-                self.fib.delete_route(prefix)
-                self.work.fib_deletes += 1
+    def _decide(
+        self,
+        prefixes: "list[Prefix]",
+        events: "Iterator[tuple[Prefix, str, bool]] | None" = None,
+    ) -> None:
+        """Phase 2 + 3 for a column of distinct prefixes whose candidates
+        changed: select each best, sync Loc-RIB and FIB, stage outputs.
+
+        Each prefix is charged its comparisons + 1, as a walk would be,
+        and Loc-RIB and FIB are written prefix by prefix, in column
+        order. *events* are the probe's per-prefix outcomes in arrival
+        order, ``(prefix, outcome, decided)``; each is emitted before the
+        FIB operation of its prefix, as a walk emits it.
+        """
+        probe = self.probe
+        if not prefixes:
+            if events is not None:
+                _replay(probe, events)
+            return
+        if len(prefixes) == 1:
+            # A column of one (every topology UPDATE) has no key to share.
+            [prefix] = prefixes
+            routes = [
+                (peer, attrs)
+                for peer in self.peers.values()
+                if (attrs := peer.adj_rib_in.get(prefix)) is not None
+            ]
+            outcomes = [self._select(routes, self._local_routes.get(prefix))]
+        else:
+            outcomes = self._select_column(prefixes)
+        work = self.work
+        loc_rib = self.loc_rib
+        fib = self.fib
+        changes = self.loc_rib_changes
+        #: (winner, the prefixes whose Loc-RIB entry it changed) per run
+        #: of one winner, in column order; a None winner removed them.
+        staged: "list[tuple[Candidate | None, list[Prefix]]]" = []
+        moved: "list[Prefix]" = []
+        last = outcomes[0][0]
+        for prefix, (best, comparisons) in zip(prefixes, outcomes):
+            if best is not last and best != last:
+                if moved:
+                    staged.append((last, moved))
+                    moved = []
+                last = best
+            work.decisions += comparisons + 1
+            if events is not None:
+                _replay(probe, events)
+            if best is None:
+                if loc_rib.remove(prefix) is not REMOVED:
+                    continue
+                if changes is not None:
+                    changes.append(prefix)
+                fib.delete_route(prefix)
+                work.fib_deletes += 1
                 if probe is not None:
                     probe.fib_op("delete", prefix)
-                self._stage_withdraw_to_peers(prefix)
-            return
-
-        route = RibRoute(prefix, best.attributes, best.peer.peer_id)
-        change = self.loc_rib.set_best(route)
-        if change is UNCHANGED:
-            return
-        if self.loc_rib_changes is not None:
-            self.loc_rib_changes.append(prefix)
-        assert best.attributes.next_hop is not None
-        if change is ADDED:
-            self.fib.add_route(prefix, best.attributes.next_hop)
-            self.work.fib_adds += 1
-            if probe is not None:
-                probe.fib_op("add", prefix)
-        else:
-            self.fib.replace_route(prefix, best.attributes.next_hop)
-            self.work.fib_replaces += 1
-            if probe is not None:
-                probe.fib_op("replace", prefix)
-        self._stage_announce_to_peers(route, exports)
+                moved.append(prefix)
+                continue
+            change = loc_rib.set_best(RibRoute(prefix, best.attributes, best.peer.peer_id))
+            if change is UNCHANGED:
+                continue
+            if changes is not None:
+                changes.append(prefix)
+            next_hop = best.attributes.next_hop
+            assert next_hop is not None
+            if change is ADDED:
+                fib.add_route(prefix, next_hop)
+                work.fib_adds += 1
+                if probe is not None:
+                    probe.fib_op("add", prefix)
+            else:
+                fib.replace_route(prefix, next_hop)
+                work.fib_replaces += 1
+                if probe is not None:
+                    probe.fib_op("replace", prefix)
+            moved.append(prefix)
+        if moved:
+            staged.append((last, moved))
+        if events is not None:
+            _replay(probe, events)
+        if staged:
+            self._stage_column(staged)
 
     # -- export path ---------------------------------------------------------
 
     def _export_attributes(
-        self, peer: Peer, route: RibRoute, exports: "dict | None" = None
+        self, peer: Peer, attributes: PathAttributes, count: int
     ) -> PathAttributes | None:
-        """What *peer* is sent for *route*; None = nothing.
-
-        *exports* is one UPDATE's memo, (peer, attribute set) → (result,
-        export-policy evaluations): the result depends on nothing else,
-        and a hit is charged the evaluations the export it stands for
-        made.
-        """
-        policy = peer.config.export_policy
-        if exports is not None:
-            key = (peer, route.attributes)
-            known = exports.get(key)
-            if known is None:
-                before = policy.evaluations
-                exported = self._export_attributes(peer, route)
-                exports[key] = (exported, policy.evaluations - before)
-                return exported
-            exported, cost = known
-            policy.evaluations += cost
-            self.work.policy_evaluations += cost
-            return exported
+        """What *peer* is sent for a route carrying *attributes*; None =
+        nothing. The result depends on nothing else, so one export stands
+        for *count* routes and is charged as *count* exports."""
         # Well-known communities (RFC 1997) override everything else.
-        communities = route.attributes.communities
+        communities = attributes.communities
         if WellKnownCommunity.NO_ADVERTISE in communities:
             return None
         if peer.is_ebgp and (
@@ -682,9 +775,13 @@ class BgpSpeaker:
             or WellKnownCommunity.NO_EXPORT_SUBCONFED in communities
         ):
             return None
+        policy = peer.config.export_policy
         before = policy.evaluations
-        exported = policy.apply(route.attributes)
-        self.work.policy_evaluations += policy.evaluations - before
+        exported = policy.apply(attributes)
+        cost = policy.evaluations - before
+        if count > 1:
+            policy.evaluations += cost * (count - 1)
+        self.work.policy_evaluations += cost * count
         if exported is None:
             return None
         # Interned so repeated exports of the same path collapse to one
@@ -707,36 +804,58 @@ class BgpSpeaker:
                 self._ebgp_rewrites[exported] = rewritten
         return rewritten
 
-    def _stage_announce_to_peers(
-        self, route: RibRoute, exports: "dict | None" = None
+    def _stage_column(
+        self, staged: "list[tuple[Candidate | None, list[Prefix]]]"
     ) -> None:
-        source = self.peers.get(route.peer_id)
-        learned_over_ibgp = source is not None and not source.is_ebgp
-        for peer in self.peers.values():
-            if not peer.established:
-                continue
-            # Sender-side loop avoidance (the learned-from peer) and
-            # iBGP split horizon (RFC 4271 §9.2: routes learned from an
-            # internal peer are not re-advertised to other internal
-            # peers). Either way the peer may hold a route we advertised
-            # earlier — that must be withdrawn, not left dangling, or
-            # two ASes can each keep the other's stale route alive
-            # forever after the origin withdraws.
-            if peer.config.peer_id == route.peer_id or (
-                learned_over_ibgp and not peer.is_ebgp
-            ):
-                if (
-                    self.config.split_horizon_withdraw
-                    and peer.adj_rib_out.advertised(route.prefix) is not None
+        """Stage a decided column toward every established peer: one
+        export per peer and winner, one Adj-RIB-Out call per peer and
+        run. A peer behind an MRAI gate is offered the run prefix by
+        prefix, as its gate expects."""
+        peers = self.peers
+        split_horizon_withdraw = self.config.split_horizon_withdraw
+        for best, prefixes in staged:
+            count = len(prefixes)
+            if best is None:
+                source_id = None
+                learned_over_ibgp = False
+            else:
+                source_id = best.peer.peer_id
+                learned_over_ibgp = not best.peer.is_ebgp and best.peer is not self._local_info
+            for peer in peers.values():
+                if peer.fsm.state is not _ESTABLISHED:
+                    continue
+                if best is None:
+                    attributes = None
+                # Sender-side loop avoidance (the learned-from peer) and
+                # iBGP split horizon (RFC 4271 §9.2: routes learned from
+                # an internal peer are not re-advertised to other
+                # internal peers). Either way the peer may hold a route
+                # we advertised earlier — that must be withdrawn, not
+                # left dangling, or two ASes can each keep the other's
+                # stale route alive forever after the origin withdraws.
+                elif peer.config.peer_id == source_id or (
+                    learned_over_ibgp and not peer.is_ebgp
                 ):
-                    self._stage_one(peer, route.prefix, None)
-                continue
-            self._stage_one(peer, route.prefix, self._export_attributes(peer, route, exports))
-
-    def _stage_withdraw_to_peers(self, prefix: Prefix) -> None:
-        for peer in self.peers.values():
-            if peer.established:
-                self._stage_one(peer, prefix, None)
+                    if split_horizon_withdraw:
+                        advertised = peer.adj_rib_out.advertised
+                        for prefix in prefixes:
+                            if advertised(prefix) is not None:
+                                self._stage_one(peer, prefix, None)
+                    continue
+                else:
+                    attributes = self._export_attributes(peer, best.attributes, count)
+                if peer.mrai is not None:
+                    for prefix in prefixes:
+                        self._stage_one(peer, prefix, attributes)
+                elif count == 1:
+                    # A run of one (every topology UPDATE): the column
+                    # calls cost more than they save.
+                    self._stage(peer, prefixes[0], attributes)
+                elif attributes is None:
+                    if peer.adj_rib_out.stage_withdraw_many(prefixes):
+                        self._dirty.add(peer)
+                elif peer.adj_rib_out.stage_many(dict.fromkeys(prefixes, attributes)):
+                    self._dirty.add(peer)
 
     def _stage_one(
         self, peer: Peer, prefix: Prefix, attributes: PathAttributes | None
@@ -888,11 +1007,11 @@ class BgpSpeaker:
         elif attributes.next_hop is None:
             attributes = attributes.with_next_hop(self.config.local_address)
         self._local_routes[prefix] = intern_attributes(attributes)
-        self._run_decision(prefix)
+        self._decide([prefix])
 
     def withdraw_local(self, prefix: Prefix) -> None:
         if self._local_routes.pop(prefix, None) is not None:
-            self._run_decision(prefix)
+            self._decide([prefix])
 
     # -- session lifecycle ------------------------------------------------------
 
@@ -900,13 +1019,24 @@ class BgpSpeaker:
         peer._info = None
         self._session_log.append((peer.config.peer_id, "up"))
         # Initial table transfer (RFC 4271 §9.4 / paper Phase 2): stage
-        # the entire Loc-RIB for the new neighbour.
-        for route in self.loc_rib.routes():
-            if route.peer_id == peer.config.peer_id:
-                continue
-            exported = self._export_attributes(peer, route)
-            if exported is not None:
-                self._stage(peer, route.prefix, exported)
+        # the entire Loc-RIB for the new neighbour, in prefix order. An
+        # export depends on the attribute set alone: compute it once per
+        # distinct set, charged per route.
+        peer_id = peer.config.peer_id
+        routes = [route for route in self.loc_rib.routes() if route.peer_id != peer_id]
+        if not routes:
+            return
+        exported = {
+            attributes: self._export_attributes(peer, attributes, count)
+            for attributes, count in Counter(map(_route_attributes, routes)).items()
+        }
+        staged = {
+            route.prefix: out
+            for route in routes
+            if (out := exported[route.attributes]) is not None
+        }
+        if peer.adj_rib_out.stage_many(staged):
+            self._dirty.add(peer)
 
     def _on_session_down(self, peer: Peer, reason: str) -> None:
         self._session_log.append((peer.config.peer_id, f"down: {reason}"))
@@ -928,8 +1058,7 @@ class BgpSpeaker:
         """Session loss: every route learned from the peer is re-decided."""
         prefixes = list(peer.adj_rib_in.prefixes())
         peer.adj_rib_in.clear()
-        for prefix in prefixes:
-            self._run_decision(prefix)
+        self._decide(prefixes)
 
     # -- introspection -------------------------------------------------------------
 

@@ -142,8 +142,8 @@ def draw_unique_prefixes(rng: random.Random, size: int) -> list[Prefix]:
 #: the same table (Table III asks 32 times for one). Value-keyed pure
 #: memoization under the fork-safety contract (docs/PERF.md): a table is
 #: a deterministic function of its key and immutable, and
-#: :func:`repro.bgp.reset_caches` empties the memo. A full memo stops
-#: admitting instead of evicting.
+#: :func:`repro.bgp.reset_caches` empties the memo. A full memo evicts its
+#: oldest entry, so the newest table is always held.
 _TABLE_CAPACITY = 16
 _tables: "dict[tuple[int, int], SyntheticTable]" = {}
 register_cache_clear(_tables.clear)
@@ -169,6 +169,7 @@ def generate_table(size: int, seed: int = 42) -> SyntheticTable:
         for prefix in draw_unique_prefixes(rng, size)
     )
     table = SyntheticTable(entries, seed)
-    if len(_tables) < _TABLE_CAPACITY:
-        _tables[size, seed] = table
+    if len(_tables) >= _TABLE_CAPACITY:
+        del _tables[next(iter(_tables))]
+    _tables[size, seed] = table
     return table

@@ -1,5 +1,10 @@
 """Unit tests for the three RIB structures."""
 
+from dataclasses import replace
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from repro.bgp.attributes import AsPath, PathAttributes
 from repro.bgp.rib import AdjRibIn, AdjRibOut, LocRib, RibRoute, RouteChange
 from repro.net.addr import IPv4Address, Prefix
@@ -213,3 +218,76 @@ class TestSnapshotIterators:
         assert list(rib.prefixes()) == sorted(
             prefixes, key=lambda p: (p.network, p.length)
         )
+
+
+#: A third set equal to A1 but not the same object: the column methods'
+#: equality fallback, beside the identity hit of interned sets.
+A1_COPY = replace(A1)
+POOL = (P1, P2, Prefix.parse("203.0.113.0/24"), Prefix.parse("10.0.0.0/8"))
+prefix_lists = st.lists(st.sampled_from(POOL), max_size=6)
+attribute_sets = st.sampled_from((A1, A2, A1_COPY))
+
+
+def entries(mapping: dict) -> list:
+    """A dict's items in insertion order, with value identity."""
+    return [(key, id(value)) for key, value in mapping.items()]
+
+
+class TestColumnMethods:
+    """Each ``*_many`` method equals the per-prefix loop it stands for:
+    return value, dict insertion order (and which object was stored),
+    repeated prefixes, and the pending-withdraw set."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.tuples(st.booleans(), prefix_lists, attribute_sets), max_size=10))
+    def test_adj_rib_in_columns_equal_the_loops(self, steps):
+        column, loop = AdjRibIn("column"), AdjRibIn("loop")
+        for announce, prefixes, attributes in steps:
+            if announce:
+                got = column.update_many(tuple(prefixes), attributes)
+                want = [
+                    prefix for prefix in prefixes
+                    if loop.update(prefix, attributes) is not RouteChange.UNCHANGED
+                ]
+            else:
+                got = column.withdraw_many(tuple(prefixes))
+                want = [
+                    prefix for prefix in prefixes
+                    if loop.withdraw(prefix) is RouteChange.REMOVED
+                ]
+            assert got == want
+            assert entries(column._routes) == entries(loop._routes)
+            assert list(column.get_many(POOL)) == [loop.get(prefix) for prefix in POOL]
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(
+        st.one_of(
+            st.tuples(st.just("stage"), st.dictionaries(st.sampled_from(POOL), attribute_sets)),
+            st.tuples(st.just("withdraw"), prefix_lists),
+            st.tuples(st.just("take"), st.none()),
+        ),
+        max_size=12,
+    ))
+    def test_adj_rib_out_columns_equal_the_loops(self, steps):
+        column, loop = AdjRibOut("column"), AdjRibOut("loop")
+        for kind, argument in steps:
+            if kind == "stage":
+                got = column.stage_many(argument)
+                want = [
+                    prefix for prefix, attributes in argument.items()
+                    if loop.stage(prefix, attributes) is not RouteChange.UNCHANGED
+                ]
+            elif kind == "withdraw":
+                got = column.stage_withdraw_many(argument)
+                want = [
+                    prefix for prefix in argument
+                    if loop.stage_withdraw(prefix) is RouteChange.REMOVED
+                ]
+            else:
+                got, want = column.take_pending(), loop.take_pending()
+            assert got == want
+            assert entries(column._advertised) == entries(loop._advertised)
+            announce, withdraw = column.pending()
+            loop_announce, loop_withdraw = loop.pending()
+            assert entries(announce) == entries(loop_announce)
+            assert withdraw == loop_withdraw

@@ -3,28 +3,37 @@
 One UPDATE carrying N prefixes must leave a speaker in exactly the state
 N one-prefix UPDATEs with the same attributes leave it in: the same
 Loc-RIB and FIB, the same Adj-RIB-Out (advertised and pending) toward
-every neighbour, the same per-prefix probe events in the same order,
-and the same work counters the simulated CPU charges for. Per-UPDATE
-shortcuts (one import verdict, one decision or export per distinct
-candidate set) may only remove repeated work, never change an outcome
-or a charge.
+every neighbour, the same MRAI and damping state, the same per-prefix
+probe events in the same order, and the same work counters the
+simulated CPU charges for. The speaker processes a packed UPDATE as
+columns (one import verdict, one decision per distinct candidate set,
+one export per winner); that may only remove repeated work, never
+change an outcome or a charge.
 
-Three eBGP neighbours feed announce-only or withdraw-only UPDATEs over
-a small pool of overlapping prefixes. The attribute sets include a path
-through the speaker's own AS (loop-dropped), routes an import policy
-rejects or rewrites, NO_EXPORT routes, one set every neighbour may
-announce verbatim (equal routes from different peers), and export
-chains that hide some paths or none. One chain is both a neighbour's import
-policy and another's export policy: its evaluation counter then serves
-both, as ``ACCEPT_ALL`` does in the paper scenarios.
+Five eBGP neighbours feed UPDATEs over a small pool of overlapping
+prefixes: withdrawn routes and NLRI in one UPDATE, a prefix repeated
+in either, a prefix both withdrawn and announced. The attribute sets
+include a path through the speaker's own AS (loop-dropped), routes an
+import policy rejects or rewrites, NO_EXPORT routes, one set every
+neighbour may announce verbatim (equal routes from different peers),
+and export chains that hide some paths or none. One chain is both a
+neighbour's import policy and another's export policy: its evaluation
+counter then serves both, as ``ACCEPT_ALL`` does in the paper
+scenarios. One neighbour is damped (RFC 2439) and one sits behind an
+MRAI gate; the speaker may withdraw toward a route's source
+(``split_horizon_withdraw``). The property runs with and without a
+probe and a Loc-RIB watcher: the ledger and every Table III cell run
+neither.
 """
 
 from __future__ import annotations
 
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.bgp.attributes import AsPath, PathAttributes, WellKnownCommunity
+from repro.bgp.damping import DampingConfig
 from repro.bgp.messages import KeepaliveMessage, OpenMessage, UpdateMessage
 from repro.bgp.policy import ACCEPT_ALL, Action, Match, Policy, PolicyResult, Rule
 from repro.bgp.speaker import BgpSpeaker, PeerConfig, SpeakerConfig
@@ -53,12 +62,22 @@ PREFER_VIA_100 = Policy(
 #: An export chain that hides what crossed AS 500 (variant 5).
 HIDE_VIA_500 = Policy([Rule(Match(as_in_path=500), PolicyResult.REJECT)])
 
-#: (peer id, ASN, import policy, export policy)
+#: Two withdrawals, or a withdrawal and a re-announcement with other
+#: attributes, suppress a prefix within the few seconds a run spans.
+DAMPING = DampingConfig(suppress_threshold=1500.0, reuse_threshold=750.0)
+#: Steps are STEP_SECONDS apart: a gated prefix waits one or two steps.
+MRAI_SECONDS = 15.0
+STEP_SECONDS = 10.0
+
+#: (peer id, ASN, import policy, export policy, damping, MRAI interval)
 PEERS = (
-    ("p0", 65001, ACCEPT_ALL, ACCEPT_ALL),
-    ("p1", 65002, FILTER, HIDE_VIA_500),
-    ("p2", 65003, PREFER_VIA_100, FILTER),
+    ("p0", 65001, ACCEPT_ALL, ACCEPT_ALL, None, 0.0),
+    ("p1", 65002, FILTER, HIDE_VIA_500, None, 0.0),
+    ("p2", 65003, PREFER_VIA_100, FILTER, None, 0.0),
+    ("p3", 65004, ACCEPT_ALL, ACCEPT_ALL, DAMPING, 0.0),
+    ("p4", 65005, ACCEPT_ALL, ACCEPT_ALL, None, MRAI_SECONDS),
 )
+DAMPED, GATED = "p3", "p4"
 
 
 def attributes(peer: int, variant: int) -> PathAttributes:
@@ -127,28 +146,40 @@ class RecordingProbe:
         self.events.append(("fib", op, prefix))
 
 
-def make_router() -> BgpSpeaker:
+def connect(router: BgpSpeaker, config: PeerConfig, identifier: IPv4Address) -> None:
+    router.add_peer(config)
+    router.start_peer(config.peer_id)
+    router.transport_connected(config.peer_id)
+    router.receive_bytes(config.peer_id, OpenMessage(config.asn, 0, identifier).encode())
+    router.receive_bytes(config.peer_id, KeepaliveMessage().encode())
+    assert router.peers[config.peer_id].established
+
+
+def make_router(
+    probe: bool = True, watch: bool = True, split_horizon_withdraw: bool = False
+) -> BgpSpeaker:
     router = BgpSpeaker(
         SpeakerConfig(
             asn=ROUTER_AS,
             bgp_identifier=IPv4Address.parse("9.9.9.9"),
             local_address=IPv4Address.parse("10.0.0.254"),
             hold_time=0.0,
+            split_horizon_withdraw=split_horizon_withdraw,
         ),
         fib=RecordingFib(),
     )
-    for peer, (peer_id, asn, import_policy, export_policy) in enumerate(PEERS):
-        router.add_peer(PeerConfig(peer_id, asn, address(peer), import_policy, export_policy))
-        router.start_peer(peer_id)
-        router.transport_connected(peer_id)
-        identifier = IPv4Address(0x01010101 * (3 - peer))
-        router.receive_bytes(peer_id, OpenMessage(asn, 0, identifier).encode())
-        router.receive_bytes(peer_id, KeepaliveMessage().encode())
-        assert router.peers[peer_id].established
+    for peer, (peer_id, asn, import_policy, export_policy, damping, mrai) in enumerate(PEERS):
+        config = PeerConfig(
+            peer_id, asn, address(peer), import_policy, export_policy, damping, mrai
+        )
+        connect(router, config, IPv4Address(0x01010101 * (len(PEERS) - peer)))
     router.originate(LOCAL_PREFIX)
     router.flush_pending()
-    router.probe = RecordingProbe()
-    router.loc_rib_changes = []
+    router.take_mrai_schedule()
+    if probe:
+        router.probe = RecordingProbe()
+    if watch:
+        router.loc_rib_changes = []
     router.take_work()
     return router
 
@@ -168,52 +199,121 @@ def observable(router: BgpSpeaker) -> dict:
             list(announce.items()),
             sorted(withdraw),
         )
+    gate = router.peers[GATED].mrai
+    damper = router.peers[DAMPED].damper
     return {
         "loc_rib": list(router.loc_rib.routes()),
         "fib": router.fib.routes,
         "fib_ops": router.fib.ops,
         "adj_rib_out": outs,
-        "events": router.probe.events,
+        "dirty": sorted(peer.config.peer_id for peer in router._dirty),
+        "mrai": (
+            [(prefix, change.attributes) for prefix, change in gate._pending.items()],
+            dict(gate._last_sent),
+            (gate.passed, gate.withheld, gate.coalesced),
+            router.take_mrai_schedule(),
+        ),
+        "damping": [damper.penalty_of(prefix, router._now) for prefix in POOL],
+        "events": None if router.probe is None else router.probe.events,
         "loc_rib_changes": router.loc_rib_changes,
         "work": {name: getattr(router.work, name) for name in COMPARED_WORK},
         "audit": router.audit,
     }
 
 
+def packets(withdrawn, nlri, attrs) -> "tuple[bytes, list[bytes]]":
+    """One UPDATE carrying everything, and the one-prefix UPDATEs it
+    stands for: the withdrawn routes first, then the NLRI, each in the
+    UPDATE's own order."""
+    packed = UpdateMessage(
+        withdrawn=tuple(withdrawn), attributes=attrs if nlri else None, nlri=tuple(nlri)
+    ).encode()
+    single = [UpdateMessage(withdrawn=(prefix,)).encode() for prefix in withdrawn]
+    single += [UpdateMessage(attributes=attrs, nlri=(prefix,)).encode() for prefix in nlri]
+    return packed, single
+
+
+#: (neighbour, withdrawn, NLRI, attribute variant, flush afterwards).
+#: Either list may repeat a prefix or share one with the other.
 step = st.tuples(
     st.integers(0, len(PEERS) - 1),
-    st.booleans(),  # announce (True) or withdraw
-    st.lists(st.sampled_from(POOL), min_size=1, max_size=len(POOL), unique=True),
+    st.lists(st.sampled_from(POOL), max_size=4),
+    st.lists(st.sampled_from(POOL), max_size=len(POOL) + 2),
     st.integers(0, 6),
-    st.booleans(),  # flush both speakers afterwards
-)
+    st.booleans(),
+).filter(lambda step: step[1] or step[2])
 
 
-@settings(max_examples=100, deadline=None)
-@given(st.lists(step, min_size=1, max_size=14))
+def run_steps(packed: BgpSpeaker, single: BgpSpeaker, steps, compare: bool) -> None:
+    for index, (peer, withdrawn, nlri, variant, flush) in enumerate(steps):
+        now = index * STEP_SECONDS
+        peer_id = PEERS[peer][0]
+        whole, parts = packets(withdrawn, nlri, attributes(peer, variant))
+        packed.receive_bytes(peer_id, whole, now=now)
+        for part in parts:
+            single.receive_bytes(peer_id, part, now=now)
+        if compare:
+            assert observable(packed) == observable(single)
+        if flush:
+            assert packed.release_mrai(GATED, now) == single.release_mrai(GATED, now)
+            assert packed.flush_pending() == single.flush_pending()
+
+
+@pytest.mark.parametrize("probe", [True, False], ids=["probe", "no-probe"])
+@pytest.mark.parametrize("watch", [True, False], ids=["watch", "no-watch"])
+@settings(max_examples=60, deadline=None)
+@given(steps=st.lists(step, min_size=1, max_size=14), split_horizon_withdraw=st.booleans())
 # Equal routes from p0 and p1 under two prefixes of one UPDATE: the
 # candidate sets differ only in which peer holds the shared route.
-@example([
-    (0, True, [POOL[3]], 6, False),
-    (1, True, [POOL[4]], 6, False),
-    (2, True, [POOL[3], POOL[4]], 1, True),
-    (2, False, [POOL[3], POOL[4]], 0, True),
-])
-def test_one_update_of_n_equals_n_updates_of_one(steps):
-    packed, single = make_router(), make_router()
-    for peer, announce, prefixes, variant, flush in steps:
-        peer_id = PEERS[peer][0]
-        attrs = attributes(peer, variant) if announce else None
-
-        def update(nlri):
-            if announce:
-                return UpdateMessage(attributes=attrs, nlri=tuple(nlri)).encode()
-            return UpdateMessage(withdrawn=tuple(nlri)).encode()
-
-        packed.receive_bytes(peer_id, update(prefixes))
-        for prefix in prefixes:
-            single.receive_bytes(peer_id, update([prefix]))
-        assert observable(packed) == observable(single)
-        if flush:
-            assert packed.flush_pending() == single.flush_pending()
+@example(
+    steps=[
+        (0, [], [POOL[3]], 6, False),
+        (1, [], [POOL[4]], 6, False),
+        (2, [], [POOL[3], POOL[4]], 1, True),
+        (2, [POOL[3], POOL[4]], [], 0, True),
+    ],
+    split_horizon_withdraw=False,
+)
+# A damped prefix repeated in one NLRI, after a withdrawal: the second
+# copy is an attribute change that suppresses the route the first
+# installed.
+@example(
+    steps=[
+        (3, [], [POOL[2]], 0, False),
+        (3, [POOL[2]], [POOL[2], POOL[1], POOL[2]], 1, True),
+    ],
+    split_horizon_withdraw=True,
+)
+def test_one_update_of_n_equals_n_updates_of_one(probe, watch, steps, split_horizon_withdraw):
+    packed, single = (
+        make_router(probe, watch, split_horizon_withdraw) for _ in range(2)
+    )
+    run_steps(packed, single, steps, compare=True)
     assert packed.audit.balanced()
+
+
+@settings(max_examples=60, deadline=None)
+@given(steps=st.lists(step, min_size=1, max_size=10), split_horizon_withdraw=st.booleans())
+def test_initial_transfer_after_a_packed_load_equals_after_single_loads(
+    steps, split_horizon_withdraw
+):
+    """Phase 2 of the paper: a neighbour that comes up late is sent the
+    Loc-RIB, whichever packing loaded it."""
+    packed, single = (
+        make_router(False, False, split_horizon_withdraw) for _ in range(2)
+    )
+    run_steps(packed, single, steps, compare=False)
+    transfers = []
+    for router in (packed, single):
+        router.flush_pending()
+        router.take_work()
+        late = PeerConfig("late", 65009, IPv4Address.parse("10.0.9.1"))
+        connect(router, late, IPv4Address.parse("9.1.1.1"))
+        announce, withdraw = router.peers["late"].adj_rib_out.pending()
+        transfers.append((
+            list(announce.items()),
+            sorted(withdraw),
+            router.work.policy_evaluations,
+            router.flush_updates("late"),
+        ))
+    assert transfers[0] == transfers[1]

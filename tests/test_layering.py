@@ -273,6 +273,13 @@ def _resolve(path):
     # A packet's chain is one object: counts, not WorkLog deltas.
     "repro.systems.costs.work_delta",
     "repro.systems.router:XorpRouter._submit_exports",
+    # Work logs are read as count tuples; nothing copies or adds them.
+    "repro.bgp.speaker:WorkLog.snapshot",
+    "repro.bgp.speaker:WorkLog.add",
+    # An UPDATE is decided and staged as columns: no per-prefix walk.
+    "repro.bgp.speaker:BgpSpeaker._run_decision",
+    "repro.bgp.speaker:BgpSpeaker._stage_announce_to_peers",
+    "repro.bgp.speaker:BgpSpeaker._stage_withdraw_to_peers",
 ])
 def test_retired_names_are_gone(name):
     # No caller was left outside their own tests (DESIGN.md §7, the census).

@@ -42,7 +42,6 @@ from repro.bgp.messages import (
     encode_nlri,
 )
 from repro.bgp.policy import Action, Match, Policy, PolicyResult, Rule
-from repro.bgp.rib import RibRoute
 from repro.bgp.speaker import BgpSpeaker, PeerConfig, SpeakerConfig, _Framer
 from repro.net.addr import IPv4Address, Prefix
 from repro.topo.policy import TAG_PEER, export_policy, import_policy
@@ -434,10 +433,9 @@ class TestExportRewriteMemo:
         speaker = BgpSpeaker(SpeakerConfig(65000, local, local, hold_time=0.0))
         ebgp = speaker.add_peer(PeerConfig("e", 65001, IPv4Address.parse("10.0.1.1")))
         ibgp = speaker.add_peer(PeerConfig("i", 65000, IPv4Address.parse("10.0.2.1")))
-        route = RibRoute(P, attributes, "elsewhere")
         blocked = set(attributes.communities) & set(WellKnownCommunity)
         for _cold_then_memoised in range(2):
-            exported = speaker._export_attributes(ebgp, route)
+            exported = speaker._export_attributes(ebgp, attributes, 1)
             if blocked:
                 assert exported is None
             else:
@@ -447,4 +445,4 @@ class TestExportRewriteMemo:
                 )
                 assert exported is intern_attributes(exported)
         if WellKnownCommunity.NO_ADVERTISE not in attributes.communities:
-            assert speaker._export_attributes(ibgp, route) == attributes
+            assert speaker._export_attributes(ibgp, attributes, 1) == attributes

@@ -6,6 +6,7 @@ import hashlib
 import pytest
 
 import repro.bgp
+from repro.workload import tablegen
 from repro.workload.tablegen import PREFIX_LENGTH_MIX, RouteEntry, generate_table
 from repro.net.addr import Prefix
 
@@ -65,6 +66,11 @@ class TestGeneration:
 
 
 class TestTableIdentity:
+    @pytest.fixture(autouse=True)
+    def cold_caches(self):
+        """Each test starts from an empty memo, whatever ran before it."""
+        repro.bgp.reset_caches()
+
     #: sha256 of ``repr([(prefix, origin_as, transit), ...])``, recorded
     #: from the generator that built every prefix through
     #: ``Prefix.from_address(IPv4Address(network), length)``: the memo
@@ -83,6 +89,13 @@ class TestTableIdentity:
 
     def test_repeated_call_returns_the_same_table(self):
         assert generate_table(300, seed=5) is generate_table(300, seed=5)
+
+    def test_a_full_memo_still_returns_the_newest_table(self):
+        for seed in range(tablegen._TABLE_CAPACITY + 3):
+            generate_table(10, seed=1000 + seed)
+        newest = generate_table(10, seed=2000)
+        assert generate_table(10, seed=2000) is newest
+        assert len(tablegen._tables) == tablegen._TABLE_CAPACITY
 
     def test_table_is_immutable(self):
         table = generate_table(20)
