@@ -28,7 +28,8 @@ neither.
 
 from __future__ import annotations
 
-import pytest
+import itertools
+
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -259,8 +260,6 @@ def run_steps(packed: BgpSpeaker, single: BgpSpeaker, steps, compare: bool) -> N
             assert packed.flush_pending() == single.flush_pending()
 
 
-@pytest.mark.parametrize("probe", [True, False], ids=["probe", "no-probe"])
-@pytest.mark.parametrize("watch", [True, False], ids=["watch", "no-watch"])
 @settings(max_examples=60, deadline=None)
 @given(steps=st.lists(step, min_size=1, max_size=14), split_horizon_withdraw=st.booleans())
 # Equal routes from p0 and p1 under two prefixes of one UPDATE: the
@@ -284,12 +283,13 @@ def run_steps(packed: BgpSpeaker, single: BgpSpeaker, steps, compare: bool) -> N
     ],
     split_horizon_withdraw=True,
 )
-def test_one_update_of_n_equals_n_updates_of_one(probe, watch, steps, split_horizon_withdraw):
-    packed, single = (
-        make_router(probe, watch, split_horizon_withdraw) for _ in range(2)
-    )
-    run_steps(packed, single, steps, compare=True)
-    assert packed.audit.balanced()
+def test_one_update_of_n_equals_n_updates_of_one(steps, split_horizon_withdraw):
+    for probe, watch in itertools.product((True, False), repeat=2):
+        packed, single = (
+            make_router(probe, watch, split_horizon_withdraw) for _ in range(2)
+        )
+        run_steps(packed, single, steps, compare=True)
+        assert packed.audit.balanced(), (probe, watch)
 
 
 @settings(max_examples=60, deadline=None)
